@@ -17,7 +17,7 @@ any absent degree and ``diff(n)`` a zero map.
 
 from .permod import (SignedPermModule, EquivMap, zero_module, zero_map,
                      trivial_module, tensor_module, dual_module,
-                     base_change_module, restrict, inflate, subgroup_as_group)
+                     base_change_module, restrict, subgroup_as_group)
 from .rings import mat_zero
 
 
@@ -127,10 +127,6 @@ class ChainMap:
 def identity_chain_map(X):
     from .permod import identity_map
     return ChainMap(X, X, {n: identity_map(M) for n, M in X.terms.items()})
-
-
-def zero_chain_map(X, Y):
-    return ChainMap(X, Y, {})
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +378,6 @@ def induce_complex(X, S):
         for blk in range(k):
             _place_block(X.ring, mat, blk * m_t, blk * m_s, f.matrix)
         diffs[n] = EquivMap(terms[n], terms[n - 1], mat)
-    return Complex(G, X.ring, terms, diffs, check=False)
-
-
-def inflate_complex(X, G, proj):
-    terms = {n: inflate(M, G, proj) for n, M in X.terms.items()}
-    diffs = {n: EquivMap(terms[n], terms[n - 1], f.matrix)
-             for n, f in X.diffs.items()}
     return Complex(G, X.ring, terms, diffs, check=False)
 
 

@@ -23,7 +23,7 @@ import json
 import sys
 
 from .grp import parse_group_name, subgroups
-from .rings import ZZ, QQ, GF
+from .rings import domain_from_name, factorize
 from .homotopy import (find_homotopy_equivalence, Equivalence,
                        SolverCapExceeded)
 from .chain import tensor_complex, dual_complex, unit_complex
@@ -47,20 +47,10 @@ class TheoryFailure(Exception):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_ring(text):
-    text = text.strip()
-    if text == "Z":
-        return ZZ
-    if text == "Q":
-        return QQ
-    if text.startswith("F") and text[1:].isdigit():
-        return GF(int(text[1:]))
-    raise UsageError("cannot parse ring %r (expected Z, Q or F<p>)" % text)
-
-
-def _parse_group(text):
+def _parse_arg(parse, text):
+    """Apply a library name parser; a name it rejects is a usage error."""
     try:
-        return parse_group_name(text)
+        return parse(text)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -108,18 +98,11 @@ def resolve_subgroup(G, text):
     return matches[idx], canonical
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _subgroup_descriptor(G, S):
+    """The descriptor that resolve_subgroup maps back to S."""
+    base = _iso_label(S)
+    matches = [T for T in subgroups(G) if _iso_label(T) == base]
+    return base if len(matches) == 1 else "%s#%d" % (base, matches.index(S))
 
 
 def _jsonable(value):
@@ -141,9 +124,9 @@ def _dump(data):
 # subcommands
 
 def cmd_kos(args):
-    G = _parse_group(args.group)
+    G = _parse_arg(parse_group_name, args.group)
     H, canonical = resolve_subgroup(G, args.subgroup)
-    ring = _parse_ring(args.ring)
+    ring = _parse_arg(domain_from_name, args.ring)
     k = koszul.koszul_object(G, H, ring)
     out = {
         "command": "kos",
@@ -154,10 +137,10 @@ def cmd_kos(args):
         "audit": k.audit,
     }
     if args.verify:
-        primes = _prime_factors(G.order)
-        if len(primes) == 1 and args.ring == "Z":
+        pk = koszul.prime_power(G.order)
+        if pk is not None and args.ring == "Z":
             out["base_change"] = koszul.base_change_koszul_check(
-                G, H, primes[0])
+                G, H, pk[0])
     checks = dict(k.audit["checks"])
     if args.verify and "base_change" in out:
         for tag, rep in out["base_change"].items():
@@ -178,8 +161,8 @@ def cmd_kos(args):
 
 
 def cmd_twisted(args):
-    G = _parse_group(args.group)
-    ring = _parse_ring(args.ring)
+    G = _parse_arg(parse_group_name, args.group)
+    ring = _parse_arg(domain_from_name, args.ring)
     if not twisted.is_elementary_abelian(G):
         raise UsageError("twisted tables need an elementary abelian group")
     if not 0 <= args.max_twist <= 8:
@@ -190,7 +173,7 @@ def cmd_twisted(args):
             raise UsageError("provide both --shift-min and --shift-max")
         window = (args.shift_min, args.shift_max)
     table = twisted.twisted_table(G, ring, args.max_twist,
-                                  shift_window=window, jobs=args.jobs)
+                                  shift_window=window)
     pres = twisted.ring_presentation(table)
     many = len(table.subgroups) > 1
     out = {
@@ -221,15 +204,10 @@ def cmd_twisted(args):
 
 
 def cmd_spectrum(args):
-    G = _parse_group(args.group)
-    if not any(G.element_order(g) == G.order for g in G.elements()):
+    G = _parse_arg(parse_group_name, args.group)
+    if not G.is_cyclic():
         raise UsageError("spectrum assembly admits cyclic groups only")
-    for p in _prime_factors(G.order):
-        n = 0
-        order = G.order
-        while order % p == 0:
-            order //= p
-            n += 1
+    for p, n in factorize(G.order).items():
         if n > args.seed_bound:
             raise UsageError(
                 "modular chain for p=%d has length %d > --seed-bound %d"
@@ -257,8 +235,8 @@ def cmd_spectrum(args):
 
 
 def cmd_invert(args):
-    G = _parse_group(args.group)
-    ring = _parse_ring(args.ring)
+    G = _parse_arg(parse_group_name, args.group)
+    ring = _parse_arg(domain_from_name, args.ring)
     Ns = twisted.index_p_normal_subgroups(G)
     if args.subgroup is not None:
         N, _ = resolve_subgroup(G, args.subgroup)
@@ -299,7 +277,6 @@ def cmd_verify(args):
         "shift_max": (inputs.get("shift_window") or [None, None])[1],
         "format": "json",
         "verify": "base_change" in recorded,
-        "jobs": 1,
         "seed_bound": 64,
     })
     if command == "kos":
@@ -309,7 +286,15 @@ def cmd_verify(args):
     elif command == "spectrum":
         fresh = json.loads(cmd_spectrum(ns))
     elif command == "invert":
-        ns.subgroup = None
+        # replay the recorded subgroup_index as the descriptor naming it
+        G = _parse_arg(parse_group_name, ns.group)
+        Ns = twisted.index_p_normal_subgroups(G)
+        idx = inputs.get("subgroup_index")
+        if type(idx) is not int or not 0 <= idx < len(Ns):
+            raise UsageError("report has subgroup_index %r; %s has %d "
+                             "index-p normal subgroups"
+                             % (idx, G.name, len(Ns)))
+        ns.subgroup = _subgroup_descriptor(G, Ns[idx])
         fresh = json.loads(cmd_invert(ns))
     else:
         raise UsageError("cannot verify report with command %r" % command)
@@ -398,7 +383,8 @@ def build_parser():
     tw.add_argument("--max-twist", type=int, default=3, dest="max_twist")
     tw.add_argument("--shift-min", type=int, default=None, dest="shift_min")
     tw.add_argument("--shift-max", type=int, default=None, dest="shift_max")
-    tw.add_argument("--jobs", type=int, default=1)
+    tw.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility and ignored")
     tw.add_argument("--format", choices=["json", "text"], default="json")
     tw.set_defaults(handler=cmd_twisted)
 

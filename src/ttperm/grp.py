@@ -5,13 +5,14 @@ full Cayley table ``table[i][j] = index of g_i * g_j`` with the identity
 at index 0.  Subgroups are element sets of a fixed parent group; they
 are enumerated exactly (closure search), never up to isomorphism.
 
-Two small categories built from a group are provided because the
-spectrum assembler consumes them: the category of sections ``(H, K)``
-with elementary abelian quotient, and the orbit category on a family of
-subgroups.
+The spectrum assembler consumes the category of sections ``(H, K)``
+with elementary abelian quotient.  The orbit category on a family of
+subgroups is also provided.
 """
 
 from itertools import product as iter_product
+
+from .rings import factorize
 
 
 class Group:
@@ -69,9 +70,9 @@ class Group:
             k += 1
         return k
 
-    def is_abelian(self):
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in range(self.order) for b in range(self.order))
+    def is_cyclic(self):
+        return any(self.element_order(g) == self.order
+                   for g in self.elements())
 
     def elements(self):
         return range(self.order)
@@ -103,37 +104,11 @@ class Group:
             seen |= new
         return tuple(sorted(seen))
 
-    def subgroup(self, elements):
-        return Subgroup(self, elements)
-
     def trivial_subgroup(self):
         return Subgroup(self, (self.identity,))
 
     def full_subgroup(self):
         return Subgroup(self, range(self.order))
-
-    def quotient(self, N):
-        """Quotient by a normal subgroup.
-
-        Returns ``(Q, proj)`` where ``Q`` is the quotient as a Group and
-        ``proj[x]`` is the index in Q of the coset of x.  Cosets are
-        numbered by their smallest member, so the identity coset is 0.
-        """
-        assert isinstance(N, Subgroup) and N.parent is self
-        assert N.is_normal(), "quotient needs a normal subgroup"
-        cosets = sorted({tuple(sorted(self.mul(g, h) for h in N.elements))
-                         for g in self.elements()})
-        index_of = {}
-        for i, c in enumerate(cosets):
-            for x in c:
-                index_of[x] = i
-        table = [[index_of[self.mul(cosets[i][0], cosets[j][0])]
-                  for j in range(len(cosets))] for i in range(len(cosets))]
-        names = ["{" + ",".join(self.element_names[x] for x in c) + "}"
-                 for c in cosets]
-        Q = Group(table, "%s/%s" % (self.name, N.describe()), names)
-        proj = tuple(index_of[x] for x in self.elements())
-        return Q, proj
 
     def __repr__(self):
         return "Group(%s, order %d)" % (self.name, self.order)
@@ -186,15 +161,6 @@ class Subgroup:
         mine = set(self.elements)
         return all(G.conj(x, g) in mine for g in amb for x in self.elements)
 
-    def normalizer(self):
-        G = self.parent
-        mine = set(self.elements)
-        return Subgroup(G, (g for g in G.elements()
-                            if all(G.conj(x, g) in mine for x in self.elements)))
-
-    def weyl_order(self):
-        return self.normalizer().order // self.order
-
     def left_cosets(self):
         """Left cosets gH, each a sorted tuple, ordered by smallest member."""
         G = self.parent
@@ -203,11 +169,6 @@ class Subgroup:
 
     def coset_reps(self):
         return tuple(c[0] for c in self.left_cosets())
-
-    def intersection(self, other):
-        assert other.parent is self.parent
-        common = set(self.elements) & set(other.elements)
-        return Subgroup(self.parent, common)
 
     def describe(self):
         G = self.parent
@@ -460,7 +421,7 @@ def sections_category(G, p):
     """All sections (H, K) of the p-group G with H/K elementary abelian,
     and all morphisms between them."""
     order = G.order
-    assert order == 1 or _is_prime_power(order, p), \
+    assert set(factorize(order)) <= {p}, \
         "sections_category expects a p-group"
     subs = subgroups(G)
     objects = []
@@ -479,12 +440,6 @@ def sections_category(G, p):
                 if tgt.K <= Kg and Kg <= Hg and Hg <= tgt.H:
                     morphisms.append(SectionMorphism(src, tgt, g))
     return SectionsCategory(G, objects, morphisms)
-
-
-def _is_prime_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # ---------------------------------------------------------------------------

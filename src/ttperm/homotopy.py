@@ -497,7 +497,7 @@ class FgModule:
         return all(c == 0 for c in self.coords(v))
 
 
-def _units_of(ring, bound=None):
+def _units_of(ring):
     if ring.name == "Z":
         return [1, -1]
     if ring.is_field and ring.characteristic:
@@ -750,16 +750,21 @@ def hom_group_bruteforce(Y, s):
     dim = M0.rank
     if dim == 0:
         return FgModule(ring, 0, []), []
-    rows = []
-    # equivariance: for each g and basis row i, (g.v - v)_i = 0
-    for g in G.elements():
-        for i in range(dim):
-            row = {}
-            j, sg = M0.act(g, i)
-            row[i] = ring.normalize(row.get(i, ring.zero) + sg)
-            row[j] = ring.normalize(row.get(j, ring.zero) - ring.one)
-            if any(v != 0 for v in row.values()):
-                rows.append({c: v for c, v in row.items() if v != 0})
+
+    def equivariance_rows(M):
+        # for each g and basis row i of M, (g.v - v)_i = 0
+        rows = []
+        for g in G.elements():
+            for i in range(M.rank):
+                row = {}
+                j, sg = M.act(g, i)
+                row[i] = ring.normalize(row.get(i, ring.zero) + sg)
+                row[j] = ring.normalize(row.get(j, ring.zero) - ring.one)
+                if any(v != 0 for v in row.values()):
+                    rows.append({c: v for c, v in row.items() if v != 0})
+        return rows
+
+    rows = equivariance_rows(M0)
     # cycle condition d v = 0
     if n0 in Y.diffs:
         for r in Y.diffs[n0].matrix:
@@ -772,15 +777,7 @@ def hom_group_bruteforce(Y, s):
         return FgModule(ring, 0, []), []
     # boundaries of equivariant vectors one degree up
     M1 = Y.term(n0 + 1)
-    brows = []
-    for g in G.elements():
-        for i in range(M1.rank):
-            row = {}
-            j, sg = M1.act(g, i)
-            row[i] = ring.normalize(row.get(i, ring.zero) + sg)
-            row[j] = ring.normalize(row.get(j, ring.zero) - ring.one)
-            if any(v != 0 for v in row.values()):
-                brows.append({c: v for c, v in row.items() if v != 0})
+    brows = equivariance_rows(M1)
     inv1 = kernel_sparse(ring, brows, M1.rank) if M1.rank else []
     bcols = []
     if (n0 + 1) in Y.diffs:
@@ -903,11 +900,6 @@ def _hom_basis(M, N):
     return _HOM_BASIS_CACHE[key]
 
 
-def _compose_mats(ring, A, B):
-    """Plain matrix product A . B as nested lists (no equivariance check)."""
-    return mat_mul(ring, A, B)
-
-
 def _homotopy_system(X, Y, sys, h_tag="h"):
     """Add homotopy unknown blocks h_n : X_n -> Y_{n+1} to ``sys``.
 
@@ -943,13 +935,13 @@ def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h",
         if n in h_bases:
             dY = Y.diffs.get(n + 1)
             if dY is not None:
-                mats = [_compose_mats(ring, dY.matrix, b.matrix)
+                mats = [mat_mul(ring, dY.matrix, b.matrix)
                         for b in sys.blocks[(h_tag, n)][1]]
                 contributions.append(((h_tag, n), mats))
         if (n - 1) in h_bases:
             dX = X.diffs.get(n)
             if dX is not None:
-                mats = [_compose_mats(ring, b.matrix, dX.matrix)
+                mats = [mat_mul(ring, b.matrix, dX.matrix)
                         for b in sys.blocks[(h_tag, n - 1)][1]]
                 contributions.append(((h_tag, n - 1), mats))
         if extra and n in extra:
@@ -992,9 +984,9 @@ def check_homotopy(F, h):
             continue
         lhs = mat_zero(ring, Y.term(n).rank, X.term(n).rank)
         if n in h and (n + 1) in Y.diffs:
-            lhs = _compose_mats(ring, Y.diffs[n + 1].matrix, h[n].matrix)
+            lhs = mat_mul(ring, Y.diffs[n + 1].matrix, h[n].matrix)
         if (n - 1) in h and n in X.diffs:
-            add = _compose_mats(ring, h[n - 1].matrix, X.diffs[n].matrix)
+            add = mat_mul(ring, h[n - 1].matrix, X.diffs[n].matrix)
             lhs = [[ring.normalize(lhs[r][c] + add[r][c])
                     for c in range(len(add[0]))] for r in range(len(add))]
         rhs = F.component(n).matrix
@@ -1014,9 +1006,10 @@ class ContractionCertificate:
         return check_homotopy(identity_chain_map(self.X), self.h)
 
     def to_json(self):
+        from .chain import _value_to_json
         return {
             "kind": "contraction",
-            "h": {str(n): [[_num_to_json(self.X.ring, v) for v in row]
+            "h": {str(n): [[_value_to_json(self.X.ring, v) for v in row]
                            for row in f.matrix]
                   for n, f in self.h.items()},
         }
@@ -1038,12 +1031,6 @@ class NonContractibleWitness:
             self.reason, self.degree)
 
 
-def _num_to_json(ring, v):
-    if ring.name == "Q":
-        return [v.numerator, v.denominator]
-    return int(v)
-
-
 def _contract_raw(X):
     """A (not necessarily equivariant) contraction of the underlying
     complex, degree by degree from the bottom: solve
@@ -1063,7 +1050,7 @@ def _contract_raw(X):
         rk = X.terms[n].rank
         rhs = mat_identity(ring, rk)
         if (n - 1) in h and n in X.diffs:
-            hd = _compose_mats(ring, h[n - 1], X.diffs[n].matrix)
+            hd = mat_mul(ring, h[n - 1], X.diffs[n].matrix)
             rhs = [[ring.normalize(rhs[r][c] - hd[r][c])
                     for c in range(rk)] for r in range(rk)]
         if (n + 1) not in X.terms:
@@ -1123,7 +1110,7 @@ def _contract_equivariant(X):
         Xn = X.terms[n]
         rhs = mat_identity(ring, Xn.rank)
         if (n - 1) in h and n in X.diffs:
-            hd = _compose_mats(ring, h[n - 1].matrix, X.diffs[n].matrix)
+            hd = mat_mul(ring, h[n - 1].matrix, X.diffs[n].matrix)
             rhs = [[ring.normalize(rhs[r][c] - hd[r][c])
                     for c in range(Xn.rank)] for r in range(Xn.rank)]
         basis = _hom_basis(Xn, X.terms[n + 1]) if (n + 1) in X.terms else []
@@ -1134,7 +1121,7 @@ def _contract_equivariant(X):
         sys = _System(ring)
         sys.add_block("h", basis)
         dmat = X.diff(n + 1).matrix
-        mats = [_compose_mats(ring, dmat, b.matrix) for b in basis]
+        mats = [mat_mul(ring, dmat, b.matrix) for b in basis]
         sys.add_rows(_hom_basis(Xn, Xn), [("h", mats)], rhs_map=rhs)
         sol = sys.solve()
         if sol is None:
@@ -1208,11 +1195,11 @@ def chain_map_space(X, Y):
         proj = _hom_basis(X.terms[n], Y.terms[n - 1])
         contributions = []
         if n in f_bases and n in Y.diffs:
-            mats = [_compose_mats(ring, Y.diffs[n].matrix, b.matrix)
+            mats = [mat_mul(ring, Y.diffs[n].matrix, b.matrix)
                     for b in f_bases[n]]
             contributions.append((("f", n), mats))
         if (n - 1) in f_bases and n in X.diffs:
-            mats = [_compose_mats(ring, [
+            mats = [mat_mul(ring, [
                 [ring.normalize(-v) for v in row] for row in b.matrix],
                 X.diffs[n].matrix) for b in f_bases[n - 1]]
             contributions.append((("f", n - 1), mats))
@@ -1241,29 +1228,22 @@ class Equivalence:
         self.hp = hp     # d hp + hp d = id_Y - f g
 
     def verify(self):
-        from .chain import identity_chain_map, ChainMap
-        X, Y = self.f.source, self.f.target
-        ring = X.ring
-        gf = self.g.compose(self.f)
-        comps = {}
-        for n in X.terms:
-            idm = mat_identity(ring, X.terms[n].rank)
-            gfm = gf.component(n).matrix
-            mat = [[ring.normalize(idm[r][c] - gfm[r][c])
-                    for c in range(X.terms[n].rank)]
-                   for r in range(X.terms[n].rank)]
-            comps[n] = EquivMap(X.terms[n], X.terms[n], mat)
-        check_homotopy(ChainMap(X, X, comps), self.h)
-        fg = self.f.compose(self.g)
-        comps = {}
-        for n in Y.terms:
-            idm = mat_identity(ring, Y.terms[n].rank)
-            fgm = fg.component(n).matrix
-            mat = [[ring.normalize(idm[r][c] - fgm[r][c])
-                    for c in range(Y.terms[n].rank)]
-                   for r in range(Y.terms[n].rank)]
-            comps[n] = EquivMap(Y.terms[n], Y.terms[n], mat)
-        check_homotopy(ChainMap(Y, Y, comps), self.hp)
+        from .chain import ChainMap
+        ring = self.f.source.ring
+
+        def identity_minus(comp):
+            Z = comp.source
+            comps = {}
+            for n, M in Z.terms.items():
+                idm = mat_identity(ring, M.rank)
+                cm = comp.component(n).matrix
+                mat = [[ring.normalize(idm[r][c] - cm[r][c])
+                        for c in range(M.rank)] for r in range(M.rank)]
+                comps[n] = EquivMap(M, M, mat)
+            return ChainMap(Z, Z, comps)
+
+        check_homotopy(identity_minus(self.g.compose(self.f)), self.h)
+        check_homotopy(identity_minus(self.f.compose(self.g)), self.hp)
         return True
 
 
@@ -1287,10 +1267,7 @@ class Inconclusive:
         return "Inconclusive(%s)" % self.reason
 
 
-_EQUIV_CACHE = {}
-
-
-def find_homotopy_equivalence(X, Y, cache_key=None):
+def find_homotopy_equivalence(X, Y):
     """Search for an equivariant homotopy equivalence X -> Y.
 
     Returns an Equivalence, a NotEquivalent witness (homology profiles
@@ -1302,16 +1279,7 @@ def find_homotopy_equivalence(X, Y, cache_key=None):
     contracting its mapping cone and reading off the quasi-inverse and
     both homotopies from the contraction blocks.
     """
-    if cache_key is not None and cache_key in _EQUIV_CACHE:
-        return _EQUIV_CACHE[cache_key]
-    res = _find_homotopy_equivalence(X, Y)
-    if cache_key is not None:
-        _EQUIV_CACHE[cache_key] = res
-    return res
-
-
-def _find_homotopy_equivalence(X, Y):
-    from .chain import identity_chain_map, ChainMap, structurally_equal
+    from .chain import ChainMap, structurally_equal
     ring = X.ring
     profX = homology_profile(X)
     profY = homology_profile(Y)

@@ -32,26 +32,13 @@ from .chain import (Complex, ChainMap, module_complex, shift_complex,
                     tensor_chain_maps, cone, restrict_complex,
                     transport_complex, base_change_complex)
 from .homotopy import is_contractible, homology_profile
-from .rings import mat_zero
+from .rings import factorize, mat_zero
 
 
 def prime_power(n):
     """(p, k) with n = p^k, or None."""
-    if n < 2:
-        return None
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
+    factors = list(factorize(n).items())
+    return factors[0] if len(factors) == 1 else None
 
 
 def index2_filtration(G, H):
@@ -487,61 +474,3 @@ def base_change_koszul_check(G, H, p):
     rq["rational_contractible"] = True
     report["rational"] = rq
     return report
-
-
-def mackey_restrict_check(x, S, K):
-    """Mackey decomposition of Res_K (x)Ind_S^G x, at rank level.
-
-    Verifies that the restricted tensor induction has the rank vector
-    predicted by the double-coset decomposition
-    (x) over K g S of (x)Ind_{K cap gSg^-1}^K Res(g-conj of x),
-    and that contractibility of x forces contractibility of the
-    restriction.  Returns a report dict.
-    """
-    G = S.parent
-    ind = tensor_induce(x, S)
-    res = restrict_complex(ind, K)
-    lhs_ranks = res.rank_vector()
-    # double cosets K g S
-    seen = set()
-    factors = []
-    for g in G.elements():
-        if g in seen:
-            continue
-        coset = set()
-        for a in K.elements:
-            for b in S.elements:
-                coset.add(G.mul(G.mul(a, g), b))
-        seen |= coset
-        inter = [h for h in K.elements
-                 if G.mul(G.mul(G.inv(g), h), g) in set(S.elements)]
-        idx = K.order // len(inter)
-        factors.append(idx)
-    # predicted rank vector: convolution power of x's ranks per factor
-    base = {n: M.rank for n, M in x.terms.items()}
-    pred = {0: 1}
-    for idx in factors:
-        piece = {0: 1}
-        for _ in range(idx):
-            nxt = {}
-            for a, ra in piece.items():
-                for b, rb in base.items():
-                    nxt[a + b] = nxt.get(a + b, 0) + ra * rb
-            piece = nxt
-        nxt = {}
-        for a, ra in pred.items():
-            for b, rb in piece.items():
-                nxt[a + b] = nxt.get(a + b, 0) + ra * rb
-        pred = nxt
-    pred = {n: r for n, r in pred.items() if r}
-    ranks_match = pred == lhs_ranks
-    ok_contr, _ = is_contractible(res)
-    x_contr, _ = is_contractible(x)
-    return {
-        "double_coset_indices": sorted(factors),
-        "lhs_ranks": lhs_ranks,
-        "predicted_ranks": pred,
-        "ranks_match": ranks_match,
-        "restriction_contractible": ok_contr,
-        "input_contractible": x_contr,
-    }

@@ -60,14 +60,6 @@ class SignedPermModule:
     def is_permutation(self):
         return all(s == 1 for row in self.action for (_, s) in row)
 
-    def action_matrix(self, g):
-        M = mat_zero(self.ring, self.rank, self.rank)
-        one = self.ring.one
-        for i in range(self.rank):
-            j, s = self.action[g][i]
-            M[j][i] = one if s == 1 else self.ring.normalize(-one)
-        return M
-
     def orbits(self):
         """Orbit data of the G-action on the basis (up to sign).
 
@@ -262,20 +254,6 @@ def tensor_module(M, N):
     return SignedPermModule(M.group, M.ring, basis, tuple(action))
 
 
-def tensor_report(M, N):
-    """Orbit decomposition of a tensor product of permutation modules.
-
-    Returns a list of (stabilizer, character_is_trivial, orbit_size)
-    triples, one per basis orbit of M (x) N.
-    """
-    T = tensor_module(M, N)
-    report = []
-    for orb in T.orbits():
-        chi_trivial = all(s == 1 for s in orb["character"].values())
-        report.append((orb["stabilizer"], chi_trivial, len(orb["members"])))
-    return T, report
-
-
 def direct_sum(M, N, tags=("a", "b")):
     assert M.group is N.group and M.ring is N.ring
     basis = tuple((tags[0], l) for l in M.basis) + \
@@ -300,16 +278,7 @@ def dual_module(M):
 
 
 # ---------------------------------------------------------------------------
-# induction / restriction / inflation
-
-def induce(M, group):
-    """Ind_H^G of a module over the subgroup-as-group H.
-
-    ``M.group`` must be the standalone group of some Subgroup of
-    ``group``; pass the pair produced by ``subgroup_as_group``.
-    """
-    raise NotImplementedError("use induce_from(M, subgroup) instead")
-
+# induction / restriction
 
 _AS_GROUP_CACHE = {}
 
@@ -373,12 +342,6 @@ def restrict(M, S):
     H, elems = subgroup_as_group(S)
     action = tuple(M.action[x] for x in elems)
     return SignedPermModule(H, M.ring, M.basis, action)
-
-
-def inflate(M, G, proj):
-    """Infl along a quotient map: M is over Q, proj[g] indexes Q."""
-    action = tuple(M.action[proj[g]] for g in G.elements())
-    return SignedPermModule(G, M.ring, M.basis, action)
 
 
 # ---------------------------------------------------------------------------

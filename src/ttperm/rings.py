@@ -8,6 +8,9 @@ floats appear anywhere in this package.
 Matrices are lists of lists, row-major, with ``M[i][j]`` the entry in
 row ``i`` and column ``j``.  The helpers below are deliberately small:
 anything that needs pivoting or normal forms lives in ``homotopy``.
+
+``factorize`` is the package's one prime factorisation; primality,
+prime-power and Sylow-order questions elsewhere are answered from it.
 """
 
 from fractions import Fraction
@@ -57,9 +60,6 @@ class _Integers(CoefficientDomain):
         assert x in (1, -1)
         return x
 
-    def units(self):
-        return (1, -1)
-
 
 class _Rationals(CoefficientDomain):
     name = "Q"
@@ -85,7 +85,7 @@ class PrimeField(CoefficientDomain):
 
     def __new__(cls, p):
         if p not in cls._instances:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            if factorize(p) != {p: 1}:
                 raise ValueError("PrimeField needs a prime, got %r" % (p,))
             inst = super().__new__(cls)
             inst.p = p
@@ -124,7 +124,23 @@ def domain_from_name(name):
         return QQ
     if name.startswith("F") and name[1:].isdigit():
         return GF(int(name[1:]))
-    raise ValueError("unknown coefficient ring %r" % (name,))
+    raise ValueError("unknown coefficient ring %r (expected Z, Q or F<p>)"
+                     % (name,))
+
+
+def factorize(n):
+    """{p: k} with n the product of the p^k, primes in increasing order
+    (empty for n < 2)."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +157,6 @@ def mat_identity(ring, n):
     for i in range(n):
         M[i][i] = one
     return M
-
-
-def mat_copy(M):
-    return [row[:] for row in M]
 
 
 def mat_shape(M):
@@ -175,16 +187,6 @@ def mat_mul(ring, A, B):
 def mat_add(ring, A, B):
     norm = ring.normalize
     return [[norm(a + b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(ring, A, B):
-    norm = ring.normalize
-    return [[norm(a - b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(ring, A):
-    norm = ring.normalize
-    return [[norm(-a) for a in row] for row in A]
 
 
 def mat_scale(ring, c, A):

@@ -51,6 +51,7 @@ their Sylow subgroup and contribute no further identifications.
 import json
 
 from .grp import cyclic, sections_category, subgroups
+from .rings import factorize
 from .twisted import TheoryCheckFailure
 
 # Tags for modular points: images of the closed cohomological prime
@@ -279,23 +280,6 @@ def _validated(poset):
 # ---------------------------------------------------------------------------
 # group plumbing
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-def _is_cyclic(G):
-    return any(G.element_order(g) == G.order for g in G.elements())
-
-
 def _subgroup_label(G, S):
     """Canonical name of a subgroup of a cyclic group: "1", "C2", ..."""
     assert any(S.parent.element_order(g) == S.order for g in S.elements), \
@@ -312,8 +296,8 @@ def _cyclic_p_chain(G):
     has exactly one subgroup per divisor of its order, so the chain is
     unique.
     """
-    assert _is_cyclic(G), "spectrum assembly admits cyclic groups only"
-    factors = _prime_factors(G.order)
+    assert G.is_cyclic(), "spectrum assembly admits cyclic groups only"
+    factors = list(factorize(G.order))
     assert len(factors) == 1, "expected a p-group"
     p = factors[0]
     by_order = {}
@@ -528,19 +512,17 @@ def orbit_colimit(G):
     prime-power order other than the Sylow subgroups factor through
     their Sylow subgroup and add no identifications.
     """
-    assert _is_cyclic(G), "spectrum assembly admits cyclic groups only"
+    assert G.is_cyclic(), "spectrum assembly admits cyclic groups only"
     if G.order == 1:
         return assemble_over_Z(G)
-    primes = _prime_factors(G.order)
+    factors = factorize(G.order)
+    primes = list(factors)
     if len(primes) == 1:
         return sections_colimit(G)
     excluded = tuple(primes)
 
     def sylow_piece(p):
-        order = 1
-        while G.order % (order * p) == 0:
-            order *= p
-        piece = sections_colimit(cyclic(order))
+        piece = sections_colimit(cyclic(p ** factors[p]))
         # widen the symbolic granularity: family({p}) becomes
         # family(all primes dividing |G|) plus concrete points (q)
         wide = SymbolicPoset()

@@ -42,7 +42,7 @@ isomorphisms.
 """
 
 from .grp import Subgroup, subgroups
-from .rings import ZZ, mat_zero
+from .rings import ZZ, factorize, mat_zero
 from .permod import EquivMap, perm_module, trivial_module
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
                     tensor_complex, restrict_complex)
@@ -60,10 +60,6 @@ class BoundsInsufficient(Exception):
     """The requested computation does not fit in the declared bounds."""
 
 
-def _is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def u_degree(p):
     """The homological degree carrying the homology of u_N (1 or 2)."""
     return 1 if p == 2 else 2
@@ -72,7 +68,7 @@ def u_degree(p):
 def index_p_normal_subgroups(G):
     """Normal subgroups of prime index, sorted by element tuple."""
     out = [S for S in subgroups(G)
-           if S.index > 1 and _is_prime(S.index) and S.is_normal()]
+           if factorize(S.index) == {S.index: 1} and S.is_normal()]
     return sorted(out, key=lambda S: S.elements)
 
 
@@ -159,7 +155,7 @@ def _norm_matrix(M, g, p, ring):
 def _check_index_p(G, N):
     assert N.is_normal(), "twist subgroups must be normal"
     p = N.index
-    assert _is_prime(p), "twist subgroups must have prime index"
+    assert factorize(p) == {p: 1}, "twist subgroups must have prime index"
     return p
 
 
@@ -421,18 +417,8 @@ class GradedTable:
         self.generators = generators
         self.subgroups = subgroups_
 
-    def entry(self, s, q):
-        return self.entries.get((s, q.key()))
-
     def hom(self, s, q):
         return _can_hom(self.group, self.ring, q, s)
-
-    def twists(self):
-        seen = []
-        for (s, qk) in self.entries:
-            if qk not in seen:
-                seen.append(qk)
-        return seen
 
     def to_json(self):
         out = {}
@@ -482,13 +468,11 @@ def _table_entry(G, ring, q, s, monos):
     }
 
 
-def twisted_table(G, ring, max_twist, shift_window=None, jobs=1):
+def twisted_table(G, ring, max_twist, shift_window=None):
     """Fill the (shift, twist) window with hom groups and monomial tags.
 
     G must be elementary abelian so that every index-p subgroup is
     normal and the twist monoid needs no conjugation bookkeeping.
-    ``jobs`` > 1 computes the window cells on a thread pool; the table
-    is assembled in sorted cell order either way.
     """
     assert is_elementary_abelian(G), "tables need an elementary abelian group"
     assert max_twist <= 8, "bound exceeded: max_twist is limited to 8"
@@ -518,17 +502,9 @@ def twisted_table(G, ring, max_twist, shift_window=None, jobs=1):
                     new[z2.mono] = z2
         monos.update(new)
         frontier = new
-    cells = [(q, s) for q in _all_twists(Ns, max_twist)
-             for s in range(smin, smax + 1)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda cell: _table_entry(G, ring, cell[0], cell[1], monos),
-                cells))
-    else:
-        results = [_table_entry(G, ring, q, s, monos) for (q, s) in cells]
-    entries = {(s, q.key()): ent for (q, s), ent in zip(cells, results)}
+    entries = {(s, q.key()): _table_entry(G, ring, q, s, monos)
+               for q in _all_twists(Ns, max_twist)
+               for s in range(smin, smax + 1)}
     return GradedTable(G, ring, max_twist, shift_window, entries,
                        gens, Ns)
 
@@ -904,8 +880,7 @@ def _twist_length(q):
 def _hom_or_zero(table, s, q):
     """Entry data at (s, q); shifts outside the support of the
     canonical complex give zero groups without computing anything."""
-    L = sum(u_degree(N.index) * e for N, e in q.items)
-    if s > 0 or -s > L:
+    if s > 0 or -s > _twist_length(q):
         return {"label": "0", "facs": [], "hom": None, "s": s, "q": q}
     hg = table.hom(s, q)
     return {"label": hg.label(), "facs": list(hg.fg.factors),

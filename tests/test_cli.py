@@ -4,11 +4,16 @@ Exit code contract: 0 success, 1 usage error, 2 theory/validation
 failure (with a machine-readable JSON report on stdout).
 """
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
 from ttperm.cli import run, build_parser
+
+EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
+    "expected.json"
 
 
 def out_of(capsys):
@@ -99,6 +104,8 @@ def test_usage_errors():
                 "--ring", "Z"]) == 1                        # no such subgroup
     assert run(["twisted", "--group", "C2", "--ring", "R",
                 "--max-twist", "2"]) == 1                   # bad ring
+    assert run(["kos", "--group", "C2", "--subgroup", "1",
+                "--ring", "F4"]) == 1                       # F<n>, n not prime
 
 
 def test_subgroup_disambiguation(capsys):
@@ -125,6 +132,7 @@ def test_verify_round_trip(tmp_path, capsys):
         ["twisted", "--group", "C2", "--ring", "F2", "--max-twist", "2"],
         ["spectrum", "--group", "C6", "--format", "json"],
         ["invert", "--group", "C3", "--ring", "Z"],
+        ["invert", "--group", "C2xC2", "--subgroup", "C2#1"],
     ):
         assert run(argv) == 0
         report = out_of(capsys)
@@ -143,6 +151,31 @@ def test_verify_detects_tampering(tmp_path, capsys):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
     assert run(["verify", str(path)]) == 2
+
+
+def test_verify_rejects_bad_subgroup_index(tmp_path, capsys):
+    assert run(["invert", "--group", "C2", "--ring", "Z"]) == 0
+    data = json.loads(out_of(capsys))
+    data["inputs"]["subgroup_index"] = 1   # C2 has one index-p subgroup
+    path = tmp_path / "bad_index.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", str(path)]) == 1
+
+
+def test_reports_match_recorded_digests(capsys):
+    # Reports must stay byte-identical across refactors; the digests are
+    # the benchmark's, recorded from the seed.
+    expected = json.loads(EXPECTED.read_text())
+    for command in ("invert --group C3 --ring Z",
+                    "twisted --group C2 --ring F2 --max-twist 4",
+                    "spectrum --group C32 --format dot",
+                    "spectrum --group C48 --format text",
+                    "spectrum --group C60",
+                    "kos --group C9 --subgroup C3 --verify"):
+        code = run(command.split())
+        digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+        assert (code, digest) == (expected[command]["exit"],
+                                  expected[command]["sha256"]), command
 
 
 def test_verify_missing_file():

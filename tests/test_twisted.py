@@ -344,9 +344,3 @@ def test_is_elementary_abelian():
     assert is_elementary_abelian(cyclic(1))
     assert not is_elementary_abelian(cyclic(4))
     assert not is_elementary_abelian(parse_group_name("C6"))
-
-
-def test_jobs_do_not_change_the_table():
-    serial = twisted_table(cyclic(2), GF(2), 3).to_json()
-    parallel = twisted_table(cyclic(2), GF(2), 3, jobs=3).to_json()
-    assert serial == parallel
