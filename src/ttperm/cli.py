@@ -265,9 +265,18 @@ def cmd_invert(args):
 
 def cmd_verify(args):
     with open(args.report) as fh:
-        recorded = json.load(fh)
+        try:
+            recorded = json.load(fh)
+        except ValueError as exc:      # not JSON, or not even text
+            raise UsageError("%s is not a JSON report: %s"
+                             % (args.report, exc))
+    if not isinstance(recorded, dict):
+        raise UsageError("%s is not a ttperm report" % args.report)
     command = recorded.get("command")
     inputs = recorded.get("inputs", {})
+    if not isinstance(inputs, dict) or \
+            not isinstance(inputs.get("group"), str):
+        raise UsageError("%s has no inputs.group to replay" % args.report)
     ns = argparse.Namespace(**{
         "group": inputs.get("group"),
         "subgroup": inputs.get("subgroup"),

@@ -597,8 +597,7 @@ def invariant_data(M):
     cols = []
     roots = []
     for f in maps:
-        col = [row[0] for row in f.matrix]
-        cols.append(col)
+        cols.append(f.column(0))
         roots.append(f.root_pair[1])
     return cols, roots
 
@@ -830,20 +829,21 @@ class _System:
     def add_rows(self, proj_basis, contributions, rhs_map=None):
         """One equation row per element of ``proj_basis``.
 
-        ``contributions``: list of (tag, matrices) where matrices[k] is
-        the composite matrix produced by unknown basis element k of the
-        block; the row coefficient is its entry at the projection root.
-        ``rhs_map``: matrix whose root entries give the right side.
+        ``contributions``: list of (tag, products) where products[k] is
+        the composite produced by unknown basis element k of the block,
+        as a sparse {(row, col): value} dict; the row coefficient is its
+        entry at the projection root.
+        ``rhs_map``: dense matrix whose root entries give the right side.
         """
         ring = self.ring
-        for e_idx, e in enumerate(proj_basis):
+        for e in proj_basis:
             i, j = e.root_pair
             row = {}
-            for tag, mats in contributions:
+            for tag, products in contributions:
                 off = self.blocks[tag][0]
-                for k, mat in enumerate(mats):
-                    v = mat[j][i] if mat else ring.zero
-                    if v != 0:
+                for k, prod in enumerate(products):
+                    v = prod.get((j, i))
+                    if v is not None:
                         row[off + k] = ring.normalize(
                             row.get(off + k, ring.zero) + v)
             b = ring.zero
@@ -879,15 +879,52 @@ class _System:
 
 
 def _combine(ring, basis, coeffs, source, target):
-    mat = mat_zero(ring, target.rank, source.rank)
+    acc = {}
     for c, b in zip(coeffs, basis):
         if c == 0:
             continue
-        for r, row in enumerate(b.matrix):
-            for cc, v in enumerate(row):
-                if v != 0:
-                    mat[r][cc] = ring.normalize(mat[r][cc] + c * v)
-    return EquivMap(source, target, mat)
+        for key, v in b.entries.items():
+            acc[key] = acc.get(key, ring.zero) + c * v
+    return EquivMap(source, target, entries=acc)
+
+
+def _index(entries, axis):
+    """{k: [(other index, value)]} grouping sparse entries by their row
+    (axis 0) or column (axis 1) index."""
+    out = {}
+    for key, v in entries.items():
+        out.setdefault(key[axis], []).append((key[1 - axis], v))
+    return out
+
+
+def _normalized(ring, acc):
+    norm = ring.normalize
+    out = {}
+    for key, v in acc.items():
+        v = norm(v)
+        if v != 0:
+            out[key] = v
+    return out
+
+
+def _left_mul(ring, d_cols, b):
+    """d . b as {(row, col): value}; ``d_cols`` is _index(d.entries, 1)
+    and ``b`` a sparse entries dict."""
+    acc = {}
+    for (t, c), v in b.items():
+        for r, a in d_cols.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + a * v
+    return _normalized(ring, acc)
+
+
+def _right_mul(ring, b, d_rows):
+    """b . d as {(row, col): value}; ``d_rows`` is _index(d.entries, 0)
+    and ``b`` a sparse entries dict."""
+    acc = {}
+    for (r, t), v in b.items():
+        for c, a in d_rows.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + v * a
+    return _normalized(ring, acc)
 
 
 _HOM_BASIS_CACHE = {}
@@ -915,12 +952,10 @@ def _homotopy_system(X, Y, sys, h_tag="h"):
     return bases
 
 
-def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h",
-                            extra=None):
-    """Equations proj(d h + h d) (+ extra terms) = rhs, degree by degree.
+def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h"):
+    """Equations proj(d h + h d) = rhs, degree by degree.
 
-    ``rhs_maps``: {n: matrix of the degree-n right-hand map X_n -> Y_n};
-    ``extra``: {n: list of (tag, matrices)} additional linear terms.
+    ``rhs_maps``: {n: matrix of the degree-n right-hand map X_n -> Y_n}.
     """
     ring = X.ring
     degrees = sorted(set(X.terms) | set(Y.terms))
@@ -935,17 +970,17 @@ def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h",
         if n in h_bases:
             dY = Y.diffs.get(n + 1)
             if dY is not None:
-                mats = [mat_mul(ring, dY.matrix, b.matrix)
-                        for b in sys.blocks[(h_tag, n)][1]]
-                contributions.append(((h_tag, n), mats))
+                d_cols = _index(dY.entries, 1)
+                prods = [_left_mul(ring, d_cols, b.entries)
+                         for b in sys.blocks[(h_tag, n)][1]]
+                contributions.append(((h_tag, n), prods))
         if (n - 1) in h_bases:
             dX = X.diffs.get(n)
             if dX is not None:
-                mats = [mat_mul(ring, b.matrix, dX.matrix)
-                        for b in sys.blocks[(h_tag, n - 1)][1]]
-                contributions.append(((h_tag, n - 1), mats))
-        if extra and n in extra:
-            contributions.extend(extra[n])
+                d_rows = _index(dX.entries, 0)
+                prods = [_right_mul(ring, b.entries, d_rows)
+                         for b in sys.blocks[(h_tag, n - 1)][1]]
+                contributions.append(((h_tag, n - 1), prods))
         rhs = rhs_maps.get(n) if rhs_maps else None
         sys.add_rows(proj, contributions, rhs)
 
@@ -1120,9 +1155,9 @@ def _contract_equivariant(X):
             continue
         sys = _System(ring)
         sys.add_block("h", basis)
-        dmat = X.diff(n + 1).matrix
-        mats = [mat_mul(ring, dmat, b.matrix) for b in basis]
-        sys.add_rows(_hom_basis(Xn, Xn), [("h", mats)], rhs_map=rhs)
+        d_cols = _index(X.diff(n + 1).entries, 1)
+        prods = [_left_mul(ring, d_cols, b.entries) for b in basis]
+        sys.add_rows(_hom_basis(Xn, Xn), [("h", prods)], rhs_map=rhs)
         sol = sys.solve()
         if sol is None:
             return None
@@ -1195,14 +1230,15 @@ def chain_map_space(X, Y):
         proj = _hom_basis(X.terms[n], Y.terms[n - 1])
         contributions = []
         if n in f_bases and n in Y.diffs:
-            mats = [mat_mul(ring, Y.diffs[n].matrix, b.matrix)
-                    for b in f_bases[n]]
-            contributions.append((("f", n), mats))
+            d_cols = _index(Y.diffs[n].entries, 1)
+            prods = [_left_mul(ring, d_cols, b.entries) for b in f_bases[n]]
+            contributions.append((("f", n), prods))
         if (n - 1) in f_bases and n in X.diffs:
-            mats = [mat_mul(ring, [
-                [ring.normalize(-v) for v in row] for row in b.matrix],
-                X.diffs[n].matrix) for b in f_bases[n - 1]]
-            contributions.append((("f", n - 1), mats))
+            d_rows = _index(X.diffs[n].entries, 0)
+            prods = [{k: ring.normalize(-v) for k, v in
+                      _right_mul(ring, b.entries, d_rows).items()}
+                     for b in f_bases[n - 1]]
+            contributions.append((("f", n - 1), prods))
         if contributions:
             sys.add_rows(proj, contributions)
     out = []

@@ -9,11 +9,19 @@ GF(2) the two notions coincide and signs are erased on construction.
 Conventions used throughout the package:
 
 * the action is stored as ``act[g][i] = (j, s)`` meaning g.e_i = s e_j;
-* an ``EquivMap`` matrix has shape |target basis| x |source basis| and
-  acts on coordinate columns, f(e_j) = sum_i M[i][j] f_i;
+* an ``EquivMap`` has two views of one map: ``entries``, the dict
+  {(row, col): value} of its nonzero entries, and ``matrix``, the dense
+  |target| x |source| tuple of row tuples; rows index the target basis
+  and columns the source basis, and the map acts on coordinate columns,
+  f(e_j) = sum_i M[i][j] f_i;
+* an ``EquivMap`` is built from one view and derives the other on first
+  use, then keeps it: hom-basis maps are built from ``entries`` and
+  never need a dense matrix, differentials are built dense;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 """
+
+from functools import cached_property
 
 from .grp import Group, Subgroup
 from .rings import ZZ, mat_zero
@@ -123,39 +131,78 @@ class SignedPermModule:
 
 
 class EquivMap:
-    """A G-equivariant linear map between signed permutation modules."""
+    """A G-equivariant linear map between signed permutation modules.
 
-    def __init__(self, source, target, matrix):
+    Built from exactly one of a dense ``matrix`` or a sparse ``entries``
+    dict {(row, col): value}; the other view is derived on first use.
+    Either way equivariance is checked on the nonzero entries.
+    """
+
+    def __init__(self, source, target, matrix=None, entries=None):
         assert source.group is target.group
         assert source.ring is target.ring
-        ring = source.ring
-        matrix = tuple(tuple(ring.normalize(x) for x in row) for row in matrix)
-        assert len(matrix) == target.rank
-        assert all(len(row) == source.rank for row in matrix)
+        assert (matrix is None) != (entries is None), \
+            "give exactly one of matrix and entries"
         self.source = source
         self.target = target
-        self.matrix = matrix
-        self.ring = ring
-        self._check_equivariance()
+        self.ring = ring = source.ring
+        norm = ring.normalize
+        if matrix is not None:
+            matrix = tuple(tuple(norm(x) for x in row) for row in matrix)
+            assert len(matrix) == target.rank
+            assert all(len(row) == source.rank for row in matrix)
+            self.matrix = matrix
+            # checked, not kept: dense maps such as large differentials
+            # would otherwise hold a second copy of every nonzero
+            entries = _nonzeros(matrix)
+        else:
+            entries = {(r, c): norm(v) for (r, c), v in entries.items()}
+            entries = {k: v for k, v in entries.items() if v != 0}
+            assert all(0 <= r < target.rank and 0 <= c < source.rank
+                       for (r, c) in entries)
+            self.entries = entries
+        self._check_equivariance(entries)
 
-    def _check_equivariance(self):
-        src, tgt, M = self.source, self.target, self.matrix
-        cols = [[] for _ in range(src.rank)]
-        for r, row in enumerate(M):
-            for c, v in enumerate(row):
-                if v != 0:
-                    cols[c].append((r, v))
+    @cached_property
+    def entries(self):
+        """The nonzero entries, read off ``matrix`` on first use."""
+        return _nonzeros(self.matrix)
+
+    @cached_property
+    def matrix(self):
+        """The dense view, built from ``entries`` on first use."""
+        z = self.ring.zero
+        rows = [[z] * self.source.rank for _ in range(self.target.rank)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return tuple(map(tuple, rows))
+
+    def _check_equivariance(self, E=None):
+        """M[g.r][g.i] = s t M[r][i] for every g and every nonzero (r, i),
+        where g.e_i = s e_(g.i) and g.f_r = t f_(g.r).
+
+        Checking nonzero entries only suffices: if g moves a zero entry
+        onto a nonzero one, g^-1 moves that nonzero entry onto the zero.
+        """
+        src, tgt = self.source, self.target
+        if E is None:
+            E = self.entries
         norm = self.ring.normalize
         for g in src.group.elements():
-            tact = tgt.action[g]
-            for i in range(src.rank):
-                j, s = src.action[g][i]
-                lhs = {}
-                for (r, v) in cols[i]:
-                    r2, t = tact[r]
-                    lhs[r2] = norm(t * v)
-                rhs = {r: norm(s * v) for (r, v) in cols[j]}
-                assert lhs == rhs, "map is not equivariant"
+            sact, tact = src.action[g], tgt.action[g]
+            for (r, i), v in E.items():
+                r2, t = tact[r]
+                i2, s = sact[i]
+                assert E.get((r2, i2)) == (v if s == t else norm(-v)), \
+                    "map is not equivariant"
+
+    def column(self, c):
+        """The image of source basis vector c, as a dense column."""
+        col = [self.ring.zero] * self.target.rank
+        for (r, c2), v in self.entries.items():
+            if c2 == c:
+                col[r] = v
+        return col
 
     def apply(self, vec):
         ring = self.ring
@@ -182,16 +229,20 @@ class EquivMap:
         return EquivMap(other.source, self.target, M)
 
     def is_zero(self):
-        return all(v == 0 for row in self.matrix for v in row)
+        return not self.entries
 
     def __repr__(self):
         return "EquivMap(%d x %d over %s)" % (
             self.target.rank, self.source.rank, self.ring.name)
 
 
+def _nonzeros(matrix):
+    return {(r, c): v for r, row in enumerate(matrix)
+            for c, v in enumerate(row) if v != 0}
+
+
 def zero_map(source, target):
-    return EquivMap(source, target, mat_zero(source.ring,
-                                             target.rank, source.rank))
+    return EquivMap(source, target, entries={})
 
 
 def identity_map(M):
@@ -355,10 +406,17 @@ def equivariant_hom_basis(M, N):
     consistently contributes the equivariant map supported on it.
     Orbits with inconsistent signs contribute nothing (they would need
     2 to be invertible to split; over GF(2) signs are already erased).
+
+    Each map is built from its signed orbit support through ``entries``,
+    so it holds at most |G| nonzero entries and no dense matrix until a
+    caller asks for ``matrix``; ``root_pair`` is the (source, target)
+    index pair that starts its orbit.
     """
     assert M.group is N.group and M.ring is N.ring
     G = M.group
     ring = M.ring
+    one = ring.one
+    minus_one = ring.normalize(-one)
     nN = N.rank
     total = M.rank * nN
     assigned = {}
@@ -386,12 +444,11 @@ def equivariant_hom_basis(M, N):
         assigned.update(sign)
         if not consistent:
             continue
-        mat = mat_zero(ring, nN, M.rank)
-        one = ring.one
+        entries = {}
         for x, w in sign.items():
             i, j = divmod(x, nN)
-            mat[j][i] = one if w == 1 else ring.normalize(-one)
-        em = EquivMap(M, N, mat)
+            entries[(j, i)] = one if w == 1 else minus_one
+        em = EquivMap(M, N, entries=entries)
         em.root_pair = divmod(start, nN)
         out.append(em)
     return out
@@ -400,7 +457,7 @@ def equivariant_hom_basis(M, N):
 def invariant_basis(M):
     """Column vectors spanning M^G (one orbit-sum per consistent orbit)."""
     maps = equivariant_hom_basis(trivial_module(M.group, M.ring), M)
-    return [[row[0] for row in f.matrix] for f in maps]
+    return [f.column(0) for f in maps]
 
 
 # ---------------------------------------------------------------------------

@@ -376,9 +376,10 @@ def generator_maps(G, N, ring):
                                 mono=(key("c"),))
     for sym in ("a", "b", "c"):
         if sym in out:
-            if sym == "a" and ring.is_field and ring.characteristic == 0:
-                # a_N is p-torsion, so it genuinely vanishes over Q;
-                # keep the (zero) class so tables can still tag a-monomials
+            if sym == "a" and ring.is_field and ring.characteristic != p:
+                # a_N is p-torsion, so it genuinely vanishes once p is a
+                # unit (over Q or GF(l), l != p); keep the (zero) class
+                # so tables can still tag a-monomials
                 continue
             assert not out[sym].is_zero_class(), \
                 "generator %s_N is zero in its hom group" % sym

@@ -47,6 +47,19 @@ def test_twisted_c3_f3_has_truncation_relation(capsys):
     assert "(-2): c^2 = 0" in data["presentation"]["relations"]
 
 
+def test_twisted_over_coprime_fields(capsys):
+    # a_N is p-torsion, so it vanishes once p is a unit in the field
+    presentations = {}
+    for group, ring in (("C2", "F3"), ("C3", "F2"), ("C5", "F7"),
+                        ("C2", "Q")):
+        code = run(["twisted", "--group", group, "--ring", ring])
+        assert code == 0, (group, ring)
+        data = json.loads(out_of(capsys))
+        assert "(0): a = 0" in data["presentation"]["relations"]
+        presentations[group, ring] = data["presentation"]
+    assert presentations["C2", "F3"] == presentations["C2", "Q"]
+
+
 def test_twisted_jobs_and_serial_agree(capsys):
     code = run(["twisted", "--group", "C2", "--ring", "F2",
                 "--max-twist", "3"])
@@ -94,7 +107,7 @@ def test_invert_unit_twist(capsys):
     assert data["invertible"] is True
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run([]) == 1
     assert run(["frobnicate"]) == 1
     assert run(["kos", "--group", "C4"]) == 1              # missing subgroup
@@ -106,6 +119,12 @@ def test_usage_errors():
                 "--max-twist", "2"]) == 1                   # bad ring
     assert run(["kos", "--group", "C2", "--subgroup", "1",
                 "--ring", "F4"]) == 1                       # F<n>, n not prime
+    not_json = tmp_path / "not_json.txt"
+    not_json.write_text("not json")
+    assert run(["verify", str(not_json)]) == 1              # not a report
+    no_group = tmp_path / "no_group.json"
+    no_group.write_text('{"command": "kos"}')
+    assert run(["verify", str(no_group)]) == 1              # no inputs.group
 
 
 def test_subgroup_disambiguation(capsys):

@@ -235,3 +235,18 @@ def test_homology_profile_detects_quasi_isomorphism_type():
     M = trivial_module(G, ZZ)
     X = two_term_complex(EquivMap(M, M, [[6]]))
     assert homology_profile(X) == {0: (0, (6,))}
+
+
+def test_invert_keeps_hom_basis_maps_sparse(monkeypatch, capsys):
+    # Hom-basis maps hold their orbit support only; a dense view built
+    # on any of them during a whole command would bring back the
+    # |target| x |source| matrices per map.
+    from ttperm import homotopy
+    from ttperm.cli import run
+    monkeypatch.setattr(homotopy, "_HOM_BASIS_CACHE", {})
+    assert run(["invert", "--group", "C5", "--ring", "Z"]) == 0
+    capsys.readouterr()
+    maps = [f for basis in homotopy._HOM_BASIS_CACHE.values()
+            for f in basis]
+    assert len(maps) > 100
+    assert not any("matrix" in vars(f) for f in maps)

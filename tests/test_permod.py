@@ -8,13 +8,16 @@ orbits of the double action.
 import pytest
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
-from ttperm.rings import ZZ, QQ, GF
+from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_zero
 from ttperm.permod import (perm_module, trivial_module, sign_module,
                            tensor_module, dual_module, direct_sum,
                            restrict, induce_from, base_change_module,
                            equivariant_hom_basis, invariant_basis,
                            identity_map, zero_map, subgroup_as_group,
-                           is_induced_from, rebase_to_permutation)
+                           is_induced_from, rebase_to_permutation, EquivMap)
+from ttperm.chain import tensor_complex
+from ttperm.homotopy import _index, _left_mul, _right_mul
+from ttperm.twisted import u_complex, index_p_normal_subgroups
 
 
 def double_coset_count(G, H, K):
@@ -180,3 +183,90 @@ def test_rebase_to_permutation():
     out = rebase_to_permutation(tensor_module(sgn, reg))
     assert out is not None
     assert out[0].is_permutation()
+
+
+# ---------------------------------------------------------------------------
+# sparse hom-basis maps
+
+def _dense(ring, entries, rows, cols):
+    mat = mat_zero(ring, rows, cols)
+    for (r, c), v in entries.items():
+        mat[r][c] = v
+    return [list(row) for row in mat]
+
+
+def _module_pairs(name, ring):
+    G = parse_group_name(name)
+    mods = [perm_module(G, S, ring) for S in subgroups(G)]
+    if name == "C4":
+        # a signed module: the sign character tensored with a free module
+        C2 = [S for S in subgroups(G) if S.order == 2][0]
+        signed = tensor_module(sign_module(G, C2, ring),
+                               perm_module(G, G.trivial_subgroup(), ring))
+        assert not signed.is_permutation()
+        mods.append(signed)
+    return G, [(M, N) for M in mods for N in mods]
+
+
+def test_sparse_half_orbit_fails_equivariance_like_dense():
+    G = cyclic(4)
+    M = perm_module(G, G.trivial_subgroup(), ZZ)
+    f = max(equivariant_hom_basis(M, M), key=lambda b: len(b.entries))
+    assert len(f.entries) == 4
+    half = dict(sorted(f.entries.items())[:2])
+    with pytest.raises(AssertionError, match="not equivariant"):
+        EquivMap(M, M, entries=half)
+    with pytest.raises(AssertionError, match="not equivariant"):
+        EquivMap(M, M, _dense(ZZ, half, M.rank, M.rank))
+    # the full support passes both ways and the two paths agree
+    g = EquivMap(M, M, _dense(ZZ, f.entries, M.rank, M.rank))
+    assert g.entries == f.entries
+
+
+def test_equivmap_takes_exactly_one_of_matrix_and_entries():
+    G = cyclic(2)
+    M = trivial_module(G, ZZ)
+    with pytest.raises(AssertionError):
+        EquivMap(M, M)
+    with pytest.raises(AssertionError):
+        EquivMap(M, M, [[1]], entries={(0, 0): 1})
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "D8"])
+def test_hom_basis_dense_view_matches_orbit_signs(name):
+    ring = ZZ
+    G, pairs = _module_pairs(name, ring)
+    for M, N in pairs:
+        for f in equivariant_hom_basis(M, N):
+            assert "matrix" not in vars(f)        # built sparse
+            i, j = f.root_pair
+            expect = mat_zero(ring, N.rank, M.rank)
+            for g in G.elements():
+                i2, s = M.act(g, i)
+                j2, t = N.act(g, j)
+                expect[j2][i2] = ring.normalize(s * t)
+            assert f.matrix == tuple(map(tuple, expect))
+            dense = EquivMap(M, N, expect)
+            assert dense.entries == f.entries
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
+def test_sparse_products_match_mat_mul(ring):
+    G = cyclic(3)
+    N = index_p_normal_subgroups(G)[0]
+    u = u_complex(G, N, ring)
+    X = tensor_complex(u, u)
+    checked = 0
+    for n, d in X.diffs.items():
+        src, tgt = X.terms[n], X.terms[n - 1]
+        d_cols, d_rows = _index(d.entries, 1), _index(d.entries, 0)
+        for b in equivariant_hom_basis(tgt, src):
+            db = _left_mul(ring, d_cols, b.entries)
+            bd = _right_mul(ring, b.entries, d_rows)
+            assert _dense(ring, db, tgt.rank, tgt.rank) == \
+                mat_mul(ring, d.matrix, b.matrix)
+            assert _dense(ring, bd, src.rank, src.rank) == \
+                mat_mul(ring, b.matrix, d.matrix)
+            assert all(v != 0 for v in list(db.values()) + list(bd.values()))
+            checked += 1
+    assert checked
