@@ -97,12 +97,12 @@ class ChainMap:
                 assert f.target.basis == target.terms[n].basis
                 comps[n] = f
             else:
-                assert all(v == 0 for row in f.matrix for v in row)
+                assert f.is_zero()
         self.components = comps
         for n in set(list(source.terms) + list(target.terms)):
             lhs = self.component(n - 1).compose(source.diff(n))
             rhs = target.diff(n).compose(self.component(n))
-            assert lhs.matrix == rhs.matrix, \
+            assert lhs.entries == rhs.entries, \
                 "square at degree %d does not commute" % n
 
     def component(self, n):

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .grp import parse_group_name, subgroups
+from .grp import parse_group_name, subgroups, MAX_ORDER
 from .rings import domain_from_name, factorize
 from .homotopy import (find_homotopy_equivalence, Equivalence,
                        SolverCapExceeded)
@@ -53,6 +53,20 @@ def _parse_arg(parse, text):
         return parse(text)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _check_order(G):
+    """Subgroup enumeration is desk scale: a larger group is a usage
+    error, not a failed check."""
+    if G.order > MAX_ORDER:
+        raise UsageError("%s has order %d; groups of order at most %d are "
+                         "supported" % (G.name, G.order, MAX_ORDER))
+
+
+def _parse_group(text):
+    G = _parse_arg(parse_group_name, text)
+    _check_order(G)
+    return G
 
 
 def _iso_label(S):
@@ -124,8 +138,16 @@ def _dump(data):
 # subcommands
 
 def cmd_kos(args):
-    G = _parse_arg(parse_group_name, args.group)
+    G = _parse_group(args.group)
+    pk = koszul.prime_power(G.order)
+    if pk is None and G.order > 1:
+        raise UsageError("Koszul objects need a p-group; %s has order %d"
+                         % (G.name, G.order))
     H, canonical = resolve_subgroup(G, args.subgroup)
+    if pk is not None and pk[0] != 2 and H.index > 4:
+        raise UsageError("for odd p, kos takes one tensor induction of "
+                         "index at most 4; %s has index %d in %s"
+                         % (canonical, H.index, G.name))
     ring = _parse_arg(domain_from_name, args.ring)
     k = koszul.koszul_object(G, H, ring)
     out = {
@@ -137,7 +159,6 @@ def cmd_kos(args):
         "audit": k.audit,
     }
     if args.verify:
-        pk = koszul.prime_power(G.order)
         if pk is not None and args.ring == "Z":
             out["base_change"] = koszul.base_change_koszul_check(
                 G, H, pk[0])
@@ -161,7 +182,7 @@ def cmd_kos(args):
 
 
 def cmd_twisted(args):
-    G = _parse_arg(parse_group_name, args.group)
+    G = _parse_group(args.group)
     ring = _parse_arg(domain_from_name, args.ring)
     if not twisted.is_elementary_abelian(G):
         raise UsageError("twisted tables need an elementary abelian group")
@@ -212,6 +233,7 @@ def cmd_spectrum(args):
             raise UsageError(
                 "modular chain for p=%d has length %d > --seed-bound %d"
                 % (p, n, args.seed_bound))
+    _check_order(G)
     P = spectrum.orbit_colimit(G)
     report = spectrum.validate(P)
     if not report["ok"]:
@@ -235,7 +257,7 @@ def cmd_spectrum(args):
 
 
 def cmd_invert(args):
-    G = _parse_arg(parse_group_name, args.group)
+    G = _parse_group(args.group)
     ring = _parse_arg(domain_from_name, args.ring)
     Ns = twisted.index_p_normal_subgroups(G)
     if args.subgroup is not None:
@@ -296,7 +318,7 @@ def cmd_verify(args):
         fresh = json.loads(cmd_spectrum(ns))
     elif command == "invert":
         # replay the recorded subgroup_index as the descriptor naming it
-        G = _parse_arg(parse_group_name, ns.group)
+        G = _parse_group(ns.group)
         Ns = twisted.index_p_normal_subgroups(G)
         idx = inputs.get("subgroup_index")
         if type(idx) is not int or not 0 <= idx < len(Ns):

@@ -299,13 +299,18 @@ def parse_group_name(text):
 # ---------------------------------------------------------------------------
 # subgroup enumeration
 
+# Largest group order whose subgroups are enumerated.
+MAX_ORDER = 64
+
+
 def subgroups(G):
     """All subgroups of G, sorted by (order, element tuple).
 
     Breadth-first closure search: grow each known subgroup by a single
     extra generator.  Exact for any table group; intended for order <= 64.
     """
-    assert G.order <= 64, "subgroup enumeration is desk scale (order <= 64)"
+    assert G.order <= MAX_ORDER, \
+        "subgroup enumeration is desk scale (order <= %d)" % MAX_ORDER
     triv = (G.identity,)
     seen = {triv}
     frontier = [triv]

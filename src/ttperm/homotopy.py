@@ -4,10 +4,18 @@ Everything here reduces to sparse linear algebra over Z, Q or GF(p):
 
 * ``smith_normal_form`` returns (U, D, V) with A = U . D . V, U and V
   invertible over the ring, D diagonal with a divisibility chain; the
-  factorization is re-multiplied and asserted before returning;
+  factorization is re-multiplied and asserted before returning.  It
+  serves generator tracking only (``FgModule`` on small relation
+  matrices, for ``underlying_homology`` and hom groups);
 * ``solve_sparse`` / ``kernel_sparse`` work on sparse row dictionaries
   and track column operations only, which keeps big homotopy systems
   tractable (solutions pull back through the accumulated column ops);
+* ``homology_profile`` needs no generators: one sparse diagonalization
+  of each differential gives its rank and, over Z, a diagonal whose
+  nonunit entries normalise to the torsion invariant factors; it checks
+  d o d = 0 as a sparse product first;
+* certificate checks (``check_homotopy``, chain-map squares) compare the
+  nonzeros of sparse products, never dense matrix products;
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
   ``find_homotopy_equivalence``, ``hom_group``) search inside the
   lattice of equivariant maps: unknowns are coefficients of the orbit
@@ -19,8 +27,10 @@ Homotopies h have degree +1 and certify d h + h d = f.
 
 import os
 from fractions import Fraction
+from math import gcd
 
-from .permod import equivariant_hom_basis, zero_map, EquivMap
+from .permod import (equivariant_hom_basis, zero_map, EquivMap, _index,
+                     _normalized, _left_mul, _right_mul)
 from .rings import mat_zero, mat_identity, mat_mul
 
 
@@ -576,15 +586,53 @@ def underlying_homology(X, n):
 
 
 def homology_profile(X):
-    """{degree: iso invariants} over all degrees with nonzero homology."""
+    """{degree: iso invariants} over all degrees with nonzero homology.
+
+    Invariants are (free rank, torsion invariant factors), as
+    ``FgModule.iso_invariants`` gives them, but no generator is tracked:
+    one ``_diagonalize`` pass per differential d_n gives rank d_n and,
+    over Z, the diagonal it reaches by unimodular row and column
+    operations.  The free rank of H_n is rank X_n - rank d_n -
+    rank d_{n+1}; its torsion is the invariant factors of d_{n+1}, the
+    nonunit diagonal entries normalised into a divisibility chain.
+    d_n o d_{n+1} = 0 is checked first (as a sparse product), since
+    complexes built with ``check=False`` are never checked otherwise.
+    """
+    ring = X.ring
+    rank = {}
+    torsion = {}
+    for n, d in sorted(X.diffs.items()):
+        E = d.entries
+        if (n + 1) in X.diffs and \
+                _left_mul(ring, _index(E, 1), X.diffs[n + 1].entries):
+            raise AssertionError("d o d != 0 at degree %d" % n)
+        rows = [{} for _ in range(X.terms[n - 1].rank)]
+        for (r, c), v in E.items():
+            rows[r][c] = v
+        del E       # the transient nonzeros are not needed while eliminating
+        pivots = _diagonalize(ring, rows, X.terms[n].rank)[0]
+        rank[n] = len(pivots)
+        if not ring.is_field:
+            torsion[n - 1] = _invariant_factors([v for (_, _, v) in pivots])
     out = {}
-    lo = X.min_degree
-    hi = X.max_degree + 1
-    for n in range(lo, hi + 1):
-        fg, _ = underlying_homology(X, n)
-        if not fg.is_zero():
-            out[n] = fg.iso_invariants()
+    for n, M in sorted(X.terms.items()):
+        free = M.rank - rank.get(n, 0) - rank.get(n + 1, 0)
+        tors = torsion.get(n, ())
+        if free or tors:
+            out[n] = (free, tors)
     return out
+
+
+def _invariant_factors(diagonal):
+    """Invariant factors of diag(diagonal) over Z, units dropped: the
+    chain d_1 | d_2 | ... with the same prime-power exponents, reached
+    by replacing pairs with their gcd and lcm."""
+    ds = [abs(v) for v in diagonal if abs(v) != 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return tuple(v for v in ds if v != 1)
 
 
 # ---------------------------------------------------------------------------
@@ -888,45 +936,6 @@ def _combine(ring, basis, coeffs, source, target):
     return EquivMap(source, target, entries=acc)
 
 
-def _index(entries, axis):
-    """{k: [(other index, value)]} grouping sparse entries by their row
-    (axis 0) or column (axis 1) index."""
-    out = {}
-    for key, v in entries.items():
-        out.setdefault(key[axis], []).append((key[1 - axis], v))
-    return out
-
-
-def _normalized(ring, acc):
-    norm = ring.normalize
-    out = {}
-    for key, v in acc.items():
-        v = norm(v)
-        if v != 0:
-            out[key] = v
-    return out
-
-
-def _left_mul(ring, d_cols, b):
-    """d . b as {(row, col): value}; ``d_cols`` is _index(d.entries, 1)
-    and ``b`` a sparse entries dict."""
-    acc = {}
-    for (t, c), v in b.items():
-        for r, a in d_cols.get(t, ()):
-            acc[(r, c)] = acc.get((r, c), 0) + a * v
-    return _normalized(ring, acc)
-
-
-def _right_mul(ring, b, d_rows):
-    """b . d as {(row, col): value}; ``d_rows`` is _index(d.entries, 0)
-    and ``b`` a sparse entries dict."""
-    acc = {}
-    for (r, t), v in b.items():
-        for c, a in d_rows.get(t, ()):
-            acc[(r, c)] = acc.get((r, c), 0) + v * a
-    return _normalized(ring, acc)
-
-
 _HOM_BASIS_CACHE = {}
 
 
@@ -1011,23 +1020,22 @@ def null_homotopy(F):
 
 
 def check_homotopy(F, h):
-    """Assert d h + h d = F exactly."""
+    """Assert d h + h d = F exactly, degree by degree, comparing the
+    nonzeros of sparse products."""
     X, Y = F.source, F.target
     ring = X.ring
-    for n in set(X.terms) | set(Y.terms):
-        if n not in X.terms:
-            continue
-        lhs = mat_zero(ring, Y.term(n).rank, X.term(n).rank)
+    for n in X.terms:
+        lhs = {}
         if n in h and (n + 1) in Y.diffs:
-            lhs = mat_mul(ring, Y.diffs[n + 1].matrix, h[n].matrix)
+            lhs = _left_mul(ring, _index(Y.diffs[n + 1].entries, 1),
+                            h[n].entries)
         if (n - 1) in h and n in X.diffs:
-            add = mat_mul(ring, h[n - 1].matrix, X.diffs[n].matrix)
-            lhs = [[ring.normalize(lhs[r][c] + add[r][c])
-                    for c in range(len(add[0]))] for r in range(len(add))]
-        rhs = F.component(n).matrix
-        if Y.term(n).rank and X.term(n).rank:
-            assert [list(r) for r in lhs] == [list(r) for r in rhs], \
-                "homotopy identity fails at degree %d" % n
+            for key, v in _right_mul(ring, h[n - 1].entries,
+                                     _index(X.diffs[n].entries, 0)).items():
+                lhs[key] = lhs.get(key, 0) + v
+            lhs = _normalized(ring, lhs)
+        assert lhs == F.component(n).entries, \
+            "homotopy identity fails at degree %d" % n
     return True
 
 
@@ -1201,12 +1209,12 @@ def is_contractible(X):
         cert = ContractionCertificate(X, h)
         cert.verify()
         return True, cert
-    for n in range(X.min_degree, X.max_degree + 2):
-        fg, _ = underlying_homology(X, n)
-        if not fg.is_zero():
-            return False, NonContractibleWitness(
-                "nonzero homology of the underlying complex",
-                degree=n, invariants=fg.iso_invariants())
+    prof = homology_profile(X)
+    if prof:
+        n = min(prof)
+        return False, NonContractibleWitness(
+            "nonzero homology of the underlying complex",
+            degree=n, invariants=prof[n])
     return False, NonContractibleWitness(
         "underlying complex is exact but no equivariant contraction "
         "exists over %s" % X.ring.name)
@@ -1271,11 +1279,10 @@ class Equivalence:
             Z = comp.source
             comps = {}
             for n, M in Z.terms.items():
-                idm = mat_identity(ring, M.rank)
-                cm = comp.component(n).matrix
-                mat = [[ring.normalize(idm[r][c] - cm[r][c])
-                        for c in range(M.rank)] for r in range(M.rank)]
-                comps[n] = EquivMap(M, M, mat)
+                acc = {(i, i): ring.one for i in range(M.rank)}
+                for key, v in comp.component(n).entries.items():
+                    acc[key] = acc.get(key, ring.zero) - v
+                comps[n] = EquivMap(M, M, entries=acc)
             return ChainMap(Z, Z, comps)
 
         check_homotopy(identity_minus(self.g.compose(self.f)), self.h)

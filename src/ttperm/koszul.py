@@ -279,10 +279,11 @@ def sign_modify(X, S):
             diffs = dict(X.diffs)
             if m in X.diffs:
                 comp = X.diffs[m].compose(iso)
-                diffs[m] = EquivMap(newP, X.terms[m - 1], comp.matrix)
+                diffs[m] = EquivMap(newP, X.terms[m - 1], entries=comp.entries)
             if (m + 1) in X.diffs:
                 comp = inv.compose(X.diffs[m + 1])
-                diffs[m + 1] = EquivMap(X.terms[m + 1], newP, comp.matrix)
+                diffs[m + 1] = EquivMap(X.terms[m + 1], newP,
+                                        entries=comp.entries)
             X = Complex(G, ring, terms, diffs, check=False)
             audit.append({"degree": m, "action": "rebased"})
             continue
@@ -309,7 +310,7 @@ def sign_modify(X, S):
         bot_terms[m] = LN
         if m in X.diffs:
             comp = X.diffs[m].compose(emb)
-            bot_diffs[m] = EquivMap(LN, X.terms[m - 1], comp.matrix)
+            bot_diffs[m] = EquivMap(LN, X.terms[m - 1], entries=comp.entries)
         x_bot = Complex(G, ring, bot_terms, bot_diffs, check=False)
         # attaching map t : x_top[-1] -> x_bot
         shifted = shift_complex(x_top, -1)
@@ -321,7 +322,7 @@ def sign_modify(X, S):
         if pr > 0 and m in X.diffs:
             embP = EquivMap(P, M, _restrict_map_columns(iso, 0, pr))
             comp = X.diffs[m].compose(embP)
-            t_comps[m - 1] = EquivMap(P, X.terms[m - 1], comp.matrix)
+            t_comps[m - 1] = EquivMap(P, X.terms[m - 1], entries=comp.entries)
         t = ChainMap(shifted, x_bot, t_comps)
         tau = tensor_chain_maps(smap, t)
         X = cone(tau)
@@ -427,7 +428,7 @@ def koszul_object(G, H, ring):
         for n, f in X.diffs.items():
             comp = map_inverse_monomial(isos[n - 1]).compose(
                 f.compose(isos[n]))
-            diffs[n] = EquivMap(terms[n], terms[n - 1], comp.matrix)
+            diffs[n] = EquivMap(terms[n], terms[n - 1], entries=comp.entries)
         X = Complex(G, ring, terms, diffs)
         audit["tower"] = [{"from": H.describe(), "to": G.name,
                            "index": H.index, "action": "tensor-induce+rebase"}]

@@ -14,9 +14,13 @@ Conventions used throughout the package:
   |target| x |source| tuple of row tuples; rows index the target basis
   and columns the source basis, and the map acts on coordinate columns,
   f(e_j) = sum_i M[i][j] f_i;
-* an ``EquivMap`` is built from one view and derives the other on first
-  use, then keeps it: hom-basis maps are built from ``entries`` and
-  never need a dense matrix, differentials are built dense;
+* an ``EquivMap`` is built from one view.  A map built from ``entries``
+  derives ``matrix`` on first use and keeps it; a map built dense reads
+  ``entries`` off its matrix on every use and keeps no second copy, so
+  large differentials cost one dense matrix each.  Hom-basis maps and
+  composites are built from ``entries``, differentials are built dense;
+* composites are sparse products of nonzeros (``_left_mul``,
+  ``_right_mul``), never dense matrix products;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 """
@@ -134,8 +138,10 @@ class EquivMap:
     """A G-equivariant linear map between signed permutation modules.
 
     Built from exactly one of a dense ``matrix`` or a sparse ``entries``
-    dict {(row, col): value}; the other view is derived on first use.
-    Either way equivariance is checked on the nonzero entries.
+    dict {(row, col): value}; ``matrix`` is derived from entries on first
+    use and kept, ``entries`` of a dense-built map is read off its matrix
+    on each use and not kept.  Either way equivariance is checked on the
+    nonzero entries.
     """
 
     def __init__(self, source, target, matrix=None, entries=None):
@@ -154,26 +160,30 @@ class EquivMap:
             self.matrix = matrix
             # checked, not kept: dense maps such as large differentials
             # would otherwise hold a second copy of every nonzero
+            self._entries = None
             entries = _nonzeros(matrix)
         else:
             entries = {(r, c): norm(v) for (r, c), v in entries.items()}
             entries = {k: v for k, v in entries.items() if v != 0}
             assert all(0 <= r < target.rank and 0 <= c < source.rank
                        for (r, c) in entries)
-            self.entries = entries
+            self._entries = entries
         self._check_equivariance(entries)
 
-    @cached_property
+    @property
     def entries(self):
-        """The nonzero entries, read off ``matrix`` on first use."""
-        return _nonzeros(self.matrix)
+        """The nonzero entries; a dense-built map reads them off
+        ``matrix`` on each use."""
+        if self._entries is None:
+            return _nonzeros(self.matrix)
+        return self._entries
 
     @cached_property
     def matrix(self):
         """The dense view, built from ``entries`` on first use."""
         z = self.ring.zero
         rows = [[z] * self.source.rank for _ in range(self.target.rank)]
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self._entries.items():
             rows[r][c] = v
         return tuple(map(tuple, rows))
 
@@ -217,16 +227,12 @@ class EquivMap:
         return out
 
     def compose(self, other):
-        """self o other (other first)."""
+        """self o other (other first), the sparse product of the two
+        maps' nonzeros."""
         assert other.target is self.source or \
             other.target.basis == self.source.basis
-        ring = self.ring
-        M = mat_zero(ring, self.target.rank, other.source.rank)
-        for c in range(other.source.rank):
-            col = self.apply([row[c] for row in other.matrix])
-            for r, v in enumerate(col):
-                M[r][c] = v
-        return EquivMap(other.source, self.target, M)
+        prod = _left_mul(self.ring, _index(self.entries, 1), other.entries)
+        return EquivMap(other.source, self.target, entries=prod)
 
     def is_zero(self):
         return not self.entries
@@ -237,8 +243,48 @@ class EquivMap:
 
 
 def _nonzeros(matrix):
+    # truth testing, not v != 0: half the time on Fractions
     return {(r, c): v for r, row in enumerate(matrix)
-            for c, v in enumerate(row) if v != 0}
+            for c, v in enumerate(row) if v}
+
+
+def _index(entries, axis):
+    """{k: [(other index, value)]} grouping sparse entries by their row
+    (axis 0) or column (axis 1) index."""
+    out = {}
+    for key, v in entries.items():
+        out.setdefault(key[axis], []).append((key[1 - axis], v))
+    return out
+
+
+def _normalized(ring, acc):
+    norm = ring.normalize
+    out = {}
+    for key, v in acc.items():
+        v = norm(v)
+        if v != 0:
+            out[key] = v
+    return out
+
+
+def _left_mul(ring, d_cols, b):
+    """d . b as {(row, col): value}; ``d_cols`` is _index(d.entries, 1)
+    and ``b`` a sparse entries dict."""
+    acc = {}
+    for (t, c), v in b.items():
+        for r, a in d_cols.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + a * v
+    return _normalized(ring, acc)
+
+
+def _right_mul(ring, b, d_rows):
+    """b . d as {(row, col): value}; ``d_rows`` is _index(d.entries, 0)
+    and ``b`` a sparse entries dict."""
+    acc = {}
+    for (r, t), v in b.items():
+        for c, a in d_rows.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + v * a
+    return _normalized(ring, acc)
 
 
 def zero_map(source, target):
@@ -246,8 +292,7 @@ def zero_map(source, target):
 
 
 def identity_map(M):
-    from .rings import mat_identity
-    return EquivMap(M, M, mat_identity(M.ring, M.rank))
+    return EquivMap(M, M, entries={(i, i): M.ring.one for i in range(M.rank)})
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,18 @@ def test_constructor_rejects_bad_differential():
         Complex(G, ZZ, {0: M, 1: M, 2: M}, {1: one, 2: one})
 
 
+def test_chain_map_rejects_non_commuting_square():
+    G = cyclic(1)
+    M = trivial_module(G, ZZ)
+    X = two_term_complex(EquivMap(M, M, [[1]]))
+    one = EquivMap(M, M, [[1]])
+    with pytest.raises(AssertionError, match="does not commute"):
+        ChainMap(X, X, {0: one})               # identity at 0, zero at 1
+    with pytest.raises(AssertionError):
+        ChainMap(X, X, {5: one})               # nonzero outside the complex
+    ChainMap(X, X, {0: one, 1: one, 5: EquivMap(M, M, [[0]])})
+
+
 def test_two_term_homology():
     G = cyclic(1)
     X = mult_by(G, 2)

@@ -119,6 +119,11 @@ def test_usage_errors(tmp_path):
                 "--max-twist", "2"]) == 1                   # bad ring
     assert run(["kos", "--group", "C2", "--subgroup", "1",
                 "--ring", "F4"]) == 1                       # F<n>, n not prime
+    assert run(["kos", "--group", "C9", "--subgroup", "1"]) == 1  # index 9 > 4
+    assert run(["kos", "--group", "C6", "--subgroup", "1"]) == 1  # not a p-group
+    assert run(["kos", "--group", "C64xC2",
+                "--subgroup", "1"]) == 1                    # order 128 > 64
+    assert run(["invert", "--group", "C64xC2"]) == 1        # order 128 > 64
     not_json = tmp_path / "not_json.txt"
     not_json.write_text("not json")
     assert run(["verify", str(not_json)]) == 1              # not a report

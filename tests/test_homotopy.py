@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity, mat_eq
-from ttperm.permod import trivial_module, EquivMap
-from ttperm.chain import (unit_complex, shift_complex, tensor_complex,
-                          dual_complex, cone, identity_chain_map,
-                          two_term_complex, ChainMap)
+from ttperm.permod import trivial_module, direct_sum, EquivMap
+from ttperm.chain import (Complex, unit_complex, shift_complex,
+                          tensor_complex, dual_complex, cone,
+                          identity_chain_map, two_term_complex, ChainMap)
 from ttperm.homotopy import (smith_normal_form, matrix_inverse,
                              solve_sparse, kernel_sparse, rank_sparse,
                              sparse_rows, FgModule, homology_from_matrices,
-                             homology_profile, hom_group,
+                             homology_profile, underlying_homology, hom_group,
                              hom_group_bruteforce, is_contractible,
                              null_homotopy, check_homotopy,
                              find_homotopy_equivalence, Equivalence,
@@ -152,9 +152,19 @@ def test_contractibility_certificates():
     ok, cert = is_contractible(C)
     assert ok
     assert isinstance(cert, ContractionCertificate)
+    # without its top degree the contraction fails the identity there
+    top = max(cert.h)
+    partial = {n: f for n, f in cert.h.items() if n != top}
+    with pytest.raises(AssertionError, match="identity fails at degree"):
+        check_homotopy(identity_chain_map(C), partial)
     ok2, witness = is_contractible(unit_complex(G, ZZ))
     assert not ok2
     assert isinstance(witness, NonContractibleWitness)
+    assert (witness.degree, witness.invariants) == (0, (1, ()))
+    M = trivial_module(cyclic(1), ZZ)
+    ok3, witness = is_contractible(two_term_complex(EquivMap(M, M, [[2]])))
+    assert not ok3
+    assert (witness.degree, witness.invariants) == (0, (0, (2,)))
 
 
 def test_contractibility_uses_averaging_over_Q():
@@ -250,3 +260,69 @@ def test_invert_keeps_hom_basis_maps_sparse(monkeypatch, capsys):
             for f in basis]
     assert len(maps) > 100
     assert not any("matrix" in vars(f) for f in maps)
+
+
+# ---------------------------------------------------------------------------
+# homology profiles from sparse ranks, against Smith normal form
+
+def _snf_profile(X):
+    """The generator-tracking path: per-degree homology through SNF."""
+    out = {}
+    for n in X.degrees():
+        fg, _ = underlying_homology(X, n)
+        if not fg.is_zero():
+            out[n] = fg.iso_invariants()
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=str)
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "C5", "C2xC2", "C9"])
+def test_homology_profile_matches_smith_normal_form(name, ring):
+    G = parse_group_name(name)
+    u = u_complex(G, index_p_normal_subgroups(G)[0], ring)
+    powers = [u, tensor_complex(u, u)]
+    if name != "C5":
+        # the C5 cube has total rank 1331; its SNF oracle takes 30 s over Q
+        powers.append(tensor_complex(powers[1], u))
+    for X in powers:
+        assert homology_profile(X) == _snf_profile(X)
+
+
+@pytest.mark.parametrize("matrix, factors", [
+    ([[2, 0], [0, 3]], (6,)),
+    ([[2, 0], [0, 4]], (2, 4)),
+    ([[4, 0], [0, 6]], (2, 12)),
+    ([[2, 4], [6, 8]], (2, 4)),
+])
+def test_homology_profile_normalises_invariant_factors(matrix, factors):
+    G = cyclic(1)
+    M = direct_sum(trivial_module(G, ZZ), trivial_module(G, ZZ))
+    X = two_term_complex(EquivMap(M, M, matrix))
+    assert homology_profile(X) == {0: (0, factors)} == _snf_profile(X)
+
+
+def test_homology_profile_checks_unchecked_complexes():
+    # complexes built with check=False meet their d o d = 0 check here
+    G = cyclic(1)
+    M = trivial_module(G, ZZ)
+    one = EquivMap(M, M, [[1]])
+    X = Complex(G, ZZ, {0: M, 1: M, 2: M}, {1: one, 2: one}, check=False)
+    with pytest.raises(AssertionError, match="d o d != 0 at degree 1"):
+        homology_profile(X)
+
+
+def test_dense_differentials_keep_no_sparse_copy():
+    # compose, homology_profile and the contraction checks read the
+    # nonzeros of a dense-built map transiently: a kept dict of them
+    # would double the memory of every large differential
+    G = cyclic(3)
+    u = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+    X = tensor_complex(u, u)
+    C = cone(identity_chain_map(X))
+    assert homology_profile(X) == {4: (1, ())}
+    ok, cert = is_contractible(C)
+    assert ok
+    cert.verify()
+    maps = list(X.diffs.values()) + list(C.diffs.values())
+    assert all("matrix" in vars(f) for f in maps)          # built dense
+    assert not any(isinstance(v, dict) for f in maps for v in vars(f).values())

@@ -270,3 +270,32 @@ def test_sparse_products_match_mat_mul(ring):
             assert all(v != 0 for v in list(db.values()) + list(bd.values()))
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=str)
+def test_sparse_compose_matches_mat_mul(ring):
+    # C4 permutation modules and a signed module, sparse- and dense-built
+    G, pairs = _module_pairs("C4", ring)
+    mods = []
+    for M, _ in pairs:
+        if M not in mods:
+            mods.append(M)
+    checked = 0
+    for L in mods:
+        for M in mods:
+            for N in mods:
+                for g in equivariant_hom_basis(L, M):
+                    for f in equivariant_hom_basis(M, N):
+                        expect = tuple(map(tuple,
+                                           mat_mul(ring, f.matrix, g.matrix)))
+                        assert f.compose(g).matrix == expect
+                        fd = EquivMap(M, N, f.matrix)
+                        gd = EquivMap(L, M, g.matrix)
+                        assert fd.compose(gd).matrix == expect
+                        assert fd.compose(g).entries == f.compose(gd).entries
+                        # the dense-built factors keep no dict of nonzeros
+                        assert not any(isinstance(v, dict)
+                                       for h in (fd, gd)
+                                       for v in vars(h).values())
+                        checked += 1
+    assert checked > 100
