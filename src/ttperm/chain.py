@@ -18,7 +18,6 @@ any absent degree and ``diff(n)`` a zero map.
 from .permod import (SignedPermModule, EquivMap, zero_module, zero_map,
                      trivial_module, tensor_module, dual_module,
                      base_change_module, restrict, subgroup_as_group)
-from .rings import mat_zero
 
 
 class Complex:
@@ -151,14 +150,13 @@ def shift_complex(X, s):
     if s == 0:
         return X
     terms = {n + s: M for n, M in X.terms.items()}
-    sign = 1 if s % 2 == 0 else -1
     diffs = {}
     for n, f in X.diffs.items():
-        if sign == 1:
+        if s % 2 == 0:
             diffs[n + s] = f
         else:
-            mat = [[X.ring.normalize(-v) for v in row] for row in f.matrix]
-            diffs[n + s] = EquivMap(f.source, f.target, mat)
+            diffs[n + s] = EquivMap(f.source, f.target,
+                                    {k: -v for k, v in f.entries.items()})
     return Complex(X.group, X.ring, terms, diffs, check=False)
 
 
@@ -192,11 +190,20 @@ class BlockModule:
         self.blocks = dict(blocks)
 
 
-def _place_block(ring, mat, r0, c0, block, sign=1):
-    for r, row in enumerate(block):
-        for c, v in enumerate(row):
-            if v != 0:
-                mat[r0 + r][c0 + c] = ring.normalize(sign * v)
+def _place(acc, r0, c0, A, B=None, b_shape=(1, 1), sign=1):
+    """Write sign * (A (x) B) into the entries dict ``acc`` with its
+    top left corner at (r0, c0).  A and B are entries dicts, B has
+    shape ``b_shape`` and defaults to the 1 x 1 identity, which places
+    A itself."""
+    B = _identity(1) if B is None else B
+    br, bc = b_shape
+    for (a, ap), v in A.items():
+        for (b, bp), w in B.items():
+            acc[(r0 + a * br + b, c0 + ap * bc + bp)] = sign * v * w
+
+
+def _identity(n):
+    return {(i, i): 1 for i in range(n)}
 
 
 def tensor_complex(X, Y):
@@ -215,35 +222,21 @@ def tensor_complex(X, Y):
         if (n - 1) not in blocks:
             continue
         C = blocks[n - 1]
-        mat = mat_zero(ring, C.module.rank, B.module.rank)
-        for (i, j), T in B.blocks.items():
+        acc = {}
+        for (i, j) in B.blocks:
             c0 = B.offsets[(i, j)]
             Mi, Nj = X.term(i), Y.term(j)
             if (i - 1, j) in C.offsets and i in X.diffs:
-                r0 = C.offsets[(i - 1, j)]
-                dX = X.diffs[i].matrix
-                # (dX (x) id): block entry [(a,b),(a',b)] = dX[a][a']
-                nN = Nj.rank
-                for a in range(len(dX)):
-                    for ap in range(len(dX[0])):
-                        v = dX[a][ap]
-                        if v != 0:
-                            for b in range(nN):
-                                mat[r0 + a * nN + b][c0 + ap * nN + b] = v
+                # dX (x) id: block entry [(a,b),(a',b)] = dX[a][a']
+                _place(acc, C.offsets[(i - 1, j)], c0, X.diffs[i].entries,
+                       _identity(Nj.rank), (Nj.rank, Nj.rank))
             if (i, j - 1) in C.offsets and j in Y.diffs:
-                r0 = C.offsets[(i, j - 1)]
-                dY = Y.diffs[j].matrix
-                sgn = 1 if i % 2 == 0 else -1
-                nN = Nj.rank
-                nN1 = Y.term(j - 1).rank
-                for b in range(nN1):
-                    for bp in range(nN):
-                        v = dY[b][bp]
-                        if v != 0:
-                            w = ring.normalize(sgn * v)
-                            for a in range(Mi.rank):
-                                mat[r0 + a * nN1 + b][c0 + a * nN + bp] = w
-        diffs[n] = EquivMap(B.module, C.module, mat)
+                # (-1)^i id (x) dY
+                dY = Y.diffs[j]
+                _place(acc, C.offsets[(i, j - 1)], c0, _identity(Mi.rank),
+                       dY.entries, (dY.target.rank, Nj.rank),
+                       sign=1 if i % 2 == 0 else -1)
+        diffs[n] = EquivMap(B.module, C.module, acc)
     return Complex(X.group, ring, terms, diffs)
 
 
@@ -265,34 +258,19 @@ def tensor_chain_maps(f, g):
     Xp, Yp = g.source, g.target
     S = tensor_complex(X, Xp)
     T = tensor_complex(Y, Yp)
-    ring = X.ring
     comps = {}
     for n in S.terms:
         if n not in T.terms:
             continue
         SB = _tensor_offsets(X, Xp, n)
         TB = _tensor_offsets(Y, Yp, n)
-        mat = mat_zero(ring, T.terms[n].rank, S.terms[n].rank)
+        acc = {}
         for (i, j), c0 in SB.items():
-            if (i, j) not in TB:
-                continue
-            r0 = TB[(i, j)]
-            fm = f.component(i).matrix
-            gm = g.component(j).matrix
-            grows = len(gm)
-            gcols = len(gm[0]) if gm else 0
-            for a in range(len(fm)):
-                for ap in range(len(fm[0]) if fm else 0):
-                    v = fm[a][ap]
-                    if v == 0:
-                        continue
-                    for b in range(grows):
-                        for bp in range(gcols):
-                            w = gm[b][bp]
-                            if w != 0:
-                                mat[r0 + a * grows + b][c0 + ap * gcols + bp] \
-                                    = ring.normalize(v * w)
-        comps[n] = EquivMap(S.terms[n], T.terms[n], mat)
+            if (i, j) in TB:
+                gj = g.component(j)
+                _place(acc, TB[(i, j)], c0, f.component(i).entries,
+                       gj.entries, (gj.target.rank, gj.source.rank))
+        comps[n] = EquivMap(S.terms[n], T.terms[n], acc)
     return ChainMap(S, T, comps)
 
 
@@ -316,19 +294,18 @@ def cone(f):
         if (n - 1) not in blocks:
             continue
         C = blocks[n - 1]
-        mat = mat_zero(ring, C.module.rank, B.module.rank)
+        acc = {}
         if ("cY",) in B.offsets and ("cY",) in C.offsets and n in Y.diffs:
-            _place_block(ring, mat, C.offsets[("cY",)], B.offsets[("cY",)],
-                         Y.diffs[n].matrix)
+            _place(acc, C.offsets[("cY",)], B.offsets[("cY",)],
+                   Y.diffs[n].entries)
         if ("cX",) in B.offsets:
-            fn = f.component(n - 1)
-            if ("cY",) in C.offsets and not fn.is_zero():
-                _place_block(ring, mat, C.offsets[("cY",)],
-                             B.offsets[("cX",)], fn.matrix)
+            if ("cY",) in C.offsets:
+                _place(acc, C.offsets[("cY",)], B.offsets[("cX",)],
+                       f.component(n - 1).entries)
             if ("cX",) in C.offsets and (n - 1) in X.diffs:
-                _place_block(ring, mat, C.offsets[("cX",)], B.offsets[("cX",)],
-                             X.diffs[n - 1].matrix, sign=-1)
-        diffs[n] = EquivMap(B.module, C.module, mat)
+                _place(acc, C.offsets[("cX",)], B.offsets[("cX",)],
+                       X.diffs[n - 1].entries, sign=-1)
+        diffs[n] = EquivMap(B.module, C.module, acc)
     return Complex(X.group, ring, terms, diffs)
 
 
@@ -340,15 +317,10 @@ def dual_complex(X):
         if (n - 1) not in terms or (1 - n) not in X.diffs:
             continue
         # d_n : (X_{-n})^* -> (X_{1-n})^*, the (-1)^n transpose of d^X_{1-n}
-        dX = X.diffs[1 - n].matrix
         sgn = 1 if n % 2 == 0 else -1
-        mat = mat_zero(ring, len(dX[0]), len(dX))
-        for r in range(len(dX)):
-            for c in range(len(dX[0])):
-                v = dX[r][c]
-                if v != 0:
-                    mat[c][r] = ring.normalize(sgn * v)
-        diffs[n] = EquivMap(terms[n], terms[n - 1], mat)
+        diffs[n] = EquivMap(terms[n], terms[n - 1],
+                            {(c, r): sgn * v for (r, c), v
+                             in X.diffs[1 - n].entries.items()})
     return Complex(X.group, ring, terms, diffs)
 
 
@@ -359,7 +331,7 @@ def restrict_complex(X, S):
     """Res_H X over the standalone group of the subgroup S."""
     H, elems = subgroup_as_group(S)
     terms = {n: restrict(M, S) for n, M in X.terms.items()}
-    diffs = {n: EquivMap(terms[n], terms[n - 1], f.matrix)
+    diffs = {n: EquivMap(terms[n], terms[n - 1], f.entries)
              for n, f in X.diffs.items()}
     return Complex(H, X.ring, terms, diffs, check=False)
 
@@ -368,16 +340,15 @@ def induce_complex(X, S):
     """Ind_H^G X, for X over subgroup_as_group(S)[0]."""
     from .permod import induce_from
     G = S.parent
-    reps = S.coset_reps()
-    k = len(reps)
+    k = len(S.coset_reps())
     terms = {n: induce_from(M, S) for n, M in X.terms.items()}
     diffs = {}
     for n, f in X.diffs.items():
-        m_t, m_s = X.terms[n - 1].rank, X.terms[n].rank
-        mat = mat_zero(X.ring, k * m_t, k * m_s)
-        for blk in range(k):
-            _place_block(X.ring, mat, blk * m_t, blk * m_s, f.matrix)
-        diffs[n] = EquivMap(terms[n], terms[n - 1], mat)
+        # one copy of f per coset: id_k (x) f
+        acc = {}
+        _place(acc, 0, 0, _identity(k), f.entries,
+               (f.target.rank, f.source.rank))
+        diffs[n] = EquivMap(terms[n], terms[n - 1], acc)
     return Complex(G, X.ring, terms, diffs, check=False)
 
 
@@ -387,9 +358,8 @@ def base_change_complex(X, ring2):
     terms = {n: base_change_module(M, ring2) for n, M in X.terms.items()}
     diffs = {}
     for n, f in X.diffs.items():
-        mat = [[ring2.from_int(v) for v in row] for row in f.matrix]
-        new = EquivMap(terms[n], terms[n - 1], mat)
-        diffs[n] = new
+        diffs[n] = EquivMap(terms[n], terms[n - 1],
+                            {k: ring2.from_int(v) for k, v in f.entries.items()})
     return Complex(X.group, ring2, terms, diffs, check=False)
 
 
@@ -403,7 +373,7 @@ def transport_complex(X, G2):
         "groups differ as tables, not just as objects"
     terms = {n: SignedPermModule(G2, X.ring, M.basis, M.action)
              for n, M in X.terms.items()}
-    diffs = {n: EquivMap(terms[n], terms[n - 1], f.matrix)
+    diffs = {n: EquivMap(terms[n], terms[n - 1], f.entries)
              for n, f in X.diffs.items()}
     return Complex(G2, X.ring, terms, diffs, check=False)
 
@@ -412,7 +382,7 @@ def transport_complex(X, G2):
 # structural comparison and serialization
 
 def structurally_equal(X, Y):
-    """Same degrees, action tables, and differential matrices.
+    """Same degrees, action tables, and differential entries.
 
     Labels are ignored; this detects 'the same complex built twice'.
     """
@@ -425,7 +395,7 @@ def structurally_equal(X, Y):
     for n in X.degrees():
         if X.terms[n].action != Y.terms[n].action:
             return False
-        if X.diff(n).matrix != Y.diff(n).matrix:
+        if X.diff(n).entries != Y.diff(n).entries:
             return False
     return True
 
@@ -446,6 +416,14 @@ def _value_to_json(ring, v):
     if ring.name == "Q":
         return [v.numerator, v.denominator]
     return int(v)
+
+
+def _map_to_json(f):
+    """A map as dense rows of JSON numbers."""
+    rows = [[f.ring.zero] * f.source.rank for _ in range(f.target.rank)]
+    for (r, c), v in f.entries.items():
+        rows[r][c] = v
+    return [[_value_to_json(f.ring, v) for v in row] for row in rows]
 
 
 def _value_from_json(ring, v):
@@ -472,8 +450,7 @@ def complex_to_json(X):
             "action": [[[j, s] for (j, s) in row] for row in M.action],
         }
     for n, f in X.diffs.items():
-        data["diffs"][str(n)] = [[_value_to_json(X.ring, v) for v in row]
-                                 for row in f.matrix]
+        data["diffs"][str(n)] = _map_to_json(f)
     return data
 
 
@@ -492,6 +469,8 @@ def complex_from_json(data):
     diffs = {}
     for k, m in data["diffs"].items():
         n = int(k)
-        mat = [[_value_from_json(ring, v) for v in row] for row in m]
-        diffs[n] = EquivMap(terms[n], terms[n - 1], mat)
+        diffs[n] = EquivMap(terms[n], terms[n - 1],
+                            {(r, c): _value_from_json(ring, v)
+                             for r, row in enumerate(m)
+                             for c, v in enumerate(row)})
     return Complex(G, ring, terms, diffs)

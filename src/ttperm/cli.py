@@ -23,7 +23,7 @@ import json
 import sys
 
 from .grp import parse_group_name, subgroups, MAX_ORDER
-from .rings import domain_from_name, factorize
+from .rings import ZZ, domain_from_name, factorize
 from .homotopy import (find_homotopy_equivalence, Equivalence,
                        SolverCapExceeded)
 from .chain import tensor_complex, dual_complex, unit_complex
@@ -149,6 +149,9 @@ def cmd_kos(args):
                          "index at most 4; %s has index %d in %s"
                          % (canonical, H.index, G.name))
     ring = _parse_arg(domain_from_name, args.ring)
+    if args.verify and ring is not ZZ:
+        raise UsageError("--verify runs the base-change checks from Z; "
+                         "use --ring Z")
     k = koszul.koszul_object(G, H, ring)
     out = {
         "command": "kos",
@@ -158,10 +161,8 @@ def cmd_kos(args):
                   for n in sorted(k.complex.terms)},
         "audit": k.audit,
     }
-    if args.verify:
-        if pk is not None and args.ring == "Z":
-            out["base_change"] = koszul.base_change_koszul_check(
-                G, H, pk[0])
+    if args.verify and pk is not None:
+        out["base_change"] = koszul.base_change_koszul_check(G, H, pk[0])
     checks = dict(k.audit["checks"])
     if args.verify and "base_change" in out:
         for tag, rep in out["base_change"].items():
@@ -404,7 +405,7 @@ def build_parser():
     kos.add_argument("--subgroup", required=True)
     kos.add_argument("--ring", default="Z")
     kos.add_argument("--verify", action="store_true",
-                     help="also run the base-change checks (Z input only)")
+                     help="also run the base-change checks (needs --ring Z)")
     kos.add_argument("--format", choices=["json", "text"], default="json")
     kos.set_defaults(handler=cmd_kos)
 

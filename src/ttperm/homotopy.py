@@ -1,12 +1,18 @@
 """Exact homological linear algebra for complexes of permutation modules.
 
-Everything here reduces to sparse linear algebra over Z, Q or GF(p):
+Everything here reduces to sparse linear algebra over Z, Q or GF(p).
+Maps are ``permod.EquivMap`` entries dicts {(row, col): value}; the
+elimination reads a map as row dicts {col: value} through
+``EquivMap.rows``, columns ascending within each row (``sparse_rows``
+gives small dense matrices the same order).  Pivot ties are broken in
+that order, so it decides which certificate a solve returns.
 
 * ``smith_normal_form`` returns (U, D, V) with A = U . D . V, U and V
   invertible over the ring, D diagonal with a divisibility chain; the
   factorization is re-multiplied and asserted before returning.  It
   serves generator tracking only (``FgModule`` on small relation
-  matrices, for ``underlying_homology`` and hom groups);
+  matrices, for ``underlying_homology`` and hom groups) and is the one
+  dense computation left;
 * ``solve_sparse`` / ``kernel_sparse`` work on sparse row dictionaries
   and track column operations only, which keeps big homotopy systems
   tractable (solutions pull back through the accumulated column ops);
@@ -15,12 +21,13 @@ Everything here reduces to sparse linear algebra over Z, Q or GF(p):
   nonunit entries normalise to the torsion invariant factors; it checks
   d o d = 0 as a sparse product first;
 * certificate checks (``check_homotopy``, chain-map squares) compare the
-  nonzeros of sparse products, never dense matrix products;
+  nonzeros of sparse products;
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
   ``find_homotopy_equivalence``, ``hom_group``) search inside the
   lattice of equivariant maps: unknowns are coefficients of the orbit
   basis of Hom_G, never raw matrix entries, so certificates found over
-  Z are honest equivariant certificates.
+  Z are honest equivariant certificates.  The orbit bases are cached on
+  their source module (``SignedPermModule.hom_bases``) and die with it.
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -29,9 +36,9 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .permod import (equivariant_hom_basis, zero_map, EquivMap, _index,
-                     _normalized, _left_mul, _right_mul)
-from .rings import mat_zero, mat_identity, mat_mul
+from .permod import (equivariant_hom_basis, EquivMap, _index, _normalized,
+                     _left_mul, _right_mul)
+from .rings import mat_identity, mat_mul
 
 
 class SolverCapExceeded(Exception):
@@ -51,8 +58,19 @@ def _enforce_rank_cap(X):
 # sparse elimination with column tracking
 
 def sparse_rows(matrix):
-    """Row dictionaries {col: value} for the nonzero entries."""
+    """Row dictionaries {col: value} for the nonzero entries of a small
+    dense matrix, columns ascending (as ``EquivMap.rows`` gives them)."""
     return [ {c: v for c, v in enumerate(row) if v != 0} for row in matrix ]
+
+
+def _column_rows(cols, nrows):
+    """``sparse_rows`` of the matrix whose columns are ``cols``."""
+    rows = [{} for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, v in enumerate(col):
+            if v != 0:
+                rows[r][c] = v
+    return rows
 
 
 def _diagonalize(ring, rows, ncols, rhs=None):
@@ -541,48 +559,38 @@ def classes_equal_up_to_unit(fg, v, w):
 # ---------------------------------------------------------------------------
 # homology of a (non-equivariant) complex of free modules
 
-def homology_from_matrices(ring, d_out, d_in, dim):
+def homology_from_matrices(ring, out_rows, in_cols, dim):
     """H = ker(d_out) / im(d_in) with generator tracking.
 
-    ``d_out``: matrix of X_n -> X_{n-1} (may be [] when absent);
-    ``d_in``: matrix of X_{n+1} -> X_n; ``dim`` = rank of X_n.
-    Returns (FgModule over cycle coordinates, cycle basis as ambient
-    columns).  Generators in ambient coordinates are K . g.
+    ``out_rows``: row dicts of d_out : X_n -> X_{n-1} (may be [] when
+    absent); ``in_cols``: the columns of d_in : X_{n+1} -> X_n as dense
+    vectors; ``dim`` = rank of X_n.  Returns (FgModule over cycle
+    coordinates, cycle basis as ambient columns).  Generators in
+    ambient coordinates are K . g.
     """
     if dim == 0:
         return FgModule(ring, 0, []), []
-    if d_out:
-        cycles = kernel_sparse(ring, sparse_rows(d_out), dim)
+    if out_rows:
+        cycles = kernel_sparse(ring, out_rows, dim)
     else:
         cycles = [[ring.one if i == j else ring.zero for i in range(dim)]
                   for j in range(dim)]
     t = len(cycles)
     if t == 0:
         return FgModule(ring, 0, []), []
-    K_rows = [[cycles[j][i] for j in range(t)] for i in range(dim)]
-    bcols = []
-    if d_in and len(d_in[0]) > 0:
-        for c in range(len(d_in[0])):
-            bcols.append([d_in[r][c] for r in range(dim)])
-    if bcols:
-        sols = solve_sparse(ring, sparse_rows(K_rows), t, bcols)
+    rel = []
+    if in_cols:
+        sols = solve_sparse(ring, _column_rows(cycles, dim), t, in_cols)
         assert sols is not None, "boundaries must be cycles"
-        rel = [[sols[k][i] for k in range(len(bcols))] for i in range(t)]
-    else:
-        rel = [[] for _ in range(t)]
-    fg = FgModule(ring, t, rel if bcols else [])
-    return fg, cycles
+        rel = [[sols[k][i] for k in range(len(in_cols))] for i in range(t)]
+    return FgModule(ring, t, rel), cycles
 
 
 def underlying_homology(X, n):
     """Homology of the underlying complex of free modules at degree n."""
-    ring = X.ring
-    d_out = X.diff(n).matrix if n in X.diffs else []
-    d_in = X.diff(n + 1).matrix if (n + 1) in X.diffs else []
-    fg, cycles = homology_from_matrices(ring, list(map(list, d_out)),
-                                        list(map(list, d_in)),
-                                        X.term(n).rank)
-    return fg, cycles
+    out_rows = X.diffs[n].rows() if n in X.diffs else []
+    in_cols = X.diffs[n + 1].columns() if (n + 1) in X.diffs else []
+    return homology_from_matrices(X.ring, out_rows, in_cols, X.term(n).rank)
 
 
 def homology_profile(X):
@@ -602,15 +610,10 @@ def homology_profile(X):
     rank = {}
     torsion = {}
     for n, d in sorted(X.diffs.items()):
-        E = d.entries
         if (n + 1) in X.diffs and \
-                _left_mul(ring, _index(E, 1), X.diffs[n + 1].entries):
+                _left_mul(ring, _index(d.entries, 1), X.diffs[n + 1].entries):
             raise AssertionError("d o d != 0 at degree %d" % n)
-        rows = [{} for _ in range(X.terms[n - 1].rank)]
-        for (r, c), v in E.items():
-            rows[r][c] = v
-        del E       # the transient nonzeros are not needed while eliminating
-        pivots = _diagonalize(ring, rows, X.terms[n].rank)[0]
+        pivots = _diagonalize(ring, d.rows(), X.terms[n].rank)[0]
         rank[n] = len(pivots)
         if not ring.is_field:
             torsion[n - 1] = _invariant_factors([v for (_, _, v) in pivots])
@@ -645,7 +648,7 @@ def invariant_data(M):
     cols = []
     roots = []
     for f in maps:
-        cols.append(f.column(0))
+        cols.append(f.columns()[0])
         roots.append(f.root_pair[1])
     return cols, roots
 
@@ -673,7 +676,7 @@ class InvariantsComplex:
         self.ring = X.ring
         self.cols = {}
         self.roots = {}
-        self.dmat = {}
+        self.dcols = {}
         for n, M in X.terms.items():
             cols, roots = invariant_data(M)
             self.cols[n] = cols
@@ -682,23 +685,13 @@ class InvariantsComplex:
             if (n - 1) not in X.terms or n not in X.diffs:
                 continue
             dn = X.diffs[n]
-            mat = []
-            for col in self.cols[n]:
-                w = dn.apply(col)
-                mat.append(_in_invariant_coords(
-                    self.ring, self.cols[n - 1], self.roots[n - 1], w))
-            # mat rows currently index source; transpose to target x source
-            t = len(self.cols[n - 1])
-            self.dmat[n] = [[mat[c][r] for c in range(len(mat))]
-                            for r in range(t)]
+            # d_n in invariant coordinates, one column per orbit sum
+            self.dcols[n] = [_in_invariant_coords(
+                self.ring, self.cols[n - 1], self.roots[n - 1], dn.apply(col))
+                for col in self.cols[n]]
 
     def dim(self, n):
         return len(self.cols.get(n, []))
-
-    def matrix(self, n):
-        if n in self.dmat:
-            return self.dmat[n]
-        return []
 
     def to_ambient(self, n, coeff):
         v = [self.ring.zero] * self.X.term(n).rank
@@ -730,8 +723,10 @@ class HomGroup:
         self.degree = n0
         self.inv = inv if inv is not None else InvariantsComplex(Y)
         I = self.inv
+        out_rows = _column_rows(I.dcols[n0], I.dim(n0 - 1)) \
+            if n0 in I.dcols else []
         fg, cycles = homology_from_matrices(
-            self.ring, I.matrix(n0), I.matrix(n0 + 1), I.dim(n0))
+            self.ring, out_rows, I.dcols.get(n0 + 1, []), I.dim(n0))
         self.fg = fg
         self.cycles = cycles      # in invariant coordinates
         self.generators = []
@@ -758,9 +753,8 @@ class HomGroup:
         if t == 0:
             assert all(c == 0 for c in coeff)
             return []
-        dim = self.inv.dim(self.degree)
-        K_rows = [[self.cycles[j][i] for j in range(t)] for i in range(dim)]
-        sols = solve_sparse(self.ring, sparse_rows(K_rows), t, [coeff])
+        rows = _column_rows(self.cycles, self.inv.dim(self.degree))
+        sols = solve_sparse(self.ring, rows, t, [coeff])
         assert sols is not None, "vector is not a cycle"
         return sols[0]
 
@@ -814,10 +808,7 @@ def hom_group_bruteforce(Y, s):
     rows = equivariance_rows(M0)
     # cycle condition d v = 0
     if n0 in Y.diffs:
-        for r in Y.diffs[n0].matrix:
-            row = {c: v for c, v in enumerate(r) if v != 0}
-            if row:
-                rows.append(row)
+        rows.extend(row for row in Y.diffs[n0].rows() if row)
     cycles = kernel_sparse(ring, rows, dim)
     t = len(cycles)
     if t == 0:
@@ -831,9 +822,8 @@ def hom_group_bruteforce(Y, s):
         d1 = Y.diffs[n0 + 1]
         for w in inv1:
             bcols.append(d1.apply(w))
-    K_rows = [[cycles[j][i] for j in range(t)] for i in range(dim)]
     if bcols:
-        sols = solve_sparse(ring, sparse_rows(K_rows), t, bcols)
+        sols = solve_sparse(ring, _column_rows(cycles, dim), t, bcols)
         assert sols is not None
         rel = [[sols[k][i] for k in range(len(bcols))] for i in range(t)]
         fg = FgModule(ring, t, rel)
@@ -874,14 +864,14 @@ class _System:
     def col(self, tag, k):
         return self.blocks[tag][0] + k
 
-    def add_rows(self, proj_basis, contributions, rhs_map=None):
+    def add_rows(self, proj_basis, contributions, rhs=None):
         """One equation row per element of ``proj_basis``.
 
         ``contributions``: list of (tag, products) where products[k] is
         the composite produced by unknown basis element k of the block,
         as a sparse {(row, col): value} dict; the row coefficient is its
         entry at the projection root.
-        ``rhs_map``: dense matrix whose root entries give the right side.
+        ``rhs``: entries dict whose root entries give the right side.
         """
         ring = self.ring
         for e in proj_basis:
@@ -895,8 +885,8 @@ class _System:
                         row[off + k] = ring.normalize(
                             row.get(off + k, ring.zero) + v)
             b = ring.zero
-            if rhs_map is not None:
-                b = ring.normalize(rhs_map[j][i])
+            if rhs is not None:
+                b = rhs.get((j, i), b)
             row = {c: v for c, v in row.items() if v != 0}
             if row or b != 0:
                 self.rows.append(row)
@@ -933,17 +923,38 @@ def _combine(ring, basis, coeffs, source, target):
             continue
         for key, v in b.entries.items():
             acc[key] = acc.get(key, ring.zero) + c * v
-    return EquivMap(source, target, entries=acc)
+    return EquivMap(source, target, acc)
 
 
-_HOM_BASIS_CACHE = {}
+def _identity_minus(ring, rank, entries):
+    """Entries of id - f for an endomorphism f given by its entries."""
+    acc = {(i, i): ring.one for i in range(rank)}
+    for key, v in entries.items():
+        acc[key] = acc.get(key, ring.zero) - v
+    return acc
+
+
+class _BasisCount:
+    """The number of hom bases computed and cached on their source
+    modules in this process; ``len`` reads it, as it would the size of
+    a cache dict (``perfbench/tracer.py`` reads it that way)."""
+
+    count = 0
+
+    def __len__(self):
+        return self.count
+
+
+_HOM_BASIS_CACHE = _BasisCount()
 
 
 def _hom_basis(M, N):
-    key = (id(M), id(N))
-    if key not in _HOM_BASIS_CACHE:
-        _HOM_BASIS_CACHE[key] = equivariant_hom_basis(M, N)
-    return _HOM_BASIS_CACHE[key]
+    """equivariant_hom_basis(M, N), cached on M for as long as M lives."""
+    basis = M.hom_bases.get(N)
+    if basis is None:
+        basis = M.hom_bases[N] = equivariant_hom_basis(M, N)
+        _HOM_BASIS_CACHE.count += 1
+    return basis
 
 
 def _homotopy_system(X, Y, sys, h_tag="h"):
@@ -964,7 +975,7 @@ def _homotopy_system(X, Y, sys, h_tag="h"):
 def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h"):
     """Equations proj(d h + h d) = rhs, degree by degree.
 
-    ``rhs_maps``: {n: matrix of the degree-n right-hand map X_n -> Y_n}.
+    ``rhs_maps``: {n: entries of the degree-n right-hand map X_n -> Y_n}.
     """
     ring = X.ring
     degrees = sorted(set(X.terms) | set(Y.terms))
@@ -972,7 +983,7 @@ def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h"):
         if n not in X.terms or n not in Y.terms:
             # no room to project: rhs must vanish identically there
             if rhs_maps and n in rhs_maps:
-                assert all(v == 0 for row in rhs_maps[n] for v in row)
+                assert not rhs_maps[n]
             continue
         proj = _hom_basis(X.terms[n], Y.terms[n])
         contributions = []
@@ -1003,7 +1014,7 @@ def null_homotopy(F):
     ring = X.ring
     sys = _System(ring)
     h_bases = _homotopy_system(X, Y, sys)
-    rhs = {n: F.component(n).matrix for n in X.terms if n in Y.terms}
+    rhs = {n: F.component(n).entries for n in X.terms if n in Y.terms}
     for n in X.terms:
         if n not in Y.terms and not F.component(n).is_zero():
             return None
@@ -1049,13 +1060,9 @@ class ContractionCertificate:
         return check_homotopy(identity_chain_map(self.X), self.h)
 
     def to_json(self):
-        from .chain import _value_to_json
-        return {
-            "kind": "contraction",
-            "h": {str(n): [[_value_to_json(self.X.ring, v) for v in row]
-                           for row in f.matrix]
-                  for n, f in self.h.items()},
-        }
+        from .chain import _map_to_json
+        return {"kind": "contraction",
+                "h": {str(n): _map_to_json(f) for n, f in self.h.items()}}
 
 
 class NonContractibleWitness:
@@ -1078,7 +1085,7 @@ def _contract_raw(X):
     """A (not necessarily equivariant) contraction of the underlying
     complex, degree by degree from the bottom: solve
     d_{n+1} h_n = id - h_{n-1} d_n with one elimination of d_{n+1}
-    carrying all right-hand columns.  Returns {n: matrix} or None.
+    carrying all right-hand columns.  Returns {n: entries} or None.
 
     The greedy sweep is complete: if a contraction exists then
     h*_n composed with the current right-hand side solves step n
@@ -1090,24 +1097,32 @@ def _contract_raw(X):
     ring = X.ring
     h = {}
     for n in sorted(X.terms):
-        rk = X.terms[n].rank
-        rhs = mat_identity(ring, rk)
-        if (n - 1) in h and n in X.diffs:
-            hd = mat_mul(ring, h[n - 1], X.diffs[n].matrix)
-            rhs = [[ring.normalize(rhs[r][c] - hd[r][c])
-                    for c in range(rk)] for r in range(rk)]
+        rhs = _contraction_rhs(X, n, h.get(n - 1))
         if (n + 1) not in X.terms:
-            if any(v != 0 for row in rhs for v in row):
+            if rhs:
                 return None
             continue
-        d = X.diff(n + 1).matrix
-        cols = [[rhs[r][c] for r in range(rk)] for c in range(rk)]
-        sols = solve_sparse(ring, sparse_rows(d), X.terms[n + 1].rank, cols)
+        rk = X.terms[n].rank
+        cols = [[ring.zero] * rk for _ in range(rk)]
+        for (r, c), v in rhs.items():
+            cols[c][r] = v
+        d = X.diff(n + 1)
+        sols = solve_sparse(ring, d.rows(), d.source.rank, cols)
         if sols is None:
             return None
-        h[n] = [[sols[c][r] for c in range(rk)]
-                for r in range(X.terms[n + 1].rank)]
+        h[n] = {(r, c): v for c, col in enumerate(sols)
+                for r, v in enumerate(col) if v != 0}
     return h
+
+
+def _contraction_rhs(X, n, h_below):
+    """Entries of id - h_{n-1} d_n, the right side of the contraction
+    step at degree n (``h_below`` the entries of h_{n-1} or None)."""
+    ring = X.ring
+    hd = {}
+    if h_below and n in X.diffs:
+        hd = _right_mul(ring, h_below, _index(X.diffs[n].entries, 0))
+    return _normalized(ring, _identity_minus(ring, X.terms[n].rank, hd))
 
 
 def _average_homotopy(X, raw):
@@ -1120,22 +1135,19 @@ def _average_homotopy(X, raw):
     ring, G = X.ring, X.group
     inv_ord = ring.inv(ring.from_int(G.order))
     out = {}
-    for n, mat in raw.items():
+    for n, E in raw.items():
         src, tgt = X.terms[n], X.terms[n + 1]
-        acc = mat_zero(ring, tgt.rank, src.rank)
-        for g in range(G.order):
-            asrc = src.action[G.inv(g)]
-            atgt = tgt.action[g]
-            for b in range(src.rank):
-                bp, sb = asrc[b]
-                for a in range(tgt.rank):
-                    v = mat[a][bp]
-                    if v != 0:
-                        ap, sa = atgt[a]
-                        acc[ap][b] = ring.normalize(acc[ap][b] + sa * sb * v)
-        avg = [[ring.normalize(v * inv_ord) for v in row] for row in acc]
-        if any(v != 0 for row in avg for v in row):
-            out[n] = EquivMap(src, tgt, avg)
+        acc = {}
+        for g in G.elements():
+            # entry (a, b) of h moves to (g.a, g.b), times both signs
+            sact, tact = src.action[g], tgt.action[g]
+            for (a, b), v in E.items():
+                ap, sa = tact[a]
+                bp, sb = sact[b]
+                acc[(ap, bp)] = acc.get((ap, bp), 0) + (v if sa == sb else -v)
+        avg = EquivMap(src, tgt, {k: v * inv_ord for k, v in acc.items()})
+        if not avg.is_zero():
+            out[n] = avg
     return out
 
 
@@ -1151,21 +1163,18 @@ def _contract_equivariant(X):
     h = {}
     for n in sorted(X.terms):
         Xn = X.terms[n]
-        rhs = mat_identity(ring, Xn.rank)
-        if (n - 1) in h and n in X.diffs:
-            hd = mat_mul(ring, h[n - 1].matrix, X.diffs[n].matrix)
-            rhs = [[ring.normalize(rhs[r][c] - hd[r][c])
-                    for c in range(Xn.rank)] for r in range(Xn.rank)]
+        below = h[n - 1].entries if (n - 1) in h else None
+        rhs = _contraction_rhs(X, n, below)
         basis = _hom_basis(Xn, X.terms[n + 1]) if (n + 1) in X.terms else []
         if not basis:
-            if any(v != 0 for row in rhs for v in row):
+            if rhs:
                 return None
             continue
         sys = _System(ring)
         sys.add_block("h", basis)
         d_cols = _index(X.diff(n + 1).entries, 1)
         prods = [_left_mul(ring, d_cols, b.entries) for b in basis]
-        sys.add_rows(_hom_basis(Xn, Xn), [("h", prods)], rhs_map=rhs)
+        sys.add_rows(_hom_basis(Xn, Xn), [("h", prods)], rhs)
         sol = sys.solve()
         if sol is None:
             return None
@@ -1195,9 +1204,8 @@ def is_contractible(X):
     if G.order == 1:
         raw = _contract_raw(X)
         if raw is not None:
-            h = {n: EquivMap(X.terms[n], X.terms[n + 1], m)
-                 for n, m in raw.items()
-                 if any(v != 0 for row in m for v in row)}
+            h = {n: EquivMap(X.terms[n], X.terms[n + 1], E)
+                 for n, E in raw.items() if E}
     elif ring.is_field and (ring.characteristic == 0
                             or G.order % ring.characteristic != 0):
         raw = _contract_raw(X)
@@ -1277,13 +1285,9 @@ class Equivalence:
 
         def identity_minus(comp):
             Z = comp.source
-            comps = {}
-            for n, M in Z.terms.items():
-                acc = {(i, i): ring.one for i in range(M.rank)}
-                for key, v in comp.component(n).entries.items():
-                    acc[key] = acc.get(key, ring.zero) - v
-                comps[n] = EquivMap(M, M, entries=acc)
-            return ChainMap(Z, Z, comps)
+            return ChainMap(Z, Z, {n: EquivMap(M, M, _identity_minus(
+                ring, M.rank, comp.component(n).entries))
+                for n, M in Z.terms.items()})
 
         check_homotopy(identity_minus(self.g.compose(self.f)), self.h)
         check_homotopy(identity_minus(self.f.compose(self.g)), self.hp)
@@ -1334,10 +1338,9 @@ def find_homotopy_equivalence(X, Y):
                                      left=profX.get(n), right=profY.get(n))
     def candidates():
         if structurally_equal(X, Y):
-            comps = {n: EquivMap(X.terms[n], Y.terms[n],
-                                 mat_identity(ring, X.terms[n].rank))
-                     for n in X.terms}
-            yield ChainMap(X, Y, comps)
+            yield ChainMap(X, Y, {n: EquivMap(M, Y.terms[n],
+                                              {(i, i): 1 for i in range(M.rank)})
+                                  for n, M in X.terms.items()})
         space = chain_map_space(X, Y)
         # Bezout combination on concentrated rank-one free homology
         conc = [n for n, inv in profX.items() if inv != (0, ())]
@@ -1354,11 +1357,10 @@ def find_homotopy_equivalence(X, Y):
                         vX[i] = ring.normalize(vX[i] + gk * ck)
             scalars = []
             t = len(cycY)
-            K_rows = [[cycY[j][i] for j in range(t)]
-                      for i in range(Y.term(n0).rank)]
+            K_rows = _column_rows(cycY, Y.term(n0).rank)
             for f in space:
                 w = f.component(n0).apply(vX)
-                sol = solve_sparse(ring, sparse_rows(K_rows), t, [w])
+                sol = solve_sparse(ring, K_rows, t, [w])
                 if sol is None:
                     scalars.append(None)
                     continue
@@ -1366,22 +1368,9 @@ def find_homotopy_equivalence(X, Y):
                                if fgY.factors else ring.zero)
             combo = _unit_combination(ring, scalars)
             if combo is not None:
-                comps = {}
-                for n in X.terms:
-                    if n not in Y.terms:
-                        continue
-                    mat = mat_zero(ring, Y.terms[n].rank, X.terms[n].rank)
-                    for c, f in zip(combo, space):
-                        if c == 0:
-                            continue
-                        fm = f.component(n).matrix
-                        for r in range(len(mat)):
-                            for cc in range(len(mat[0])):
-                                if fm[r][cc] != 0:
-                                    mat[r][cc] = ring.normalize(
-                                        mat[r][cc] + c * fm[r][cc])
-                    comps[n] = EquivMap(X.terms[n], Y.terms[n], mat)
-                yield ChainMap(X, Y, comps)
+                yield ChainMap(X, Y, {n: _combine(
+                    ring, [f.component(n) for f in space], combo,
+                    X.terms[n], Y.terms[n]) for n in X.terms if n in Y.terms})
         for f in space:
             yield f
 
@@ -1442,7 +1431,6 @@ def _try_equivalence(f):
     """
     from .chain import ChainMap, cone
     X, Y = f.source, f.target
-    ring = X.ring
     ok, cert = is_contractible(cone(f))
     if not ok:
         return None
@@ -1450,20 +1438,19 @@ def _try_equivalence(f):
     for j, sj in cert.h.items():
         ry, rx = Y.term(j).rank, X.term(j - 1).rank
         ry1, rx1 = Y.term(j + 1).rank, X.term(j).rank
-        m = sj.matrix
-        if ry and rx1:
-            c = [[m[ry1 + r][cc] for cc in range(ry)] for r in range(rx1)]
-            if any(v != 0 for row in c for v in row):
-                g_comps[j] = EquivMap(Y.terms[j], X.terms[j], c)
-        if rx and rx1:
-            e = [[ring.normalize(-m[ry1 + r][ry + cc]) for cc in range(rx)]
-                 for r in range(rx1)]
-            if any(v != 0 for row in e for v in row):
-                h[j - 1] = EquivMap(X.terms[j - 1], X.terms[j], e)
-        if ry and ry1:
-            a = [[m[r][cc] for cc in range(ry)] for r in range(ry1)]
-            if any(v != 0 for row in a for v in row):
-                hp[j] = EquivMap(Y.terms[j], Y.terms[j + 1], a)
+        # cone_j = Y_j (+) X_{j-1} -> cone_{j+1} = Y_{j+1} (+) X_j
+        ys, xs = range(ry), range(ry, ry + rx)
+        yt, xt = range(ry1), range(ry1, ry1 + rx1)
+        c = sj.block(xt, ys)
+        if c:
+            g_comps[j] = EquivMap(Y.terms[j], X.terms[j], c)
+        e = sj.block(xt, xs)
+        if e:
+            h[j - 1] = EquivMap(X.terms[j - 1], X.terms[j],
+                                {k: -v for k, v in e.items()})
+        a = sj.block(yt, ys)
+        if a:
+            hp[j] = EquivMap(Y.terms[j], Y.terms[j + 1], a)
     eq = Equivalence(f, ChainMap(Y, X, g_comps), h, hp)
     eq.verify()
     return eq

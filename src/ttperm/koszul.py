@@ -25,14 +25,14 @@ from itertools import product as iproduct
 
 from .grp import Subgroup, subgroups
 from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
-                     trivial_module, sign_module, perm_module,
+                     trivial_module, sign_module, perm_module, tensor_module,
                      sign_decompose, map_inverse_monomial,
-                     rebase_to_permutation, is_induced_from)
+                     rebase_to_permutation, is_induced_from, _index)
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
                     tensor_chain_maps, cone, restrict_complex,
                     transport_complex, base_change_complex)
 from .homotopy import is_contractible, homology_profile
-from .rings import factorize, mat_zero
+from .rings import factorize
 
 
 def prime_power(n):
@@ -68,7 +68,7 @@ def koszul_base(group, ring):
     """The two-term complex R --1--> R (degrees 1, 0)."""
     R0 = trivial_module(group, ring)
     R1 = trivial_module(group, ring)
-    d = EquivMap(R1, R0, [[ring.one]])
+    d = EquivMap(R1, R0, {(0, 0): 1})
     return Complex(group, ring, {0: R0, 1: R1}, {1: d})
 
 
@@ -187,7 +187,7 @@ def tensor_induce(X, S):
     for n in sorted(blocks_by_degree):
         if (n - 1) not in term_rank:
             continue
-        mat = mat_zero(ring, term_rank[n - 1], term_rank[n])
+        acc = {}
         for tup in blocks_by_degree[n]:
             dims = block_dims(tup)
             st = strides(dims)
@@ -204,16 +204,13 @@ def tensor_induce(X, S):
                 tst = strides(tdims)
                 pre = sum(tup[:j])
                 sgn = 1 if pre % 2 == 0 else -1
-                dmat = X.diffs[dj].matrix
+                d_cols = _index(X.diffs[dj].entries, 1)
                 for src in iproduct(*[range(d) for d in dims]):
                     cidx = coff + sum(src[i] * st[i] for i in range(k))
                     base = sum(src[i] * tst[i] for i in range(k) if i != j)
-                    for b2 in range(tdims[j]):
-                        v = dmat[b2][src[j]]
-                        if v != 0:
-                            mat[roff + base + b2 * tst[j]][cidx] = \
-                                ring.normalize(sgn * v)
-        diffs[n] = EquivMap(terms[n], terms[n - 1], mat)
+                    for b2, v in d_cols.get(src[j], ()):
+                        acc[(roff + base + b2 * tst[j], cidx)] = sgn * v
+        diffs[n] = EquivMap(terms[n], terms[n - 1], acc)
     return Complex(G, ring, terms, diffs)
 
 
@@ -226,22 +223,12 @@ def sign_twist_complex(S, ring):
     G = S.parent
     RGH = perm_module(G, S, ring)
     R = trivial_module(G, ring)
-    eta = EquivMap(R, RGH, [[ring.one], [ring.one]])
+    eta = EquivMap(R, RGH, {(0, 0): 1, (1, 0): 1})
     Lt = Complex(G, ring, {0: RGH, 1: R}, {1: eta})
     L = sign_module(G, S, ring)
     Lc = module_complex(L)
-    one = ring.one
-    smap = EquivMap(RGH, L, [[one, ring.normalize(-one)]])
+    smap = EquivMap(RGH, L, {(0, 0): 1, (0, 1): -1})
     return Lt, Lc, ChainMap(Lt, Lc, {0: smap})
-
-
-def _restrict_map_columns(f, lo, hi):
-    """Columns [lo, hi) of an EquivMap's matrix."""
-    return [row[lo:hi] for row in f.matrix]
-
-
-def _restrict_map_rows(f, lo, hi):
-    return [row for row in f.matrix[lo:hi]]
 
 
 def sign_modify(X, S):
@@ -279,16 +266,16 @@ def sign_modify(X, S):
             diffs = dict(X.diffs)
             if m in X.diffs:
                 comp = X.diffs[m].compose(iso)
-                diffs[m] = EquivMap(newP, X.terms[m - 1], entries=comp.entries)
+                diffs[m] = EquivMap(newP, X.terms[m - 1], comp.entries)
             if (m + 1) in X.diffs:
                 comp = inv.compose(X.diffs[m + 1])
-                diffs[m + 1] = EquivMap(X.terms[m + 1], newP,
-                                        entries=comp.entries)
+                diffs[m + 1] = EquivMap(X.terms[m + 1], newP, comp.entries)
             X = Complex(G, ring, terms, diffs, check=False)
             audit.append({"degree": m, "action": "rebased"})
             continue
         inv = map_inverse_monomial(iso)
         pr = P.rank
+        plus, minus = range(pr), range(pr, pr + N.rank)
         # upper slice: degrees > m unchanged, P at degree m
         top_terms = {j: X.terms[j] for j in X.terms if j > m}
         top_diffs = {j: X.diffs[j] for j in X.diffs if j > m + 1}
@@ -297,20 +284,20 @@ def sign_modify(X, S):
             if (m + 1) in X.diffs:
                 comp = inv.compose(X.diffs[m + 1])
                 top_diffs[m + 1] = EquivMap(
-                    X.terms[m + 1], P, _restrict_map_rows(comp, 0, pr))
+                    X.terms[m + 1], P,
+                    comp.block(plus, range(comp.source.rank)))
         x_top = Complex(G, ring, top_terms, top_diffs, check=False)
         # lower slice: degrees < m unchanged, L (x) N at degree m
-        from .permod import tensor_module
         LN = tensor_module(L, N)
         # identify LN with the minus block of M through iso (the block
         # columns of iso are exactly the embedding of L (x) N)
-        emb = EquivMap(LN, M, _restrict_map_columns(iso, pr, pr + N.rank))
+        emb = EquivMap(LN, M, iso.block(range(M.rank), minus))
         bot_terms = {j: X.terms[j] for j in X.terms if j < m}
         bot_diffs = {j: X.diffs[j] for j in X.diffs if j < m}
         bot_terms[m] = LN
         if m in X.diffs:
             comp = X.diffs[m].compose(emb)
-            bot_diffs[m] = EquivMap(LN, X.terms[m - 1], entries=comp.entries)
+            bot_diffs[m] = EquivMap(LN, X.terms[m - 1], comp.entries)
         x_bot = Complex(G, ring, bot_terms, bot_diffs, check=False)
         # attaching map t : x_top[-1] -> x_bot
         shifted = shift_complex(x_top, -1)
@@ -318,11 +305,11 @@ def sign_modify(X, S):
         if (m + 1) in X.diffs:
             comp = inv.compose(X.diffs[m + 1])
             t_comps[m] = EquivMap(X.terms[m + 1], LN,
-                                  _restrict_map_rows(comp, pr, pr + N.rank))
+                                  comp.block(minus, range(comp.source.rank)))
         if pr > 0 and m in X.diffs:
-            embP = EquivMap(P, M, _restrict_map_columns(iso, 0, pr))
+            embP = EquivMap(P, M, iso.block(range(M.rank), plus))
             comp = X.diffs[m].compose(embP)
-            t_comps[m - 1] = EquivMap(P, X.terms[m - 1], entries=comp.entries)
+            t_comps[m - 1] = EquivMap(P, X.terms[m - 1], comp.entries)
         t = ChainMap(shifted, x_bot, t_comps)
         tau = tensor_chain_maps(smap, t)
         X = cone(tau)
@@ -428,7 +415,7 @@ def koszul_object(G, H, ring):
         for n, f in X.diffs.items():
             comp = map_inverse_monomial(isos[n - 1]).compose(
                 f.compose(isos[n]))
-            diffs[n] = EquivMap(terms[n], terms[n - 1], entries=comp.entries)
+            diffs[n] = EquivMap(terms[n], terms[n - 1], comp.entries)
         X = Complex(G, ring, terms, diffs)
         audit["tower"] = [{"from": H.describe(), "to": G.name,
                            "index": H.index, "action": "tensor-induce+rebase"}]

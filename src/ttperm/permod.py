@@ -9,26 +9,18 @@ GF(2) the two notions coincide and signs are erased on construction.
 Conventions used throughout the package:
 
 * the action is stored as ``act[g][i] = (j, s)`` meaning g.e_i = s e_j;
-* an ``EquivMap`` has two views of one map: ``entries``, the dict
-  {(row, col): value} of its nonzero entries, and ``matrix``, the dense
-  |target| x |source| tuple of row tuples; rows index the target basis
-  and columns the source basis, and the map acts on coordinate columns,
-  f(e_j) = sum_i M[i][j] f_i;
-* an ``EquivMap`` is built from one view.  A map built from ``entries``
-  derives ``matrix`` on first use and keeps it; a map built dense reads
-  ``entries`` off its matrix on every use and keeps no second copy, so
-  large differentials cost one dense matrix each.  Hom-basis maps and
-  composites are built from ``entries``, differentials are built dense;
-* composites are sparse products of nonzeros (``_left_mul``,
-  ``_right_mul``), never dense matrix products;
+* an ``EquivMap`` is its ``entries``, the dict {(row, col): value} of
+  its nonzero entries; rows index the target basis and columns the
+  source basis, and the map acts on coordinate columns,
+  f(e_c) = sum_r E[(r, c)] f_r.  Every map is built from entries and
+  read through them: composites are sparse products of nonzeros
+  (``_left_mul``, ``_right_mul``) and ``rows`` gives the row dicts
+  that elimination reads, columns ascending within each row;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 """
 
-from functools import cached_property
-
 from .grp import Group, Subgroup
-from .rings import ZZ, mat_zero
 
 
 class SignedPermModule:
@@ -61,6 +53,9 @@ class SignedPermModule:
                     assert (k, s * t if ring.characteristic != 2 else 1) == \
                         (jj, ss), "action is not a homomorphism"
         self.action = action
+        # {target module: equivariant_hom_basis(self, target)}, filled by
+        # homotopy._hom_basis; it lives and dies with this module
+        self.hom_bases = {}
 
     @property
     def rank(self):
@@ -135,59 +130,24 @@ class SignedPermModule:
 
 
 class EquivMap:
-    """A G-equivariant linear map between signed permutation modules.
+    """A G-equivariant linear map between signed permutation modules,
+    held as ``entries`` {(row, col): value}, normalized and nonzero.
 
-    Built from exactly one of a dense ``matrix`` or a sparse ``entries``
-    dict {(row, col): value}; ``matrix`` is derived from entries on first
-    use and kept, ``entries`` of a dense-built map is read off its matrix
-    on each use and not kept.  Either way equivariance is checked on the
-    nonzero entries.
+    Equivariance is checked on construction, on the nonzero entries.
     """
 
-    def __init__(self, source, target, matrix=None, entries=None):
+    def __init__(self, source, target, entries):
         assert source.group is target.group
         assert source.ring is target.ring
-        assert (matrix is None) != (entries is None), \
-            "give exactly one of matrix and entries"
         self.source = source
         self.target = target
-        self.ring = ring = source.ring
-        norm = ring.normalize
-        if matrix is not None:
-            matrix = tuple(tuple(norm(x) for x in row) for row in matrix)
-            assert len(matrix) == target.rank
-            assert all(len(row) == source.rank for row in matrix)
-            self.matrix = matrix
-            # checked, not kept: dense maps such as large differentials
-            # would otherwise hold a second copy of every nonzero
-            self._entries = None
-            entries = _nonzeros(matrix)
-        else:
-            entries = {(r, c): norm(v) for (r, c), v in entries.items()}
-            entries = {k: v for k, v in entries.items() if v != 0}
-            assert all(0 <= r < target.rank and 0 <= c < source.rank
-                       for (r, c) in entries)
-            self._entries = entries
-        self._check_equivariance(entries)
+        self.ring = source.ring
+        self.entries = _normalized(self.ring, entries)
+        assert all(0 <= r < target.rank and 0 <= c < source.rank
+                   for (r, c) in self.entries)
+        self._check_equivariance()
 
-    @property
-    def entries(self):
-        """The nonzero entries; a dense-built map reads them off
-        ``matrix`` on each use."""
-        if self._entries is None:
-            return _nonzeros(self.matrix)
-        return self._entries
-
-    @cached_property
-    def matrix(self):
-        """The dense view, built from ``entries`` on first use."""
-        z = self.ring.zero
-        rows = [[z] * self.source.rank for _ in range(self.target.rank)]
-        for (r, c), v in self._entries.items():
-            rows[r][c] = v
-        return tuple(map(tuple, rows))
-
-    def _check_equivariance(self, E=None):
+    def _check_equivariance(self):
         """M[g.r][g.i] = s t M[r][i] for every g and every nonzero (r, i),
         where g.e_i = s e_(g.i) and g.f_r = t f_(g.r).
 
@@ -195,8 +155,7 @@ class EquivMap:
         onto a nonzero one, g^-1 moves that nonzero entry onto the zero.
         """
         src, tgt = self.source, self.target
-        if E is None:
-            E = self.entries
+        E = self.entries
         norm = self.ring.normalize
         for g in src.group.elements():
             sact, tact = src.action[g], tgt.action[g]
@@ -206,25 +165,39 @@ class EquivMap:
                 assert E.get((r2, i2)) == (v if s == t else norm(-v)), \
                     "map is not equivariant"
 
-    def column(self, c):
-        """The image of source basis vector c, as a dense column."""
-        col = [self.ring.zero] * self.target.rank
-        for (r, c2), v in self.entries.items():
-            if c2 == c:
-                col[r] = v
-        return col
+    def rows(self):
+        """Row dicts {col: value}, columns ascending within each row:
+        the order in which elimination meets them and breaks pivot
+        ties."""
+        out = [{} for _ in range(self.target.rank)]
+        E = self.entries
+        for r, c in sorted(E):
+            out[r][c] = E[(r, c)]
+        return out
+
+    def columns(self):
+        """The images of the source basis vectors, as dense columns."""
+        out = [[self.ring.zero] * self.target.rank
+               for _ in range(self.source.rank)]
+        for (r, c), v in self.entries.items():
+            out[c][r] = v
+        return out
+
+    def block(self, rows, cols):
+        """The entries inside rows x cols (two ranges), re-indexed so the
+        block starts at (0, 0)."""
+        r0, c0 = rows.start, cols.start
+        return {(r - r0, c - c0): v for (r, c), v in self.entries.items()
+                if r in rows and c in cols}
 
     def apply(self, vec):
-        ring = self.ring
-        out = [ring.zero] * self.target.rank
-        for c, x in enumerate(vec):
-            if x == 0:
-                continue
-            for r in range(self.target.rank):
-                v = self.matrix[r][c]
-                if v != 0:
-                    out[r] = ring.normalize(out[r] + v * x)
-        return out
+        """The image of a coordinate column."""
+        out = [self.ring.zero] * self.target.rank
+        for (r, c), v in self.entries.items():
+            x = vec[c]
+            if x != 0:
+                out[r] += v * x
+        return [self.ring.normalize(x) for x in out]
 
     def compose(self, other):
         """self o other (other first), the sparse product of the two
@@ -232,7 +205,7 @@ class EquivMap:
         assert other.target is self.source or \
             other.target.basis == self.source.basis
         prod = _left_mul(self.ring, _index(self.entries, 1), other.entries)
-        return EquivMap(other.source, self.target, entries=prod)
+        return EquivMap(other.source, self.target, prod)
 
     def is_zero(self):
         return not self.entries
@@ -240,12 +213,6 @@ class EquivMap:
     def __repr__(self):
         return "EquivMap(%d x %d over %s)" % (
             self.target.rank, self.source.rank, self.ring.name)
-
-
-def _nonzeros(matrix):
-    # truth testing, not v != 0: half the time on Fractions
-    return {(r, c): v for r, row in enumerate(matrix)
-            for c, v in enumerate(row) if v}
 
 
 def _index(entries, axis):
@@ -288,11 +255,11 @@ def _right_mul(ring, b, d_rows):
 
 
 def zero_map(source, target):
-    return EquivMap(source, target, entries={})
+    return EquivMap(source, target, {})
 
 
 def identity_map(M):
-    return EquivMap(M, M, entries={(i, i): M.ring.one for i in range(M.rank)})
+    return EquivMap(M, M, {(i, i): M.ring.one for i in range(M.rank)})
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +419,8 @@ def equivariant_hom_basis(M, N):
     Orbits with inconsistent signs contribute nothing (they would need
     2 to be invertible to split; over GF(2) signs are already erased).
 
-    Each map is built from its signed orbit support through ``entries``,
-    so it holds at most |G| nonzero entries and no dense matrix until a
-    caller asks for ``matrix``; ``root_pair`` is the (source, target)
+    Each map is built from its signed orbit support, so it holds at
+    most |G| nonzero entries; ``root_pair`` is the (source, target)
     index pair that starts its orbit.
     """
     assert M.group is N.group and M.ring is N.ring
@@ -493,7 +459,7 @@ def equivariant_hom_basis(M, N):
         for x, w in sign.items():
             i, j = divmod(x, nN)
             entries[(j, i)] = one if w == 1 else minus_one
-        em = EquivMap(M, N, entries=entries)
+        em = EquivMap(M, N, entries)
         em.root_pair = divmod(start, nN)
         out.append(em)
     return out
@@ -502,7 +468,7 @@ def equivariant_hom_basis(M, N):
 def invariant_basis(M):
     """Column vectors spanning M^G (one orbit-sum per consistent orbit)."""
     maps = equivariant_hom_basis(trivial_module(M.group, M.ring), M)
-    return [f.column(0) for f in maps]
+    return [f.columns()[0] for f in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +486,8 @@ def sign_decompose(M, S):
     to the sign character of G/S lands in Mminus, anything else raises
     SignDecompositionError.  Returns (Mplus, Mminus, iso) where iso is
     the equivariant isomorphism direct_sum(Mplus, L (x) Mminus) -> M.
-    The inverse of iso is its transpose-with-signs; since iso is a
-    monomial matrix the caller can invert it cheaply via map_inverse.
+    iso is monomial with entries +-1, so map_inverse_monomial inverts
+    it cheaply.
     """
     assert S.index == 2
     G = M.group
@@ -590,30 +556,25 @@ def sign_decompose(M, S):
     Mminus = SignedPermModule(G, ring, mb, ma)
     L = sign_module(G, S, ring)
     dom = direct_sum(Mplus, tensor_module(L, Mminus), tags=("+", "-"))
-    mat = mat_zero(ring, M.rank, dom.rank)
-    one = ring.one
-    for k, (x, s) in enumerate(plus_entries):
-        mat[x][k] = one if s == 1 else ring.normalize(-one)
-    off = len(plus_entries)
-    for k, (x, s) in enumerate(minus_entries):
-        mat[x][off + k] = one if s == 1 else ring.normalize(-one)
-    iso = EquivMap(dom, M, mat)
+    iso = EquivMap(dom, M, {(x, k): s for k, (x, s)
+                            in enumerate(plus_entries + minus_entries)})
     return Mplus, Mminus, iso
 
 
 def map_inverse_monomial(f):
-    """Invert an EquivMap whose matrix is monomial with unit entries."""
+    """Invert an EquivMap with exactly one nonzero entry, a unit, in
+    each row."""
     ring = f.ring
     n = f.source.rank
     assert f.target.rank == n
-    mat = mat_zero(ring, n, n)
-    for r, row in enumerate(f.matrix):
-        hits = [(c, v) for c, v in enumerate(row) if v != 0]
-        assert len(hits) == 1, "matrix is not monomial"
-        c, v = hits[0]
+    rows = _index(f.entries, 0)
+    assert len(rows) == n and all(len(hits) == 1 for hits in rows.values()), \
+        "map is not monomial"
+    inv = {}
+    for r, [(c, v)] in rows.items():
         assert ring.is_unit(v)
-        mat[c][r] = ring.normalize(ring.inv(v))
-    return EquivMap(f.target, f.source, mat)
+        inv[(c, r)] = ring.inv(v)
+    return EquivMap(f.target, f.source, inv)
 
 
 def rebase_to_permutation(M):
@@ -641,11 +602,7 @@ def rebase_to_permutation(M):
             row.append((y, s * sgn[x] * sgn[y]))
         action.append(tuple(row))
     Mperm = SignedPermModule(M.group, ring, basis, tuple(action))
-    mat = mat_zero(ring, M.rank, M.rank)
-    one = ring.one
-    for k, (x, s) in enumerate(entries):
-        mat[x][k] = one if s == 1 else ring.normalize(-one)
-    iso = EquivMap(Mperm, M, mat)
+    iso = EquivMap(Mperm, M, {(x, k): s for k, (x, s) in enumerate(entries)})
     return Mperm, iso
 
 

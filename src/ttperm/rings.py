@@ -1,13 +1,17 @@
-"""Exact coefficient domains and bare-hands matrix arithmetic.
+"""Exact coefficient domains and the dense helpers of Smith normal form.
 
 Three domains are supported: the integers, the rationals, and prime
 fields.  Values are plain Python objects (``int`` for ZZ and GF(p),
 ``fractions.Fraction`` for QQ) so that all arithmetic is exact; no
-floats appear anywhere in this package.
+floats appear anywhere in this package.  ``normalize`` puts a value in
+its canonical form; a QQ value that already is a ``Fraction`` is
+returned unchanged.
 
-Matrices are lists of lists, row-major, with ``M[i][j]`` the entry in
-row ``i`` and column ``j``.  The helpers below are deliberately small:
-anything that needs pivoting or normal forms lives in ``homotopy``.
+Maps between modules are sparse (``permod.EquivMap.entries``).  The
+dense matrices here, lists of lists with ``M[i][j]`` in row ``i`` and
+column ``j``, serve only Smith normal form and the small relation
+matrices of ``homotopy.FgModule``: ``mat_zero``, ``mat_identity`` and
+``mat_mul``, which re-multiplies a factorization to check it.
 
 ``factorize`` is the package's one prime factorisation; primality,
 prime-power and Sylow-order questions elsewhere are answered from it.
@@ -69,7 +73,7 @@ class _Rationals(CoefficientDomain):
         return Fraction(n)
 
     def normalize(self, x):
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def is_unit(self, x):
         return x != 0
@@ -181,46 +185,4 @@ def mat_mul(ring, A, B):
                 b = Bt[j]
                 if b != 0:
                     Oi[j] = norm(Oi[j] + a * b)
-    return out
-
-
-def mat_add(ring, A, B):
-    norm = ring.normalize
-    return [[norm(a + b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(ring, c, A):
-    norm = ring.normalize
-    return [[norm(c * a) for a in row] for row in A]
-
-
-def mat_transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
-
-
-def mat_eq(A, B):
-    return mat_shape(A) == mat_shape(B) and all(
-        a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_is_zero(A):
-    return all(a == 0 for row in A for a in row)
-
-
-def mat_apply(ring, A, v):
-    """Matrix times column vector (a plain list)."""
-    n, k = mat_shape(A)
-    assert k == len(v), "shape mismatch"
-    norm = ring.normalize
-    out = []
-    for i in range(n):
-        acc = ring.zero
-        Ai = A[i]
-        for t in range(k):
-            x = v[t]
-            if x != 0 and Ai[t] != 0:
-                acc = acc + Ai[t] * x
-        out.append(norm(acc))
     return out

@@ -42,7 +42,7 @@ isomorphisms.
 """
 
 from .grp import Subgroup, subgroups
-from .rings import ZZ, factorize, mat_zero
+from .rings import ZZ, factorize
 from .permod import EquivMap, perm_module, trivial_module
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
                     tensor_complex, restrict_complex)
@@ -133,23 +133,26 @@ def _coset_generator(G, N):
     raise AssertionError("N is the whole group")
 
 
-def _sigma_minus_one(M, g, ring):
-    mat = mat_zero(ring, M.rank, M.rank)
+def _sigma_minus_one(M, g):
+    """Entries of e_j -> g.e_j - e_j."""
+    acc = {}
     for j in range(M.rank):
         i, s = M.act(g, j)
-        mat[i][j] = ring.normalize(mat[i][j] + s)
-        mat[j][j] = ring.normalize(mat[j][j] - ring.one)
-    return mat
+        acc[(i, j)] = acc.get((i, j), 0) + s
+        acc[(j, j)] = acc.get((j, j), 0) - 1
+    return acc
 
 
-def _norm_matrix(M, g, p, ring):
-    mat = mat_zero(ring, M.rank, M.rank)
+def _norm_entries(M, g, p):
+    """Entries of e_j -> sum_{k < p} g^k.e_j (signs ignored: M is a
+    permutation module)."""
+    acc = {}
     for j in range(M.rank):
         i = j
         for _ in range(p):
-            mat[i][j] = ring.normalize(mat[i][j] + ring.one)
+            acc[(i, j)] = acc.get((i, j), 0) + 1
             i, _s = M.act(g, i)
-    return mat
+    return acc
 
 
 def _check_index_p(G, N):
@@ -175,11 +178,11 @@ def _single_power(G, N, e, ring):
     for k in range(1, L + 1):
         terms[k] = M
         if k == 1:
-            diffs[1] = EquivMap(M, R, [[ring.one] * M.rank])
+            diffs[1] = EquivMap(M, R, {(0, j): 1 for j in range(M.rank)})
         elif k % 2 == 0:
-            diffs[k] = EquivMap(M, M, _sigma_minus_one(M, g0, ring))
+            diffs[k] = EquivMap(M, M, _sigma_minus_one(M, g0))
         else:
-            diffs[k] = EquivMap(M, M, _norm_matrix(M, g0, p, ring))
+            diffs[k] = EquivMap(M, M, _norm_entries(M, g0, p))
     return Complex(G, ring, terms, diffs)
 
 
@@ -761,7 +764,7 @@ def class_as_chain_map(z):
     Ys = shift_complex(Y, z.shift)
     U = unit_complex(z.G, z.ring)
     comp = EquivMap(U.terms[0], Ys.terms[0],
-                    [[v] for v in z.cycle])
+                    {(r, 0): v for r, v in enumerate(z.cycle)})
     return ChainMap(U, Ys, {0: comp})
 
 

@@ -124,6 +124,8 @@ def test_usage_errors(tmp_path):
     assert run(["kos", "--group", "C64xC2",
                 "--subgroup", "1"]) == 1                    # order 128 > 64
     assert run(["invert", "--group", "C64xC2"]) == 1        # order 128 > 64
+    assert run(["kos", "--group", "C4", "--subgroup", "1", "--ring", "F2",
+                "--verify"]) == 1                           # base change from F2
     not_json = tmp_path / "not_json.txt"
     not_json.write_text("not json")
     assert run(["verify", str(not_json)]) == 1              # not a report

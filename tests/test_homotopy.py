@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
-from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity, mat_eq
-from ttperm.permod import trivial_module, direct_sum, EquivMap
+from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity
+from ttperm.permod import (trivial_module, perm_module, sign_module,
+                           direct_sum, EquivMap, equivariant_hom_basis)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
                           identity_chain_map, two_term_complex, ChainMap)
@@ -42,7 +43,7 @@ def matrices(rows, cols):
 @given(matrices(3, 4))
 def test_snf_properties_over_Z(A):
     U, D, V = smith_normal_form(ZZ, A)
-    assert mat_eq(mat_mul(ZZ, U, mat_mul(ZZ, D, V)), A)
+    assert mat_mul(ZZ, U, mat_mul(ZZ, D, V)) == A
     # D diagonal with a nonnegative divisibility chain
     diag = []
     for i in range(3):
@@ -58,8 +59,8 @@ def test_snf_properties_over_Z(A):
         else:
             assert d2 == 0
     # U, V invertible over Z
-    assert mat_eq(mat_mul(ZZ, U, matrix_inverse(ZZ, U)), mat_identity(ZZ, 3))
-    assert mat_eq(mat_mul(ZZ, V, matrix_inverse(ZZ, V)), mat_identity(ZZ, 4))
+    assert mat_mul(ZZ, U, matrix_inverse(ZZ, U)) == mat_identity(ZZ, 3)
+    assert mat_mul(ZZ, V, matrix_inverse(ZZ, V)) == mat_identity(ZZ, 4)
 
 
 @settings(max_examples=30)
@@ -68,7 +69,7 @@ def test_snf_over_prime_field(A):
     F5 = GF(5)
     B = [[F5.normalize(v) for v in row] for row in A]
     U, D, V = smith_normal_form(F5, B)
-    assert mat_eq(mat_mul(F5, U, mat_mul(F5, D, V)), B)
+    assert mat_mul(F5, U, mat_mul(F5, D, V)) == B
     diag = [D[i][i] for i in range(3)]
     # over a field every nonzero invariant factor is a unit
     assert all(d == 0 or F5.is_unit(d) for d in diag)
@@ -162,7 +163,8 @@ def test_contractibility_certificates():
     assert isinstance(witness, NonContractibleWitness)
     assert (witness.degree, witness.invariants) == (0, (1, ()))
     M = trivial_module(cyclic(1), ZZ)
-    ok3, witness = is_contractible(two_term_complex(EquivMap(M, M, [[2]])))
+    X = two_term_complex(EquivMap(M, M, {(0, 0): 2}))
+    ok3, witness = is_contractible(X)
     assert not ok3
     assert (witness.degree, witness.invariants) == (0, (0, (2,)))
 
@@ -177,15 +179,32 @@ def test_contractibility_uses_averaging_over_Q():
     assert ok
 
 
+def test_contractibility_averages_signed_modules():
+    # R -> R(G) -> L, with L the sign module, is acyclic over Q; the
+    # averaged contraction L -> R(G) must carry the sign of L, and the
+    # only equivariant h_0 with d_1 h_0 = id is 1 -> (e_0 - e_1) / 2
+    G = cyclic(2)
+    R = trivial_module(G, QQ)
+    P = perm_module(G, G.trivial_subgroup(), QQ)
+    L = sign_module(G, G.trivial_subgroup(), QQ)
+    X = Complex(G, QQ, {2: R, 1: P, 0: L},
+                {2: EquivMap(R, P, {(0, 0): 1, (1, 0): 1}),
+                 1: EquivMap(P, L, {(0, 0): 1, (0, 1): -1})})
+    ok, cert = is_contractible(X)
+    assert ok
+    assert cert.h[0].entries == {(0, 0): QQ.normalize(1) / 2,
+                                 (1, 0): QQ.normalize(-1) / 2}
+
+
 def test_null_homotopy_of_zero_and_nonzero_maps():
     G = cyclic(2)
     U = unit_complex(G, ZZ)
     M = U.term(0)
-    zero = ChainMap(U, U, {0: EquivMap(M, M, [[0]])})
+    zero = ChainMap(U, U, {0: EquivMap(M, M, {})})
     h = null_homotopy(zero)
     assert h is not None
     check_homotopy(zero, h)
-    ident = ChainMap(U, U, {0: EquivMap(M, M, [[1]])})
+    ident = ChainMap(U, U, {0: EquivMap(M, M, {(0, 0): 1})})
     assert null_homotopy(ident) is None
 
 
@@ -243,23 +262,48 @@ def test_find_homotopy_equivalence_distinguishes_shifts():
 def test_homology_profile_detects_quasi_isomorphism_type():
     G = cyclic(1)
     M = trivial_module(G, ZZ)
-    X = two_term_complex(EquivMap(M, M, [[6]]))
+    X = two_term_complex(EquivMap(M, M, {(0, 0): 6}))
     assert homology_profile(X) == {0: (0, (6,))}
 
 
 def test_invert_keeps_hom_basis_maps_sparse(monkeypatch, capsys):
-    # Hom-basis maps hold their orbit support only; a dense view built
-    # on any of them during a whole command would bring back the
-    # |target| x |source| matrices per map.
+    # Hom-basis maps hold their orbit support only, at most |G| entries
+    # each, and no other view of the map, over a whole command
     from ttperm import homotopy
     from ttperm.cli import run
-    monkeypatch.setattr(homotopy, "_HOM_BASIS_CACHE", {})
+    built = []
+
+    def recording(M, N):
+        basis = equivariant_hom_basis(M, N)
+        built.extend(basis)
+        return basis
+
+    monkeypatch.setattr(homotopy, "equivariant_hom_basis", recording)
     assert run(["invert", "--group", "C5", "--ring", "Z"]) == 0
     capsys.readouterr()
-    maps = [f for basis in homotopy._HOM_BASIS_CACHE.values()
-            for f in basis]
-    assert len(maps) > 100
-    assert not any("matrix" in vars(f) for f in maps)
+    assert len(built) > 100
+    assert all(len(f.entries) <= 5 for f in built)
+    assert all(set(vars(f)) == {"source", "target", "ring", "entries",
+                                "root_pair"} for f in built)
+
+
+def test_hom_basis_cache_dies_with_its_modules():
+    # hom bases are cached on their source module, so a homotopy solve
+    # keeps no module alive once the caller drops it
+    import gc
+    import weakref
+    from ttperm.homotopy import _hom_basis
+    G = cyclic(2)
+    X = cone(identity_chain_map(u_complex(G, index_p_normal_subgroups(G)[0],
+                                          ZZ)))
+    ok, cert = is_contractible(X)       # over Z: an orbit-basis solve
+    assert ok
+    M = X.terms[0]
+    assert _hom_basis(M, X.terms[1]) is _hom_basis(M, X.terms[1])
+    refs = [weakref.ref(M) for M in X.terms.values()]
+    del X, M, cert
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +341,9 @@ def test_homology_profile_matches_smith_normal_form(name, ring):
 def test_homology_profile_normalises_invariant_factors(matrix, factors):
     G = cyclic(1)
     M = direct_sum(trivial_module(G, ZZ), trivial_module(G, ZZ))
-    X = two_term_complex(EquivMap(M, M, matrix))
+    X = two_term_complex(EquivMap(M, M, {(r, c): v
+                                         for r, row in enumerate(matrix)
+                                         for c, v in enumerate(row)}))
     assert homology_profile(X) == {0: (0, factors)} == _snf_profile(X)
 
 
@@ -305,24 +351,7 @@ def test_homology_profile_checks_unchecked_complexes():
     # complexes built with check=False meet their d o d = 0 check here
     G = cyclic(1)
     M = trivial_module(G, ZZ)
-    one = EquivMap(M, M, [[1]])
+    one = EquivMap(M, M, {(0, 0): 1})
     X = Complex(G, ZZ, {0: M, 1: M, 2: M}, {1: one, 2: one}, check=False)
     with pytest.raises(AssertionError, match="d o d != 0 at degree 1"):
         homology_profile(X)
-
-
-def test_dense_differentials_keep_no_sparse_copy():
-    # compose, homology_profile and the contraction checks read the
-    # nonzeros of a dense-built map transiently: a kept dict of them
-    # would double the memory of every large differential
-    G = cyclic(3)
-    u = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
-    X = tensor_complex(u, u)
-    C = cone(identity_chain_map(X))
-    assert homology_profile(X) == {4: (1, ())}
-    ok, cert = is_contractible(C)
-    assert ok
-    cert.verify()
-    maps = list(X.diffs.values()) + list(C.diffs.values())
-    assert all("matrix" in vars(f) for f in maps)          # built dense
-    assert not any(isinstance(v, dict) for f in maps for v in vars(f).values())

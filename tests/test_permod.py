@@ -16,7 +16,7 @@ from ttperm.permod import (perm_module, trivial_module, sign_module,
                            identity_map, zero_map, subgroup_as_group,
                            is_induced_from, rebase_to_permutation, EquivMap)
 from ttperm.chain import tensor_complex
-from ttperm.homotopy import _index, _left_mul, _right_mul
+from ttperm.homotopy import _index, _left_mul, _right_mul, sparse_rows
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 
 
@@ -162,7 +162,7 @@ def test_map_composition_order():
     composite = identity_map(N).compose(f)
     composite._check_equivariance()
     assert composite.source is f.source
-    assert composite.matrix == f.matrix
+    assert composite.entries == f.entries
 
 
 def test_rebase_to_permutation():
@@ -195,6 +195,22 @@ def _dense(ring, entries, rows, cols):
     return [list(row) for row in mat]
 
 
+def dense(f):
+    """The dense matrix of a map, the reference for sparse products."""
+    return _dense(f.ring, f.entries, f.target.rank, f.source.rank)
+
+
+def _dense_equivariant(M, N, entries):
+    """The dense criterion: M[g.r][g.i] = s t M[r][i] for every g and
+    every cell (r, i), zero cells included."""
+    ring = M.ring
+    mat = _dense(ring, entries, N.rank, M.rank)
+    return all(mat[N.act(g, r)[0]][M.act(g, i)[0]]
+               == ring.normalize(N.act(g, r)[1] * M.act(g, i)[1] * mat[r][i])
+               for g in M.group.elements()
+               for r in range(N.rank) for i in range(M.rank))
+
+
 def _module_pairs(name, ring):
     G = parse_group_name(name)
     mods = [perm_module(G, S, ring) for S in subgroups(G)]
@@ -215,21 +231,11 @@ def test_sparse_half_orbit_fails_equivariance_like_dense():
     assert len(f.entries) == 4
     half = dict(sorted(f.entries.items())[:2])
     with pytest.raises(AssertionError, match="not equivariant"):
-        EquivMap(M, M, entries=half)
-    with pytest.raises(AssertionError, match="not equivariant"):
-        EquivMap(M, M, _dense(ZZ, half, M.rank, M.rank))
-    # the full support passes both ways and the two paths agree
-    g = EquivMap(M, M, _dense(ZZ, f.entries, M.rank, M.rank))
-    assert g.entries == f.entries
-
-
-def test_equivmap_takes_exactly_one_of_matrix_and_entries():
-    G = cyclic(2)
-    M = trivial_module(G, ZZ)
-    with pytest.raises(AssertionError):
-        EquivMap(M, M)
-    with pytest.raises(AssertionError):
-        EquivMap(M, M, [[1]], entries={(0, 0): 1})
+        EquivMap(M, M, half)
+    assert not _dense_equivariant(M, M, half)
+    # the full support passes the sparse and the dense criterion
+    assert EquivMap(M, M, f.entries).entries == f.entries
+    assert _dense_equivariant(M, M, f.entries)
 
 
 @pytest.mark.parametrize("name", ["C4", "C2xC2", "D8"])
@@ -238,16 +244,15 @@ def test_hom_basis_dense_view_matches_orbit_signs(name):
     G, pairs = _module_pairs(name, ring)
     for M, N in pairs:
         for f in equivariant_hom_basis(M, N):
-            assert "matrix" not in vars(f)        # built sparse
             i, j = f.root_pair
             expect = mat_zero(ring, N.rank, M.rank)
             for g in G.elements():
                 i2, s = M.act(g, i)
                 j2, t = N.act(g, j)
                 expect[j2][i2] = ring.normalize(s * t)
-            assert f.matrix == tuple(map(tuple, expect))
-            dense = EquivMap(M, N, expect)
-            assert dense.entries == f.entries
+            assert dense(f) == expect
+            assert len(f.entries) <= G.order
+            assert _dense_equivariant(M, N, f.entries)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
@@ -264,17 +269,37 @@ def test_sparse_products_match_mat_mul(ring):
             db = _left_mul(ring, d_cols, b.entries)
             bd = _right_mul(ring, b.entries, d_rows)
             assert _dense(ring, db, tgt.rank, tgt.rank) == \
-                mat_mul(ring, d.matrix, b.matrix)
+                mat_mul(ring, dense(d), dense(b))
             assert _dense(ring, bd, src.rank, src.rank) == \
-                mat_mul(ring, b.matrix, d.matrix)
+                mat_mul(ring, dense(b), dense(d))
             assert all(v != 0 for v in list(db.values()) + list(bd.values()))
             checked += 1
     assert checked
 
 
+def test_rows_columns_and_blocks_match_the_dense_matrix():
+    # rows() lists the columns of each row in ascending order, the order
+    # sparse_rows reads off a dense matrix: elimination breaks pivot ties
+    # in that order, so it decides which certificates a report shows
+    G = cyclic(4)
+    u = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+    X = tensor_complex(u, u)
+    for d in X.diffs.values():
+        # the same map with its entries inserted in reverse order
+        f = EquivMap(d.source, d.target, dict(reversed(d.entries.items())))
+        mat = dense(f)
+        rows = f.rows()
+        assert rows == sparse_rows(mat)
+        assert all(list(row) == sorted(row) for row in rows)
+        assert f.columns() == [list(col) for col in zip(*mat)]
+        rs, cs = range(1, f.target.rank), range(2, f.source.rank)
+        assert _dense(ZZ, f.block(rs, cs), len(rs), len(cs)) == \
+            [row[2:] for row in mat[1:]]
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=str)
 def test_sparse_compose_matches_mat_mul(ring):
-    # C4 permutation modules and a signed module, sparse- and dense-built
+    # C4 permutation modules and a signed module
     G, pairs = _module_pairs("C4", ring)
     mods = []
     for M, _ in pairs:
@@ -286,16 +311,7 @@ def test_sparse_compose_matches_mat_mul(ring):
             for N in mods:
                 for g in equivariant_hom_basis(L, M):
                     for f in equivariant_hom_basis(M, N):
-                        expect = tuple(map(tuple,
-                                           mat_mul(ring, f.matrix, g.matrix)))
-                        assert f.compose(g).matrix == expect
-                        fd = EquivMap(M, N, f.matrix)
-                        gd = EquivMap(L, M, g.matrix)
-                        assert fd.compose(gd).matrix == expect
-                        assert fd.compose(g).entries == f.compose(gd).entries
-                        # the dense-built factors keep no dict of nonzeros
-                        assert not any(isinstance(v, dict)
-                                       for h in (fd, gd)
-                                       for v in vars(h).values())
+                        assert dense(f.compose(g)) == \
+                            mat_mul(ring, dense(f), dense(g))
                         checked += 1
     assert checked > 100
