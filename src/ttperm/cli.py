@@ -152,6 +152,9 @@ def cmd_kos(args):
     if args.verify and ring is not ZZ:
         raise UsageError("--verify runs the base-change checks from Z; "
                          "use --ring Z")
+    if args.verify and pk is None:
+        raise UsageError("--verify needs a group of prime-power order > 1; "
+                         "%s has order 1" % G.name)
     k = koszul.koszul_object(G, H, ring)
     out = {
         "command": "kos",
@@ -161,10 +164,10 @@ def cmd_kos(args):
                   for n in sorted(k.complex.terms)},
         "audit": k.audit,
     }
-    if args.verify and pk is not None:
+    if args.verify:
         out["base_change"] = koszul.base_change_koszul_check(G, H, pk[0])
     checks = dict(k.audit["checks"])
-    if args.verify and "base_change" in out:
+    if args.verify:
         for tag, rep in out["base_change"].items():
             for name, val in rep.items():
                 checks["%s_%s" % (tag, name)] = val
@@ -405,7 +408,8 @@ def build_parser():
     kos.add_argument("--subgroup", required=True)
     kos.add_argument("--ring", default="Z")
     kos.add_argument("--verify", action="store_true",
-                     help="also run the base-change checks (needs --ring Z)")
+                     help="also run the base-change checks (needs --ring Z "
+                     "and a group of prime-power order > 1)")
     kos.add_argument("--format", choices=["json", "text"], default="json")
     kos.set_defaults(handler=cmd_kos)
 

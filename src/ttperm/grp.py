@@ -5,9 +5,11 @@ full Cayley table ``table[i][j] = index of g_i * g_j`` with the identity
 at index 0.  Subgroups are element sets of a fixed parent group; they
 are enumerated exactly (closure search), never up to isomorphism.
 
+Each group enumerates its subgroup lattice once and keeps it, numbered,
+together with the conjugation action on it (``conjugation_table``).
 The spectrum assembler consumes the category of sections ``(H, K)``
-with elementary abelian quotient.  The orbit category on a family of
-subgroups is also provided.
+with elementary abelian quotient, enumerated from that table and from
+per-subgroup element bitmasks.
 """
 
 from itertools import product as iter_product
@@ -44,6 +46,13 @@ class Group:
         self.element_names = tuple(element_names) if element_names \
             else tuple(str(i) for i in range(n))
         self._inv = tuple(table[a].index(identity) for a in range(n))
+        # the subgroup lattice and its conjugation table, built on demand
+        # by subgroups() and conjugation_table()
+        self._subgroups = None
+        self._conjugation = None
+        # element tuple -> (Group, elements), filled by
+        # permod.subgroup_as_group
+        self.subgroup_groups = {}
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -78,30 +87,22 @@ class Group:
         return range(self.order)
 
     def closure(self, gens):
-        """Subgroup generated by ``gens`` as a sorted tuple of elements."""
+        """Subgroup generated by ``gens`` as a sorted tuple of elements.
+
+        Multiplying on the right by the generators, starting from the
+        identity, reaches the monoid they generate; in a finite group
+        that monoid is already the subgroup.
+        """
+        gens = tuple(set(gens))
         seen = {self.identity}
         frontier = [self.identity]
-        gens = set(gens) | {self.identity}
         while frontier:
-            x = frontier.pop()
+            row = self.table[frontier.pop()]
             for g in gens:
-                for y in (self.mul(x, g), self.mul(g, x)):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        # close under products of what we have (gens may not suffice if
-        # frontier elements combine); iterate to a fixed point
-        while True:
-            new = set()
-            lst = sorted(seen)
-            for a in lst:
-                for b in lst:
-                    c = self.mul(a, b)
-                    if c not in seen:
-                        new.add(c)
-            if not new:
-                break
-            seen |= new
+                y = row[g]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return tuple(sorted(seen))
 
     def trivial_subgroup(self):
@@ -118,12 +119,14 @@ class Subgroup:
     def __init__(self, parent, elements):
         self.parent = parent
         self.elements = tuple(sorted(set(int(x) for x in elements)))
-        assert parent.identity in self.elements
-        members = set(self.elements)
+        members = frozenset(self.elements)
+        assert parent.identity in members
         for a in self.elements:
             assert parent.inv(a) in members
             for b in self.elements:
                 assert parent.mul(a, b) in members, "not closed"
+        self.members = members
+        self.mask = sum(1 << x for x in self.elements)
 
     @property
     def order(self):
@@ -134,7 +137,7 @@ class Subgroup:
         return self.parent.order // self.order
 
     def __contains__(self, x):
-        return x in set(self.elements)
+        return x in self.members
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -145,7 +148,7 @@ class Subgroup:
 
     def __le__(self, other):
         assert other.parent is self.parent
-        return set(self.elements) <= set(other.elements)
+        return self.mask & ~other.mask == 0
 
     def __lt__(self, other):
         return self <= other and self.order < other.order
@@ -158,8 +161,8 @@ class Subgroup:
         """Normal in ``ambient`` (a Subgroup), or in the whole group."""
         G = self.parent
         amb = ambient.elements if ambient is not None else G.elements()
-        mine = set(self.elements)
-        return all(G.conj(x, g) in mine for g in amb for x in self.elements)
+        return all(G.conj(x, g) in self.members
+                   for g in amb for x in self.elements)
 
     def left_cosets(self):
         """Left cosets gH, each a sorted tuple, ordered by smallest member."""
@@ -308,43 +311,52 @@ def subgroups(G):
 
     Breadth-first closure search: grow each known subgroup by a single
     extra generator.  Exact for any table group; intended for order <= 64.
+    The lattice is enumerated once and kept on G; each call returns a
+    fresh list of the same Subgroup objects.
     """
-    assert G.order <= MAX_ORDER, \
-        "subgroup enumeration is desk scale (order <= %d)" % MAX_ORDER
-    triv = (G.identity,)
-    seen = {triv}
-    frontier = [triv]
-    while frontier:
-        S = frontier.pop()
-        inside = set(S)
+    if G._subgroups is None:
+        assert G.order <= MAX_ORDER, \
+            "subgroup enumeration is desk scale (order <= %d)" % MAX_ORDER
+        triv = (G.identity,)
+        seen = {triv}
+        frontier = [triv]
+        while frontier:
+            S = frontier.pop()
+            inside = set(S)
+            for g in G.elements():
+                if g in inside:
+                    continue
+                T = G.closure(inside | {g})
+                if T not in seen:
+                    seen.add(T)
+                    frontier.append(T)
+        G._subgroups = tuple(Subgroup(G, t) for t in
+                             sorted(seen, key=lambda t: (len(t), t)))
+    return list(G._subgroups)
+
+
+def conjugation_table(G):
+    """``conj[g][i] = j`` when subgroups(G)[i]^g is subgroups(G)[j].
+
+    The conjugate of a subgroup is a subgroup, so each image is looked
+    up by its sorted element tuple and never re-checked; an image
+    missing from the lattice is an error.  Kept on G.
+    """
+    if G._conjugation is None:
+        subs = subgroups(G)
+        number = {S.elements: i for i, S in enumerate(subs)}
+        table = []
         for g in G.elements():
-            if g in inside:
-                continue
-            T = G.closure(set(S) | {g})
-            if T not in seen:
-                seen.add(T)
-                frontier.append(T)
-    return [Subgroup(G, t) for t in sorted(seen, key=lambda t: (len(t), t))]
-
-
-def conjugacy_classes_of_subgroups(G):
-    """Partition of subgroups(G) into conjugacy classes.
-
-    Each class is a list of Subgroups; the class representative is the
-    one with the smallest element tuple.  Classes are sorted the same
-    way subgroups are.
-    """
-    all_subs = subgroups(G)
-    by_elements = {S.elements: S for S in all_subs}
-    unassigned = set(by_elements)
-    classes = []
-    for S in all_subs:
-        if S.elements not in unassigned:
-            continue
-        orbit = {S.conjugate(g).elements for g in G.elements()}
-        classes.append([by_elements[t] for t in sorted(orbit)])
-        unassigned -= orbit
-    return classes
+            row = []
+            for i, S in enumerate(subs):
+                image = tuple(sorted(G.conj(x, g) for x in S.elements))
+                if image not in number:
+                    raise LookupError("conjugate of subgroup %d by %d is not "
+                                      "in the lattice of %s" % (i, g, G.name))
+                row.append(number[image])
+            table.append(tuple(row))
+        G._conjugation = tuple(table)
+    return G._conjugation
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +387,20 @@ class SectionObject:
 
 
 class SectionMorphism:
-    """g with K' <= K^g <= H^g <= H', from (H, K) to (H', K')."""
+    """g with K' <= K^g <= H^g <= H', from (H, K) to (H', K').
 
-    def __init__(self, source, target, g):
-        G = source.H.parent
-        Hg = source.H.conjugate(g)
-        Kg = source.K.conjugate(g)
+    ``Hg`` and ``Kg`` are the conjugates H^g and K^g, as the enumeration
+    in sections_category found them in the subgroup lattice.
+    """
+
+    def __init__(self, source, target, g, Hg, Kg):
         assert target.K <= Kg and Kg <= Hg and Hg <= target.H, \
             "not a section morphism"
         self.source = source
         self.target = target
         self.g = g
+        self.Hg = Hg
+        self.Kg = Kg
 
     def __repr__(self):
         return "%r --%s--> %r" % (self.source,
@@ -399,106 +414,46 @@ class SectionsCategory:
         self.objects = objects
         self.morphisms = morphisms
 
-    def compose(self, m1, m2):
-        """Composite of m1: A -> B and m2: B -> C (conjugation acts on
-        the right, so the composite is carried by m1.g * m2.g)."""
-        assert m1.target == m2.source
-        g = self.group.mul(m1.g, m2.g)
-        return SectionMorphism(m1.source, m2.target, g)
-
-    def morphisms_between(self, src, tgt):
-        return [m for m in self.morphisms if m.source == src and m.target == tgt]
-
 
 def _is_elementary_abelian_section(G, H, K, p):
-    Kset = set(K.elements)
     for a in H.elements:
-        if G.power(a, p) not in Kset:
+        if G.power(a, p) not in K.members:
             return False
         for b in H.elements:
             comm = G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-            if comm not in Kset:
+            if comm not in K.members:
                 return False
     return True
 
 
 def sections_category(G, p):
     """All sections (H, K) of the p-group G with H/K elementary abelian,
-    and all morphisms between them."""
+    and all morphisms between them.
+
+    Works on lattice indices: K is normal in H when every element of H
+    fixes K in the conjugation table, and g carries (H, K) to (H', K')
+    when the element bitmasks give K' <= K^g and H^g <= H'.
+    """
     order = G.order
     assert set(factorize(order)) <= {p}, \
         "sections_category expects a p-group"
     subs = subgroups(G)
-    objects = []
-    for H in subs:
-        for K in subs:
-            if K <= H and K.is_normal(H) and \
+    conj = conjugation_table(G)
+    pairs = []
+    for h, H in enumerate(subs):
+        for k, K in enumerate(subs):
+            if K <= H and all(conj[x][k] == k for x in H.elements) and \
                     _is_elementary_abelian_section(G, H, K, p):
-                objects.append(SectionObject(H, K))
-    objects.sort(key=lambda o: o.key())
+                pairs.append((h, k))
+    pairs.sort(key=lambda hk: (subs[hk[0]].elements, subs[hk[1]].elements))
+    objects = [SectionObject(subs[h], subs[k]) for h, k in pairs]
+    mask = [S.mask for S in subs]
     morphisms = []
-    for src in objects:
-        for tgt in objects:
+    for src, (h, k) in zip(objects, pairs):
+        for tgt, (h2, k2) in zip(objects, pairs):
             for g in G.elements():
-                Hg = src.H.conjugate(g)
-                Kg = src.K.conjugate(g)
-                if tgt.K <= Kg and Kg <= Hg and Hg <= tgt.H:
-                    morphisms.append(SectionMorphism(src, tgt, g))
+                hg, kg = conj[g][h], conj[g][k]
+                if mask[k2] & ~mask[kg] == 0 and mask[hg] & ~mask[h2] == 0:
+                    morphisms.append(
+                        SectionMorphism(src, tgt, g, subs[hg], subs[kg]))
     return SectionsCategory(G, objects, morphisms)
-
-
-# ---------------------------------------------------------------------------
-# orbit category
-
-class OrbitCategory:
-    """Orbit category on a family of subgroups.
-
-    Morphisms G/H -> G/K are G-maps; the map sending eH to xK exists
-    iff x^{-1} H x <= K, and is recorded by the coset xK.
-    """
-
-    def __init__(self, group, family):
-        self.group = group
-        self.objects = sorted({S.elements: S for S in family}.values(),
-                              key=lambda S: (S.order, S.elements))
-
-    def morphism_cosets(self, H, K):
-        G = self.group
-        out = []
-        seen = set()
-        Kset = set(K.elements)
-        for x in G.elements():
-            coset = tuple(sorted(G.mul(x, k) for k in K.elements))
-            if coset in seen:
-                continue
-            seen.add(coset)
-            if all(G.conj(h, x) in Kset for h in H.elements):
-                out.append(coset)
-        return sorted(out)
-
-    def morphism_count(self, H, K):
-        return len(self.morphism_cosets(H, K))
-
-    def maps_up_to_automorphism(self, H, K):
-        """Orbits of Aut(G/K) (post-composition) on Map(G/H, G/K)."""
-        G = self.group
-        maps = self.morphism_cosets(H, K)
-        auts = self.morphism_cosets(K, K)
-        remaining = set(maps)
-        orbits = []
-        for m in maps:
-            if m not in remaining:
-                continue
-            x = m[0]
-            orbit = set()
-            for a in auts:
-                y = a[0]
-                xy = G.mul(x, y)
-                orbit.add(tuple(sorted(G.mul(xy, k) for k in K.elements)))
-            orbits.append(sorted(orbit))
-            remaining -= orbit
-        return orbits
-
-
-def orbit_category(G, family):
-    return OrbitCategory(G, family)

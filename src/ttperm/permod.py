@@ -343,27 +343,22 @@ def dual_module(M):
 # ---------------------------------------------------------------------------
 # induction / restriction
 
-_AS_GROUP_CACHE = {}
-
-
 def subgroup_as_group(S):
     """A Subgroup as a standalone Group, plus the element embedding.
 
-    Cached per (ambient group, element set) so repeated restrictions
-    share one Group object; maps between restricted modules require
-    identical group objects.  The cached value pins the ambient group:
-    an id-based key is only sound while the keyed object stays alive.
+    Kept on the ambient group (``Group.subgroup_groups``, keyed by the
+    element tuple) so repeated restrictions share one Group object;
+    maps between restricted modules require identical group objects.
     """
-    key = (id(S.parent), S.elements)
-    if key in _AS_GROUP_CACHE:
-        return _AS_GROUP_CACHE[key][:2]
-    elems = S.elements
-    pos = {x: i for i, x in enumerate(elems)}
-    table = [[pos[S.parent.mul(a, b)] for b in elems] for a in elems]
-    names = [S.parent.element_names[x] for x in elems]
-    H = Group(table, "%s<%s" % (S.describe(), S.parent.name), names)
-    _AS_GROUP_CACHE[key] = (H, elems, S.parent)
-    return H, elems
+    cache = S.parent.subgroup_groups
+    if S.elements not in cache:
+        elems = S.elements
+        pos = {x: i for i, x in enumerate(elems)}
+        table = [[pos[S.parent.mul(a, b)] for b in elems] for a in elems]
+        names = [S.parent.element_names[x] for x in elems]
+        H = Group(table, "%s<%s" % (S.describe(), S.parent.name), names)
+        cache[elems] = (H, elems)
+    return cache[S.elements]
 
 
 def induce_from(M, S):

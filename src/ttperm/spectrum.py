@@ -50,7 +50,7 @@ their Sylow subgroup and contribute no further identifications.
 
 import json
 
-from .grp import cyclic, sections_category, subgroups
+from .grp import cyclic, conjugation_table, sections_category, subgroups
 from .rings import factorize
 from .twisted import TheoryCheckFailure
 
@@ -466,8 +466,9 @@ def sections_colimit(G):
     P(H, "0", p); each section (H, K) of index p contributes the
     spectrum of H/K = C_p over Z with modular points labeled by the
     global subgroups H and K.  A section morphism carried by g maps
-    P(S, a, p) to P(S^g, a, p) and fixes ordinary points; for cyclic
-    groups conjugation is trivial, so every transition matches labels.
+    P(S, a, p) to P(S^g, a, p) and fixes ordinary points, with S^g read
+    from the group's conjugation table; for cyclic groups conjugation is
+    trivial, so every transition matches labels.
     The trivial-section maps into an adjacent index-p section land on
     the two V-endpoints (the closed point named by the section's top
     subgroup and the one named by its kernel), which is what chains
@@ -475,8 +476,10 @@ def sections_colimit(G):
     """
     if G.order == 1:
         return assemble_over_Z(G)
-    p, _, chain = _cyclic_p_chain(G)
-    by_label = {_subgroup_label(G, S): S for S in chain}
+    p, _, _ = _cyclic_p_chain(G)
+    labels = [_subgroup_label(G, S) for S in subgroups(G)]
+    number = {label: i for i, label in enumerate(labels)}
+    conj = conjugation_table(G)
     cat = sections_category(G, p)
     index = {obj.key(): i for i, obj in enumerate(cat.objects)}
     seeds = [_section_seed(G, p, obj) for obj in cat.objects]
@@ -486,9 +489,8 @@ def sections_colimit(G):
         i, j = index[f.source.key()], index[f.target.key()]
         for k, pt in sorted(seeds[i].points.items()):
             if pt.kind == "modular":
-                conj = by_label[pt.subgroup].conjugate(f.g)
-                img = SpcPoint.modular(_subgroup_label(G, conj),
-                                       pt.tag, p).key()
+                image = labels[conj[f.g][number[pt.subgroup]]]
+                img = SpcPoint.modular(image, pt.tag, p).key()
             else:
                 img = k
             assert img in seeds[j].points, \

@@ -1,16 +1,18 @@
-"""Finite groups, subgroup enumeration, sections, and orbit categories.
+"""Finite groups, subgroup enumeration, conjugation and sections.
 
 Subgroup counts are checked against the classical lattices (C4 has 3
 subgroups, C2xC2 has 5, Q8 has 6, D8 has 10, ...), and every reported
 subgroup is re-verified to be closed under the group operations.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from ttperm.grp import (cyclic, direct_product, dihedral, quaternion8,
                         parse_group_name, make_group, subgroups,
-                        conjugacy_classes_of_subgroups, sections_category,
-                        orbit_category, Subgroup)
+                        conjugation_table, sections_category, Subgroup)
 
 
 def is_genuine_subgroup(G, S):
@@ -41,7 +43,7 @@ def test_parse_group_name():
 
 SUBGROUP_COUNTS = {
     "C2": 2, "C3": 2, "C4": 3, "C6": 4, "C8": 4, "C9": 3, "C12": 6,
-    "C2xC2": 5, "Q8": 6, "D8": 10,
+    "C2xC2": 5, "Q8": 6, "D8": 10, "C2xC4": 8, "C2xC2xC2": 16, "D16": 19,
 }
 
 
@@ -55,19 +57,6 @@ def test_subgroup_counts_match_classical_lattices():
         for S in subs:
             assert is_genuine_subgroup(G, S), (name, S.elements)
             assert G.order % S.order == 0  # Lagrange
-
-
-def test_conjugacy_classes_of_subgroups():
-    # abelian: every class is a singleton
-    G = parse_group_name("C2xC2")
-    classes = conjugacy_classes_of_subgroups(G)
-    assert len(classes) == 5
-    # D8: the four non-central reflections fall into two classes of two
-    D8 = parse_group_name("D8")
-    classes = conjugacy_classes_of_subgroups(D8)
-    assert len(classes) == 8
-    sizes = sorted(len(c) for c in classes)
-    assert sizes == [1, 1, 1, 1, 1, 1, 2, 2]
 
 
 def test_subgroup_conjugation_and_normality():
@@ -95,17 +84,6 @@ def test_sections_category_c4():
     assert len(cat.morphisms) == 4 * expected_pairs
 
 
-def test_sections_compose():
-    G = cyclic(4)
-    cat = sections_category(G, 2)
-    for m1 in cat.morphisms[:20]:
-        for m2 in cat.morphisms_between(m1.target, m1.target):
-            m = cat.compose(m1, m2)
-            assert m.source == m1.source
-            assert m.target == m2.target
-            assert m.g == G.mul(m1.g, m2.g)
-
-
 def test_sections_trivial_flag():
     G = cyclic(2)
     cat = sections_category(G, 2)
@@ -113,32 +91,122 @@ def test_sections_trivial_flag():
     assert len(trivial) == 2  # (1,1) and (C2,C2)
 
 
-def test_orbit_category_map_counts():
-    G = parse_group_name("C2xC2")
-    fam = subgroups(G)
-    cat = orbit_category(G, fam)
-    one = [S for S in fam if S.order == 1][0]
-    full = [S for S in fam if S.order == 4][0]
-    # Map(G/1, G/K) has |G:K| elements; Map(G/H, G/1) is empty for H != 1
-    for K in fam:
-        assert cat.morphism_count(one, K) == G.order // K.order
-        if K.order > 1:
-            assert cat.morphism_count(K, one) == 0
-    assert cat.morphism_count(full, full) == 1
-    # self-maps of G/H in an abelian group: |G/H|
-    for K in fam:
-        assert cat.morphism_count(K, K) == G.order // K.order
+# 2-groups for the checks against brute-force references; the
+# non-abelian ones conjugate subgroups non-trivially.
+REFERENCE_GROUPS = ("C8", "C2xC2", "C2xC4", "C2xC2xC2", "D8", "Q8", "D16")
 
 
-def test_orbit_category_maps_up_to_automorphism():
-    G = cyclic(4)
-    fam = subgroups(G)
-    cat = orbit_category(G, fam)
-    one = [S for S in fam if S.order == 1][0]
-    two = [S for S in fam if S.order == 2][0]
-    # Aut(G/1) = G acts freely and transitively on Map(G/1, G/1)
-    assert len(cat.maps_up_to_automorphism(one, one)) == 1
-    assert len(cat.maps_up_to_automorphism(one, two)) == 1
+def fixed_point_closure(G, gens):
+    """Multiply everything found so far until nothing new appears."""
+    seen = {G.identity} | set(gens)
+    while True:
+        new = {G.mul(a, b) for a in seen for b in seen} - seen
+        if not new:
+            return tuple(sorted(seen))
+        seen |= new
+
+
+def test_closure_matches_fixed_point_closure():
+    for name in REFERENCE_GROUPS:
+        G = parse_group_name(name)
+        for a in G.elements():
+            for b in G.elements():
+                assert G.closure({a, b}) == fixed_point_closure(G, {a, b}), \
+                    (name, a, b)
+
+
+def reference_sections(G, p):
+    """Objects and (source key, target key, g) triples of the sections
+    category, from element sets and Subgroup.conjugate only."""
+    subs = subgroups(G)
+
+    def is_section(H, K):
+        Hs, Ks = set(H.elements), set(K.elements)
+        if not Ks <= Hs:
+            return False
+        if any(G.conj(k, h) not in Ks for h in Hs for k in Ks):
+            return False
+        return all(G.power(a, p) in Ks and
+                   G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) in Ks
+                   for a in Hs for b in Hs)
+
+    objects = sorted((H.elements, K.elements) for H in subs for K in subs
+                     if is_section(H, K))
+    conj = {(S.elements, g): set(S.conjugate(g).elements)
+            for S in subs for g in G.elements()}
+    triples = []
+    for (H, K) in objects:
+        for (H2, K2) in objects:
+            for g in G.elements():
+                if set(K2) <= conj[(K, g)] and conj[(H, g)] <= set(H2):
+                    triples.append(((H, K), (H2, K2), g))
+    return objects, triples
+
+
+def test_sections_category_matches_brute_force():
+    for name in REFERENCE_GROUPS:
+        G = parse_group_name(name)
+        cat = sections_category(G, 2)
+        objects, triples = reference_sections(G, 2)
+        assert [o.key() for o in cat.objects] == objects, name
+        assert [(m.source.key(), m.target.key(), m.g)
+                for m in cat.morphisms] == triples, name
+        for m in cat.morphisms:
+            assert m.Hg.elements == m.source.H.conjugate(m.g).elements
+            assert m.Kg.elements == m.source.K.conjugate(m.g).elements
+
+
+def test_conjugation_table_matches_conjugate():
+    for name in ("D8", "Q8", "D16"):
+        G = parse_group_name(name)
+        subs = subgroups(G)
+        conj = conjugation_table(G)
+        for g in G.elements():
+            for i, S in enumerate(subs):
+                assert subs[conj[g][i]].elements == S.conjugate(g).elements
+    # D8 has two conjugacy classes of two non-central reflections each
+    D8 = parse_group_name("D8")
+    moved = {i for row in conjugation_table(D8) for i, j in enumerate(row)
+             if i != j}
+    assert len(moved) == 4
+
+
+def test_subgroups_are_enumerated_once_per_group(monkeypatch):
+    G = parse_group_name("D16")
+    first = subgroups(G)
+    assert subgroups(G) is not first
+    assert all(a is b for a, b in zip(first, subgroups(G)))
+    built = []
+    init = Subgroup.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    sections_category(G, 2)
+    assert built == []
+
+
+def test_membership_and_containment_use_the_element_sets():
+    G = parse_group_name("D8")
+    subs = subgroups(G)
+    for S in subs:
+        assert [x in S for x in G.elements()] == \
+            [x in S.elements for x in G.elements()]
+        for T in subs:
+            assert (S <= T) == set(S.elements).issubset(T.elements)
+
+
+def test_subgroup_lattice_dies_with_its_group():
+    G = parse_group_name("D8")
+    subgroups(G)
+    conjugation_table(G)
+    sections_category(G, 2)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
 
 
 def test_make_group_from_descriptor():

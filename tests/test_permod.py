@@ -5,6 +5,9 @@ of double cosets H\\G/K, counted independently here by enumerating
 orbits of the double action.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
@@ -110,6 +113,18 @@ def test_restrict_and_induce_ranks():
     ind = induce_from(N, C2)
     assert ind.group is G
     assert ind.rank == G.order // C2.order
+
+
+def test_subgroup_as_group_is_kept_on_its_ambient_group():
+    G = parse_group_name("C2xC2")
+    C2 = [S for S in subgroups(G) if S.order == 2][0]
+    H, elems = subgroup_as_group(C2)
+    assert subgroup_as_group(C2)[0] is H
+    assert elems == C2.elements
+    refs = [weakref.ref(G), weakref.ref(H)]
+    del G, C2, H
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_frobenius_reciprocity_dimension():

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from ttperm.grp import cyclic
+from ttperm.grp import Subgroup, cyclic, subgroups
 from ttperm import spectrum as sp
 from ttperm.spectrum import (SpcPoint, SymbolicPoset, seed_cyclic_field,
                              assemble_over_Z, sections_colimit,
@@ -110,6 +110,20 @@ def test_frozen_c6():
     ids, closure = ids_and_closure(orbit_colimit(cyclic(6)))
     assert ids == C6_IDS
     assert closure == C6_CLOSURE
+
+
+def test_colimit_builds_each_subgroup_once(monkeypatch):
+    built = []
+    init = Subgroup.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    G = cyclic(64)
+    sections_colimit(G)
+    assert len(built) == len(subgroups(G)) == 7
 
 
 def test_modular_point_counts():
