@@ -5,11 +5,13 @@ Maps are ``permod.EquivMap`` entries dicts {(row, col): value}; the
 elimination reads a map as row dicts {col: value} through
 ``EquivMap.rows``, columns ascending within each row (``sparse_rows``
 gives small dense matrices the same order).  Pivot ties are broken in
-that order, so it decides which certificate a solve returns.
+that order, so it decides which certificate a solve returns; the
+pivot rule itself is stated on ``_diagonalize``.
 
 * ``smith_normal_form`` returns (U, D, V) with A = U . D . V, U and V
   invertible over the ring, D diagonal with a divisibility chain; the
-  factorization is re-multiplied and asserted before returning.  It
+  factorization is re-multiplied and checked before returning (a
+  failure raises ``CertificateError``, also under ``python -O``).  It
   serves generator tracking only (``FgModule`` on small relation
   matrices, for ``underlying_homology`` and hom groups) and is the one
   dense computation left;
@@ -21,7 +23,9 @@ that order, so it decides which certificate a solve returns.
   nonunit entries normalise to the torsion invariant factors; it checks
   d o d = 0 as a sparse product first;
 * certificate checks (``check_homotopy``, chain-map squares) compare the
-  nonzeros of sparse products;
+  nonzeros of sparse products; ``check_homotopy`` raises
+  ``CertificateError`` rather than asserting, so it survives
+  ``python -O``;
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
   ``find_homotopy_equivalence``, ``hom_group``) search inside the
   lattice of equivariant maps: unknowns are coefficients of the orbit
@@ -33,12 +37,18 @@ Homotopies h have degree +1 and certify d h + h d = f.
 """
 
 import os
-from fractions import Fraction
 from math import gcd
 
 from .permod import (equivariant_hom_basis, EquivMap, _index, _normalized,
                      _left_mul, _right_mul)
 from .rings import mat_identity, mat_mul
+
+
+class CertificateError(AssertionError):
+    """An exact certificate check failed (a homotopy identity, or a
+    Smith factorization that does not re-multiply).  Raised explicitly,
+    so the checks also run under ``python -O``; as an AssertionError it
+    is reported by ``cli.run`` with exit status 2."""
 
 
 class SolverCapExceeded(Exception):
@@ -63,14 +73,21 @@ def sparse_rows(matrix):
     return [ {c: v for c, v in enumerate(row) if v != 0} for row in matrix ]
 
 
-def _column_rows(cols, nrows):
-    """``sparse_rows`` of the matrix whose columns are ``cols``."""
-    rows = [{} for _ in range(nrows)]
-    for c, col in enumerate(cols):
+def _by_rows(cols):
+    """{row: {k: value}} for the nonzeros of the dense columns cols[k]:
+    the matrix they form, or right-hand sides for ``solve_sparse``."""
+    out = {}
+    for k, col in enumerate(cols):
         for r, v in enumerate(col):
             if v != 0:
-                rows[r][c] = v
-    return rows
+                out.setdefault(r, {})[k] = v
+    return out
+
+
+def _column_rows(cols, nrows):
+    """``sparse_rows`` of the matrix whose columns are ``cols``."""
+    by_rows = _by_rows(cols)
+    return [by_rows.get(r, {}) for r in range(nrows)]
 
 
 def _diagonalize(ring, rows, ncols, rhs=None):
@@ -79,12 +96,40 @@ def _diagonalize(ring, rows, ncols, rhs=None):
     Row operations are mirrored on ``rhs`` (list of {key: value} per
     row); column operations are accumulated in ``P`` so that solutions
     of the reduced system pull back as x = P y.  Returns
-    (pivots, P, free_cols) with pivots a list of (row, col, value).
+    (pivots, P, free_cols, rhs) with pivots a list of (row, col, value)
+    in the order they were taken.
+
+    The pivot rule (Markowitz's, exact) decides which pivots, and so
+    which certificate, a solve returns; reports depend on it:
+
+    * an entry v at (r, c) costs (len(row r), len(col c)) over a field
+      and (|v|, len(row r), len(col c)) over Z, lengths counting the
+      nonzeros of the active submatrix;
+    * if some active row has length 1 (over Z: length 1 and a unit
+      entry), the lowest such row gives the pivot;
+    * otherwise the cheapest entry wins, ties going to the lowest row
+      and, within a row, to the entry met first in the row dict's
+      insertion order.
+
+    Over Z a pivot that leaves a nonzero remainder in its column (or
+    row) moves to that smaller remainder before the pivot is taken.
+
+    The search is incremental and keeps one entry per row, never one
+    per matrix entry: ``row_best[r]`` caches the cost, r and the column
+    of the cheapest entry of row r.  Before each pick only the rows that an
+    operation touched, and every row of a column whose length changed,
+    are re-scored.  The pick then takes the lowest row that passed the
+    early-exit test from one heap, or else the least (cost, row) from
+    another; entries that a re-score or a finished pivot replaced are
+    dropped when they reach the top.
 
     Finished pivot rows stay zero outside their pivot column and
     finished pivot columns zero outside their pivot row, so the loop
     only ever works inside the active submatrix.
     """
+    # imported on first use: commands that never eliminate, such as
+    # spectrum, then do not pay for it at start-up
+    from heapq import heapify, heappop, heappush
     nrows = len(rows)
     if rhs is None:
         rhs = [dict() for _ in range(nrows)]
@@ -93,28 +138,42 @@ def _diagonalize(ring, rows, ncols, rhs=None):
         for c in row:
             col_rows[c].add(r)
     P = {c: {c: ring.one} for c in range(ncols)}
-    active_rows = set(range(nrows))
     active_cols = set(range(ncols))
     pivots = []
     exact = ring.is_field
     zero = ring.zero
+    normalize = ring.normalize
+    # row_best[r] = cost + (r, col), one flat tuple, for each live row;
+    # False once the row is dead (a pivot row, or emptied).  The heap
+    # ``bests`` holds the live entries and ``units`` the rows whose best
+    # passed the early-exit test, both alongside stale entries, which a
+    # rebuild drops once they outnumber the live rows.
+    row_best = [None] * nrows
+    bests = []
+    units = []
+    touched = {r for r in range(nrows) if rows[r]}   # rows to re-score
+    nlive = len(touched)
+    resized = set()          # columns whose length changed
 
     def row_op(r2, r1, q):
         # row r2 -= q * row r1 (and on rhs)
         row1, row2 = rows[r1], rows[r2]
+        touched.add(r2)
         for c, v in row1.items():
-            nv = ring.normalize(row2.get(c, zero) - q * v)
+            nv = normalize(row2.get(c, zero) - q * v)
             if nv == 0:
                 if c in row2:
                     del row2[c]
                     col_rows[c].discard(r2)
+                    resized.add(c)
             else:
                 if c not in row2:
                     col_rows[c].add(r2)
+                    resized.add(c)
                 row2[c] = nv
         rb1, rb2 = rhs[r1], rhs[r2]
         for k, v in rb1.items():
-            nv = ring.normalize(rb2.get(k, zero) - q * v)
+            nv = normalize(rb2.get(k, zero) - q * v)
             if nv == 0:
                 rb2.pop(k, None)
             else:
@@ -123,44 +182,82 @@ def _diagonalize(ring, rows, ncols, rhs=None):
     def col_op(c2, c1, q):
         # col c2 -= q * col c1 (and on P)
         for r in list(col_rows[c1]):
-            v = rows[r][c1]
-            nv = ring.normalize(rows[r].get(c2, zero) - q * v)
+            row = rows[r]
+            touched.add(r)
+            nv = normalize(row.get(c2, zero) - q * row[c1])
             if nv == 0:
-                if c2 in rows[r]:
-                    del rows[r][c2]
+                if c2 in row:
+                    del row[c2]
                     col_rows[c2].discard(r)
+                    resized.add(c2)
             else:
-                if c2 not in rows[r]:
+                if c2 not in row:
                     col_rows[c2].add(r)
-                rows[r][c2] = nv
+                    resized.add(c2)
+                row[c2] = nv
         P1, P2 = P[c1], P[c2]
         for k, v in P1.items():
-            nv = ring.normalize(P2.get(k, zero) - q * v)
+            nv = normalize(P2.get(k, zero) - q * v)
             if nv == 0:
                 P2.pop(k, None)
             else:
                 P2[k] = nv
 
-    def pick_pivot():
-        best = None
-        for r in active_rows:
+    def is_unit(entry):
+        return entry[0] == 1 and (exact or entry[1] == 1)
+
+    def rescore():
+        nonlocal nlive
+        for c in resized:
+            touched.update(col_rows[c])
+        resized.clear()
+        for r in touched:
+            if row_best[r] is False:
+                continue
             row = rows[r]
             if not row:
+                row_best[r] = False
+                nlive -= 1
                 continue
-            for c, v in row.items():
-                if c not in active_cols:
-                    continue
-                if exact:
-                    cost = (len(row), len(col_rows[c]))
-                else:
-                    cost = (abs(v), len(row), len(col_rows[c]))
-                if best is None or cost < best[0]:
-                    best = (cost, r, c)
-                    if exact and cost[0] == 1:
-                        return r, c
-                    if not exact and cost[0] == 1 and cost[1] == 1:
-                        return r, c
-        return (best[1], best[2]) if best else None
+            n = len(row)
+            best = None
+            if exact:
+                for c in row:
+                    k = len(col_rows[c])
+                    if best is None or k < best:
+                        best, bc = k, c
+                entry = (n, best, r, bc)
+            else:
+                for c, v in row.items():
+                    cost = (abs(v), n, len(col_rows[c]))
+                    if best is None or cost < best:
+                        best, bc = cost, c
+                entry = best + (r, bc)
+            row_best[r] = entry
+            heappush(bests, entry)
+            if is_unit(entry):
+                heappush(units, r)
+        touched.clear()
+        if len(bests) + len(units) > 2 * nlive + 64:
+            bests[:] = [entry for entry in bests
+                        if row_best[entry[-2]] is entry]
+            heapify(bests)
+            units[:] = [entry[-2] for entry in bests if is_unit(entry)]
+            heapify(units)
+
+    def pick_pivot():
+        rescore()
+        while units:
+            entry = row_best[units[0]]
+            if entry and is_unit(entry):
+                return entry[-2:]
+            heappop(units)
+        while bests:
+            entry = bests[0]
+            if row_best[entry[-2]] is entry:
+                return entry[-2:]
+            heappop(bests)
+        return None
 
     while True:
         pv = pick_pivot()
@@ -176,7 +273,7 @@ def _diagonalize(ring, rows, ncols, rhs=None):
                     continue
                 w = rows[r2][c]
                 if exact:
-                    q = ring.normalize(w * ring.inv(v))
+                    q = normalize(w * ring.inv(v))
                 else:
                     q = w // v
                 if q != 0:
@@ -197,7 +294,7 @@ def _diagonalize(ring, rows, ncols, rhs=None):
                     continue
                 w = rows[r][c2]
                 if exact:
-                    q = ring.normalize(w * ring.inv(v))
+                    q = normalize(w * ring.inv(v))
                 else:
                     q = w // v
                 if q != 0:
@@ -211,50 +308,77 @@ def _diagonalize(ring, rows, ncols, rhs=None):
                 continue
             break
         pivots.append((r, c, rows[r][c]))
-        active_rows.discard(r)
+        row_best[r] = False
+        nlive -= 1
         active_cols.discard(c)
     free_cols = sorted(active_cols)
     return pivots, P, free_cols, rhs
 
 
-def solve_sparse(ring, rows, ncols, rhs_cols):
-    """Solve A x = b for each column b of ``rhs_cols``.
+def solve_sparse(ring, rows, ncols, rhs):
+    """Solve A x = b for every right-hand side b in ``rhs``.
 
-    ``rows`` is a list of {col: value} dictionaries, ``rhs_cols`` a
-    list of dense column vectors.  Returns a list of dense solution
-    vectors, or None if any column is infeasible (over Z this includes
-    divisibility failures, which certify integral insolvability).
+    ``rows`` is a list of {col: value} dictionaries; ``rhs`` holds the
+    right-hand sides by row, {row: {key: value}}, one key per right
+    side.  Returns the solutions as {key: {col: value}}, nonzeros only
+    (a key whose solution is zero is absent), or None if any right side
+    is infeasible (over Z this includes divisibility failures, which
+    certify integral insolvability).
     """
     work = [dict(r) for r in rows]
-    rhs = [dict() for _ in range(len(rows))]
-    for k, col in enumerate(rhs_cols):
-        assert len(col) == len(rows)
-        for r, v in enumerate(col):
-            if v != 0:
-                rhs[r][k] = ring.normalize(v)
-    pivots, P, free_cols, rhs = _diagonalize(ring, work, ncols, rhs)
-    pivot_rows = {r for (r, _, _) in pivots}
-    nk = len(rhs_cols)
-    ys = [dict() for _ in range(nk)]
+    b = [{} for _ in rows]
+    for r, vals in rhs.items():
+        b[r] = _normalized(ring, vals)
+    pivots, P, _, b = _diagonalize(ring, work, ncols, b)
+    pivot_rows = set()
+    ys = {}
     for (r, c, v) in pivots:
-        for k, b in rhs[r].items():
+        pivot_rows.add(r)
+        for k, bv in b[r].items():
             if ring.is_field:
-                ys[k][c] = ring.normalize(b * ring.inv(v))
+                y = ring.normalize(bv * ring.inv(v))
             else:
-                if b % v != 0:
+                if bv % v != 0:
                     return None
-                ys[k][c] = b // v
-    for r in range(len(rows)):
-        if r not in pivot_rows and rhs[r]:
-            return None
-    out = []
-    for k in range(nk):
-        x = [ring.zero] * ncols
-        for c, yv in ys[k].items():
+                y = bv // v
+            ys.setdefault(k, {})[c] = y
+    if any(br for r, br in enumerate(b) if r not in pivot_rows):
+        return None
+    out = {}
+    for k, y in ys.items():
+        x = {}
+        for c, yv in y.items():
             for i, pv in P[c].items():
-                x[i] = ring.normalize(x[i] + yv * pv)
-        out.append(x)
+                x[i] = x.get(i, 0) + yv * pv
+        x = _normalized(ring, x)
+        if x:
+            out[k] = x
     return out
+
+
+def _solve_vector(ring, rows, ncols, b):
+    """``solve_sparse`` for one dense right side b: the solution as a
+    dense list of length ``ncols``, or None."""
+    sols = solve_sparse(ring, rows, ncols,
+                        {r: {0: v} for r, v in enumerate(b) if v != 0})
+    if sols is None:
+        return None
+    x = sols.get(0, {})
+    return [x.get(c, ring.zero) for c in range(ncols)]
+
+
+def _boundary_relations(ring, cycles, dim, bcols):
+    """The boundary columns ``bcols`` in the coordinates of the cycle
+    basis ``cycles`` (columns of length ``dim``): the dense relations
+    matrix, one column per boundary."""
+    t = len(cycles)
+    sols = solve_sparse(ring, _column_rows(cycles, dim), t, _by_rows(bcols))
+    assert sols is not None, "boundaries must be cycles"
+    rel = [[ring.zero] * len(bcols) for _ in range(t)]
+    for k, x in sols.items():
+        for i, v in x.items():
+            rel[i][k] = v
+    return rel
 
 
 def kernel_sparse(ring, rows, ncols):
@@ -284,8 +408,8 @@ def smith_normal_form(ring, A):
 
     D is diagonal; over Z the diagonal entries are nonnegative and form
     a divisibility chain d1 | d2 | ...; U and V are invertible (over Z:
-    determinant +-1).  The factorization is re-multiplied and asserted
-    before returning, always.
+    determinant +-1).  The factorization is re-multiplied and checked
+    before returning, always; a mismatch raises CertificateError.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -413,20 +537,22 @@ def smith_normal_form(ring, A):
                     U[r][i] = ring.normalize(U[r][i] * v)
 
     prod = mat_mul(ring, mat_mul(ring, U, D), V)
-    assert all(prod[r][c] == ring.normalize(A[r][c])
-               for r in range(m) for c in range(n)), \
-        "Smith factorization failed to re-multiply"
+    if any(prod[r][c] != ring.normalize(A[r][c])
+           for r in range(m) for c in range(n)):
+        raise CertificateError("Smith factorization failed to re-multiply")
     return U, D, V
 
 
 def matrix_inverse(ring, A):
     n = len(A)
-    rows = sparse_rows(A)
-    cols = [[ring.one if r == c else ring.zero for r in range(n)]
-            for c in range(n)]
-    sols = solve_sparse(ring, rows, n, cols)
+    sols = solve_sparse(ring, sparse_rows(A), n,
+                        {r: {r: ring.one} for r in range(n)})
     assert sols is not None, "matrix is not invertible over %s" % ring.name
-    return [ [sols[c][r] for c in range(n)] for r in range(n) ]
+    inv = [[ring.zero] * n for _ in range(n)]
+    for c, x in sols.items():
+        for r, v in x.items():
+            inv[r][c] = v
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +704,7 @@ def homology_from_matrices(ring, out_rows, in_cols, dim):
     t = len(cycles)
     if t == 0:
         return FgModule(ring, 0, []), []
-    rel = []
-    if in_cols:
-        sols = solve_sparse(ring, _column_rows(cycles, dim), t, in_cols)
-        assert sols is not None, "boundaries must be cycles"
-        rel = [[sols[k][i] for k in range(len(in_cols))] for i in range(t)]
+    rel = _boundary_relations(ring, cycles, dim, in_cols) if in_cols else []
     return FgModule(ring, t, rel), cycles
 
 
@@ -754,9 +876,9 @@ class HomGroup:
             assert all(c == 0 for c in coeff)
             return []
         rows = _column_rows(self.cycles, self.inv.dim(self.degree))
-        sols = solve_sparse(self.ring, rows, t, [coeff])
-        assert sols is not None, "vector is not a cycle"
-        return sols[0]
+        x = _solve_vector(self.ring, rows, t, coeff)
+        assert x is not None, "vector is not a cycle"
+        return x
 
     def coords(self, v_ambient):
         return self.fg.coords(self._cycle_coords(v_ambient))
@@ -823,10 +945,7 @@ def hom_group_bruteforce(Y, s):
         for w in inv1:
             bcols.append(d1.apply(w))
     if bcols:
-        sols = solve_sparse(ring, _column_rows(cycles, dim), t, bcols)
-        assert sols is not None
-        rel = [[sols[k][i] for k in range(len(bcols))] for i in range(t)]
-        fg = FgModule(ring, t, rel)
+        fg = FgModule(ring, t, _boundary_relations(ring, cycles, dim, bcols))
     else:
         fg = FgModule(ring, t, [])
     gens = []
@@ -872,32 +991,39 @@ class _System:
         as a sparse {(row, col): value} dict; the row coefficient is its
         entry at the projection root.
         ``rhs``: entries dict whose root entries give the right side.
+
+        Each product's nonzeros are looked up in an index of the roots,
+        so only the entries that land on a root are touched.  Unknowns
+        are visited in (block, k) order, which is the order of the
+        columns in every row dict (pivot ties follow it).
         """
         ring = self.ring
-        for e in proj_basis:
+        zero = ring.zero
+        roots = {}
+        for idx, e in enumerate(proj_basis):
             i, j = e.root_pair
-            row = {}
-            for tag, products in contributions:
-                off = self.blocks[tag][0]
-                for k, prod in enumerate(products):
-                    v = prod.get((j, i))
-                    if v is not None:
-                        row[off + k] = ring.normalize(
-                            row.get(off + k, ring.zero) + v)
-            b = ring.zero
-            if rhs is not None:
-                b = rhs.get((j, i), b)
-            row = {c: v for c, v in row.items() if v != 0}
+            roots[(j, i)] = idx
+        eqs = [{} for _ in proj_basis]
+        for tag, products in contributions:
+            off = self.blocks[tag][0]
+            for k, prod in enumerate(products):
+                col = off + k
+                for key, v in prod.items():
+                    idx = roots.get(key)
+                    if idx is not None:
+                        row = eqs[idx]
+                        row[col] = ring.normalize(row.get(col, zero) + v)
+        for key, idx in roots.items():
+            row = {c: v for c, v in eqs[idx].items() if v != 0}
+            b = zero if rhs is None else rhs.get(key, zero)
             if row or b != 0:
                 self.rows.append(row)
                 self.rhs.append(b)
 
     def solve(self):
-        cols = [[self.rhs[r] for r in range(len(self.rows))]]
-        sols = solve_sparse(self.ring, self.rows, self.ncols, cols)
-        if sols is None:
+        x = _solve_vector(self.ring, self.rows, self.ncols, self.rhs)
+        if x is None:
             return None
-        x = sols[0]
         out = {}
         for tag in self.order:
             off, basis = self.blocks[tag]
@@ -1031,8 +1157,8 @@ def null_homotopy(F):
 
 
 def check_homotopy(F, h):
-    """Assert d h + h d = F exactly, degree by degree, comparing the
-    nonzeros of sparse products."""
+    """Check d h + h d = F exactly, degree by degree, comparing the
+    nonzeros of sparse products; raises CertificateError otherwise."""
     X, Y = F.source, F.target
     ring = X.ring
     for n in X.terms:
@@ -1045,8 +1171,9 @@ def check_homotopy(F, h):
                                      _index(X.diffs[n].entries, 0)).items():
                 lhs[key] = lhs.get(key, 0) + v
             lhs = _normalized(ring, lhs)
-        assert lhs == F.component(n).entries, \
-            "homotopy identity fails at degree %d" % n
+        if lhs != F.component(n).entries:
+            raise CertificateError(
+                "homotopy identity fails at degree %d" % n)
     return True
 
 
@@ -1085,7 +1212,8 @@ def _contract_raw(X):
     """A (not necessarily equivariant) contraction of the underlying
     complex, degree by degree from the bottom: solve
     d_{n+1} h_n = id - h_{n-1} d_n with one elimination of d_{n+1}
-    carrying all right-hand columns.  Returns {n: entries} or None.
+    carrying the nonzeros of every right-hand column.  Returns
+    {n: entries} or None.
 
     The greedy sweep is complete: if a contraction exists then
     h*_n composed with the current right-hand side solves step n
@@ -1102,16 +1230,14 @@ def _contract_raw(X):
             if rhs:
                 return None
             continue
-        rk = X.terms[n].rank
-        cols = [[ring.zero] * rk for _ in range(rk)]
+        by_rows = {}
         for (r, c), v in rhs.items():
-            cols[c][r] = v
+            by_rows.setdefault(r, {})[c] = v
         d = X.diff(n + 1)
-        sols = solve_sparse(ring, d.rows(), d.source.rank, cols)
+        sols = solve_sparse(ring, d.rows(), d.source.rank, by_rows)
         if sols is None:
             return None
-        h[n] = {(r, c): v for c, col in enumerate(sols)
-                for r, v in enumerate(col) if v != 0}
+        h[n] = {(r, c): v for c, x in sols.items() for r, v in x.items()}
     return h
 
 
@@ -1360,11 +1486,11 @@ def find_homotopy_equivalence(X, Y):
             K_rows = _column_rows(cycY, Y.term(n0).rank)
             for f in space:
                 w = f.component(n0).apply(vX)
-                sol = solve_sparse(ring, K_rows, t, [w])
+                sol = _solve_vector(ring, K_rows, t, w)
                 if sol is None:
                     scalars.append(None)
                     continue
-                scalars.append(fgY.coords(sol[0])[0]
+                scalars.append(fgY.coords(sol)[0]
                                if fgY.factors else ring.zero)
             combo = _unit_combination(ring, scalars)
             if combo is not None:

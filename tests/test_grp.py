@@ -12,7 +12,8 @@ import pytest
 
 from ttperm.grp import (cyclic, direct_product, dihedral, quaternion8,
                         parse_group_name, make_group, subgroups,
-                        conjugation_table, sections_category, Subgroup)
+                        conjugation_table, sections_category, Subgroup,
+                        Group)
 
 
 def is_genuine_subgroup(G, S):
@@ -216,3 +217,37 @@ def test_make_group_from_descriptor():
     assert G.order == 6
     assert max(G.element_order(g) for g in G.elements()) == 6  # cyclic
     assert make_group({"kind": "quaternion"}).order == 8
+
+
+def test_generators_are_greedy_and_generate():
+    # each element, in index order, that the earlier ones do not reach
+    assert cyclic(64).generators == (1,)
+    assert cyclic(1).generators == ()
+    for name in REFERENCE_GROUPS:
+        G = parse_group_name(name)
+        gens = G.generators
+        assert G.closure(gens) == tuple(G.elements()), name
+        for k, g in enumerate(gens):
+            assert g not in G.closure(gens[:k]), (name, g)
+            assert all(h in G.closure(gens[:k]) for h in range(g)), name
+
+
+def _associates(table, a, b, c):
+    return table[table[a][b]][c] == table[a][table[b][c]]
+
+
+def test_associativity_fails_away_from_the_generators():
+    # C6 with the products 2*3 and 2*4 swapped: the identity and every
+    # inverse survive, every triple of generators still associates, and
+    # the visible failure (2 3) 1 != 2 (3 1) has a non-generator middle;
+    # Light's test on the generator 1 must still reject the table
+    n = 6
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table[2][3], table[2][4] = table[2][4], table[2][3]
+    gens = cyclic(n).generators
+    assert gens == (1,)
+    assert all(_associates(table, a, b, c)
+               for a in gens for b in gens for c in gens)
+    assert not _associates(table, 2, 3, 1)
+    with pytest.raises(AssertionError, match="not associative"):
+        Group(table, "C6 with two products swapped")

@@ -26,7 +26,7 @@ from ttperm.homotopy import (smith_normal_form, matrix_inverse,
                              find_homotopy_equivalence, Equivalence,
                              NotEquivalent, ContractionCertificate,
                              NonContractibleWitness, SolverCapExceeded,
-                             classes_equal_up_to_unit)
+                             classes_equal_up_to_unit, _diagonalize)
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 from ttperm.koszul import koszul_object
 
@@ -85,13 +85,11 @@ def test_snf_frozen_example():
 def test_solve_and_kernel_sparse():
     # x + 2y = 5, 3y = 3  ->  x = 3, y = 1
     rows = [{0: 1, 1: 2}, {1: 3}]
-    sols = solve_sparse(ZZ, rows, 2, [[5, 3]])
-    assert sols is not None
-    x, y = sols[0]
-    assert x + 2 * y == 5 and 3 * y == 3
+    sols = solve_sparse(ZZ, rows, 2, {0: {"b": 5}, 1: {"b": 3}})
+    assert sols == {"b": {0: 3, 1: 1}}
     # x + 2y = 1, 2x + 4y = 3 has no integer solution
     rows = [{0: 1, 1: 2}, {0: 2, 1: 4}]
-    assert solve_sparse(ZZ, rows, 2, [[1, 3]]) is None
+    assert solve_sparse(ZZ, rows, 2, {0: {0: 1}, 1: {0: 3}}) is None
     # kernel of (1 2) is spanned by (2, -1) up to sign
     ker = kernel_sparse(ZZ, [{0: 1, 1: 2}], 2)
     assert len(ker) == 1
@@ -101,9 +99,20 @@ def test_solve_and_kernel_sparse():
 
 def test_solve_sparse_over_Z_is_exact():
     # 2x = 1 is solvable over Q but not over Z
-    assert solve_sparse(ZZ, [{0: 2}], 1, [[1]]) is None
-    sols = solve_sparse(QQ, [{0: QQ.from_int(2)}], 1, [[QQ.one]])
-    assert sols is not None
+    assert solve_sparse(ZZ, [{0: 2}], 1, {0: {0: 1}}) is None
+    sols = solve_sparse(QQ, [{0: QQ.from_int(2)}], 1, {0: {0: QQ.one}})
+    assert sols == {0: {0: QQ.one / 2}}
+
+
+def test_solve_sparse_keeps_right_sides_sparse():
+    # several right sides by key; zero solutions are absent, and a
+    # right side on a dependent row must vanish after elimination
+    rows = [{0: 1}, {1: 2}, {0: 1, 1: 2}]
+    sols = solve_sparse(ZZ, rows, 2, {0: {"a": 1, "z": 0},
+                                      1: {"b": 4}, 2: {"a": 1, "b": 4}})
+    assert sols == {"a": {0: 1}, "b": {1: 2}}
+    assert solve_sparse(ZZ, rows, 2, {2: {"a": 1}}) is None
+    assert solve_sparse(GF(3), rows, 2, {}) == {}
 
 
 def test_rank_sparse():
@@ -355,3 +364,270 @@ def test_homology_profile_checks_unchecked_complexes():
     X = Complex(G, ZZ, {0: M, 1: M, 2: M}, {1: one, 2: one}, check=False)
     with pytest.raises(AssertionError, match="d o d != 0 at degree 1"):
         homology_profile(X)
+
+
+# ---------------------------------------------------------------------------
+# the incremental pivot search against the full rescan it replaced
+
+def _diagonalize_by_rescan(ring, rows, ncols, rhs=None):
+    """The elimination with a full rescan of the active submatrix for
+    every pivot: the reference for the pivot rule of ``_diagonalize``."""
+    nrows = len(rows)
+    if rhs is None:
+        rhs = [dict() for _ in range(nrows)]
+    col_rows = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(r)
+    P = {c: {c: ring.one} for c in range(ncols)}
+    active_rows = set(range(nrows))
+    active_cols = set(range(ncols))
+    pivots = []
+    exact = ring.is_field
+    zero = ring.zero
+
+    def row_op(r2, r1, q):
+        row1, row2 = rows[r1], rows[r2]
+        for c, v in row1.items():
+            nv = ring.normalize(row2.get(c, zero) - q * v)
+            if nv == 0:
+                if c in row2:
+                    del row2[c]
+                    col_rows[c].discard(r2)
+            else:
+                if c not in row2:
+                    col_rows[c].add(r2)
+                row2[c] = nv
+        rb1, rb2 = rhs[r1], rhs[r2]
+        for k, v in rb1.items():
+            nv = ring.normalize(rb2.get(k, zero) - q * v)
+            if nv == 0:
+                rb2.pop(k, None)
+            else:
+                rb2[k] = nv
+
+    def col_op(c2, c1, q):
+        for r in list(col_rows[c1]):
+            v = rows[r][c1]
+            nv = ring.normalize(rows[r].get(c2, zero) - q * v)
+            if nv == 0:
+                if c2 in rows[r]:
+                    del rows[r][c2]
+                    col_rows[c2].discard(r)
+            else:
+                if c2 not in rows[r]:
+                    col_rows[c2].add(r)
+                rows[r][c2] = nv
+        P1, P2 = P[c1], P[c2]
+        for k, v in P1.items():
+            nv = ring.normalize(P2.get(k, zero) - q * v)
+            if nv == 0:
+                P2.pop(k, None)
+            else:
+                P2[k] = nv
+
+    def pick_pivot():
+        # rows ascending, as iterating set(range(nrows)) gives them
+        best = None
+        for r in sorted(active_rows):
+            row = rows[r]
+            if not row:
+                continue
+            for c, v in row.items():
+                if c not in active_cols:
+                    continue
+                if exact:
+                    cost = (len(row), len(col_rows[c]))
+                else:
+                    cost = (abs(v), len(row), len(col_rows[c]))
+                if best is None or cost < best[0]:
+                    best = (cost, r, c)
+                    if exact and cost[0] == 1:
+                        return r, c
+                    if not exact and cost[0] == 1 and cost[1] == 1:
+                        return r, c
+        return (best[1], best[2]) if best else None
+
+    while True:
+        pv = pick_pivot()
+        if pv is None:
+            break
+        r, c = pv
+        while True:
+            v = rows[r][c]
+            moved = False
+            for r2 in sorted(col_rows[c]):
+                if r2 == r:
+                    continue
+                w = rows[r2][c]
+                if exact:
+                    q = ring.normalize(w * ring.inv(v))
+                else:
+                    q = w // v
+                if q != 0:
+                    row_op(r2, r, q)
+                if not exact and c in rows[r2]:
+                    r = r2
+                    moved = True
+                    break
+            if moved:
+                continue
+            v = rows[r][c]
+            dirty = False
+            for c2 in sorted(rows[r]):
+                if c2 == c:
+                    continue
+                w = rows[r][c2]
+                if exact:
+                    q = ring.normalize(w * ring.inv(v))
+                else:
+                    q = w // v
+                if q != 0:
+                    col_op(c2, c, q)
+                if not exact and c2 in rows[r]:
+                    c = c2
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            break
+        pivots.append((r, c, rows[r][c]))
+        active_rows.discard(r)
+        active_cols.discard(c)
+    free_cols = sorted(active_cols)
+    return pivots, P, free_cols, rhs
+
+
+def _same_elimination(ring, rows, ncols, rhs):
+    """Run both searches on copies of one input; True if they agree on
+    pivots, column transform, free columns, right sides and the reduced
+    rows (dict order included)."""
+    def copy(ds):
+        return None if ds is None else [dict(d) for d in ds]
+    rows1, rows2 = copy(rows), copy(rows)
+    got = _diagonalize(ring, rows1, ncols, copy(rhs))
+    want = _diagonalize_by_rescan(ring, rows2, ncols, copy(rhs))
+    return (got == want and [list(r.items()) for r in rows1]
+            == [list(r.items()) for r in rows2]
+            and [list(P.items()) for _, P in sorted(got[1].items())]
+            == [list(P.items()) for _, P in sorted(want[1].items())])
+
+
+def _random_rows(rnd, ring, nrows, ncols, density, values):
+    rows = []
+    for _ in range(nrows):
+        cols = [c for c in range(ncols) if rnd.random() < density]
+        rnd.shuffle(cols)       # pivot ties follow insertion order
+        row = {}
+        for c in cols:
+            v = ring.normalize(rnd.choice(values))
+            if v != 0:
+                row[c] = v
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(7)], ids=str)
+def test_incremental_pivot_search_matches_rescan_on_random_matrices(ring):
+    import random
+    rnd = random.Random(7)
+    if ring is ZZ:
+        # many ties in |v|, non-unit entries and remainders
+        values = [1, -1, 2, -2, 3, 4, -6, 9]
+    elif ring is QQ:
+        values = [QQ.from_int(k) for k in (1, -1, 2, 3)] + [
+            QQ.one / 2, -QQ.one / 3]
+    else:
+        values = list(range(1, 9))
+    for trial in range(120):
+        nrows, ncols = rnd.randint(1, 14), rnd.randint(1, 14)
+        density = rnd.choice([0.1, 0.25, 0.5, 0.9])
+        rows = _random_rows(rnd, ring, nrows, ncols, density, values)
+        rhs = [{k: ring.normalize(rnd.choice(values))
+                for k in range(2) if rnd.random() < 0.5}
+               for _ in range(nrows)]
+        assert _same_elimination(ring, rows, ncols, rhs), trial
+        assert _same_elimination(ring, rows, ncols, None), trial
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--group", "C5", "--ring", "Z"],
+    ["kos", "--group", "C2xC2", "--subgroup", "1", "--ring", "F3"],
+])
+def test_incremental_pivot_search_matches_rescan_on_command_systems(
+        argv, monkeypatch, capsys):
+    # every system a command eliminates, replayed through the rescan
+    from ttperm import homotopy
+    from ttperm.cli import run
+    seen = []
+    real = homotopy._diagonalize
+
+    def recording(ring, rows, ncols, rhs=None):
+        seen.append((ring, [dict(r) for r in rows], ncols,
+                     None if rhs is None else [dict(b) for b in rhs]))
+        return real(ring, rows, ncols, rhs)
+
+    monkeypatch.setattr(homotopy, "_diagonalize", recording)
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(seen) >= 10
+    assert sum(len(rows) for _, rows, _, _ in seen) > 1000
+    for ring, rows, ncols, rhs in seen:
+        assert _same_elimination(ring, rows, ncols, rhs)
+
+
+_CORRUPTED_CONTRACTION = """
+import sys
+from ttperm import homotopy
+from ttperm.chain import cone, identity_chain_map
+from ttperm.cli import run
+from ttperm.grp import cyclic
+from ttperm.twisted import u_complex, index_p_normal_subgroups
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+G = cyclic(2)
+C = cone(identity_chain_map(u_complex(G, index_p_normal_subgroups(G)[0], ZZ)))
+ok, cert = homotopy.is_contractible(C)
+partial = {n: f for n, f in cert.h.items() if n != max(cert.h)}
+try:
+    homotopy.check_homotopy(identity_chain_map(C), partial)
+    sys.exit("a partial contraction passed check_homotopy")
+except homotopy.CertificateError:
+    pass
+
+real = homotopy._contract_equivariant
+
+def doubled(X):
+    # the equivariant contraction with its lowest component doubled
+    h = real(X)
+    if h:
+        f = h[min(h)]
+        h[min(h)] = homotopy.EquivMap(f.source, f.target,
+                                      {k: 2 * v for k, v in f.entries.items()})
+    return h
+
+homotopy._contract_equivariant = doubled
+sys.exit(run(["invert", "--group", "C3", "--ring", "Z"]))
+"""
+
+
+def test_corrupted_contractions_are_rejected_under_python_O():
+    # certificate checks raise CertificateError instead of asserting, so
+    # python -O keeps them, and the command still exits 2 with the error
+    import json
+    import os
+    import subprocess
+    import sys
+    import ttperm
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CONTRACTION],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"] == "CertificateError"
+    assert "identity fails" in out["message"]
