@@ -41,6 +41,9 @@ class Complex:
                 if (n + 1) in self.diffs:
                     comp = self.diffs[n].compose(self.diffs[n + 1])
                     assert comp.is_zero(), "d o d != 0 at degree %d" % n
+        # shift -> HomGroup, filled by homotopy.hom_group; a complex is
+        # never changed after construction, so its hom groups stay valid
+        self.hom_groups = {}
 
     def degrees(self):
         return sorted(self.terms)
@@ -158,11 +161,6 @@ def shift_complex(X, s):
             diffs[n + s] = EquivMap(f.source, f.target,
                                     {k: -v for k, v in f.entries.items()})
     return Complex(X.group, X.ring, terms, diffs, check=False)
-
-
-def shift_chain_map(f, s):
-    return ChainMap(shift_complex(f.source, s), shift_complex(f.target, s),
-                    {n + s: g for n, g in f.components.items()})
 
 
 class BlockModule:
@@ -334,22 +332,6 @@ def restrict_complex(X, S):
     diffs = {n: EquivMap(terms[n], terms[n - 1], f.entries)
              for n, f in X.diffs.items()}
     return Complex(H, X.ring, terms, diffs, check=False)
-
-
-def induce_complex(X, S):
-    """Ind_H^G X, for X over subgroup_as_group(S)[0]."""
-    from .permod import induce_from
-    G = S.parent
-    k = len(S.coset_reps())
-    terms = {n: induce_from(M, S) for n, M in X.terms.items()}
-    diffs = {}
-    for n, f in X.diffs.items():
-        # one copy of f per coset: id_k (x) f
-        acc = {}
-        _place(acc, 0, 0, _identity(k), f.entries,
-               (f.target.rank, f.source.rank))
-        diffs[n] = EquivMap(terms[n], terms[n - 1], acc)
-    return Complex(G, X.ring, terms, diffs, check=False)
 
 
 def base_change_complex(X, ring2):

@@ -419,8 +419,6 @@ def build_parser():
     tw.add_argument("--max-twist", type=int, default=3, dest="max_twist")
     tw.add_argument("--shift-min", type=int, default=None, dest="shift_min")
     tw.add_argument("--shift-max", type=int, default=None, dest="shift_max")
-    tw.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility and ignored")
     tw.add_argument("--format", choices=["json", "text"], default="json")
     tw.set_defaults(handler=cmd_twisted)
 

@@ -60,6 +60,10 @@ class Group:
         # element tuple -> (Group, elements), filled by
         # permod.subgroup_as_group
         self.subgroup_groups = {}
+        # (ring, twist key) -> canonical complex and (ring, twist key,
+        # twist key) -> (transport equivalence, tensor complex), filled
+        # by twisted.canonical_u_power and twisted._transport
+        self.twist_complexes = {}
 
     def mul(self, a, b):
         return self.table[a][b]

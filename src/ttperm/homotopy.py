@@ -831,20 +831,19 @@ class InvariantsComplex:
 
 
 class HomGroup:
-    """Hom_K(unit, Y[s]) = H_{-s} of the invariants complex of Y.
+    """Hom_K(unit, Y[s]) = H_{-s} of the invariants complex I of Y.
 
     ``generators`` lists (invariant factor, ambient cycle vector) for
     the retained summands; ambient vectors live in Y_{-s}.
     """
 
-    def __init__(self, Y, s, inv=None):
-        self.Y = Y
+    def __init__(self, I, s):
+        self.Y = I.X
         self.s = s
-        self.ring = Y.ring
+        self.ring = I.ring
         n0 = -s
         self.degree = n0
-        self.inv = inv if inv is not None else InvariantsComplex(Y)
-        I = self.inv
+        self.inv = I
         out_rows = _column_rows(I.dcols[n0], I.dim(n0 - 1)) \
             if n0 in I.dcols else []
         fg, cycles = homology_from_matrices(
@@ -893,9 +892,16 @@ class HomGroup:
         return self.coords(v) == self.coords(w)
 
 
-def hom_group(Y, s, inv=None):
+def hom_group(Y, s):
+    """Hom_K(unit, Y[s]), kept on Y (``Complex.hom_groups``) and built
+    once per shift; every shift shares one InvariantsComplex of Y.  The
+    rank cap is checked on every call, cached or not."""
     _enforce_rank_cap(Y)
-    return HomGroup(Y, s, inv=inv)
+    cache = Y.hom_groups
+    if s not in cache:
+        I = next(iter(cache.values())).inv if cache else InvariantsComplex(Y)
+        cache[s] = HomGroup(I, s)
+    return cache[s]
 
 
 def hom_group_bruteforce(Y, s):
@@ -1315,25 +1321,19 @@ def is_contractible(X):
 
     Contractibility means an equivariant contraction d h + h d = id
     exists over the coefficient ring; the certificate stores h and can
-    be re-verified.  Over the trivial group the solve is columnwise;
-    when the group order is invertible in a coefficient field a raw
-    contraction is averaged into an equivariant one; otherwise the
-    greedy sweep runs in the equivariant hom lattices.  Failure first
-    looks for nonzero homology of the underlying complex, then reports
-    the equivariant system as infeasible.
+    be re-verified.  When the group order is a unit of the ring (always
+    over the trivial group) a raw contraction is averaged into an
+    equivariant one; otherwise the greedy sweep runs in the equivariant
+    hom lattices.  Failure first looks for nonzero homology of the
+    underlying complex, then reports the equivariant system as
+    infeasible.
     """
     if X.is_zero():
         return True, ContractionCertificate(X, {})
     _enforce_rank_cap(X)
     ring, G = X.ring, X.group
     h = None
-    if G.order == 1:
-        raw = _contract_raw(X)
-        if raw is not None:
-            h = {n: EquivMap(X.terms[n], X.terms[n + 1], E)
-                 for n, E in raw.items() if E}
-    elif ring.is_field and (ring.characteristic == 0
-                            or G.order % ring.characteristic != 0):
+    if ring.is_unit(ring.from_int(G.order)):
         raw = _contract_raw(X)
         if raw is not None:
             h = _average_homotopy(X, raw)

@@ -23,10 +23,10 @@ explicit contraction certificate.
 
 from itertools import product as iproduct
 
-from .grp import Subgroup, subgroups
+from .grp import subgroups
 from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
-                     trivial_module, sign_module, perm_module, tensor_module,
-                     sign_decompose, map_inverse_monomial,
+                     subgroup_meet, trivial_module, sign_module, perm_module,
+                     tensor_module, sign_decompose, map_inverse_monomial,
                      rebase_to_permutation, is_induced_from, _index)
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
                     tensor_chain_maps, cone, restrict_complex,
@@ -375,13 +375,6 @@ def verify_koszul(X, G, H, ring, check_restriction=True):
     return report, None
 
 
-def _subgroup_in_level(level, sub):
-    """The image of ``sub`` as a Subgroup of subgroup_as_group(level)."""
-    Gi, elems = subgroup_as_group(level)
-    pos = {x: i for i, x in enumerate(elems)}
-    return Gi, Subgroup(Gi, [pos[x] for x in sub.elements])
-
-
 def koszul_object(G, H, ring):
     """kos(G, H): the Koszul object of H <= G over the ring.
 
@@ -429,7 +422,7 @@ def koszul_object(G, H, ring):
     X = koszul_base(H0_grp, ring)
     steps = []
     for i in range(1, len(chain)):
-        Gi, Si = _subgroup_in_level(chain[i], chain[i - 1])
+        Gi, Si = subgroup_meet(chain[i], chain[i - 1])
         X = tensor_induce(X, Si)
         X, mod_audit = sign_modify(X, Si)
         steps.append({"level": chain[i].describe(),

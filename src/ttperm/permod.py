@@ -361,37 +361,11 @@ def subgroup_as_group(S):
     return cache[S.elements]
 
 
-def induce_from(M, S):
-    """Ind_H^G(M) for M a module over subgroup_as_group(S)[0].
-
-    Basis vectors are labelled ("ind", coset rep, inner label); the
-    coset representatives are the smallest members of the left cosets.
-    """
-    G = S.parent
-    H_elems = set(S.elements)
-    pos_in_H = {x: i for i, x in enumerate(S.elements)}
-    reps = S.coset_reps()
-    rep_of = {}
-    for r in reps:
-        for h in S.elements:
-            rep_of[G.mul(r, h)] = r
-    rep_index = {r: k for k, r in enumerate(reps)}
-    basis = tuple(("ind", r, l) for r in reps for l in M.basis)
-    m = M.rank
-    action = []
-    for g in G.elements():
-        row = []
-        for r in reps:
-            gr = G.mul(g, r)
-            r2 = rep_of[gr]
-            h = G.mul(G.inv(r2), gr)
-            assert h in H_elems
-            hrow = M.action[pos_in_H[h]]
-            for i in range(m):
-                j, s = hrow[i]
-                row.append((rep_index[r2] * m + j, s))
-        action.append(tuple(row))
-    return SignedPermModule(G, M.ring, basis, tuple(action))
+def subgroup_meet(S, T):
+    """subgroup_as_group(S)[0] and S cap T as a Subgroup of it."""
+    Sg, elems = subgroup_as_group(S)
+    inside = set(T.elements)
+    return Sg, Subgroup(Sg, [i for i, x in enumerate(elems) if x in inside])
 
 
 def restrict(M, S):
@@ -458,12 +432,6 @@ def equivariant_hom_basis(M, N):
         em.root_pair = divmod(start, nN)
         out.append(em)
     return out
-
-
-def invariant_basis(M):
-    """Column vectors spanning M^G (one orbit-sum per consistent orbit)."""
-    maps = equivariant_hom_basis(trivial_module(M.group, M.ring), M)
-    return [f.columns()[0] for f in maps]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ unit -> can(q)[s] up to homotopy.
 
 Products of classes tensor cycle representatives (with the Koszul sign
 (-1)^{s1 s2}) and transport along a solver-found homotopy equivalence
-tensor(can(q1), can(q2)) -> can(q1+q2); transports are cached per
-(q1, q2).  Both sides have homology R concentrated in one degree, so
-the induced identification is independent of the choice up to a unit.
+tensor(can(q1), can(q2)) -> can(q1+q2).  Both sides have homology R
+concentrated in one degree, so the induced identification is
+independent of the choice up to a unit.  Canonical powers and
+transports are kept on their group (``Group.twist_complexes``, keyed by
+ring and twist keys) and hom groups on their complex
+(``Complex.hom_groups``), so all of them are freed with the group.
 
 Generator classes per N (cycles written in the canonical complexes):
 case (C1) p = 2 over F_2: a = 1 in degree (0, e_N), b = eta in
@@ -43,13 +46,13 @@ isomorphisms.
 
 from .grp import Subgroup, subgroups
 from .rings import ZZ, factorize
-from .permod import EquivMap, perm_module, trivial_module
+from .permod import EquivMap, perm_module, trivial_module, subgroup_meet
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
                     tensor_complex, restrict_complex)
-from .homotopy import (hom_group, InvariantsComplex,
-                       find_homotopy_equivalence, Equivalence, null_homotopy,
-                       homology_profile, classes_equal_up_to_unit,
-                       smith_normal_form, kernel_sparse, check_homotopy)
+from .homotopy import (hom_group, find_homotopy_equivalence, Equivalence,
+                       null_homotopy, homology_profile,
+                       classes_equal_up_to_unit, smith_normal_form,
+                       kernel_sparse, check_homotopy)
 
 
 class TheoryCheckFailure(Exception):
@@ -186,27 +189,15 @@ def _single_power(G, N, e, ring):
     return Complex(G, ring, terms, diffs)
 
 
-_CAN_CACHE = {}
-_INV_CACHE = {}
-_HOM_CACHE = {}
-_TRANSPORT_CACHE = {}
-
-
-def _group_key(G):
-    # id-based: cached complexes must live over the exact group object
-    # (they keep it alive, so the id cannot be recycled)
-    return (id(G), G.order)
-
-
 def canonical_u_power(G, q, ring):
     """The canonical small model of the tensor power u^q.
 
     Single-N towers are tensored over the distinct N in element order.
     Asserts the homology is R concentrated in degree 2'.|q| (weighted
-    by each subgroup's own 2')."""
-    key = (_group_key(G), ring.name, q.key())
-    if key in _CAN_CACHE:
-        return _CAN_CACHE[key]
+    by each subgroup's own 2').  Kept on G under (ring, q.key())."""
+    key = (ring, q.key())
+    if key in G.twist_complexes:
+        return G.twist_complexes[key]
     X = None
     top = 0
     for N, e in q.items:
@@ -219,34 +210,23 @@ def canonical_u_power(G, q, ring):
             if inv != (0, ())}
     assert prof == {top: (1, ())}, \
         "tensor power homology not concentrated: %s" % prof
-    _CAN_CACHE[key] = X
+    G.twist_complexes[key] = X
     return X
 
 
-def _can_hom(G, ring, q, s):
-    """Cached hom_group(canonical_u_power(q), s) with shared invariants."""
-    key = (_group_key(G), ring.name, q.key())
-    if key not in _INV_CACHE:
-        _INV_CACHE[key] = InvariantsComplex(canonical_u_power(G, q, ring))
-    hkey = key + (s,)
-    if hkey not in _HOM_CACHE:
-        _HOM_CACHE[hkey] = hom_group(
-            canonical_u_power(G, q, ring), s, inv=_INV_CACHE[key])
-    return _HOM_CACHE[hkey]
-
-
 def _transport(G, ring, q1, q2):
-    """Cached equivalence tensor(can(q1), can(q2)) -> can(q1 + q2)."""
-    key = (_group_key(G), ring.name, q1.key(), q2.key())
-    if key not in _TRANSPORT_CACHE:
+    """The equivalence tensor(can(q1), can(q2)) -> can(q1 + q2) and its
+    source, kept on G under (ring, q1.key(), q2.key())."""
+    key = (ring, q1.key(), q2.key())
+    if key not in G.twist_complexes:
         X = tensor_complex(canonical_u_power(G, q1, ring),
                            canonical_u_power(G, q2, ring))
         Y = canonical_u_power(G, q1 + q2, ring)
         eq = find_homotopy_equivalence(X, Y)
         assert isinstance(eq, Equivalence), \
             "no canonical identification for %s x %s: %r" % (q1, q2, eq)
-        _TRANSPORT_CACHE[key] = (eq, X)
-    return _TRANSPORT_CACHE[key]
+        G.twist_complexes[key] = (eq, X)
+    return G.twist_complexes[key]
 
 
 class TwistedClass:
@@ -262,7 +242,8 @@ class TwistedClass:
         self.mono = mono  # tuple of ((symbol, N-elements), exponent)
 
     def hom(self):
-        return _can_hom(self.G, self.ring, self.twist, self.shift)
+        return hom_group(canonical_u_power(self.G, self.twist, self.ring),
+                         self.shift)
 
     def coords(self):
         return self.hom().coords(self.cycle)
@@ -389,11 +370,6 @@ def generator_maps(G, N, ring):
     return out
 
 
-def require_c_absent(case):
-    if case != "C3":
-        raise TheoryCheckFailure("c_N exists only in case (C3)")
-
-
 def is_elementary_abelian(G):
     from .koszul import prime_power
     pk = prime_power(G.order)
@@ -420,9 +396,6 @@ class GradedTable:
         self.entries = entries
         self.generators = generators
         self.subgroups = subgroups_
-
-    def hom(self, s, q):
-        return _can_hom(self.group, self.ring, q, s)
 
     def to_json(self):
         out = {}
@@ -457,7 +430,7 @@ def _all_twists(Ns, max_total):
 
 
 def _table_entry(G, ring, q, s, monos):
-    hg = _can_hom(G, ring, q, s)
+    hg = hom_group(canonical_u_power(G, q, ring), s)
     tagged = []
     for mono, z in sorted(monos.items()):
         if z.twist == q and z.shift == s:
@@ -513,6 +486,25 @@ def twisted_table(G, ring, max_twist, shift_window=None):
                        gens, Ns)
 
 
+def _generates(ring, facs, cols):
+    """Whether the coordinate columns ``cols`` generate the group with
+    invariant factors ``facs``: the cokernel of [cols | diag(facs)] is
+    zero, i.e. its Smith form has len(facs) unit divisors."""
+    t = len(facs)
+    if not t:
+        return True
+    cols = [list(c) for c in cols]
+    for i, d in enumerate(facs):
+        if d != 0:
+            col = [ring.zero] * t
+            col[i] = ring.from_int(d)
+            cols.append(col)
+    A = [[col[i] for col in cols] for i in range(t)]
+    U, D, V = smith_normal_form(ring, A)
+    divisors = [D[i][i] for i in range(min(t, len(cols)))]
+    return len([d for d in divisors if d != 0 and ring.is_unit(d)]) == t
+
+
 def ring_presentation(table):
     """Bounded-degree presentation: spanning check plus relation lattice.
 
@@ -537,17 +529,7 @@ def ring_presentation(table):
             for mono, _ in monos:
                 relations.append(((s, qk), ((1, mono),)))
             continue
-        # spanning: cokernel of [monomial coords | invariant factors]
-        cols = [list(c) for _, c in monos]
-        for i, d in enumerate(facs):
-            if d != 0:
-                col = [ring.zero] * t
-                col[i] = ring.from_int(d)
-                cols.append(col)
-        A = [[cols[j][i] for j in range(len(cols))] for i in range(t)]
-        U, D, V = smith_normal_form(ring, A)
-        divisors = [D[i][i] for i in range(min(t, len(cols)))]
-        if len([d for d in divisors if d != 0 and ring.is_unit(d)]) < t:
+        if not _generates(ring, facs, coords):
             raise TheoryCheckFailure(
                 "entry (%d, %s) is not spanned by generator monomials"
                 % (s, qk))
@@ -587,15 +569,6 @@ def relation_strings(report, many=False):
 # ---------------------------------------------------------------------------
 # restriction and base change of twists and classes
 
-def _subgroup_inside(H, N):
-    """H cap N as a Subgroup of subgroup_as_group(H)."""
-    from .permod import subgroup_as_group
-    Hg, elems = subgroup_as_group(H)
-    pos = {x: i for i, x in enumerate(elems)}
-    inter = sorted(set(H.elements) & set(N.elements))
-    return Hg, Subgroup(Hg, [pos[x] for x in inter])
-
-
 def restriction_check(G, N, H, ring=ZZ):
     """Verify the two restriction shapes of u_N and the class images.
 
@@ -610,7 +583,7 @@ def restriction_check(G, N, H, ring=ZZ):
     report = {"G": G.name, "N": N.describe(), "H": H.describe(),
               "case": gm["case"]}
     inside = all(x in N.elements for x in H.elements)
-    Hg, K = _subgroup_inside(H, N)
+    Hg, K = subgroup_meet(H, N)
     if inside:
         report["u_shape"] = "unit shift"
         resu = restrict_complex(canonical_u_power(G, Twist.single(N), ring), H)
@@ -653,7 +626,7 @@ def restriction_check(G, N, H, ring=ZZ):
             canT = canonical_u_power(Hg, _push_twist(z.twist, Hg, K), ring)
             eqz = find_homotopy_equivalence(resz, canT)
             assert isinstance(eqz, Equivalence)
-            hg = _can_hom(Hg, ring, _push_twist(z.twist, Hg, K), z.shift)
+            hg = hom_group(canT, z.shift)
             w = eqz.f.component(-z.shift).apply(z.cycle)
             report["%s_to_%s" % (sym, sym)] = classes_equal_up_to_unit(
                 hg.fg, hg._cycle_coords(w),
@@ -744,7 +717,7 @@ def base_change_class_check(G, N, bound=3):
         q = Twist.single(N, e)
         alive = p != 2 or e % 2 == 0
         for s in range(-L * e - 1, 1):
-            hgq = _can_hom(G, QQ, q, s)
+            hgq = hom_group(canonical_u_power(G, q, QQ), s)
             want = (1, ()) if (alive and s == -L * e) else (0, ())
             if hgq.fg.iso_invariants() != want:
                 rational = False
@@ -798,26 +771,6 @@ def nilpotence_check(G, N, ring):
 # ---------------------------------------------------------------------------
 # twist-zero localization for cyclic groups
 
-def _iso_of_fg(ring, src_facs, dst_facs, mat):
-    """Whether the map given by ``mat`` on generators is an isomorphism
-    of the presented groups (invariants equal and map surjective)."""
-    if tuple(src_facs) != tuple(dst_facs):
-        return False
-    t = len(dst_facs)
-    if t == 0:
-        return True
-    cols = [[mat[i][j] for i in range(t)] for j in range(len(mat[0]))]
-    for i, d in enumerate(dst_facs):
-        if d != 0:
-            col = [ring.zero] * t
-            col[i] = ring.from_int(d)
-            cols.append(col)
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(t)]
-    U, D, V = smith_normal_form(ring, A)
-    divisors = [D[i][i] for i in range(min(len(A), len(cols)))]
-    return len([d for d in divisors if d != 0 and ring.is_unit(d)]) == t
-
-
 def localize_twist0(table, H, degree_window=(-4, 4)):
     """The twist-zero graded ring of the localization at S_H.
 
@@ -859,7 +812,9 @@ def localize_twist0(table, H, degree_window=(-4, 4)):
             h1 = _hom_or_zero(table, s1, q1)
             h2 = _hom_or_zero(table, s2, q2)
             mat = _multiplication_matrix(table, h1, s1, q1, g, h2)
-            iso = _iso_of_fg(ring, h1["facs"], h2["facs"], mat)
+            # an isomorphism: equal invariants and a surjective map
+            iso = h1["facs"] == h2["facs"] and \
+                _generates(ring, h2["facs"], zip(*mat))
             if iso and prev_iso:
                 hilbert[s] = h1["label"]
                 break
@@ -886,7 +841,7 @@ def _hom_or_zero(table, s, q):
     canonical complex give zero groups without computing anything."""
     if s > 0 or -s > _twist_length(q):
         return {"label": "0", "facs": [], "hom": None, "s": s, "q": q}
-    hg = table.hom(s, q)
+    hg = hom_group(canonical_u_power(table.group, q, table.ring), s)
     return {"label": hg.label(), "facs": list(hg.fg.factors),
             "hom": hg, "s": s, "q": q}
 

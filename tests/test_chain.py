@@ -17,9 +17,9 @@ from ttperm.chain import (Complex, ChainMap, unit_complex, module_complex,
                           two_term_complex, shift_complex, tensor_complex,
                           dual_complex, cone, identity_chain_map,
                           base_change_complex, restrict_complex,
-                          induce_complex, structurally_equal,
+                          structurally_equal,
                           complex_to_json, complex_from_json,
-                          tensor_chain_maps, shift_chain_map)
+                          tensor_chain_maps)
 from ttperm.homotopy import homology_profile, underlying_homology
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 
@@ -166,11 +166,6 @@ def test_restrict_and_induce_complex():
     R = restrict_complex(X, C2)
     assert R.group.order == 2
     assert R.rank_vector() == X.rank_vector()
-    I = induce_complex(R, C2)
-    assert I.group is G
-    index = G.order // C2.order
-    assert I.rank_vector() == {n: index * r
-                               for n, r in R.rank_vector().items()}
 
 
 def test_tensor_chain_maps_identity():

@@ -60,17 +60,6 @@ def test_twisted_over_coprime_fields(capsys):
     assert presentations["C2", "F3"] == presentations["C2", "Q"]
 
 
-def test_twisted_jobs_and_serial_agree(capsys):
-    code = run(["twisted", "--group", "C2", "--ring", "F2",
-                "--max-twist", "3"])
-    assert code == 0
-    serial = out_of(capsys)
-    code = run(["twisted", "--group", "C2", "--ring", "F2",
-                "--max-twist", "3", "--jobs", "4"])
-    assert code == 0
-    assert out_of(capsys) == serial
-
-
 def test_twisted_window_must_be_complete():
     assert run(["twisted", "--group", "C2", "--ring", "F2",
                 "--max-twist", "2", "--shift-min", "-3"]) == 1
@@ -117,6 +106,8 @@ def test_usage_errors(tmp_path):
                 "--ring", "Z"]) == 1                        # no such subgroup
     assert run(["twisted", "--group", "C2", "--ring", "R",
                 "--max-twist", "2"]) == 1                   # bad ring
+    assert run(["twisted", "--group", "C2", "--ring", "F2",
+                "--jobs", "4"]) == 1                        # no --jobs flag
     assert run(["kos", "--group", "C2", "--subgroup", "1",
                 "--ring", "F4"]) == 1                       # F<n>, n not prime
     assert run(["kos", "--group", "C9", "--subgroup", "1"]) == 1  # index 9 > 4

@@ -252,6 +252,18 @@ def test_solver_cap(monkeypatch):
         hom_group(X, 0)
     monkeypatch.setenv("TTPERM_MAX_RANK", "1000")
     hom_group(X, 0)  # under the cap: fine
+    # a hom group already kept on X is still refused under a lower cap
+    monkeypatch.setenv("TTPERM_MAX_RANK", "2")
+    with pytest.raises(SolverCapExceeded):
+        hom_group(X, 0)
+
+
+def test_hom_groups_are_kept_on_their_complex():
+    G = cyclic(3)
+    Y = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+    assert hom_group(Y, 0) is hom_group(Y, 0)
+    assert hom_group(Y, 0).inv is hom_group(Y, -1).inv
+    assert Y.hom_groups.keys() == {0, -1}
 
 
 def test_find_homotopy_equivalence_reflexive():

@@ -14,12 +14,13 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_zero
 from ttperm.permod import (perm_module, trivial_module, sign_module,
                            tensor_module, dual_module, direct_sum,
-                           restrict, induce_from, base_change_module,
-                           equivariant_hom_basis, invariant_basis,
+                           restrict, base_change_module,
+                           equivariant_hom_basis,
                            identity_map, zero_map, subgroup_as_group,
                            is_induced_from, rebase_to_permutation, EquivMap)
 from ttperm.chain import tensor_complex
-from ttperm.homotopy import _index, _left_mul, _right_mul, sparse_rows
+from ttperm.homotopy import (_index, _left_mul, _right_mul, sparse_rows,
+                             invariant_data)
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 
 
@@ -97,8 +98,8 @@ def test_invariant_basis_of_permutation_module():
     G = parse_group_name("C2xC2")
     for S in subgroups(G):
         M = perm_module(G, S, ZZ)
-        inv = invariant_basis(M)
-        assert len(inv) == 1
+        cols, roots = invariant_data(M)
+        assert cols == [[1] * M.rank] and len(roots) == 1
 
 
 def test_restrict_and_induce_ranks():
@@ -108,11 +109,6 @@ def test_restrict_and_induce_ranks():
     resM = restrict(M, C2)
     assert resM.rank == M.rank
     assert resM.group.order == 2
-    H, elems = subgroup_as_group(C2)
-    N = trivial_module(H, ZZ)
-    ind = induce_from(N, C2)
-    assert ind.group is G
-    assert ind.rank == G.order // C2.order
 
 
 def test_subgroup_as_group_is_kept_on_its_ambient_group():
@@ -128,14 +124,15 @@ def test_subgroup_as_group_is_kept_on_its_ambient_group():
 
 
 def test_frobenius_reciprocity_dimension():
-    # dim Hom_G(ind M, N) = dim Hom_H(M, res N)
+    # dim Hom_G(ind M, N) = dim Hom_H(M, res N), for M the trivial
+    # module of H, whose induction is the permutation module R[G/H]
     G = parse_group_name("C2xC2")
     C2 = [S for S in subgroups(G) if S.order == 2][0]
     H, _ = subgroup_as_group(C2)
     M = trivial_module(H, ZZ)
     for K in subgroups(G):
         N = perm_module(G, K, ZZ)
-        lhs = len(equivariant_hom_basis(induce_from(M, C2), N))
+        lhs = len(equivariant_hom_basis(perm_module(G, C2, ZZ), N))
         rhs = len(equivariant_hom_basis(M, restrict(N, C2)))
         assert lhs == rhs
 

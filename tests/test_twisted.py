@@ -17,6 +17,9 @@ class b is torsion-free in every computed bidegree, so no relation
 p * b = 0 is emitted; tests pin this down rather than hiding it.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
@@ -29,8 +32,7 @@ from ttperm.twisted import (u_degree, u_complex, index_p_normal_subgroups,
                             unit_class, restriction_check,
                             base_change_class_check, nilpotence_check,
                             certified_null_homotopy, scaled_class,
-                            localize_twist0, require_c_absent,
-                            TheoryCheckFailure, is_elementary_abelian)
+                            localize_twist0, is_elementary_abelian)
 
 
 def dims_c2_f2(s, q):
@@ -117,6 +119,20 @@ def test_twist_monoid():
     assert e + e == Twist.single(N, 2)  # commutative monoid on exponents
     assert e.exponent(N) == 1 and Twist.zero().exponent(N) == 0
     assert e.support()[0].elements == N.elements
+
+
+def test_twisted_table_data_is_freed_with_its_group():
+    # canonical powers, transports and hom groups live on the group and
+    # the complexes, not in module-level dictionaries
+    G = cyclic(3)
+    table = twisted_table(G, ZZ, 2)
+    Y = canonical_u_power(G, Twist.single(index_p_normal_subgroups(G)[0]),
+                          ZZ)
+    assert Y.hom_groups
+    refs = [weakref.ref(G), weakref.ref(Y)]
+    del G, table, Y
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_canonical_u_power_ranks_grow_with_twist():
@@ -221,12 +237,6 @@ def test_generator_maps_cases():
     assert gm["c"].shift == -1
     gm = generator_maps(C3, N3, ZZ)
     assert gm["case"] == "C4" and "c" not in gm
-
-
-def test_require_c_absent():
-    require_c_absent("C3")
-    with pytest.raises(TheoryCheckFailure):
-        require_c_absent("C1")
 
 
 def test_class_product_adds_bidegrees():
