@@ -13,11 +13,16 @@ Grading and sign conventions, fixed once and used everywhere:
 
 Terms of rank zero are dropped; ``term(n)`` returns a zero module for
 any absent degree and ``diff(n)`` a zero map.
+
+d o d = 0 and the chain-map squares are checked on the entries of
+sparse products (``permod._composite``), without building maps; a
+failure raises ``permod.CertificateError``, also under ``python -O``.
 """
 
-from .permod import (SignedPermModule, EquivMap, zero_module, zero_map,
-                     trivial_module, tensor_module, dual_module,
-                     base_change_module, restrict, subgroup_as_group)
+from .permod import (SignedPermModule, EquivMap, CertificateError,
+                     zero_module, zero_map, trivial_module, tensor_module,
+                     dual_module, base_change_module, restrict,
+                     subgroup_as_group, _composite)
 
 
 class Complex:
@@ -37,10 +42,9 @@ class Complex:
             assert f.target is self.terms[n - 1] or \
                 f.target.basis == self.terms[n - 1].basis
         if check:
-            for n in list(self.diffs):
-                if (n + 1) in self.diffs:
-                    comp = self.diffs[n].compose(self.diffs[n + 1])
-                    assert comp.is_zero(), "d o d != 0 at degree %d" % n
+            for n, d in self.diffs.items():
+                if (n + 1) in self.diffs and _composite(d, self.diffs[n + 1]):
+                    raise CertificateError("d o d != 0 at degree %d" % n)
         # shift -> HomGroup, filled by homotopy.hom_group; a complex is
         # never changed after construction, so its hom groups stay valid
         self.hom_groups = {}
@@ -101,11 +105,11 @@ class ChainMap:
             else:
                 assert f.is_zero()
         self.components = comps
-        for n in set(list(source.terms) + list(target.terms)):
-            lhs = self.component(n - 1).compose(source.diff(n))
-            rhs = target.diff(n).compose(self.component(n))
-            assert lhs.entries == rhs.entries, \
-                "square at degree %d does not commute" % n
+        for n in set(source.terms) | set(target.terms):
+            if _square_side(comps.get(n - 1), source.diffs.get(n)) != \
+                    _square_side(target.diffs.get(n), comps.get(n)):
+                raise CertificateError(
+                    "square at degree %d does not commute" % n)
 
     def component(self, n):
         if n in self.components:
@@ -124,6 +128,13 @@ class ChainMap:
 
     def __repr__(self):
         return "ChainMap(%r -> %r)" % (self.source, self.target)
+
+
+def _square_side(f, g):
+    """The entries of f o g, or none when either map is absent (zero)."""
+    if f is None or g is None:
+        return {}
+    return _composite(f, g)
 
 
 def identity_chain_map(X):

@@ -22,10 +22,10 @@ pivot rule itself is stated on ``_diagonalize``.
   of each differential gives its rank and, over Z, a diagonal whose
   nonunit entries normalise to the torsion invariant factors; it checks
   d o d = 0 as a sparse product first;
-* certificate checks (``check_homotopy``, chain-map squares) compare the
-  nonzeros of sparse products; ``check_homotopy`` raises
-  ``CertificateError`` rather than asserting, so it survives
-  ``python -O``;
+* certificate checks (``check_homotopy``, and in ``chain`` the
+  chain-map squares and d o d = 0) compare the nonzeros of sparse
+  products and raise ``permod.CertificateError`` rather than asserting,
+  so they survive ``python -O``;
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
   ``find_homotopy_equivalence``, ``hom_group``) search inside the
   lattice of equivariant maps: unknowns are coefficients of the orbit
@@ -39,16 +39,9 @@ Homotopies h have degree +1 and certify d h + h d = f.
 import os
 from math import gcd
 
-from .permod import (equivariant_hom_basis, EquivMap, _index, _normalized,
-                     _left_mul, _right_mul)
+from .permod import (equivariant_hom_basis, EquivMap, CertificateError,
+                     _index, _normalized, _left_mul, _right_mul, _composite)
 from .rings import mat_identity, mat_mul
-
-
-class CertificateError(AssertionError):
-    """An exact certificate check failed (a homotopy identity, or a
-    Smith factorization that does not re-multiply).  Raised explicitly,
-    so the checks also run under ``python -O``; as an AssertionError it
-    is reported by ``cli.run`` with exit status 2."""
 
 
 class SolverCapExceeded(Exception):
@@ -732,9 +725,8 @@ def homology_profile(X):
     rank = {}
     torsion = {}
     for n, d in sorted(X.diffs.items()):
-        if (n + 1) in X.diffs and \
-                _left_mul(ring, _index(d.entries, 1), X.diffs[n + 1].entries):
-            raise AssertionError("d o d != 0 at degree %d" % n)
+        if (n + 1) in X.diffs and _composite(d, X.diffs[n + 1]):
+            raise CertificateError("d o d != 0 at degree %d" % n)
         pivots = _diagonalize(ring, d.rows(), X.terms[n].rank)[0]
         rank[n] = len(pivots)
         if not ring.is_field:
@@ -1170,8 +1162,7 @@ def check_homotopy(F, h):
     for n in X.terms:
         lhs = {}
         if n in h and (n + 1) in Y.diffs:
-            lhs = _left_mul(ring, _index(Y.diffs[n + 1].entries, 1),
-                            h[n].entries)
+            lhs = _composite(Y.diffs[n + 1], h[n])
         if (n - 1) in h and n in X.diffs:
             for key, v in _right_mul(ring, h[n - 1].entries,
                                      _index(X.diffs[n].entries, 0)).items():

@@ -14,13 +14,31 @@ Conventions used throughout the package:
   source basis, and the map acts on coordinate columns,
   f(e_c) = sum_r E[(r, c)] f_r.  Every map is built from entries and
   read through them: composites are sparse products of nonzeros
-  (``_left_mul``, ``_right_mul``) and ``rows`` gives the row dicts
-  that elimination reads, columns ascending within each row;
+  (``_left_mul``, ``_right_mul``, ``_composite``) and ``rows`` gives
+  the row dicts that elimination reads, columns ascending within each
+  row;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
+
+Actions and maps are checked on the group's generating set S
+(``Group.generators``), not on all of G: every element is a product
+s_1 ... s_k of generators, so an action that is multiplicative on the
+products g s, and a map that commutes with every rho(s), are a
+homomorphism and an equivariant map for the whole group.  Orbits of
+basis vectors and of basis pairs are closures under the generators for
+the same reason.  A failed check raises ``CertificateError``, so the
+checks also run under ``python -O``.
 """
 
 from .grp import Group, Subgroup
+
+
+class CertificateError(AssertionError):
+    """An exact certificate check failed: a group action, an
+    equivariant map, a chain-map square, d o d = 0, a homotopy identity,
+    or a Smith factorization that does not re-multiply.  Raised
+    explicitly, so the checks also run under ``python -O``; as an
+    AssertionError it is reported by ``cli.run`` with exit status 2."""
 
 
 class SignedPermModule:
@@ -34,24 +52,29 @@ class SignedPermModule:
         else:
             action = tuple(tuple((int(j), int(s)) for (j, s) in row)
                            for row in action)
-        assert len(action) == group.order
+        if len(action) != group.order:
+            raise CertificateError("action needs one row per group element")
+        indices = list(range(n))
         for row in action:
-            assert len(row) == n
-            assert sorted(j for (j, _) in row) == list(range(n)), \
-                "action rows must be signed permutations"
-            assert all(s in (1, -1) for (_, s) in row)
-        e = group.identity
-        assert all(action[e][i] == (i, 1) for i in range(n)), \
-            "identity must act trivially"
-        for g in group.elements():
-            for h in group.elements():
-                gh = group.mul(g, h)
-                for i in range(n):
-                    j, s = action[h][i]
-                    k, t = action[g][j]
-                    jj, ss = action[gh][i]
-                    assert (k, s * t if ring.characteristic != 2 else 1) == \
-                        (jj, ss), "action is not a homomorphism"
+            if sorted(j for (j, _) in row) != indices or \
+                    any(s not in (1, -1) for (_, s) in row):
+                raise CertificateError(
+                    "action rows must be signed permutations")
+        if action[group.identity] != tuple((i, 1) for i in indices):
+            raise CertificateError("identity must act trivially")
+        # rho(g s) = rho(g) rho(s) for every g and every generator s.
+        # Elements a with rho(g a) = rho(g) rho(a) for all g include the
+        # identity, and a s is one of them whenever a is, since
+        # rho(g a s) = rho(g a) rho(s) = rho(g) rho(a) rho(s); every
+        # element is a product e s_1 ... s_k of generators, so this
+        # covers all |G|^2 products in O(|G| |S| n) lookups.
+        for s in group.generators:
+            act_s = action[s]
+            mul_s = [row[s] for row in group.table]
+            for g, act_g in enumerate(action):
+                if action[mul_s[g]] != tuple((act_g[j][0], a * act_g[j][1])
+                                             for (j, a) in act_s):
+                    raise CertificateError("action is not a homomorphism")
         self.action = action
         # {target module: equivariant_hom_basis(self, target)}, filled by
         # homotopy._hom_basis; it lives and dies with this module
@@ -74,35 +97,39 @@ class SignedPermModule:
 
         * ``members``: sorted tuple of basis indices;
         * ``root``: the smallest index;
-        * ``path_sign``: {index: sign} with ``g_x . e_root = sign * e_x``
-          for the element ``path_elt[index]``;
-        * ``path_elt``: {index: group element} realizing the above;
+        * ``path_sign``: {index: sign} with ``g . e_root = sign * e_x``
+          for some g with g.root = x (for every such g when the orbit is
+          consistent);
         * ``stabilizer``: Subgroup of elements fixing the root line;
         * ``character``: {element of stabilizer: sign on e_root};
         * ``consistent``: False when two paths to the same basis vector
           disagree in sign (possible for signed modules only).
+
+        The orbit is walked along generator steps.  The step signs
+        w(g, x) form a cocycle, w(g h, x) = w(g, h x) w(h, x), since the
+        action is a homomorphism; so signs that agree along every
+        generator step agree along every group element.
         """
         G = self.group
+        gen_rows = [self.action[s] for s in G.generators]
         seen = set()
         out = []
         for root in range(self.rank):
             if root in seen:
                 continue
             path_sign = {root: 1}
-            path_elt = {root: G.identity}
             consistent = True
             frontier = [root]
             while frontier:
                 x = frontier.pop()
-                for g in G.elements():
-                    y, s = self.action[g][x]
+                for row in gen_rows:
+                    y, s = row[x]
                     sign_y = path_sign[x] * s
                     if y in path_sign:
                         if path_sign[y] != sign_y:
                             consistent = False
                     else:
                         path_sign[y] = sign_y
-                        path_elt[y] = G.mul(g, path_elt[x])
                         frontier.append(y)
             members = tuple(sorted(path_sign))
             seen.update(members)
@@ -117,7 +144,6 @@ class SignedPermModule:
                 "members": members,
                 "root": root,
                 "path_sign": path_sign,
-                "path_elt": path_elt,
                 "stabilizer": Subgroup(G, stab_elems),
                 "character": character,
                 "consistent": consistent,
@@ -133,7 +159,10 @@ class EquivMap:
     """A G-equivariant linear map between signed permutation modules,
     held as ``entries`` {(row, col): value}, normalized and nonzero.
 
-    Equivariance is checked on construction, on the nonzero entries.
+    Equivariance is checked on construction, on the nonzero entries and
+    the generators of G: a map that commutes with rho(s) for every
+    generator s commutes with every product of generators, which is
+    every element.  The check costs O(|S| nnz).
     """
 
     def __init__(self, source, target, entries):
@@ -143,27 +172,31 @@ class EquivMap:
         self.target = target
         self.ring = source.ring
         self.entries = _normalized(self.ring, entries)
-        assert all(0 <= r < target.rank and 0 <= c < source.rank
+        rows, cols = target.rank, source.rank
+        assert all(0 <= r < rows and 0 <= c < cols
                    for (r, c) in self.entries)
         self._check_equivariance()
 
     def _check_equivariance(self):
-        """M[g.r][g.i] = s t M[r][i] for every g and every nonzero (r, i),
-        where g.e_i = s e_(g.i) and g.f_r = t f_(g.r).
+        """M[g.r][g.i] = s t M[r][i] for every generator g and every
+        nonzero (r, i), where g.e_i = s e_(g.i) and g.f_r = t f_(g.r);
+        raises CertificateError otherwise.
 
-        Checking nonzero entries only suffices: if g moves a zero entry
-        onto a nonzero one, g^-1 moves that nonzero entry onto the zero.
+        Checking nonzero entries only suffices: g permutes the index
+        pairs, and the check shows that it maps the nonzero entries
+        injectively into themselves, so onto themselves, and zero
+        entries onto zero entries.
         """
         src, tgt = self.source, self.target
         E = self.entries
         norm = self.ring.normalize
-        for g in src.group.elements():
+        for g in src.group.generators:
             sact, tact = src.action[g], tgt.action[g]
             for (r, i), v in E.items():
                 r2, t = tact[r]
                 i2, s = sact[i]
-                assert E.get((r2, i2)) == (v if s == t else norm(-v)), \
-                    "map is not equivariant"
+                if E.get((r2, i2)) != (v if s == t else norm(-v)):
+                    raise CertificateError("map is not equivariant")
 
     def rows(self):
         """Row dicts {col: value}, columns ascending within each row:
@@ -204,8 +237,7 @@ class EquivMap:
         maps' nonzeros."""
         assert other.target is self.source or \
             other.target.basis == self.source.basis
-        prod = _left_mul(self.ring, _index(self.entries, 1), other.entries)
-        return EquivMap(other.source, self.target, prod)
+        return EquivMap(other.source, self.target, _composite(self, other))
 
     def is_zero(self):
         return not self.entries
@@ -242,6 +274,12 @@ def _left_mul(ring, d_cols, b):
         for r, a in d_cols.get(t, ()):
             acc[(r, c)] = acc.get((r, c), 0) + a * v
     return _normalized(ring, acc)
+
+
+def _composite(f, g):
+    """The entries of f o g (g first), the sparse product of the two
+    maps' nonzeros; no map is built."""
+    return _left_mul(f.ring, _index(f.entries, 1), g.entries)
 
 
 def _right_mul(ring, b, d_rows):
@@ -390,13 +428,15 @@ def equivariant_hom_basis(M, N):
 
     Each map is built from its signed orbit support, so it holds at
     most |G| nonzero entries; ``root_pair`` is the (source, target)
-    index pair that starts its orbit.
+    index pair that starts its orbit.  Orbits are walked along generator
+    steps: the pair weights form a cocycle, as in ``orbits``, so weights
+    that agree along every generator step agree along every element.
     """
     assert M.group is N.group and M.ring is N.ring
-    G = M.group
     ring = M.ring
     one = ring.one
     minus_one = ring.normalize(-one)
+    gen_rows = [(M.action[g], N.action[g]) for g in M.group.generators]
     nN = N.rank
     total = M.rank * nN
     assigned = {}
@@ -410,9 +450,9 @@ def equivariant_hom_basis(M, N):
         while frontier:
             x = frontier.pop()
             i, j = divmod(x, nN)
-            for g in G.elements():
-                i2, s = M.action[g][i]
-                j2, t = N.action[g][j]
+            for m_row, n_row in gen_rows:
+                i2, s = m_row[i]
+                j2, t = n_row[j]
                 y = i2 * nN + j2
                 w = sign[x] * s * t
                 if y in sign:
@@ -468,14 +508,15 @@ def sign_decompose(M, S):
                     plus_entries.append((x, orb["path_sign"][x]))
                 continue
         if all(chi[g] == eps[g] for g in chi):
-            # twist the path signs by eps to land in L (x) (permutation)
+            # twist the path signs by eps to land in L (x) (permutation);
+            # eps is a character, so the twisted signs are again a
+            # cocycle and generator steps suffice, as in ``orbits``
             sign = {orb["root"]: 1}
-            elt = {orb["root"]: G.identity}
             frontier = [orb["root"]]
             ok = True
             while frontier:
                 x = frontier.pop()
-                for g in G.elements():
+                for g in G.generators:
                     y, s = M.action[g][x]
                     w = sign[x] * s * eps[g]
                     if y in sign:
@@ -483,7 +524,6 @@ def sign_decompose(M, S):
                             ok = False
                     else:
                         sign[y] = w
-                        elt[y] = G.mul(g, elt[x])
                         frontier.append(y)
             if ok:
                 for x in orb["members"]:

@@ -3,7 +3,7 @@
 Conventions under test: differentials lower degree by one; X[s]_n =
 X_{n-s} with differential scaled by (-1)^s; cone(f)_j = Y_j + X_{j-1}
 with the lower-right block negated; duality reindexes by -n and
-transposes with the sign (-1)^n.  The constructor itself asserts
+transposes with the sign (-1)^n.  The constructor itself checks
 d o d = 0, so building a tensor product is already a sign-rule check.
 """
 
@@ -57,6 +57,28 @@ def test_chain_map_rejects_non_commuting_square():
     with pytest.raises(AssertionError):
         ChainMap(X, X, {5: one})               # nonzero outside the complex
     ChainMap(X, X, {0: one, 1: one, 5: EquivMap(M, M, {(0, 0): 0})})
+
+
+def test_square_and_d_squared_checks_build_no_maps(monkeypatch):
+    G = cyclic(3)
+    u = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+    X = tensor_complex(u, u)
+    ident = identity_chain_map(X)
+    # identity at 0 only: a square that does not commute
+    partial = {0: ident.components[0]}
+    built = []
+    init = EquivMap.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(EquivMap, "__init__", counting_init)
+    ChainMap(X, X, ident.components)
+    Complex(G, ZZ, X.terms, X.diffs, check=True)
+    with pytest.raises(AssertionError, match="does not commute"):
+        ChainMap(X, X, partial)
+    assert built == []
 
 
 def test_two_term_homology():

@@ -643,3 +643,61 @@ def test_corrupted_contractions_are_rejected_under_python_O():
     out = json.loads(proc.stdout)
     assert out["error"] == "CertificateError"
     assert "identity fails" in out["message"]
+
+
+_CORRUPTED_INPUTS = """
+import sys
+from ttperm.chain import Complex, ChainMap, two_term_complex
+from ttperm.grp import cyclic
+from ttperm.permod import (CertificateError, EquivMap, SignedPermModule,
+                           trivial_module)
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+G = cyclic(4)
+M = trivial_module(cyclic(1), ZZ)
+one = EquivMap(M, M, {(0, 0): 1})
+X = two_term_complex(one)
+free = SignedPermModule(G, ZZ, tuple(G.elements()),
+                        [[(G.mul(g, x), 1) for x in G.elements()]
+                         for g in G.elements()])
+action = [list(row) for row in free.action]
+action[2] = action[3]
+bad = {
+    "action": lambda: SignedPermModule(G, ZZ, free.basis, action),
+    "equivariance": lambda: EquivMap(free, free, {(0, 0): 1}),
+    "square": lambda: ChainMap(X, X, {0: one}),
+    "d o d": lambda: Complex(M.group, ZZ, {0: M, 1: M, 2: M},
+                             {1: one, 2: one}),
+}
+for name, build in bad.items():
+    try:
+        build()
+        sys.exit("a bad %s passed its check" % name)
+    except CertificateError as exc:
+        print(name, exc)
+"""
+
+
+def test_corrupted_inputs_are_rejected_under_python_O():
+    # the action, equivariance, chain-map square and d o d checks raise
+    # CertificateError, so python -O keeps them
+    import os
+    import subprocess
+    import sys
+    import ttperm
+    from ttperm import homotopy, permod
+    assert homotopy.CertificateError is permod.CertificateError
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_INPUTS],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "action action is not a homomorphism",
+        "equivariance map is not equivariant",
+        "square square at degree 1 does not commute",
+        "d o d d o d != 0 at degree 1",
+    ]

@@ -15,9 +15,10 @@ from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_zero
 from ttperm.permod import (perm_module, trivial_module, sign_module,
                            tensor_module, dual_module, direct_sum,
                            restrict, base_change_module,
-                           equivariant_hom_basis,
+                           equivariant_hom_basis, SignedPermModule,
                            identity_map, zero_map, subgroup_as_group,
-                           is_induced_from, rebase_to_permutation, EquivMap)
+                           is_induced_from, rebase_to_permutation, EquivMap,
+                           CertificateError)
 from ttperm.chain import tensor_complex
 from ttperm.homotopy import (_index, _left_mul, _right_mul, sparse_rows,
                              invariant_data)
@@ -327,3 +328,141 @@ def test_sparse_compose_matches_mat_mul(ring):
                             mat_mul(ring, dense(f), dense(g))
                         checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# checks on the generating set: each must still see a fault that lies
+# outside the generators
+
+def _regular_action(G):
+    """The left regular action, g.e_x = e_(g x)."""
+    return [[(G.mul(g, x), 1) for x in G.elements()] for g in G.elements()]
+
+
+def test_action_wrong_only_at_a_non_generator_is_rejected():
+    G = cyclic(4)
+    assert G.generators == (1,)
+    basis = tuple(G.elements())
+    SignedPermModule(G, ZZ, basis, _regular_action(G))
+    # rho(2) != rho(1)^2: rho(2) acts as rho(3), everything else is right
+    action = _regular_action(G)
+    action[2] = list(action[3])
+    with pytest.raises(CertificateError, match="not a homomorphism"):
+        SignedPermModule(G, ZZ, basis, action)
+    # a sign fault at the non-generator: the character 1, -1, -1, -1
+    # instead of the sign character 1, -1, 1, -1
+    signs = [((0, 1),), ((0, -1),), ((0, 1),), ((0, -1),)]
+    SignedPermModule(G, ZZ, ("x",), signs)
+    signs[2] = ((0, -1),)
+    with pytest.raises(CertificateError, match="not a homomorphism"):
+        SignedPermModule(G, ZZ, ("x",), signs)
+
+
+@pytest.mark.parametrize("name", ["C2xC2", "D8"])
+def test_map_equivariant_for_one_generator_only_is_rejected(name):
+    # trivial -> regular, 1 |-> the sum of the elements of <s1>: fixed by
+    # rho(s1) but moved by rho(s2), since s2 is not in <s1>
+    G = parse_group_name(name)
+    s1, s2 = G.generators[:2]
+    T = trivial_module(G, ZZ)
+    R = perm_module(G, G.trivial_subgroup(), ZZ)
+    support = G.closure([s1])
+    assert s2 not in support
+    entries = {(x, 0): 1 for x in support}
+
+    def commutes(g):
+        return all(entries.get((G.mul(g, x), 0)) == 1 for x in support)
+
+    assert commutes(s1) and not commutes(s2)
+    with pytest.raises(CertificateError, match="not equivariant"):
+        EquivMap(T, R, entries)
+    assert not _dense_equivariant(T, R, entries)
+
+
+def _reference_hom_basis(M, N):
+    """The orbit walk over every group element: (root_pair, sorted
+    entries) of each consistent orbit, in start order."""
+    G, ring = M.group, M.ring
+    nN = N.rank
+    assigned = set()
+    out = []
+    for start in range(M.rank * nN):
+        if start in assigned:
+            continue
+        sign = {start: 1}
+        consistent = True
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            i, j = divmod(x, nN)
+            for g in G.elements():
+                i2, s = M.act(g, i)
+                j2, t = N.act(g, j)
+                y = i2 * nN + j2
+                if y in sign:
+                    consistent = consistent and sign[y] == sign[x] * s * t
+                else:
+                    sign[y] = sign[x] * s * t
+                    frontier.append(y)
+        assigned.update(sign)
+        if consistent:
+            entries = sorted(((j, i), ring.normalize(w)) for x, w
+                             in sign.items() for i, j in [divmod(x, nN)])
+            out.append((divmod(start, nN), entries))
+    return out
+
+
+def _reference_orbits(M):
+    """(members, path signs, consistent, stabilizer, character) of each
+    orbit, walked over every group element."""
+    G = M.group
+    seen = set()
+    out = []
+    for root in range(M.rank):
+        if root in seen:
+            continue
+        sign = {root: 1}
+        consistent = True
+        frontier = [root]
+        while frontier:
+            x = frontier.pop()
+            for g in G.elements():
+                y, s = M.act(g, x)
+                if y in sign:
+                    consistent = consistent and sign[y] == sign[x] * s
+                else:
+                    sign[y] = sign[x] * s
+                    frontier.append(y)
+        seen.update(sign)
+        stab = [g for g in G.elements() if M.act(g, root)[0] == root]
+        out.append((tuple(sorted(sign)), sign, consistent, tuple(stab),
+                    {g: M.act(g, root)[1] for g in stab}))
+    return out
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "D8"])
+def test_generator_orbit_walks_match_the_all_elements_walk(name):
+    G, pairs = _module_pairs(name, ZZ)
+    for M, N in pairs:
+        got = [(f.root_pair, sorted(f.entries.items()))
+               for f in equivariant_hom_basis(M, N)]
+        assert got == _reference_hom_basis(M, N)
+    # the rank-one sign modules add orbits whose signs do not close up
+    modules = list(dict.fromkeys(M for M, _ in pairs))
+    signs = [sign_module(G, S, ZZ) for S in subgroups(G) if S.index == 2]
+    for M in modules + signs:
+        for N in signs:
+            for A, B in ((M, N), (N, M)):
+                got = [(f.root_pair, sorted(f.entries.items()))
+                       for f in equivariant_hom_basis(A, B)]
+                assert got == _reference_hom_basis(A, B)
+    inconsistent = 0
+    for M in modules + signs:
+        got = [(o["members"], o["path_sign"], o["consistent"],
+                o["stabilizer"].elements, o["character"])
+               for o in M.orbits()]
+        assert got == _reference_orbits(M)
+        inconsistent += sum(not o[2] for o in got)
+    # path signs are walk-dependent only on inconsistent orbits, and
+    # those are the rank-one sign modules here
+    assert inconsistent == len(signs)
