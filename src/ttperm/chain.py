@@ -42,12 +42,17 @@ class Complex:
             assert f.target is self.terms[n - 1] or \
                 f.target.basis == self.terms[n - 1].basis
         if check:
-            for n, d in self.diffs.items():
-                if (n + 1) in self.diffs and _composite(d, self.diffs[n + 1]):
-                    raise CertificateError("d o d != 0 at degree %d" % n)
+            self.check_square_zero()
         # shift -> HomGroup, filled by homotopy.hom_group; a complex is
         # never changed after construction, so its hom groups stay valid
         self.hom_groups = {}
+
+    def check_square_zero(self):
+        """d_n o d_{n+1} = 0 in every degree, compared as sparse
+        products; raises CertificateError otherwise."""
+        for n, d in sorted(self.diffs.items()):
+            if (n + 1) in self.diffs and _composite(d, self.diffs[n + 1]):
+                raise CertificateError("d o d != 0 at degree %d" % n)
 
     def degrees(self):
         return sorted(self.terms)

@@ -408,8 +408,9 @@ def build_parser():
     kos.add_argument("--subgroup", required=True)
     kos.add_argument("--ring", default="Z")
     kos.add_argument("--verify", action="store_true",
-                     help="also run the base-change checks (needs --ring Z "
-                     "and a group of prime-power order > 1)")
+                     help="also re-verify the Z contraction certificate "
+                     "after base change to F_p and Q (needs --ring Z and a "
+                     "group of prime-power order > 1)")
     kos.add_argument("--format", choices=["json", "text"], default="json")
     kos.set_defaults(handler=cmd_kos)
 

@@ -64,6 +64,9 @@ class Group:
         # twist key) -> (transport equivalence, tensor complex), filled
         # by twisted.canonical_u_power and twisted._transport
         self.twist_complexes = {}
+        # (subgroup elements, ring) -> verified KoszulObject, filled by
+        # koszul.koszul_object
+        self.koszul_objects = {}
 
     def mul(self, a, b):
         return self.table[a][b]

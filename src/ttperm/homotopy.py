@@ -40,7 +40,8 @@ import os
 from math import gcd
 
 from .permod import (equivariant_hom_basis, EquivMap, CertificateError,
-                     _index, _normalized, _left_mul, _right_mul, _composite)
+                     zero_map, _index, _normalized, _left_mul, _right_mul,
+                     _composite)
 from .rings import mat_identity, mat_mul
 
 
@@ -724,9 +725,8 @@ def homology_profile(X):
     ring = X.ring
     rank = {}
     torsion = {}
+    X.check_square_zero()
     for n, d in sorted(X.diffs.items()):
-        if (n + 1) in X.diffs and _composite(d, X.diffs[n + 1]):
-            raise CertificateError("d o d != 0 at degree %d" % n)
         pivots = _diagonalize(ring, d.rows(), X.terms[n].rank)[0]
         rank[n] = len(pivots)
         if not ring.is_field:
@@ -1183,6 +1183,17 @@ class ContractionCertificate:
         from .chain import identity_chain_map
         return check_homotopy(identity_chain_map(self.X), self.h)
 
+    def carried_to(self, Y):
+        """This integral contraction on Y, the base change of its
+        complex to another ring (same groups and bases): every entry is
+        mapped through ``Y.ring.from_int``.  Not verified here; a ring
+        map carries d h + h d = id to the same identity over Y.ring."""
+        from_int = Y.ring.from_int
+        return ContractionCertificate(Y, {
+            n: EquivMap(Y.terms[n], Y.terms[n + 1],
+                        {k: from_int(v) for k, v in f.entries.items()})
+            for n, f in self.h.items()})
+
     def to_json(self):
         from .chain import _map_to_json
         return {"kind": "contraction",
@@ -1346,7 +1357,11 @@ def is_contractible(X):
 
 
 def chain_map_space(X, Y):
-    """A lattice basis of the space of chain maps X -> Y."""
+    """A lattice basis of the space of chain maps X -> Y, as
+    (bases, vectors): ``bases`` {n: hom basis of Hom_G(X_n, Y_n)} and
+    each vector {n: {k: nonzero coefficient on bases[n][k]}}, k
+    ascending.  No map is built here; ``_chain_map`` builds (and so
+    checks) one when it is needed."""
     ring = X.ring
     sys = _System(ring)
     f_bases = {}
@@ -1354,7 +1369,7 @@ def chain_map_space(X, Y):
         if n in Y.terms:
             basis = _hom_basis(X.terms[n], Y.terms[n])
             if basis:
-                sys.add_block(("f", n), basis)
+                sys.add_block(n, basis)
                 f_bases[n] = basis
     # commuting squares, projected onto Hom(X_n, Y_{n-1})
     for n in sorted(set(X.terms) | set(Y.terms)):
@@ -1365,25 +1380,60 @@ def chain_map_space(X, Y):
         if n in f_bases and n in Y.diffs:
             d_cols = _index(Y.diffs[n].entries, 1)
             prods = [_left_mul(ring, d_cols, b.entries) for b in f_bases[n]]
-            contributions.append((("f", n), prods))
+            contributions.append((n, prods))
         if (n - 1) in f_bases and n in X.diffs:
             d_rows = _index(X.diffs[n].entries, 0)
             prods = [{k: ring.normalize(-v) for k, v in
                       _right_mul(ring, b.entries, d_rows).items()}
                      for b in f_bases[n - 1]]
-            contributions.append((("f", n - 1), prods))
+            contributions.append((n - 1, prods))
         if contributions:
             sys.add_rows(proj, contributions)
-    out = []
-    from .chain import ChainMap
+    # the orbit-basis maps of one degree have disjoint supports, so a
+    # vector gives the zero map exactly when all its coefficients vanish
+    vectors = []
     for sol in sys.kernel():
-        comps = {}
-        for n, basis in f_bases.items():
-            f = _combine(ring, basis, sol[("f", n)], X.terms[n], Y.terms[n])
-            if not f.is_zero():
-                comps[n] = f
-        if comps:
-            out.append(ChainMap(X, Y, comps))
+        v = {n: {k: c for k, c in enumerate(cs) if c != 0}
+             for n, cs in sol.items()}
+        if any(v.values()):
+            vectors.append(v)
+    return f_bases, vectors
+
+
+def _component(X, Y, bases, vector, n):
+    """Degree n of the chain map with coefficients ``vector``."""
+    coeffs = vector.get(n)
+    if not coeffs:
+        return zero_map(X.term(n), Y.term(n))
+    return _combine(X.ring, [bases[n][k] for k in coeffs],
+                    list(coeffs.values()), X.terms[n], Y.terms[n])
+
+
+def _chain_map(X, Y, bases, vector):
+    """The chain map X -> Y with coefficients ``vector`` on ``bases``;
+    ChainMap checks its squares."""
+    from .chain import ChainMap
+    comps = {}
+    for n in vector:
+        f = _component(X, Y, bases, vector, n)
+        if not f.is_zero():
+            comps[n] = f
+    return ChainMap(X, Y, comps)
+
+
+def _combine_vectors(vectors, coeffs):
+    """sum_i coeffs_i vectors_i, with the basis indices of each degree
+    in order of first use: a map built in that order has the entry
+    order of the sum of the maps of the vectors, which elimination
+    reads for its pivot ties."""
+    out = {}
+    for c, vec in zip(coeffs, vectors):
+        if c == 0:
+            continue
+        for n, xs in vec.items():
+            acc = out.setdefault(n, {})
+            for k, x in xs.items():
+                acc[k] = acc.get(k, 0) + c * x
     return out
 
 
@@ -1458,7 +1508,7 @@ def find_homotopy_equivalence(X, Y):
             yield ChainMap(X, Y, {n: EquivMap(M, Y.terms[n],
                                               {(i, i): 1 for i in range(M.rank)})
                                   for n, M in X.terms.items()})
-        space = chain_map_space(X, Y)
+        bases, space = chain_map_space(X, Y)
         # Bezout combination on concentrated rank-one free homology
         conc = [n for n, inv in profX.items() if inv != (0, ())]
         if len(conc) == 1 and profX[conc[0]] == (1, ()):
@@ -1475,8 +1525,8 @@ def find_homotopy_equivalence(X, Y):
             scalars = []
             t = len(cycY)
             K_rows = _column_rows(cycY, Y.term(n0).rank)
-            for f in space:
-                w = f.component(n0).apply(vX)
+            for v in space:
+                w = _component(X, Y, bases, v, n0).apply(vX)
                 sol = _solve_vector(ring, K_rows, t, w)
                 if sol is None:
                     scalars.append(None)
@@ -1485,11 +1535,9 @@ def find_homotopy_equivalence(X, Y):
                                if fgY.factors else ring.zero)
             combo = _unit_combination(ring, scalars)
             if combo is not None:
-                yield ChainMap(X, Y, {n: _combine(
-                    ring, [f.component(n) for f in space], combo,
-                    X.terms[n], Y.terms[n]) for n in X.terms if n in Y.terms})
-        for f in space:
-            yield f
+                yield _chain_map(X, Y, bases, _combine_vectors(space, combo))
+        for v in space:
+            yield _chain_map(X, Y, bases, v)
 
     tried = 0
     for f in candidates():

@@ -18,7 +18,17 @@ signed augmentation, t the attaching map of the degree-m slice).
 Every constructed object is verified before being returned: terms are
 permutation modules, degree 0 is R, degree 1 is induced from H, the
 complex is acyclic, and its restriction to H is contractible with an
-explicit contraction certificate.
+explicit contraction certificate.  Acyclicity is certified by d o d = 0
+(a sparse product) together with the verified contraction of the
+restriction, which contracts the underlying complex; homology is
+computed only to name a failure.  Each object is built once per
+(group, subgroup, ring) and kept on its group (``Group.koszul_objects``).
+
+The base-change checks along Z -> F_p and Z -> Q carry the integral
+contraction certificate through the ring map and re-verify it over
+each ring, and over Q average it into a contraction of the whole
+complex (|G| is invertible there), verified in turn; nothing is solved
+again.
 """
 
 from itertools import product as iproduct
@@ -31,7 +41,8 @@ from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
                     tensor_chain_maps, cone, restrict_complex,
                     transport_complex, base_change_complex)
-from .homotopy import is_contractible, homology_profile
+from .homotopy import (is_contractible, homology_profile,
+                       ContractionCertificate, _average_homotopy)
 from .rings import factorize
 
 
@@ -342,11 +353,22 @@ class KoszulVerificationError(AssertionError):
     pass
 
 
-def verify_koszul(X, G, H, ring, check_restriction=True):
-    """Check the four defining invariants; returns the audit dict.
+def verify_koszul(X, G, H, ring, check_restriction=True, contraction=None):
+    """Check the four defining invariants; returns (audit dict,
+    contraction certificate of the restriction to H or None).
+
+    d o d = 0 is checked as a sparse product.  A verified contraction
+    of Res_H X contracts the underlying complex, so it certifies
+    acyclicity too; ``homology_profile`` runs only when no contraction
+    exists, to tell "not acyclic" from "restriction not contractible",
+    or when ``check_restriction`` is false.  ``contraction`` is an
+    integral certificate for Res_H of the complex that X is the base
+    change of: it is carried over to ``ring`` and verified there
+    instead of solving again.
 
     Raises KoszulVerificationError on any failure (these are theory
-    violations, never silently tolerated).
+    violations, never silently tolerated), and CertificateError when
+    d o d != 0 or a carried contraction does not verify.
     """
     report = {}
     if not X.all_terms_permutation():
@@ -360,19 +382,30 @@ def verify_koszul(X, G, H, ring, check_restriction=True):
     if 1 in X.terms and not is_induced_from(X.terms[1], H):
         raise KoszulVerificationError("degree-1 term is not induced from H")
     report["degree1_induced"] = True
+    X.check_square_zero()
+    if not check_restriction:
+        _require_acyclic(X)
+        report["acyclic"] = True
+        return report, None
+    res = restrict_complex(X, H)
+    if contraction is None:
+        ok, cert = is_contractible(res)
+    else:
+        ok, cert = True, contraction.carried_to(res)
+        cert.verify()
+    if not ok:
+        _require_acyclic(X)
+        raise KoszulVerificationError(
+            "restriction to H is not contractible: %r" % (cert,))
+    report["acyclic"] = True
+    report["restriction_contractible"] = True
+    return report, cert
+
+
+def _require_acyclic(X):
     prof = homology_profile(X)
     if prof:
         raise KoszulVerificationError("complex is not acyclic: %r" % (prof,))
-    report["acyclic"] = True
-    if check_restriction:
-        res = restrict_complex(X, H)
-        ok, cert = is_contractible(res)
-        if not ok:
-            raise KoszulVerificationError(
-                "restriction to H is not contractible: %r" % (cert,))
-        report["restriction_contractible"] = True
-        return report, cert
-    return report, None
 
 
 def koszul_object(G, H, ring):
@@ -381,7 +414,21 @@ def koszul_object(G, H, ring):
     G must be a p-group.  For p > 2 a single tensor induction (index
     at most 4) followed by an orbitwise rebase; for p = 2 the iterated
     tensor-induce / sign-modify tower along the index-2 filtration.
+    The object is built and verified once per (H, ring) and kept on G
+    in ``G.koszul_objects``; later calls return the same object.
     """
+    key = (H.elements, ring)
+    kos = G.koszul_objects.get(key)
+    if kos is None:
+        X, audit = _build_koszul(G, H, ring)
+        audit["checks"], cert = verify_koszul(X, G, H, ring)
+        kos = G.koszul_objects[key] = KoszulObject(X, G, H, ring, audit,
+                                                   cert)
+    return kos
+
+
+def _build_koszul(G, H, ring):
+    """The unverified complex of kos(G, H) and its audit."""
     pk = prime_power(G.order) if G.order > 1 else (2, 0)
     assert pk is not None, "Koszul objects need a p-group"
     p = pk[0]
@@ -390,9 +437,7 @@ def koszul_object(G, H, ring):
         X = koszul_base(G, ring) if G.order == 1 else \
             transport_complex(koszul_base(subgroup_as_group(H)[0], ring), G)
         audit["tower"] = []
-        report, cert = verify_koszul(X, G, H, ring)
-        audit["checks"] = report
-        return KoszulObject(X, G, H, ring, audit, cert)
+        return X, audit
     if p != 2:
         H_grp, _ = subgroup_as_group(H)
         X = tensor_induce(koszul_base(H_grp, ring), H)
@@ -412,9 +457,7 @@ def koszul_object(G, H, ring):
         X = Complex(G, ring, terms, diffs)
         audit["tower"] = [{"from": H.describe(), "to": G.name,
                            "index": H.index, "action": "tensor-induce+rebase"}]
-        report, cert = verify_koszul(X, G, H, ring)
-        audit["checks"] = report
-        return KoszulObject(X, G, H, ring, audit, cert)
+        return X, audit
     # p = 2: walk the index-2 filtration
     chain = index2_filtration(G, H)
     audit["filtration"] = [S.describe() for S in chain]
@@ -429,29 +472,30 @@ def koszul_object(G, H, ring):
                       "ranks": X.rank_vector(),
                       "modification": mod_audit})
     audit["tower"] = steps
-    X = transport_complex(X, G)
-    report, cert = verify_koszul(X, G, H, ring)
-    audit["checks"] = report
-    return KoszulObject(X, G, H, ring, audit, cert)
+    return transport_complex(X, G), audit
 
 
 def base_change_koszul_check(G, H, p):
-    """Build kos(G, H) over Z and re-verify after base change.
+    """Re-verify kos(G, H) over Z after base change to F_p and to Q.
 
-    To F_p the three structural postconditions and the contractible
-    restriction must survive; over Q additionally the whole complex is
-    contractible (the group order is invertible).  Returns a report.
+    The integral object is the one kept on G (built once).  Over F_p
+    the three structural postconditions, d o d = 0 and the integral
+    contraction of the restriction, carried through the ring map and
+    re-verified, must survive.  Over Q additionally the whole complex
+    is contractible, since |G| is invertible: the carried contraction
+    is G-averaged and verified.  Nothing is solved again; a carried
+    contraction that fails raises CertificateError.  Returns a report.
     """
     from .rings import ZZ, QQ, GF
     kos = koszul_object(G, H, ZZ)
     report = {"integral": kos.audit["checks"]}
     Xp = base_change_complex(kos.complex, GF(p))
-    rp, _ = verify_koszul(Xp, G, H, GF(p))
-    report["mod_p"] = rp
+    report["mod_p"], _ = verify_koszul(Xp, G, H, GF(p),
+                                       contraction=kos.certificate)
     Xq = base_change_complex(kos.complex, QQ)
-    rq, _ = verify_koszul(Xq, G, H, QQ)
-    ok, cert = is_contractible(Xq)
-    assert ok, "rational Koszul object must be contractible"
+    rq, cert = verify_koszul(Xq, G, H, QQ, contraction=kos.certificate)
+    raw = {n: f.entries for n, f in cert.h.items()}
+    ContractionCertificate(Xq, _average_homotopy(Xq, raw)).verify()
     rq["rational_contractible"] = True
     report["rational"] = rq
     return report

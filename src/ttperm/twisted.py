@@ -223,8 +223,10 @@ def _transport(G, ring, q1, q2):
                            canonical_u_power(G, q2, ring))
         Y = canonical_u_power(G, q1 + q2, ring)
         eq = find_homotopy_equivalence(X, Y)
-        assert isinstance(eq, Equivalence), \
-            "no canonical identification for %s x %s: %r" % (q1, q2, eq)
+        if not isinstance(eq, Equivalence):
+            raise TheoryCheckFailure(
+                "no canonical identification for %s x %s: %r"
+                % (q1, q2, eq))
         G.twist_complexes[key] = (eq, X)
     return G.twist_complexes[key]
 

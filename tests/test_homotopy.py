@@ -564,7 +564,7 @@ def test_incremental_pivot_search_matches_rescan_on_random_matrices(ring):
 
 @pytest.mark.parametrize("argv", [
     ["invert", "--group", "C5", "--ring", "Z"],
-    ["kos", "--group", "C2xC2", "--subgroup", "1", "--ring", "F3"],
+    ["twisted", "--group", "C3", "--ring", "F3", "--max-twist", "3"],
 ])
 def test_incremental_pivot_search_matches_rescan_on_command_systems(
         argv, monkeypatch, capsys):
@@ -625,20 +625,11 @@ sys.exit(run(["invert", "--group", "C3", "--ring", "Z"]))
 """
 
 
-def test_corrupted_contractions_are_rejected_under_python_O():
+def test_corrupted_contractions_are_rejected_under_python_O(python_O):
     # certificate checks raise CertificateError instead of asserting, so
     # python -O keeps them, and the command still exits 2 with the error
     import json
-    import os
-    import subprocess
-    import sys
-    import ttperm
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ttperm.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONOPTIMIZE", None)
-    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CONTRACTION],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = python_O(_CORRUPTED_CONTRACTION)
     assert proc.returncode == 2, proc.stderr
     out = json.loads(proc.stdout)
     assert out["error"] == "CertificateError"
@@ -679,21 +670,12 @@ for name, build in bad.items():
 """
 
 
-def test_corrupted_inputs_are_rejected_under_python_O():
+def test_corrupted_inputs_are_rejected_under_python_O(python_O):
     # the action, equivariance, chain-map square and d o d checks raise
     # CertificateError, so python -O keeps them
-    import os
-    import subprocess
-    import sys
-    import ttperm
     from ttperm import homotopy, permod
     assert homotopy.CertificateError is permod.CertificateError
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ttperm.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONOPTIMIZE", None)
-    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_INPUTS],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = python_O(_CORRUPTED_INPUTS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "action action is not a homomorphism",
@@ -701,3 +683,47 @@ def test_corrupted_inputs_are_rejected_under_python_O():
         "square square at degree 1 does not commute",
         "d o d d o d != 0 at degree 1",
     ]
+
+
+def test_chain_maps_are_built_only_for_tried_candidates(monkeypatch, capsys):
+    from ttperm import homotopy
+    from ttperm.cli import run
+    vectors, built, tried = [], [], []
+
+    def spy(name, log, count):
+        real = getattr(homotopy, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            log.append(count(result))
+            return result
+
+        monkeypatch.setattr(homotopy, name, wrapper)
+
+    spy("chain_map_space", vectors, lambda out: len(out[1]))
+    spy("_chain_map", built, lambda f: 1)
+    spy("_try_equivalence", tried, lambda eq: 1)
+    assert run(["twisted", "--group", "C3", "--ring", "Z",
+                "--max-twist", "3"]) == 0
+    capsys.readouterr()
+    assert len(built) <= len(tried) < sum(vectors)
+
+
+def test_combined_chain_map_keeps_the_entry_order_of_the_summed_maps():
+    # the Bezout candidate is built from combined coefficient vectors;
+    # the reference sums the built maps, whose entry order elimination
+    # reads for its pivot ties
+    from ttperm.homotopy import (chain_map_space, _chain_map,
+                                 _combine_vectors, _combine)
+    G = cyclic(3)
+    U = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+    X = tensor_complex(U, U)
+    bases, space = chain_map_space(X, X)
+    maps = [_chain_map(X, X, bases, v) for v in space]  # squares checked
+    assert maps and not any(m.is_zero() for m in maps)
+    combo = [(-1) ** i * (i % 5) for i in range(len(space))]
+    f = _chain_map(X, X, bases, _combine_vectors(space, combo))
+    for n, M in X.terms.items():
+        ref = _combine(ZZ, [m.component(n) for m in maps], combo, M, M)
+        assert list(f.component(n).entries.items()) == \
+            list(ref.entries.items()), n

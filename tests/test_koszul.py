@@ -13,6 +13,7 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF
 from ttperm.chain import base_change_complex
 from ttperm.homotopy import is_contractible
+from ttperm.permod import CertificateError
 from ttperm.koszul import (koszul_object, verify_koszul,
                            KoszulVerificationError, prime_power,
                            base_change_koszul_check, sign_twist_complex)
@@ -93,10 +94,13 @@ def test_verify_koszul_rejects_wrong_order_two_subgroup():
 
 
 def test_verify_koszul_rejects_non_acyclic():
+    # without a contraction, the homology profile names the failure
     from ttperm.chain import unit_complex
     G = cyclic(2)
-    with pytest.raises(KoszulVerificationError):
-        verify_koszul(unit_complex(G, ZZ), G, G.trivial_subgroup(), ZZ)
+    for check_restriction in (True, False):
+        with pytest.raises(KoszulVerificationError, match="not acyclic"):
+            verify_koszul(unit_complex(G, ZZ), G, G.trivial_subgroup(), ZZ,
+                          check_restriction=check_restriction)
 
 
 def test_koszul_over_fields():
@@ -141,3 +145,143 @@ def test_restriction_of_koszul_is_contractible():
         from ttperm.chain import restrict_complex
         ok, cert = is_contractible(restrict_complex(kos.complex, H))
         assert ok
+
+
+def test_kos_verify_builds_the_integral_object_once(monkeypatch, capsys):
+    # base_change_koszul_check reuses the object cmd_kos built: --verify
+    # runs as many tensor inductions as the plain command
+    from ttperm import koszul
+    from ttperm.cli import run
+    steps = []
+    real = koszul.tensor_induce
+
+    def counting(X, S):
+        steps.append(S.describe())
+        return real(X, S)
+
+    monkeypatch.setattr(koszul, "tensor_induce", counting)
+    assert run(["kos", "--group", "C4", "--subgroup", "1"]) == 0
+    plain = len(steps)
+    del steps[:]
+    assert run(["kos", "--group", "C4", "--subgroup", "1", "--verify"]) == 0
+    capsys.readouterr()
+    assert plain == len(steps) == 2
+    G = cyclic(4)
+    H = G.trivial_subgroup()
+    kos = koszul_object(G, H, ZZ)
+    assert koszul_object(G, H, ZZ) is kos
+    assert list(G.koszul_objects.values()) == [kos]
+
+
+def test_kos_verify_solves_nothing_over_fields(monkeypatch, capsys):
+    # the Z contraction is carried to F_p and Q; acyclicity comes from
+    # it, so no homology profile runs either
+    from ttperm import homotopy, koszul
+    from ttperm.cli import run
+    rings, profiles = [], []
+    real_solve = homotopy.solve_sparse
+    real_profile = homotopy.homology_profile
+
+    def solving(ring, rows, ncols, rhs):
+        rings.append(ring.name)
+        return real_solve(ring, rows, ncols, rhs)
+
+    def profiling(X):
+        profiles.append(X.ring.name)
+        return real_profile(X)
+
+    monkeypatch.setattr(homotopy, "solve_sparse", solving)
+    monkeypatch.setattr(homotopy, "homology_profile", profiling)
+    monkeypatch.setattr(koszul, "homology_profile", profiling)
+    assert run(["kos", "--group", "C4", "--subgroup", "1", "--verify"]) == 0
+    capsys.readouterr()
+    assert rings and set(rings) == {"Z"}
+    assert profiles == []
+
+
+@pytest.mark.parametrize("delta", [1, 2], ids=["mod_p", "rational"])
+def test_corrupted_carried_contraction_fails_after_base_change(delta):
+    # one entry of the verified Z contraction kept on G, plus delta: 1
+    # breaks the identity mod 2 already, 2 survives reduction mod 2 and
+    # must be caught over Q
+    G = cyclic(2)
+    H = G.trivial_subgroup()
+    kos = koszul_object(G, H, ZZ)
+    entries = kos.certificate.h[min(kos.certificate.h)].entries
+    entries[next(iter(entries))] += delta
+    for ring in ((GF(2), QQ) if delta == 1 else (QQ,)):
+        X = base_change_complex(kos.complex, ring)
+        with pytest.raises(CertificateError, match="identity fails"):
+            verify_koszul(X, G, H, ring, contraction=kos.certificate)
+    with pytest.raises(CertificateError, match="identity fails"):
+        base_change_koszul_check(G, H, 2)
+
+
+def test_rational_whole_contraction_is_verified(monkeypatch):
+    from ttperm import koszul
+    real = koszul._average_homotopy
+
+    def dropping_top(X, raw):
+        h = real(X, raw)
+        del h[max(h)]
+        return h
+
+    monkeypatch.setattr(koszul, "_average_homotopy", dropping_top)
+    G = cyclic(2)
+    with pytest.raises(CertificateError, match="identity fails"):
+        base_change_koszul_check(G, G.trivial_subgroup(), 2)
+
+
+def test_verify_koszul_rejects_unchecked_complex_with_nonzero_d_squared():
+    # R = R = R = R with identity differentials passes the structural
+    # checks, and h = (1, 0, 1) satisfies d h + h d = id although
+    # d o d != 0; built with check=False, only the d o d check sees it
+    from ttperm.chain import Complex, restrict_complex
+    from ttperm.permod import identity_map, trivial_module
+    G = cyclic(2)
+    H = subgroup_of_order(G, 2)[0]
+    R = trivial_module(G, ZZ)
+    X = Complex(G, ZZ, {n: R for n in range(4)},
+                {n: identity_map(R) for n in range(1, 4)}, check=False)
+    assert is_contractible(restrict_complex(X, H))[0]
+    with pytest.raises(CertificateError, match="d o d != 0 at degree 1"):
+        verify_koszul(X, G, H, ZZ)
+
+
+_BROKEN_BASE_CHANGE = """
+import sys
+from ttperm import koszul
+from ttperm.grp import cyclic
+from ttperm.permod import CertificateError
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+for delta in (1, 2):
+    G = cyclic(2)
+    H = G.trivial_subgroup()
+    h = koszul.koszul_object(G, H, ZZ).certificate.h
+    entries = h[min(h)].entries
+    entries[next(iter(entries))] += delta
+    try:
+        koszul.base_change_koszul_check(G, H, 2)
+        sys.exit("a corrupted contraction passed after base change")
+    except CertificateError as exc:
+        print("carried", delta, exc)
+koszul._average_homotopy = lambda X, raw: {}
+G = cyclic(2)
+try:
+    koszul.base_change_koszul_check(G, G.trivial_subgroup(), 2)
+    sys.exit("an empty rational contraction passed")
+except CertificateError as exc:
+    print("rational", exc)
+"""
+
+
+def test_base_change_checks_survive_python_O(python_O):
+    proc = python_O(_BROKEN_BASE_CHANGE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "carried 1 homotopy identity fails at degree 0",
+        "carried 2 homotopy identity fails at degree 0",
+        "rational homotopy identity fails at degree 0",
+    ]

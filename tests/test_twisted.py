@@ -354,3 +354,41 @@ def test_is_elementary_abelian():
     assert is_elementary_abelian(cyclic(1))
     assert not is_elementary_abelian(cyclic(4))
     assert not is_elementary_abelian(parse_group_name("C6"))
+
+
+def test_transport_without_equivalence_is_a_theory_failure(monkeypatch):
+    from ttperm import twisted
+    from ttperm.homotopy import Inconclusive
+    monkeypatch.setattr(twisted, "find_homotopy_equivalence",
+                        lambda X, Y: Inconclusive("no candidate"))
+    G = cyclic(2)
+    q = Twist.single(index_p_normal_subgroups(G)[0])
+    with pytest.raises(twisted.TheoryCheckFailure,
+                       match="no canonical identification"):
+        twisted._transport(G, ZZ, q, q)
+    assert not G.twist_complexes.get((ZZ, q.key(), q.key()))
+
+
+_TRANSPORT_WITHOUT_EQUIVALENCE = """
+import sys
+from ttperm import twisted
+from ttperm.grp import cyclic
+from ttperm.homotopy import Inconclusive
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+twisted.find_homotopy_equivalence = lambda X, Y: Inconclusive("no candidate")
+G = cyclic(2)
+q = twisted.Twist.single(twisted.index_p_normal_subgroups(G)[0])
+try:
+    twisted._transport(G, ZZ, q, q)
+    sys.exit("a transport without an equivalence passed")
+except twisted.TheoryCheckFailure as exc:
+    print(exc)
+"""
+
+
+def test_transport_check_survives_python_O(python_O):
+    proc = python_O(_TRANSPORT_WITHOUT_EQUIVALENCE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("no canonical identification")
