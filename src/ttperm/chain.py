@@ -124,13 +124,6 @@ class ChainMap:
     def is_zero(self):
         return all(f.is_zero() for f in self.components.values())
 
-    def compose(self, other):
-        """self o other."""
-        comps = {}
-        for n in other.components:
-            comps[n] = self.component(n).compose(other.components[n])
-        return ChainMap(other.source, self.target, comps)
-
     def __repr__(self):
         return "ChainMap(%r -> %r)" % (self.source, self.target)
 

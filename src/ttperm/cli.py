@@ -23,7 +23,7 @@ import json
 import sys
 
 from .grp import parse_group_name, subgroups, MAX_ORDER
-from .rings import ZZ, domain_from_name, factorize
+from .rings import ZZ, domain_from_name
 from .homotopy import (find_homotopy_equivalence, Equivalence,
                        SolverCapExceeded)
 from .chain import tensor_complex, dual_complex, unit_complex
@@ -232,11 +232,6 @@ def cmd_spectrum(args):
     G = _parse_arg(parse_group_name, args.group)
     if not G.is_cyclic():
         raise UsageError("spectrum assembly admits cyclic groups only")
-    for p, n in factorize(G.order).items():
-        if n > args.seed_bound:
-            raise UsageError(
-                "modular chain for p=%d has length %d > --seed-bound %d"
-                % (p, n, args.seed_bound))
     _check_order(G)
     P = spectrum.orbit_colimit(G)
     report = spectrum.validate(P)
@@ -312,7 +307,6 @@ def cmd_verify(args):
         "shift_max": (inputs.get("shift_window") or [None, None])[1],
         "format": "json",
         "verify": "base_change" in recorded,
-        "seed_bound": 64,
     })
     if command == "kos":
         fresh = json.loads(cmd_kos(ns))
@@ -423,12 +417,11 @@ def build_parser():
     tw.add_argument("--format", choices=["json", "text"], default="json")
     tw.set_defaults(handler=cmd_twisted)
 
-    spc = sub.add_parser("spectrum", help="symbolic spectrum poset")
+    spc = sub.add_parser("spectrum", help="symbolic spectrum poset of a "
+                         "cyclic group of order at most %d" % MAX_ORDER)
     spc.add_argument("--group", required=True)
     spc.add_argument("--format", choices=["json", "text", "dot"],
                      default="json")
-    spc.add_argument("--seed-bound", type=int, default=8, dest="seed_bound",
-                     help="largest admitted modular chain length")
     spc.set_defaults(handler=cmd_spectrum)
 
     inv = sub.add_parser("invert", help="certify invertibility of u_N")

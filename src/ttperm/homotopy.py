@@ -1,12 +1,17 @@
 """Exact homological linear algebra for complexes of permutation modules.
 
 Everything here reduces to sparse linear algebra over Z, Q or GF(p).
-Maps are ``permod.EquivMap`` entries dicts {(row, col): value}; the
-elimination reads a map as row dicts {col: value} through
-``EquivMap.rows``, columns ascending within each row (``sparse_rows``
-gives small dense matrices the same order).  Pivot ties are broken in
-that order, so it decides which certificate a solve returns; the
-pivot rule itself is stated on ``_diagonalize``.
+Maps are ``permod.EquivMap`` entries dicts {(row, col): value} and
+vectors the dicts {index: value} of their nonzero coordinates (see
+``permod``); the elimination reads a map as row dicts {col: value}
+through ``EquivMap.rows``, columns ascending within each row
+(``sparse_rows`` gives small dense matrices the same order, and
+``_by_rows`` a list of column vectors).  Pivot ties are broken in that
+order, so it decides which certificate a solve returns; the pivot rule
+itself is stated on ``_diagonalize``.  Kernel vectors and the block
+coefficient vectors of ``_System`` list their indices in ascending
+order, and a coefficient vector never holds a zero, so a map combined
+from one (``_combine``) has its entries in a fixed order.
 
 * ``smith_normal_form`` returns (U, D, V) with A = U . D . V, U and V
   invertible over the ring, D diagonal with a divisibility chain; the
@@ -14,7 +19,8 @@ pivot rule itself is stated on ``_diagonalize``.
   failure raises ``CertificateError``, also under ``python -O``).  It
   serves generator tracking only (``FgModule`` on small relation
   matrices, for ``underlying_homology`` and hom groups) and is the one
-  dense computation left;
+  dense computation left; whether classes generate a group
+  (``twisted._generates``) is read off ``_diagonalize`` instead;
 * ``solve_sparse`` / ``kernel_sparse`` work on sparse row dictionaries
   and track column operations only, which keeps big homotopy systems
   tractable (solutions pull back through the accumulated column ops);
@@ -41,7 +47,7 @@ from math import gcd
 
 from .permod import (equivariant_hom_basis, EquivMap, CertificateError,
                      zero_map, _index, _normalized, _left_mul, _right_mul,
-                     _composite)
+                     _composite, _combination, _scaled)
 from .rings import mat_identity, mat_mul
 
 
@@ -68,13 +74,13 @@ def sparse_rows(matrix):
 
 
 def _by_rows(cols):
-    """{row: {k: value}} for the nonzeros of the dense columns cols[k]:
-    the matrix they form, or right-hand sides for ``solve_sparse``."""
+    """{row: {k: value}} for the column vectors cols[k]: the matrix they
+    form, or right-hand sides for ``solve_sparse``.  The columns are
+    walked in k order, so every row dict is k-ascending."""
     out = {}
     for k, col in enumerate(cols):
-        for r, v in enumerate(col):
-            if v != 0:
-                out.setdefault(r, {})[k] = v
+        for r, v in col.items():
+            out.setdefault(r, {})[k] = v
     return out
 
 
@@ -351,20 +357,16 @@ def solve_sparse(ring, rows, ncols, rhs):
 
 
 def _solve_vector(ring, rows, ncols, b):
-    """``solve_sparse`` for one dense right side b: the solution as a
-    dense list of length ``ncols``, or None."""
-    sols = solve_sparse(ring, rows, ncols,
-                        {r: {0: v} for r, v in enumerate(b) if v != 0})
-    if sols is None:
-        return None
-    x = sols.get(0, {})
-    return [x.get(c, ring.zero) for c in range(ncols)]
+    """``solve_sparse`` for one right side, the vector b: the solution
+    vector, or None."""
+    sols = solve_sparse(ring, rows, ncols, {r: {0: v} for r, v in b.items()})
+    return None if sols is None else sols.get(0, {})
 
 
 def _boundary_relations(ring, cycles, dim, bcols):
-    """The boundary columns ``bcols`` in the coordinates of the cycle
-    basis ``cycles`` (columns of length ``dim``): the dense relations
-    matrix, one column per boundary."""
+    """The boundary vectors ``bcols`` in the coordinates of the cycle
+    basis ``cycles`` (vectors in a space of dimension ``dim``): the dense
+    relations matrix for Smith normal form, one column per boundary."""
     t = len(cycles)
     sols = solve_sparse(ring, _column_rows(cycles, dim), t, _by_rows(bcols))
     assert sols is not None, "boundaries must be cycles"
@@ -376,16 +378,11 @@ def _boundary_relations(ring, cycles, dim, bcols):
 
 
 def kernel_sparse(ring, rows, ncols):
-    """A lattice/vector-space basis of ker A, as dense column vectors."""
+    """A lattice/vector-space basis of ker A, as vectors, indices
+    ascending."""
     work = [dict(r) for r in rows]
     pivots, P, free_cols, _ = _diagonalize(ring, work, ncols)
-    out = []
-    for c in free_cols:
-        x = [ring.zero] * ncols
-        for i, pv in P[c].items():
-            x[i] = pv
-        out.append(x)
-    return out
+    return [dict(sorted(P[c].items())) for c in free_cols]
 
 
 def rank_sparse(ring, rows, ncols):
@@ -557,40 +554,27 @@ class FgModule:
 
     ``factors`` lists one invariant factor per retained summand: 0 for
     a free summand, d > 1 for torsion Z/d (over a field only 0 occurs).
-    ``generators`` give each retained summand's generator in the
-    ambient t-dimensional coordinates.
+    ``generators`` give each retained summand's generator as a vector in
+    the ambient t-dimensional coordinates.  The relations are a dense
+    t x s matrix, as Smith normal form reads them; no relations is the
+    t x 0 matrix, whose Smith form is the identity.
     """
 
     def __init__(self, ring, t, relations):
         self.ring = ring
         self.t = t
-        if t == 0:
-            self.factors = []
-            self.generators = []
-            self._Uinv = []
-            self._all_factors = []
-            return
-        if not relations or len(relations[0]) == 0:
-            # no relations: free of rank t on the standard basis
-            self._Uinv = mat_identity(ring, t)
-            self._all_factors = [ring.zero] * t
-            self.factors = list(self._all_factors)
-            self.generators = [
-                [ring.one if r == i else ring.zero for r in range(t)]
-                for i in range(t)]
-            return
-        U, D, V = smith_normal_form(ring, relations)
+        U, D, V = smith_normal_form(ring, relations or [[] for _ in range(t)])
         self._Uinv = matrix_inverse(ring, U)
-        s = len(relations[0])
-        diag = [D[i][i] if i < s else ring.zero for i in range(t)]
-        self._all_factors = diag
+        self._all_factors = [row[i] if i < len(row) else ring.zero
+                             for i, row in enumerate(D)]
         self.factors = []
         self.generators = []
-        for i, d in enumerate(diag):
+        for i, d in enumerate(self._all_factors):
             if d != 0 and ring.is_unit(d):
                 continue
             self.factors.append(d)
-            self.generators.append([U[r][i] for r in range(t)])
+            self.generators.append({r: U[r][i] for r in range(t)
+                                    if U[r][i] != 0})
 
     def is_zero(self):
         return not self.factors
@@ -616,24 +600,18 @@ class FgModule:
         return " (+) ".join(parts)
 
     def coords(self, v):
-        """Reduced coordinates of an ambient vector, one per factor."""
-        assert len(v) == self.t
-        if self.t == 0:
-            return ()
-        y = [sum(self._Uinv[i][j] * v[j] for j in range(self.t))
-             for i in range(self.t)]
+        """Reduced coordinates of an ambient vector, one per factor.
+        Unit factors absorb their coordinate (they are relations of the
+        form e_i = 0 up to change of basis)."""
+        ring = self.ring
         out = []
         for i, d in enumerate(self._all_factors):
-            c = self.ring.normalize(y[i])
-            if d == 0:
-                out.append((i, c))
-            elif self.ring.is_unit(d):
+            if d != 0 and ring.is_unit(d):
                 continue
-            else:
-                out.append((i, self.ring.normalize(c % d)))
-        # unit factors must absorb their coordinate exactly (they are
-        # relations of the form e_i = 0 up to change of basis)
-        return tuple(c for (_, c) in out)
+            Ui = self._Uinv[i]
+            c = ring.normalize(sum(Ui[j] * x for j, x in v.items()))
+            out.append(c if d == 0 else ring.normalize(c % d))
+        return tuple(out)
 
     def iso_invariants(self):
         return (self.free_rank(), tuple(sorted(abs(d) for d in self.torsion())))
@@ -664,15 +642,13 @@ def classes_equal_up_to_unit(fg, v, w):
         return True
     units = _units_of(ring)
     if units is not None:
-        return any(fg.same_class(v, [ring.normalize(u * c) for c in w])
-                   for u in units)
+        return any(fg.same_class(v, _scaled(ring, u, w)) for u in units)
     # over Q scale by the ratio of the first nonzero coordinates
     cv, cw = fg.coords(v), fg.coords(w)
     for a, b in zip(cv, cw):
         if b != 0:
             u = a / b
-            return u != 0 and fg.same_class(
-                v, [ring.normalize(u * c) for c in w])
+            return u != 0 and fg.same_class(v, _scaled(ring, u, w))
     return all(c == 0 for c in cv)
 
 
@@ -683,9 +659,9 @@ def homology_from_matrices(ring, out_rows, in_cols, dim):
     """H = ker(d_out) / im(d_in) with generator tracking.
 
     ``out_rows``: row dicts of d_out : X_n -> X_{n-1} (may be [] when
-    absent); ``in_cols``: the columns of d_in : X_{n+1} -> X_n as dense
+    absent); ``in_cols``: the columns of d_in : X_{n+1} -> X_n as
     vectors; ``dim`` = rank of X_n.  Returns (FgModule over cycle
-    coordinates, cycle basis as ambient columns).  Generators in
+    coordinates, cycle basis as ambient vectors).  Generators in
     ambient coordinates are K . g.
     """
     if dim == 0:
@@ -693,8 +669,7 @@ def homology_from_matrices(ring, out_rows, in_cols, dim):
     if out_rows:
         cycles = kernel_sparse(ring, out_rows, dim)
     else:
-        cycles = [[ring.one if i == j else ring.zero for i in range(dim)]
-                  for j in range(dim)]
+        cycles = [{j: ring.one} for j in range(dim)]
     t = len(cycles)
     if t == 0:
         return FgModule(ring, 0, []), []
@@ -756,7 +731,7 @@ def _invariant_factors(diagonal):
 # invariants and hom groups
 
 def invariant_data(M):
-    """(columns, roots): orbit-sum basis of M^G and one root index each."""
+    """(vectors, roots): orbit-sum basis of M^G and one root index each."""
     from .permod import trivial_module
     maps = equivariant_hom_basis(trivial_module(M.group, M.ring), M)
     cols = []
@@ -768,22 +743,16 @@ def invariant_data(M):
 
 
 def _in_invariant_coords(ring, cols, roots, v):
-    """Coordinates of an invariant vector in the orbit-sum basis."""
-    coeff = [v[r] for r in roots]
-    check = [ring.zero] * len(v)
-    for k, col in enumerate(cols):
-        if coeff[k] == 0:
-            continue
-        for i, x in enumerate(col):
-            if x != 0:
-                check[i] = ring.normalize(check[i] + coeff[k] * x)
-    assert [ring.normalize(x) for x in v] == check, \
-        "vector is not invariant"
+    """Coordinates of an invariant vector in the orbit-sum basis, as a
+    coefficient vector."""
+    coeff = {k: v[r] for k, r in enumerate(roots) if r in v}
+    assert _combination(ring, coeff, cols) == v, "vector is not invariant"
     return coeff
 
 
 class InvariantsComplex:
-    """The complex of G-fixed points, in orbit-sum coordinates."""
+    """The complex of G-fixed points, in orbit-sum coordinates: ``cols``
+    the orbit sums and ``dcols`` the differentials' columns, vectors."""
 
     def __init__(self, X):
         self.X = X
@@ -808,14 +777,7 @@ class InvariantsComplex:
         return len(self.cols.get(n, []))
 
     def to_ambient(self, n, coeff):
-        v = [self.ring.zero] * self.X.term(n).rank
-        for k, c in enumerate(coeff):
-            if c == 0:
-                continue
-            for i, x in enumerate(self.cols[n][k]):
-                if x != 0:
-                    v[i] = self.ring.normalize(v[i] + c * x)
-        return v
+        return _combination(self.ring, coeff, self.cols[n])
 
     def from_ambient(self, n, v):
         return _in_invariant_coords(self.ring, self.cols.get(n, []),
@@ -842,14 +804,9 @@ class HomGroup:
             self.ring, out_rows, I.dcols.get(n0 + 1, []), I.dim(n0))
         self.fg = fg
         self.cycles = cycles      # in invariant coordinates
-        self.generators = []
-        for d, g in zip(fg.factors, fg.generators):
-            coeff = [self.ring.zero] * I.dim(n0)
-            for k, gk in enumerate(g):
-                if gk != 0:
-                    for i, ck in enumerate(cycles[k]):
-                        coeff[i] = self.ring.normalize(coeff[i] + gk * ck)
-            self.generators.append((d, I.to_ambient(n0, coeff)))
+        self.generators = [
+            (d, I.to_ambient(n0, _combination(self.ring, g, cycles)))
+            for d, g in zip(fg.factors, fg.generators)]
 
     def label(self):
         return self.fg.label()
@@ -862,12 +819,8 @@ class HomGroup:
 
     def _cycle_coords(self, v_ambient):
         coeff = self.inv.from_ambient(self.degree, v_ambient)
-        t = len(self.cycles)
-        if t == 0:
-            assert all(c == 0 for c in coeff)
-            return []
         rows = _column_rows(self.cycles, self.inv.dim(self.degree))
-        x = _solve_vector(self.ring, rows, t, coeff)
+        x = _solve_vector(self.ring, rows, len(self.cycles), coeff)
         assert x is not None, "vector is not a cycle"
         return x
 
@@ -946,14 +899,8 @@ def hom_group_bruteforce(Y, s):
         fg = FgModule(ring, t, _boundary_relations(ring, cycles, dim, bcols))
     else:
         fg = FgModule(ring, t, [])
-    gens = []
-    for d, g in zip(fg.factors, fg.generators):
-        v = [ring.zero] * dim
-        for k, gk in enumerate(g):
-            if gk != 0:
-                for i, ck in enumerate(cycles[k]):
-                    v[i] = ring.normalize(v[i] + gk * ck)
-        gens.append((d, v))
+    gens = [(d, _combination(ring, g, cycles))
+            for d, g in zip(fg.factors, fg.generators)]
     return fg, gens
 
 
@@ -962,24 +909,20 @@ def hom_group_bruteforce(Y, s):
 
 class _System:
     """A sparse linear system whose unknowns are coefficients of
-    equivariant orbit-basis maps, grouped in named blocks."""
+    equivariant orbit-basis maps, grouped in named blocks; ``rhs`` is
+    the right side, a vector over the rows."""
 
     def __init__(self, ring):
         self.ring = ring
         self.blocks = {}
-        self.order = []
         self.ncols = 0
         self.rows = []
-        self.rhs = []
+        self.rhs = {}
 
     def add_block(self, tag, basis):
         assert tag not in self.blocks
         self.blocks[tag] = (self.ncols, basis)
-        self.order.append(tag)
         self.ncols += len(basis)
-
-    def col(self, tag, k):
-        return self.blocks[tag][0] + k
 
     def add_rows(self, proj_basis, contributions, rhs=None):
         """One equation row per element of ``proj_basis``.
@@ -1014,38 +957,33 @@ class _System:
         for key, idx in roots.items():
             row = {c: v for c, v in eqs[idx].items() if v != 0}
             b = zero if rhs is None else rhs.get(key, zero)
+            if b != 0:
+                self.rhs[len(self.rows)] = b
             if row or b != 0:
                 self.rows.append(row)
-                self.rhs.append(b)
+
+    def _split(self, x):
+        """{tag: {k: coefficient on basis k of the block}} for a vector
+        x of unknowns, k ascending."""
+        return {tag: {k: x[off + k] for k in range(len(basis))
+                      if off + k in x}
+                for tag, (off, basis) in self.blocks.items()}
 
     def solve(self):
         x = _solve_vector(self.ring, self.rows, self.ncols, self.rhs)
-        if x is None:
-            return None
-        out = {}
-        for tag in self.order:
-            off, basis = self.blocks[tag]
-            out[tag] = x[off:off + len(basis)]
-        return out
+        return None if x is None else self._split(x)
 
     def kernel(self):
-        vecs = kernel_sparse(self.ring, self.rows, self.ncols)
-        out = []
-        for x in vecs:
-            d = {}
-            for tag in self.order:
-                off, basis = self.blocks[tag]
-                d[tag] = x[off:off + len(basis)]
-            out.append(d)
-        return out
+        return [self._split(x)
+                for x in kernel_sparse(self.ring, self.rows, self.ncols)]
 
 
 def _combine(ring, basis, coeffs, source, target):
+    """The map sum_k c_k basis[k] for the coefficient vector ``coeffs``
+    {k: c_k}; its entries come in the order the sum first meets them."""
     acc = {}
-    for c, b in zip(coeffs, basis):
-        if c == 0:
-            continue
-        for key, v in b.entries.items():
+    for k, c in coeffs.items():
+        for key, v in basis[k].entries.items():
             acc[key] = acc.get(key, ring.zero) + c * v
     return EquivMap(source, target, acc)
 
@@ -1055,7 +993,7 @@ def _identity_minus(ring, rank, entries):
     acc = {(i, i): ring.one for i in range(rank)}
     for key, v in entries.items():
         acc[key] = acc.get(key, ring.zero) - v
-    return acc
+    return _normalized(ring, acc)
 
 
 class _BasisCount:
@@ -1154,10 +1092,11 @@ def null_homotopy(F):
     return out
 
 
-def check_homotopy(F, h):
-    """Check d h + h d = F exactly, degree by degree, comparing the
-    nonzeros of sparse products; raises CertificateError otherwise."""
-    X, Y = F.source, F.target
+def check_homotopy(X, Y, f, h):
+    """Check d h + h d = f exactly for maps X -> Y, degree by degree,
+    comparing the nonzeros of sparse products; raises CertificateError
+    otherwise.  ``f`` is {n: entries}, an omitted degree counting as
+    zero, and ``h`` is {n: EquivMap X_n -> Y_{n+1}}."""
     ring = X.ring
     for n in X.terms:
         lhs = {}
@@ -1168,7 +1107,7 @@ def check_homotopy(F, h):
                                      _index(X.diffs[n].entries, 0)).items():
                 lhs[key] = lhs.get(key, 0) + v
             lhs = _normalized(ring, lhs)
-        if lhs != F.component(n).entries:
+        if lhs != f.get(n, {}):
             raise CertificateError(
                 "homotopy identity fails at degree %d" % n)
     return True
@@ -1180,8 +1119,10 @@ class ContractionCertificate:
         self.h = h
 
     def verify(self):
-        from .chain import identity_chain_map
-        return check_homotopy(identity_chain_map(self.X), self.h)
+        X = self.X
+        one = X.ring.one
+        return check_homotopy(X, X, {n: {(i, i): one for i in range(M.rank)}
+                                     for n, M in X.terms.items()}, self.h)
 
     def carried_to(self, Y):
         """This integral contraction on Y, the base change of its
@@ -1256,7 +1197,7 @@ def _contraction_rhs(X, n, h_below):
     hd = {}
     if h_below and n in X.diffs:
         hd = _right_mul(ring, h_below, _index(X.diffs[n].entries, 0))
-    return _normalized(ring, _identity_minus(ring, X.terms[n].rank, hd))
+    return _identity_minus(ring, X.terms[n].rank, hd)
 
 
 def _average_homotopy(X, raw):
@@ -1391,13 +1332,7 @@ def chain_map_space(X, Y):
             sys.add_rows(proj, contributions)
     # the orbit-basis maps of one degree have disjoint supports, so a
     # vector gives the zero map exactly when all its coefficients vanish
-    vectors = []
-    for sol in sys.kernel():
-        v = {n: {k: c for k, c in enumerate(cs) if c != 0}
-             for n, cs in sol.items()}
-        if any(v.values()):
-            vectors.append(v)
-    return f_bases, vectors
+    return f_bases, [v for v in sys.kernel() if any(v.values())]
 
 
 def _component(X, Y, bases, vector, n):
@@ -1405,8 +1340,7 @@ def _component(X, Y, bases, vector, n):
     coeffs = vector.get(n)
     if not coeffs:
         return zero_map(X.term(n), Y.term(n))
-    return _combine(X.ring, [bases[n][k] for k in coeffs],
-                    list(coeffs.values()), X.terms[n], Y.terms[n])
+    return _combine(X.ring, bases[n], coeffs, X.terms[n], Y.terms[n])
 
 
 def _chain_map(X, Y, bases, vector):
@@ -1447,17 +1381,15 @@ class Equivalence:
         self.hp = hp     # d hp + hp d = id_Y - f g
 
     def verify(self):
-        from .chain import ChainMap
-        ring = self.f.source.ring
-
-        def identity_minus(comp):
-            Z = comp.source
-            return ChainMap(Z, Z, {n: EquivMap(M, M, _identity_minus(
-                ring, M.rank, comp.component(n).entries))
-                for n, M in Z.terms.items()})
-
-        check_homotopy(identity_minus(self.g.compose(self.f)), self.h)
-        check_homotopy(identity_minus(self.f.compose(self.g)), self.hp)
+        """Check both homotopy identities; f and g are chain maps, so
+        their squares were checked when they were built."""
+        for first, then, h in ((self.f, self.g, self.h),
+                               (self.g, self.f, self.hp)):
+            X = first.source
+            check_homotopy(X, X, {n: _identity_minus(
+                X.ring, M.rank,
+                _composite(then.component(n), first.component(n)))
+                for n, M in X.terms.items()}, h)
         return True
 
 
@@ -1515,19 +1447,13 @@ def find_homotopy_equivalence(X, Y):
             n0 = conc[0]
             fgX, cycX = underlying_homology(X, n0)
             fgY, cycY = underlying_homology(Y, n0)
-            zX = fgX.generators[0]
             # ambient generator cycle of H_{n0}(X)
-            vX = [ring.zero] * X.term(n0).rank
-            for k, gk in enumerate(zX):
-                if gk != 0:
-                    for i, ck in enumerate(cycX[k]):
-                        vX[i] = ring.normalize(vX[i] + gk * ck)
+            vX = _combination(ring, fgX.generators[0], cycX)
             scalars = []
-            t = len(cycY)
             K_rows = _column_rows(cycY, Y.term(n0).rank)
             for v in space:
                 w = _component(X, Y, bases, v, n0).apply(vX)
-                sol = _solve_vector(ring, K_rows, t, w)
+                sol = _solve_vector(ring, K_rows, len(cycY), w)
                 if sol is None:
                     scalars.append(None)
                     continue

@@ -17,6 +17,13 @@ Conventions used throughout the package:
   (``_left_mul``, ``_right_mul``, ``_composite``) and ``rows`` gives
   the row dicts that elimination reads, columns ascending within each
   row;
+* a vector is the dict {index: value} of its nonzero coordinates,
+  values normalized: the one-index form of ``EquivMap.entries``.  Maps
+  apply to vectors (``EquivMap.apply``, ``EquivMap.columns``), and
+  ``_combination`` and ``_scaled`` form linear combinations of them.
+  Every vector that crosses a function boundary has this form; dense
+  lists are left only inside Smith normal form (``homotopy.FgModule``)
+  and in the JSON report format;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 
@@ -173,8 +180,10 @@ class EquivMap:
         self.ring = source.ring
         self.entries = _normalized(self.ring, entries)
         rows, cols = target.rank, source.rank
-        assert all(0 <= r < rows and 0 <= c < cols
-                   for (r, c) in self.entries)
+        for (r, c) in self.entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise CertificateError("entry (%d, %d) lies outside a "
+                                       "%d x %d map" % (r, c, rows, cols))
         self._check_equivariance()
 
     def _check_equivariance(self):
@@ -209,9 +218,8 @@ class EquivMap:
         return out
 
     def columns(self):
-        """The images of the source basis vectors, as dense columns."""
-        out = [[self.ring.zero] * self.target.rank
-               for _ in range(self.source.rank)]
+        """The images of the source basis vectors, as vectors."""
+        out = [{} for _ in range(self.source.rank)]
         for (r, c), v in self.entries.items():
             out[c][r] = v
         return out
@@ -224,13 +232,13 @@ class EquivMap:
                 if r in rows and c in cols}
 
     def apply(self, vec):
-        """The image of a coordinate column."""
-        out = [self.ring.zero] * self.target.rank
+        """The image of a vector."""
+        acc = {}
         for (r, c), v in self.entries.items():
-            x = vec[c]
-            if x != 0:
-                out[r] += v * x
-        return [self.ring.normalize(x) for x in out]
+            x = vec.get(c)
+            if x is not None:
+                acc[r] = acc.get(r, 0) + v * x
+        return _normalized(self.ring, acc)
 
     def compose(self, other):
         """self o other (other first), the sparse product of the two
@@ -257,6 +265,7 @@ def _index(entries, axis):
 
 
 def _normalized(ring, acc):
+    """The nonzero entries of ``acc``, normalized, in their order."""
     norm = ring.normalize
     out = {}
     for key, v in acc.items():
@@ -264,6 +273,21 @@ def _normalized(ring, acc):
         if v != 0:
             out[key] = v
     return out
+
+
+def _combination(ring, coeffs, vectors):
+    """sum_k c_k vectors[k] for the coefficient vector ``coeffs``
+    {k: c_k}, as a vector."""
+    acc = {}
+    for k, c in coeffs.items():
+        for i, x in vectors[k].items():
+            acc[i] = acc.get(i, 0) + c * x
+    return _normalized(ring, acc)
+
+
+def _scaled(ring, c, vec):
+    """The vector c . vec, its values normalized over ``ring``."""
+    return _normalized(ring, {i: c * x for i, x in vec.items()})
 
 
 def _left_mul(ring, d_cols, b):

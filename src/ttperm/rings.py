@@ -7,9 +7,10 @@ floats appear anywhere in this package.  ``normalize`` puts a value in
 its canonical form; a QQ value that already is a ``Fraction`` is
 returned unchanged.
 
-Maps between modules are sparse (``permod.EquivMap.entries``).  The
+Maps between modules are sparse (``permod.EquivMap.entries``), and so
+are vectors, the dicts {index: value} of their nonzero coordinates.  The
 dense matrices here, lists of lists with ``M[i][j]`` in row ``i`` and
-column ``j``, serve only Smith normal form and the small relation
+column ``j``, serve only Smith normal form on the small relation
 matrices of ``homotopy.FgModule``: ``mat_zero``, ``mat_identity`` and
 ``mat_mul``, which re-multiplies a factorization to check it.
 

@@ -44,15 +44,16 @@ along multiplication, with stabilization certified by two consecutive
 isomorphisms.
 """
 
-from .grp import Subgroup, subgroups
+from .grp import Subgroup, subgroups, _is_elementary_abelian_section
 from .rings import ZZ, factorize
-from .permod import EquivMap, perm_module, trivial_module, subgroup_meet
+from .permod import (EquivMap, perm_module, trivial_module, subgroup_meet,
+                     _scaled)
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
                     tensor_complex, restrict_complex)
 from .homotopy import (hom_group, find_homotopy_equivalence, Equivalence,
                        null_homotopy, homology_profile,
-                       classes_equal_up_to_unit, smith_normal_form,
-                       kernel_sparse, check_homotopy)
+                       classes_equal_up_to_unit, kernel_sparse,
+                       check_homotopy, _diagonalize)
 
 
 class TheoryCheckFailure(Exception):
@@ -232,15 +233,15 @@ def _transport(G, ring, q1, q2):
 
 
 class TwistedClass:
-    """A twisted cohomology class: an invariant cycle in the canonical
-    complex of its twist at homological degree -shift."""
+    """A twisted cohomology class: an invariant cycle, a vector, in the
+    canonical complex of its twist at homological degree -shift."""
 
     def __init__(self, G, ring, shift, twist, cycle, mono=None):
         self.G = G
         self.ring = ring
         self.shift = shift
         self.twist = twist
-        self.cycle = list(cycle)
+        self.cycle = cycle
         self.mono = mono  # tuple of ((symbol, N-elements), exponent)
 
     def hom(self):
@@ -259,7 +260,7 @@ class TwistedClass:
 
 
 def unit_class(G, ring):
-    return TwistedClass(G, ring, 0, Twist.zero(), [ring.one], mono=())
+    return TwistedClass(G, ring, 0, Twist.zero(), {0: ring.one}, mono=())
 
 
 def mono_str(mono, many_subgroups=False):
@@ -293,9 +294,9 @@ def class_product(z1, z2):
         z1, z2 = z2, z1
     if not z2.twist.items and z2.shift == 0:
         # multiply by the coefficient of the unit class
-        c = z2.cycle[0]
+        c = z2.cycle.get(0, ring.zero)
         return TwistedClass(G, ring, z1.shift, z1.twist,
-                            [ring.normalize(c * v) for v in z1.cycle],
+                            _scaled(ring, c, z1.cycle),
                             mono=_mono_mul(z1.mono, z2.mono))
     Y1 = canonical_u_power(G, z1.twist, ring)
     Y2 = canonical_u_power(G, z2.twist, ring)
@@ -303,18 +304,12 @@ def class_product(z1, z2):
     n = n1 + n2
     eq, X = _transport(G, ring, z1.twist, z2.twist)
     from .chain import _tensor_offsets
-    offsets = _tensor_offsets(Y1, Y2, n)
-    v = [ring.zero] * X.term(n).rank
     sgn = ring.one if (z1.shift * z2.shift) % 2 == 0 else -ring.one
-    off = offsets[(n1, n2)]
+    off = _tensor_offsets(Y1, Y2, n)[(n1, n2)]
     r2 = Y2.term(n2).rank
-    for a, va in enumerate(z1.cycle):
-        if va == 0:
-            continue
-        for b, vb in enumerate(z2.cycle):
-            if vb == 0:
-                continue
-            v[off + a * r2 + b] = ring.normalize(sgn * va * vb)
+    v = _scaled(ring, sgn, {off + a * r2 + b: va * vb
+                            for a, va in z1.cycle.items()
+                            for b, vb in z2.cycle.items()})
     w = eq.f.component(n).apply(v)
     return TwistedClass(G, ring, z1.shift + z2.shift, z1.twist + z2.twist,
                         w, mono=_mono_mul(z1.mono, z2.mono))
@@ -328,7 +323,7 @@ def class_power(z, k):
 
 
 def _eta_cycle(G, N, ring):
-    return [ring.one] * N.index
+    return {i: ring.one for i in range(N.index)}
 
 
 def generator_maps(G, N, ring):
@@ -345,7 +340,7 @@ def generator_maps(G, N, ring):
     e = Twist.single(N)
     key = lambda sym: ((sym, N.elements), 1)
     out = {"case": case, "p": p}
-    a = TwistedClass(G, ring, 0, e, [ring.one], mono=(key("a"),))
+    a = TwistedClass(G, ring, 0, e, {0: ring.one}, mono=(key("a"),))
     out["a"] = a
     if case == "C1":
         b = TwistedClass(G, ring, -1, e, _eta_cycle(G, N, ring),
@@ -377,9 +372,8 @@ def is_elementary_abelian(G):
     pk = prime_power(G.order)
     if pk is None:
         return G.order == 1
-    p = pk[0]
-    return all(G.power(g, p) == 0 for g in G.elements()) and all(
-        G.mul(a, b) == G.mul(b, a) for a in G.elements() for b in G.elements())
+    return _is_elementary_abelian_section(
+        G, G.full_subgroup(), G.trivial_subgroup(), pk[0])
 
 
 class GradedTable:
@@ -488,23 +482,32 @@ def twisted_table(G, ring, max_twist, shift_window=None):
                        gens, Ns)
 
 
-def _generates(ring, facs, cols):
-    """Whether the coordinate columns ``cols`` generate the group with
-    invariant factors ``facs``: the cokernel of [cols | diag(facs)] is
-    zero, i.e. its Smith form has len(facs) unit divisors."""
-    t = len(facs)
-    if not t:
-        return True
-    cols = [list(c) for c in cols]
+def _cokernel_rows(ring, facs, cols):
+    """Row dicts of [cols | diag(facs)]: column k < m = len(cols) holds
+    the coordinate tuple cols[k] (one entry per factor, as
+    ``FgModule.coords`` gives it) and column m + i the factor facs[i]."""
+    m = len(cols)
+    rows = [{} for _ in facs]
+    for k, col in enumerate(cols):
+        for i, v in enumerate(col):
+            if v != 0:
+                rows[i][k] = v
     for i, d in enumerate(facs):
         if d != 0:
-            col = [ring.zero] * t
-            col[i] = ring.from_int(d)
-            cols.append(col)
-    A = [[col[i] for col in cols] for i in range(t)]
-    U, D, V = smith_normal_form(ring, A)
-    divisors = [D[i][i] for i in range(min(t, len(cols)))]
-    return len([d for d in divisors if d != 0 and ring.is_unit(d)]) == t
+            rows[i][m + i] = ring.from_int(d)
+    return rows
+
+
+def _generates(ring, facs, cols):
+    """Whether the classes with coordinates ``cols`` generate the group
+    with invariant factors ``facs``: the cokernel of [cols | diag(facs)]
+    is zero.  ``_diagonalize`` brings the matrix to a diagonal by
+    invertible row and column operations, so the cokernel is zero
+    exactly when it takes len(facs) pivots, all units."""
+    pivots = _diagonalize(ring, _cokernel_rows(ring, facs, cols),
+                          len(cols) + len(facs))[0]
+    return len(pivots) == len(facs) and \
+        all(ring.is_unit(v) for _, _, v in pivots)
 
 
 def ring_presentation(table):
@@ -518,9 +521,9 @@ def ring_presentation(table):
     ring = table.ring
     relations = []
     for (s, qk), ent in sorted(table.entries.items()):
-        facs = list(ent["factors"])
+        facs = ent["factors"]
         monos = ent["monomials"]
-        coords = [list(c) for _, c in monos]
+        coords = [c for _, c in monos]
         t = len(facs)
         if t and not monos:
             raise TheoryCheckFailure(
@@ -535,21 +538,14 @@ def ring_presentation(table):
             raise TheoryCheckFailure(
                 "entry (%d, %s) is not spanned by generator monomials"
                 % (s, qk))
-        # relations: kernel of monomial evaluation modulo the factors
+        # relations: kernel of monomial evaluation modulo the factors,
+        # read on the monomial indices j < m
         m = len(monos)
-        rows = []
-        for i in range(t):
-            row = {j: coords[j][i] for j in range(m) if coords[j][i] != 0}
-            if facs[i] != 0:
-                row[m + i] = ring.from_int(facs[i])
-            if row:
-                rows.append(row)
-        for vec in kernel_sparse(ring, rows, m + t):
-            x = vec[:m]
-            if all(v == 0 for v in x):
-                continue
-            rel = tuple((x[j], monos[j][0]) for j in range(m) if x[j] != 0)
-            relations.append(((s, qk), rel))
+        for vec in kernel_sparse(ring, _cokernel_rows(ring, facs, coords),
+                                 m + t):
+            rel = tuple((x, monos[j][0]) for j, x in vec.items() if j < m)
+            if rel:
+                relations.append(((s, qk), rel))
     return {
         "generators": sorted(table.generators),
         "relations": relations,
@@ -664,7 +660,7 @@ def base_change_class_check(G, N, bound=3):
     def reduce_class(z):
         Fp = GF(p)
         return TwistedClass(G, Fp, z.shift, z.twist,
-                            [Fp.from_int(v) for v in z.cycle], mono=z.mono)
+                            _scaled(Fp, Fp.one, z.cycle), mono=z.mono)
 
     # a always reduces to a
     ra = reduce_class(gZ["a"])
@@ -739,7 +735,7 @@ def class_as_chain_map(z):
     Ys = shift_complex(Y, z.shift)
     U = unit_complex(z.G, z.ring)
     comp = EquivMap(U.terms[0], Ys.terms[0],
-                    {(r, 0): v for r, v in enumerate(z.cycle)})
+                    {(r, 0): v for r, v in z.cycle.items()})
     return ChainMap(U, Ys, {0: comp})
 
 
@@ -749,14 +745,14 @@ def certified_null_homotopy(z):
     h = null_homotopy(F)
     if h is None:
         return None
-    check_homotopy(F, h)
+    check_homotopy(F.source, F.target,
+                   {n: f.entries for n, f in F.components.items()}, h)
     return h
 
 
 def scaled_class(z, c):
     return TwistedClass(z.G, z.ring, z.shift, z.twist,
-                        [z.ring.normalize(c * v) for v in z.cycle],
-                        mono=None)
+                        _scaled(z.ring, c, z.cycle), mono=None)
 
 
 def nilpotence_check(G, N, ring):
@@ -813,10 +809,9 @@ def localize_twist0(table, H, degree_window=(-4, 4)):
             s2, q2 = s + (k + 1) * g.shift, _scale_twist(g.twist, k + 1)
             h1 = _hom_or_zero(table, s1, q1)
             h2 = _hom_or_zero(table, s2, q2)
-            mat = _multiplication_matrix(table, h1, s1, q1, g, h2)
             # an isomorphism: equal invariants and a surjective map
-            iso = h1["facs"] == h2["facs"] and \
-                _generates(ring, h2["facs"], zip(*mat))
+            iso = h1["facs"] == h2["facs"] and _generates(
+                ring, h2["facs"], _multiplication_columns(table, h1, g, h2))
             if iso and prev_iso:
                 hilbert[s] = h1["label"]
                 break
@@ -848,16 +843,13 @@ def _hom_or_zero(table, s, q):
             "hom": hg, "s": s, "q": q}
 
 
-def _multiplication_matrix(table, h1, s1, q1, g, h2):
-    """Matrix of multiplication by g from entry (s1,q1) to the next."""
-    ring = table.ring
-    t2 = len(h2["facs"])
-    t1 = len(h1["facs"])
-    if t1 == 0 or t2 == 0:
-        return [[ring.zero] * t1 for _ in range(t2)]
+def _multiplication_columns(table, h1, g, h2):
+    """The columns of multiplication by g from entry h1 to the next
+    entry h2: the coordinates in h2 of g times each generator of h1."""
+    if not h1["facs"] or not h2["facs"]:
+        return []
     cols = []
-    for d, gen in h1["hom"].generators:
-        z = TwistedClass(table.group, ring, s1, q1, gen)
-        w = class_product(z, g)
-        cols.append(list(h2["hom"].coords(w.cycle)))
-    return [[cols[j][i] for j in range(t1)] for i in range(t2)]
+    for _, gen in h1["hom"].generators:
+        z = TwistedClass(table.group, table.ring, h1["s"], h1["q"], gen)
+        cols.append(h2["hom"].coords(class_product(z, g).cycle))
+    return cols

@@ -85,8 +85,19 @@ def test_spectrum_rejects_non_cyclic():
     assert run(["spectrum", "--group", "C2xC2"]) == 1
 
 
-def test_spectrum_seed_bound():
-    assert run(["spectrum", "--group", "C256", "--seed-bound", "3"]) == 1
+def test_spectrum_order_cap(capsys):
+    # the order cap refuses C256 as a usage error
+    assert run(["spectrum", "--group", "C256"]) == 1
+    assert "groups of order at most 64 are supported" in \
+        capsys.readouterr().err
+
+
+def test_spectrum_has_no_seed_bound_option(capsys):
+    # an order-64 cyclic group has modular chains of length at most 6,
+    # so no chain-length bound is needed, and none is accepted
+    assert run(["spectrum", "--group", "C4", "--seed-bound", "3"]) == 1
+    assert "unrecognized arguments: --seed-bound 3" in \
+        capsys.readouterr().err
 
 
 def test_invert_unit_twist(capsys):

@@ -92,9 +92,7 @@ def test_solve_and_kernel_sparse():
     assert solve_sparse(ZZ, rows, 2, {0: {0: 1}, 1: {0: 3}}) is None
     # kernel of (1 2) is spanned by (2, -1) up to sign
     ker = kernel_sparse(ZZ, [{0: 1, 1: 2}], 2)
-    assert len(ker) == 1
-    v = ker[0]
-    assert v[0] + 2 * v[1] == 0 and v != [0, 0]
+    assert ker in ([{0: 2, 1: -1}], [{0: -2, 1: 1}])
 
 
 def test_solve_sparse_over_Z_is_exact():
@@ -131,27 +129,56 @@ def test_fg_module_labels_and_coords():
     assert M.label() == "Z/2 (+) Z/4"
     free = FgModule(ZZ, 2, [])
     assert free.label() == "Z^2"
-    assert free.coords([1, 2]) == (1, 2)
+    assert free.coords({0: 1, 1: 2}) == (1, 2)
     zero = FgModule(ZZ, 0, [])
     assert zero.is_zero() and zero.label() == "0"
     # Z/2: the classes of 1 and 3 agree, 1 and 2 do not
     T = FgModule(ZZ, 1, [[2]])
-    assert T.same_class([1], [3])
-    assert not T.same_class([1], [2])
-    assert T.class_is_zero([4])
+    assert T.same_class({0: 1}, {0: 3})
+    assert not T.same_class({0: 1}, {0: 2})
+    assert T.class_is_zero({0: 4})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=str)
+def test_fg_module_without_relations_takes_the_smith_form_path(
+        ring, monkeypatch):
+    # no relations is the t x 0 matrix, whose Smith form is the
+    # identity: free on the standard basis, t = 0 included
+    from ttperm import homotopy
+    calls = []
+    real = homotopy.smith_normal_form
+
+    def recording(ring, A):
+        calls.append(A)
+        return real(ring, A)
+
+    monkeypatch.setattr(homotopy, "smith_normal_form", recording)
+    free = FgModule(ring, 3, [])
+    assert free.factors == [ring.zero] * 3
+    assert free.generators == [{i: ring.one} for i in range(3)]
+    assert free.coords({0: ring.one, 2: ring.from_int(2)}) == \
+        (ring.one, ring.zero, ring.normalize(2))
+    zero = FgModule(ring, 0, [])
+    assert zero.factors == zero.generators == []
+    assert zero.coords({}) == () and zero.label() == "0"
+    assert calls == [[[], [], []], []]
 
 
 def test_classes_equal_up_to_unit():
     T = FgModule(ZZ, 1, [[5]])
     # 2 and 3 = -2 mod 5 differ by the unit -1
-    assert classes_equal_up_to_unit(T, [2], [3])
-    assert not classes_equal_up_to_unit(T, [1], [0])
+    assert classes_equal_up_to_unit(T, {0: 2}, {0: 3})
+    assert not classes_equal_up_to_unit(T, {0: 1}, {})
 
 
 def test_homology_from_matrices():
     # Z --2--> Z --0--> 0: homology at the middle is Z/2
-    fg, cycles = homology_from_matrices(ZZ, [], [[2]], 1)
+    fg, cycles = homology_from_matrices(ZZ, [], [{0: 2}], 1)
     assert fg.label() == "Z/2"
+
+
+def _identity_entries(X):
+    return {n: {(i, i): 1 for i in range(M.rank)} for n, M in X.terms.items()}
 
 
 def test_contractibility_certificates():
@@ -166,7 +193,7 @@ def test_contractibility_certificates():
     top = max(cert.h)
     partial = {n: f for n, f in cert.h.items() if n != top}
     with pytest.raises(AssertionError, match="identity fails at degree"):
-        check_homotopy(identity_chain_map(C), partial)
+        check_homotopy(C, C, _identity_entries(C), partial)
     ok2, witness = is_contractible(unit_complex(G, ZZ))
     assert not ok2
     assert isinstance(witness, NonContractibleWitness)
@@ -212,7 +239,7 @@ def test_null_homotopy_of_zero_and_nonzero_maps():
     zero = ChainMap(U, U, {0: EquivMap(M, M, {})})
     h = null_homotopy(zero)
     assert h is not None
-    check_homotopy(zero, h)
+    check_homotopy(U, U, {}, h)
     ident = ChainMap(U, U, {0: EquivMap(M, M, {(0, 0): 1})})
     assert null_homotopy(ident) is None
 
@@ -604,7 +631,8 @@ C = cone(identity_chain_map(u_complex(G, index_p_normal_subgroups(G)[0], ZZ)))
 ok, cert = homotopy.is_contractible(C)
 partial = {n: f for n, f in cert.h.items() if n != max(cert.h)}
 try:
-    homotopy.check_homotopy(identity_chain_map(C), partial)
+    homotopy.check_homotopy(C, C, {n: {(i, i): 1 for i in range(M.rank)}
+                                   for n, M in C.terms.items()}, partial)
     sys.exit("a partial contraction passed check_homotopy")
 except homotopy.CertificateError:
     pass
@@ -660,6 +688,7 @@ bad = {
     "square": lambda: ChainMap(X, X, {0: one}),
     "d o d": lambda: Complex(M.group, ZZ, {0: M, 1: M, 2: M},
                              {1: one, 2: one}),
+    "bounds": lambda: EquivMap(M, M, {(M.rank, 0): 1}),
 }
 for name, build in bad.items():
     try:
@@ -671,8 +700,8 @@ for name, build in bad.items():
 
 
 def test_corrupted_inputs_are_rejected_under_python_O(python_O):
-    # the action, equivariance, chain-map square and d o d checks raise
-    # CertificateError, so python -O keeps them
+    # the action, equivariance, chain-map square, d o d and entry bounds
+    # checks raise CertificateError, so python -O keeps them
     from ttperm import homotopy, permod
     assert homotopy.CertificateError is permod.CertificateError
     proc = python_O(_CORRUPTED_INPUTS)
@@ -682,6 +711,7 @@ def test_corrupted_inputs_are_rejected_under_python_O(python_O):
         "equivariance map is not equivariant",
         "square square at degree 1 does not commute",
         "d o d d o d != 0 at degree 1",
+        "bounds entry (1, 0) lies outside a 1 x 1 map",
     ]
 
 
@@ -724,6 +754,83 @@ def test_combined_chain_map_keeps_the_entry_order_of_the_summed_maps():
     combo = [(-1) ** i * (i % 5) for i in range(len(space))]
     f = _chain_map(X, X, bases, _combine_vectors(space, combo))
     for n, M in X.terms.items():
-        ref = _combine(ZZ, [m.component(n) for m in maps], combo, M, M)
+        ref = _combine(ZZ, [m.component(n) for m in maps],
+                       {i: c for i, c in enumerate(combo) if c}, M, M)
         assert list(f.component(n).entries.items()) == \
             list(ref.entries.items()), n
+
+
+def _check_vector(ring, vec, ascending=False):
+    assert isinstance(vec, dict)
+    for v in vec.values():
+        assert v != 0 and ring.normalize(v) == v and \
+            type(ring.normalize(v)) is type(v), vec
+    if ascending:
+        assert list(vec) == sorted(vec), vec
+
+
+@pytest.mark.parametrize("argv", [
+    ["twisted", "--group", "C3", "--ring", "Z"],
+    # an orbit-basis contraction over Z (with H = 1 the restriction is
+    # contracted by a raw solve, which passes no vector)
+    ["kos", "--group", "C4", "--subgroup", "C2"],
+])
+def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
+    # every vector a command passes between functions is the dict of its
+    # normalized nonzero coordinates; kernel and block vectors list their
+    # indices in ascending order
+    from ttperm import homotopy, permod, twisted
+    from ttperm.cli import run
+    seen = {}
+
+    def spy(owner, name, check):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            seen[name] = seen.get(name, 0) + 1
+            check(args, result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def kernel(args, vecs):
+        for x in vecs:
+            _check_vector(args[0], x, ascending=True)
+
+    def blocks(ring, sol):
+        for block in sol.values():
+            _check_vector(ring, block, ascending=True)
+
+    def solve(args, sol):
+        if sol is not None:
+            blocks(args[0].ring, sol)
+
+    def system_kernel(args, sols):
+        for sol in sols:
+            blocks(args[0].ring, sol)
+
+    def apply(args, w):
+        _check_vector(args[0].ring, args[1])
+        _check_vector(args[0].ring, w)
+
+    def hom_group_init(args, _):
+        for _d, g in args[0].generators:
+            _check_vector(args[0].ring, g)
+
+    def product(args, z):
+        _check_vector(z.ring, z.cycle)
+
+    spy(homotopy, "kernel_sparse", kernel)
+    spy(twisted, "kernel_sparse", kernel)
+    spy(homotopy._System, "solve", solve)
+    spy(homotopy._System, "kernel", system_kernel)
+    spy(permod.EquivMap, "apply", apply)
+    spy(homotopy.HomGroup, "__init__", hom_group_init)
+    spy(twisted, "class_product", product)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert seen["solve"]
+    if argv[0] == "twisted":
+        assert seen.keys() == {"kernel_sparse", "solve", "kernel", "apply",
+                               "__init__", "class_product"}

@@ -100,7 +100,8 @@ def test_apply_matches_matrix_product(A, v):
     f = EquivMap(free(3), free(2), {(r, c): x for r, row in enumerate(A)
                                     for c, x in enumerate(row)})
     prod = mat_mul(ZZ, A, [[x] for x in v])
-    assert f.apply(v) == [row[0] for row in prod]
+    assert f.apply({c: x for c, x in enumerate(v) if x}) == \
+        {r: row[0] for r, row in enumerate(prod) if row[0]}
 
 
 @given(matrices(2, 2))

@@ -22,9 +22,9 @@ import weakref
 
 import pytest
 
-from ttperm.grp import cyclic, parse_group_name, subgroups
+from ttperm.grp import Group, cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF
-from ttperm.homotopy import check_homotopy, hom_group
+from ttperm.homotopy import check_homotopy, hom_group, smith_normal_form
 from ttperm.twisted import (u_degree, u_complex, index_p_normal_subgroups,
                             Twist, canonical_u_power, twisted_table,
                             ring_presentation, relation_strings,
@@ -354,6 +354,57 @@ def test_is_elementary_abelian():
     assert is_elementary_abelian(cyclic(1))
     assert not is_elementary_abelian(cyclic(4))
     assert not is_elementary_abelian(parse_group_name("C6"))
+
+
+def test_is_elementary_abelian_with_the_identity_at_any_index():
+    # C2xC2 with the labels 0 and 3 swapped: the identity is element 3
+    G = parse_group_name("C2xC2")
+    swap = [3, 1, 2, 0]
+    table = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            table[swap[a]][swap[b]] = swap[G.table[a][b]]
+    H = Group(table, "C2xC2 relabelled")
+    assert H.identity == 3
+    assert is_elementary_abelian(H)
+
+
+def _generates_by_smith_form(ring, facs, cols):
+    """The Smith-form criterion that ``_generates`` replaced, kept as its
+    reference: [cols | diag(facs)] has len(facs) unit divisors."""
+    t = len(facs)
+    if not t:
+        return True
+    cols = [list(c) for c in cols]
+    for i, d in enumerate(facs):
+        if d != 0:
+            col = [ring.zero] * t
+            col[i] = ring.from_int(d)
+            cols.append(col)
+    A = [[col[i] for col in cols] for i in range(t)]
+    U, D, V = smith_normal_form(ring, A)
+    divisors = [D[i][i] for i in range(min(t, len(cols)))]
+    return len([d for d in divisors if d != 0 and ring.is_unit(d)]) == t
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=str)
+def test_generates_matches_the_smith_form_criterion(ring):
+    import random
+    from ttperm.twisted import _generates
+    rnd = random.Random(11)
+    # non-unit invariant factors: torsion over Z, only 0 over a field
+    factors = [0, 2, 3, 4, 6] if ring is ZZ else [0]
+    seen = set()
+    for trial in range(300):
+        t = rnd.randint(0, 4)
+        facs = [ring.from_int(rnd.choice(factors)) for _ in range(t)]
+        cols = [tuple(ring.normalize(rnd.choice([0, 0, 1, -1, 2, 3]))
+                      for _ in range(t))
+                for _ in range(rnd.randint(0, 4))]
+        want = _generates_by_smith_form(ring, facs, cols)
+        assert _generates(ring, facs, cols) == want, (trial, facs, cols)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_transport_without_equivalence_is_a_theory_failure(monkeypatch):
