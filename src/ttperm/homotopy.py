@@ -11,7 +11,7 @@ order, so it decides which certificate a solve returns; the pivot rule
 itself is stated on ``_diagonalize``.  Kernel vectors and the block
 coefficient vectors of ``_System`` list their indices in ascending
 order, and a coefficient vector never holds a zero, so a map combined
-from one (``_combine``) has its entries in a fixed order.
+from one (``HomOrbits.map``) has its entries in a fixed order.
 
 * ``smith_normal_form`` returns (U, D, V) with A = U . D . V, U and V
   invertible over the ring, D diagonal with a divisibility chain; the
@@ -37,7 +37,9 @@ from one (``_combine``) has its entries in a fixed order.
   lattice of equivariant maps: unknowns are coefficients of the orbit
   basis of Hom_G, never raw matrix entries, so certificates found over
   Z are honest equivariant certificates.  The orbit bases are cached on
-  their source module (``SignedPermModule.hom_bases``) and die with it.
+  their source module (``SignedPermModule.hom_bases``) as codes, not
+  maps (``permod.HomOrbits``), and die with it; systems are read off
+  the codes (``_System.add_rows``) and maps built only from solutions.
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -45,9 +47,9 @@ Homotopies h have degree +1 and certify d h + h d = f.
 import os
 from math import gcd
 
-from .permod import (equivariant_hom_basis, EquivMap, CertificateError,
-                     zero_map, _index, _normalized, _left_mul, _right_mul,
-                     _composite, _combination, _scaled)
+from .permod import (HomOrbits, equivariant_hom_basis, EquivMap,
+                     CertificateError, zero_map, _index, _normalized,
+                     _right_mul, _composite, _combination, _scaled)
 from .rings import mat_identity, mat_mul
 
 
@@ -116,12 +118,13 @@ def _diagonalize(ring, rows, ncols, rhs=None):
 
     The search is incremental and keeps one entry per row, never one
     per matrix entry: ``row_best[r]`` caches the cost, r and the column
-    of the cheapest entry of row r.  Before each pick only the rows that an
-    operation touched, and every row of a column whose length changed,
-    are re-scored.  The pick then takes the lowest row that passed the
-    early-exit test from one heap, or else the least (cost, row) from
-    another; entries that a re-score or a finished pivot replaced are
-    dropped when they reach the top.
+    of the cheapest entry of row r.  Before each pick the rows that an
+    operation touched are re-scored in full; in the other rows of a
+    column whose length changed only that column's entry is compared
+    with the cached best.  The pick then takes the lowest row that
+    passed the early-exit test from one heap, or else the least
+    (cost, row) from another; entries that a re-score or a finished
+    pivot replaced are dropped when they reach the top.
 
     Finished pivot rows stay zero outside their pivot column and
     finished pivot columns zero outside their pivot row, so the loop
@@ -206,10 +209,30 @@ def _diagonalize(ring, rows, ncols, rhs=None):
     def is_unit(entry):
         return entry[0] == 1 and (exact or entry[1] == 1)
 
+    def push(entry):
+        row_best[entry[-2]] = entry
+        heappush(bests, entry)
+        if is_unit(entry):
+            heappush(units, entry[-2])
+
     def rescore():
         nonlocal nlive
+        # an untouched row of a resized column c keeps its entries, so
+        # only c's cost moved: it replaces a cached best it beats, and
+        # the row is re-scored in full when the best sits in c (its cost
+        # is stale) or on a tie (dict order decides ties)
         for c in resized:
-            touched.update(col_rows[c])
+            k = len(col_rows[c])
+            for r in col_rows[c]:
+                best = row_best[r]
+                if r in touched or best is False:
+                    continue
+                row = rows[r]
+                cost = (len(row), k) if exact else (abs(row[c]), len(row), k)
+                if best[-1] == c or cost == best[:-2]:
+                    touched.add(r)
+                elif cost < best[:-2]:
+                    push(cost + (r, c))
         resized.clear()
         for r in touched:
             if row_best[r] is False:
@@ -233,10 +256,7 @@ def _diagonalize(ring, rows, ncols, rhs=None):
                     if best is None or cost < best:
                         best, bc = cost, c
                 entry = best + (r, bc)
-            row_best[r] = entry
-            heappush(bests, entry)
-            if is_unit(entry):
-                heappush(units, r)
+            push(entry)
         touched.clear()
         if len(bests) + len(units) > 2 * nlive + 64:
             bests[:] = [entry for entry in bests
@@ -744,9 +764,11 @@ def invariant_data(M):
 
 def _in_invariant_coords(ring, cols, roots, v):
     """Coordinates of an invariant vector in the orbit-sum basis, as a
-    coefficient vector."""
+    coefficient vector; ValueError (a caller's bug, not a failed
+    certificate) if v is not invariant."""
     coeff = {k: v[r] for k, r in enumerate(roots) if r in v}
-    assert _combination(ring, coeff, cols) == v, "vector is not invariant"
+    if _combination(ring, coeff, cols) != v:
+        raise ValueError("vector is not invariant")
     return coeff
 
 
@@ -821,7 +843,8 @@ class HomGroup:
         coeff = self.inv.from_ambient(self.degree, v_ambient)
         rows = _column_rows(self.cycles, self.inv.dim(self.degree))
         x = _solve_vector(self.ring, rows, len(self.cycles), coeff)
-        assert x is not None, "vector is not a cycle"
+        if x is None:
+            raise ValueError("vector is not a cycle")
         return x
 
     def coords(self, v_ambient):
@@ -924,39 +947,51 @@ class _System:
         self.blocks[tag] = (self.ncols, basis)
         self.ncols += len(basis)
 
-    def add_rows(self, proj_basis, contributions, rhs=None):
-        """One equation row per element of ``proj_basis``.
+    def add_rows(self, proj, contributions, rhs=None):
+        """One equation row per orbit of ``proj``, the ``HomOrbits`` of
+        the projection Hom_G(M, N), in root order: the root entry of the
+        sum of the contributions equals that of ``rhs``.
 
-        ``contributions``: list of (tag, products) where products[k] is
-        the composite produced by unknown basis element k of the block,
-        as a sparse {(row, col): value} dict; the row coefficient is its
-        entry at the projection root.
-        ``rhs``: entries dict whose root entries give the right side.
+        ``contributions``: list of (tag, d, left), the composites d o b
+        (``left``) or b o d of the block's basis maps b with a map d
+        given by its entries.  At the root pair (i, j) the coefficient
+        of unknown k is sum_t d[j, t] b_k[t, i] (or b_k[j, t] d[t, i]),
+        read off row j (or column i) of d and the codes of the block's
+        orbit table; no product is formed.  ``rhs``: entries dict whose
+        root entries give the right side.
 
-        Each product's nonzeros are looked up in an index of the roots,
-        so only the entries that land on a root are touched.  Unknowns
-        are visited in (block, k) order, which is the order of the
-        columns in every row dict (pivot ties follow it).
+        Columns come in contribution order and k ascending within a
+        block, the order pivot ties follow; a coefficient that
+        normalises to 0 is dropped.
         """
         ring = self.ring
         zero = ring.zero
-        roots = {}
-        for idx, e in enumerate(proj_basis):
-            i, j = e.root_pair
-            roots[(j, i)] = idx
-        eqs = [{} for _ in proj_basis]
-        for tag, products in contributions:
-            off = self.blocks[tag][0]
-            for k, prod in enumerate(products):
-                col = off + k
-                for key, v in prod.items():
-                    idx = roots.get(key)
-                    if idx is not None:
-                        row = eqs[idx]
-                        row[col] = ring.normalize(row.get(col, zero) + v)
-        for key, idx in roots.items():
-            row = {c: v for c, v in eqs[idx].items() if v != 0}
-            b = zero if rhs is None else rhs.get(key, zero)
+        norm = ring.normalize
+        parts = []
+        for tag, d, left in contributions:
+            off, basis = self.blocks[tag]
+            parts.append((off, basis.code, left, _index(d, 0 if left else 1),
+                          basis.target.rank))
+        nN = proj.target.rank
+        for x in proj.roots:
+            i, j = divmod(x, nN)
+            row = {}
+            for off, code, left, lines, nB in parts:
+                # b_k[t, i] has pair index i nB + t, b_k[j, t] t nB + j
+                line = lines.get(j if left else i, ())
+                base, step = (i * nB, 1) if left else (j, nB)
+                acc = {}
+                for t, a in line:
+                    c = code[base + t * step]
+                    if c > 0:
+                        acc[c] = acc.get(c, zero) + a
+                    elif c < 0:
+                        acc[-c] = acc.get(-c, zero) - a
+                for c in sorted(acc):
+                    v = norm(acc[c])
+                    if v != 0:
+                        row[off + c - 1] = v
+            b = zero if rhs is None else rhs.get((j, i), zero)
             if b != 0:
                 self.rhs[len(self.rows)] = b
             if row or b != 0:
@@ -976,16 +1011,6 @@ class _System:
     def kernel(self):
         return [self._split(x)
                 for x in kernel_sparse(self.ring, self.rows, self.ncols)]
-
-
-def _combine(ring, basis, coeffs, source, target):
-    """The map sum_k c_k basis[k] for the coefficient vector ``coeffs``
-    {k: c_k}; its entries come in the order the sum first meets them."""
-    acc = {}
-    for k, c in coeffs.items():
-        for key, v in basis[k].entries.items():
-            acc[key] = acc.get(key, ring.zero) + c * v
-    return EquivMap(source, target, acc)
 
 
 def _identity_minus(ring, rank, entries):
@@ -1011,10 +1036,10 @@ _HOM_BASIS_CACHE = _BasisCount()
 
 
 def _hom_basis(M, N):
-    """equivariant_hom_basis(M, N), cached on M for as long as M lives."""
+    """HomOrbits(M, N), cached on M for as long as M lives."""
     basis = M.hom_bases.get(N)
     if basis is None:
-        basis = M.hom_bases[N] = equivariant_hom_basis(M, N)
+        basis = M.hom_bases[N] = HomOrbits(M, N)
         _HOM_BASIS_CACHE.count += 1
     return basis
 
@@ -1039,7 +1064,6 @@ def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h"):
 
     ``rhs_maps``: {n: entries of the degree-n right-hand map X_n -> Y_n}.
     """
-    ring = X.ring
     degrees = sorted(set(X.terms) | set(Y.terms))
     for n in degrees:
         if n not in X.terms or n not in Y.terms:
@@ -1049,20 +1073,10 @@ def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h"):
             continue
         proj = _hom_basis(X.terms[n], Y.terms[n])
         contributions = []
-        if n in h_bases:
-            dY = Y.diffs.get(n + 1)
-            if dY is not None:
-                d_cols = _index(dY.entries, 1)
-                prods = [_left_mul(ring, d_cols, b.entries)
-                         for b in sys.blocks[(h_tag, n)][1]]
-                contributions.append(((h_tag, n), prods))
-        if (n - 1) in h_bases:
-            dX = X.diffs.get(n)
-            if dX is not None:
-                d_rows = _index(dX.entries, 0)
-                prods = [_right_mul(ring, b.entries, d_rows)
-                         for b in sys.blocks[(h_tag, n - 1)][1]]
-                contributions.append(((h_tag, n - 1), prods))
+        if n in h_bases and (n + 1) in Y.diffs:
+            contributions.append(((h_tag, n), Y.diffs[n + 1].entries, True))
+        if (n - 1) in h_bases and n in X.diffs:
+            contributions.append(((h_tag, n - 1), X.diffs[n].entries, False))
         rhs = rhs_maps.get(n) if rhs_maps else None
         sys.add_rows(proj, contributions, rhs)
 
@@ -1073,8 +1087,7 @@ def null_homotopy(F):
     F is a ChainMap.  Returns {n: EquivMap X_n -> Y_{n+1}} or None.
     """
     X, Y = F.source, F.target
-    ring = X.ring
-    sys = _System(ring)
+    sys = _System(X.ring)
     h_bases = _homotopy_system(X, Y, sys)
     rhs = {n: F.component(n).entries for n in X.terms if n in Y.terms}
     for n in X.terms:
@@ -1086,7 +1099,7 @@ def null_homotopy(F):
         return None
     out = {}
     for n, basis in h_bases.items():
-        f = _combine(ring, basis, sol[("h", n)], X.terms[n], Y.terms[n + 1])
+        f = basis.map(sol[("h", n)])
         if not f.is_zero():
             out[n] = f
     return out
@@ -1247,13 +1260,12 @@ def _contract_equivariant(X):
             continue
         sys = _System(ring)
         sys.add_block("h", basis)
-        d_cols = _index(X.diff(n + 1).entries, 1)
-        prods = [_left_mul(ring, d_cols, b.entries) for b in basis]
-        sys.add_rows(_hom_basis(Xn, Xn), [("h", prods)], rhs)
+        sys.add_rows(_hom_basis(Xn, Xn),
+                     [("h", X.diff(n + 1).entries, True)], rhs)
         sol = sys.solve()
         if sol is None:
             return None
-        hm = _combine(ring, basis, sol["h"], Xn, X.terms[n + 1])
+        hm = basis.map(sol["h"])
         if not hm.is_zero():
             h[n] = hm
     return h
@@ -1299,12 +1311,11 @@ def is_contractible(X):
 
 def chain_map_space(X, Y):
     """A lattice basis of the space of chain maps X -> Y, as
-    (bases, vectors): ``bases`` {n: hom basis of Hom_G(X_n, Y_n)} and
+    (bases, vectors): ``bases`` {n: HomOrbits of Hom_G(X_n, Y_n)} and
     each vector {n: {k: nonzero coefficient on bases[n][k]}}, k
     ascending.  No map is built here; ``_chain_map`` builds (and so
     checks) one when it is needed."""
-    ring = X.ring
-    sys = _System(ring)
+    sys = _System(X.ring)
     f_bases = {}
     for n in sorted(X.terms):
         if n in Y.terms:
@@ -1319,15 +1330,10 @@ def chain_map_space(X, Y):
         proj = _hom_basis(X.terms[n], Y.terms[n - 1])
         contributions = []
         if n in f_bases and n in Y.diffs:
-            d_cols = _index(Y.diffs[n].entries, 1)
-            prods = [_left_mul(ring, d_cols, b.entries) for b in f_bases[n]]
-            contributions.append((n, prods))
+            contributions.append((n, Y.diffs[n].entries, True))
         if (n - 1) in f_bases and n in X.diffs:
-            d_rows = _index(X.diffs[n].entries, 0)
-            prods = [{k: ring.normalize(-v) for k, v in
-                      _right_mul(ring, b.entries, d_rows).items()}
-                     for b in f_bases[n - 1]]
-            contributions.append((n - 1, prods))
+            contributions.append((n - 1, {k: -v for k, v in
+                                          X.diffs[n].entries.items()}, False))
         if contributions:
             sys.add_rows(proj, contributions)
     # the orbit-basis maps of one degree have disjoint supports, so a
@@ -1340,7 +1346,7 @@ def _component(X, Y, bases, vector, n):
     coeffs = vector.get(n)
     if not coeffs:
         return zero_map(X.term(n), Y.term(n))
-    return _combine(X.ring, bases[n], coeffs, X.terms[n], Y.terms[n])
+    return bases[n].map(coeffs)
 
 
 def _chain_map(X, Y, bases, vector):

@@ -24,6 +24,11 @@ Conventions used throughout the package:
   Every vector that crosses a function boundary has this form; dense
   lists are left only inside Smith normal form (``homotopy.FgModule``)
   and in the JSON report format;
+* Hom_G(M, N) is an orbit table (``HomOrbits``): the orbits of basis
+  pairs (i, j), pair index i * rank N + j, each held as the index of
+  its root pair plus one signed 4-byte code per pair, never as maps.
+  An orbit's members are re-walked from its root when a map is built
+  from them (``HomOrbits.map``, checked like every map);
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 
@@ -36,6 +41,8 @@ basis vectors and of basis pairs are closures under the generators for
 the same reason.  A failed check raises ``CertificateError``, so the
 checks also run under ``python -O``.
 """
+
+from array import array
 
 from .grp import Group, Subgroup
 
@@ -83,7 +90,7 @@ class SignedPermModule:
                                              for (j, a) in act_s):
                     raise CertificateError("action is not a homomorphism")
         self.action = action
-        # {target module: equivariant_hom_basis(self, target)}, filled by
+        # {target module: HomOrbits(self, target)}, filled by
         # homotopy._hom_basis; it lives and dies with this module
         self.hom_bases = {}
 
@@ -441,33 +448,50 @@ def restrict(M, S):
 # ---------------------------------------------------------------------------
 # equivariant hom bases and invariants
 
-def equivariant_hom_basis(M, N):
-    """A lattice basis of Hom_{RG}(M, N), one map per consistent orbit.
+class HomOrbits:
+    """Hom_{RG}(M, N) as an orbit table: a lattice basis, one basis map
+    per consistent orbit, held as codes rather than maps.
 
     G acts on basis pairs (i, j) by g.(i, j) = (gi, gj) weighted by the
     product of the two signs; each orbit whose sign weights close up
-    consistently contributes the equivariant map supported on it.
-    Orbits with inconsistent signs contribute nothing (they would need
-    2 to be invertible to split; over GF(2) signs are already erased).
-
-    Each map is built from its signed orbit support, so it holds at
-    most |G| nonzero entries; ``root_pair`` is the (source, target)
-    index pair that starts its orbit.  Orbits are walked along generator
+    consistently carries the equivariant map with entry (j, i) equal to
+    the weight of (i, j) on its pairs.  Orbits with inconsistent signs
+    carry nothing (they would need 2 to be invertible to split; over
+    GF(2) signs are already erased).  Orbits are walked along generator
     steps: the pair weights form a cocycle, as in ``orbits``, so weights
     that agree along every generator step agree along every element.
+
+    ``roots[k]`` is the pair index of the pair that starts orbit k, and
+    ``code[i * rank N + j]`` is +-(k + 1) for a pair of orbit k with its
+    weight as the sign, or 0 on an inconsistent orbit.  ``map`` re-walks
+    an orbit from its root when a map needs its pairs.
     """
-    assert M.group is N.group and M.ring is N.ring
-    ring = M.ring
-    one = ring.one
-    minus_one = ring.normalize(-one)
-    gen_rows = [(M.action[g], N.action[g]) for g in M.group.generators]
-    nN = N.rank
-    total = M.rank * nN
-    assigned = {}
-    out = []
-    for start in range(total):
-        if start in assigned:
-            continue
+
+    def __init__(self, M, N):
+        assert M.group is N.group and M.ring is N.ring
+        self.source, self.target = M, N
+        total = M.rank * N.rank
+        self.code = code = array("i", bytes(4 * total))
+        self.roots = roots = array("i")
+        seen = bytearray(total)
+        for start in range(total):
+            if seen[start]:
+                continue
+            sign, consistent = self._walk(start)
+            for x in sign:
+                seen[x] = 1
+            if consistent:
+                roots.append(start)
+                k1 = len(roots)
+                for x, w in sign.items():
+                    code[x] = w * k1
+
+    def _walk(self, start):
+        """({pair: weight} in walk order, whether the weights close up)
+        for the orbit of the pair index ``start``."""
+        gen_rows = [(self.source.action[g], self.target.action[g])
+                    for g in self.source.group.generators]
+        nN = self.target.rank
         sign = {start: 1}
         consistent = True
         frontier = [start]
@@ -485,16 +509,33 @@ def equivariant_hom_basis(M, N):
                 else:
                     sign[y] = w
                     frontier.append(y)
-        assigned.update(sign)
-        if not consistent:
-            continue
-        entries = {}
-        for x, w in sign.items():
-            i, j = divmod(x, nN)
-            entries[(j, i)] = one if w == 1 else minus_one
-        em = EquivMap(M, N, entries)
-        em.root_pair = divmod(start, nN)
-        out.append(em)
+        return sign, consistent
+
+    def __len__(self):
+        return len(self.roots)
+
+    def map(self, coeffs):
+        """The map sum_k c_k (basis map k) for the coefficient vector
+        ``coeffs`` {k: c_k}, checked.  Each orbit k is re-walked from its
+        root, so the entries come in coefficient order and each orbit's
+        in walk order; orbits are disjoint, so no entry is met twice."""
+        nN = self.target.rank
+        acc = {}
+        for k, c in coeffs.items():
+            for x, w in self._walk(self.roots[k])[0].items():
+                acc[divmod(x, nN)[::-1]] = c if w == 1 else -c
+        return EquivMap(self.source, self.target, acc)
+
+
+def equivariant_hom_basis(M, N):
+    """The basis maps of ``HomOrbits(M, N)`` as a list of EquivMaps, each
+    holding its orbit support (at most |G| nonzero entries); a map's
+    ``root_pair`` is the (source, target) index pair that starts its
+    orbit."""
+    H = HomOrbits(M, N)
+    out = [H.map({k: M.ring.one}) for k in range(len(H))]
+    for em, x in zip(out, H.roots):
+        em.root_pair = divmod(x, N.rank)
     return out
 
 

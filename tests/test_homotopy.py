@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity
 from ttperm.permod import (trivial_module, perm_module, sign_module,
-                           direct_sum, EquivMap, equivariant_hom_basis)
+                           direct_sum, EquivMap, equivariant_hom_basis,
+                           HomOrbits)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
                           identity_chain_map, two_term_complex, ChainMap)
@@ -314,25 +315,32 @@ def test_homology_profile_detects_quasi_isomorphism_type():
     assert homology_profile(X) == {0: (0, (6,))}
 
 
-def test_invert_keeps_hom_basis_maps_sparse(monkeypatch, capsys):
-    # Hom-basis maps hold their orbit support only, at most |G| entries
-    # each, and no other view of the map, over a whole command
+def test_invert_caches_hom_bases_as_orbit_codes(monkeypatch, capsys):
+    # every hom basis a command caches is an orbit table: the orbit
+    # roots and one 4-byte code per basis pair, no map
+    from array import array
     from ttperm import homotopy
     from ttperm.cli import run
-    built = []
+    cached = []
+    real = homotopy._hom_basis
 
     def recording(M, N):
-        basis = equivariant_hom_basis(M, N)
-        built.extend(basis)
+        basis = real(M, N)
+        cached.append(basis)
         return basis
 
-    monkeypatch.setattr(homotopy, "equivariant_hom_basis", recording)
+    monkeypatch.setattr(homotopy, "_hom_basis", recording)
     assert run(["invert", "--group", "C5", "--ring", "Z"]) == 0
     capsys.readouterr()
-    assert len(built) > 100
-    assert all(len(f.entries) <= 5 for f in built)
-    assert all(set(vars(f)) == {"source", "target", "ring", "entries",
-                                "root_pair"} for f in built)
+    tables = list({id(H): H for H in cached}.values())
+    assert len(tables) >= 5 and sum(map(len, tables)) > 100
+    for H in tables:
+        assert isinstance(H, HomOrbits)
+        assert H.source.hom_bases[H.target] is H
+        assert set(vars(H)) == {"source", "target", "code", "roots"}
+        for table in (H.code, H.roots):
+            assert type(table) is array and table.itemsize == 4
+        assert len(H.code) == H.source.rank * H.target.rank
 
 
 def test_hom_basis_cache_dies_with_its_modules():
@@ -743,8 +751,7 @@ def test_combined_chain_map_keeps_the_entry_order_of_the_summed_maps():
     # the Bezout candidate is built from combined coefficient vectors;
     # the reference sums the built maps, whose entry order elimination
     # reads for its pivot ties
-    from ttperm.homotopy import (chain_map_space, _chain_map,
-                                 _combine_vectors, _combine)
+    from ttperm.homotopy import chain_map_space, _chain_map, _combine_vectors
     G = cyclic(3)
     U = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
     X = tensor_complex(U, U)
@@ -754,10 +761,141 @@ def test_combined_chain_map_keeps_the_entry_order_of_the_summed_maps():
     combo = [(-1) ** i * (i % 5) for i in range(len(space))]
     f = _chain_map(X, X, bases, _combine_vectors(space, combo))
     for n, M in X.terms.items():
-        ref = _combine(ZZ, [m.component(n) for m in maps],
-                       {i: c for i, c in enumerate(combo) if c}, M, M)
+        acc = {}
+        for m, c in zip(maps, combo):
+            if c:
+                for key, v in m.component(n).entries.items():
+                    acc[key] = acc.get(key, 0) + c * v
+        ref = EquivMap(M, M, acc)
         assert list(f.component(n).entries.items()) == \
             list(ref.entries.items()), n
+
+
+# ---------------------------------------------------------------------------
+# equations read off orbit codes at the roots, against full products
+
+def _rows_by_products(sys, proj, contributions, rhs):
+    """The assembly that ``_System.add_rows`` replaced: every basis map
+    of a block multiplied in full by d, and its product's entries at the
+    root pairs of the projection's basis maps summed into the rows; the
+    reference for its rows, right sides and dict order."""
+    from ttperm.permod import _index, _left_mul, _right_mul
+    ring = sys.ring
+    roots = {}
+    for idx, e in enumerate(equivariant_hom_basis(proj.source, proj.target)):
+        i, j = e.root_pair
+        roots[(j, i)] = idx
+    eqs = [{} for _ in roots]
+    for tag, d, left in contributions:
+        off, basis = sys.blocks[tag]
+        for k, b in enumerate(equivariant_hom_basis(basis.source,
+                                                    basis.target)):
+            if left:
+                prod = _left_mul(ring, _index(d, 1), b.entries)
+            else:
+                prod = _right_mul(ring, b.entries, _index(d, 0))
+            for key, v in prod.items():
+                idx = roots.get(key)
+                if idx is not None:
+                    row = eqs[idx]
+                    row[off + k] = ring.normalize(row.get(off + k, 0) + v)
+    rows, rights = [], {}
+    for key, idx in roots.items():
+        row = {c: v for c, v in eqs[idx].items() if v != 0}
+        b = ring.zero if rhs is None else rhs.get(key, ring.zero)
+        if b != 0:
+            rights[len(rows)] = b
+        if row or b != 0:
+            rows.append(row)
+    return rows, rights
+
+
+def _record_assemblies(monkeypatch):
+    """Wrap ``_System.add_rows``; each call appends to the returned list
+    whether the rows and right sides it added match the reference, in
+    dict order, the number of rows, and the number of inconsistent pairs
+    of its tables."""
+    from ttperm import homotopy
+    real = homotopy._System.add_rows
+    seen = []
+
+    def recording(self, proj, contributions, rhs=None):
+        start, before = len(self.rows), dict(self.rhs)
+        real(self, proj, contributions, rhs)
+        got = ([list(row.items()) for row in self.rows[start:]],
+               [(r - start, b) for r, b in self.rhs.items()
+                if r not in before])
+        rows, rights = _rows_by_products(self, proj, contributions, rhs)
+        tables = [proj] + [self.blocks[tag][1] for tag, _, _ in contributions]
+        seen.append((got == ([list(row.items()) for row in rows],
+                             list(rights.items())), len(rows),
+                     sum(list(H.code).count(0) for H in tables)))
+
+    monkeypatch.setattr(homotopy._System, "add_rows", recording)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--group", "C5", "--ring", "Z"],
+    ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "2"],
+])
+def test_root_assembly_matches_full_products_on_commands(
+        argv, monkeypatch, capsys):
+    from ttperm.cli import run
+    seen = _record_assemblies(monkeypatch)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert sum(n for _, n, _ in seen) >= 800
+    assert all(same for same, _, _ in seen)
+
+
+def test_root_assembly_matches_full_products_on_inconsistent_orbits(
+        monkeypatch):
+    # u (x) u twisted by (sign (+) trivial) over Z, the sign taken along
+    # another index-2 subgroup than u's: Hom(sign, trivial) and its kin
+    # carry orbits whose signs do not close up (code 0)
+    from ttperm.chain import module_complex
+    G = parse_group_name("C2xC2")
+    N = index_p_normal_subgroups(G)[0]
+    S = [H for H in subgroups(G) if H.index == 2 and H != N][0]
+    L = direct_sum(sign_module(G, S, ZZ), trivial_module(G, ZZ))
+    U = u_complex(G, N, ZZ)
+    X = tensor_complex(tensor_complex(module_complex(L), U), U)
+    seen = _record_assemblies(monkeypatch)
+    assert isinstance(find_homotopy_equivalence(X, X), Equivalence)
+    assert null_homotopy(identity_chain_map(cone(identity_chain_map(X))))
+    assert sum(n for _, n, _ in seen) >= 200
+    assert all(zeros for _, _, zeros in seen)
+    assert all(same for same, _, _ in seen)
+
+
+_NOT_A_CYCLE = """
+import sys
+from ttperm.grp import cyclic
+from ttperm.homotopy import hom_group
+from ttperm.rings import ZZ
+from ttperm.twisted import u_complex, index_p_normal_subgroups
+
+assert sys.flags.optimize
+G = cyclic(2)
+hg = hom_group(u_complex(G, index_p_normal_subgroups(G)[0], ZZ), -1)
+for v, why in (({0: 1}, "not invariant"), ({0: 1, 1: 1}, "not a cycle")):
+    try:
+        print(v, "has coordinates", hg.coords(v))
+    except ValueError as exc:
+        print(v, exc)
+        if why not in str(exc):
+            sys.exit("wrong message")
+    else:
+        sys.exit("a vector off the cycles got coordinates")
+"""
+
+
+def test_coordinates_of_non_cycles_raise_under_python_O(python_O):
+    # a ValueError, not an AssertionError: cli.run would report the
+    # latter as a failed theory check
+    proc = python_O(_NOT_A_CYCLE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _check_vector(ring, vec, ascending=False):

@@ -18,10 +18,10 @@ from ttperm.permod import (perm_module, trivial_module, sign_module,
                            equivariant_hom_basis, SignedPermModule,
                            identity_map, zero_map, subgroup_as_group,
                            is_induced_from, rebase_to_permutation, EquivMap,
-                           CertificateError)
+                           CertificateError, HomOrbits, _index, _left_mul,
+                           _right_mul)
 from ttperm.chain import tensor_complex
-from ttperm.homotopy import (_index, _left_mul, _right_mul, sparse_rows,
-                             invariant_data)
+from ttperm.homotopy import sparse_rows, invariant_data
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 
 
@@ -467,3 +467,25 @@ def test_generator_orbit_walks_match_the_all_elements_walk(name):
     # path signs are walk-dependent only on inconsistent orbits, and
     # those are the rank-one sign modules here
     assert inconsistent == len(signs)
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "D8"])
+def test_orbit_codes_match_the_basis_maps(name):
+    # code[i rank N + j] is +-(k + 1) exactly on the support of basis map
+    # k, signed by its entry, and 0 on the pairs of inconsistent orbits
+    G, pairs = _module_pairs(name, ZZ)
+    signs = [sign_module(G, S, ZZ) for S in subgroups(G) if S.index == 2]
+    modules = list(dict.fromkeys(M for M, _ in pairs)) + signs
+    zeros = 0
+    for A, B in pairs + [(M, L) for M in modules for L in signs] + \
+            [(L, M) for M in modules for L in signs]:
+        H = HomOrbits(A, B)
+        want = [0] * (A.rank * B.rank)
+        basis = equivariant_hom_basis(A, B)
+        for k, f in enumerate(basis):
+            assert divmod(H.roots[k], B.rank) == f.root_pair
+            for (j, i), v in f.entries.items():
+                want[i * B.rank + j] = (k + 1) * v
+        assert len(H) == len(basis) and list(H.code) == want
+        zeros += want.count(0)
+    assert zeros
