@@ -17,6 +17,8 @@ any absent degree and ``diff(n)`` a zero map.
 d o d = 0 and the chain-map squares are checked on the entries of
 sparse products (``permod._composite``), without building maps; a
 failure raises ``permod.CertificateError``, also under ``python -O``.
+Terms and components that do not fit together are a caller's bug and
+raise ``ValueError``, also under ``python -O``.
 """
 
 from .permod import (SignedPermModule, EquivMap, CertificateError,
@@ -35,12 +37,12 @@ class Complex:
             if n in self.terms and (n - 1) in self.terms:
                 self.diffs[n] = f
         for n, M in self.terms.items():
-            assert M.group is group and M.ring is ring
+            if M.group is not group or M.ring is not ring:
+                raise ValueError("term %d has another group or ring" % n)
         for n, f in self.diffs.items():
-            assert f.source is self.terms[n] or \
-                f.source.basis == self.terms[n].basis
-            assert f.target is self.terms[n - 1] or \
-                f.target.basis == self.terms[n - 1].basis
+            if not (_same_basis(f.source, self.terms[n]) and
+                    _same_basis(f.target, self.terms[n - 1])):
+                raise ValueError("d_%d is not X_%d -> X_%d" % (n, n, n - 1))
         if check:
             self.check_square_zero()
         # shift -> HomGroup, filled by homotopy.hom_group; a complex is
@@ -98,17 +100,20 @@ class ChainMap:
     """A degree-0 map of complexes; commuting squares checked."""
 
     def __init__(self, source, target, components):
-        assert source.group is target.group and source.ring is target.ring
+        if source.group is not target.group or source.ring is not target.ring:
+            raise ValueError("a chain map needs one group and one ring")
         self.source = source
         self.target = target
         comps = {}
         for n, f in components.items():
             if n in source.terms and n in target.terms:
-                assert f.source.basis == source.terms[n].basis
-                assert f.target.basis == target.terms[n].basis
+                if not (_same_basis(f.source, source.terms[n]) and
+                        _same_basis(f.target, target.terms[n])):
+                    raise ValueError("component %d is not X_%d -> Y_%d"
+                                     % (n, n, n))
                 comps[n] = f
-            else:
-                assert f.is_zero()
+            elif not f.is_zero():
+                raise ValueError("component %d lies outside the complexes" % n)
         self.components = comps
         for n in set(source.terms) | set(target.terms):
             if _square_side(comps.get(n - 1), source.diffs.get(n)) != \
@@ -126,6 +131,11 @@ class ChainMap:
 
     def __repr__(self):
         return "ChainMap(%r -> %r)" % (self.source, self.target)
+
+
+def _same_basis(M, N):
+    """M is N or has its basis (identity first: the common, free case)."""
+    return M is N or M.basis == N.basis
 
 
 def _square_side(f, g):

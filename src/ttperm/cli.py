@@ -197,6 +197,9 @@ def cmd_twisted(args):
         if args.shift_min is None or args.shift_max is None:
             raise UsageError("provide both --shift-min and --shift-max")
         window = (args.shift_min, args.shift_max)
+        if window[0] > window[1]:
+            raise UsageError("--shift-min %d is above --shift-max %d"
+                             % window)
     table = twisted.twisted_table(G, ring, args.max_twist,
                                   shift_window=window)
     pres = twisted.ring_presentation(table)
@@ -284,6 +287,34 @@ def cmd_invert(args):
     return _dump(out)
 
 
+def _replay_argv(recorded):
+    """The command line that reproduces a report, from its ``inputs``;
+    values go in as text, so the parser checks them as a user's."""
+    command, inputs = recorded["command"], recorded["inputs"]
+    argv = [command] + ["--%s=%s" % (key.replace("_", "-"), inputs[key])
+                        for key in ("group", "subgroup", "ring", "max_twist")
+                        if key in inputs]
+    if "shift_window" in inputs:
+        window = inputs["shift_window"]
+        if not isinstance(window, list) or len(window) != 2:
+            raise UsageError("report has shift_window %r; expected "
+                             "[min, max]" % (window,))
+        argv += ["--shift-min=%s" % window[0], "--shift-max=%s" % window[1]]
+    if command == "kos" and "base_change" in recorded:
+        argv.append("--verify")
+    if command == "invert":
+        # replay the recorded subgroup_index as the descriptor naming it
+        G = _parse_group(inputs["group"])
+        Ns = twisted.index_p_normal_subgroups(G)
+        idx = inputs.get("subgroup_index")
+        if type(idx) is not int or not 0 <= idx < len(Ns):
+            raise UsageError("report has subgroup_index %r; %s has %d "
+                             "index-p normal subgroups"
+                             % (idx, G.name, len(Ns)))
+        argv.append("--subgroup=%s" % _subgroup_descriptor(G, Ns[idx]))
+    return argv
+
+
 def cmd_verify(args):
     with open(args.report) as fh:
         try:
@@ -298,38 +329,14 @@ def cmd_verify(args):
     if not isinstance(inputs, dict) or \
             not isinstance(inputs.get("group"), str):
         raise UsageError("%s has no inputs.group to replay" % args.report)
-    ns = argparse.Namespace(**{
-        "group": inputs.get("group"),
-        "subgroup": inputs.get("subgroup"),
-        "ring": inputs.get("ring", "Z"),
-        "max_twist": inputs.get("max_twist"),
-        "shift_min": (inputs.get("shift_window") or [None, None])[0],
-        "shift_max": (inputs.get("shift_window") or [None, None])[1],
-        "format": "json",
-        "verify": "base_change" in recorded,
-    })
-    if command == "kos":
-        fresh = json.loads(cmd_kos(ns))
-    elif command == "twisted":
-        fresh = json.loads(cmd_twisted(ns))
-    elif command == "spectrum":
-        fresh = json.loads(cmd_spectrum(ns))
-    elif command == "invert":
-        # replay the recorded subgroup_index as the descriptor naming it
-        G = _parse_group(ns.group)
-        Ns = twisted.index_p_normal_subgroups(G)
-        idx = inputs.get("subgroup_index")
-        if type(idx) is not int or not 0 <= idx < len(Ns):
-            raise UsageError("report has subgroup_index %r; %s has %d "
-                             "index-p normal subgroups"
-                             % (idx, G.name, len(Ns)))
-        ns.subgroup = _subgroup_descriptor(G, Ns[idx])
-        fresh = json.loads(cmd_invert(ns))
-    else:
+    if command not in ("kos", "twisted", "spectrum", "invert"):
         raise UsageError("cannot verify report with command %r" % command)
+    ns = build_parser().parse_args(_replay_argv(recorded))
+    fresh = json.loads(ns.handler(ns))
     mismatches = _diff(_jsonable(recorded), fresh, path="")
-    if command == "spectrum":
-        # independent structural pass over the recorded poset
+    if command == "spectrum" and not mismatches:
+        # independent structural pass over the recorded poset; a poset
+        # that differs from the fresh one has already failed
         P = _poset_from_json(recorded["poset"])
         rep = spectrum.validate(P)
         if not rep["ok"]:

@@ -184,12 +184,11 @@ class Subgroup:
         G = self.parent
         return Subgroup(G, (G.conj(x, g) for x in self.elements))
 
-    def is_normal(self, ambient=None):
-        """Normal in ``ambient`` (a Subgroup), or in the whole group."""
+    def is_normal(self):
+        """Normal in the whole group."""
         G = self.parent
-        amb = ambient.elements if ambient is not None else G.elements()
         return all(G.conj(x, g) in self.members
-                   for g in amb for x in self.elements)
+                   for g in G.elements() for x in self.elements)
 
     def left_cosets(self):
         """Left cosets gH, each a sorted tuple, ordered by smallest member."""

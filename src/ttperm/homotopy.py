@@ -38,8 +38,11 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
   basis of Hom_G, never raw matrix entries, so certificates found over
   Z are honest equivariant certificates.  The orbit bases are cached on
   their source module (``SignedPermModule.hom_bases``) as codes, not
-  maps (``permod.HomOrbits``), and die with it; systems are read off
-  the codes (``_System.add_rows``) and maps built only from solutions.
+  maps (``permod.HomOrbits``), and die with it.  Every system is read
+  off the codes in one place: chain maps, null homotopies and
+  contraction steps by ``_graded_system``, and the fixed-point complex
+  (``InvariantsComplex``, on ``HomOrbits(R, X_n)``) by
+  ``_System.add_rows``; maps are built only from solutions (``_maps``).
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -47,9 +50,9 @@ Homotopies h have degree +1 and certify d h + h d = f.
 import os
 from math import gcd
 
-from .permod import (HomOrbits, equivariant_hom_basis, EquivMap,
-                     CertificateError, zero_map, _index, _normalized,
-                     _right_mul, _composite, _combination, _scaled)
+from .permod import (HomOrbits, EquivMap, CertificateError, trivial_module,
+                     _index, _normalized, _right_mul, _composite,
+                     _combination, _scaled)
 from .rings import mat_identity, mat_mul
 
 
@@ -750,60 +753,45 @@ def _invariant_factors(diagonal):
 # ---------------------------------------------------------------------------
 # invariants and hom groups
 
-def invariant_data(M):
-    """(vectors, roots): orbit-sum basis of M^G and one root index each."""
-    from .permod import trivial_module
-    maps = equivariant_hom_basis(trivial_module(M.group, M.ring), M)
-    cols = []
-    roots = []
-    for f in maps:
-        cols.append(f.columns()[0])
-        roots.append(f.root_pair[1])
-    return cols, roots
-
-
-def _in_invariant_coords(ring, cols, roots, v):
-    """Coordinates of an invariant vector in the orbit-sum basis, as a
-    coefficient vector; ValueError (a caller's bug, not a failed
-    certificate) if v is not invariant."""
-    coeff = {k: v[r] for k, r in enumerate(roots) if r in v}
-    if _combination(ring, coeff, cols) != v:
-        raise ValueError("vector is not invariant")
-    return coeff
-
-
 class InvariantsComplex:
-    """The complex of G-fixed points, in orbit-sum coordinates: ``cols``
-    the orbit sums and ``dcols`` the differentials' columns, vectors."""
+    """The complex of G-fixed points X^G in orbit-sum coordinates.
+
+    ``orbits[n]`` is ``HomOrbits(R, X_n)``, R the trivial module: map k
+    sends 1 to the signed sum of orbit k, and these sums are a basis of
+    X_n^G.  ``rows[n]`` are the rows of d_n in that basis, one per
+    orbit of X_{n-1}, from one ``_System.add_rows`` call: d_n of an
+    orbit sum is invariant, so its coordinates are its root entries.
+    """
 
     def __init__(self, X):
         self.X = X
         self.ring = X.ring
-        self.cols = {}
-        self.roots = {}
-        self.dcols = {}
-        for n, M in X.terms.items():
-            cols, roots = invariant_data(M)
-            self.cols[n] = cols
-            self.roots[n] = roots
-        for n in X.terms:
-            if (n - 1) not in X.terms or n not in X.diffs:
-                continue
-            dn = X.diffs[n]
-            # d_n in invariant coordinates, one column per orbit sum
-            self.dcols[n] = [_in_invariant_coords(
-                self.ring, self.cols[n - 1], self.roots[n - 1], dn.apply(col))
-                for col in self.cols[n]]
+        unit = trivial_module(X.group, X.ring)
+        self.orbits = {n: HomOrbits(unit, M) for n, M in X.terms.items()}
+        self.rows = {}
+        for n, d in X.diffs.items():
+            sys = _System(self.ring)
+            sys.add_block(n, self.orbits[n])
+            sys.add_rows(self.orbits[n - 1], [(n, d.entries, True)])
+            self.rows[n] = sys.rows
 
     def dim(self, n):
-        return len(self.cols.get(n, []))
+        return len(self.orbits.get(n, ()))
 
     def to_ambient(self, n, coeff):
-        return _combination(self.ring, coeff, self.cols[n])
+        """The invariant vector with coordinates ``coeff``, its entries
+        in the order of ``HomOrbits.map``."""
+        return self.orbits[n].map(coeff).columns()[0] if coeff else {}
 
     def from_ambient(self, n, v):
-        return _in_invariant_coords(self.ring, self.cols.get(n, []),
-                                    self.roots.get(n, []), v)
+        """The coordinates of an invariant vector, its root entries;
+        ValueError (a caller's bug, not a failed certificate) if v is
+        not invariant."""
+        roots = self.orbits[n].roots if n in self.orbits else ()
+        coeff = {k: v[r] for k, r in enumerate(roots) if r in v}
+        if self.to_ambient(n, coeff) != v:
+            raise ValueError("vector is not invariant")
+        return coeff
 
 
 class HomGroup:
@@ -814,16 +802,15 @@ class HomGroup:
     """
 
     def __init__(self, I, s):
-        self.Y = I.X
-        self.s = s
         self.ring = I.ring
         n0 = -s
         self.degree = n0
         self.inv = I
-        out_rows = _column_rows(I.dcols[n0], I.dim(n0 - 1)) \
-            if n0 in I.dcols else []
+        # the columns of d_{n0+1}, by transposing its rows
+        in_cols = _column_rows(I.rows[n0 + 1], I.dim(n0 + 1)) \
+            if (n0 + 1) in I.rows else []
         fg, cycles = homology_from_matrices(
-            self.ring, out_rows, I.dcols.get(n0 + 1, []), I.dim(n0))
+            self.ring, I.rows.get(n0, []), in_cols, I.dim(n0))
         self.fg = fg
         self.cycles = cycles      # in invariant coordinates
         self.generators = [
@@ -949,8 +936,8 @@ class _System:
 
     def add_rows(self, proj, contributions, rhs=None):
         """One equation row per orbit of ``proj``, the ``HomOrbits`` of
-        the projection Hom_G(M, N), in root order: the root entry of the
-        sum of the contributions equals that of ``rhs``.
+        the projection Hom_G(M, N), in root order, empty or not: the root
+        entry of the sum of the contributions equals that of ``rhs``.
 
         ``contributions``: list of (tag, d, left), the composites d o b
         (``left``) or b o d of the block's basis maps b with a map d
@@ -962,7 +949,9 @@ class _System:
 
         Columns come in contribution order and k ascending within a
         block, the order pivot ties follow; a coefficient that
-        normalises to 0 is dropped.
+        normalises to 0 is dropped.  An empty row never holds a pivot,
+        and rows keep their relative order, so empty rows do not move
+        the pivots of the others.
         """
         ring = self.ring
         zero = ring.zero
@@ -994,8 +983,11 @@ class _System:
             b = zero if rhs is None else rhs.get((j, i), zero)
             if b != 0:
                 self.rhs[len(self.rows)] = b
-            if row or b != 0:
-                self.rows.append(row)
+            self.rows.append(row)
+
+    def bases(self):
+        """{tag: basis} of the blocks, in block order."""
+        return {tag: basis for tag, (_, basis) in self.blocks.items()}
 
     def _split(self, x):
         """{tag: {k: coefficient on basis k of the block}} for a vector
@@ -1044,41 +1036,48 @@ def _hom_basis(M, N):
     return basis
 
 
-def _homotopy_system(X, Y, sys, h_tag="h"):
-    """Add homotopy unknown blocks h_n : X_n -> Y_{n+1} to ``sys``.
+def _graded_system(X, Y, k, degrees, rhs=None):
+    """The system d u - (-1)^k u d = rhs for an equivariant map u of
+    degree k from X to Y, with u_n in Hom_G(X_n, Y_{n+k}) for n in
+    ``degrees`` (degrees of X, sorted) and zero elsewhere.
 
-    Returns {n: basis} for later reconstruction.
+    Degree n adds a block of unknowns, tagged n, on the orbit basis of
+    Hom_G(X_n, Y_{n+k}) when that basis is not empty, and then the
+    equation d_{n+k} u_n - (-1)^k u_{n-1} d_n = rhs_n, projected on the
+    roots of Hom_G(X_n, Y_{n+k-1}) by ``_System.add_rows``.  The left
+    contribution (block n, d^Y) comes before the right one (block n-1,
+    d^X).  ``rhs``: {n: entries}, an omitted degree counting as zero.
+    k = 0 gives chain maps, k = 1 null homotopies and contractions.
     """
-    bases = {}
-    for n in sorted(X.terms):
-        if (n + 1) in Y.terms:
-            basis = _hom_basis(X.terms[n], Y.terms[n + 1])
-            if basis:
-                sys.add_block((h_tag, n), basis)
-                bases[n] = basis
-    return bases
-
-
-def _add_homotopy_equations(X, Y, sys, h_bases, rhs_maps, h_tag="h"):
-    """Equations proj(d h + h d) = rhs, degree by degree.
-
-    ``rhs_maps``: {n: entries of the degree-n right-hand map X_n -> Y_n}.
-    """
-    degrees = sorted(set(X.terms) | set(Y.terms))
+    sys = _System(X.ring)
     for n in degrees:
-        if n not in X.terms or n not in Y.terms:
-            # no room to project: rhs must vanish identically there
-            if rhs_maps and n in rhs_maps:
-                assert not rhs_maps[n]
+        if (n + k) in Y.terms:
+            basis = _hom_basis(X.terms[n], Y.terms[n + k])
+            if basis:
+                sys.add_block(n, basis)
+    for n in degrees:
+        if (n + k - 1) not in Y.terms:
             continue
-        proj = _hom_basis(X.terms[n], Y.terms[n])
         contributions = []
-        if n in h_bases and (n + 1) in Y.diffs:
-            contributions.append(((h_tag, n), Y.diffs[n + 1].entries, True))
-        if (n - 1) in h_bases and n in X.diffs:
-            contributions.append(((h_tag, n - 1), X.diffs[n].entries, False))
-        rhs = rhs_maps.get(n) if rhs_maps else None
-        sys.add_rows(proj, contributions, rhs)
+        if n in sys.blocks and (n + k) in Y.diffs:
+            contributions.append((n, Y.diffs[n + k].entries, True))
+        if (n - 1) in sys.blocks and n in X.diffs:
+            d = X.diffs[n].entries
+            if k % 2 == 0:
+                d = {key: -v for key, v in d.items()}
+            contributions.append((n - 1, d, False))
+        sys.add_rows(_hom_basis(X.terms[n], Y.terms[n + k - 1]),
+                     contributions, rhs.get(n) if rhs else None)
+    return sys
+
+
+def _maps(bases, vector):
+    """{n: the map with coefficients vector[n] on bases[n]}: a solution
+    or kernel vector of a ``_graded_system``, or a combination of them,
+    turned into maps in the order of ``vector``; zero maps are left
+    out."""
+    maps = {n: bases[n].map(c) for n, c in vector.items() if c}
+    return {n: f for n, f in maps.items() if not f.is_zero()}
 
 
 def null_homotopy(F):
@@ -1086,23 +1085,10 @@ def null_homotopy(F):
 
     F is a ChainMap.  Returns {n: EquivMap X_n -> Y_{n+1}} or None.
     """
-    X, Y = F.source, F.target
-    sys = _System(X.ring)
-    h_bases = _homotopy_system(X, Y, sys)
-    rhs = {n: F.component(n).entries for n in X.terms if n in Y.terms}
-    for n in X.terms:
-        if n not in Y.terms and not F.component(n).is_zero():
-            return None
-    _add_homotopy_equations(X, Y, sys, h_bases, rhs)
+    sys = _graded_system(F.source, F.target, 1, sorted(F.source.terms),
+                         {n: f.entries for n, f in F.components.items()})
     sol = sys.solve()
-    if sol is None:
-        return None
-    out = {}
-    for n, basis in h_bases.items():
-        f = basis.map(sol[("h", n)])
-        if not f.is_zero():
-            out[n] = f
-    return out
+    return None if sol is None else _maps(sys.bases(), sol)
 
 
 def check_homotopy(X, Y, f, h):
@@ -1242,32 +1228,20 @@ def _average_homotopy(X, raw):
 def _contract_equivariant(X):
     """Equivariant greedy contraction, one orbit-basis solve per degree.
 
-    Same sweep as _contract_raw but with unknowns the coefficients of
-    the equivariant hom basis Hom_G(X_n, X_{n+1}) and equations the
-    projections onto the root pairs of Hom_G(X_n, X_n).  Returns
-    {n: EquivMap} or None.
+    Same sweep as _contract_raw, but each step is the ``_graded_system``
+    of degree 1 on the one degree n with right side id - h_{n-1} d_n:
+    unknowns on the orbit basis of Hom_G(X_n, X_{n+1}) and equations
+    at the roots of Hom_G(X_n, X_n).  Returns {n: EquivMap} or None.
     """
-    ring = X.ring
     h = {}
     for n in sorted(X.terms):
-        Xn = X.terms[n]
         below = h[n - 1].entries if (n - 1) in h else None
-        rhs = _contraction_rhs(X, n, below)
-        basis = _hom_basis(Xn, X.terms[n + 1]) if (n + 1) in X.terms else []
-        if not basis:
-            if rhs:
-                return None
-            continue
-        sys = _System(ring)
-        sys.add_block("h", basis)
-        sys.add_rows(_hom_basis(Xn, Xn),
-                     [("h", X.diff(n + 1).entries, True)], rhs)
+        sys = _graded_system(X, X, 1, [n],
+                             {n: _contraction_rhs(X, n, below)})
         sol = sys.solve()
         if sol is None:
             return None
-        hm = basis.map(sol["h"])
-        if not hm.is_zero():
-            h[n] = hm
+        h.update(_maps(sys.bases(), sol))
     return h
 
 
@@ -1315,50 +1289,17 @@ def chain_map_space(X, Y):
     each vector {n: {k: nonzero coefficient on bases[n][k]}}, k
     ascending.  No map is built here; ``_chain_map`` builds (and so
     checks) one when it is needed."""
-    sys = _System(X.ring)
-    f_bases = {}
-    for n in sorted(X.terms):
-        if n in Y.terms:
-            basis = _hom_basis(X.terms[n], Y.terms[n])
-            if basis:
-                sys.add_block(n, basis)
-                f_bases[n] = basis
-    # commuting squares, projected onto Hom(X_n, Y_{n-1})
-    for n in sorted(set(X.terms) | set(Y.terms)):
-        if n not in X.terms or (n - 1) not in Y.terms:
-            continue
-        proj = _hom_basis(X.terms[n], Y.terms[n - 1])
-        contributions = []
-        if n in f_bases and n in Y.diffs:
-            contributions.append((n, Y.diffs[n].entries, True))
-        if (n - 1) in f_bases and n in X.diffs:
-            contributions.append((n - 1, {k: -v for k, v in
-                                          X.diffs[n].entries.items()}, False))
-        if contributions:
-            sys.add_rows(proj, contributions)
+    sys = _graded_system(X, Y, 0, sorted(X.terms))
     # the orbit-basis maps of one degree have disjoint supports, so a
     # vector gives the zero map exactly when all its coefficients vanish
-    return f_bases, [v for v in sys.kernel() if any(v.values())]
-
-
-def _component(X, Y, bases, vector, n):
-    """Degree n of the chain map with coefficients ``vector``."""
-    coeffs = vector.get(n)
-    if not coeffs:
-        return zero_map(X.term(n), Y.term(n))
-    return bases[n].map(coeffs)
+    return sys.bases(), [v for v in sys.kernel() if any(v.values())]
 
 
 def _chain_map(X, Y, bases, vector):
     """The chain map X -> Y with coefficients ``vector`` on ``bases``;
     ChainMap checks its squares."""
     from .chain import ChainMap
-    comps = {}
-    for n in vector:
-        f = _component(X, Y, bases, vector, n)
-        if not f.is_zero():
-            comps[n] = f
-    return ChainMap(X, Y, comps)
+    return ChainMap(X, Y, _maps(bases, vector))
 
 
 def _combine_vectors(vectors, coeffs):
@@ -1458,7 +1399,8 @@ def find_homotopy_equivalence(X, Y):
             scalars = []
             K_rows = _column_rows(cycY, Y.term(n0).rank)
             for v in space:
-                w = _component(X, Y, bases, v, n0).apply(vX)
+                f = _maps(bases, {n0: v.get(n0)}).get(n0)
+                w = f.apply(vX) if f else {}
                 sol = _solve_vector(ring, K_rows, len(cycY), w)
                 if sol is None:
                     scalars.append(None)

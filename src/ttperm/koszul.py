@@ -353,18 +353,17 @@ class KoszulVerificationError(AssertionError):
     pass
 
 
-def verify_koszul(X, G, H, ring, check_restriction=True, contraction=None):
+def verify_koszul(X, G, H, ring, contraction=None):
     """Check the four defining invariants; returns (audit dict,
-    contraction certificate of the restriction to H or None).
+    contraction certificate of the restriction to H).
 
     d o d = 0 is checked as a sparse product.  A verified contraction
     of Res_H X contracts the underlying complex, so it certifies
     acyclicity too; ``homology_profile`` runs only when no contraction
-    exists, to tell "not acyclic" from "restriction not contractible",
-    or when ``check_restriction`` is false.  ``contraction`` is an
-    integral certificate for Res_H of the complex that X is the base
-    change of: it is carried over to ``ring`` and verified there
-    instead of solving again.
+    exists, to tell "not acyclic" from "restriction not contractible".
+    ``contraction`` is an integral certificate for Res_H of the complex
+    that X is the base change of: it is carried over to ``ring`` and
+    verified there instead of solving again.
 
     Raises KoszulVerificationError on any failure (these are theory
     violations, never silently tolerated), and CertificateError when
@@ -383,10 +382,6 @@ def verify_koszul(X, G, H, ring, check_restriction=True, contraction=None):
         raise KoszulVerificationError("degree-1 term is not induced from H")
     report["degree1_induced"] = True
     X.check_square_zero()
-    if not check_restriction:
-        _require_acyclic(X)
-        report["acyclic"] = True
-        return report, None
     res = restrict_complex(X, H)
     if contraction is None:
         ok, cert = is_contractible(res)
@@ -394,18 +389,15 @@ def verify_koszul(X, G, H, ring, check_restriction=True, contraction=None):
         ok, cert = True, contraction.carried_to(res)
         cert.verify()
     if not ok:
-        _require_acyclic(X)
+        prof = homology_profile(X)
+        if prof:
+            raise KoszulVerificationError("complex is not acyclic: %r"
+                                          % (prof,))
         raise KoszulVerificationError(
             "restriction to H is not contractible: %r" % (cert,))
     report["acyclic"] = True
     report["restriction_contractible"] = True
     return report, cert
-
-
-def _require_acyclic(X):
-    prof = homology_profile(X)
-    if prof:
-        raise KoszulVerificationError("complex is not acyclic: %r" % (prof,))
 
 
 def koszul_object(G, H, ring):

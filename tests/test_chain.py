@@ -54,7 +54,7 @@ def test_chain_map_rejects_non_commuting_square():
     one = EquivMap(M, M, {(0, 0): 1})
     with pytest.raises(AssertionError, match="does not commute"):
         ChainMap(X, X, {0: one})               # identity at 0, zero at 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="outside the complexes"):
         ChainMap(X, X, {5: one})               # nonzero outside the complex
     ChainMap(X, X, {0: one, 1: one, 5: EquivMap(M, M, {(0, 0): 0})})
 
@@ -228,3 +228,45 @@ def test_underlying_homology_of_u_complex():
     X = u_complex(G, N, ZZ)
     fg0, _ = underlying_homology(X, 0)
     assert fg0.label() in ("Z", "0")
+
+
+_MISFITS = """
+import sys
+from ttperm.chain import Complex, ChainMap, two_term_complex
+from ttperm.grp import cyclic
+from ttperm.permod import EquivMap, trivial_module, perm_module
+from ttperm.rings import ZZ, QQ
+
+assert sys.flags.optimize
+G = cyclic(2)
+M = trivial_module(G, ZZ)
+one = EquivMap(M, M, {(0, 0): 1})
+X = two_term_complex(one)
+P = perm_module(G, G.trivial_subgroup(), ZZ)
+bad = {
+    "outside": lambda: ChainMap(X, X, {5: one}),
+    "basis": lambda: ChainMap(X, X, {0: EquivMap(P, M, {(0, 0): 1,
+                                                        (0, 1): 1})}),
+    "ring": lambda: Complex(G, QQ, {0: M}, {}),
+    "differential": lambda: Complex(G, ZZ, {0: M, 1: P}, {1: one}),
+}
+for name, build in bad.items():
+    try:
+        build()
+        sys.exit("a misfit %s was accepted" % name)
+    except ValueError as exc:
+        print(name, exc)
+"""
+
+
+def test_misfit_terms_and_components_raise_under_python_O(python_O):
+    # structural checks are ValueErrors, not asserts: python -O keeps
+    # them, and cli.run does not report them as failed theory checks
+    proc = python_O(_MISFITS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "outside component 5 lies outside the complexes",
+        "basis component 0 is not X_0 -> Y_0",
+        "ring term 0 has another group or ring",
+        "differential d_1 is not X_1 -> X_0",
+    ]

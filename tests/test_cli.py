@@ -65,6 +65,16 @@ def test_twisted_window_must_be_complete():
                 "--max-twist", "2", "--shift-min", "-3"]) == 1
 
 
+def test_twisted_rejects_inverted_shift_window(capsys):
+    # an empty window would print an empty table that still claims its
+    # relations complete up to the total twist
+    assert run(["twisted", "--group", "C2", "--ring", "F2",
+                "--shift-min", "0", "--shift-max", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--shift-min 0 is above --shift-max -3" in captured.err
+
+
 def test_twisted_rejects_non_elementary_abelian():
     assert run(["twisted", "--group", "C4", "--ring", "F2",
                 "--max-twist", "2"]) == 1
@@ -160,6 +170,8 @@ def test_verify_round_trip(tmp_path, capsys):
         ["kos", "--group", "C4", "--subgroup", "C2", "--ring", "Z",
          "--verify"],
         ["twisted", "--group", "C2", "--ring", "F2", "--max-twist", "2"],
+        ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "3",
+         "--shift-min", "-4", "--shift-max", "-1"],
         ["spectrum", "--group", "C6", "--format", "json"],
         ["invert", "--group", "C3", "--ring", "Z"],
         ["invert", "--group", "C2xC2", "--subgroup", "C2#1"],
@@ -190,6 +202,45 @@ def test_verify_rejects_bad_subgroup_index(tmp_path, capsys):
     path = tmp_path / "bad_index.json"
     path.write_text(json.dumps(data))
     assert run(["verify", str(path)]) == 1
+
+
+def _tampered_report(tmp_path, capsys, argv, edit):
+    """Run argv, apply ``edit`` to its JSON report and save it; the
+    path of the saved report."""
+    assert run(argv) == 0
+    data = json.loads(out_of(capsys))
+    edit(data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verify_replays_inputs_through_the_parser(tmp_path, capsys):
+    # a malformed input is a usage error with the parser's message, not
+    # a traceback
+    path = _tampered_report(
+        tmp_path, capsys, ["kos", "--group", "C2", "--subgroup", "1",
+                           "--ring", "F2"],
+        lambda data: data["inputs"].pop("subgroup"))
+    assert run(["verify", path]) == 1
+    assert "the following arguments are required: --subgroup" in \
+        capsys.readouterr().err
+    path = _tampered_report(
+        tmp_path, capsys, ["twisted", "--group", "C2", "--ring", "F2",
+                           "--max-twist", "1"],
+        lambda data: data["inputs"].update(max_twist="x"))
+    assert run(["verify", path]) == 1
+    assert "argument --max-twist: invalid int value: 'x'" in \
+        capsys.readouterr().err
+
+
+def test_verify_reports_a_missing_poset_as_a_mismatch(tmp_path, capsys):
+    path = _tampered_report(
+        tmp_path, capsys, ["spectrum", "--group", "C6"],
+        lambda data: data.pop("poset"))
+    assert run(["verify", path]) == 2
+    out = json.loads(out_of(capsys))
+    assert out["mismatches"] == ["/poset only in fresh run"]
 
 
 def test_reports_match_recorded_digests(capsys):

@@ -805,8 +805,7 @@ def _rows_by_products(sys, proj, contributions, rhs):
         b = ring.zero if rhs is None else rhs.get(key, ring.zero)
         if b != 0:
             rights[len(rows)] = b
-        if row or b != 0:
-            rows.append(row)
+        rows.append(row)
     return rows, rights
 
 
@@ -849,24 +848,238 @@ def test_root_assembly_matches_full_products_on_commands(
     assert all(same for same, _, _ in seen)
 
 
-def test_root_assembly_matches_full_products_on_inconsistent_orbits(
-        monkeypatch):
-    # u (x) u twisted by (sign (+) trivial) over Z, the sign taken along
-    # another index-2 subgroup than u's: Hom(sign, trivial) and its kin
-    # carry orbits whose signs do not close up (code 0)
+def _inconsistent_orbit_complex():
+    """u (x) u twisted by (sign (+) trivial) over Z, the sign taken along
+    another index-2 subgroup than u's: Hom(sign, trivial) and its kin
+    carry orbits whose signs do not close up (code 0)."""
     from ttperm.chain import module_complex
     G = parse_group_name("C2xC2")
     N = index_p_normal_subgroups(G)[0]
     S = [H for H in subgroups(G) if H.index == 2 and H != N][0]
     L = direct_sum(sign_module(G, S, ZZ), trivial_module(G, ZZ))
     U = u_complex(G, N, ZZ)
-    X = tensor_complex(tensor_complex(module_complex(L), U), U)
+    return tensor_complex(tensor_complex(module_complex(L), U), U)
+
+
+def test_root_assembly_matches_full_products_on_inconsistent_orbits(
+        monkeypatch):
+    X = _inconsistent_orbit_complex()
     seen = _record_assemblies(monkeypatch)
     assert isinstance(find_homotopy_equivalence(X, X), Equivalence)
     assert null_homotopy(identity_chain_map(cone(identity_chain_map(X))))
     assert sum(n for _, n, _ in seen) >= 200
     assert all(zeros for _, _, zeros in seen)
     assert all(same for same, _, _ in seen)
+
+
+# ---------------------------------------------------------------------------
+# one graded builder, against the assemblies it replaced
+
+def _old_homotopy_system(X, Y, sys):
+    """The homotopy blocks h_n : X_n -> Y_{n+1}, as null_homotopy added
+    them before ``_graded_system``; {n: basis}."""
+    from ttperm.homotopy import _hom_basis
+    bases = {}
+    for n in sorted(X.terms):
+        if (n + 1) in Y.terms:
+            basis = _hom_basis(X.terms[n], Y.terms[n + 1])
+            if basis:
+                sys.add_block(("h", n), basis)
+                bases[n] = basis
+    return bases
+
+
+def _old_add_homotopy_equations(X, Y, sys, h_bases, rhs_maps):
+    """The equations proj(d h + h d) = rhs of null_homotopy, degree by
+    degree, as they were added before ``_graded_system``."""
+    from ttperm.homotopy import _hom_basis
+    for n in sorted(set(X.terms) | set(Y.terms)):
+        if n not in X.terms or n not in Y.terms:
+            continue
+        contributions = []
+        if n in h_bases and (n + 1) in Y.diffs:
+            contributions.append((("h", n), Y.diffs[n + 1].entries, True))
+        if (n - 1) in h_bases and n in X.diffs:
+            contributions.append((("h", n - 1), X.diffs[n].entries, False))
+        sys.add_rows(_hom_basis(X.terms[n], Y.terms[n]), contributions,
+                     rhs_maps.get(n) if rhs_maps else None)
+
+
+def _old_null_homotopy_system(X, Y, rhs):
+    from ttperm.homotopy import _System
+    sys = _System(X.ring)
+    _old_add_homotopy_equations(X, Y, sys, _old_homotopy_system(X, Y, sys),
+                                rhs)
+    return sys
+
+
+def _old_chain_map_system(X, Y):
+    """The commuting-square system of chain_map_space before
+    ``_graded_system``."""
+    from ttperm.homotopy import _System, _hom_basis
+    sys = _System(X.ring)
+    f_bases = {}
+    for n in sorted(X.terms):
+        if n in Y.terms:
+            basis = _hom_basis(X.terms[n], Y.terms[n])
+            if basis:
+                sys.add_block(n, basis)
+                f_bases[n] = basis
+    for n in sorted(set(X.terms) | set(Y.terms)):
+        if n not in X.terms or (n - 1) not in Y.terms:
+            continue
+        contributions = []
+        if n in f_bases and n in Y.diffs:
+            contributions.append((n, Y.diffs[n].entries, True))
+        if (n - 1) in f_bases and n in X.diffs:
+            contributions.append((n - 1, {k: -v for k, v in
+                                          X.diffs[n].entries.items()}, False))
+        if contributions:
+            sys.add_rows(_hom_basis(X.terms[n], Y.terms[n - 1]),
+                         contributions)
+    return sys
+
+
+def _old_contraction_step(X, n, rhs):
+    """The system of step n of _contract_equivariant before
+    ``_graded_system``, or None where that step solved nothing (no
+    unknowns)."""
+    from ttperm.homotopy import _System, _hom_basis
+    Xn = X.terms[n]
+    basis = _hom_basis(Xn, X.terms[n + 1]) if (n + 1) in X.terms else []
+    if not basis:
+        return None
+    sys = _System(X.ring)
+    sys.add_block("h", basis)
+    sys.add_rows(_hom_basis(Xn, Xn), [("h", X.diff(n + 1).entries, True)],
+                 rhs)
+    return sys
+
+
+def _system_layout(sys):
+    """Blocks (offset, basis identity), rows and right sides of a system,
+    in dict order; tags are left out."""
+    return ([(off, id(basis)) for off, basis in sys.blocks.values()],
+            sys.ncols, [list(row.items()) for row in sys.rows],
+            list(sys.rhs.items()))
+
+
+def _old_invariant_columns(X):
+    """({n: orbit sums}, {n: columns of d_n}) of the invariants complex
+    as ``invariant_data`` and ``_in_invariant_coords`` gave them: one
+    checked map per orbit, d_n applied to each orbit sum, and the image
+    read at the roots and checked against the orbit sums."""
+    from ttperm.permod import _combination
+    ring = X.ring
+    sums, roots = {}, {}
+    for n, M in X.terms.items():
+        maps = equivariant_hom_basis(trivial_module(M.group, ring), M)
+        sums[n] = [f.columns()[0] for f in maps]
+        roots[n] = [f.root_pair[1] for f in maps]
+    dcols = {}
+    for n in X.terms:
+        if (n - 1) not in X.terms or n not in X.diffs:
+            continue
+        dcols[n] = []
+        for col in sums[n]:
+            v = X.diffs[n].apply(col)
+            coeff = {k: v[r] for k, r in enumerate(roots[n - 1]) if r in v}
+            assert _combination(ring, coeff, sums[n - 1]) == v
+            dcols[n].append(coeff)
+    return sums, dcols
+
+
+def _record_builders(monkeypatch):
+    """Wrap ``_graded_system`` and ``InvariantsComplex``; each call
+    appends (caller, matches its old assembly in dict order, rows) to
+    the returned list."""
+    import sys as _sys
+    from ttperm import homotopy
+    from ttperm.homotopy import _column_rows
+    real_graded = homotopy._graded_system
+    real_init = homotopy.InvariantsComplex.__init__
+    seen = []
+
+    def graded(X, Y, k, degrees, rhs=None):
+        sys = real_graded(X, Y, k, degrees, rhs)
+        caller = _sys._getframe(1).f_code.co_name
+        if caller == "chain_map_space":
+            ref = _old_chain_map_system(X, Y)
+        elif caller == "null_homotopy":
+            ref = _old_null_homotopy_system(X, Y, rhs)
+        else:
+            assert caller == "_contract_equivariant", caller
+            [n] = degrees
+            ref = _old_contraction_step(X, n, rhs[n])
+        if ref is None:
+            # no unknowns: the step is feasible exactly when rhs is zero
+            same = not sys.blocks and bool(sys.rhs) == bool(rhs[n])
+        else:
+            same = _system_layout(sys) == _system_layout(ref)
+        seen.append((caller, same, len(sys.rows)))
+        return sys
+
+    def invariants(self, X):
+        real_init(self, X)
+        sums, dcols = _old_invariant_columns(X)
+        dims = {n: len(v) for n, v in sums.items()}
+        same = ({n: self.dim(n) for n in X.terms} == dims and all(
+            list(self.to_ambient(n, {k: X.ring.one}).items())
+            == list(col.items())
+            for n, cols in sums.items() for k, col in enumerate(cols)))
+        for n, cols in dcols.items():
+            same = same and [list(c.items()) for c in _column_rows(
+                self.rows[n], dims[n])] == [list(c.items()) for c in cols]
+            same = same and [list(r.items()) for r in self.rows[n]] == \
+                [list(r.items()) for r in _column_rows(cols, dims[n - 1])]
+        seen.append(("InvariantsComplex", same,
+                     sum(map(len, self.rows.values()))))
+
+    monkeypatch.setattr(homotopy, "_graded_system", graded)
+    monkeypatch.setattr(homotopy.InvariantsComplex, "__init__", invariants)
+    return seen
+
+
+def _rows_by_caller(seen):
+    out = {}
+    for caller, _, rows in seen:
+        out[caller] = out.get(caller, 0) + rows
+    return out
+
+
+@pytest.mark.parametrize("argv, callers", [
+    (["invert", "--group", "C5", "--ring", "Z"],
+     {"chain_map_space", "_contract_equivariant"}),
+    (["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "2"],
+     {"InvariantsComplex", "chain_map_space", "_contract_equivariant"}),
+    (["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "3"],
+     {"InvariantsComplex", "chain_map_space", "_contract_equivariant"}),
+])
+def test_graded_builder_matches_old_assemblies_on_commands(
+        argv, callers, monkeypatch, capsys):
+    from ttperm.cli import run
+    seen = _record_builders(monkeypatch)
+    assert run(argv) == 0
+    capsys.readouterr()
+    rows = _rows_by_caller(seen)
+    assert callers <= set(rows), rows
+    assert all(rows[c] > 0 for c in callers), rows
+    assert all(same for _, same, _ in seen)
+
+
+def test_graded_builder_matches_old_assemblies_on_inconsistent_orbits(
+        monkeypatch):
+    X = _inconsistent_orbit_complex()
+    seen = _record_builders(monkeypatch)
+    from ttperm.homotopy import chain_map_space
+    assert isinstance(find_homotopy_equivalence(X, X), Equivalence)
+    assert null_homotopy(identity_chain_map(cone(identity_chain_map(X))))
+    assert chain_map_space(X, X)[1]
+    hom_group(X, 0)
+    rows = _rows_by_caller(seen)
+    assert set(rows) == {"chain_map_space", "_contract_equivariant",
+                         "null_homotopy", "InvariantsComplex"}, rows
+    assert all(same for _, same, _ in seen)
 
 
 _NOT_A_CYCLE = """

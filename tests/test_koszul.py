@@ -97,10 +97,8 @@ def test_verify_koszul_rejects_non_acyclic():
     # without a contraction, the homology profile names the failure
     from ttperm.chain import unit_complex
     G = cyclic(2)
-    for check_restriction in (True, False):
-        with pytest.raises(KoszulVerificationError, match="not acyclic"):
-            verify_koszul(unit_complex(G, ZZ), G, G.trivial_subgroup(), ZZ,
-                          check_restriction=check_restriction)
+    with pytest.raises(KoszulVerificationError, match="not acyclic"):
+        verify_koszul(unit_complex(G, ZZ), G, G.trivial_subgroup(), ZZ)
 
 
 def test_koszul_over_fields():

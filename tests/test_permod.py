@@ -20,8 +20,8 @@ from ttperm.permod import (perm_module, trivial_module, sign_module,
                            is_induced_from, rebase_to_permutation, EquivMap,
                            CertificateError, HomOrbits, _index, _left_mul,
                            _right_mul)
-from ttperm.chain import tensor_complex
-from ttperm.homotopy import sparse_rows, invariant_data
+from ttperm.chain import tensor_complex, module_complex
+from ttperm.homotopy import sparse_rows, InvariantsComplex
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 
 
@@ -99,8 +99,10 @@ def test_invariant_basis_of_permutation_module():
     G = parse_group_name("C2xC2")
     for S in subgroups(G):
         M = perm_module(G, S, ZZ)
-        cols, roots = invariant_data(M)
-        assert cols == [{i: 1 for i in range(M.rank)}] and len(roots) == 1
+        I = InvariantsComplex(module_complex(M))
+        assert I.dim(0) == 1
+        assert I.to_ambient(0, {0: 1}) == {i: 1 for i in range(M.rank)}
+        assert I.from_ambient(0, {i: 3 for i in range(M.rank)}) == {0: 3}
 
 
 def test_restrict_and_induce_ranks():
