@@ -430,7 +430,7 @@ def _map_to_json(f):
 def _value_from_json(ring, v):
     if ring.name == "Q":
         from fractions import Fraction
-        return Fraction(v[0], v[1])
+        v = Fraction(v[0], v[1])
     return ring.normalize(v)
 
 

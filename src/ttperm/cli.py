@@ -11,8 +11,10 @@ Subcommands
   verify    re-run the computation recorded in a JSON report and check
             that the results still match
 
-Exit codes: 0 on success, 1 on usage errors, 2 when a theory check or
-validation fails (a machine-readable report is printed either way).
+Exit codes: 0 on success, 1 on usage errors, 2 when a theory check,
+certificate check or validation fails (a machine-readable report is
+printed either way).  Any other exception, a failed internal ``assert``
+included, is a bug: it ends the run with a traceback (exit 1).
 All output is deterministic: dictionaries are dumped with sorted keys
 and every enumeration is canonically ordered.  The TTPERM_MAX_RANK
 environment variable caps the size of homotopy solves.
@@ -26,6 +28,7 @@ from .grp import parse_group_name, subgroups, MAX_ORDER
 from .rings import ZZ, domain_from_name
 from .homotopy import (find_homotopy_equivalence, Equivalence,
                        SolverCapExceeded)
+from .permod import CertificateError
 from .chain import tensor_complex, dual_complex, unit_complex
 from . import koszul
 from . import twisted
@@ -461,7 +464,8 @@ def run(argv):
         print(_dump(exc.payload))
         return 2
     except (twisted.TheoryCheckFailure, twisted.BoundsInsufficient,
-            SolverCapExceeded, AssertionError) as exc:
+            SolverCapExceeded, CertificateError,
+            koszul.KoszulVerificationError) as exc:
         print(_dump({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except OSError as exc:

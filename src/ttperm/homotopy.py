@@ -31,7 +31,9 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
 * certificate checks (``check_homotopy``, and in ``chain`` the
   chain-map squares and d o d = 0) compare the nonzeros of sparse
   products and raise ``permod.CertificateError`` rather than asserting,
-  so they survive ``python -O``;
+  so they survive ``python -O``; ``check_homotopy`` clears the
+  denominators of h first, so a rational certificate whose complex has
+  integral differentials is checked in int products;
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
   ``find_homotopy_equivalence``, ``hom_group``) search inside the
   lattice of equivariant maps: unknowns are coefficients of the orbit
@@ -51,7 +53,7 @@ import os
 from math import gcd
 
 from .permod import (HomOrbits, EquivMap, CertificateError, trivial_module,
-                     _index, _normalized, _right_mul, _composite,
+                     _index, _normalized, _left_mul, _right_mul, _composite,
                      _combination, _scaled)
 from .rings import mat_identity, mat_mul
 
@@ -670,7 +672,7 @@ def classes_equal_up_to_unit(fg, v, w):
     cv, cw = fg.coords(v), fg.coords(w)
     for a, b in zip(cv, cw):
         if b != 0:
-            u = a / b
+            u = ring.normalize(a * ring.inv(b))
             return u != 0 and fg.same_class(v, _scaled(ring, u, w))
     return all(c == 0 for c in cv)
 
@@ -1095,14 +1097,31 @@ def check_homotopy(X, Y, f, h):
     """Check d h + h d = f exactly for maps X -> Y, degree by degree,
     comparing the nonzeros of sparse products; raises CertificateError
     otherwise.  ``f`` is {n: entries}, an omitted degree counting as
-    zero, and ``h`` is {n: EquivMap X_n -> Y_{n+1}}."""
+    zero, and ``h`` is {n: EquivMap X_n -> Y_{n+1}}.
+
+    Denominators are cleared first: with D the lcm of the denominators
+    of h's entries, the check is d(Dh) + (Dh)d = D f.  That holds
+    exactly when d h + h d = f does (Q is a domain and D != 0), and Dh
+    is integral, so over Q the products multiply ints wherever d is
+    integral.  D = 1 over Z and GF(p)."""
     ring = X.ring
+    h = {n: g.entries for n, g in h.items()}
+    D = 1
+    for entries in h.values():
+        for v in entries.values():
+            q = v.denominator
+            if D % q:
+                D = D // gcd(D, q) * q
+    if D != 1:
+        h = {n: {k: v.numerator * (D // v.denominator)
+                 for k, v in entries.items()} for n, entries in h.items()}
+        f = {n: _scaled(ring, D, entries) for n, entries in f.items()}
     for n in X.terms:
         lhs = {}
         if n in h and (n + 1) in Y.diffs:
-            lhs = _composite(Y.diffs[n + 1], h[n])
+            lhs = _left_mul(ring, _index(Y.diffs[n + 1].entries, 1), h[n])
         if (n - 1) in h and n in X.diffs:
-            for key, v in _right_mul(ring, h[n - 1].entries,
+            for key, v in _right_mul(ring, h[n - 1],
                                      _index(X.diffs[n].entries, 0)).items():
                 lhs[key] = lhs.get(key, 0) + v
             lhs = _normalized(ring, lhs)

@@ -349,8 +349,9 @@ class KoszulObject:
             self.complex.rank_vector())
 
 
-class KoszulVerificationError(AssertionError):
-    pass
+class KoszulVerificationError(Exception):
+    """A Koszul object fails one of its defining invariants; ``cli.run``
+    reports it with exit status 2."""
 
 
 def verify_koszul(X, G, H, ring, contraction=None):

@@ -17,6 +17,11 @@ Conventions used throughout the package:
   (``_left_mul``, ``_right_mul``, ``_composite``) and ``rows`` gives
   the row dicts that elimination reads, columns ascending within each
   row;
+* values are normalized (``rings``): ints over Z and GF(p), and over Q
+  an int when integral and a non-integral ``Fraction`` otherwise, so a
+  Z module and a Q module hold values of the same type and only the
+  ring identity that ``EquivMap`` checks tells them apart; values are
+  divided only through ``ring.inv``;
 * a vector is the dict {index: value} of its nonzero coordinates,
   values normalized: the one-index form of ``EquivMap.entries``.  Maps
   apply to vectors (``EquivMap.apply``, ``EquivMap.columns``), and
@@ -47,12 +52,12 @@ from array import array
 from .grp import Group, Subgroup
 
 
-class CertificateError(AssertionError):
+class CertificateError(Exception):
     """An exact certificate check failed: a group action, an
     equivariant map, a chain-map square, d o d = 0, a homotopy identity,
     or a Smith factorization that does not re-multiply.  Raised
-    explicitly, so the checks also run under ``python -O``; as an
-    AssertionError it is reported by ``cli.run`` with exit status 2."""
+    explicitly, so the checks also run under ``python -O``; ``cli.run``
+    reports it with exit status 2."""
 
 
 class SignedPermModule:
@@ -176,12 +181,17 @@ class EquivMap:
     Equivariance is checked on construction, on the nonzero entries and
     the generators of G: a map that commutes with rho(s) for every
     generator s commutes with every product of generators, which is
-    every element.  The check costs O(|S| nnz).
+    every element.  The check costs O(|S| nnz).  Source and target over
+    different groups or rings raise ``ValueError``, also under
+    ``python -O``: Z and Q values are both ints, so the ring identity is
+    what keeps a Z module from meeting a Q module.
     """
 
     def __init__(self, source, target, entries):
-        assert source.group is target.group
-        assert source.ring is target.ring
+        if source.group is not target.group:
+            raise ValueError("source and target have different groups")
+        if source.ring is not target.ring:
+            raise ValueError("source and target have different rings")
         self.source = source
         self.target = target
         self.ring = source.ring
@@ -250,8 +260,10 @@ class EquivMap:
     def compose(self, other):
         """self o other (other first), the sparse product of the two
         maps' nonzeros."""
-        assert other.target is self.source or \
-            other.target.basis == self.source.basis
+        if other.target is not self.source and \
+                other.target.basis != self.source.basis:
+            raise ValueError("the target of the first map is not the "
+                             "source of the second")
         return EquivMap(other.source, self.target, _composite(self, other))
 
     def is_zero(self):

@@ -1,11 +1,14 @@
 """Exact coefficient domains and the dense helpers of Smith normal form.
 
 Three domains are supported: the integers, the rationals, and prime
-fields.  Values are plain Python objects (``int`` for ZZ and GF(p),
-``fractions.Fraction`` for QQ) so that all arithmetic is exact; no
-floats appear anywhere in this package.  ``normalize`` puts a value in
-its canonical form; a QQ value that already is a ``Fraction`` is
-returned unchanged.
+fields.  Values are plain Python objects so that all arithmetic is
+exact: ``int`` for ZZ and GF(p), and for QQ an ``int`` when the value
+is integral and a ``fractions.Fraction`` in lowest terms only otherwise.
+Most QQ values are integers carried from Z, so they multiply as ints.
+``normalize`` puts a value in its canonical form; a non-integral
+``Fraction`` is returned unchanged, and a float raises ``TypeError``,
+so none enters the exact arithmetic.  Since ``int / int`` is a float,
+every true division of ring values goes through ``inv``.
 
 Maps between modules are sparse (``permod.EquivMap.entries``), and so
 are vectors, the dicts {index: value} of their nonzero coordinates.  The
@@ -67,20 +70,32 @@ class _Integers(CoefficientDomain):
 
 
 class _Rationals(CoefficientDomain):
+    """Canonical values: an ``int`` when integral, otherwise a
+    ``Fraction`` in lowest terms (never one with denominator 1)."""
+
     name = "Q"
     is_field = True
 
     def from_int(self, n):
-        return Fraction(n)
+        return self.normalize(n)
 
     def normalize(self, x):
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if type(x) is int:
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):
+            return int(x)
+        raise TypeError("a QQ value is an int or a Fraction, got %s"
+                        % type(x).__name__)
 
     def is_unit(self, x):
         return x != 0
 
     def inv(self, x):
-        return 1 / Fraction(x)
+        if x == 1 or x == -1:
+            return int(x)
+        return self.normalize(Fraction(1, x))
 
 
 class PrimeField(CoefficientDomain):

@@ -134,7 +134,7 @@ def _coset_generator(G, N):
     for g in G.elements():
         if g not in N.elements:
             return g
-    raise AssertionError("N is the whole group")
+    raise ValueError("N is the whole group")
 
 
 def _sigma_minus_one(M, g):

@@ -7,12 +7,14 @@ transposes with the sign (-1)^n.  The constructor itself checks
 d o d = 0, so building a tensor product is already a sign-rule check.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF
 from ttperm.permod import (perm_module, trivial_module, EquivMap,
-                           identity_map)
+                           identity_map, CertificateError)
 from ttperm.chain import (Complex, ChainMap, unit_complex, module_complex,
                           two_term_complex, shift_complex, tensor_complex,
                           dual_complex, cone, identity_chain_map,
@@ -43,7 +45,7 @@ def test_constructor_rejects_bad_differential():
     G = cyclic(1)
     M = trivial_module(G, ZZ)
     one = EquivMap(M, M, {(0, 0): 1})
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError, match="d o d != 0"):
         Complex(G, ZZ, {0: M, 1: M, 2: M}, {1: one, 2: one})
 
 
@@ -52,7 +54,7 @@ def test_chain_map_rejects_non_commuting_square():
     M = trivial_module(G, ZZ)
     X = two_term_complex(EquivMap(M, M, {(0, 0): 1}))
     one = EquivMap(M, M, {(0, 0): 1})
-    with pytest.raises(AssertionError, match="does not commute"):
+    with pytest.raises(CertificateError, match="does not commute"):
         ChainMap(X, X, {0: one})               # identity at 0, zero at 1
     with pytest.raises(ValueError, match="outside the complexes"):
         ChainMap(X, X, {5: one})               # nonzero outside the complex
@@ -76,7 +78,7 @@ def test_square_and_d_squared_checks_build_no_maps(monkeypatch):
     monkeypatch.setattr(EquivMap, "__init__", counting_init)
     ChainMap(X, X, ident.components)
     Complex(G, ZZ, X.terms, X.diffs, check=True)
-    with pytest.raises(AssertionError, match="does not commute"):
+    with pytest.raises(CertificateError, match="does not commute"):
         ChainMap(X, X, partial)
     assert built == []
 
@@ -217,6 +219,27 @@ def test_json_round_trip_over_field():
     X = u_complex(G, N, GF(2))
     Y = complex_from_json(complex_to_json(X))
     assert structurally_equal(X, Y)
+
+
+def test_json_round_trip_over_Q_gives_canonical_values():
+    # a QQ value read back is an int when integral, a Fraction otherwise
+    G = cyclic(3)
+    N = index_p_normal_subgroups(G)[0]
+    Xq = base_change_complex(u_complex(G, N, ZZ), QQ)
+    M = trivial_module(G, QQ)
+    half = two_term_complex(EquivMap(M, M, {(0, 0): Fraction(-1, 2)}))
+    for X in (Xq, half):
+        Y = complex_from_json(complex_to_json(X))
+        assert structurally_equal(X, Y)
+        for n, f in X.diffs.items():
+            got = Y.diffs[n].entries
+            assert got == f.entries
+            assert [type(v) for v in got.values()] == \
+                [type(v) for v in f.entries.values()]
+    assert {type(v) for f in Xq.diffs.values()
+            for v in f.entries.values()} == {int}
+    assert type(complex_from_json(complex_to_json(half)).diffs[1]
+                .entries[(0, 0)]) is Fraction
 
 
 def test_underlying_homology_of_u_complex():

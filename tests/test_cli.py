@@ -165,6 +165,32 @@ def test_solver_cap_gives_exit_2(capsys, monkeypatch):
     assert data["error"] == "SolverCapExceeded"
 
 
+def test_exit_2_means_a_failed_check_not_a_bug(capsys, monkeypatch):
+    from ttperm import koszul
+    argv = ["kos", "--group", "C2", "--subgroup", "1", "--verify"]
+    # a corrupted certificate: an empty rational contraction
+    monkeypatch.setattr(koszul, "_average_homotopy", lambda X, raw: {})
+    assert run(argv) == 2
+    data = json.loads(out_of(capsys))
+    assert data == {"error": "CertificateError",
+                    "message": "homotopy identity fails at degree 0"}
+
+    def fails(message, error):
+        def check(G, H, p):
+            raise error(message)
+        return check
+
+    monkeypatch.setattr(koszul, "base_change_koszul_check",
+                        fails("not acyclic", koszul.KoszulVerificationError))
+    assert run(argv) == 2
+    assert json.loads(out_of(capsys))["error"] == "KoszulVerificationError"
+    # an internal assert is a bug: it propagates instead of exiting 2
+    monkeypatch.setattr(koszul, "base_change_koszul_check",
+                        fails("internal", AssertionError))
+    with pytest.raises(AssertionError, match="internal"):
+        run(argv)
+
+
 def test_verify_round_trip(tmp_path, capsys):
     for argv in (
         ["kos", "--group", "C4", "--subgroup", "C2", "--ring", "Z",

@@ -7,6 +7,8 @@ the independent brute-force oracle that imposes equivariance as raw
 linear equations.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity
 from ttperm.permod import (trivial_module, perm_module, sign_module,
                            direct_sum, EquivMap, equivariant_hom_basis,
-                           HomOrbits)
+                           HomOrbits, CertificateError)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
                           identity_chain_map, two_term_complex, ChainMap)
@@ -100,7 +102,7 @@ def test_solve_sparse_over_Z_is_exact():
     # 2x = 1 is solvable over Q but not over Z
     assert solve_sparse(ZZ, [{0: 2}], 1, {0: {0: 1}}) is None
     sols = solve_sparse(QQ, [{0: QQ.from_int(2)}], 1, {0: {0: QQ.one}})
-    assert sols == {0: {0: QQ.one / 2}}
+    assert sols == {0: {0: Fraction(1, 2)}}
 
 
 def test_solve_sparse_keeps_right_sides_sparse():
@@ -170,6 +172,13 @@ def test_classes_equal_up_to_unit():
     # 2 and 3 = -2 mod 5 differ by the unit -1
     assert classes_equal_up_to_unit(T, {0: 2}, {0: 3})
     assert not classes_equal_up_to_unit(T, {0: 1}, {})
+    # over Q the unit is the ratio of coordinates, here exactly 1/3 (an
+    # int division 1 / 3 would give a float)
+    Q2 = FgModule(QQ, 2, [])
+    assert classes_equal_up_to_unit(Q2, {0: 1, 1: 2}, {0: 3, 1: 6})
+    assert classes_equal_up_to_unit(Q2, {0: Fraction(1, 3), 1: 1},
+                                    {0: 1, 1: 3})
+    assert not classes_equal_up_to_unit(Q2, {0: 1, 1: 2}, {0: 3, 1: 7})
 
 
 def test_homology_from_matrices():
@@ -193,7 +202,7 @@ def test_contractibility_certificates():
     # without its top degree the contraction fails the identity there
     top = max(cert.h)
     partial = {n: f for n, f in cert.h.items() if n != top}
-    with pytest.raises(AssertionError, match="identity fails at degree"):
+    with pytest.raises(CertificateError, match="identity fails at degree"):
         check_homotopy(C, C, _identity_entries(C), partial)
     ok2, witness = is_contractible(unit_complex(G, ZZ))
     assert not ok2
@@ -229,8 +238,8 @@ def test_contractibility_averages_signed_modules():
                  1: EquivMap(P, L, {(0, 0): 1, (0, 1): -1})})
     ok, cert = is_contractible(X)
     assert ok
-    assert cert.h[0].entries == {(0, 0): QQ.normalize(1) / 2,
-                                 (1, 0): QQ.normalize(-1) / 2}
+    assert cert.h[0].entries == {(0, 0): Fraction(1, 2),
+                                 (1, 0): Fraction(-1, 2)}
 
 
 def test_null_homotopy_of_zero_and_nonzero_maps():
@@ -409,7 +418,7 @@ def test_homology_profile_checks_unchecked_complexes():
     M = trivial_module(G, ZZ)
     one = EquivMap(M, M, {(0, 0): 1})
     X = Complex(G, ZZ, {0: M, 1: M, 2: M}, {1: one, 2: one}, check=False)
-    with pytest.raises(AssertionError, match="d o d != 0 at degree 1"):
+    with pytest.raises(CertificateError, match="d o d != 0 at degree 1"):
         homology_profile(X)
 
 
@@ -583,7 +592,7 @@ def test_incremental_pivot_search_matches_rescan_on_random_matrices(ring):
         values = [1, -1, 2, -2, 3, 4, -6, 9]
     elif ring is QQ:
         values = [QQ.from_int(k) for k in (1, -1, 2, 3)] + [
-            QQ.one / 2, -QQ.one / 3]
+            Fraction(1, 2), Fraction(-1, 3)]
     else:
         values = list(range(1, 9))
     for trial in range(120):

@@ -7,6 +7,9 @@ contractible with an explicit certificate.  Rank vectors are frozen
 regression values.
 """
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
@@ -282,4 +285,132 @@ def test_base_change_checks_survive_python_O(python_O):
         "carried 1 homotopy identity fails at degree 0",
         "carried 2 homotopy identity fails at degree 0",
         "rational homotopy identity fails at degree 0",
+    ]
+
+
+def _acceptance_pairs():
+    """The 11 (G, H) of criterion 2 of the acceptance suite."""
+    pairs = []
+    for gname, horders in (("C2", (1,)), ("C4", (1, 2)), ("C8", (4,)),
+                           ("C3", (1,)), ("C9", (3,)),
+                           ("C2xC2", (1, 2, 2, 2, 4))):
+        G = parse_group_name(gname)
+        wanted = list(horders)
+        for S in sorted(subgroups(G), key=lambda S: (S.order, S.elements)):
+            if S.order in wanted:
+                wanted.remove(S.order)
+                pairs.append((G, S))
+    return pairs
+
+
+def _fraction_product(A, B):
+    """The sparse product A . B of two entries dicts over Fraction."""
+    by_row = {}
+    for (t, c), b in B.items():
+        by_row.setdefault(t, []).append((c, Fraction(b)))
+    acc = {}
+    for (r, t), a in A.items():
+        for c, b in by_row.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + Fraction(a) * b
+    return acc
+
+
+def _fraction_check_homotopy(X, Y, f, h):
+    """Reference: d h + h d = f with every value a Fraction and no
+    denominator cleared, as check_homotopy compared it before; True or
+    False."""
+    for n in X.terms:
+        lhs = {}
+        if n in h and (n + 1) in Y.diffs:
+            lhs = _fraction_product(Y.diffs[n + 1].entries, h[n].entries)
+        if (n - 1) in h and n in X.diffs:
+            for k, v in _fraction_product(h[n - 1].entries,
+                                          X.diffs[n].entries).items():
+                lhs[k] = lhs.get(k, 0) + v
+        if {k: v for k, v in lhs.items() if v} != \
+                {k: Fraction(v) for k, v in f.get(n, {}).items() if v}:
+            return False
+    return True
+
+
+def test_scaled_check_agrees_with_fraction_check(monkeypatch):
+    # every rational certificate of the acceptance inputs, carried and
+    # G-averaged, and the same certificate with one entry of its lowest
+    # component off by 1/|G|: both checks give the same verdict
+    from ttperm import homotopy
+    real = homotopy.check_homotopy
+    seen = []
+
+    def recording(X, Y, f, h):
+        if X.ring is QQ:
+            seen.append((X, Y, f, h))
+        return real(X, Y, f, h)
+
+    monkeypatch.setattr(homotopy, "check_homotopy", recording)
+    for G, H in _acceptance_pairs():
+        base_change_koszul_check(G, H, prime_power(G.order)[0])
+    monkeypatch.undo()
+    assert len(seen) == 22          # carried and averaged, per pair
+    for X, Y, f, h in seen:
+        assert _fraction_check_homotopy(X, Y, f, h)
+        n = min(h)
+        entries = dict(h[n].entries)
+        k = min(entries)
+        entries[k] = QQ.normalize(entries[k] + Fraction(1, X.group.order))
+        bad = dict(h)
+        bad[n] = SimpleNamespace(entries=entries)
+        assert not _fraction_check_homotopy(X, Y, f, bad)
+        with pytest.raises(CertificateError, match="identity fails"):
+            real(X, Y, f, bad)
+
+
+_SCALED_CHECK_MUTATIONS = """
+import sys
+from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
+from ttperm import homotopy
+from ttperm.chain import base_change_complex
+from ttperm.grp import cyclic
+from ttperm.koszul import koszul_object
+from ttperm.permod import CertificateError
+from ttperm.rings import ZZ, QQ
+
+assert sys.flags.optimize
+G = cyclic(3)
+kos = koszul_object(G, G.trivial_subgroup(), ZZ)
+X = base_change_complex(kos.complex, QQ)
+h = homotopy._average_homotopy(X, {n: f.entries
+                                   for n, f in kos.certificate.h.items()})
+ident = {n: {(i, i): 1 for i in range(M.rank)} for n, M in X.terms.items()}
+homotopy.check_homotopy(X, X, ident, h)
+D = lcm(*(v.denominator for f in h.values() for v in f.entries.values()))
+print("D", D)
+n = min(h)
+entries = dict(h[n].entries)
+k = min(entries)
+entries[k] = QQ.normalize(entries[k] + Fraction(1, G.order))
+# f = id except one diagonal entry D/(D-1): D f is not integral there,
+# though truncating D // (D-1) to 1 would give back D . id
+f = {m: dict(e) for m, e in ident.items()}
+f[0][(0, 0)] = Fraction(D, D - 1)
+bad_h = dict(h)
+bad_h[n] = SimpleNamespace(entries=entries)
+bad = {"h": (ident, bad_h), "f": (f, h)}
+for name, (f, h) in bad.items():
+    try:
+        homotopy.check_homotopy(X, X, f, h)
+        sys.exit("a mutated %s passed check_homotopy" % name)
+    except CertificateError as exc:
+        print(name, exc)
+"""
+
+
+def test_scaled_check_rejects_mutations_under_python_O(python_O):
+    proc = python_O(_SCALED_CHECK_MUTATIONS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "D 3",
+        "h homotopy identity fails at degree 0",
+        "f homotopy identity fails at degree 0",
     ]

@@ -245,7 +245,7 @@ def test_sparse_half_orbit_fails_equivariance_like_dense():
     f = max(equivariant_hom_basis(M, M), key=lambda b: len(b.entries))
     assert len(f.entries) == 4
     half = dict(sorted(f.entries.items())[:2])
-    with pytest.raises(AssertionError, match="not equivariant"):
+    with pytest.raises(CertificateError, match="not equivariant"):
         EquivMap(M, M, half)
     assert not _dense_equivariant(M, M, half)
     # the full support passes the sparse and the dense criterion
@@ -491,3 +491,43 @@ def test_orbit_codes_match_the_basis_maps(name):
         assert len(H) == len(basis) and list(H.code) == want
         zeros += want.count(0)
     assert zeros
+
+
+_MISMATCHED_MAPS = """
+import sys
+from ttperm.grp import cyclic
+from ttperm.permod import EquivMap, trivial_module, perm_module
+from ttperm.rings import ZZ, QQ
+
+assert sys.flags.optimize
+G = cyclic(2)
+MZ, MQ = trivial_module(G, ZZ), trivial_module(G, QQ)
+P = perm_module(G, G.trivial_subgroup(), ZZ)
+bad = {
+    "group": lambda: EquivMap(trivial_module(cyclic(1), ZZ), MZ, {}),
+    "ring": lambda: EquivMap(MZ, MQ, {(0, 0): 1}),
+    "compose": lambda: EquivMap(MZ, MZ, {(0, 0): 1}).compose(
+        EquivMap(MZ, P, {(0, 0): 1, (1, 0): 1})),
+    "compose-ring": lambda: EquivMap(MQ, MQ, {(0, 0): 1}).compose(
+        EquivMap(MZ, MZ, {(0, 0): 1})),
+}
+for name, build in bad.items():
+    try:
+        build()
+        sys.exit("a map with a mismatched %s was accepted" % name)
+    except ValueError as exc:
+        print(name, exc)
+"""
+
+
+def test_mismatched_maps_raise_under_python_O(python_O):
+    # Z and Q values are both ints, so only these checks keep a Z module
+    # from meeting a Q module; they are ValueErrors, not asserts
+    proc = python_O(_MISMATCHED_MAPS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "group source and target have different groups",
+        "ring source and target have different rings",
+        "compose the target of the first map is not the source of the second",
+        "compose-ring source and target have different rings",
+    ]

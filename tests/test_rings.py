@@ -1,8 +1,9 @@
 """Coefficient domains and the dense helpers of Smith normal form.
 
-Conventions under test: ZZ normalizes to int, QQ to Fraction, GF(p) to
+Conventions under test: ZZ normalizes to int, QQ to an int when the
+value is integral and to a Fraction in lowest terms otherwise, GF(p) to
 the least nonnegative residue; matrices are lists of rows; all
-arithmetic is exact (no floats anywhere).
+arithmetic is exact (QQ.normalize rejects floats).
 """
 
 from fractions import Fraction
@@ -37,8 +38,29 @@ def test_rational_domain_uses_fractions():
 def test_rational_normalize_keeps_fractions():
     x = Fraction(2, 3)
     assert QQ.normalize(x) is x        # already canonical: no new object
-    assert type(QQ.normalize(5)) is Fraction
-    assert QQ.normalize(-4) == Fraction(-4)
+    assert type(QQ.normalize(5)) is int
+    assert type(QQ.normalize(Fraction(-8, 2))) is int
+    assert QQ.normalize(Fraction(-8, 2)) == -4
+    assert type(QQ.from_int(3)) is int
+    assert type(QQ.inv(-1)) is int and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(3) == Fraction(1, 3)
+    with pytest.raises(TypeError):
+        QQ.normalize(0.5)
+    with pytest.raises(TypeError):
+        QQ.inv(0.5)
+
+
+rationals = st.fractions(max_denominator=12)
+
+
+@given(rationals, rationals)
+def test_rational_normalize_agrees_with_fraction_arithmetic(a, b):
+    a, b = QQ.normalize(a), QQ.normalize(b)
+    for value, exact in ((a * b, Fraction(a) * Fraction(b)),
+                         (a + b, Fraction(a) + Fraction(b))):
+        v = QQ.normalize(value)
+        assert v == exact
+        assert type(v) is (int if exact.denominator == 1 else Fraction)
 
 
 def test_prime_field_reduces_mod_p():
