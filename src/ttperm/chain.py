@@ -22,8 +22,8 @@ raise ``ValueError``, also under ``python -O``.
 """
 
 from .permod import (SignedPermModule, EquivMap, CertificateError,
-                     zero_module, zero_map, trivial_module, tensor_module,
-                     dual_module, base_change_module, restrict,
+                     BlockModule, zero_module, zero_map, trivial_module,
+                     tensor_module, dual_module, base_change_module, restrict,
                      subgroup_as_group, _composite)
 
 
@@ -182,31 +182,6 @@ def shift_complex(X, s):
     return Complex(X.group, X.ring, terms, diffs, check=False)
 
 
-class BlockModule:
-    """A direct sum of named blocks, remembering offsets.
-
-    ``blocks`` is a list of (key, SignedPermModule) with distinct keys;
-    labels of the sum are (key, original label).
-    """
-
-    def __init__(self, group, ring, blocks):
-        basis = []
-        action_rows = [[] for _ in group.elements()]
-        offsets = {}
-        off = 0
-        for key, M in blocks:
-            assert key not in offsets
-            offsets[key] = off
-            basis.extend((key, l) for l in M.basis)
-            for gi, row in enumerate(M.action):
-                action_rows[gi].extend((j + off, s) for (j, s) in row)
-            off += M.rank
-        self.module = SignedPermModule(group, ring, tuple(basis),
-                                       tuple(tuple(r) for r in action_rows))
-        self.offsets = offsets
-        self.blocks = dict(blocks)
-
-
 def _place(acc, r0, c0, A, B=None, b_shape=(1, 1), sign=1):
     """Write sign * (A (x) B) into the entries dict ``acc`` with its
     top left corner at (r0, c0).  A and B are entries dicts, B has
@@ -354,8 +329,10 @@ def restrict_complex(X, S):
 
 
 def base_change_complex(X, ring2):
-    """Extend coefficients Z -> ring2 (entrywise via from_int)."""
-    assert X.ring.name == "Z"
+    """Extend coefficients Z -> ring2 (entrywise via from_int).  Any
+    other source ring raises ValueError, also under ``python -O``."""
+    if X.ring.name != "Z":
+        raise ValueError("base change starts from Z, not %s" % X.ring.name)
     terms = {n: base_change_module(M, ring2) for n, M in X.terms.items()}
     diffs = {}
     for n, f in X.diffs.items():

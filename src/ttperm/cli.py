@@ -72,17 +72,6 @@ def _parse_group(text):
     return G
 
 
-def _iso_label(S):
-    """Isomorphism-type name used for subgroup selection: 1, C2, C4...
-    (order-n cyclic), otherwise the order as "ord<n>"."""
-    if S.order == 1:
-        return "1"
-    G = S.parent
-    if any(G.element_order(g) == S.order for g in S.elements):
-        return "C%d" % S.order
-    return "ord%d" % S.order
-
-
 def resolve_subgroup(G, text):
     """Pick a subgroup by descriptor: "1", "C2", or "C2#1" when several
     subgroups share a type.  Returns (Subgroup, canonical descriptor)."""
@@ -96,9 +85,9 @@ def resolve_subgroup(G, text):
         base, idx = text, None
     if base == G.name:
         return G.full_subgroup(), base
-    matches = [S for S in subgroups(G) if _iso_label(S) == base]
+    matches = [S for S in subgroups(G) if S.label() == base]
     if not matches:
-        options = sorted({_iso_label(S) for S in subgroups(G)})
+        options = sorted({S.label() for S in subgroups(G)})
         raise UsageError("no subgroup %r in %s (options: %s)"
                          % (base, G.name, ", ".join(options)))
     if idx is None:
@@ -117,8 +106,8 @@ def resolve_subgroup(G, text):
 
 def _subgroup_descriptor(G, S):
     """The descriptor that resolve_subgroup maps back to S."""
-    base = _iso_label(S)
-    matches = [T for T in subgroups(G) if _iso_label(T) == base]
+    base = S.label()
+    matches = [T for T in subgroups(G) if T.label() == base]
     return base if len(matches) == 1 else "%s#%d" % (base, matches.index(S))
 
 

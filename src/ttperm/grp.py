@@ -207,6 +207,16 @@ class Subgroup:
             return G.name
         return "{" + ",".join(G.element_names[x] for x in self.elements) + "}"
 
+    def label(self):
+        """Isomorphism-type name: "1", "C2", "C4", ... for a cyclic
+        subgroup (of that order), otherwise the order as "ord<n>"."""
+        if self.order == 1:
+            return "1"
+        if any(self.parent.element_order(g) == self.order
+               for g in self.elements):
+            return "C%d" % self.order
+        return "ord%d" % self.order
+
     def __repr__(self):
         return "Subgroup(%s of %s)" % (self.describe(), self.parent.name)
 

@@ -33,7 +33,10 @@ Conventions used throughout the package:
   pairs (i, j), pair index i * rank N + j, each held as the index of
   its root pair plus one signed 4-byte code per pair, never as maps.
   An orbit's members are re-walked from its root when a map is built
-  from them (``HomOrbits.map``, checked like every map);
+  from them (``HomOrbits.map``, checked like every map).  It is the one
+  orbit walk: the orbit of e_x in M is the orbit of the pair (0, x) in
+  Hom_G(R, M), R trivial, so sign decomposition, rebasing and the
+  induction test read ``HomOrbits`` too;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 
@@ -42,9 +45,9 @@ Actions and maps are checked on the group's generating set S
 s_1 ... s_k of generators, so an action that is multiplicative on the
 products g s, and a map that commutes with every rho(s), are a
 homomorphism and an equivariant map for the whole group.  Orbits of
-basis vectors and of basis pairs are closures under the generators for
-the same reason.  A failed check raises ``CertificateError``, so the
-checks also run under ``python -O``.
+basis pairs are closures under the generators for the same reason.  A
+failed check raises ``CertificateError``, so the checks also run under
+``python -O``.
 """
 
 from array import array
@@ -108,66 +111,6 @@ class SignedPermModule:
 
     def is_permutation(self):
         return all(s == 1 for row in self.action for (_, s) in row)
-
-    def orbits(self):
-        """Orbit data of the G-action on the basis (up to sign).
-
-        Returns a list of dicts, one per orbit, with keys:
-
-        * ``members``: sorted tuple of basis indices;
-        * ``root``: the smallest index;
-        * ``path_sign``: {index: sign} with ``g . e_root = sign * e_x``
-          for some g with g.root = x (for every such g when the orbit is
-          consistent);
-        * ``stabilizer``: Subgroup of elements fixing the root line;
-        * ``character``: {element of stabilizer: sign on e_root};
-        * ``consistent``: False when two paths to the same basis vector
-          disagree in sign (possible for signed modules only).
-
-        The orbit is walked along generator steps.  The step signs
-        w(g, x) form a cocycle, w(g h, x) = w(g, h x) w(h, x), since the
-        action is a homomorphism; so signs that agree along every
-        generator step agree along every group element.
-        """
-        G = self.group
-        gen_rows = [self.action[s] for s in G.generators]
-        seen = set()
-        out = []
-        for root in range(self.rank):
-            if root in seen:
-                continue
-            path_sign = {root: 1}
-            consistent = True
-            frontier = [root]
-            while frontier:
-                x = frontier.pop()
-                for row in gen_rows:
-                    y, s = row[x]
-                    sign_y = path_sign[x] * s
-                    if y in path_sign:
-                        if path_sign[y] != sign_y:
-                            consistent = False
-                    else:
-                        path_sign[y] = sign_y
-                        frontier.append(y)
-            members = tuple(sorted(path_sign))
-            seen.update(members)
-            stab_elems = []
-            character = {}
-            for g in G.elements():
-                j, s = self.action[g][root]
-                if j == root:
-                    stab_elems.append(g)
-                    character[g] = s
-            out.append({
-                "members": members,
-                "root": root,
-                "path_sign": path_sign,
-                "stabilizer": Subgroup(G, stab_elems),
-                "character": character,
-                "consistent": consistent,
-            })
-        return out
 
     def __repr__(self):
         return "SignedPermModule(%s, rank %d over %s)" % (
@@ -398,17 +341,29 @@ def tensor_module(M, N):
     return SignedPermModule(M.group, M.ring, basis, tuple(action))
 
 
-def direct_sum(M, N, tags=("a", "b")):
-    assert M.group is N.group and M.ring is N.ring
-    basis = tuple((tags[0], l) for l in M.basis) + \
-        tuple((tags[1], l) for l in N.basis)
-    off = M.rank
-    action = []
-    for g in M.group.elements():
-        row = [ (j, s) for (j, s) in M.action[g] ]
-        row += [ (j + off, s) for (j, s) in N.action[g] ]
-        action.append(tuple(row))
-    return SignedPermModule(M.group, M.ring, basis, tuple(action))
+class BlockModule:
+    """A direct sum of named blocks, remembering offsets.
+
+    ``blocks`` is a list of (key, SignedPermModule) with distinct keys;
+    labels of the sum are (key, original label).
+    """
+
+    def __init__(self, group, ring, blocks):
+        basis = []
+        action_rows = [[] for _ in group.elements()]
+        offsets = {}
+        off = 0
+        for key, M in blocks:
+            assert key not in offsets
+            offsets[key] = off
+            basis.extend((key, l) for l in M.basis)
+            for gi, row in enumerate(M.action):
+                action_rows[gi].extend((j + off, s) for (j, s) in row)
+            off += M.rank
+        self.module = SignedPermModule(group, ring, tuple(basis),
+                                       tuple(tuple(r) for r in action_rows))
+        self.offsets = offsets
+        self.blocks = dict(blocks)
 
 
 def dual_module(M):
@@ -470,13 +425,20 @@ class HomOrbits:
     the weight of (i, j) on its pairs.  Orbits with inconsistent signs
     carry nothing (they would need 2 to be invertible to split; over
     GF(2) signs are already erased).  Orbits are walked along generator
-    steps: the pair weights form a cocycle, as in ``orbits``, so weights
-    that agree along every generator step agree along every element.
+    steps: the weights form a cocycle, w(g h, x) = w(g, h x) w(h, x), so
+    weights that agree along every generator step agree along every
+    element.
 
-    ``roots[k]`` is the pair index of the pair that starts orbit k, and
-    ``code[i * rank N + j]`` is +-(k + 1) for a pair of orbit k with its
-    weight as the sign, or 0 on an inconsistent orbit.  ``map`` re-walks
-    an orbit from its root when a map needs its pairs.
+    This is the package's one orbit walk.  For M = R trivial, pair
+    (0, x) is the basis vector e_x of N; its walk closes up exactly when
+    the stabilizer character of e_x is trivial, and the code's sign is
+    then e_x's path sign.  For M a rank-one sign module L it closes up
+    exactly when that character is L's on the stabilizer.
+
+    ``roots[k]`` is the pair index of the pair that starts orbit k, its
+    smallest, and ``code[i * rank N + j]`` is +-(k + 1) for a pair of
+    orbit k with its weight as the sign, or 0 on an inconsistent orbit.
+    ``map`` re-walks an orbit from its root when a map needs its pairs.
     """
 
     def __init__(self, M, N):
@@ -561,84 +523,56 @@ class SignDecompositionError(ValueError):
 def sign_decompose(M, S):
     """Split M as Mplus (+) L (x) Mminus along the index-2 subgroup S.
 
-    L is the sign module of S.  Each basis orbit is inspected through
-    its stabilizer character chi: trivial chi lands in Mplus, chi equal
-    to the sign character of G/S lands in Mminus, anything else raises
-    SignDecompositionError.  Returns (Mplus, Mminus, iso) where iso is
-    the equivariant isomorphism direct_sum(Mplus, L (x) Mminus) -> M.
-    iso is monomial with entries +-1, so map_inverse_monomial inverts
-    it cheaply.
+    L is the sign module of S.  e_x lands in Mplus when its orbit closes
+    up in HomOrbits(R, M) (trivial stabilizer character), else in Mminus
+    when it closes up in HomOrbits(L, M) (the character of L); anything
+    else raises SignDecompositionError at the orbit's root.  Returns
+    (Mplus, Mminus, iso), iso the monomial (+-1) isomorphism
+    BlockModule(Mplus, L (x) Mminus) -> M.
     """
     assert S.index == 2
-    G = M.group
-    ring = M.ring
-    inside = set(S.elements)
-    eps = {g: (1 if g in inside else -1) for g in G.elements()}
-    plus_entries = []   # (original index, sign) in M-order
-    minus_entries = []
-    for orb in M.orbits():
-        chi = orb["character"]
-        if all(s == 1 for s in chi.values()):
-            ok_plus = orb["consistent"]
-            if ok_plus:
-                for x in orb["members"]:
-                    plus_entries.append((x, orb["path_sign"][x]))
-                continue
-        if all(chi[g] == eps[g] for g in chi):
-            # twist the path signs by eps to land in L (x) (permutation);
-            # eps is a character, so the twisted signs are again a
-            # cocycle and generator steps suffice, as in ``orbits``
-            sign = {orb["root"]: 1}
-            frontier = [orb["root"]]
-            ok = True
-            while frontier:
-                x = frontier.pop()
-                for g in G.generators:
-                    y, s = M.action[g][x]
-                    w = sign[x] * s * eps[g]
-                    if y in sign:
-                        if sign[y] != w:
-                            ok = False
-                    else:
-                        sign[y] = w
-                        frontier.append(y)
-            if ok:
-                for x in orb["members"]:
-                    minus_entries.append((x, sign[x]))
-                continue
-        raise SignDecompositionError(
-            "orbit at basis index %d resists sign decomposition along %s"
-            % (orb["root"], S.describe()))
-    plus_entries.sort()
-    minus_entries.sort()
-
-    def submodule(entries, twist):
-        # on the adjusted basis v_x = sgn[x] e_x the action of g is
-        # v_x |-> (s sgn[x] sgn[y]) v_y; the abstract plus/minus module
-        # divides out the sign twist recorded by ``twist``
-        idx = [x for (x, _) in entries]
-        back = {x: k for k, (x, _) in enumerate(entries)}
-        sgn = {x: s for (x, s) in entries}
-        basis = tuple(M.basis[x] for x in idx)
-        action = []
-        for g in G.elements():
-            row = []
-            for x in idx:
-                y, s = M.action[g][x]
-                row.append((back[y], s * sgn[x] * sgn[y] * twist[g]))
-            action.append(tuple(row))
-        return basis, tuple(action), idx, sgn
-
-    ones = {g: 1 for g in G.elements()}
-    pb, pa, pidx, psgn = submodule(plus_entries, ones)
-    Mplus = SignedPermModule(G, ring, pb, pa)
-    mb, ma, midx, msgn = submodule(minus_entries, eps)
-    Mminus = SignedPermModule(G, ring, mb, ma)
+    G, ring = M.group, M.ring
     L = sign_module(G, S, ring)
-    dom = direct_sum(Mplus, tensor_module(L, Mminus), tags=("+", "-"))
-    iso = EquivMap(dom, M, {(x, k): s for k, (x, s)
-                            in enumerate(plus_entries + minus_entries)})
+    plus = HomOrbits(trivial_module(G, ring), M)
+    minus = HomOrbits(L, M)
+    plus_idx, minus_idx = [], []
+    for x in range(M.rank):
+        if plus.code[x]:
+            plus_idx.append(x)
+        elif minus.code[x]:
+            minus_idx.append(x)
+        else:
+            raise SignDecompositionError(
+                "orbit at basis index %d resists sign decomposition "
+                "along %s" % (x, S.describe()))
+    Mplus, plus_iso = _resigned(plus, plus_idx)
+    Mminus, minus_iso = _resigned(minus, minus_idx, len(plus_idx))
+    dom = BlockModule(G, ring, [("+", Mplus),
+                                ("-", tensor_module(L, Mminus))])
+    iso = EquivMap(dom.module, M, {**plus_iso, **minus_iso})
     return Mplus, Mminus, iso
+
+
+def _resigned(H, members, offset=0):
+    """M = H.target on the basis v_x = c_x e_x, x in ``members``
+    (ascending, each with a nonzero code, c_x its sign), with the
+    character of the rank-one source L = H.source divided out of the
+    action: g.v_x = L(g) s c_x c_y v_y for g.e_x = s e_y.  Returns the
+    module and the entries {(x, offset + k): c_x} of L (x) (it) -> M,
+    the k-th basis vector going to v_x."""
+    M, code = H.target, H.code
+    sign = {x: 1 if code[x] > 0 else -1 for x in members}
+    back = {x: k for k, x in enumerate(members)}
+    action = []
+    for row, ((_, t),) in zip(M.action, H.source.action):
+        out = []
+        for x in members:
+            y, s = row[x]
+            out.append((back[y], t * s * sign[x] * sign[y]))
+        action.append(tuple(out))
+    basis = tuple(M.basis[x] for x in members)
+    return (SignedPermModule(M.group, M.ring, basis, tuple(action)),
+            {(x, offset + k): sign[x] for k, x in enumerate(members)})
 
 
 def map_inverse_monomial(f):
@@ -661,29 +595,14 @@ def rebase_to_permutation(M):
     """Rewrite M on a sign-adjusted basis with all signs +1, when possible.
 
     Returns (Mperm, iso: Mperm -> M) or None if some orbit's stabilizer
-    character is nontrivial (then no permutation basis exists).
+    character is nontrivial (then no permutation basis exists), that is
+    when some code of HomOrbits(R, M) is 0.
     """
-    ring = M.ring
-    entries = []
-    for orb in M.orbits():
-        if not orb["consistent"] or \
-                any(s != 1 for s in orb["character"].values()):
-            return None
-        for x in orb["members"]:
-            entries.append((x, orb["path_sign"][x]))
-    entries.sort()
-    basis = tuple(M.basis[x] for (x, _) in entries)
-    sgn = {x: s for (x, s) in entries}
-    action = []
-    for g in M.group.elements():
-        row = []
-        for (x, _) in entries:
-            y, s = M.action[g][x]
-            row.append((y, s * sgn[x] * sgn[y]))
-        action.append(tuple(row))
-    Mperm = SignedPermModule(M.group, ring, basis, tuple(action))
-    iso = EquivMap(Mperm, M, {(x, k): s for k, (x, s) in enumerate(entries)})
-    return Mperm, iso
+    H = HomOrbits(trivial_module(M.group, M.ring), M)
+    if not all(H.code):
+        return None
+    Mperm, iso = _resigned(H, range(M.rank))
+    return Mperm, EquivMap(Mperm, M, iso)
 
 
 def base_change_module(M, ring2):
@@ -692,13 +611,16 @@ def base_change_module(M, ring2):
 
 
 def is_induced_from(M, S):
-    """Permutation-module test: every orbit stabilizer is subconjugate
-    to S (then M is isomorphic to a module induced from S)."""
+    """Permutation-module test: every stabilizer character is trivial
+    and every orbit stabilizer is subconjugate to S (then M is
+    isomorphic to a module induced from S).  Stabilizers are read at
+    the roots of HomOrbits(R, M)."""
     G = M.group
-    for orb in M.orbits():
-        stab = orb["stabilizer"]
-        if any(s != 1 for s in orb["character"].values()):
-            return False
+    H = HomOrbits(trivial_module(G, M.ring), M)
+    if not all(H.code):
+        return False
+    for x in H.roots:
+        stab = Subgroup(G, [g for g in G.elements() if M.action[g][x][0] == x])
         if not any(stab.conjugate(g) <= S for g in G.elements()):
             return False
     return True

@@ -5,10 +5,12 @@ fields.  Values are plain Python objects so that all arithmetic is
 exact: ``int`` for ZZ and GF(p), and for QQ an ``int`` when the value
 is integral and a ``fractions.Fraction`` in lowest terms only otherwise.
 Most QQ values are integers carried from Z, so they multiply as ints.
-``normalize`` puts a value in its canonical form; a non-integral
-``Fraction`` is returned unchanged, and a float raises ``TypeError``,
-so none enters the exact arithmetic.  Since ``int / int`` is a float,
-every true division of ring values goes through ``inv``.
+``normalize`` puts a value in its canonical form.  Over QQ a
+non-integral ``Fraction`` is returned unchanged and a float raises
+``TypeError``, so none enters the exact arithmetic; over GF(p) an int
+is reduced mod p and anything else raises ``TypeError``, so no value
+is truncated.  Since ``int / int`` is a float, every true division of
+ring values goes through ``inv``.
 
 Maps between modules are sparse (``permod.EquivMap.entries``), and so
 are vectors, the dicts {index: value} of their nonzero coordinates.  The
@@ -31,7 +33,7 @@ class CoefficientDomain:
     characteristic = 0
 
     def from_int(self, n):
-        raise NotImplementedError
+        return self.normalize(n)
 
     def normalize(self, x):
         return x
@@ -76,9 +78,6 @@ class _Rationals(CoefficientDomain):
     name = "Q"
     is_field = True
 
-    def from_int(self, n):
-        return self.normalize(n)
-
     def normalize(self, x):
         if type(x) is int:
             return x
@@ -114,11 +113,13 @@ class PrimeField(CoefficientDomain):
             cls._instances[p] = inst
         return cls._instances[p]
 
-    def from_int(self, n):
-        return int(n) % self.p
-
     def normalize(self, x):
-        return int(x) % self.p
+        if type(x) is int:
+            return x % self.p
+        if isinstance(x, int):
+            return int(x) % self.p
+        raise TypeError("an F%d value is an int, got %s"
+                        % (self.p, type(x).__name__))
 
     def is_unit(self, x):
         return x % self.p != 0

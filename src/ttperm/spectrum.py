@@ -280,15 +280,6 @@ def _validated(poset):
 # ---------------------------------------------------------------------------
 # group plumbing
 
-def _subgroup_label(G, S):
-    """Canonical name of a subgroup of a cyclic group: "1", "C2", ..."""
-    assert any(S.parent.element_order(g) == S.order for g in S.elements), \
-        "subgroup labels require cyclic subgroups"
-    if S.order == 1:
-        return "1"
-    return "C%d" % S.order
-
-
 def _cyclic_p_chain(G):
     """(p, n, [N_0, ..., N_n]) with N_0 = G > ... > N_n = 1 of index p.
 
@@ -353,7 +344,7 @@ def assemble_over_Z(G):
         P.add_relation(zero, fam)
         return _validated(P)
     p, n, chain = _cyclic_p_chain(G)
-    names = [_subgroup_label(G, S) for S in chain]
+    names = [S.label() for S in chain]
     P = seed_cyclic_field(n, p, names=names)
     zero = P.add_point(SpcPoint.zero())
     fam = P.add_point(SpcPoint.family((p,)))
@@ -439,17 +430,17 @@ def _section_seed(G, p, obj):
     fam = P.add_point(SpcPoint.family((p,)))
     P.add_relation(zero, fam)
     if obj.is_trivial_section():
-        m = P.add_point(SpcPoint.modular(_subgroup_label(G, obj.H),
+        m = P.add_point(SpcPoint.modular(obj.H.label(),
                                          TAG_CLOSED, p))
         P.add_relation(zero, m)
         return P
     assert obj.H.order == p * obj.K.order, \
         "cyclic sections are trivial or of index p"
-    m0 = P.add_point(SpcPoint.modular(_subgroup_label(G, obj.H),
+    m0 = P.add_point(SpcPoint.modular(obj.H.label(),
                                       TAG_CLOSED, p))
-    m1 = P.add_point(SpcPoint.modular(_subgroup_label(G, obj.K),
+    m1 = P.add_point(SpcPoint.modular(obj.K.label(),
                                       TAG_CLOSED, p))
-    g1 = P.add_point(SpcPoint.modular(_subgroup_label(G, obj.K),
+    g1 = P.add_point(SpcPoint.modular(obj.K.label(),
                                       TAG_GENERIC, p))
     P.add_relation(g1, m0)
     P.add_relation(g1, m1)
@@ -477,7 +468,7 @@ def sections_colimit(G):
     if G.order == 1:
         return assemble_over_Z(G)
     p, _, _ = _cyclic_p_chain(G)
-    labels = [_subgroup_label(G, S) for S in subgroups(G)]
+    labels = [S.label() for S in subgroups(G)]
     number = {label: i for i, label in enumerate(labels)}
     conj = conjugation_table(G)
     cat = sections_category(G, p)

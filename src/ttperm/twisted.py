@@ -194,8 +194,9 @@ def canonical_u_power(G, q, ring):
     """The canonical small model of the tensor power u^q.
 
     Single-N towers are tensored over the distinct N in element order.
-    Asserts the homology is R concentrated in degree 2'.|q| (weighted
-    by each subgroup's own 2').  Kept on G under (ring, q.key())."""
+    Checks that the homology is R concentrated in degree 2'.|q|
+    (weighted by each subgroup's own 2'), raising TheoryCheckFailure
+    otherwise.  Kept on G under (ring, q.key())."""
     key = (ring, q.key())
     if key in G.twist_complexes:
         return G.twist_complexes[key]
@@ -209,8 +210,9 @@ def canonical_u_power(G, q, ring):
         X = unit_complex(G, ring)
     prof = {n: inv for n, inv in homology_profile(X).items()
             if inv != (0, ())}
-    assert prof == {top: (1, ())}, \
-        "tensor power homology not concentrated: %s" % prof
+    if prof != {top: (1, ())}:
+        raise TheoryCheckFailure(
+            "tensor power homology not concentrated: %s" % prof)
     G.twist_complexes[key] = X
     return X
 
@@ -223,13 +225,19 @@ def _transport(G, ring, q1, q2):
         X = tensor_complex(canonical_u_power(G, q1, ring),
                            canonical_u_power(G, q2, ring))
         Y = canonical_u_power(G, q1 + q2, ring)
-        eq = find_homotopy_equivalence(X, Y)
-        if not isinstance(eq, Equivalence):
-            raise TheoryCheckFailure(
-                "no canonical identification for %s x %s: %r"
-                % (q1, q2, eq))
+        eq = _equivalence(X, Y, "no canonical identification for %s x %s"
+                          % (q1, q2))
         G.twist_complexes[key] = (eq, X)
     return G.twist_complexes[key]
+
+
+def _equivalence(X, Y, failure):
+    """The homotopy equivalence X -> Y that the theory guarantees;
+    raises TheoryCheckFailure("<failure>: <search outcome>") otherwise."""
+    eq = find_homotopy_equivalence(X, Y)
+    if not isinstance(eq, Equivalence):
+        raise TheoryCheckFailure("%s: %r" % (failure, eq))
+    return eq
 
 
 class TwistedClass:
@@ -362,8 +370,9 @@ def generator_maps(G, N, ring):
                 # unit (over Q or GF(l), l != p); keep the (zero) class
                 # so tables can still tag a-monomials
                 continue
-            assert not out[sym].is_zero_class(), \
-                "generator %s_N is zero in its hom group" % sym
+            if out[sym].is_zero_class():
+                raise TheoryCheckFailure(
+                    "generator %s_N is zero in its hom group" % sym)
     return out
 
 
@@ -585,9 +594,8 @@ def restriction_check(G, N, H, ring=ZZ):
     if inside:
         report["u_shape"] = "unit shift"
         resu = restrict_complex(canonical_u_power(G, Twist.single(N), ring), H)
-        eq = find_homotopy_equivalence(
-            resu, shift_complex(unit_complex(Hg, ring), L))
-        assert isinstance(eq, Equivalence), "Res u_N is not a shifted unit"
+        _equivalence(resu, shift_complex(unit_complex(Hg, ring), L),
+                     "Res u_N is not a shifted unit")
         report["u_ok"] = True
         # a restricts to zero
         resa = hom_group(resu, 0)
@@ -597,8 +605,8 @@ def restriction_check(G, N, H, ring=ZZ):
         resb = restrict_complex(canonical_u_power(G, bq, ring), H)
         shift_target = shift_complex(unit_complex(Hg, ring),
                                      -gm["b"].shift)
-        eqb = find_homotopy_equivalence(resb, shift_target)
-        assert isinstance(eqb, Equivalence)
+        eqb = _equivalence(resb, shift_target,
+                           "Res b_N's twist is not a shifted unit")
         hg = hom_group(shift_target, gm["b"].shift)
         w = eqb.f.component(-gm["b"].shift).apply(gm["b"].cycle)
         one = hg.generators[0][1]
@@ -612,8 +620,7 @@ def restriction_check(G, N, H, ring=ZZ):
         gmK = generator_maps(Hg, K, ring)
         resu = restrict_complex(canonical_u_power(G, Twist.single(N), ring), H)
         canK = canonical_u_power(Hg, Twist.single(K), ring)
-        eq = find_homotopy_equivalence(resu, canK)
-        assert isinstance(eq, Equivalence), "Res u_N is not u_{H cap N}"
+        _equivalence(resu, canK, "Res u_N is not u_{H cap N}")
         report["u_ok"] = True
         for sym in ("a", "b", "c"):
             if sym not in gm:
@@ -622,8 +629,8 @@ def restriction_check(G, N, H, ring=ZZ):
             resz = restrict_complex(
                 canonical_u_power(G, z.twist, ring), H)
             canT = canonical_u_power(Hg, _push_twist(z.twist, Hg, K), ring)
-            eqz = find_homotopy_equivalence(resz, canT)
-            assert isinstance(eqz, Equivalence)
+            eqz = _equivalence(resz, canT, "Res %s_N's twist is not its "
+                               "image over H cap N" % sym)
             hg = hom_group(canT, z.shift)
             w = eqz.f.component(-z.shift).apply(z.cycle)
             report["%s_to_%s" % (sym, sym)] = classes_equal_up_to_unit(
@@ -671,7 +678,9 @@ def base_change_class_check(G, N, bound=3):
     rb = reduce_class(gZ["b"])
     if gZ["case"] == "C2":
         b2 = class_product(gp["b"], gp["b"])
-        assert b2.twist == rb.twist and b2.shift == rb.shift
+        if b2.twist != rb.twist or b2.shift != rb.shift:
+            raise TheoryCheckFailure(
+                "b_F2^2 and the reduction of b_Z differ in bidegree")
         report["b_reduces_to"] = "b^2"
         report["b_ok"] = rb.hom().classes_equal(
             rb.cycle, b2.cycle, up_to_unit=True)

@@ -293,3 +293,31 @@ def test_misfit_terms_and_components_raise_under_python_O(python_O):
         "ring term 0 has another group or ring",
         "differential d_1 is not X_1 -> X_0",
     ]
+
+
+_NON_INTEGRAL_BASE_CHANGE = """
+import sys
+from fractions import Fraction
+from ttperm.chain import base_change_complex, two_term_complex
+from ttperm.grp import cyclic
+from ttperm.permod import EquivMap, trivial_module
+from ttperm.rings import QQ, GF
+
+assert sys.flags.optimize
+M = trivial_module(cyclic(2), QQ)
+X = two_term_complex(EquivMap(M, M, {(0, 0): Fraction(1, 2)}))
+try:
+    Y = base_change_complex(X, GF(3))
+    sys.exit("a Q complex was base-changed to F3 with d = %r"
+             % (Y.diffs.get(1) and Y.diffs[1].entries,))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_base_change_from_a_non_integral_ring_raises_under_python_O(
+        python_O):
+    # from Q, the entry 1/2 would have to be truncated to reach F3
+    proc = python_O(_NON_INTEGRAL_BASE_CHANGE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["base change starts from Z, not Q"]

@@ -191,6 +191,18 @@ def test_exit_2_means_a_failed_check_not_a_bug(capsys, monkeypatch):
         run(argv)
 
 
+def test_theory_check_failure_exits_2_with_its_payload(capsys, monkeypatch):
+    from ttperm import twisted
+    monkeypatch.setattr(twisted, "homology_profile",
+                        lambda X: {0: (1, ()), 1: (0, (2,))})
+    assert run(["twisted", "--group", "C2", "--ring", "F2",
+                "--max-twist", "1"]) == 2
+    assert json.loads(out_of(capsys)) == {
+        "error": "TheoryCheckFailure",
+        "message": "tensor power homology not concentrated: "
+                   "{0: (1, ()), 1: (0, (2,))}"}
+
+
 def test_verify_round_trip(tmp_path, capsys):
     for argv in (
         ["kos", "--group", "C4", "--subgroup", "C2", "--ring", "Z",

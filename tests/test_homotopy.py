@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity
 from ttperm.permod import (trivial_module, perm_module, sign_module,
-                           direct_sum, EquivMap, equivariant_hom_basis,
+                           BlockModule, EquivMap, equivariant_hom_basis,
                            HomOrbits, CertificateError)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
@@ -405,7 +405,8 @@ def test_homology_profile_matches_smith_normal_form(name, ring):
 ])
 def test_homology_profile_normalises_invariant_factors(matrix, factors):
     G = cyclic(1)
-    M = direct_sum(trivial_module(G, ZZ), trivial_module(G, ZZ))
+    M = BlockModule(G, ZZ, [("a", trivial_module(G, ZZ)),
+                            ("b", trivial_module(G, ZZ))]).module
     X = two_term_complex(EquivMap(M, M, {(r, c): v
                                          for r, row in enumerate(matrix)
                                          for c, v in enumerate(row)}))
@@ -865,7 +866,8 @@ def _inconsistent_orbit_complex():
     G = parse_group_name("C2xC2")
     N = index_p_normal_subgroups(G)[0]
     S = [H for H in subgroups(G) if H.index == 2 and H != N][0]
-    L = direct_sum(sign_module(G, S, ZZ), trivial_module(G, ZZ))
+    L = BlockModule(G, ZZ, [("a", sign_module(G, S, ZZ)),
+                            ("b", trivial_module(G, ZZ))]).module
     U = u_complex(G, N, ZZ)
     return tensor_complex(tensor_complex(module_complex(L), U), U)
 

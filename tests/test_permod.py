@@ -6,23 +6,27 @@ orbits of the double action.
 """
 
 import gc
+import re
 import weakref
 
 import pytest
 
-from ttperm.grp import cyclic, parse_group_name, subgroups
+from ttperm.grp import Subgroup, cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_zero
 from ttperm.permod import (perm_module, trivial_module, sign_module,
-                           tensor_module, dual_module, direct_sum,
+                           tensor_module, dual_module, BlockModule,
                            restrict, base_change_module,
                            equivariant_hom_basis, SignedPermModule,
                            identity_map, zero_map, subgroup_as_group,
                            is_induced_from, rebase_to_permutation, EquivMap,
                            CertificateError, HomOrbits, _index, _left_mul,
-                           _right_mul)
+                           _right_mul, sign_decompose,
+                           SignDecompositionError)
 from ttperm.chain import tensor_complex, module_complex
 from ttperm.homotopy import sparse_rows, InvariantsComplex
 from ttperm.twisted import u_complex, index_p_normal_subgroups
+from ttperm import koszul
+from ttperm.cli import resolve_subgroup
 
 
 def double_coset_count(G, H, K):
@@ -90,7 +94,7 @@ def test_tensor_and_dual_ranks():
     assert T.rank == 4
     D = dual_module(M)
     assert D.rank == M.rank
-    S = direct_sum(M, N)
+    S = BlockModule(G, ZZ, [("a", M), ("b", N)]).module
     assert S.rank == 3
 
 
@@ -459,15 +463,28 @@ def test_generator_orbit_walks_match_the_all_elements_walk(name):
                 got = [(f.root_pair, sorted(f.entries.items()))
                        for f in equivariant_hom_basis(A, B)]
                 assert got == _reference_hom_basis(A, B)
+    # the orbit of e_x is the orbit of the pair (0, x) in Hom(R, M), R
+    # trivial, and its L-twisted orbit is that pair's orbit in Hom(L, M),
+    # which the reference walks as the basis orbit of L (x) M
+    R = trivial_module(G, ZZ)
     inconsistent = 0
     for M in modules + signs:
-        got = [(o["members"], o["path_sign"], o["consistent"],
-                o["stabilizer"].elements, o["character"])
-               for o in M.orbits()]
-        assert got == _reference_orbits(M)
-        inconsistent += sum(not o[2] for o in got)
+        for A in [R] + signs:
+            H = HomOrbits(A, M)
+            roots = []
+            for members, sign, consistent, _, character in \
+                    _reference_orbits(M if A is R else tensor_module(A, M)):
+                assert consistent == all(c == 1 for c in character.values())
+                codes = [H.code[x] for x in members]
+                if consistent:
+                    roots.append(members[0])
+                    assert codes == [sign[x] * len(roots) for x in members]
+                else:
+                    assert codes == [0] * len(members)
+                    inconsistent += A is R
+            assert list(H.roots) == roots
     # path signs are walk-dependent only on inconsistent orbits, and
-    # those are the rank-one sign modules here
+    # for R those are the rank-one sign modules' here
     assert inconsistent == len(signs)
 
 
@@ -531,3 +548,230 @@ def test_mismatched_maps_raise_under_python_O(python_O):
         "compose the target of the first map is not the source of the second",
         "compose-ring source and target have different rings",
     ]
+
+
+# The basis-orbit walk, sign decomposition, rebasing and induction test
+# as they were written before they read HomOrbits: one walk per orbit,
+# the eps-twisted walk inside sign decomposition, and a direct sum of
+# two modules.  The differential test below holds the HomOrbits versions
+# to the same modules, actions and iso entries, in order.
+
+def _old_orbits(M):
+    G = M.group
+    gen_rows = [M.action[s] for s in G.generators]
+    seen = set()
+    out = []
+    for root in range(M.rank):
+        if root in seen:
+            continue
+        path_sign = {root: 1}
+        consistent = True
+        frontier = [root]
+        while frontier:
+            x = frontier.pop()
+            for row in gen_rows:
+                y, s = row[x]
+                sign_y = path_sign[x] * s
+                if y in path_sign:
+                    if path_sign[y] != sign_y:
+                        consistent = False
+                else:
+                    path_sign[y] = sign_y
+                    frontier.append(y)
+        members = tuple(sorted(path_sign))
+        seen.update(members)
+        stab_elems = []
+        character = {}
+        for g in G.elements():
+            j, s = M.action[g][root]
+            if j == root:
+                stab_elems.append(g)
+                character[g] = s
+        out.append({"members": members, "root": root,
+                    "path_sign": path_sign,
+                    "stabilizer": Subgroup(G, stab_elems),
+                    "character": character, "consistent": consistent})
+    return out
+
+
+def _old_direct_sum(M, N, tags):
+    basis = tuple((tags[0], l) for l in M.basis) + \
+        tuple((tags[1], l) for l in N.basis)
+    off = M.rank
+    action = []
+    for g in M.group.elements():
+        row = [(j, s) for (j, s) in M.action[g]]
+        row += [(j + off, s) for (j, s) in N.action[g]]
+        action.append(tuple(row))
+    return SignedPermModule(M.group, M.ring, basis, tuple(action))
+
+
+def _old_sign_decompose(M, S):
+    G = M.group
+    ring = M.ring
+    inside = set(S.elements)
+    eps = {g: (1 if g in inside else -1) for g in G.elements()}
+    plus_entries = []
+    minus_entries = []
+    for orb in _old_orbits(M):
+        chi = orb["character"]
+        if all(s == 1 for s in chi.values()):
+            if orb["consistent"]:
+                for x in orb["members"]:
+                    plus_entries.append((x, orb["path_sign"][x]))
+                continue
+        if all(chi[g] == eps[g] for g in chi):
+            sign = {orb["root"]: 1}
+            frontier = [orb["root"]]
+            ok = True
+            while frontier:
+                x = frontier.pop()
+                for g in G.generators:
+                    y, s = M.action[g][x]
+                    w = sign[x] * s * eps[g]
+                    if y in sign:
+                        if sign[y] != w:
+                            ok = False
+                    else:
+                        sign[y] = w
+                        frontier.append(y)
+            if ok:
+                for x in orb["members"]:
+                    minus_entries.append((x, sign[x]))
+                continue
+        raise SignDecompositionError(
+            "orbit at basis index %d resists sign decomposition along %s"
+            % (orb["root"], S.describe()))
+    plus_entries.sort()
+    minus_entries.sort()
+
+    def submodule(entries, twist):
+        idx = [x for (x, _) in entries]
+        back = {x: k for k, (x, _) in enumerate(entries)}
+        sgn = {x: s for (x, s) in entries}
+        basis = tuple(M.basis[x] for x in idx)
+        action = []
+        for g in G.elements():
+            row = []
+            for x in idx:
+                y, s = M.action[g][x]
+                row.append((back[y], s * sgn[x] * sgn[y] * twist[g]))
+            action.append(tuple(row))
+        return basis, tuple(action)
+
+    Mplus = SignedPermModule(G, ring, *submodule(
+        plus_entries, {g: 1 for g in G.elements()}))
+    Mminus = SignedPermModule(G, ring, *submodule(minus_entries, eps))
+    L = sign_module(G, S, ring)
+    dom = _old_direct_sum(Mplus, tensor_module(L, Mminus), ("+", "-"))
+    iso = EquivMap(dom, M, {(x, k): s for k, (x, s)
+                            in enumerate(plus_entries + minus_entries)})
+    return Mplus, Mminus, iso
+
+
+def _old_rebase_to_permutation(M):
+    entries = []
+    for orb in _old_orbits(M):
+        if not orb["consistent"] or \
+                any(s != 1 for s in orb["character"].values()):
+            return None
+        for x in orb["members"]:
+            entries.append((x, orb["path_sign"][x]))
+    entries.sort()
+    basis = tuple(M.basis[x] for (x, _) in entries)
+    sgn = {x: s for (x, s) in entries}
+    action = []
+    for g in M.group.elements():
+        row = []
+        for (x, _) in entries:
+            y, s = M.action[g][x]
+            row.append((y, s * sgn[x] * sgn[y]))
+        action.append(tuple(row))
+    Mperm = SignedPermModule(M.group, M.ring, basis, tuple(action))
+    iso = EquivMap(Mperm, M, {(x, k): s for k, (x, s) in enumerate(entries)})
+    return Mperm, iso
+
+
+def _old_is_induced_from(M, S):
+    G = M.group
+    for orb in _old_orbits(M):
+        stab = orb["stabilizer"]
+        if any(s != 1 for s in orb["character"].values()):
+            return False
+        if not any(stab.conjugate(g) <= S for g in G.elements()):
+            return False
+    return True
+
+
+def _flat(x):
+    """Modules as (basis, action), maps as (source, target, entries in
+    order), recursively through tuples."""
+    if isinstance(x, SignedPermModule):
+        return ("module", x.basis, x.action)
+    if isinstance(x, EquivMap):
+        return ("map", _flat(x.source), _flat(x.target),
+                list(x.entries.items()))
+    if isinstance(x, tuple):
+        return tuple(_flat(y) for y in x)
+    return x
+
+
+def _outcome(f, *args):
+    try:
+        return _flat(f(*args))
+    except SignDecompositionError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("name, sub", [("C4", "1"), ("C2xC2", "1"),
+                                       ("D8", "C2#0")])
+def test_orbit_table_readers_match_the_basis_orbit_walk(name, sub,
+                                                        monkeypatch):
+    # every term that the p = 2 tower of kos(G, H) meets: the terms
+    # entering and leaving each sign modification, and every module it
+    # decomposes along its index-2 subgroup
+    terms = {}
+    decompose, modify = koszul.sign_decompose, koszul.sign_modify
+
+    def spy_decompose(M, S):
+        terms.setdefault(id(M), M)
+        return decompose(M, S)
+
+    def spy_modify(X, S):
+        terms.update((id(M), M) for M in X.terms.values())
+        Y, audit = modify(X, S)
+        terms.update((id(M), M) for M in Y.terms.values())
+        return Y, audit
+
+    monkeypatch.setattr(koszul, "sign_decompose", spy_decompose)
+    monkeypatch.setattr(koszul, "sign_modify", spy_modify)
+    G = parse_group_name(name)
+    koszul._build_koszul(G, resolve_subgroup(G, sub)[0], ZZ)
+    seen = {"minus": 0, "none": 0, "induced": 0}
+    for M in terms.values():
+        for S in subgroups(M.group):
+            got = _outcome(is_induced_from, M, S)
+            assert got == _outcome(_old_is_induced_from, M, S)
+            seen["induced"] += got
+            if S.index == 2:
+                got = _outcome(sign_decompose, M, S)
+                assert got == _outcome(_old_sign_decompose, M, S)
+                if got[0] != "error":
+                    seen["minus"] += bool(got[1][1])
+        got = _outcome(rebase_to_permutation, M)
+        assert got == _outcome(_old_rebase_to_permutation, M)
+        seen["none"] += got is None
+    assert all(seen.values()), seen
+
+
+def test_sign_module_resists_decomposition_along_another_subgroup():
+    G = parse_group_name("C2xC2")
+    S, T = [H for H in subgroups(G) if H.index == 2][:2]
+    with pytest.raises(SignDecompositionError,
+                       match=re.escape("orbit at basis index 0 resists sign "
+                                       "decomposition along " + T.describe())):
+        sign_decompose(sign_module(G, S, ZZ), T)
+    # along its own subgroup it is L (x) R
+    P, N, iso = sign_decompose(sign_module(G, S, ZZ), S)
+    assert (P.rank, N.rank) == (0, 1) and N.is_permutation()
+    assert iso.entries == {(0, 0): 1}

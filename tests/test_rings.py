@@ -3,7 +3,8 @@
 Conventions under test: ZZ normalizes to int, QQ to an int when the
 value is integral and to a Fraction in lowest terms otherwise, GF(p) to
 the least nonnegative residue; matrices are lists of rows; all
-arithmetic is exact (QQ.normalize rejects floats).
+arithmetic is exact (QQ.normalize rejects floats, GF(p).normalize
+everything but ints).
 """
 
 from fractions import Fraction
@@ -71,6 +72,18 @@ def test_prime_field_reduces_mod_p():
     assert F5.normalize(-1) == 4
     assert all(F5.is_unit(c) for c in range(1, 5))
     assert not F5.is_unit(0)
+
+
+def test_prime_field_never_truncates_values():
+    # int() first would send 1/2 to 0 (not 2 = 1/2 mod 3) and 2.7 to 2
+    F3 = GF(3)
+    for value in (Fraction(1, 2), Fraction(4, 2), 2.7, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            F3.normalize(value)
+        with pytest.raises(TypeError):
+            F3.from_int(value)
+    assert F3.normalize(True) == 1 and type(F3.normalize(True)) is int
+    assert F3.from_int(-4) == 2 and F3.normalize(2 ** 70) == 1
 
 
 def test_prime_field_rejects_composite_modulus():

@@ -443,3 +443,29 @@ def test_transport_check_survives_python_O(python_O):
     proc = python_O(_TRANSPORT_WITHOUT_EQUIVALENCE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("no canonical identification")
+
+
+_UNCONCENTRATED_POWER = """
+import sys
+from ttperm import twisted
+from ttperm.grp import cyclic
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+twisted.homology_profile = lambda X: {0: (1, ()), 1: (0, (2,))}
+G = cyclic(2)
+q = twisted.Twist.single(twisted.index_p_normal_subgroups(G)[0])
+try:
+    twisted.canonical_u_power(G, q, ZZ)
+    sys.exit("a power whose homology is not concentrated passed")
+except twisted.TheoryCheckFailure as exc:
+    print(exc)
+"""
+
+
+def test_homology_concentration_check_survives_python_O(python_O):
+    proc = python_O(_UNCONCENTRATED_POWER)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "tensor power homology not concentrated: "
+        "{0: (1, ()), 1: (0, (2,))}"]
