@@ -5,7 +5,10 @@ Grading and sign conventions, fixed once and used everywhere:
 * differentials lower degree: d_n : X_n -> X_{n-1}, with d d = 0;
 * shift: X[s]_n = X_{n-s} and d^{X[s]} = (-1)^s d^X;
 * tensor: (X (x) Y)_n = (+)_{i+j=n} X_i (x) Y_j with
-  d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in X_i;
+  d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in X_i; every tensor
+  product, of two complexes or of k (``koszul.tensor_induce``), has
+  the basis layout ``tensor_index`` and the differential
+  ``tensor_differentials``;
 * cone of f : X -> Y: cone(f)_n = Y_n (+) X_{n-1},
   d(y, x) = (dy + f(x), -dx);
 * dual: dual(X)_n = (X_{-n})^* with d_n = (-1)^n (d^X_{1-n})^T on the
@@ -21,10 +24,12 @@ Terms and components that do not fit together are a caller's bug and
 raise ``ValueError``, also under ``python -O``.
 """
 
+from itertools import product as iproduct
+
 from .permod import (SignedPermModule, EquivMap, CertificateError,
                      BlockModule, zero_module, zero_map, trivial_module,
                      tensor_module, dual_module, base_change_module, restrict,
-                     subgroup_as_group, _composite)
+                     subgroup_as_group, _composite, _index)
 
 
 class Complex:
@@ -182,86 +187,92 @@ def shift_complex(X, s):
     return Complex(X.group, X.ring, terms, diffs, check=False)
 
 
-def _place(acc, r0, c0, A, B=None, b_shape=(1, 1), sign=1):
-    """Write sign * (A (x) B) into the entries dict ``acc`` with its
-    top left corner at (r0, c0).  A and B are entries dicts, B has
-    shape ``b_shape`` and defaults to the 1 x 1 identity, which places
-    A itself."""
-    B = _identity(1) if B is None else B
-    br, bc = b_shape
+def _place(acc, r0, c0, A, sign=1):
+    """Write sign * A into ``acc`` with its top left corner at (r0, c0)."""
     for (a, ap), v in A.items():
-        for (b, bp), w in B.items():
-            acc[(r0 + a * br + b, c0 + ap * bc + bp)] = sign * v * w
+        acc[(r0 + a, c0 + ap)] = sign * v
 
 
-def _identity(n):
-    return {(i, i): 1 for i in range(n)}
+def tensor_index(factors):
+    """The basis layout of the tensor product of the complexes
+    ``factors``: {n: {(tup, src): position}}.
+
+    ``tup`` holds the degrees of the factors and ``src`` one basis
+    index per factor; the basis vector is e_src[0] (x) ... (x) e_src[-1]
+    in the block X_tup[0] (x) ... (x) X_tup[-1] of degree n = sum(tup).
+    Blocks come in lexicographic order of tup, and src is lexicographic
+    within a block, the order of ``permod.tensor_module``.
+    """
+    index = {}
+    for tup in iproduct(*[sorted(X.terms) for X in factors]):
+        block = index.setdefault(sum(tup), {})
+        for src in iproduct(*[range(X.terms[d].rank)
+                              for X, d in zip(factors, tup)]):
+            block[(tup, src)] = len(block)
+    return index
+
+
+def tensor_differentials(factors, index):
+    """{n: entries of d_n} on the layout ``index`` of ``factors``, by
+    the Leibniz rule: d applied in slot j is signed by (-1)^(sum of the
+    degrees before j).  Every degree n with n - 1 in the layout gets an
+    entry, possibly empty."""
+    cols = [{i: _index(f.entries, 1) for i, f in X.diffs.items()}
+            for X in factors]
+    out = {}
+    for n, block in index.items():
+        below = index.get(n - 1)
+        if below is None:
+            continue
+        acc = {}
+        for (tup, src), c in block.items():
+            sgn = 1
+            for j, d in enumerate(tup):
+                for b, v in cols[j].get(d, {}).get(src[j], ()):
+                    r = below[(tup[:j] + (d - 1,) + tup[j + 1:],
+                               src[:j] + (b,) + src[j + 1:])]
+                    acc[(r, c)] = sgn * v
+                if d % 2:
+                    sgn = -sgn
+        out[n] = acc
+    return out
 
 
 def tensor_complex(X, Y):
-    assert X.group is Y.group and X.ring is Y.ring
-    if X.is_zero() or Y.is_zero():
-        return Complex(X.group, X.ring, {}, {})
-    ring = X.ring
+    """X (x) Y on the layout ``tensor_index((X, Y))``; the term of
+    degree n is the BlockModule of the tensor_module blocks (i, j)."""
+    return _tensor_complex(X, Y, tensor_index((X, Y)))
+
+
+def _tensor_complex(X, Y, index):
+    if X.group is not Y.group or X.ring is not Y.ring:
+        raise ValueError("tensor factors over different groups or rings")
     pieces = {}   # degree -> list of ((i, j), module)
     for i, Mi in sorted(X.terms.items()):
         for j, Nj in sorted(Y.terms.items()):
             pieces.setdefault(i + j, []).append(((i, j), tensor_module(Mi, Nj)))
-    blocks = {n: BlockModule(X.group, ring, bl) for n, bl in pieces.items()}
-    terms = {n: B.module for n, B in blocks.items()}
-    diffs = {}
-    for n, B in blocks.items():
-        if (n - 1) not in blocks:
-            continue
-        C = blocks[n - 1]
-        acc = {}
-        for (i, j) in B.blocks:
-            c0 = B.offsets[(i, j)]
-            Mi, Nj = X.term(i), Y.term(j)
-            if (i - 1, j) in C.offsets and i in X.diffs:
-                # dX (x) id: block entry [(a,b),(a',b)] = dX[a][a']
-                _place(acc, C.offsets[(i - 1, j)], c0, X.diffs[i].entries,
-                       _identity(Nj.rank), (Nj.rank, Nj.rank))
-            if (i, j - 1) in C.offsets and j in Y.diffs:
-                # (-1)^i id (x) dY
-                dY = Y.diffs[j]
-                _place(acc, C.offsets[(i, j - 1)], c0, _identity(Mi.rank),
-                       dY.entries, (dY.target.rank, Nj.rank),
-                       sign=1 if i % 2 == 0 else -1)
-        diffs[n] = EquivMap(B.module, C.module, acc)
-    return Complex(X.group, ring, terms, diffs)
-
-
-def _tensor_offsets(X, Y, n):
-    """Block offsets of (X (x) Y)_n, in the order tensor_complex uses."""
-    out = {}
-    off = 0
-    for i in sorted(X.terms):
-        j = n - i
-        if j in Y.terms:
-            out[(i, j)] = off
-            off += X.terms[i].rank * Y.terms[j].rank
-    return out
+    terms = {n: BlockModule(X.group, X.ring, bl).module
+             for n, bl in pieces.items()}
+    diffs = {n: EquivMap(terms[n], terms[n - 1], acc)
+             for n, acc in tensor_differentials((X, Y), index).items()}
+    return Complex(X.group, X.ring, terms, diffs)
 
 
 def tensor_chain_maps(f, g):
     """(f (x) g) : X (x) X' -> Y (x) Y' for degree-0 chain maps."""
     X, Y = f.source, f.target
     Xp, Yp = g.source, g.target
-    S = tensor_complex(X, Xp)
-    T = tensor_complex(Y, Yp)
+    SI, TI = tensor_index((X, Xp)), tensor_index((Y, Yp))
+    S, T = _tensor_complex(X, Xp, SI), _tensor_complex(Y, Yp, TI)
+    fcols = {i: _index(c.entries, 1) for i, c in f.components.items()}
+    gcols = {j: _index(c.entries, 1) for j, c in g.components.items()}
     comps = {}
-    for n in S.terms:
-        if n not in T.terms:
-            continue
-        SB = _tensor_offsets(X, Xp, n)
-        TB = _tensor_offsets(Y, Yp, n)
+    for n in [n for n in S.terms if n in T.terms]:
         acc = {}
-        for (i, j), c0 in SB.items():
-            if (i, j) in TB:
-                gj = g.component(j)
-                _place(acc, TB[(i, j)], c0, f.component(i).entries,
-                       gj.entries, (gj.target.rank, gj.source.rank))
+        for ((i, j), (a, b)), c in SI[n].items():
+            for a2, v in fcols.get(i, {}).get(a, ()):
+                for b2, w in gcols.get(j, {}).get(b, ()):
+                    acc[(TI[n][((i, j), (a2, b2))], c)] = v * w
         comps[n] = EquivMap(S.terms[n], T.terms[n], acc)
     return ChainMap(S, T, comps)
 
@@ -347,8 +358,8 @@ def transport_complex(X, G2):
     a subgroup-as-group and an equal standalone group."""
     if X.group is G2:
         return X
-    assert tuple(map(tuple, X.group.table)) == tuple(map(tuple, G2.table)), \
-        "groups differ as tables, not just as objects"
+    if tuple(map(tuple, X.group.table)) != tuple(map(tuple, G2.table)):
+        raise ValueError("groups differ as tables, not just as objects")
     terms = {n: SignedPermModule(G2, X.ring, M.basis, M.action)
              for n, M in X.terms.items()}
     diffs = {n: EquivMap(terms[n], terms[n - 1], f.entries)

@@ -5,6 +5,9 @@ complex x over H to the restriction of x^{(x) n} along the embedding
 i : G -> S_n x| H^n determined by fixed coset representatives
 (g r_j = r_{sigma_g(j)} h_j); the S_n part permutes tensor factors
 with the Koszul sign prod_{i<j, sigma(i)>sigma(j)} (-1)^{|v_i||v_j|}.
+Its basis and differential are the n-fold tensor layout of
+``chain.tensor_index`` and ``chain.tensor_differentials``; only the
+action is induced.
 
 A Koszul object kos(G, H) starts from the two-term complex R -> R over
 H.  For odd p the single tensor induction already has permutation
@@ -31,16 +34,15 @@ complex (|G| is invertible there), verified in turn; nothing is solved
 again.
 """
 
-from itertools import product as iproduct
-
 from .grp import subgroups
 from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
                      subgroup_meet, trivial_module, sign_module, perm_module,
                      tensor_module, sign_decompose, map_inverse_monomial,
-                     rebase_to_permutation, is_induced_from, _index)
+                     rebase_to_permutation, is_induced_from)
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
-                    tensor_chain_maps, cone, restrict_complex,
-                    transport_complex, base_change_complex)
+                    tensor_index, tensor_differentials, tensor_chain_maps,
+                    cone, restrict_complex, transport_complex,
+                    base_change_complex)
 from .homotopy import (is_contractible, homology_profile,
                        ContractionCertificate, _average_homotopy)
 from .rings import factorize
@@ -69,7 +71,8 @@ def index2_filtration(G, H):
                       if all(frozenset(G.conj(x, g) for x in current.elements)
                              == frozenset(current.elements)
                              for g in T.elements)]
-        assert candidates, "no index-2 step above %s" % current.describe()
+        if not candidates:
+            raise ValueError("no index-2 step above %s" % current.describe())
         current = min(candidates, key=lambda T: T.elements)
         chain.append(current)
     return chain
@@ -99,130 +102,54 @@ def tensor_induce(X, S):
     """Tensor induction of the complex X along the normal subgroup S.
 
     X must live over the standalone group of S (same multiplication
-    table); the result lives over S.parent.  Index at most 4.
+    table); the result lives over S.parent.  Index at most 4.  On the
+    layout of X^{(x) k}, g sends slot j to slot sigma_g(j), acts there
+    by h_j and carries the Koszul sign.
     """
     G = S.parent
     k = S.index
-    assert k <= 4, "index bound exceeded (index %d > 4)" % k
+    if k > 4:
+        raise ValueError("index bound exceeded (index %d > 4)" % k)
+    if not S.is_normal():
+        raise ValueError("tensor induction requires a normal subgroup")
     H_grp, elems = subgroup_as_group(S)
     X = transport_complex(X, H_grp)
-    if k == 1:
-        return transport_complex(X, G)
-    assert S.is_normal(), "tensor induction requires a normal subgroup"
-    ring = X.ring
     pos_in_H = {x: i for i, x in enumerate(elems)}
     reps = S.coset_reps()
     rep_index = {}
     for idx, r in enumerate(reps):
         for h in elems:
             rep_index[G.mul(r, h)] = idx
-    sigma = {}
-    hpart = {}
+    moves = []   # per g: sigma_g and the h_j, g r_j = r_{sigma_g(j)} h_j
     for g in G.elements():
-        sg = []
-        hg = []
+        sigma, h = [], []
         for r in reps:
             gr = G.mul(g, r)
-            j2 = rep_index[gr]
-            sg.append(j2)
-            hg.append(pos_in_H[G.mul(G.inv(reps[j2]), gr)])
-        sigma[g] = sg
-        hpart[g] = hg
-
-    degrees = X.degrees()
-    blocks_by_degree = {}
-    for tup in iproduct(degrees, repeat=k):
-        blocks_by_degree.setdefault(sum(tup), []).append(tup)
-
-    def block_dims(tup):
-        return [X.terms[d].rank for d in tup]
-
-    def block_rank(tup):
-        r = 1
-        for d in tup:
-            r *= X.terms[d].rank
-        return r
-
-    offsets = {}
-    term_rank = {}
-    for n, tups in sorted(blocks_by_degree.items()):
-        off = 0
-        offs = {}
-        for tup in tups:
-            offs[tup] = off
-            off += block_rank(tup)
-        offsets[n] = offs
-        term_rank[n] = off
-
-    def strides(dims):
-        st = [1] * len(dims)
-        for i in range(len(dims) - 2, -1, -1):
-            st[i] = st[i + 1] * dims[i + 1]
-        return st
-
+            sigma.append(rep_index[gr])
+            h.append(pos_in_H[G.mul(G.inv(reps[sigma[-1]]), gr)])
+        moves.append((sigma, h))
+    index = tensor_index([X] * k)
     terms = {}
-    for n, tups in sorted(blocks_by_degree.items()):
-        basis = []
-        for tup in tups:
-            for btup in iproduct(*[X.terms[d].basis for d in tup]):
-                basis.append(("ti", tup, btup))
+    for n, block in index.items():
+        basis = tuple(("ti", tup, tuple(X.terms[d].basis[b]
+                                        for d, b in zip(tup, src)))
+                      for tup, src in block)
         action = []
-        for g in G.elements():
-            sg, hg = sigma[g], hpart[g]
+        for sigma, h in moves:
             row = []
-            for tup in tups:
-                dims = block_dims(tup)
-                st = strides(dims)
-                # target composition: slot sg[j] has degree tup[j]
-                ttup = [0] * k
-                for j in range(k):
-                    ttup[sg[j]] = tup[j]
-                ttup = tuple(ttup)
-                toff = offsets[n][ttup]
-                tdims = block_dims(ttup)
-                tst = strides(tdims)
-                ks = _koszul_sign(sg, tup)
-                acts = [X.terms[tup[j]].action[hg[j]] for j in range(k)]
-                for src in iproduct(*[range(d) for d in dims]):
-                    tgt_idx = 0
-                    sgn = ks
-                    for j in range(k):
-                        bj, sj = acts[j][src[j]]
-                        tgt_idx += bj * tst[sg[j]]
-                        sgn *= sj
-                    row.append((toff + tgt_idx, sgn))
+            for tup, src in block:
+                ttup, tsrc = [0] * k, [0] * k
+                sgn = _koszul_sign(sigma, tup)
+                for j2, hj, d, b in zip(sigma, h, tup, src):
+                    ttup[j2] = d
+                    tsrc[j2], s = X.terms[d].action[hj][b]
+                    sgn *= s
+                row.append((block[(tuple(ttup), tuple(tsrc))], sgn))
             action.append(tuple(row))
-        terms[n] = SignedPermModule(G, ring, tuple(basis), tuple(action))
-
-    diffs = {}
-    for n in sorted(blocks_by_degree):
-        if (n - 1) not in term_rank:
-            continue
-        acc = {}
-        for tup in blocks_by_degree[n]:
-            dims = block_dims(tup)
-            st = strides(dims)
-            coff = offsets[n][tup]
-            for j in range(k):
-                dj = tup[j]
-                if dj not in X.diffs:
-                    continue
-                ttup = tup[:j] + (dj - 1,) + tup[j + 1:]
-                if ttup not in offsets.get(n - 1, {}):
-                    continue
-                roff = offsets[n - 1][ttup]
-                tdims = block_dims(ttup)
-                tst = strides(tdims)
-                pre = sum(tup[:j])
-                sgn = 1 if pre % 2 == 0 else -1
-                d_cols = _index(X.diffs[dj].entries, 1)
-                for src in iproduct(*[range(d) for d in dims]):
-                    cidx = coff + sum(src[i] * st[i] for i in range(k))
-                    base = sum(src[i] * tst[i] for i in range(k) if i != j)
-                    for b2, v in d_cols.get(src[j], ()):
-                        acc[(roff + base + b2 * tst[j], cidx)] = sgn * v
-        diffs[n] = EquivMap(terms[n], terms[n - 1], acc)
-    return Complex(G, ring, terms, diffs)
+        terms[n] = SignedPermModule(G, X.ring, basis, tuple(action))
+    diffs = {n: EquivMap(terms[n], terms[n - 1], acc)
+             for n, acc in tensor_differentials([X] * k, index).items()}
+    return Complex(G, X.ring, terms, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +253,8 @@ def sign_modify(X, S):
         X = cone(tau)
         audit.append({"degree": m, "action": "modified",
                       "minus_rank": N.rank, "plus_rank": pr})
-    assert X.all_terms_permutation(), \
-        "sign modification left a signed term"
+    if not X.all_terms_permutation():
+        raise KoszulVerificationError("sign modification left a signed term")
     return X, audit
 
 
@@ -423,14 +350,13 @@ def koszul_object(G, H, ring):
 def _build_koszul(G, H, ring):
     """The unverified complex of kos(G, H) and its audit."""
     pk = prime_power(G.order) if G.order > 1 else (2, 0)
-    assert pk is not None, "Koszul objects need a p-group"
+    if pk is None:
+        raise ValueError("Koszul objects need a p-group, not %s" % G.name)
     p = pk[0]
     audit = {"group": G.name, "subgroup": H.describe(), "ring": ring.name}
     if H.order == G.order:
-        X = koszul_base(G, ring) if G.order == 1 else \
-            transport_complex(koszul_base(subgroup_as_group(H)[0], ring), G)
         audit["tower"] = []
-        return X, audit
+        return koszul_base(G, ring), audit
     if p != 2:
         H_grp, _ = subgroup_as_group(H)
         X = tensor_induce(koszul_base(H_grp, ring), H)
@@ -439,8 +365,9 @@ def _build_koszul(G, H, ring):
         isos = {}
         for n, M in X.terms.items():
             rb = rebase_to_permutation(M)
-            assert rb is not None, \
-                "odd-p tensor induction failed to rebase at degree %d" % n
+            if rb is None:
+                raise KoszulVerificationError(
+                    "odd-p tensor induction failed to rebase at degree %d" % n)
             terms[n], isos[n] = rb
         diffs = {}
         for n, f in X.diffs.items():

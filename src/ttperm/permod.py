@@ -325,7 +325,8 @@ def sign_module(group, subgroup, ring):
 
 
 def tensor_module(M, N):
-    assert M.group is N.group and M.ring is N.ring
+    if M.group is not N.group or M.ring is not N.ring:
+        raise ValueError("tensor factors over different groups or rings")
     basis = tuple(("t", a, b) for a in M.basis for b in N.basis)
     nN = N.rank
     action = []

@@ -5,12 +5,12 @@ fields.  Values are plain Python objects so that all arithmetic is
 exact: ``int`` for ZZ and GF(p), and for QQ an ``int`` when the value
 is integral and a ``fractions.Fraction`` in lowest terms only otherwise.
 Most QQ values are integers carried from Z, so they multiply as ints.
-``normalize`` puts a value in its canonical form.  Over QQ a
-non-integral ``Fraction`` is returned unchanged and a float raises
-``TypeError``, so none enters the exact arithmetic; over GF(p) an int
-is reduced mod p and anything else raises ``TypeError``, so no value
-is truncated.  Since ``int / int`` is a float, every true division of
-ring values goes through ``inv``.
+``normalize`` puts a value in its canonical form and raises
+``TypeError`` on a value outside the domain, so no value is truncated
+and no float enters the exact arithmetic: over ZZ an int is kept, over
+QQ a non-integral ``Fraction`` is returned unchanged, and over GF(p)
+an int is reduced mod p.  Since ``int / int`` is a float, every true
+division of ring values goes through ``inv``.
 
 Maps between modules are sparse (``permod.EquivMap.entries``), and so
 are vectors, the dicts {index: value} of their nonzero coordinates.  The
@@ -36,7 +36,7 @@ class CoefficientDomain:
         return self.normalize(n)
 
     def normalize(self, x):
-        return x
+        raise NotImplementedError
 
     @property
     def zero(self):
@@ -60,14 +60,20 @@ class CoefficientDomain:
 class _Integers(CoefficientDomain):
     name = "Z"
 
-    def from_int(self, n):
-        return int(n)
+    def normalize(self, x):
+        if type(x) is int:
+            return x
+        if isinstance(x, int):
+            return int(x)
+        raise TypeError("a Z value is an int, got %s" % type(x).__name__)
 
     def is_unit(self, x):
         return x == 1 or x == -1
 
     def inv(self, x):
-        assert x in (1, -1)
+        x = self.normalize(x)
+        if x != 1 and x != -1:
+            raise ValueError("%d is not a unit of Z" % x)
         return x
 
 
@@ -125,7 +131,7 @@ class PrimeField(CoefficientDomain):
         return x % self.p != 0
 
     def inv(self, x):
-        return pow(int(x), -1, self.p)
+        return pow(self.normalize(x), -1, self.p)
 
 
 ZZ = _Integers()

@@ -49,10 +49,9 @@ from .rings import ZZ, factorize
 from .permod import (EquivMap, perm_module, trivial_module, subgroup_meet,
                      _scaled)
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
-                    tensor_complex, restrict_complex)
+                    tensor_index, tensor_complex, restrict_complex)
 from .homotopy import (hom_group, find_homotopy_equivalence, Equivalence,
-                       null_homotopy, homology_profile,
-                       classes_equal_up_to_unit, kernel_sparse,
+                       null_homotopy, homology_profile, kernel_sparse,
                        check_homotopy, _diagonalize)
 
 
@@ -218,16 +217,17 @@ def canonical_u_power(G, q, ring):
 
 
 def _transport(G, ring, q1, q2):
-    """The equivalence tensor(can(q1), can(q2)) -> can(q1 + q2) and its
-    source, kept on G under (ring, q1.key(), q2.key())."""
+    """The equivalence tensor(can(q1), can(q2)) -> can(q1 + q2) and the
+    ``tensor_index`` of its source, kept on G under (ring, q1.key(),
+    q2.key())."""
     key = (ring, q1.key(), q2.key())
     if key not in G.twist_complexes:
-        X = tensor_complex(canonical_u_power(G, q1, ring),
-                           canonical_u_power(G, q2, ring))
-        Y = canonical_u_power(G, q1 + q2, ring)
-        eq = _equivalence(X, Y, "no canonical identification for %s x %s"
+        factors = [canonical_u_power(G, q, ring) for q in (q1, q2)]
+        eq = _equivalence(tensor_complex(*factors),
+                          canonical_u_power(G, q1 + q2, ring),
+                          "no canonical identification for %s x %s"
                           % (q1, q2))
-        G.twist_complexes[key] = (eq, X)
+        G.twist_complexes[key] = (eq, tensor_index(factors))
     return G.twist_complexes[key]
 
 
@@ -306,16 +306,11 @@ def class_product(z1, z2):
         return TwistedClass(G, ring, z1.shift, z1.twist,
                             _scaled(ring, c, z1.cycle),
                             mono=_mono_mul(z1.mono, z2.mono))
-    Y1 = canonical_u_power(G, z1.twist, ring)
-    Y2 = canonical_u_power(G, z2.twist, ring)
     n1, n2 = -z1.shift, -z2.shift
     n = n1 + n2
-    eq, X = _transport(G, ring, z1.twist, z2.twist)
-    from .chain import _tensor_offsets
+    eq, index = _transport(G, ring, z1.twist, z2.twist)
     sgn = ring.one if (z1.shift * z2.shift) % 2 == 0 else -ring.one
-    off = _tensor_offsets(Y1, Y2, n)[(n1, n2)]
-    r2 = Y2.term(n2).rank
-    v = _scaled(ring, sgn, {off + a * r2 + b: va * vb
+    v = _scaled(ring, sgn, {index[n][((n1, n2), (a, b))]: va * vb
                             for a, va in z1.cycle.items()
                             for b, vb in z2.cycle.items()})
     w = eq.f.component(n).apply(v)
@@ -609,9 +604,8 @@ def restriction_check(G, N, H, ring=ZZ):
                            "Res b_N's twist is not a shifted unit")
         hg = hom_group(shift_target, gm["b"].shift)
         w = eqb.f.component(-gm["b"].shift).apply(gm["b"].cycle)
-        one = hg.generators[0][1]
-        report["b_to_id"] = classes_equal_up_to_unit(
-            hg.fg, hg._cycle_coords(w), hg._cycle_coords(one))
+        report["b_to_id"] = hg.classes_equal(w, hg.generators[0][1],
+                                             up_to_unit=True)
         if "c" in gm:
             resc = hom_group(resu, -1)
             report["c_to_zero"] = resc.class_is_zero(gm["c"].cycle)
@@ -633,9 +627,8 @@ def restriction_check(G, N, H, ring=ZZ):
                                "image over H cap N" % sym)
             hg = hom_group(canT, z.shift)
             w = eqz.f.component(-z.shift).apply(z.cycle)
-            report["%s_to_%s" % (sym, sym)] = classes_equal_up_to_unit(
-                hg.fg, hg._cycle_coords(w),
-                hg._cycle_coords(gmK[sym].cycle))
+            report["%s_to_%s" % (sym, sym)] = hg.classes_equal(
+                w, gmK[sym].cycle, up_to_unit=True)
     report["ok"] = all(v for k, v in report.items()
                        if k.endswith(("_ok", "_to_zero", "_to_id"))
                        or "_to_" in k)

@@ -414,3 +414,75 @@ def test_scaled_check_rejects_mutations_under_python_O(python_O):
         "h homotopy identity fails at degree 0",
         "f homotopy identity fails at degree 0",
     ]
+
+
+_CONSTRUCTION_CHECKS = """
+import sys
+from ttperm import koszul
+from ttperm.chain import Complex, tensor_complex, unit_complex, transport_complex
+from ttperm.grp import cyclic, parse_group_name, subgroups
+from ttperm.permod import subgroup_as_group, tensor_module, trivial_module
+from ttperm.rings import ZZ, QQ
+
+assert sys.flags.optimize
+C2, C3, C8 = cyclic(2), cyclic(3), cyclic(8)
+S = [S for S in subgroups(parse_group_name("D8"))
+     if S.order == 2 and not S.is_normal()][0]
+
+
+def base(S):
+    return koszul.koszul_base(subgroup_as_group(S)[0], ZZ)
+
+
+callers_bugs = {
+    "tensor_complex": lambda: tensor_complex(unit_complex(C2, ZZ),
+                                             unit_complex(C3, ZZ)),
+    "tensor_module": lambda: tensor_module(trivial_module(C2, ZZ),
+                                           trivial_module(C2, QQ)),
+    "transport": lambda: transport_complex(unit_complex(C2, ZZ), C3),
+    "index": lambda: koszul.tensor_induce(base(C8.trivial_subgroup()),
+                                          C8.trivial_subgroup()),
+    "normal": lambda: koszul.tensor_induce(base(S), S),
+    "filtration": lambda: koszul.index2_filtration(C3, C3.trivial_subgroup()),
+    "p-group": lambda: koszul._build_koszul(cyclic(6),
+                                            cyclic(6).trivial_subgroup(), ZZ),
+}
+for name, build in callers_bugs.items():
+    try:
+        build()
+        sys.exit("%s accepted a caller's bug" % name)
+    except ValueError as exc:
+        print(name, exc)
+
+X = koszul.tensor_induce(base(C2.trivial_subgroup()), C2.trivial_subgroup())
+Complex.all_terms_permutation = lambda self: False
+try:
+    koszul.sign_modify(X, C2.trivial_subgroup())
+    sys.exit("sign modification passed with a signed term")
+except koszul.KoszulVerificationError as exc:
+    print("sign_modify", exc)
+koszul.rebase_to_permutation = lambda M: None
+try:
+    koszul._build_koszul(C3, C3.trivial_subgroup(), ZZ)
+    sys.exit("odd-p tensor induction passed without a rebase")
+except koszul.KoszulVerificationError as exc:
+    print("rebase", exc)
+"""
+
+
+def test_tensor_and_koszul_construction_checks_survive_python_O(python_O):
+    # a caller's bug is a ValueError and a failed construction a
+    # KoszulVerificationError (exit 2), neither an assert that -O strips
+    proc = python_O(_CONSTRUCTION_CHECKS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "tensor_complex tensor factors over different groups or rings",
+        "tensor_module tensor factors over different groups or rings",
+        "transport groups differ as tables, not just as objects",
+        "index index bound exceeded (index 8 > 4)",
+        "normal tensor induction requires a normal subgroup",
+        "filtration no index-2 step above 1",
+        "p-group Koszul objects need a p-group, not C6",
+        "sign_modify sign modification left a signed term",
+        "rebase odd-p tensor induction failed to rebase at degree 0",
+    ]

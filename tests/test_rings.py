@@ -3,8 +3,8 @@
 Conventions under test: ZZ normalizes to int, QQ to an int when the
 value is integral and to a Fraction in lowest terms otherwise, GF(p) to
 the least nonnegative residue; matrices are lists of rows; all
-arithmetic is exact (QQ.normalize rejects floats, GF(p).normalize
-everything but ints).
+arithmetic is exact (ZZ.normalize and GF(p).normalize reject everything
+but ints, QQ.normalize rejects floats).
 """
 
 from fractions import Fraction
@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ttperm.grp import cyclic
-from ttperm.permod import SignedPermModule, EquivMap
+from ttperm.permod import SignedPermModule, EquivMap, trivial_module
+from ttperm.chain import two_term_complex, complex_to_json, complex_from_json
 from ttperm.rings import (ZZ, QQ, GF, domain_from_name, mat_identity,
                           mat_mul, mat_zero)
 
@@ -25,6 +26,50 @@ def test_integer_domain():
     assert ZZ.normalize(7) == 7
     assert ZZ.is_unit(1) and ZZ.is_unit(-1)
     assert not ZZ.is_unit(2) and not ZZ.is_unit(0)
+
+
+def test_integers_never_truncate_values():
+    # int() first would send 1/2 to 0; the identity kept 0.5 as a Z value
+    for value in (Fraction(1, 2), Fraction(4, 2), 0.5, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            ZZ.normalize(value)
+        with pytest.raises(TypeError):
+            ZZ.from_int(value)
+    assert ZZ.normalize(True) == 1 and type(ZZ.normalize(True)) is int
+    assert ZZ.from_int(-4) == -4 and ZZ.normalize(2 ** 70) == 2 ** 70
+    assert ZZ.inv(-1) == -1 and ZZ.inv(1) == 1
+    for value in (2, 0, -3):
+        with pytest.raises(ValueError):
+            ZZ.inv(value)
+    with pytest.raises(TypeError):
+        ZZ.inv(Fraction(1, 2))
+
+
+def test_integral_json_refuses_a_non_integral_entry():
+    M = trivial_module(cyclic(2), ZZ)
+    data = complex_to_json(two_term_complex(EquivMap(M, M, {(0, 0): 1})))
+    assert complex_from_json(data).diffs[1].entries == {(0, 0): 1}
+    data["diffs"]["1"] = [[0.5]]
+    with pytest.raises(TypeError):
+        complex_from_json(data)
+
+
+_NON_UNIT_INVERSE = """
+import sys
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+try:
+    sys.exit("ZZ.inv(2) returned %r" % (ZZ.inv(2),))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_integer_inverse_of_a_non_unit_raises_under_python_O(python_O):
+    proc = python_O(_NON_UNIT_INVERSE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["2 is not a unit of Z"]
 
 
 def test_rational_domain_uses_fractions():
@@ -84,6 +129,13 @@ def test_prime_field_never_truncates_values():
             F3.from_int(value)
     assert F3.normalize(True) == 1 and type(F3.normalize(True)) is int
     assert F3.from_int(-4) == 2 and F3.normalize(2 ** 70) == 1
+    # int() first would send 5/2 to 2 = 1/2 (its inverse), not 5/2 = 1
+    for value in (Fraction(5, 2), 2.0):
+        with pytest.raises(TypeError):
+            F3.inv(value)
+    assert F3.inv(2) == 2 and F3.inv(-1) == 2 and GF(5).inv(3) == 2
+    with pytest.raises(ValueError):
+        F3.inv(3)
 
 
 def test_prime_field_rejects_composite_modulus():

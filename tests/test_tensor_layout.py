@@ -1,0 +1,331 @@
+"""The tensor layout (``chain.tensor_index``) and its readers.
+
+Every tensor product of the package reads one basis index and one
+Leibniz differential: ``tensor_complex``, ``tensor_chain_maps``,
+``koszul.tensor_induce`` and ``twisted.class_product``.  The references
+here compute the same objects independently, from block offsets and
+strides: the Kronecker placement of dX (x) id and (-1)^i id (x) dY, the
+stride arithmetic and hand-written Leibniz loop of tensor induction, and
+``off + a * r2 + b`` for a product of cycles.  Bases, actions and
+differential entries are compared as dicts, so only the insertion order
+of the entries is free.
+"""
+
+from itertools import product as iproduct
+
+import pytest
+
+from ttperm import koszul, twisted
+from ttperm.grp import cyclic, parse_group_name
+from ttperm.rings import ZZ, QQ, GF
+from ttperm.permod import (SignedPermModule, BlockModule, tensor_module,
+                           subgroup_as_group, _index)
+from ttperm.chain import (tensor_index, tensor_complex, dual_complex,
+                          transport_complex)
+from ttperm.cli import resolve_subgroup
+from ttperm.twisted import (Twist, u_complex, canonical_u_power,
+                            index_p_normal_subgroups, generator_maps,
+                            class_product)
+
+
+# ---------------------------------------------------------------------------
+# references: block offsets, strides and Kronecker placement
+
+def _ref_place(acc, r0, c0, A, B, b_shape, sign=1):
+    br, bc = b_shape
+    for (a, ap), v in A.items():
+        for (b, bp), w in B.items():
+            acc[(r0 + a * br + b, c0 + ap * bc + bp)] = sign * v * w
+
+
+def _ref_identity(n):
+    return {(i, i): 1 for i in range(n)}
+
+
+def _ref_offsets(X, Y, n):
+    out = {}
+    off = 0
+    for i in sorted(X.terms):
+        j = n - i
+        if j in Y.terms:
+            out[(i, j)] = off
+            off += X.terms[i].rank * Y.terms[j].rank
+    return out
+
+
+def _ref_tensor_complex(X, Y):
+    """{n: (basis, action, differential entries of d_n or None)}."""
+    pieces = {}
+    for i, Mi in sorted(X.terms.items()):
+        for j, Nj in sorted(Y.terms.items()):
+            pieces.setdefault(i + j, []).append(((i, j), tensor_module(Mi, Nj)))
+    blocks = {n: BlockModule(X.group, X.ring, bl) for n, bl in pieces.items()}
+    out = {}
+    for n, B in blocks.items():
+        acc = None
+        if (n - 1) in blocks:
+            C = blocks[n - 1]
+            acc = {}
+            for (i, j) in B.blocks:
+                c0 = B.offsets[(i, j)]
+                Mi, Nj = X.term(i), Y.term(j)
+                if (i - 1, j) in C.offsets and i in X.diffs:
+                    _ref_place(acc, C.offsets[(i - 1, j)], c0,
+                               X.diffs[i].entries, _ref_identity(Nj.rank),
+                               (Nj.rank, Nj.rank))
+                if (i, j - 1) in C.offsets and j in Y.diffs:
+                    dY = Y.diffs[j]
+                    _ref_place(acc, C.offsets[(i, j - 1)], c0,
+                               _ref_identity(Mi.rank), dY.entries,
+                               (dY.target.rank, Nj.rank),
+                               sign=1 if i % 2 == 0 else -1)
+        out[n] = (B.module.basis, B.module.action, acc)
+    return out
+
+
+def _ref_tensor_chain_maps(f, g, degrees):
+    """{n: component entries} of f (x) g in the given degrees."""
+    X, Y = f.source, f.target
+    Xp, Yp = g.source, g.target
+    out = {}
+    for n in degrees:
+        SB, TB = _ref_offsets(X, Xp, n), _ref_offsets(Y, Yp, n)
+        acc = {}
+        for (i, j), c0 in SB.items():
+            if (i, j) in TB:
+                gj = g.component(j)
+                _ref_place(acc, TB[(i, j)], c0, f.component(i).entries,
+                           gj.entries, (gj.target.rank, gj.source.rank))
+        out[n] = acc
+    return out
+
+
+def _ref_koszul_sign(sigma, degs):
+    s = 1
+    for i in range(len(degs)):
+        for j in range(i + 1, len(degs)):
+            if sigma[i] > sigma[j] and degs[i] % 2 and degs[j] % 2:
+                s = -s
+    return s
+
+
+def _ref_tensor_induce(X, S):
+    """{n: (basis, action, differential entries of d_n or None)} of the
+    tensor induction of X along S, by offsets and strides."""
+    G = S.parent
+    k = S.index
+    H_grp, elems = subgroup_as_group(S)
+    X = transport_complex(X, H_grp)
+    pos_in_H = {x: i for i, x in enumerate(elems)}
+    reps = S.coset_reps()
+    rep_index = {}
+    for idx, r in enumerate(reps):
+        for h in elems:
+            rep_index[G.mul(r, h)] = idx
+    sigma, hpart = {}, {}
+    for g in G.elements():
+        sg, hg = [], []
+        for r in reps:
+            gr = G.mul(g, r)
+            j2 = rep_index[gr]
+            sg.append(j2)
+            hg.append(pos_in_H[G.mul(G.inv(reps[j2]), gr)])
+        sigma[g], hpart[g] = sg, hg
+    by_degree = {}
+    for tup in iproduct(X.degrees(), repeat=k):
+        by_degree.setdefault(sum(tup), []).append(tup)
+
+    def dims(tup):
+        return [X.terms[d].rank for d in tup]
+
+    def strides(ds):
+        st = [1] * len(ds)
+        for i in range(len(ds) - 2, -1, -1):
+            st[i] = st[i + 1] * ds[i + 1]
+        return st
+
+    offsets = {}
+    for n, tups in by_degree.items():
+        off, offs = 0, {}
+        for tup in tups:
+            offs[tup] = off
+            r = 1
+            for d in dims(tup):
+                r *= d
+            off += r
+        offsets[n] = offs
+    out = {}
+    for n, tups in sorted(by_degree.items()):
+        basis = []
+        for tup in tups:
+            for btup in iproduct(*[X.terms[d].basis for d in tup]):
+                basis.append(("ti", tup, btup))
+        action = []
+        for g in G.elements():
+            sg, hg = sigma[g], hpart[g]
+            row = []
+            for tup in tups:
+                ttup = [0] * k
+                for j in range(k):
+                    ttup[sg[j]] = tup[j]
+                ttup = tuple(ttup)
+                tst = strides(dims(ttup))
+                ks = _ref_koszul_sign(sg, tup)
+                acts = [X.terms[tup[j]].action[hg[j]] for j in range(k)]
+                for src in iproduct(*[range(d) for d in dims(tup)]):
+                    idx, sgn = 0, ks
+                    for j in range(k):
+                        bj, sj = acts[j][src[j]]
+                        idx += bj * tst[sg[j]]
+                        sgn *= sj
+                    row.append((offsets[n][ttup] + idx, sgn))
+            action.append(tuple(row))
+        acc = None
+        if (n - 1) in by_degree:
+            acc = {}
+            for tup in tups:
+                st = strides(dims(tup))
+                for j in range(k):
+                    dj = tup[j]
+                    if dj not in X.diffs:
+                        continue
+                    ttup = tup[:j] + (dj - 1,) + tup[j + 1:]
+                    tst = strides(dims(ttup))
+                    sgn = 1 if sum(tup[:j]) % 2 == 0 else -1
+                    d_cols = _index(X.diffs[dj].entries, 1)
+                    for src in iproduct(*[range(d) for d in dims(tup)]):
+                        c = offsets[n][tup] + sum(src[i] * st[i]
+                                                  for i in range(k))
+                        base = sum(src[i] * tst[i] for i in range(k) if i != j)
+                        for b2, v in d_cols.get(src[j], ()):
+                            acc[(offsets[n - 1][ttup] + base + b2 * tst[j],
+                                 c)] = sgn * v
+        out[n] = (tuple(basis), tuple(action), acc)
+    return out
+
+
+def _entries(ring, acc):
+    """A reference entries dict as EquivMap keeps it: normalized,
+    nonzero."""
+    out = {k: ring.normalize(v) for k, v in acc.items()}
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _same(Y, ref):
+    """Y has the reference's terms, and d_n has its entries in every
+    degree with a term below (an absent d_n is an empty one)."""
+    assert set(Y.terms) == set(ref)
+    for n, M in Y.terms.items():
+        basis, action, acc = ref[n]
+        assert M.basis == basis, n
+        # as a module keeps it: over F_2 every sign is +1
+        assert M.action == SignedPermModule(M.group, M.ring, basis,
+                                            action).action, n
+        assert Y.diff(n).entries == _entries(Y.ring, acc or {}), n
+
+
+# ---------------------------------------------------------------------------
+# the Koszul towers: every tensor induction and every tensor of chain maps
+
+TOWERS = [("C4", "1", "Z"), ("C2xC2", "1", "Z"), ("C8", "C2", "Z"),
+          ("D8", "C2#0", "Z"), ("C9", "C3", "Z"), ("C27", "C9", "Z"),
+          ("C3xC3", "C3#0", "Z"), ("C16", "C2", "F2")]
+
+
+@pytest.mark.parametrize("gname,hname,rname", TOWERS,
+                         ids=["-".join(t) for t in TOWERS])
+def test_koszul_tower_products_match_the_offset_references(
+        monkeypatch, gname, hname, rname):
+    induced, tensored = [], []
+    real_induce, real_tensor = koszul.tensor_induce, koszul.tensor_chain_maps
+
+    def induce(X, S):
+        out = real_induce(X, S)
+        induced.append((X, S, out))
+        return out
+
+    def tensor(f, g):
+        out = real_tensor(f, g)
+        tensored.append((f, g, out))
+        return out
+
+    monkeypatch.setattr(koszul, "tensor_induce", induce)
+    monkeypatch.setattr(koszul, "tensor_chain_maps", tensor)
+    G = parse_group_name(gname)
+    H = resolve_subgroup(G, hname)[0]
+    ring = {"Z": ZZ, "F2": GF(2)}[rname]
+    koszul._build_koszul(G, H, ring)
+    assert induced
+    for X, S, Y in induced:
+        _same(Y, _ref_tensor_induce(X, S))
+    for f, g, fg in tensored:
+        S, T = fg.source, fg.target
+        _same(S, _ref_tensor_complex(f.source, g.source))
+        _same(T, _ref_tensor_complex(f.target, g.target))
+        want = _ref_tensor_chain_maps(f, g, set(S.terms) & set(T.terms))
+        for n, acc in want.items():
+            assert fg.component(n).entries == _entries(ring, acc), n
+    # over Z the p = 2 towers modify signs through tensors of chain maps
+    if ring is ZZ:
+        assert bool(tensored) == (G.order % 2 == 0)
+
+
+# ---------------------------------------------------------------------------
+# u_N, its dual and can(2 e_N)
+
+U_CASES = [("C2", ZZ), ("C3", ZZ), ("C2xC2", ZZ), ("C2", GF(2)),
+           ("C5", GF(5)), ("C3", QQ)]
+
+
+@pytest.mark.parametrize("gname,ring", U_CASES,
+                         ids=["%s-%s" % (g, r.name) for g, r in U_CASES])
+def test_tensor_complex_of_u_matches_the_kronecker_reference(gname, ring):
+    G = parse_group_name(gname)
+    N = index_p_normal_subgroups(G)[0]
+    u = u_complex(G, N, ring)
+    factors = [u, dual_complex(u),
+               canonical_u_power(G, Twist.single(N, 2), ring)]
+    for X in factors:
+        for Y in factors:
+            _same(tensor_complex(X, Y), _ref_tensor_complex(X, Y))
+
+
+def test_tensor_index_is_the_block_offset_layout():
+    G = cyclic(3)
+    N = index_p_normal_subgroups(G)[0]
+    u = u_complex(G, N, ZZ)
+    X, Y = u, dual_complex(u)
+    index = tensor_index((X, Y))
+    for n, block in index.items():
+        offs = _ref_offsets(X, Y, n)
+        for ((i, j), (a, b)), pos in block.items():
+            assert pos == offs[(i, j)] + a * Y.terms[j].rank + b
+        assert sorted(block.values()) == list(range(len(block)))
+
+
+# ---------------------------------------------------------------------------
+# class products
+
+@pytest.mark.parametrize("gname,ring", [("C2", ZZ), ("C3", ZZ),
+                                        ("C2xC2", GF(2))],
+                         ids=["C2-Z", "C3-Z", "C2xC2-F2"])
+def test_class_product_positions_are_the_block_offsets(gname, ring):
+    G = parse_group_name(gname)
+    N = index_p_normal_subgroups(G)[0]
+    gm = generator_maps(G, N, ring)
+    syms = [s for s in ("a", "b", "c") if s in gm]
+    for s1 in syms:
+        for s2 in syms:
+            z1, z2 = gm[s1], gm[s2]
+            Y1 = canonical_u_power(G, z1.twist, ring)
+            Y2 = canonical_u_power(G, z2.twist, ring)
+            n1, n2 = -z1.shift, -z2.shift
+            off = _ref_offsets(Y1, Y2, n1 + n2)[(n1, n2)]
+            r2 = Y2.term(n2).rank
+            sgn = 1 if (z1.shift * z2.shift) % 2 == 0 else -1
+            v = _entries(ring, {off + a * r2 + b: sgn * va * vb
+                                for a, va in z1.cycle.items()
+                                for b, vb in z2.cycle.items()})
+            eq, _ = twisted._transport(G, ring, z1.twist, z2.twist)
+            want = eq.f.component(n1 + n2).apply(v)
+            assert class_product(z1, z2).cycle == want, (s1, s2)
