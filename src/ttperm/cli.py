@@ -83,9 +83,8 @@ def resolve_subgroup(G, text):
         idx = int(idx_text)
     else:
         base, idx = text, None
-    if base == G.name:
-        return G.full_subgroup(), base
-    matches = [S for S in subgroups(G) if S.label() == base]
+    matches = ([G.full_subgroup()] if base == G.name
+               else [S for S in subgroups(G) if S.label() == base])
     if not matches:
         options = sorted({S.label() for S in subgroups(G)})
         raise UsageError("no subgroup %r in %s (options: %s)"

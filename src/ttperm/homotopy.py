@@ -17,10 +17,14 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
   invertible over the ring, D diagonal with a divisibility chain; the
   factorization is re-multiplied and checked before returning (a
   failure raises ``CertificateError``, also under ``python -O``).  It
-  serves generator tracking only (``FgModule`` on small relation
-  matrices, for ``underlying_homology`` and hom groups) and is the one
-  dense computation left; whether classes generate a group
-  (``twisted._generates``) is read off ``_diagonalize`` instead;
+  serves generator tracking only, on the small relation matrix of an
+  ``FgModule``, and is the one dense computation left; whether classes
+  generate a group (``twisted._generates``) is read off ``_diagonalize``
+  instead;
+* ``FgModule`` is the one homology with generators, ker d_out / im d_in
+  on its own cycle basis (``underlying_homology``, ``HomGroup`` on the
+  invariants complex, the ``hom_group_bruteforce`` oracle), and
+  ``FgModule.coords`` the one reading of a class's coordinates;
 * ``solve_sparse`` / ``kernel_sparse`` work on sparse row dictionaries
   and track column operations only, which keeps big homotopy systems
   tractable (solutions pull back through the accumulated column ops);
@@ -388,20 +392,6 @@ def _solve_vector(ring, rows, ncols, b):
     return None if sols is None else sols.get(0, {})
 
 
-def _boundary_relations(ring, cycles, dim, bcols):
-    """The boundary vectors ``bcols`` in the coordinates of the cycle
-    basis ``cycles`` (vectors in a space of dimension ``dim``): the dense
-    relations matrix for Smith normal form, one column per boundary."""
-    t = len(cycles)
-    sols = solve_sparse(ring, _column_rows(cycles, dim), t, _by_rows(bcols))
-    assert sols is not None, "boundaries must be cycles"
-    rel = [[ring.zero] * len(bcols) for _ in range(t)]
-    for k, x in sols.items():
-        for i, v in x.items():
-            rel[i][k] = v
-    return rel
-
-
 def kernel_sparse(ring, rows, ncols):
     """A lattice/vector-space basis of ker A, as vectors, indices
     ascending."""
@@ -572,23 +562,41 @@ def matrix_inverse(ring, A):
 
 
 # ---------------------------------------------------------------------------
-# finitely generated modules presented by relations
+# homology with generators: ker / im on its own cycle basis
 
 class FgModule:
-    """Z^t (or k^t) modulo the column span of a relations matrix.
+    """H = ker(d_out) / im(d_in) with generator tracking.
+
+    ``out_rows`` are the row dicts of d_out : X_n -> X_{n-1} ([] when
+    it is absent), ``in_cols`` the columns of d_in : X_{n+1} -> X_n as
+    vectors and ``dim`` the rank of X_n.  ``cycles``, a basis of ker
+    d_out, come from ``kernel_sparse`` (the standard basis when d_out
+    is absent).  The boundaries solved in that basis form the dense t x
+    s relations matrix that Smith normal form reads; no boundaries is
+    the t x 0 matrix, whose Smith form is the identity.
 
     ``factors`` lists one invariant factor per retained summand: 0 for
     a free summand, d > 1 for torsion Z/d (over a field only 0 occurs).
-    ``generators`` give each retained summand's generator as a vector in
-    the ambient t-dimensional coordinates.  The relations are a dense
-    t x s matrix, as Smith normal form reads them; no relations is the
-    t x 0 matrix, whose Smith form is the identity.
+    ``generators`` give each retained summand's generator as a cycle in
+    the caller's coordinates.
     """
 
-    def __init__(self, ring, t, relations):
+    def __init__(self, ring, out_rows, in_cols, dim):
         self.ring = ring
-        self.t = t
-        U, D, V = smith_normal_form(ring, relations or [[] for _ in range(t)])
+        self.dim = dim
+        cycles = self.cycles = (kernel_sparse(ring, out_rows, dim) if out_rows
+                                else [{j: ring.one} for j in range(dim)])
+        t = len(cycles)
+        self._cycle_rows = _column_rows(cycles, dim)
+        rel = [[] for _ in range(t)]
+        if t and in_cols:
+            sols = solve_sparse(ring, self._cycle_rows, t, _by_rows(in_cols))
+            assert sols is not None, "boundaries must be cycles"
+            rel = [[ring.zero] * len(in_cols) for _ in range(t)]
+            for k, x in sols.items():
+                for i, v in x.items():
+                    rel[i][k] = v
+        U, D, V = smith_normal_form(ring, rel)
         self._Uinv = matrix_inverse(ring, U)
         self._all_factors = [row[i] if i < len(row) else ring.zero
                              for i, row in enumerate(D)]
@@ -598,8 +606,8 @@ class FgModule:
             if d != 0 and ring.is_unit(d):
                 continue
             self.factors.append(d)
-            self.generators.append({r: U[r][i] for r in range(t)
-                                    if U[r][i] != 0})
+            self.generators.append(_combination(
+                ring, {r: U[r][i] for r in range(t) if U[r][i] != 0}, cycles))
 
     def is_zero(self):
         return not self.factors
@@ -625,88 +633,63 @@ class FgModule:
         return " (+) ".join(parts)
 
     def coords(self, v):
-        """Reduced coordinates of an ambient vector, one per factor.
-        Unit factors absorb their coordinate (they are relations of the
-        form e_i = 0 up to change of basis)."""
+        """Reduced coordinates of the class of the cycle v, one per
+        factor: v solved in the cycle basis, then reduced mod the
+        factors.  ValueError if v is not a cycle.  Unit factors absorb
+        their coordinate (they are relations of the form e_i = 0 up to
+        change of basis)."""
         ring = self.ring
+        x = (_solve_vector(ring, self._cycle_rows, len(self.cycles), v)
+             if all(i < self.dim for i in v) else None)
+        if x is None:
+            raise ValueError("vector is not a cycle")
         out = []
         for i, d in enumerate(self._all_factors):
             if d != 0 and ring.is_unit(d):
                 continue
             Ui = self._Uinv[i]
-            c = ring.normalize(sum(Ui[j] * x for j, x in v.items()))
+            c = ring.normalize(sum(Ui[j] * y for j, y in x.items()))
             out.append(c if d == 0 else ring.normalize(c % d))
         return tuple(out)
 
     def iso_invariants(self):
         return (self.free_rank(), tuple(sorted(abs(d) for d in self.torsion())))
 
-    def same_class(self, v, w):
-        return self.coords(v) == self.coords(w)
-
     def class_is_zero(self, v):
         return all(c == 0 for c in self.coords(v))
 
+    def classes_equal(self, v, w, up_to_unit=False):
+        """Whether the cycles v and w have the same class or, with
+        ``up_to_unit``, whether v = u . w in H for some unit u.
 
-def _units_of(ring):
-    if ring.name == "Z":
-        return [1, -1]
-    if ring.is_field and ring.characteristic:
-        return [ring.normalize(u) for u in range(1, ring.characteristic)]
-    return None   # Q: infinitely many; handled by ratio
-
-
-def classes_equal_up_to_unit(fg, v, w):
-    """Whether v = u . w in the presented module for some unit u.
-
-    Scaling happens on the representative, so torsion coordinates are
-    re-reduced modulo their invariant factor before comparing.
-    """
-    ring = fg.ring
-    if fg.same_class(v, w):
-        return True
-    units = _units_of(ring)
-    if units is not None:
-        return any(fg.same_class(v, _scaled(ring, u, w)) for u in units)
-    # over Q scale by the ratio of the first nonzero coordinates
-    cv, cw = fg.coords(v), fg.coords(w)
-    for a, b in zip(cv, cw):
-        if b != 0:
-            u = ring.normalize(a * ring.inv(b))
-            return u != 0 and fg.same_class(v, _scaled(ring, u, w))
-    return all(c == 0 for c in cv)
+        Scaling happens on the representative, so torsion coordinates
+        are re-reduced modulo their invariant factor before comparing.
+        Over Q the one candidate u is cv_i / cw_i, i the first nonzero
+        coordinate cw_i of w's class.
+        """
+        ring = self.ring
+        cv, cw = self.coords(v), self.coords(w)
+        if cv == cw or not up_to_unit:
+            return cv == cw
+        if not ring.is_field:
+            units = [-1]
+        elif ring.characteristic:
+            units = range(2, ring.characteristic)
+        else:
+            units = [ring.normalize(a * ring.inv(b))
+                     for a, b in zip(cv, cw) if b != 0][:1]
+        return any(u != 0 and self.coords(_scaled(ring, u, w)) == cv
+                   for u in units)
 
 
 # ---------------------------------------------------------------------------
 # homology of a (non-equivariant) complex of free modules
 
-def homology_from_matrices(ring, out_rows, in_cols, dim):
-    """H = ker(d_out) / im(d_in) with generator tracking.
-
-    ``out_rows``: row dicts of d_out : X_n -> X_{n-1} (may be [] when
-    absent); ``in_cols``: the columns of d_in : X_{n+1} -> X_n as
-    vectors; ``dim`` = rank of X_n.  Returns (FgModule over cycle
-    coordinates, cycle basis as ambient vectors).  Generators in
-    ambient coordinates are K . g.
-    """
-    if dim == 0:
-        return FgModule(ring, 0, []), []
-    if out_rows:
-        cycles = kernel_sparse(ring, out_rows, dim)
-    else:
-        cycles = [{j: ring.one} for j in range(dim)]
-    t = len(cycles)
-    if t == 0:
-        return FgModule(ring, 0, []), []
-    rel = _boundary_relations(ring, cycles, dim, in_cols) if in_cols else []
-    return FgModule(ring, t, rel), cycles
-
-
 def underlying_homology(X, n):
     """Homology of the underlying complex of free modules at degree n."""
     out_rows = X.diffs[n].rows() if n in X.diffs else []
     in_cols = X.diffs[n + 1].columns() if (n + 1) in X.diffs else []
-    return homology_from_matrices(X.ring, out_rows, in_cols, X.term(n).rank)
+    return FgModule(X.ring, out_rows, in_cols, X.term(n).rank)
 
 
 def homology_profile(X):
@@ -797,27 +780,24 @@ class InvariantsComplex:
 
 
 class HomGroup:
-    """Hom_K(unit, Y[s]) = H_{-s} of the invariants complex I of Y.
+    """Hom_K(unit, Y[s]) = H_{-s} of the invariants complex I of Y: the
+    ``FgModule`` ``fg`` in invariant coordinates, which every method
+    reads through ``I.to_ambient`` and ``I.from_ambient``.
 
     ``generators`` lists (invariant factor, ambient cycle vector) for
     the retained summands; ambient vectors live in Y_{-s}.
     """
 
     def __init__(self, I, s):
+        n0 = self.degree = -s
         self.ring = I.ring
-        n0 = -s
-        self.degree = n0
         self.inv = I
         # the columns of d_{n0+1}, by transposing its rows
         in_cols = _column_rows(I.rows[n0 + 1], I.dim(n0 + 1)) \
             if (n0 + 1) in I.rows else []
-        fg, cycles = homology_from_matrices(
-            self.ring, I.rows.get(n0, []), in_cols, I.dim(n0))
-        self.fg = fg
-        self.cycles = cycles      # in invariant coordinates
-        self.generators = [
-            (d, I.to_ambient(n0, _combination(self.ring, g, cycles)))
-            for d, g in zip(fg.factors, fg.generators)]
+        self.fg = FgModule(I.ring, I.rows.get(n0, []), in_cols, I.dim(n0))
+        self.generators = [(d, I.to_ambient(n0, g)) for d, g in
+                           zip(self.fg.factors, self.fg.generators)]
 
     def label(self):
         return self.fg.label()
@@ -828,25 +808,16 @@ class HomGroup:
     def is_zero(self):
         return self.fg.is_zero()
 
-    def _cycle_coords(self, v_ambient):
-        coeff = self.inv.from_ambient(self.degree, v_ambient)
-        rows = _column_rows(self.cycles, self.inv.dim(self.degree))
-        x = _solve_vector(self.ring, rows, len(self.cycles), coeff)
-        if x is None:
-            raise ValueError("vector is not a cycle")
-        return x
-
     def coords(self, v_ambient):
-        return self.fg.coords(self._cycle_coords(v_ambient))
+        return self.fg.coords(self.inv.from_ambient(self.degree, v_ambient))
 
     def class_is_zero(self, v_ambient):
         return all(c == 0 for c in self.coords(v_ambient))
 
     def classes_equal(self, v, w, up_to_unit=False):
-        if up_to_unit:
-            return classes_equal_up_to_unit(
-                self.fg, self._cycle_coords(v), self._cycle_coords(w))
-        return self.coords(v) == self.coords(w)
+        coeff = self.inv.from_ambient
+        return self.fg.classes_equal(coeff(self.degree, v),
+                                     coeff(self.degree, w), up_to_unit)
 
 
 def hom_group(Y, s):
@@ -873,9 +844,6 @@ def hom_group_bruteforce(Y, s):
     G = Y.group
     n0 = -s
     M0 = Y.term(n0)
-    dim = M0.rank
-    if dim == 0:
-        return FgModule(ring, 0, []), []
 
     def equivariance_rows(M):
         # for each g and basis row i of M, (g.v - v)_i = 0
@@ -894,10 +862,6 @@ def hom_group_bruteforce(Y, s):
     # cycle condition d v = 0
     if n0 in Y.diffs:
         rows.extend(row for row in Y.diffs[n0].rows() if row)
-    cycles = kernel_sparse(ring, rows, dim)
-    t = len(cycles)
-    if t == 0:
-        return FgModule(ring, 0, []), []
     # boundaries of equivariant vectors one degree up
     M1 = Y.term(n0 + 1)
     brows = equivariance_rows(M1)
@@ -907,13 +871,8 @@ def hom_group_bruteforce(Y, s):
         d1 = Y.diffs[n0 + 1]
         for w in inv1:
             bcols.append(d1.apply(w))
-    if bcols:
-        fg = FgModule(ring, t, _boundary_relations(ring, cycles, dim, bcols))
-    else:
-        fg = FgModule(ring, t, [])
-    gens = [(d, _combination(ring, g, cycles))
-            for d, g in zip(fg.factors, fg.generators)]
-    return fg, gens
+    fg = FgModule(ring, rows, bcols, M0.rank)
+    return fg, list(zip(fg.factors, fg.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -1411,21 +1370,14 @@ def find_homotopy_equivalence(X, Y):
         conc = [n for n, inv in profX.items() if inv != (0, ())]
         if len(conc) == 1 and profX[conc[0]] == (1, ()):
             n0 = conc[0]
-            fgX, cycX = underlying_homology(X, n0)
-            fgY, cycY = underlying_homology(Y, n0)
-            # ambient generator cycle of H_{n0}(X)
-            vX = _combination(ring, fgX.generators[0], cycX)
+            # the generator cycle of H_{n0}(X) and the class of its image
+            # in H_{n0}(Y) = Z, of the same profile, under each basis map
+            vX = underlying_homology(X, n0).generators[0]
+            fgY = underlying_homology(Y, n0)
             scalars = []
-            K_rows = _column_rows(cycY, Y.term(n0).rank)
             for v in space:
                 f = _maps(bases, {n0: v.get(n0)}).get(n0)
-                w = f.apply(vX) if f else {}
-                sol = _solve_vector(ring, K_rows, len(cycY), w)
-                if sol is None:
-                    scalars.append(None)
-                    continue
-                scalars.append(fgY.coords(sol)[0]
-                               if fgY.factors else ring.zero)
+                scalars.append(fgY.coords(f.apply(vX) if f else {})[0])
             combo = _unit_combination(ring, scalars)
             if combo is not None:
                 yield _chain_map(X, Y, bases, _combine_vectors(space, combo))
@@ -1444,7 +1396,7 @@ def find_homotopy_equivalence(X, Y):
 
 def _unit_combination(ring, scalars):
     """Integer coefficients c with sum c_i . s_i a unit, if possible."""
-    vals = [(i, s) for i, s in enumerate(scalars) if s is not None and s != 0]
+    vals = [(i, s) for i, s in enumerate(scalars) if s != 0]
     if not vals:
         return None
     if ring.is_field:

@@ -199,15 +199,14 @@ def sign_modify(X, S):
             # change of basis only: conjugate the differentials by iso
             inv = map_inverse_monomial(iso)
             terms = dict(X.terms)
-            newP = SignedPermModule(G, ring, P.basis, P.action)
-            terms[m] = newP
+            terms[m] = P
             diffs = dict(X.diffs)
             if m in X.diffs:
                 comp = X.diffs[m].compose(iso)
-                diffs[m] = EquivMap(newP, X.terms[m - 1], comp.entries)
+                diffs[m] = EquivMap(P, X.terms[m - 1], comp.entries)
             if (m + 1) in X.diffs:
                 comp = inv.compose(X.diffs[m + 1])
-                diffs[m + 1] = EquivMap(X.terms[m + 1], newP, comp.entries)
+                diffs[m + 1] = EquivMap(X.terms[m + 1], P, comp.entries)
             X = Complex(G, ring, terms, diffs, check=False)
             audit.append({"degree": m, "action": "rebased"})
             continue

@@ -27,8 +27,8 @@ Conventions used throughout the package:
   apply to vectors (``EquivMap.apply``, ``EquivMap.columns``), and
   ``_combination`` and ``_scaled`` form linear combinations of them.
   Every vector that crosses a function boundary has this form; dense
-  lists are left only inside Smith normal form (``homotopy.FgModule``)
-  and in the JSON report format;
+  lists are left only in the relation matrix that ``homotopy.FgModule``
+  hands to Smith normal form and in the JSON report format;
 * Hom_G(M, N) is an orbit table (``HomOrbits``): the orbits of basis
   pairs (i, j), pair index i * rank N + j, each held as the index of
   its root pair plus one signed 4-byte code per pair, never as maps.

@@ -15,9 +15,10 @@ division of ring values goes through ``inv``.
 Maps between modules are sparse (``permod.EquivMap.entries``), and so
 are vectors, the dicts {index: value} of their nonzero coordinates.  The
 dense matrices here, lists of lists with ``M[i][j]`` in row ``i`` and
-column ``j``, serve only Smith normal form on the small relation
-matrices of ``homotopy.FgModule``: ``mat_zero``, ``mat_identity`` and
-``mat_mul``, which re-multiplies a factorization to check it.
+column ``j``, serve only Smith normal form on the relation matrix of
+a ``homotopy.FgModule``, its boundaries in its cycle basis:
+``mat_zero``, ``mat_identity`` and ``mat_mul``, which re-multiplies a
+factorization to check it.
 
 ``factorize`` is the package's one prime factorisation; primality,
 prime-power and Sylow-order questions elsewhere are answered from it.

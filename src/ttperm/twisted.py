@@ -384,7 +384,7 @@ class GradedTable:
     """Twisted cohomology table on a bounded (shift, twist) window.
 
     entries[(s, twist key)] = {"label", "free_rank", "torsion",
-    "generators", "monomials": [(mono, coords)]}.
+    "factors", "monomials": [(mono, coords)]}.
     """
 
     def __init__(self, G, ring, max_twist, shift_window, entries,
@@ -440,7 +440,6 @@ def _table_entry(G, ring, q, s, monos):
         "free_rank": hg.fg.free_rank(),
         "torsion": tuple(hg.fg.torsion()),
         "factors": tuple(hg.fg.factors),
-        "generators": hg.generators,
         "monomials": tagged,
     }
 
@@ -488,8 +487,9 @@ def twisted_table(G, ring, max_twist, shift_window=None):
 
 def _cokernel_rows(ring, facs, cols):
     """Row dicts of [cols | diag(facs)]: column k < m = len(cols) holds
-    the coordinate tuple cols[k] (one entry per factor, as
-    ``FgModule.coords`` gives it) and column m + i the factor facs[i]."""
+    the coordinate tuple cols[k] of a class (one entry per factor, as
+    ``HomGroup.coords`` reads it through ``FgModule.coords``) and column
+    m + i the factor facs[i]."""
     m = len(cols)
     rows = [{} for _ in facs]
     for k, col in enumerate(cols):
@@ -517,8 +517,8 @@ def _generates(ring, facs, cols):
 def ring_presentation(table):
     """Bounded-degree presentation: spanning check plus relation lattice.
 
-    Asserts every entry is generated by the tagged monomials (raises
-    TheoryCheckFailure otherwise) and reports, per bidegree, a basis of
+    Checks that every entry is generated by the tagged monomials
+    (raises TheoryCheckFailure otherwise) and reports, per bidegree, a basis of
     the relations among monomials.  The report is complete only up to
     the table bounds and says so.
     """
@@ -553,7 +553,6 @@ def ring_presentation(table):
     return {
         "generators": sorted(table.generators),
         "relations": relations,
-        "spanned": True,
         "note": "relations complete up to total twist %d" % table.max_twist,
     }
 

@@ -249,7 +249,7 @@ def test_underlying_homology_of_u_complex():
     G = cyclic(2)
     N = index_p_normal_subgroups(G)[0]
     X = u_complex(G, N, ZZ)
-    fg0, _ = underlying_homology(X, 0)
+    fg0 = underlying_homology(X, 0)
     assert fg0.label() in ("Z", "0")
 
 

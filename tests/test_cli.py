@@ -157,6 +157,16 @@ def test_subgroup_disambiguation(capsys):
     assert code == 0
 
 
+def test_an_index_on_the_whole_group_must_be_0(capsys):
+    # G is the one subgroup of its type: only #0 (or no index) names it
+    assert run(["kos", "--group", "C4", "--subgroup", "C4#3"]) == 1
+    assert "subgroup index 3 out of range (0..0)" in capsys.readouterr().err
+    assert run(["kos", "--group", "C2xC2", "--subgroup", "C2xC2#1"]) == 1
+    assert "subgroup index 1 out of range (0..0)" in capsys.readouterr().err
+    assert run(["kos", "--group", "C4", "--subgroup", "C4#0"]) == 0
+    assert json.loads(out_of(capsys))["inputs"]["subgroup"] == "C4"
+
+
 def test_solver_cap_gives_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("TTPERM_MAX_RANK", "2")
     code = run(["invert", "--group", "C2", "--ring", "Z"])

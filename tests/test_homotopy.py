@@ -16,20 +16,20 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity
 from ttperm.permod import (trivial_module, perm_module, sign_module,
                            BlockModule, EquivMap, equivariant_hom_basis,
-                           HomOrbits, CertificateError)
+                           HomOrbits, CertificateError, _scaled)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
                           identity_chain_map, two_term_complex, ChainMap)
 from ttperm.homotopy import (smith_normal_form, matrix_inverse,
                              solve_sparse, kernel_sparse, rank_sparse,
-                             sparse_rows, FgModule, homology_from_matrices,
+                             sparse_rows, FgModule,
                              homology_profile, underlying_homology, hom_group,
                              hom_group_bruteforce, is_contractible,
                              null_homotopy, check_homotopy,
                              find_homotopy_equivalence, Equivalence,
                              NotEquivalent, ContractionCertificate,
                              NonContractibleWitness, SolverCapExceeded,
-                             classes_equal_up_to_unit, _diagonalize)
+                             _diagonalize)
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 from ttperm.koszul import koszul_object
 
@@ -122,24 +122,46 @@ def test_rank_sparse():
 
 
 def test_fg_module_labels_and_coords():
-    # diag(2, 3) has Smith form diag(1, 6): a single cyclic factor
-    M = FgModule(ZZ, 2, [[2, 0], [0, 3]])
+    # boundaries 2 e_0 and 3 e_1, relations diag(2, 3), have Smith form
+    # diag(1, 6): a single cyclic factor
+    M = FgModule(ZZ, [], [{0: 2}, {1: 3}], 2)
     assert M.iso_invariants() == (0, (6,))
     assert M.label() == "Z/6"
     # diag(2, 4) is already an invariant-factor chain
-    M = FgModule(ZZ, 2, [[2, 0], [0, 4]])
+    M = FgModule(ZZ, [], [{0: 2}, {1: 4}], 2)
     assert M.iso_invariants() == (0, (2, 4))
     assert M.label() == "Z/2 (+) Z/4"
-    free = FgModule(ZZ, 2, [])
+    free = FgModule(ZZ, [], [], 2)
     assert free.label() == "Z^2"
     assert free.coords({0: 1, 1: 2}) == (1, 2)
-    zero = FgModule(ZZ, 0, [])
+    zero = FgModule(ZZ, [], [], 0)
     assert zero.is_zero() and zero.label() == "0"
     # Z/2: the classes of 1 and 3 agree, 1 and 2 do not
-    T = FgModule(ZZ, 1, [[2]])
-    assert T.same_class({0: 1}, {0: 3})
-    assert not T.same_class({0: 1}, {0: 2})
+    T = FgModule(ZZ, [], [{0: 2}], 1)
+    assert T.classes_equal({0: 1}, {0: 3})
+    assert not T.classes_equal({0: 1}, {0: 2})
     assert T.class_is_zero({0: 4})
+
+
+def test_fg_module_reads_classes_in_its_cycle_basis():
+    # Z^2 --(1 -1)--> Z with boundary 2 (e_0 + e_1): cycles are the
+    # multiples of e_0 + e_1 and the homology is Z/2
+    M = FgModule(ZZ, [{0: 1, 1: -1}], [{0: 2, 1: 2}], 2)
+    assert M.cycles == [{0: 1, 1: 1}]
+    assert M.label() == "Z/2"
+    assert M.generators == [{0: 1, 1: 1}]
+    assert M.coords({0: 3, 1: 3}) == (1,)
+    assert M.class_is_zero({0: -2, 1: -2})
+    with pytest.raises(ValueError, match="not a cycle"):
+        M.coords({0: 1})
+    # identity cycles: every vector of the space is a cycle, a vector
+    # outside it is not
+    free = FgModule(QQ, [], [], 2)
+    assert free.coords({1: 5}) == (0, 5)
+    with pytest.raises(ValueError, match="not a cycle"):
+        free.coords({2: 1})
+    with pytest.raises(ValueError, match="not a cycle"):
+        FgModule(GF(3), [], [], 0).coords({0: 1})
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=str)
@@ -156,34 +178,61 @@ def test_fg_module_without_relations_takes_the_smith_form_path(
         return real(ring, A)
 
     monkeypatch.setattr(homotopy, "smith_normal_form", recording)
-    free = FgModule(ring, 3, [])
+    free = FgModule(ring, [], [], 3)
     assert free.factors == [ring.zero] * 3
     assert free.generators == [{i: ring.one} for i in range(3)]
     assert free.coords({0: ring.one, 2: ring.from_int(2)}) == \
         (ring.one, ring.zero, ring.normalize(2))
-    zero = FgModule(ring, 0, [])
+    zero = FgModule(ring, [], [], 0)
     assert zero.factors == zero.generators == []
     assert zero.coords({}) == () and zero.label() == "0"
     assert calls == [[[], [], []], []]
 
 
-def test_classes_equal_up_to_unit():
-    T = FgModule(ZZ, 1, [[5]])
+@pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=str)
+def test_hom_group_generators_have_unit_coordinates(ring):
+    # HomGroup reads its FgModule through the invariant coordinates: the
+    # i-th generator, an ambient cycle, has coordinates e_i
+    G = cyclic(3)
+    X = u_complex(G, index_p_normal_subgroups(G)[0], ring)
+    for Y in (X, tensor_complex(X, X)):
+        for s in range(-Y.max_degree, 1):
+            hg = hom_group(Y, s)
+            t = len(hg.generators)
+            assert [hg.coords(g) for _, g in hg.generators] == [
+                tuple(ring.one if j == i else ring.zero for j in range(t))
+                for i in range(t)]
+            for _, g in hg.generators:
+                assert hg.classes_equal(g, _scaled(ring, -1, g),
+                                        up_to_unit=True)
+    with pytest.raises(ValueError, match="not invariant"):
+        hom_group(X, -1).coords({0: 1})
+
+
+def test_fg_module_classes_equal_up_to_a_unit():
+    T = FgModule(ZZ, [], [{0: 5}], 1)
     # 2 and 3 = -2 mod 5 differ by the unit -1
-    assert classes_equal_up_to_unit(T, {0: 2}, {0: 3})
-    assert not classes_equal_up_to_unit(T, {0: 1}, {})
+    assert T.classes_equal({0: 2}, {0: 3}, up_to_unit=True)
+    assert not T.classes_equal({0: 2}, {0: 3})
+    assert not T.classes_equal({0: 1}, {}, up_to_unit=True)
     # over Q the unit is the ratio of coordinates, here exactly 1/3 (an
     # int division 1 / 3 would give a float)
-    Q2 = FgModule(QQ, 2, [])
-    assert classes_equal_up_to_unit(Q2, {0: 1, 1: 2}, {0: 3, 1: 6})
-    assert classes_equal_up_to_unit(Q2, {0: Fraction(1, 3), 1: 1},
-                                    {0: 1, 1: 3})
-    assert not classes_equal_up_to_unit(Q2, {0: 1, 1: 2}, {0: 3, 1: 7})
+    Q2 = FgModule(QQ, [], [], 2)
+    assert Q2.classes_equal({0: 1, 1: 2}, {0: 3, 1: 6}, up_to_unit=True)
+    assert Q2.classes_equal({0: Fraction(1, 3), 1: 1}, {0: 1, 1: 3},
+                            up_to_unit=True)
+    assert not Q2.classes_equal({0: 1, 1: 2}, {0: 3, 1: 7},
+                                up_to_unit=True)
+    assert not Q2.classes_equal({}, {0: 3, 1: 6}, up_to_unit=True)
+    # over F_5 every nonzero scalar is a unit: 2 = 4 . 3
+    F = FgModule(GF(5), [], [], 1)
+    assert F.classes_equal({0: 2}, {0: 3}, up_to_unit=True)
+    assert not F.classes_equal({0: 2}, {}, up_to_unit=True)
 
 
-def test_homology_from_matrices():
+def test_fg_module_of_a_two_term_complex():
     # Z --2--> Z --0--> 0: homology at the middle is Z/2
-    fg, cycles = homology_from_matrices(ZZ, [], [{0: 2}], 1)
+    fg = FgModule(ZZ, [], [{0: 2}], 1)
     assert fg.label() == "Z/2"
 
 
@@ -378,7 +427,7 @@ def _snf_profile(X):
     """The generator-tracking path: per-degree homology through SNF."""
     out = {}
     for n in X.degrees():
-        fg, _ = underlying_homology(X, n)
+        fg = underlying_homology(X, n)
         if not fg.is_zero():
             out[n] = fg.iso_invariants()
     return out
