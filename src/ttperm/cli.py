@@ -11,13 +11,15 @@ Subcommands
   verify    re-run the computation recorded in a JSON report and check
             that the results still match
 
-Exit codes: 0 on success, 1 on usage errors, 2 when a theory check,
-certificate check or validation fails (a machine-readable report is
-printed either way).  Any other exception, a failed internal ``assert``
-included, is a bug: it ends the run with a traceback (exit 1).
-All output is deterministic: dictionaries are dumped with sorted keys
-and every enumeration is canonically ordered.  The TTPERM_MAX_RANK
-environment variable caps the size of homotopy solves.
+Exit codes: 0 on success; 1 on usage errors and on inputs over a
+user-set bound (a complex whose total rank exceeds the TTPERM_MAX_RANK
+environment variable, which caps the size of homotopy solves), with a
+message on stderr; 2 when a theory check, certificate check or
+validation fails, with a machine-readable report on stdout.  Any other
+exception, a failed internal ``assert`` included, is a bug: it ends the
+run with a traceback (exit 1).  All output is deterministic:
+dictionaries are dumped with sorted keys and every enumeration is
+canonically ordered.
 """
 
 import argparse
@@ -445,15 +447,14 @@ def run(argv):
             return 1
         print(args.handler(args))
         return 0
-    except UsageError as exc:
+    except (UsageError, SolverCapExceeded) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except TheoryFailure as exc:
         print(_dump(exc.payload))
         return 2
     except (twisted.TheoryCheckFailure, twisted.BoundsInsufficient,
-            SolverCapExceeded, CertificateError,
-            koszul.KoszulVerificationError) as exc:
+            CertificateError, koszul.KoszulVerificationError) as exc:
         print(_dump({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except OSError as exc:

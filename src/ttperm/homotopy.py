@@ -45,10 +45,13 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
   Z are honest equivariant certificates.  The orbit bases are cached on
   their source module (``SignedPermModule.hom_bases``) as codes, not
   maps (``permod.HomOrbits``), and die with it.  Every system is read
-  off the codes in one place: chain maps, null homotopies and
-  contraction steps by ``_graded_system``, and the fixed-point complex
-  (``InvariantsComplex``, on ``HomOrbits(R, X_n)``) by
-  ``_System.add_rows``; maps are built only from solutions (``_maps``).
+  off the codes by ``_System.add_rows``: chain maps and null homotopies
+  through ``_graded_system``, on the pair tables of Hom_G(X_n, Y_m);
+  the fixed-point complex (``InvariantsComplex``) on ``HomOrbits(R,
+  X_n)``; and each contraction step (``_contract_equivariant``), which
+  builds no pair table, on ``HomOrbits(L, Res_K X_n)`` for each
+  stabilizer K and sign L of a source orbit.  Maps are built only from
+  solutions.
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -56,8 +59,10 @@ Homotopies h have degree +1 and certify d h + h d = f.
 import os
 from math import gcd
 
-from .permod import (HomOrbits, EquivMap, CertificateError, trivial_module,
-                     _index, _normalized, _left_mul, _right_mul, _composite,
+from .grp import Subgroup
+from .permod import (HomOrbits, EquivMap, CertificateError, SignedPermModule,
+                     trivial_module, subgroup_as_group, restrict, _index,
+                     _normalized, _left_mul, _right_mul, _composite,
                      _combination, _scaled)
 from .rings import mat_identity, mat_mul
 
@@ -1008,7 +1013,7 @@ def _graded_system(X, Y, k, degrees, rhs=None):
     roots of Hom_G(X_n, Y_{n+k-1}) by ``_System.add_rows``.  The left
     contribution (block n, d^Y) comes before the right one (block n-1,
     d^X).  ``rhs``: {n: entries}, an omitted degree counting as zero.
-    k = 0 gives chain maps, k = 1 null homotopies and contractions.
+    k = 0 gives chain maps, k = 1 null homotopies.
     """
     sys = _System(X.ring)
     for n in degrees:
@@ -1134,49 +1139,6 @@ class NonContractibleWitness:
             self.reason, self.degree)
 
 
-def _contract_raw(X):
-    """A (not necessarily equivariant) contraction of the underlying
-    complex, degree by degree from the bottom: solve
-    d_{n+1} h_n = id - h_{n-1} d_n with one elimination of d_{n+1}
-    carrying the nonzeros of every right-hand column.  Returns
-    {n: entries} or None.
-
-    The greedy sweep is complete: if a contraction exists then
-    h*_n composed with the current right-hand side solves step n
-    (the right-hand side lands in cycles, and d splits off cycles when
-    the complex is contractible), and a successful sweep is itself a
-    contraction, the top identity holding by injectivity of the top
-    differential.
-    """
-    ring = X.ring
-    h = {}
-    for n in sorted(X.terms):
-        rhs = _contraction_rhs(X, n, h.get(n - 1))
-        if (n + 1) not in X.terms:
-            if rhs:
-                return None
-            continue
-        by_rows = {}
-        for (r, c), v in rhs.items():
-            by_rows.setdefault(r, {})[c] = v
-        d = X.diff(n + 1)
-        sols = solve_sparse(ring, d.rows(), d.source.rank, by_rows)
-        if sols is None:
-            return None
-        h[n] = {(r, c): v for c, x in sols.items() for r, v in x.items()}
-    return h
-
-
-def _contraction_rhs(X, n, h_below):
-    """Entries of id - h_{n-1} d_n, the right side of the contraction
-    step at degree n (``h_below`` the entries of h_{n-1} or None)."""
-    ring = X.ring
-    hd = {}
-    if h_below and n in X.diffs:
-        hd = _right_mul(ring, h_below, _index(X.diffs[n].entries, 0))
-    return _identity_minus(ring, X.terms[n].rank, hd)
-
-
 def _average_homotopy(X, raw):
     """G-average a raw contraction into an equivariant one.
 
@@ -1203,23 +1165,116 @@ def _average_homotopy(X, raw):
     return out
 
 
-def _contract_equivariant(X):
-    """Equivariant greedy contraction, one orbit-basis solve per degree.
+def _source_classes(M):
+    """The G-orbits of M's basis grouped by stabilizer class:
+    {(K, chi): [(j, spread)]}, j the smallest index of an orbit, K the
+    stabilizer of e_j (elements ascending), chi the signs by which K
+    fixes e_j, in K's order, and ``spread`` {j2: (g, s)} with
+    g.e_j = s e_j2, one g for each member j2 of the orbit."""
+    classes = {}
+    seen = bytearray(M.rank)
+    for j in range(M.rank):
+        if seen[j]:
+            continue
+        K, chi, spread = [], [], {}
+        for g in M.group.elements():
+            j2, s = M.action[g][j]
+            if j2 == j:
+                K.append(g)
+                chi.append(s)
+            if j2 not in spread:
+                spread[j2] = (g, s)
+                seen[j2] = 1
+        classes.setdefault((tuple(K), tuple(chi)), []).append((j, spread))
+    return classes
 
-    Same sweep as _contract_raw, but each step is the ``_graded_system``
-    of degree 1 on the one degree n with right side id - h_{n-1} d_n:
-    unknowns on the orbit basis of Hom_G(X_n, X_{n+1}) and equations
-    at the roots of Hom_G(X_n, X_n).  Returns {n: EquivMap} or None.
+
+def _fixed_orbits(M, K, chi):
+    """``HomOrbits(L, Res_K M)``, L the rank-one module on which the
+    subgroup K acts by the signs chi: orbit k sends 1 to the signed sum
+    of a (K, chi)-orbit of M's basis, and these sums are a basis of the
+    (K, chi)-invariants of M.  Returns the table and, for each orbit,
+    the (index, sign) pairs of its sum."""
+    S = Subgroup(M.group, K)
+    L = SignedPermModule(subgroup_as_group(S)[0], M.ring, ("chi",),
+                         tuple(((0, s),) for s in chi))
+    T = HomOrbits(L, restrict(M, S))
+    members = [[] for _ in T.roots]
+    for x, c in enumerate(T.code):
+        if c:
+            members[abs(c) - 1].append((x, 1 if c > 0 else -1))
+    return T, members
+
+
+def _contract_equivariant(X):
+    """Equivariant greedy contraction, degree by degree from the bottom:
+    solve d_{n+1} h_n = b = id - h_{n-1} d_n.  Returns {n: EquivMap} or
+    None.
+
+    By Frobenius reciprocity, Hom_G(R[G/K]_chi, N) = N^(K, chi), h_n
+    on the orbit of e_j (stabilizer K, sign chi) is any (K, chi)-
+    invariant x_j = h(e_j), spread as h(e_{g.j}) = s g x_j where
+    g.e_j = s e_{g.j}.  So step n is block-diagonal by source orbit,
+    and all orbits of one (K, chi) class share the block d_{n+1} on
+    (K, chi)-invariants: one ``solve_sparse`` per class, unknowns the
+    (K, chi)-orbit sums of X_{n+1}, equations at the roots of those of
+    X_n (``_fixed_orbits``), one right side b_j per orbit.
+
+    The sweep is complete: if a contraction h* exists, h*_n b solves
+    step n (b lands in cycles, and d splits off cycles when the complex
+    is contractible), and a successful sweep is itself a contraction,
+    the top identity holding by injectivity of the top differential.
     """
+    ring = X.ring
     h = {}
+    fixed = {}
+
+    def orbits(n, cls):
+        if (n, cls) not in fixed:
+            fixed[n, cls] = _fixed_orbits(X.term(n), *cls)
+        return fixed[n, cls]
+
     for n in sorted(X.terms):
-        below = h[n - 1].entries if (n - 1) in h else None
-        sys = _graded_system(X, X, 1, [n],
-                             {n: _contraction_rhs(X, n, below)})
-        sol = sys.solve()
-        if sol is None:
-            return None
-        h.update(_maps(sys.bases(), sol))
+        dcols = _index(X.diffs[n].entries, 1) if n in X.diffs else {}
+        hcols = _index(h[n - 1].entries, 1) if (n - 1) in h else {}
+        # at the top degree X_{n+1} is the zero module: no unknowns, so
+        # the step holds only where b = 0
+        target = X.term(n + 1)
+        d = X.diff(n + 1).entries
+        entries = {}
+        for cls, reps in _source_classes(X.terms[n]).items():
+            eqs, _ = orbits(n, cls)
+            unknowns, members = orbits(n + 1, cls)
+            sys = _System(ring)
+            sys.add_block(0, unknowns)
+            sys.add_rows(eqs, [(0, d, True)])
+            # b_j is (K, chi)-invariant: its root entries are its
+            # coordinates
+            row_of = {r: e for e, r in enumerate(eqs.roots)}
+            rhs = {}
+            for j, _ in reps:
+                b = {j: ring.one}          # e_j - h_{n-1} d_n e_j
+                for t, a in dcols.get(j, ()):
+                    for r, v in hcols.get(t, ()):
+                        b[r] = b.get(r, 0) - a * v
+                for r, v in _normalized(ring, b).items():
+                    if r in row_of:
+                        rhs.setdefault(row_of[r], {})[j] = v
+            sols = solve_sparse(ring, sys.rows, sys.ncols, rhs)
+            if sols is None:
+                return None
+            for j, spread in reps:
+                x = [(y, c if w == 1 else -c)
+                     for k, c in sols.get(j, {}).items()
+                     for y, w in members[k]]
+                for j2, (g, s) in spread.items():
+                    act = target.action[g]
+                    for y, v in x:
+                        y2, t = act[y]
+                        entries[y2, j2] = v if s == t else -v
+        f = EquivMap(X.terms[n], target, entries)
+        if not f.is_zero():
+            h[n] = f
     return h
 
 
@@ -1228,24 +1283,15 @@ def is_contractible(X):
 
     Contractibility means an equivariant contraction d h + h d = id
     exists over the coefficient ring; the certificate stores h and can
-    be re-verified.  When the group order is a unit of the ring (always
-    over the trivial group) a raw contraction is averaged into an
-    equivariant one; otherwise the greedy sweep runs in the equivariant
-    hom lattices.  Failure first looks for nonzero homology of the
-    underlying complex, then reports the equivariant system as
-    infeasible.
+    be re-verified.  Every ring takes one path, the greedy sweep of
+    ``_contract_equivariant``, one solve per stabilizer class and
+    degree.  Failure first looks for nonzero homology of the underlying
+    complex, then reports the equivariant system as infeasible.
     """
     if X.is_zero():
         return True, ContractionCertificate(X, {})
     _enforce_rank_cap(X)
-    ring, G = X.ring, X.group
-    h = None
-    if ring.is_unit(ring.from_int(G.order)):
-        raw = _contract_raw(X)
-        if raw is not None:
-            h = _average_homotopy(X, raw)
-    else:
-        h = _contract_equivariant(X)
+    h = _contract_equivariant(X)
     if h is not None:
         cert = ContractionCertificate(X, h)
         cert.verify()

@@ -36,7 +36,9 @@ Conventions used throughout the package:
   from them (``HomOrbits.map``, checked like every map).  It is the one
   orbit walk: the orbit of e_x in M is the orbit of the pair (0, x) in
   Hom_G(R, M), R trivial, so sign decomposition, rebasing and the
-  induction test read ``HomOrbits`` too;
+  induction test read ``HomOrbits`` too, and a contraction step reads
+  the (K, chi)-orbits of a module as ``HomOrbits`` from a rank-one
+  module over the stabilizer K;
 * basis labels are nested tuples of strings/ints, so they stay hashable,
   deterministic, and JSON-serializable (tuples become lists in JSON).
 

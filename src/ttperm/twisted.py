@@ -83,7 +83,9 @@ class Twist:
             items = items.items()
         pairs = {}
         for N, e in items:
-            assert isinstance(N, Subgroup) and e >= 0
+            if not isinstance(N, Subgroup) or e < 0:
+                raise ValueError("a twist needs subgroups with nonnegative "
+                                 "exponents")
             if e:
                 pairs[N.elements] = (N, pairs.get(N.elements, (N, 0))[1] + e)
         self.items = tuple(sorted(pairs.values(), key=lambda t: t[0].elements))
@@ -159,9 +161,11 @@ def _norm_entries(M, g, p):
 
 
 def _check_index_p(G, N):
-    assert N.is_normal(), "twist subgroups must be normal"
+    if not N.is_normal():
+        raise ValueError("twist subgroups must be normal")
     p = N.index
-    assert factorize(p) == {p: 1}, "twist subgroups must have prime index"
+    if factorize(p) != {p: 1}:
+        raise ValueError("twist subgroups must have prime index")
     return p
 
 
@@ -297,7 +301,8 @@ def class_product(z1, z2):
     """The product class: Koszul-signed tensor of cycles, transported
     to the canonical complex of the sum twist."""
     G, ring = z1.G, z1.ring
-    assert z2.G is G and z2.ring is ring
+    if z2.G is not G or z2.ring is not ring:
+        raise ValueError("classes over different groups or rings")
     if not z1.twist.items and z1.shift == 0:
         z1, z2 = z2, z1
     if not z2.twist.items and z2.shift == 0:
@@ -450,8 +455,10 @@ def twisted_table(G, ring, max_twist, shift_window=None):
     G must be elementary abelian so that every index-p subgroup is
     normal and the twist monoid needs no conjugation bookkeeping.
     """
-    assert is_elementary_abelian(G), "tables need an elementary abelian group"
-    assert max_twist <= 8, "bound exceeded: max_twist is limited to 8"
+    if not is_elementary_abelian(G):
+        raise ValueError("tables need an elementary abelian group")
+    if max_twist > 8:
+        raise ValueError("bound exceeded: max_twist is limited to 8")
     Ns = index_p_normal_subgroups(G)
     p = Ns[0].index if Ns else 2
     L = u_degree(p)
@@ -781,7 +788,8 @@ def localize_twist0(table, H, degree_window=(-4, 4)):
     declared insufficient.
     """
     G, ring = table.group, table.ring
-    assert len(table.subgroups) == 1, "localization needs a cyclic group"
+    if len(table.subgroups) != 1:
+        raise ValueError("localization needs a cyclic group")
     N = table.subgroups[0]
     inside = all(x in N.elements for x in H.elements)
     gm = {k: v for k, v in table.generators.items()}

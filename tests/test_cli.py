@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, determinism, and verify.
 
-Exit code contract: 0 success, 1 usage error, 2 theory/validation
-failure (with a machine-readable JSON report on stdout).
+Exit code contract: 0 success, 1 usage error or an input over a
+user-set bound such as TTPERM_MAX_RANK (with a message on stderr), 2
+theory/validation failure (with a machine-readable JSON report on
+stdout).
 """
 
 import hashlib
@@ -167,12 +169,14 @@ def test_an_index_on_the_whole_group_must_be_0(capsys):
     assert json.loads(out_of(capsys))["inputs"]["subgroup"] == "C4"
 
 
-def test_solver_cap_gives_exit_2(capsys, monkeypatch):
+def test_solver_cap_gives_exit_1(capsys, monkeypatch):
+    # the cap is an input bound the user sets, not a failed theory check
     monkeypatch.setenv("TTPERM_MAX_RANK", "2")
     code = run(["invert", "--group", "C2", "--ring", "Z"])
-    assert code == 2
-    data = json.loads(out_of(capsys))
-    assert data["error"] == "SolverCapExceeded"
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: total rank 10 exceeds TTPERM_MAX_RANK=2\n"
 
 
 def test_exit_2_means_a_failed_check_not_a_bug(capsys, monkeypatch):
@@ -296,7 +300,12 @@ def test_reports_match_recorded_digests(capsys):
     # the benchmark's, recorded from the seed.
     expected = json.loads(EXPECTED.read_text())
     for command in ("invert --group C3 --ring Z",
+                    "invert --group C5 --ring Z",
+                    "invert --group C7 --ring Z",
                     "twisted --group C2 --ring F2 --max-twist 4",
+                    "twisted --group C2xC2 --ring F2 --max-twist 2",
+                    "twisted --group C3 --ring Z --max-twist 5 "
+                    "--shift-min -10 --shift-max 0",
                     "spectrum --group C32 --format dot",
                     "spectrum --group C48 --format text",
                     "spectrum --group C60",

@@ -375,7 +375,9 @@ def test_homology_profile_detects_quasi_isomorphism_type():
 
 def test_invert_caches_hom_bases_as_orbit_codes(monkeypatch, capsys):
     # every hom basis a command caches is an orbit table: the orbit
-    # roots and one 4-byte code per basis pair, no map
+    # roots and one 4-byte code per basis pair, no map.  Contractions
+    # cache none, so invert caches only its chain-map tables; a twisted
+    # table caches enough of them to reach the size threshold.
     from array import array
     from ttperm import homotopy
     from ttperm.cli import run
@@ -389,6 +391,9 @@ def test_invert_caches_hom_bases_as_orbit_codes(monkeypatch, capsys):
 
     monkeypatch.setattr(homotopy, "_hom_basis", recording)
     assert run(["invert", "--group", "C5", "--ring", "Z"]) == 0
+    assert cached
+    assert run(["twisted", "--group", "C3", "--ring", "Z",
+                "--max-twist", "3"]) == 0
     capsys.readouterr()
     tables = list({id(H): H for H in cached}.values())
     assert len(tables) >= 5 and sum(map(len, tables)) > 100
@@ -657,7 +662,7 @@ def test_incremental_pivot_search_matches_rescan_on_random_matrices(ring):
 
 
 @pytest.mark.parametrize("argv", [
-    ["invert", "--group", "C5", "--ring", "Z"],
+    ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "5"],
     ["twisted", "--group", "C3", "--ring", "F3", "--max-twist", "3"],
 ])
 def test_incremental_pivot_search_matches_rescan_on_command_systems(
@@ -894,7 +899,7 @@ def _record_assemblies(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["invert", "--group", "C5", "--ring", "Z"],
+    ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "5"],
     ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "2"],
 ])
 def test_root_assembly_matches_full_products_on_commands(
@@ -926,7 +931,11 @@ def test_root_assembly_matches_full_products_on_inconsistent_orbits(
     X = _inconsistent_orbit_complex()
     seen = _record_assemblies(monkeypatch)
     assert isinstance(find_homotopy_equivalence(X, X), Equivalence)
-    assert null_homotopy(identity_chain_map(cone(identity_chain_map(X))))
+    C = cone(identity_chain_map(X))
+    assert null_homotopy(identity_chain_map(C))
+    # the orbit-pair contraction steps, which contractions no longer
+    # assemble
+    assert _orbit_pair_contraction(C)
     assert sum(n for _, n, _ in seen) >= 200
     assert all(zeros for _, _, zeros in seen)
     assert all(same for same, _, _ in seen)
@@ -1001,7 +1010,7 @@ def _old_chain_map_system(X, Y):
 
 
 def _old_contraction_step(X, n, rhs):
-    """The system of step n of _contract_equivariant before
+    """The system of step n of the orbit-pair contraction before
     ``_graded_system``, or None where that step solved nothing (no
     unknowns)."""
     from ttperm.homotopy import _System, _hom_basis
@@ -1068,7 +1077,7 @@ def _record_builders(monkeypatch):
         elif caller == "null_homotopy":
             ref = _old_null_homotopy_system(X, Y, rhs)
         else:
-            assert caller == "_contract_equivariant", caller
+            assert caller == "_orbit_pair_contraction", caller
             [n] = degrees
             ref = _old_contraction_step(X, n, rhs[n])
         if ref is None:
@@ -1109,11 +1118,11 @@ def _rows_by_caller(seen):
 
 @pytest.mark.parametrize("argv, callers", [
     (["invert", "--group", "C5", "--ring", "Z"],
-     {"chain_map_space", "_contract_equivariant"}),
+     {"chain_map_space"}),
     (["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "2"],
-     {"InvariantsComplex", "chain_map_space", "_contract_equivariant"}),
+     {"InvariantsComplex", "chain_map_space"}),
     (["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "3"],
-     {"InvariantsComplex", "chain_map_space", "_contract_equivariant"}),
+     {"InvariantsComplex", "chain_map_space"}),
 ])
 def test_graded_builder_matches_old_assemblies_on_commands(
         argv, callers, monkeypatch, capsys):
@@ -1133,11 +1142,14 @@ def test_graded_builder_matches_old_assemblies_on_inconsistent_orbits(
     seen = _record_builders(monkeypatch)
     from ttperm.homotopy import chain_map_space
     assert isinstance(find_homotopy_equivalence(X, X), Equivalence)
-    assert null_homotopy(identity_chain_map(cone(identity_chain_map(X))))
+    C = cone(identity_chain_map(X))
+    assert null_homotopy(identity_chain_map(C))
     assert chain_map_space(X, X)[1]
     hom_group(X, 0)
+    # the reference orbit-pair contraction, one _graded_system per step
+    assert _orbit_pair_contraction(C)
     rows = _rows_by_caller(seen)
-    assert set(rows) == {"chain_map_space", "_contract_equivariant",
+    assert set(rows) == {"chain_map_space", "_orbit_pair_contraction",
                          "null_homotopy", "InvariantsComplex"}, rows
     assert all(same for _, same, _ in seen)
 
@@ -1182,14 +1194,15 @@ def _check_vector(ring, vec, ascending=False):
 
 @pytest.mark.parametrize("argv", [
     ["twisted", "--group", "C3", "--ring", "Z"],
-    # an orbit-basis contraction over Z (with H = 1 the restriction is
-    # contracted by a raw solve, which passes no vector)
+    # a contraction over Z on a nontrivial group (C2, the restriction)
     ["kos", "--group", "C4", "--subgroup", "C2"],
 ])
 def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
     # every vector a command passes between functions is the dict of its
     # normalized nonzero coordinates; kernel and block vectors list their
-    # indices in ascending order
+    # indices in ascending order.  Contractions solve one multi-right-side
+    # system per stabilizer class and pass its solutions on; no command
+    # solves a _System any more, so a null homotopy follows the command.
     from ttperm import homotopy, permod, twisted
     from ttperm.cli import run
     seen = {}
@@ -1217,6 +1230,10 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
         if sol is not None:
             blocks(args[0].ring, sol)
 
+    def solutions(args, sols):
+        for x in (sols or {}).values():
+            _check_vector(args[0], x)
+
     def system_kernel(args, sols):
         for sol in sols:
             blocks(args[0].ring, sol)
@@ -1234,6 +1251,7 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
 
     spy(homotopy, "kernel_sparse", kernel)
     spy(twisted, "kernel_sparse", kernel)
+    spy(homotopy, "solve_sparse", solutions)
     spy(homotopy._System, "solve", solve)
     spy(homotopy._System, "kernel", system_kernel)
     spy(permod.EquivMap, "apply", apply)
@@ -1241,7 +1259,221 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
     spy(twisted, "class_product", product)
     assert run(argv) == 0
     capsys.readouterr()
+    assert seen["solve_sparse"]
+    G = cyclic(2)
+    U = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+    assert null_homotopy(identity_chain_map(cone(identity_chain_map(U))))
     assert seen["solve"]
     if argv[0] == "twisted":
-        assert seen.keys() == {"kernel_sparse", "solve", "kernel", "apply",
-                               "__init__", "class_product"}
+        assert seen.keys() == {"kernel_sparse", "solve_sparse", "solve",
+                               "kernel", "apply", "__init__",
+                               "class_product"}
+
+
+# ---------------------------------------------------------------------------
+# contraction by stabilizer class, against the sweeps it replaced
+
+def _contraction_rhs(X, n, h_below):
+    """Entries of id - h_{n-1} d_n, the right side of the contraction
+    step at degree n (``h_below`` the entries of h_{n-1} or None)."""
+    from ttperm.homotopy import _identity_minus
+    from ttperm.permod import _index, _right_mul
+    hd = {}
+    if h_below and n in X.diffs:
+        hd = _right_mul(X.ring, h_below, _index(X.diffs[n].entries, 0))
+    return _identity_minus(X.ring, X.terms[n].rank, hd)
+
+
+def _orbit_pair_contraction(X):
+    """The equivariant sweep with each step one ``_graded_system`` on
+    the one degree n: unknowns on the orbit basis of Hom_G(X_n, X_{n+1})
+    and equations at the roots of Hom_G(X_n, X_n), over every orbit of
+    basis pairs.  {n: EquivMap} or None."""
+    from ttperm.homotopy import _graded_system, _maps
+    h = {}
+    for n in sorted(X.terms):
+        below = h[n - 1].entries if (n - 1) in h else None
+        sys = _graded_system(X, X, 1, [n],
+                             {n: _contraction_rhs(X, n, below)})
+        sol = sys.solve()
+        if sol is None:
+            return None
+        h.update(_maps(sys.bases(), sol))
+    return h
+
+
+def _contract_raw(X):
+    """The non-equivariant sweep: d_{n+1} h_n = id - h_{n-1} d_n by one
+    elimination of d_{n+1} carrying every right-hand column.  {n:
+    entries} or None."""
+    ring = X.ring
+    h = {}
+    for n in sorted(X.terms):
+        rhs = _contraction_rhs(X, n, h.get(n - 1))
+        if (n + 1) not in X.terms:
+            if rhs:
+                return None
+            continue
+        by_rows = {}
+        for (r, c), v in rhs.items():
+            by_rows.setdefault(r, {})[c] = v
+        d = X.diff(n + 1)
+        sols = solve_sparse(ring, d.rows(), d.source.rank, by_rows)
+        if sols is None:
+            return None
+        h[n] = {(r, c): v for c, x in sols.items() for r, v in x.items()}
+    return h
+
+
+def _contracted_by(argv, monkeypatch, capsys):
+    """The complexes that a command hands to the contraction sweep."""
+    from ttperm import homotopy
+    from ttperm.cli import run
+    seen = []
+    real = homotopy._contract_equivariant
+
+    def recording(X):
+        seen.append(X)
+        return real(X)
+
+    monkeypatch.setattr(homotopy, "_contract_equivariant", recording)
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return seen
+
+
+def _identity(X):
+    return {n: {(i, i): X.ring.one for i in range(M.rank)}
+            for n, M in X.terms.items()}
+
+
+def _same_feasibility(complexes):
+    """The stabilizer-class sweep contracts exactly the complexes that
+    the orbit-pair sweep contracts, each h passing check_homotopy; the
+    number of contracted and of refused complexes."""
+    from ttperm.homotopy import _contract_equivariant
+    outcomes = []
+    for X in complexes:
+        h = _contract_equivariant(X)
+        assert (h is None) == (_orbit_pair_contraction(X) is None)
+        if h is not None:
+            check_homotopy(X, X, _identity(X), h)
+        outcomes.append(h is not None)
+    return outcomes.count(True), outcomes.count(False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--group", "C3", "--ring", "Z"],
+    ["invert", "--group", "C5", "--ring", "Z"],
+    ["invert", "--group", "C7", "--ring", "Z"],
+    ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "2"],
+    ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "3"],
+    # |G| a unit of the ring
+    ["invert", "--group", "C3", "--ring", "Q"],
+    ["twisted", "--group", "C2", "--ring", "F3"],
+    # the Koszul restrictions Res_H X
+    ["kos", "--group", "C9", "--subgroup", "C3"],
+    ["kos", "--group", "C8", "--subgroup", "C2"],
+], ids=" ".join)
+def test_class_sweep_contracts_what_the_orbit_pair_sweep_contracts(
+        argv, monkeypatch, capsys):
+    complexes = _contracted_by(argv, monkeypatch, capsys)
+    assert complexes and any(X.group.order > 1 for X in complexes)
+    contracted, _ = _same_feasibility(complexes)
+    assert contracted
+
+
+def test_class_sweep_on_inconsistent_orbits():
+    # signed modules whose orbits of basis pairs do not all close up;
+    # X has homology, so only its cone contracts
+    X = _inconsistent_orbit_complex()
+    assert _same_feasibility([X, cone(identity_chain_map(X))]) == (1, 1)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=str)
+def test_class_sweep_on_exact_complexes(ring):
+    # exact complexes that contract equivariantly exactly when 2 is a
+    # unit: R -> R(C2) -> L, L the sign module, and
+    # R -> R(C2) -> R(C2) -> R (norm, 1 - g, augmentation)
+    G = cyclic(2)
+    R = trivial_module(G, ring)
+    P = perm_module(G, G.trivial_subgroup(), ring)
+    L = sign_module(G, G.trivial_subgroup(), ring)
+    norm = EquivMap(R, P, {(0, 0): 1, (1, 0): 1})
+    signed = Complex(G, ring, {2: R, 1: P, 0: L},
+                     {2: norm, 1: EquivMap(P, L, {(0, 0): 1, (0, 1): -1})})
+    periodic = Complex(G, ring, {3: R, 2: P, 1: P, 0: R},
+                       {3: norm,
+                        2: EquivMap(P, P, {(0, 0): 1, (1, 0): -1,
+                                           (0, 1): -1, (1, 1): 1}),
+                        1: EquivMap(P, R, {(0, 0): 1, (0, 1): 1})})
+    for X in (signed, periodic):
+        assert not homology_profile(X)
+    contracted, refused = _same_feasibility([signed, periodic])
+    assert (contracted, refused) == ((0, 2) if ring is ZZ else (2, 0))
+    if ring is ZZ:
+        ok, witness = is_contractible(signed)
+        assert not ok and "no equivariant contraction" in witness.reason
+
+
+@pytest.mark.parametrize("argv", [
+    ["kos", "--group", "C4", "--subgroup", "1"],
+    ["kos", "--group", "C2xC2", "--subgroup", "1", "--ring", "F3"],
+], ids=" ".join)
+def test_class_sweep_is_the_raw_sweep_over_the_trivial_group(
+        argv, monkeypatch, capsys):
+    # over the trivial group every orbit is one basis vector, so the one
+    # class solves d_{n+1} for every column, as the raw sweep does
+    from ttperm.chain import restrict_complex
+    from ttperm.homotopy import _contract_equivariant
+    complexes = _contracted_by(argv, monkeypatch, capsys)
+    G = cyclic(3)
+    one = G.trivial_subgroup()
+    U = u_complex(G, index_p_normal_subgroups(G)[0], QQ)
+    complexes += [restrict_complex(cone(identity_chain_map(U)), one),
+                  restrict_complex(U, one)]
+    contracted = 0
+    for X in complexes:
+        assert X.group.order == 1
+        h, raw = _contract_equivariant(X), _contract_raw(X)
+        assert (h is None) == (raw is None)
+        if h is not None:
+            contracted += 1
+            assert {n: f.entries for n, f in h.items()} == \
+                {n: e for n, e in raw.items() if e}
+    assert 0 < contracted < len(complexes)
+
+
+_MISSIGNED_SPREAD = """
+import json
+import sys
+from ttperm import homotopy
+from ttperm.cli import run
+
+assert sys.flags.optimize
+real = homotopy._source_classes
+
+def missigned(M):
+    # every member of an orbit but its first gets the wrong sign
+    classes = real(M)
+    for reps in classes.values():
+        for j, spread in reps:
+            for j2, (g, s) in spread.items():
+                if j2 != j:
+                    spread[j2] = (g, -s)
+    return classes
+
+homotopy._source_classes = missigned
+sys.exit(run(["invert", "--group", "C3", "--ring", "Z"]))
+"""
+
+
+def test_missigned_spread_is_rejected_under_python_O(python_O):
+    # a solved column spread over its orbit with a wrong sign is not
+    # equivariant: EquivMap's check raises, also under python -O
+    import json
+    proc = python_O(_MISSIGNED_SPREAD)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "CertificateError",
+                                       "message": "map is not equivariant"}

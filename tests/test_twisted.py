@@ -469,3 +469,55 @@ def test_homology_concentration_check_survives_python_O(python_O):
     assert proc.stdout.splitlines() == [
         "tensor power homology not concentrated: "
         "{0: (1, ()), 1: (0, (2,))}"]
+
+
+_BAD_TWISTED_INPUTS = """
+import sys
+from types import SimpleNamespace
+from ttperm import twisted
+from ttperm.grp import cyclic, parse_group_name, subgroups
+from ttperm.rings import ZZ, GF
+
+assert sys.flags.optimize
+C2, C4, D8 = cyclic(2), cyclic(4), parse_group_name("D8")
+N = twisted.index_p_normal_subgroups(C2)[0]
+reflection = [S for S in subgroups(D8) if not S.is_normal()][0]
+bad = {
+    "Twist subgroup": lambda: twisted.Twist([("N", 1)]),
+    "Twist exponent": lambda: twisted.Twist([(N, -1)]),
+    "normal": lambda: twisted.u_complex(D8, reflection, ZZ),
+    "prime index": lambda: twisted.u_complex(C4, C4.trivial_subgroup(), ZZ),
+    "class groups": lambda: twisted.class_product(
+        twisted.unit_class(C2, ZZ), twisted.unit_class(C4, ZZ)),
+    "class rings": lambda: twisted.class_product(
+        twisted.unit_class(C2, ZZ), twisted.unit_class(C2, GF(2))),
+    "elementary abelian": lambda: twisted.twisted_table(C4, ZZ, 1),
+    "max_twist": lambda: twisted.twisted_table(C2, ZZ, 9),
+    "cyclic": lambda: twisted.localize_twist0(
+        SimpleNamespace(group=C2, ring=ZZ, subgroups=[N, N]), N),
+}
+for name, call in bad.items():
+    try:
+        call()
+        sys.exit("a bad %s passed its check" % name)
+    except ValueError as exc:
+        print(name, "|", exc)
+"""
+
+
+def test_twisted_preconditions_raise_under_python_O(python_O):
+    # a caller's bad input is a ValueError, not an assert that python -O
+    # strips
+    proc = python_O(_BAD_TWISTED_INPUTS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Twist subgroup | a twist needs subgroups with nonnegative exponents",
+        "Twist exponent | a twist needs subgroups with nonnegative exponents",
+        "normal | twist subgroups must be normal",
+        "prime index | twist subgroups must have prime index",
+        "class groups | classes over different groups or rings",
+        "class rings | classes over different groups or rings",
+        "elementary abelian | tables need an elementary abelian group",
+        "max_twist | bound exceeded: max_twist is limited to 8",
+        "cyclic | localization needs a cyclic group",
+    ]
