@@ -23,7 +23,9 @@ Products of classes tensor cycle representatives (with the Koszul sign
 (-1)^{s1 s2}) and transport along a solver-found homotopy equivalence
 tensor(can(q1), can(q2)) -> can(q1+q2).  Both sides have homology R
 concentrated in one degree, so the induced identification is
-independent of the choice up to a unit.  Canonical powers and
+independent of the choice up to a unit.  A table forms a product only
+when its bidegree lies inside the window and its monomial is new, so
+it searches transports only for twists it shows.  Canonical powers and
 transports are kept on their group (``Group.twist_complexes``, keyed by
 ring and twist keys) and hom groups on their complex
 (``Complex.hom_groups``), so all of them are freed with the group.
@@ -454,6 +456,10 @@ def twisted_table(G, ring, max_twist, shift_window=None):
 
     G must be elementary abelian so that every index-p subgroup is
     normal and the twist monoid needs no conjugation bookkeeping.
+    Monomials grow breadth first by multiplying with generators; a
+    product is formed only when its bidegree lies inside the window and
+    its monomial is not yet known, so no transport is searched for a
+    twist the table does not show.
     """
     if not is_elementary_abelian(G):
         raise ValueError("tables need an elementary abelian group")
@@ -476,13 +482,17 @@ def twisted_table(G, ring, max_twist, shift_window=None):
     frontier = dict(monos)
     while frontier:
         new = {}
-        for mono, z in frontier.items():
-            for gk, g in gens.items():
-                z2 = class_product(z, g)
-                if z2.twist.total() > max_twist or z2.shift < smin:
+        for z in frontier.values():
+            for g in gens.values():
+                # the bidegree and monomial of a product are known before
+                # it is formed: form only the ones the table keeps.  Every
+                # generator has degree one, so a monomial can repeat only
+                # within its own layer.
+                m = _mono_mul(z.mono, g.mono)
+                if (z.twist.total() + g.twist.total() > max_twist
+                        or z.shift + g.shift < smin or m in new):
                     continue
-                if z2.mono not in monos and z2.mono not in new:
-                    new[z2.mono] = z2
+                new[m] = class_product(z, g)
         monos.update(new)
         frontier = new
     entries = {(s, q.key()): _table_entry(G, ring, q, s, monos)

@@ -62,6 +62,62 @@ def test_twisted_over_coprime_fields(capsys):
     assert presentations["C2", "F3"] == presentations["C2", "Q"]
 
 
+def _parse_table_tag(G, tag):
+    """(shift, twist) of a table key "s=<shift>,q=(<elements>:<e>;...)"."""
+    from ttperm.twisted import Twist, index_p_normal_subgroups
+    by_elements = {",".join(map(str, N.elements)): N
+                   for N in index_p_normal_subgroups(G)}
+    shift, twist = tag[len("s="):-1].split(",q=(")
+    return int(shift), Twist([(by_elements[nel], int(e)) for nel, e in
+                              (part.split(":") for part in twist.split(";")
+                               if part)])
+
+
+def test_twisted_c3xc3_f3_agrees_with_the_bruteforce_oracle(capsys):
+    # the odd rank-2 table: four index-3 subgroups, each with a, b and c
+    from ttperm.grp import parse_group_name
+    from ttperm.homotopy import hom_group_bruteforce
+    from ttperm.rings import GF
+    from ttperm.twisted import canonical_u_power, index_p_normal_subgroups
+    argv = ["twisted", "--group", "C3xC3", "--ring", "F3", "--max-twist", "2"]
+    assert run(argv) == 0
+    first = out_of(capsys)
+    assert run(argv) == 0
+    assert out_of(capsys) == first
+    data = json.loads(first)
+    G = parse_group_name("C3xC3")
+    Ns = index_p_normal_subgroups(G)
+    assert len(Ns) == 4
+    assert data["presentation"]["generators"] == sorted(
+        "%s[%s]" % (sym, ",".join(map(str, N.elements)))
+        for sym in "abc" for N in Ns)
+    checked = 0
+    for tag, ent in data["table"].items():
+        s, q = _parse_table_tag(G, tag)
+        Y = canonical_u_power(G, q, GF(3))
+        if q.total() > 1 or Y.total_rank() > 40:
+            continue
+        fg, _ = hom_group_bruteforce(Y, s)
+        assert (ent["free_rank"], ent["torsion"]) == \
+            (fg.free_rank(), list(fg.torsion())), tag
+        checked += 1
+    # twist 0 and the four e_N, each over the shifts -4..0
+    assert checked == 25
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="integral rank-2 tables miss a "
+                   "Bockstein-type generator: entry (-1, e_N + e_N') is "
+                   "nonzero but no monomial lands there")
+@pytest.mark.parametrize("group", ["C2xC2", "C2xC2xC2", "C3xC3"])
+def test_integral_rank_2_tables_are_spanned_by_their_generators(group,
+                                                                capsys):
+    code = run(["twisted", "--group", group, "--ring", "Z",
+                "--max-twist", "2"])
+    out = out_of(capsys)
+    assert code == 0, out
+
+
 def test_twisted_window_must_be_complete():
     assert run(["twisted", "--group", "C2", "--ring", "F2",
                 "--max-twist", "2", "--shift-min", "-3"]) == 1

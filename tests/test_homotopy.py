@@ -663,7 +663,7 @@ def test_incremental_pivot_search_matches_rescan_on_random_matrices(ring):
 
 @pytest.mark.parametrize("argv", [
     ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "5"],
-    ["twisted", "--group", "C3", "--ring", "F3", "--max-twist", "3"],
+    ["twisted", "--group", "C3", "--ring", "F3", "--max-twist", "4"],
 ])
 def test_incremental_pivot_search_matches_rescan_on_command_systems(
         argv, monkeypatch, capsys):
@@ -900,7 +900,7 @@ def _record_assemblies(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "5"],
-    ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "2"],
+    ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "3"],
 ])
 def test_root_assembly_matches_full_products_on_commands(
         argv, monkeypatch, capsys):

@@ -521,3 +521,97 @@ def test_twisted_preconditions_raise_under_python_O(python_O):
         "max_twist | bound exceeded: max_twist is limited to 8",
         "cyclic | localization needs a cyclic group",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the frontier forms only the products the table keeps
+
+def _old_frontier_monos(G, ring, max_twist, shift_window=None):
+    """The monomial classes as the frontier loop found them when it
+    formed every product first and dropped the ones outside the window
+    or with a known monomial afterwards."""
+    from ttperm.twisted import _mono_mul
+    Ns = index_p_normal_subgroups(G)
+    if shift_window is None:
+        shift_window = (-u_degree(Ns[0].index) * max_twist, 0)
+    smin = shift_window[0]
+    gens = {}
+    for N in Ns:
+        gm = generator_maps(G, N, ring)
+        for sym in ("a", "b", "c"):
+            if sym in gm:
+                gens[(sym, N.elements)] = gm[sym]
+    monos = {(): unit_class(G, ring)}
+    frontier = dict(monos)
+    while frontier:
+        new = {}
+        for z in frontier.values():
+            for g in gens.values():
+                z2 = class_product(z, g)
+                assert z2.mono == _mono_mul(z.mono, g.mono)
+                if z2.twist.total() > max_twist or z2.shift < smin:
+                    continue
+                if z2.mono not in monos and z2.mono not in new:
+                    new[z2.mono] = z2
+        monos.update(new)
+        frontier = new
+    return monos
+
+
+def _table_monos(monkeypatch, G, ring, max_twist, shift_window=None):
+    """The monomial classes ``twisted_table`` tags its entries with."""
+    from ttperm import twisted
+    seen = []
+    real = twisted._table_entry
+
+    def recording(G, ring, q, s, monos):
+        seen.append(monos)
+        return real(G, ring, q, s, monos)
+
+    monkeypatch.setattr(twisted, "_table_entry", recording)
+    twisted_table(G, ring, max_twist, shift_window)
+    monkeypatch.undo()
+    assert seen and all(m is seen[0] for m in seen)
+    return seen[0]
+
+
+FRONTIER_CASES = [
+    ("C2xC2", GF(2), 2, None),
+    ("C3", ZZ, 5, (-10, 0)),
+    ("C2", GF(2), 4, None),
+    ("C3", GF(3), 3, None),
+    ("C2xC2", ZZ, 2, None),
+]
+
+
+@pytest.mark.parametrize("case", FRONTIER_CASES[:2],
+                         ids=lambda c: "%s-%s-%d" % c[:3])
+def test_frontier_transports_only_twists_inside_the_table(case, monkeypatch):
+    from ttperm import twisted
+    group, ring, max_twist, window = case
+    seen = []
+    real = twisted._transport
+
+    def recording(G, ring, q1, q2):
+        seen.append((q1 + q2).total())
+        return real(G, ring, q1, q2)
+
+    monkeypatch.setattr(twisted, "_transport", recording)
+    twisted_table(parse_group_name(group), ring, max_twist, window)
+    assert seen
+    assert max(seen) <= max_twist
+
+
+@pytest.mark.parametrize("case", FRONTIER_CASES,
+                         ids=lambda c: "%s-%s-%d" % c[:3])
+def test_frontier_keeps_the_classes_the_old_loop_kept(case, monkeypatch):
+    group, ring, max_twist, window = case
+    new = _table_monos(monkeypatch, parse_group_name(group), ring,
+                       max_twist, window)
+    old = _old_frontier_monos(parse_group_name(group), ring, max_twist,
+                              window)
+    assert len(new) > len(index_p_normal_subgroups(parse_group_name(group)))
+    assert new.keys() == old.keys()
+    for mono, z in new.items():
+        assert (z.twist, z.shift, z.cycle) == \
+            (old[mono].twist, old[mono].shift, old[mono].cycle), mono
