@@ -27,7 +27,7 @@ import json
 import sys
 
 from .grp import parse_group_name, subgroups, MAX_ORDER
-from .rings import ZZ, domain_from_name
+from .rings import ZZ, domain_from_name, prime_power
 from .homotopy import (find_homotopy_equivalence, Equivalence,
                        SolverCapExceeded)
 from .permod import CertificateError
@@ -132,7 +132,7 @@ def _dump(data):
 
 def cmd_kos(args):
     G = _parse_group(args.group)
-    pk = koszul.prime_power(G.order)
+    pk = prime_power(G.order)
     if pk is None and G.order > 1:
         raise UsageError("Koszul objects need a p-group; %s has order %d"
                          % (G.name, G.order))

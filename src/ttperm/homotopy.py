@@ -38,9 +38,12 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
   so they survive ``python -O``; ``check_homotopy`` clears the
   denominators of h first, so a rational certificate whose complex has
   integral differentials is checked in int products;
+* ``find_homotopy_equivalence`` builds the identity between equal
+  complexes, or the chain map inducing a unit on rank-one homology,
+  promoted by contracting its mapping cone;
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
-  ``find_homotopy_equivalence``, ``hom_group``) search inside the
-  lattice of equivariant maps: unknowns are coefficients of the orbit
+  ``chain_map_space``, ``hom_group``) solve inside the lattice of
+  equivariant maps: unknowns are coefficients of the orbit
   basis of Hom_G, never raw matrix entries, so certificates found over
   Z are honest equivariant certificates.  The orbit bases are cached on
   their source module (``SignedPermModule.hom_bases``) as codes, not
@@ -558,7 +561,8 @@ def matrix_inverse(ring, A):
     n = len(A)
     sols = solve_sparse(ring, sparse_rows(A), n,
                         {r: {r: ring.one} for r in range(n)})
-    assert sols is not None, "matrix is not invertible over %s" % ring.name
+    if sols is None:
+        raise CertificateError("matrix is not invertible over %s" % ring.name)
     inv = [[ring.zero] * n for _ in range(n)]
     for c, x in sols.items():
         for r, v in x.items():
@@ -596,7 +600,8 @@ class FgModule:
         rel = [[] for _ in range(t)]
         if t and in_cols:
             sols = solve_sparse(ring, self._cycle_rows, t, _by_rows(in_cols))
-            assert sols is not None, "boundaries must be cycles"
+            if sols is None:
+                raise CertificateError("boundaries must be cycles")
             rel = [[ring.zero] * len(in_cols) for _ in range(t)]
             for k, x in sols.items():
                 for i, v in x.items():
@@ -844,7 +849,8 @@ def hom_group_bruteforce(Y, s):
     through orbit sums; homotopies are quotiented out the same way.
     Intended as an oracle for complexes of total rank <= 40.
     """
-    assert Y.total_rank() <= 40, "oracle is limited to total rank 40"
+    if Y.total_rank() > 40:
+        raise ValueError("oracle is limited to total rank 40")
     ring = Y.ring
     G = Y.group
     n0 = -s
@@ -896,7 +902,8 @@ class _System:
         self.rhs = {}
 
     def add_block(self, tag, basis):
-        assert tag not in self.blocks
+        if tag in self.blocks:
+            raise ValueError("duplicate block tag %r" % (tag,))
         self.blocks[tag] = (self.ncols, basis)
         self.ncols += len(basis)
 
@@ -1385,59 +1392,49 @@ class Inconclusive:
 
 
 def find_homotopy_equivalence(X, Y):
-    """Search for an equivariant homotopy equivalence X -> Y.
+    """A homotopy equivalence X -> Y (an Equivalence), a NotEquivalent
+    witness (homology profiles differ), or Inconclusive.
 
-    Returns an Equivalence, a NotEquivalent witness (homology profiles
-    differ), or Inconclusive.  Candidates for f are: the identity when
-    the complexes are structurally equal, an integral combination of
-    the chain-map lattice basis that induces a unit on homology when
-    the homology is concentrated in one degree and free of rank one,
-    then the individual basis maps.  Each candidate is promoted by
-    contracting its mapping cone and reading off the quasi-inverse and
-    both homotopies from the contraction blocks.
+    Structurally equal X and Y get the identity, its own quasi-inverse
+    with zero homotopies; no cone is built.  Otherwise the homology must
+    be free of rank one in one degree: an endomorphism of an invertible
+    object is a scalar, so f is fixed up to homotopy by the unit it
+    induces there.  f is the combination of the chain-map lattice basis
+    inducing a unit, promoted by contracting its mapping cone
+    (``_try_equivalence``); anything else is Inconclusive.
     """
     from .chain import ChainMap, structurally_equal
-    ring = X.ring
-    profX = homology_profile(X)
-    profY = homology_profile(Y)
-    if profX != profY:
-        degs = sorted(set(profX) | set(profY))
-        for n in degs:
-            if profX.get(n) != profY.get(n):
-                return NotEquivalent("homology profiles differ", degree=n,
-                                     left=profX.get(n), right=profY.get(n))
-    def candidates():
-        if structurally_equal(X, Y):
-            yield ChainMap(X, Y, {n: EquivMap(M, Y.terms[n],
-                                              {(i, i): 1 for i in range(M.rank)})
-                                  for n, M in X.terms.items()})
-        bases, space = chain_map_space(X, Y)
-        # Bezout combination on concentrated rank-one free homology
-        conc = [n for n, inv in profX.items() if inv != (0, ())]
-        if len(conc) == 1 and profX[conc[0]] == (1, ()):
-            n0 = conc[0]
-            # the generator cycle of H_{n0}(X) and the class of its image
-            # in H_{n0}(Y) = Z, of the same profile, under each basis map
-            vX = underlying_homology(X, n0).generators[0]
-            fgY = underlying_homology(Y, n0)
-            scalars = []
-            for v in space:
-                f = _maps(bases, {n0: v.get(n0)}).get(n0)
-                scalars.append(fgY.coords(f.apply(vX) if f else {})[0])
-            combo = _unit_combination(ring, scalars)
-            if combo is not None:
-                yield _chain_map(X, Y, bases, _combine_vectors(space, combo))
-        for v in space:
-            yield _chain_map(X, Y, bases, v)
-
-    tried = 0
-    for f in candidates():
-        tried += 1
-        eq = _try_equivalence(f)
-        if eq is not None:
-            return eq
-    return Inconclusive("no candidate among %d chain maps admits a "
-                        "quasi-inverse over %s" % (tried, ring.name))
+    if structurally_equal(X, Y):
+        f, g = (ChainMap(A, B, {n: EquivMap(M, B.terms[n],
+                                            {(i, i): 1 for i in range(M.rank)})
+                                for n, M in A.terms.items()})
+                for A, B in ((X, Y), (Y, X)))
+        eq = Equivalence(f, g, {}, {})
+        eq.verify()
+        return eq
+    profX, profY = homology_profile(X), homology_profile(Y)
+    for n in sorted(set(profX) | set(profY)):
+        if profX.get(n) != profY.get(n):
+            return NotEquivalent("homology profiles differ", degree=n,
+                                 left=profX.get(n), right=profY.get(n))
+    conc = [n for n, inv in profX.items() if inv != (0, ())]
+    if len(conc) != 1 or profX[conc[0]] != (1, ()):
+        return Inconclusive("homology is not free of rank one in one degree")
+    n0 = conc[0]
+    bases, space = chain_map_space(X, Y)
+    # the generator cycle of H_{n0}(X) and the class of its image in
+    # H_{n0}(Y) = Z, of the same profile, under each basis map
+    vX = underlying_homology(X, n0).generators[0]
+    fgY = underlying_homology(Y, n0)
+    scalars = []
+    for v in space:
+        f = _maps(bases, {n0: v.get(n0)}).get(n0)
+        scalars.append(fgY.coords(f.apply(vX) if f else {})[0])
+    combo = _unit_combination(X.ring, scalars)
+    eq = combo is not None and _try_equivalence(
+        _chain_map(X, Y, bases, _combine_vectors(space, combo)))
+    return eq or Inconclusive("no chain map inducing a unit on homology "
+                              "has a contractible cone over %s" % X.ring.name)
 
 
 def _unit_combination(ring, scalars):

@@ -45,13 +45,7 @@ from .chain import (Complex, ChainMap, module_complex, shift_complex,
                     base_change_complex)
 from .homotopy import (is_contractible, homology_profile,
                        ContractionCertificate, _average_homotopy)
-from .rings import factorize
-
-
-def prime_power(n):
-    """(p, k) with n = p^k, or None."""
-    factors = list(factorize(n).items())
-    return factors[0] if len(factors) == 1 else None
+from .rings import prime_power
 
 
 def index2_filtration(G, H):

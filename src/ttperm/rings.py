@@ -20,8 +20,9 @@ a ``homotopy.FgModule``, its boundaries in its cycle basis:
 ``mat_zero``, ``mat_identity`` and ``mat_mul``, which re-multiplies a
 factorization to check it.
 
-``factorize`` is the package's one prime factorisation; primality,
-prime-power and Sylow-order questions elsewhere are answered from it.
+``factorize`` is the package's one prime factorisation and
+``prime_power`` its one prime-power test; primality and Sylow-order
+questions elsewhere read ``factorize``.
 """
 
 from fractions import Fraction
@@ -169,6 +170,12 @@ def factorize(n):
     if n > 1:
         out[n] = 1
     return out
+
+
+def prime_power(n):
+    """(p, k) with n = p^k, or None."""
+    factors = list(factorize(n).items())
+    return factors[0] if len(factors) == 1 else None
 
 
 # ---------------------------------------------------------------------------

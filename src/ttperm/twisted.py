@@ -20,12 +20,13 @@ distinct N in a fixed order.  The twisted cohomology group in bidegree
 unit -> can(q)[s] up to homotopy.
 
 Products of classes tensor cycle representatives (with the Koszul sign
-(-1)^{s1 s2}) and transport along a solver-found homotopy equivalence
-tensor(can(q1), can(q2)) -> can(q1+q2).  Both sides have homology R
-concentrated in one degree, so the induced identification is
-independent of the choice up to a unit.  A table forms a product only
-when its bidegree lies inside the window and its monomial is new, so
-it searches transports only for twists it shows.  Canonical powers and
+(-1)^{s1 s2}) and transport along a homotopy equivalence
+tensor(can(q1), can(q2)) -> can(q1+q2), the identity when the two are
+equal (every disjoint-support product a table forms).  Both sides have
+homology R concentrated in one degree, so the induced identification
+is independent of the choice up to a unit.  A table forms a product
+only when its bidegree lies inside the window and its monomial is new,
+so it builds transports only for twists it shows.  Canonical powers and
 transports are kept on their group (``Group.twist_complexes``, keyed by
 ring and twist keys) and hom groups on their complex
 (``Complex.hom_groups``), so all of them are freed with the group.
@@ -47,7 +48,7 @@ isomorphisms.
 """
 
 from .grp import Subgroup, subgroups, _is_elementary_abelian_section
-from .rings import ZZ, factorize
+from .rings import ZZ, factorize, prime_power
 from .permod import (EquivMap, perm_module, trivial_module, subgroup_meet,
                      _scaled)
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
@@ -239,7 +240,7 @@ def _transport(G, ring, q1, q2):
 
 def _equivalence(X, Y, failure):
     """The homotopy equivalence X -> Y that the theory guarantees;
-    raises TheoryCheckFailure("<failure>: <search outcome>") otherwise."""
+    raises TheoryCheckFailure("<failure>: <outcome>") otherwise."""
     eq = find_homotopy_equivalence(X, Y)
     if not isinstance(eq, Equivalence):
         raise TheoryCheckFailure("%s: %r" % (failure, eq))
@@ -379,7 +380,6 @@ def generator_maps(G, N, ring):
 
 
 def is_elementary_abelian(G):
-    from .koszul import prime_power
     pk = prime_power(G.order)
     if pk is None:
         return G.order == 1
@@ -436,18 +436,15 @@ def _all_twists(Ns, max_total):
     return out
 
 
-def _table_entry(G, ring, q, s, monos):
+def _table_entry(G, ring, q, s, classes):
+    """The entry at (s, q), tagged with its (monomial, class) pairs."""
     hg = hom_group(canonical_u_power(G, q, ring), s)
-    tagged = []
-    for mono, z in sorted(monos.items()):
-        if z.twist == q and z.shift == s:
-            tagged.append((mono, hg.coords(z.cycle)))
     return {
         "label": hg.label(),
         "free_rank": hg.fg.free_rank(),
         "torsion": tuple(hg.fg.torsion()),
         "factors": tuple(hg.fg.factors),
-        "monomials": tagged,
+        "monomials": [(mono, hg.coords(z.cycle)) for mono, z in classes],
     }
 
 
@@ -458,8 +455,8 @@ def twisted_table(G, ring, max_twist, shift_window=None):
     normal and the twist monoid needs no conjugation bookkeeping.
     Monomials grow breadth first by multiplying with generators; a
     product is formed only when its bidegree lies inside the window and
-    its monomial is not yet known, so no transport is searched for a
-    twist the table does not show.
+    its monomial is not yet known, so no transport is built for a twist
+    the table does not show.
     """
     if not is_elementary_abelian(G):
         raise ValueError("tables need an elementary abelian group")
@@ -495,7 +492,11 @@ def twisted_table(G, ring, max_twist, shift_window=None):
                 new[m] = class_product(z, g)
         monos.update(new)
         frontier = new
-    entries = {(s, q.key()): _table_entry(G, ring, q, s, monos)
+    bidegrees = {}
+    for mono, z in sorted(monos.items()):
+        bidegrees.setdefault((z.shift, z.twist.key()), []).append((mono, z))
+    entries = {(s, q.key()): _table_entry(G, ring, q, s,
+                                          bidegrees.get((s, q.key()), []))
                for q in _all_twists(Ns, max_twist)
                for s in range(smin, smax + 1)}
     return GradedTable(G, ring, max_twist, shift_window, entries,

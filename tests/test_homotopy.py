@@ -900,7 +900,9 @@ def _record_assemblies(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "5"],
-    ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "3"],
+    # twist 4: its disjoint-support transports are identities, which
+    # assemble no system, so twist 3 no longer reaches the floor
+    ["twisted", "--group", "C2xC2", "--ring", "F2", "--max-twist", "4"],
 ])
 def test_root_assembly_matches_full_products_on_commands(
         argv, monkeypatch, capsys):
@@ -1477,3 +1479,206 @@ def test_missigned_spread_is_rejected_under_python_O(python_O):
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout) == {"error": "CertificateError",
                                        "message": "map is not equivariant"}
+
+
+# ---------------------------------------------------------------------------
+# equivalences are built: the identity, or one unit combination
+
+def _old_search(X, Y):
+    """The candidate search that ``find_homotopy_equivalence`` replaced:
+    the identity, then the Bezout combination, then every lattice basis
+    map, each promoted by contracting its cone."""
+    from ttperm.chain import ChainMap, structurally_equal
+    from ttperm.homotopy import (chain_map_space, _chain_map,
+                                 _combine_vectors, _maps, _try_equivalence,
+                                 _unit_combination)
+    prof = homology_profile(X)
+    if prof != homology_profile(Y):
+        return None
+
+    def candidates():
+        if structurally_equal(X, Y):
+            yield ChainMap(X, Y, {n: EquivMap(M, Y.terms[n],
+                                              {(i, i): 1 for i in range(M.rank)})
+                                  for n, M in X.terms.items()})
+        bases, space = chain_map_space(X, Y)
+        conc = [n for n, inv in prof.items() if inv != (0, ())]
+        if len(conc) == 1 and prof[conc[0]] == (1, ()):
+            n0 = conc[0]
+            vX = underlying_homology(X, n0).generators[0]
+            fgY = underlying_homology(Y, n0)
+            scalars = []
+            for v in space:
+                f = _maps(bases, {n0: v.get(n0)}).get(n0)
+                scalars.append(fgY.coords(f.apply(vX) if f else {})[0])
+            combo = _unit_combination(X.ring, scalars)
+            if combo is not None:
+                yield _chain_map(X, Y, bases, _combine_vectors(space, combo))
+        for v in space:
+            yield _chain_map(X, Y, bases, v)
+
+    for f in candidates():
+        eq = _try_equivalence(f)
+        if eq is not None:
+            return eq
+    return None
+
+
+def _spy_calls(monkeypatch, module, name):
+    """Wrap ``module.name``; the returned list grows by one per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_disjoint_support_transport_is_the_identity_without_a_cone(
+        monkeypatch):
+    from ttperm import chain, homotopy
+    from ttperm.chain import structurally_equal
+    from ttperm.twisted import Twist, canonical_u_power
+    G = parse_group_name("C2xC2")
+    N1, N2 = index_p_normal_subgroups(G)[:2]
+    assert N1.elements < N2.elements
+    q1, q2 = Twist.single(N1), Twist.single(N2)
+    X = tensor_complex(canonical_u_power(G, q1, GF(2)),
+                       canonical_u_power(G, q2, GF(2)))
+    Y = canonical_u_power(G, q1 + q2, GF(2))
+    assert X is not Y and structurally_equal(X, Y)
+    cones = _spy_calls(monkeypatch, chain, "cone")
+    contractions = _spy_calls(monkeypatch, homotopy, "is_contractible")
+    eq = find_homotopy_equivalence(X, Y)
+    assert isinstance(eq, Equivalence)
+    assert not cones and not contractions
+    assert (eq.f.source, eq.f.target, eq.g.source, eq.g.target) == (X, Y, Y, X)
+    for f in (eq.f, eq.g):
+        assert {n: f.component(n).entries for n in X.terms} == {
+            n: {(i, i): 1 for i in range(M.rank)} for n, M in X.terms.items()}
+    assert eq.h == {} and eq.hp == {}
+    assert eq.verify()
+
+
+_CORRUPTED_IDENTITY = """
+import sys
+from ttperm.chain import ChainMap
+from ttperm.grp import cyclic
+from ttperm.homotopy import Equivalence, find_homotopy_equivalence
+from ttperm.permod import CertificateError, EquivMap
+from ttperm.rings import ZZ
+from ttperm.twisted import u_complex, index_p_normal_subgroups
+
+assert sys.flags.optimize
+G = cyclic(2)
+X = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
+eq = find_homotopy_equivalence(X, X)
+if eq.h or eq.hp:
+    sys.exit("the identity equivalence carries homotopies")
+doubled = ChainMap(X, X, {n: EquivMap(M, M, {k: 2 * v for k, v in
+                                             eq.g.component(n).entries.items()})
+                          for n, M in X.terms.items()})
+try:
+    Equivalence(eq.f, doubled, eq.h, eq.hp).verify()
+except CertificateError as exc:
+    print(exc)
+else:
+    sys.exit("an identity with a doubled inverse passed verify")
+"""
+
+
+def test_identity_with_a_corrupted_inverse_is_rejected_under_python_O(
+        python_O):
+    # with zero homotopies, id - g f must vanish; 2 id does not
+    proc = python_O(_CORRUPTED_IDENTITY)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "identity fails" in proc.stdout
+
+
+def test_distinct_pair_off_rank_one_homology_is_inconclusive_at_once(
+        monkeypatch):
+    from ttperm import homotopy
+    from ttperm.chain import module_complex
+    from ttperm.homotopy import Inconclusive
+    # Z[C2] and Z (+) Z: both have homology Z^2 in degree 0
+    G = cyclic(2)
+    X = module_complex(perm_module(G, G.trivial_subgroup(), ZZ))
+    Y = module_complex(BlockModule(G, ZZ, [("a", trivial_module(G, ZZ)),
+                                           ("b", trivial_module(G, ZZ))]).module)
+    assert homology_profile(X) == homology_profile(Y) == {0: (2, ())}
+    spaces = _spy_calls(monkeypatch, homotopy, "chain_map_space")
+    res = find_homotopy_equivalence(X, Y)
+    assert isinstance(res, Inconclusive), res
+    assert "rank one" in res.reason
+    assert not spaces
+
+
+@pytest.mark.parametrize("group, ring, max_twist", [
+    ("C2xC2", GF(2), 2),
+    ("C3xC3", GF(3), 2),
+    ("C2xC2xC2", GF(2), 2),
+])
+def test_transports_match_the_old_search(group, ring, max_twist):
+    from ttperm.chain import structurally_equal
+    from ttperm.twisted import twisted_table
+    G = parse_group_name(group)
+    twisted_table(G, ring, max_twist)
+    transports = [value[0] for value in G.twist_complexes.values()
+                  if isinstance(value, tuple)]
+    assert transports
+    identities = 0
+    for eq in transports:
+        X, Y = eq.f.source, eq.f.target
+        old = _old_search(X, Y)
+        assert isinstance(old, Equivalence)
+        for n in X.terms:
+            assert list(eq.f.component(n).entries.items()) == \
+                list(old.f.component(n).entries.items()), n
+        if structurally_equal(X, Y):
+            identities += 1
+            assert eq.h == {} and eq.hp == {}
+    # the disjoint-support products are identities, the shared-N ones
+    # are not
+    assert 0 < identities < len(transports)
+
+
+_HOMOTOPY_PRECONDITIONS = """
+import sys
+from ttperm import homotopy
+from ttperm.chain import module_complex
+from ttperm.grp import cyclic
+from ttperm.permod import CertificateError, perm_module
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+G = cyclic(41)
+big = module_complex(perm_module(G, G.trivial_subgroup(), ZZ))
+system = homotopy._System(ZZ)
+system.add_block("x", [])
+bad = {
+    "inverse": lambda: homotopy.matrix_inverse(ZZ, [[2]]),
+    "boundaries": lambda: homotopy.FgModule(ZZ, [{0: 1}], [{0: 1}], 2),
+    "oracle": lambda: homotopy.hom_group_bruteforce(big, 0),
+    "tag": lambda: system.add_block("x", []),
+}
+for name, build in bad.items():
+    try:
+        build()
+        sys.exit("a bad %s passed its check" % name)
+    except (CertificateError, ValueError) as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+
+def test_homotopy_preconditions_raise_under_python_O(python_O):
+    proc = python_O(_HOMOTOPY_PRECONDITIONS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "inverse CertificateError matrix is not invertible over Z",
+        "boundaries CertificateError boundaries must be cycles",
+        "oracle ValueError oracle is limited to total rank 40",
+        "tag ValueError duplicate block tag 'x'",
+    ]

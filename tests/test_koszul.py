@@ -13,12 +13,12 @@ from types import SimpleNamespace
 import pytest
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
-from ttperm.rings import ZZ, QQ, GF
+from ttperm.rings import ZZ, QQ, GF, prime_power
 from ttperm.chain import base_change_complex
 from ttperm.homotopy import is_contractible
 from ttperm.permod import CertificateError
 from ttperm.koszul import (koszul_object, verify_koszul,
-                           KoszulVerificationError, prime_power,
+                           KoszulVerificationError,
                            base_change_koszul_check, sign_twist_complex)
 
 

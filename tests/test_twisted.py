@@ -559,20 +559,25 @@ def _old_frontier_monos(G, ring, max_twist, shift_window=None):
 
 
 def _table_monos(monkeypatch, G, ring, max_twist, shift_window=None):
-    """The monomial classes ``twisted_table`` tags its entries with."""
+    """The monomial classes ``twisted_table`` tags its entries with,
+    gathered from the classes each entry is handed; each entry gets
+    exactly the classes of its own bidegree, in monomial order."""
     from ttperm import twisted
     seen = []
     real = twisted._table_entry
 
-    def recording(G, ring, q, s, monos):
-        seen.append(monos)
-        return real(G, ring, q, s, monos)
+    def recording(G, ring, q, s, classes):
+        assert all(z.twist == q and z.shift == s for _, z in classes)
+        assert [m for m, _ in classes] == sorted(m for m, _ in classes)
+        seen.extend(classes)
+        return real(G, ring, q, s, classes)
 
     monkeypatch.setattr(twisted, "_table_entry", recording)
     twisted_table(G, ring, max_twist, shift_window)
     monkeypatch.undo()
-    assert seen and all(m is seen[0] for m in seen)
-    return seen[0]
+    monos = dict(seen)
+    assert len(monos) == len(seen)
+    return monos
 
 
 FRONTIER_CASES = [
