@@ -10,7 +10,8 @@ Grading and sign conventions, fixed once and used everywhere:
   the basis layout ``tensor_index`` and the differential
   ``tensor_differentials``;
 * cone of f : X -> Y: cone(f)_n = Y_n (+) X_{n-1},
-  d(y, x) = (dy + f(x), -dx);
+  d(y, x) = (dy + f(x), -dx); ``tensor_cone`` writes the cone of a
+  tensor of chain maps on the tensor layouts and checks it once;
 * dual: dual(X)_n = (X_{-n})^* with d_n = (-1)^n (d^X_{1-n})^T on the
   dual bases (signed permutation modules are self-dual on basis).
 
@@ -28,7 +29,7 @@ from itertools import product as iproduct
 
 from .permod import (SignedPermModule, EquivMap, CertificateError,
                      BlockModule, zero_module, zero_map, trivial_module,
-                     tensor_module, dual_module, base_change_module, restrict,
+                     dual_module, base_change_module, restrict,
                      subgroup_as_group, _composite, _index)
 
 
@@ -238,43 +239,74 @@ def tensor_differentials(factors, index):
     return out
 
 
+def _tensor_rows(A, B, n, block, rows, off=0):
+    """Append the action of the degree-n term of A (x) B (layout
+    ``block``, moved down by ``off``) to ``rows``, one list per group
+    element, and return its labels ((i, j), ("t", a, b))."""
+    labels = []
+    for i in sorted(A.terms):
+        if n - i in B.terms:
+            M, N = A.terms[i], B.terms[n - i]
+            o, nN = off + block[((i, n - i), (0, 0))], N.rank
+            labels += [((i, n - i), ("t", a, b))
+                       for a in M.basis for b in N.basis]
+            for row, rM, rN in zip(rows, M.action, N.action):
+                row += [(o + a * nN + b, s * t) for a, s in rM for b, t in rN]
+    return labels
+
+
 def tensor_complex(X, Y):
     """X (x) Y on the layout ``tensor_index((X, Y))``; the term of
-    degree n is the BlockModule of the tensor_module blocks (i, j)."""
-    return _tensor_complex(X, Y, tensor_index((X, Y)))
-
-
-def _tensor_complex(X, Y, index):
+    degree n is the sum of the blocks X_i (x) Y_j, i + j = n."""
     if X.group is not Y.group or X.ring is not Y.ring:
         raise ValueError("tensor factors over different groups or rings")
-    pieces = {}   # degree -> list of ((i, j), module)
-    for i, Mi in sorted(X.terms.items()):
-        for j, Nj in sorted(Y.terms.items()):
-            pieces.setdefault(i + j, []).append(((i, j), tensor_module(Mi, Nj)))
-    terms = {n: BlockModule(X.group, X.ring, bl).module
-             for n, bl in pieces.items()}
+    index = tensor_index((X, Y))
+    terms = {}
+    for n, block in index.items():
+        rows = [[] for _ in X.group.elements()]
+        basis = _tensor_rows(X, Y, n, block, rows)
+        terms[n] = SignedPermModule(X.group, X.ring, basis, rows)
     diffs = {n: EquivMap(terms[n], terms[n - 1], acc)
              for n, acc in tensor_differentials((X, Y), index).items()}
     return Complex(X.group, X.ring, terms, diffs)
 
 
-def tensor_chain_maps(f, g):
-    """(f (x) g) : X (x) X' -> Y (x) Y' for degree-0 chain maps."""
-    X, Y = f.source, f.target
-    Xp, Yp = g.source, g.target
+def tensor_cone(f, g):
+    """cone(tau) for tau = f (x) g : S = X (x) X' -> T = Y (x) Y', f and
+    g chain maps, written on the layouts of S and T without building S,
+    T or tau: the terms, labels (("cY",), ((i, j), ("t", a, b))), actions
+    and ordered entries of ``cone`` of the checked tau.  One d o d check
+    covers all three, since d^2 = [[dT^2, dT tau - tau dS], [0, dS^2]]
+    for d = [[dT, tau], [0, -dS]]; each term is a sum of G-stable
+    blocks, so its action and equivariance checks cover every block.
+    """
+    X, Y, Xp, Yp = f.source, f.target, g.source, g.target
+    if X.group is not Xp.group or X.ring is not Xp.ring:
+        raise ValueError("tensor factors over different groups or rings")
     SI, TI = tensor_index((X, Xp)), tensor_index((Y, Yp))
-    S, T = _tensor_complex(X, Xp, SI), _tensor_complex(Y, Yp, TI)
+    dS = tensor_differentials((X, Xp), SI)
+    dT = tensor_differentials((Y, Yp), TI)
     fcols = {i: _index(c.entries, 1) for i, c in f.components.items()}
     gcols = {j: _index(c.entries, 1) for j, c in g.components.items()}
-    comps = {}
-    for n in [n for n in S.terms if n in T.terms]:
+    terms, diffs = {}, {}
+    for n in sorted(set(TI) | {n + 1 for n in SI}):
+        T, S, below = TI.get(n, {}), SI.get(n - 1, {}), TI.get(n - 1, {})
+        rows = [[] for _ in X.group.elements()]
+        basis = [(("cY",), l) for l in _tensor_rows(Y, Yp, n, T, rows)]
+        basis += [(("cX",), l)
+                  for l in _tensor_rows(X, Xp, n - 1, S, rows, len(T))]
+        terms[n] = SignedPermModule(X.group, X.ring, basis, rows)
+        if (n - 1) not in terms:
+            continue
         acc = {}
-        for ((i, j), (a, b)), c in SI[n].items():
+        _place(acc, 0, 0, dT.get(n, {}))
+        for ((i, j), (a, b)), c in S.items():
             for a2, v in fcols.get(i, {}).get(a, ()):
                 for b2, w in gcols.get(j, {}).get(b, ()):
-                    acc[(TI[n][((i, j), (a2, b2))], c)] = v * w
-        comps[n] = EquivMap(S.terms[n], T.terms[n], acc)
-    return ChainMap(S, T, comps)
+                    acc[(below[((i, j), (a2, b2))], len(T) + c)] = v * w
+        _place(acc, len(below), len(T), dS.get(n - 1, {}), sign=-1)
+        diffs[n] = EquivMap(terms[n], terms[n - 1], acc)
+    return Complex(X.group, X.ring, terms, diffs)
 
 
 def cone(f):

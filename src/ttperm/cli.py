@@ -378,7 +378,8 @@ def _point_from_id(pid):
         return spectrum.SpcPoint.family(excluded)
     if pid.startswith("(") and pid.endswith(")"):
         return spectrum.SpcPoint.prime(int(pid[1:-1]))
-    assert pid.startswith("P(") and pid.endswith(")")
+    if not (pid.startswith("P(") and pid.endswith(")")):
+        raise ValueError("unknown point id %r" % (pid,))
     sub, tag, p = pid[2:-1].split(",")
     return spectrum.SpcPoint.modular(sub, tag, int(p))
 

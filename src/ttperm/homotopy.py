@@ -1147,14 +1147,12 @@ class NonContractibleWitness:
 
 
 def _average_homotopy(X, raw):
-    """G-average a raw contraction into an equivariant one.
-
-    Needs |G| invertible in the ring: the average of the conjugates
-    rho(g) h rho(g)^-1 still contracts the identity and commutes with
-    the action.  Returns {n: EquivMap}.
+    """The sum of the conjugates rho(g) h rho(g)^-1 of a raw contraction
+    h, in h's values (ints for an integral h): it commutes with the
+    action and d sum + sum d = |G| id, so sum / |G| is an equivariant
+    contraction when |G| is invertible.  Returns {n: EquivMap}.
     """
-    ring, G = X.ring, X.group
-    inv_ord = ring.inv(ring.from_int(G.order))
+    G = X.group
     out = {}
     for n, E in raw.items():
         src, tgt = X.terms[n], X.terms[n + 1]
@@ -1166,9 +1164,9 @@ def _average_homotopy(X, raw):
                 ap, sa = tact[a]
                 bp, sb = sact[b]
                 acc[(ap, bp)] = acc.get((ap, bp), 0) + (v if sa == sb else -v)
-        avg = EquivMap(src, tgt, {k: v * inv_ord for k, v in acc.items()})
-        if not avg.is_zero():
-            out[n] = avg
+        total = EquivMap(src, tgt, acc)
+        if not total.is_zero():
+            out[n] = total
     return out
 
 

@@ -16,7 +16,8 @@ walks an index-2 filtration H = S_0 < S_1 < ... < G and alternates
 tensor induction with sign modification, which trades the sign module
 L appearing in top degrees for the two-term permutation complex
 Ltilde = (R -> R(G/S)) via the cone of s (x) t (s : Ltilde -> L the
-signed augmentation, t the attaching map of the degree-m slice).
+signed augmentation, t the attaching map of the degree-m slice), built
+in one pass by ``chain.tensor_cone``; the top level lives over G.
 
 Every constructed object is verified before being returned: terms are
 permutation modules, degree 0 is R, degree 1 is induced from H, the
@@ -29,9 +30,9 @@ computed only to name a failure.  Each object is built once per
 
 The base-change checks along Z -> F_p and Z -> Q carry the integral
 contraction certificate through the ring map and re-verify it over
-each ring, and over Q average it into a contraction of the whole
-complex (|G| is invertible there), verified in turn; nothing is solved
-again.
+each ring, and over Q sum its G-conjugates into |G| times a
+contraction of the whole complex (|G| is invertible there), verified
+in turn in integer arithmetic; nothing is solved again.
 """
 
 from .grp import subgroups
@@ -40,11 +41,10 @@ from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
                      tensor_module, sign_decompose, map_inverse_monomial,
                      rebase_to_permutation, is_induced_from)
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
-                    tensor_index, tensor_differentials, tensor_chain_maps,
-                    cone, restrict_complex, transport_complex,
-                    base_change_complex)
+                    tensor_index, tensor_differentials, tensor_cone,
+                    restrict_complex, transport_complex, base_change_complex)
 from .homotopy import (is_contractible, homology_profile,
-                       ContractionCertificate, _average_homotopy)
+                       check_homotopy, _average_homotopy)
 from .rings import prime_power
 
 
@@ -173,7 +173,8 @@ def sign_modify(X, S):
     degree-j term is L (x) x_bot_j (+) R(G/S) (x) x_top_j (+)
     x_top_{j-1}: all new contributions in degrees > m are permutation,
     degree m becomes N (+) ..., and degrees < m pick up a factor L
-    that later (smaller-m) steps remove.  Returns (complex, audit).
+    that later (smaller-m) steps remove.  ``chain.tensor_cone`` builds
+    and checks the cone in one pass.  Returns (complex, audit).
     """
     G = S.parent
     ring = X.ring
@@ -207,43 +208,35 @@ def sign_modify(X, S):
         inv = map_inverse_monomial(iso)
         pr = P.rank
         plus, minus = range(pr), range(pr, pr + N.rank)
-        # upper slice: degrees > m unchanged, P at degree m
+        LN = tensor_module(L, N)
+        # the slices: degrees > m with P at m on top, degrees < m with
+        # L (x) N at m below; the block columns of iso embed P and L (x) N
+        # in M, and t : x_top[-1] -> x_bot is the attaching map
         top_terms = {j: X.terms[j] for j in X.terms if j > m}
         top_diffs = {j: X.diffs[j] for j in X.diffs if j > m + 1}
-        if pr > 0:
-            top_terms[m] = P
-            if (m + 1) in X.diffs:
-                comp = inv.compose(X.diffs[m + 1])
-                top_diffs[m + 1] = EquivMap(
-                    X.terms[m + 1], P,
-                    comp.block(plus, range(comp.source.rank)))
-        x_top = Complex(G, ring, top_terms, top_diffs, check=False)
-        # lower slice: degrees < m unchanged, L (x) N at degree m
-        LN = tensor_module(L, N)
-        # identify LN with the minus block of M through iso (the block
-        # columns of iso are exactly the embedding of L (x) N)
-        emb = EquivMap(LN, M, iso.block(range(M.rank), minus))
         bot_terms = {j: X.terms[j] for j in X.terms if j < m}
         bot_diffs = {j: X.diffs[j] for j in X.diffs if j < m}
         bot_terms[m] = LN
-        if m in X.diffs:
-            comp = X.diffs[m].compose(emb)
-            bot_diffs[m] = EquivMap(LN, X.terms[m - 1], comp.entries)
-        x_bot = Complex(G, ring, bot_terms, bot_diffs, check=False)
-        # attaching map t : x_top[-1] -> x_bot
-        shifted = shift_complex(x_top, -1)
+        if pr > 0:
+            top_terms[m] = P
         t_comps = {}
         if (m + 1) in X.diffs:
-            comp = inv.compose(X.diffs[m + 1])
-            t_comps[m] = EquivMap(X.terms[m + 1], LN,
-                                  comp.block(minus, range(comp.source.rank)))
-        if pr > 0 and m in X.diffs:
-            embP = EquivMap(P, M, iso.block(range(M.rank), plus))
-            comp = X.diffs[m].compose(embP)
-            t_comps[m - 1] = EquivMap(P, X.terms[m - 1], comp.entries)
-        t = ChainMap(shifted, x_bot, t_comps)
-        tau = tensor_chain_maps(smap, t)
-        X = cone(tau)
+            up = inv.compose(X.diffs[m + 1])
+            cols = range(up.source.rank)
+            if pr > 0:
+                top_diffs[m + 1] = EquivMap(X.terms[m + 1], P,
+                                            up.block(plus, cols))
+            t_comps[m] = EquivMap(X.terms[m + 1], LN, up.block(minus, cols))
+        if m in X.diffs:
+            bot_diffs[m] = X.diffs[m].compose(
+                EquivMap(LN, M, iso.block(range(M.rank), minus)))
+            if pr > 0:
+                t_comps[m - 1] = X.diffs[m].compose(
+                    EquivMap(P, M, iso.block(range(M.rank), plus)))
+        x_top = Complex(G, ring, top_terms, top_diffs, check=False)
+        x_bot = Complex(G, ring, bot_terms, bot_diffs, check=False)
+        X = tensor_cone(smap, ChainMap(shift_complex(x_top, -1), x_bot,
+                                       t_comps))
         audit.append({"degree": m, "action": "modified",
                       "minus_rank": N.rank, "plus_rank": pr})
     if not X.all_terms_permutation():
@@ -362,11 +355,8 @@ def _build_koszul(G, H, ring):
                 raise KoszulVerificationError(
                     "odd-p tensor induction failed to rebase at degree %d" % n)
             terms[n], isos[n] = rb
-        diffs = {}
-        for n, f in X.diffs.items():
-            comp = map_inverse_monomial(isos[n - 1]).compose(
-                f.compose(isos[n]))
-            diffs[n] = EquivMap(terms[n], terms[n - 1], comp.entries)
+        diffs = {n: map_inverse_monomial(isos[n - 1]).compose(
+                     f.compose(isos[n])) for n, f in X.diffs.items()}
         X = Complex(G, ring, terms, diffs)
         audit["tower"] = [{"from": H.describe(), "to": G.name,
                            "index": H.index, "action": "tensor-induce+rebase"}]
@@ -385,7 +375,7 @@ def _build_koszul(G, H, ring):
                       "ranks": X.rank_vector(),
                       "modification": mod_audit})
     audit["tower"] = steps
-    return transport_complex(X, G), audit
+    return X, audit
 
 
 def base_change_koszul_check(G, H, p):
@@ -395,9 +385,9 @@ def base_change_koszul_check(G, H, p):
     the three structural postconditions, d o d = 0 and the integral
     contraction of the restriction, carried through the ring map and
     re-verified, must survive.  Over Q additionally the whole complex
-    is contractible, since |G| is invertible: the carried contraction
-    is G-averaged and verified.  Nothing is solved again; a carried
-    contraction that fails raises CertificateError.  Returns a report.
+    is contractible, since |G| is invertible: the sum of the G-conjugates
+    of the carried contraction is checked against |G| id.  Nothing is
+    solved again; a certificate that fails raises CertificateError.
     """
     from .rings import ZZ, QQ, GF
     kos = koszul_object(G, H, ZZ)
@@ -407,8 +397,9 @@ def base_change_koszul_check(G, H, p):
                                        contraction=kos.certificate)
     Xq = base_change_complex(kos.complex, QQ)
     rq, cert = verify_koszul(Xq, G, H, QQ, contraction=kos.certificate)
-    raw = {n: f.entries for n, f in cert.h.items()}
-    ContractionCertificate(Xq, _average_homotopy(Xq, raw)).verify()
+    total = _average_homotopy(Xq, {n: f.entries for n, f in cert.h.items()})
+    check_homotopy(Xq, Xq, {n: {(i, i): G.order for i in range(M.rank)}
+                            for n, M in Xq.terms.items()}, total)
     rq["rational_contractible"] = True
     report["rational"] = rq
     return report

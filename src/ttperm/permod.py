@@ -302,7 +302,8 @@ def trivial_module(group, ring):
 
 def perm_module(group, subgroup, ring):
     """R(G/H) with basis the left cosets gH, ordered by smallest member."""
-    assert subgroup.parent is group
+    if subgroup.parent is not group:
+        raise ValueError("the subgroup lies in another group")
     cosets = subgroup.left_cosets()
     index = {}
     for k, c in enumerate(cosets):
@@ -320,7 +321,8 @@ def sign_module(group, subgroup, ring):
     ``subgroup`` must have index 2; this is the inflation of the sign
     representation of the order-2 quotient.
     """
-    assert subgroup.index == 2, "sign module needs an index-2 subgroup"
+    if subgroup.index != 2:
+        raise ValueError("sign module needs an index-2 subgroup")
     inside = set(subgroup.elements)
     action = tuple(((0, 1 if g in inside else -1),) for g in group.elements())
     return SignedPermModule(group, ring, ("sgn",), action)
@@ -357,7 +359,8 @@ class BlockModule:
         offsets = {}
         off = 0
         for key, M in blocks:
-            assert key not in offsets
+            if key in offsets:
+                raise ValueError("block %r appears twice" % (key,))
             offsets[key] = off
             basis.extend((key, l) for l in M.basis)
             for gi, row in enumerate(M.action):
@@ -385,10 +388,13 @@ def dual_module(M):
 def subgroup_as_group(S):
     """A Subgroup as a standalone Group, plus the element embedding.
 
-    Kept on the ambient group (``Group.subgroup_groups``, keyed by the
+    The whole group is its own parent.  Any other subgroup's Group is
+    kept on the ambient group (``Group.subgroup_groups``, keyed by the
     element tuple) so repeated restrictions share one Group object;
     maps between restricted modules require identical group objects.
     """
+    if S.order == S.parent.order:
+        return S.parent, S.elements
     cache = S.parent.subgroup_groups
     if S.elements not in cache:
         elems = S.elements
@@ -409,7 +415,8 @@ def subgroup_meet(S, T):
 
 def restrict(M, S):
     """Res_H(M): same basis, action restricted along subgroup_as_group(S)."""
-    assert S.parent is M.group
+    if S.parent is not M.group:
+        raise ValueError("the subgroup lies in another group")
     H, elems = subgroup_as_group(S)
     action = tuple(M.action[x] for x in elems)
     return SignedPermModule(H, M.ring, M.basis, action)
@@ -445,7 +452,8 @@ class HomOrbits:
     """
 
     def __init__(self, M, N):
-        assert M.group is N.group and M.ring is N.ring
+        if M.group is not N.group or M.ring is not N.ring:
+            raise ValueError("hom between different groups or rings")
         self.source, self.target = M, N
         total = M.rank * N.rank
         self.code = code = array("i", bytes(4 * total))
@@ -533,7 +541,6 @@ def sign_decompose(M, S):
     (Mplus, Mminus, iso), iso the monomial (+-1) isomorphism
     BlockModule(Mplus, L (x) Mminus) -> M.
     """
-    assert S.index == 2
     G, ring = M.group, M.ring
     L = sign_module(G, S, ring)
     plus = HomOrbits(trivial_module(G, ring), M)
@@ -583,13 +590,13 @@ def map_inverse_monomial(f):
     each row."""
     ring = f.ring
     n = f.source.rank
-    assert f.target.rank == n
     rows = _index(f.entries, 0)
-    assert len(rows) == n and all(len(hits) == 1 for hits in rows.values()), \
-        "map is not monomial"
+    if f.target.rank != n or len(rows) != n or any(
+            len(hits) != 1 or not ring.is_unit(hits[0][1])
+            for hits in rows.values()):
+        raise ValueError("map is not monomial with unit entries")
     inv = {}
     for r, [(c, v)] in rows.items():
-        assert ring.is_unit(v)
         inv[(c, r)] = ring.inv(v)
     return EquivMap(f.target, f.source, inv)
 

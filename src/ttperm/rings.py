@@ -201,7 +201,8 @@ def mat_shape(M):
 def mat_mul(ring, A, B):
     n, k = mat_shape(A)
     k2, m = mat_shape(B)
-    assert k == k2, "shape mismatch %s * %s" % (mat_shape(A), mat_shape(B))
+    if k != k2:
+        raise ValueError("shape mismatch %r * %r" % ((n, k), (k2, m)))
     norm = ring.normalize
     out = mat_zero(ring, n, m)
     for i in range(n):

@@ -20,8 +20,7 @@ from ttperm.chain import (Complex, ChainMap, unit_complex, module_complex,
                           dual_complex, cone, identity_chain_map,
                           base_change_complex, restrict_complex,
                           structurally_equal,
-                          complex_to_json, complex_from_json,
-                          tensor_chain_maps)
+                          complex_to_json, complex_from_json, tensor_cone)
 from ttperm.homotopy import homology_profile, underlying_homology
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 
@@ -192,16 +191,19 @@ def test_restrict_and_induce_complex():
     assert R.rank_vector() == X.rank_vector()
 
 
-def test_tensor_chain_maps_identity():
+def test_tensor_cone_of_identities_is_the_cone_of_the_identity():
     G = cyclic(2)
     N = index_p_normal_subgroups(G)[0]
     X = u_complex(G, N, ZZ)
     f = identity_chain_map(X)
-    T = tensor_chain_maps(f, f)
-    TX = tensor_complex(X, X)
-    for n in TX.degrees():
-        assert T.component(n).entries == {
-            (i, i): 1 for i in range(TX.term(n).rank)}
+    C = tensor_cone(f, f)
+    want = cone(identity_chain_map(tensor_complex(X, X)))
+    assert C.degrees() == want.degrees()
+    for n in want.degrees():
+        assert C.term(n).basis == want.term(n).basis
+        assert C.term(n).action == want.term(n).action
+        assert list(C.diff(n).entries.items()) == \
+            list(want.diff(n).entries.items())
 
 
 def test_json_round_trip():
@@ -321,3 +323,56 @@ def test_base_change_from_a_non_integral_ring_raises_under_python_O(
     proc = python_O(_NON_INTEGRAL_BASE_CHANGE)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["base change starts from Z, not Q"]
+
+
+_BROKEN_TENSOR_CONES = """
+import sys
+from ttperm import chain, koszul
+from ttperm.grp import parse_group_name
+from ttperm.permod import CertificateError, EquivMap
+from ttperm.rings import ZZ
+
+assert sys.flags.optimize
+real_cone, real_place = koszul.tensor_cone, chain._place
+
+
+def dropped_tau_sign(f, g):
+    # t with its top component negated: still equivariant, but no longer
+    # a chain map when t has a second component, and only the d o d
+    # check of the cone sees that
+    if len(g.components) > 1:
+        n = max(g.components)
+        c = g.components[n]
+        g.components[n] = EquivMap(c.source, c.target,
+                                   {k: -v for k, v in c.entries.items()})
+    return real_cone(f, g)
+
+
+def dropped_minus(acc, r0, c0, A, sign=1):
+    real_place(acc, r0, c0, A)
+
+
+for name, where, attr, fake in (("tau", koszul, "tensor_cone",
+                                 dropped_tau_sign),
+                                ("dS", chain, "_place", dropped_minus)):
+    real = getattr(where, attr)
+    setattr(where, attr, fake)
+    G = parse_group_name("C2xC2")
+    try:
+        koszul._build_koszul(G, G.trivial_subgroup(), ZZ)
+        sys.exit("a cone with a dropped %s sign was accepted" % name)
+    except CertificateError as exc:
+        print(name, exc)
+    setattr(where, attr, real)
+"""
+
+
+def test_tensor_cone_sign_mutations_fail_the_one_check_under_python_O(
+        python_O):
+    # d^2 of cone(tau : S -> T) has dT tau - tau dS off the diagonal, so
+    # a tau that is not a chain map, or a cone whose -dS lost its minus,
+    # fails the single d o d check of the tower's sign modification
+    proc = python_O(_BROKEN_TENSOR_CONES)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["tau d o d != 0 at degree 4",
+                                        "dS d o d != 0 at degree 4"]

@@ -16,7 +16,7 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, prime_power
 from ttperm.chain import base_change_complex
 from ttperm.homotopy import is_contractible
-from ttperm.permod import CertificateError
+from ttperm.permod import CertificateError, EquivMap
 from ttperm.koszul import (koszul_object, verify_koszul,
                            KoszulVerificationError,
                            base_change_koszul_check, sign_twist_complex)
@@ -333,26 +333,44 @@ def _fraction_check_homotopy(X, Y, f, h):
     return True
 
 
+def _divided(X, total):
+    """The G-average total / |G| of a sum of conjugates, over Q."""
+    return {n: EquivMap(f.source, f.target,
+                        {k: QQ.normalize(Fraction(v, X.group.order))
+                         for k, v in f.entries.items()})
+            for n, f in total.items()}
+
+
 def test_scaled_check_agrees_with_fraction_check(monkeypatch):
-    # every rational certificate of the acceptance inputs, carried and
-    # G-averaged, and the same certificate with one entry of its lowest
-    # component off by 1/|G|: both checks give the same verdict
-    from ttperm import homotopy
+    # every rational certificate of the acceptance inputs (carried, the
+    # sum of its G-conjugates against |G| id, and that sum divided by
+    # |G| against id), and the same certificate with one entry of its
+    # lowest component off by 1/|G|: both checks give the same verdict
+    from ttperm import homotopy, koszul
     real = homotopy.check_homotopy
-    seen = []
+    carried, sums = [], []
 
-    def recording(X, Y, f, h):
-        if X.ring is QQ:
-            seen.append((X, Y, f, h))
-        return real(X, Y, f, h)
+    def recording(seen):
+        def check(X, Y, f, h):
+            if X.ring is QQ:
+                seen.append((X, Y, f, h))
+            return real(X, Y, f, h)
+        return check
 
-    monkeypatch.setattr(homotopy, "check_homotopy", recording)
+    monkeypatch.setattr(homotopy, "check_homotopy", recording(carried))
+    monkeypatch.setattr(koszul, "check_homotopy", recording(sums))
     for G, H in _acceptance_pairs():
         base_change_koszul_check(G, H, prime_power(G.order)[0])
     monkeypatch.undo()
-    assert len(seen) == 22          # carried and averaged, per pair
+    assert len(carried) == len(sums) == 11      # one of each per pair
+    seen = carried + sums
+    for X, Y, f, h in sums:
+        ident = {n: {(i, i): 1 for i in range(M.rank)}
+                 for n, M in X.terms.items()}
+        seen.append((X, Y, ident, _divided(X, h)))
     for X, Y, f, h in seen:
         assert _fraction_check_homotopy(X, Y, f, h)
+        real(X, Y, f, h)
         n = min(h)
         entries = dict(h[n].entries)
         k = min(entries)
@@ -373,16 +391,21 @@ from ttperm import homotopy
 from ttperm.chain import base_change_complex
 from ttperm.grp import cyclic
 from ttperm.koszul import koszul_object
-from ttperm.permod import CertificateError
+from ttperm.permod import CertificateError, EquivMap
 from ttperm.rings import ZZ, QQ
 
 assert sys.flags.optimize
 G = cyclic(3)
 kos = koszul_object(G, G.trivial_subgroup(), ZZ)
 X = base_change_complex(kos.complex, QQ)
-h = homotopy._average_homotopy(X, {n: f.entries
-                                   for n, f in kos.certificate.h.items()})
+total = homotopy._average_homotopy(X, {n: f.entries for n, f
+                                       in kos.certificate.h.items()})
 ident = {n: {(i, i): 1 for i in range(M.rank)} for n, M in X.terms.items()}
+homotopy.check_homotopy(X, X, {n: {(i, i): G.order for i in range(M.rank)}
+                               for n, M in X.terms.items()}, total)
+h = {n: EquivMap(f.source, f.target, {k: QQ.normalize(Fraction(v, G.order))
+                                      for k, v in f.entries.items()})
+     for n, f in total.items()}
 homotopy.check_homotopy(X, X, ident, h)
 D = lcm(*(v.denominator for f in h.values() for v in f.entries.values()))
 print("D", D)
@@ -486,3 +509,21 @@ def test_tensor_and_koszul_construction_checks_survive_python_O(python_O):
         "sign_modify sign modification left a signed term",
         "rebase odd-p tensor induction failed to rebase at degree 0",
     ]
+
+
+def test_the_finished_tower_is_not_transported(monkeypatch):
+    # the top level of a p = 2 tower lives over G itself, so the last
+    # sign modification is the complex, its modules built nowhere else
+    from ttperm import koszul
+    real, last = koszul.sign_modify, []
+
+    def recording(X, S):
+        out = real(X, S)
+        last[:] = [out[0]]
+        return out
+
+    monkeypatch.setattr(koszul, "sign_modify", recording)
+    for gname in ("C4", "C2xC2"):
+        G = parse_group_name(gname)
+        X, _ = koszul._build_koszul(G, G.trivial_subgroup(), ZZ)
+        assert X.group is G and X is last[0]

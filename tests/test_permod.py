@@ -130,6 +130,13 @@ def test_subgroup_as_group_is_kept_on_its_ambient_group():
     assert [r() for r in refs] == [None, None]
 
 
+def test_a_whole_group_is_its_own_subgroup_as_group():
+    G = parse_group_name("C2xC2")
+    whole = [S for S in subgroups(G) if S.order == G.order][0]
+    assert subgroup_as_group(whole) == (G, tuple(range(G.order)))
+    assert not G.subgroup_groups
+
+
 def test_frobenius_reciprocity_dimension():
     # dim Hom_G(ind M, N) = dim Hom_H(M, res N), for M the trivial
     # module of H, whose induction is the permutation module R[G/H]
@@ -547,6 +554,64 @@ def test_mismatched_maps_raise_under_python_O(python_O):
         "ring source and target have different rings",
         "compose the target of the first map is not the source of the second",
         "compose-ring source and target have different rings",
+    ]
+
+
+_STRUCTURAL_MISUSE = """
+import sys
+from ttperm.cli import _point_from_id
+from ttperm.grp import cyclic
+from ttperm.permod import (BlockModule, EquivMap, HomOrbits, perm_module,
+                           sign_module, restrict, sign_decompose,
+                           map_inverse_monomial, trivial_module)
+from ttperm.rings import ZZ, QQ, mat_mul
+
+assert sys.flags.optimize
+C2, C4 = cyclic(2), cyclic(4)
+one = C4.trivial_subgroup()
+R = trivial_module(C2, ZZ)
+R2 = BlockModule(C2, ZZ, [("a", R), ("b", R)]).module
+bad = {
+    "perm_module": lambda: perm_module(C2, one, ZZ),
+    "sign_module": lambda: sign_module(C4, one, ZZ),
+    "BlockModule": lambda: BlockModule(C2, ZZ, [("a", R), ("a", R)]),
+    "restrict": lambda: restrict(R, one),
+    "HomOrbits": lambda: HomOrbits(R, trivial_module(C2, QQ)),
+    "sign_decompose": lambda: sign_decompose(trivial_module(C4, ZZ), one),
+    "square": lambda: map_inverse_monomial(
+        EquivMap(R2, R, {(0, 0): 1, (0, 1): 1})),
+    "monomial": lambda: map_inverse_monomial(
+        EquivMap(R2, R2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})),
+    "unit": lambda: map_inverse_monomial(EquivMap(R, R, {(0, 0): 2})),
+    "point": lambda: _point_from_id("Q(1)"),
+    "mat_mul": lambda: mat_mul(ZZ, [[1, 2]], [[1, 2]]),
+}
+for name, build in bad.items():
+    try:
+        build()
+        sys.exit("%s accepted a caller's bug" % name)
+    except ValueError as exc:
+        print(name, exc)
+"""
+
+
+def test_structural_misuse_raises_under_python_O(python_O):
+    # a caller's bug in permod, rings or cli is a ValueError (exit 1
+    # with a traceback), never an assert that -O strips
+    proc = python_O(_STRUCTURAL_MISUSE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "perm_module the subgroup lies in another group",
+        "sign_module sign module needs an index-2 subgroup",
+        "BlockModule block 'a' appears twice",
+        "restrict the subgroup lies in another group",
+        "HomOrbits hom between different groups or rings",
+        "sign_decompose sign module needs an index-2 subgroup",
+        "square map is not monomial with unit entries",
+        "monomial map is not monomial with unit entries",
+        "unit map is not monomial with unit entries",
+        "point unknown point id 'Q(1)'",
+        "mat_mul shape mismatch (1, 2) * (1, 2)",
     ]
 
 

@@ -1,7 +1,7 @@
 """The tensor layout (``chain.tensor_index``) and its readers.
 
 Every tensor product of the package reads one basis index and one
-Leibniz differential: ``tensor_complex``, ``tensor_chain_maps``,
+Leibniz differential: ``tensor_complex``, ``tensor_cone``,
 ``koszul.tensor_induce`` and ``twisted.class_product``.  The references
 here compute the same objects independently, from block offsets and
 strides: the Kronecker placement of dX (x) id and (-1)^i id (x) dY, the
@@ -18,10 +18,11 @@ import pytest
 from ttperm import koszul, twisted
 from ttperm.grp import cyclic, parse_group_name
 from ttperm.rings import ZZ, QQ, GF
-from ttperm.permod import (SignedPermModule, BlockModule, tensor_module,
-                           subgroup_as_group, _index)
-from ttperm.chain import (tensor_index, tensor_complex, dual_complex,
-                          transport_complex)
+from ttperm.permod import (SignedPermModule, EquivMap, BlockModule,
+                           tensor_module, subgroup_as_group, _index)
+from ttperm.chain import (Complex, ChainMap, tensor_index,
+                          tensor_differentials, tensor_complex, cone,
+                          dual_complex, transport_complex)
 from ttperm.cli import resolve_subgroup
 from ttperm.twisted import (Twist, u_complex, canonical_u_power,
                             index_p_normal_subgroups, generator_maps,
@@ -224,50 +225,140 @@ def _same(Y, ref):
         assert Y.diff(n).entries == _entries(Y.ring, acc or {}), n
 
 
+def _checked_tensor_chain_map(f, g):
+    """f (x) g : X (x) X' -> Y (x) Y' as a ChainMap between checked
+    tensor complexes, one tensor_module per block: the construction
+    whose cone ``chain.tensor_cone`` writes in one pass."""
+    def tensor(X, Y, index):
+        pieces = {}
+        for i, Mi in sorted(X.terms.items()):
+            for j, Nj in sorted(Y.terms.items()):
+                pieces.setdefault(i + j, []).append(
+                    ((i, j), tensor_module(Mi, Nj)))
+        terms = {n: BlockModule(X.group, X.ring, bl).module
+                 for n, bl in pieces.items()}
+        diffs = {n: EquivMap(terms[n], terms[n - 1], acc)
+                 for n, acc in tensor_differentials((X, Y), index).items()}
+        return Complex(X.group, X.ring, terms, diffs)
+
+    SI = tensor_index((f.source, g.source))
+    TI = tensor_index((f.target, g.target))
+    S, T = tensor(f.source, g.source, SI), tensor(f.target, g.target, TI)
+    fcols = {i: _index(c.entries, 1) for i, c in f.components.items()}
+    gcols = {j: _index(c.entries, 1) for j, c in g.components.items()}
+    comps = {}
+    for n in [n for n in S.terms if n in T.terms]:
+        acc = {}
+        for ((i, j), (a, b)), c in SI[n].items():
+            for a2, v in fcols.get(i, {}).get(a, ()):
+                for b2, w in gcols.get(j, {}).get(b, ()):
+                    acc[(TI[n][((i, j), (a2, b2))], c)] = v * w
+        comps[n] = EquivMap(S.terms[n], T.terms[n], acc)
+    return ChainMap(S, T, comps)
+
+
+def _split_cone(C):
+    """(T, S, tau) for C = cone(tau : S -> T), read off the ("cY",) and
+    ("cX",) blocks of C: T and S as unchecked complexes and tau as
+    {n: entries of tau_n}."""
+    pos = {n: {} for n in C.terms}
+    for n, M in C.terms.items():
+        for p, (key, _) in enumerate(M.basis):
+            back = pos[n].setdefault(key, {})
+            back[p] = len(back)
+
+    def module(n, key):
+        M, back = C.terms[n], pos[n][key]
+        return SignedPermModule(C.group, C.ring,
+                                [M.basis[p][1] for p in back],
+                                [[(back[row[p][0]], row[p][1]) for p in back]
+                                 for row in M.action])
+
+    def block(n, rkey, ckey, sign=1):
+        rows, cols = pos.get(n - 1, {}).get(rkey, {}), pos[n].get(ckey, {})
+        return _entries(C.ring, {(rows[r], cols[c]): sign * v
+                                 for (r, c), v in C.diff(n).entries.items()
+                                 if r in rows and c in cols})
+
+    T = {n: module(n, ("cY",)) for n in C.terms if ("cY",) in pos[n]}
+    S = {n - 1: module(n, ("cX",)) for n in C.terms if ("cX",) in pos[n]}
+    dT = {n: EquivMap(T[n], T[n - 1], block(n, ("cY",), ("cY",)))
+          for n in T if n - 1 in T}
+    dS = {n: EquivMap(S[n], S[n - 1], block(n + 1, ("cX",), ("cX",), -1))
+          for n in S if n - 1 in S}
+    tau = {n: block(n + 1, ("cY",), ("cX",)) for n in S if n in T}
+    return (Complex(C.group, C.ring, T, dT, check=False),
+            Complex(C.group, C.ring, S, dS, check=False), tau)
+
+
 # ---------------------------------------------------------------------------
-# the Koszul towers: every tensor induction and every tensor of chain maps
+# the Koszul towers: every tensor induction and every cone of a tensor of
+# chain maps
 
 TOWERS = [("C4", "1", "Z"), ("C2xC2", "1", "Z"), ("C8", "C2", "Z"),
           ("D8", "C2#0", "Z"), ("C9", "C3", "Z"), ("C27", "C9", "Z"),
           ("C3xC3", "C3#0", "Z"), ("C16", "C2", "F2")]
+TOWER_IDS = ["-".join(t) for t in TOWERS]
 
 
-@pytest.mark.parametrize("gname,hname,rname", TOWERS,
-                         ids=["-".join(t) for t in TOWERS])
-def test_koszul_tower_products_match_the_offset_references(
-        monkeypatch, gname, hname, rname):
-    induced, tensored = [], []
-    real_induce, real_tensor = koszul.tensor_induce, koszul.tensor_chain_maps
+def _tower_calls(monkeypatch, gname, hname, rname):
+    """Build the tower of kos(G, H) over the ring, recording every
+    tensor induction (X, S, result) and tensor cone (f, g, result)."""
+    induced, coned = [], []
+    real_induce, real_cone = koszul.tensor_induce, koszul.tensor_cone
 
     def induce(X, S):
         out = real_induce(X, S)
         induced.append((X, S, out))
         return out
 
-    def tensor(f, g):
-        out = real_tensor(f, g)
-        tensored.append((f, g, out))
+    def tensor_cone(f, g):
+        out = real_cone(f, g)
+        coned.append((f, g, out))
         return out
 
     monkeypatch.setattr(koszul, "tensor_induce", induce)
-    monkeypatch.setattr(koszul, "tensor_chain_maps", tensor)
+    monkeypatch.setattr(koszul, "tensor_cone", tensor_cone)
     G = parse_group_name(gname)
     H = resolve_subgroup(G, hname)[0]
     ring = {"Z": ZZ, "F2": GF(2)}[rname]
     koszul._build_koszul(G, H, ring)
+    return G, ring, induced, coned
+
+
+@pytest.mark.parametrize("gname,hname,rname", TOWERS, ids=TOWER_IDS)
+def test_koszul_tower_products_match_the_offset_references(
+        monkeypatch, gname, hname, rname):
+    G, ring, induced, coned = _tower_calls(monkeypatch, gname, hname, rname)
     assert induced
     for X, S, Y in induced:
         _same(Y, _ref_tensor_induce(X, S))
-    for f, g, fg in tensored:
-        S, T = fg.source, fg.target
+    for f, g, C in coned:
+        T, S, tau = _split_cone(C)
         _same(S, _ref_tensor_complex(f.source, g.source))
         _same(T, _ref_tensor_complex(f.target, g.target))
         want = _ref_tensor_chain_maps(f, g, set(S.terms) & set(T.terms))
+        assert set(tau) == set(want)
         for n, acc in want.items():
-            assert fg.component(n).entries == _entries(ring, acc), n
+            assert tau[n] == _entries(ring, acc), n
     # over Z the p = 2 towers modify signs through tensors of chain maps
     if ring is ZZ:
-        assert bool(tensored) == (G.order % 2 == 0)
+        assert bool(coned) == (G.order % 2 == 0)
+
+
+@pytest.mark.parametrize("gname,hname,rname", TOWERS, ids=TOWER_IDS)
+def test_tensor_cone_is_the_cone_of_the_checked_tensor_chain_map(
+        monkeypatch, gname, hname, rname):
+    _, _, _, coned = _tower_calls(monkeypatch, gname, hname, rname)
+    for f, g, C in coned:
+        want = cone(_checked_tensor_chain_map(f, g))
+        assert C.degrees() == want.degrees()
+        for n in want.degrees():
+            assert C.term(n).basis == want.term(n).basis, n
+            assert C.term(n).action == want.term(n).action, n
+            # the same entries, inserted in the same order
+            assert list(C.diff(n).entries.items()) == \
+                list(want.diff(n).entries.items()), n
 
 
 # ---------------------------------------------------------------------------
