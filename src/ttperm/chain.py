@@ -49,18 +49,24 @@ class Complex:
             if not (_same_basis(f.source, self.terms[n]) and
                     _same_basis(f.target, self.terms[n - 1])):
                 raise ValueError("d_%d is not X_%d -> X_%d" % (n, n, n - 1))
+        # a complex is never changed after construction, so a passed
+        # d o d check and its hom groups (shift -> HomGroup, filled by
+        # homotopy.hom_group) stay valid
+        self.squares_to_zero = False
         if check:
             self.check_square_zero()
-        # shift -> HomGroup, filled by homotopy.hom_group; a complex is
-        # never changed after construction, so its hom groups stay valid
         self.hom_groups = {}
 
     def check_square_zero(self):
         """d_n o d_{n+1} = 0 in every degree, compared as sparse
-        products; raises CertificateError otherwise."""
+        products; raises CertificateError otherwise.  Runs once: a
+        passed check is kept."""
+        if self.squares_to_zero:
+            return
         for n, d in sorted(self.diffs.items()):
             if (n + 1) in self.diffs and _composite(d, self.diffs[n + 1]):
                 raise CertificateError("d o d != 0 at degree %d" % n)
+        self.squares_to_zero = True
 
     def degrees(self):
         return sorted(self.terms)

@@ -54,7 +54,8 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
   X_n)``; and each contraction step (``_contract_equivariant``), which
   builds no pair table, on ``HomOrbits(L, Res_K X_n)`` for each
   stabilizer K and sign L of a source orbit.  Maps are built only from
-  solutions.
+  solutions; a contraction step keeps only the rows that the step below
+  left free, which suffices when its P[F, F] = I.
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -352,7 +353,7 @@ def _diagonalize(ring, rows, ncols, rhs=None):
     return pivots, P, free_cols, rhs
 
 
-def solve_sparse(ring, rows, ncols, rhs):
+def solve_sparse(ring, rows, ncols, rhs, return_free=False):
     """Solve A x = b for every right-hand side b in ``rhs``.
 
     ``rows`` is a list of {col: value} dictionaries; ``rhs`` holds the
@@ -361,12 +362,31 @@ def solve_sparse(ring, rows, ncols, rhs):
     (a key whose solution is zero is absent), or None if any right side
     is infeasible (over Z this includes divisibility failures, which
     certify integral insolvability).
+
+    With ``return_free``, returns (solutions, F): F the columns never
+    pivoted on, ascending, if the column operations P (ker A = span
+    P[:, F]) have P[F, F] = I, so that a kernel vector vanishing on F
+    is 0; else None.  A field always has P[F, F] = I; over Z a pivot
+    moved to a remainder's column can break it.
     """
     work = [dict(r) for r in rows]
     b = [{} for _ in rows]
     for r, vals in rhs.items():
         b[r] = _normalized(ring, vals)
-    pivots, P, _, b = _diagonalize(ring, work, ncols, b)
+    pivots, P, free_cols, b = _diagonalize(ring, work, ncols, b)
+    out = _pull_back(ring, pivots, P, b)
+    if not return_free:
+        return out
+    F = set(free_cols)
+    if any({i: v for i, v in P[c].items() if i in F} != {c: ring.one}
+           for c in free_cols):
+        free_cols = None
+    return out, free_cols
+
+
+def _pull_back(ring, pivots, P, b):
+    """``solve_sparse``'s solutions x = P y, or None, from a
+    diagonalization with reduced right sides b."""
     pivot_rows = set()
     ys = {}
     for (r, c, v) in pivots:
@@ -1225,14 +1245,25 @@ def _contract_equivariant(X):
     (K, chi)-orbit sums of X_{n+1}, equations at the roots of those of
     X_n (``_fixed_orbits``), one right side b_j per orbit.
 
+    Step n keeps only the rows F that step n-1 of its class left free
+    (row e and step n-1's column e are both orbit e of X_n's table).
+    The residual d_{n+1} x - b_j is a (K, chi)-invariant cycle, as b_j
+    is, so it lies in step n-1's kernel, span P[:, F]; with P[F, F] = I
+    one that vanishes on F is 0, and the rows F, rank d_{n+1} of them
+    when X is contractible, solve the step.  A field always has P[F, F]
+    = I; over Z, when a remainder's column breaks it, the next step
+    keeps every row, as a class with no step n-1 does.
+
     The sweep is complete: if a contraction h* exists, h*_n b solves
     step n (b lands in cycles, and d splits off cycles when the complex
-    is contractible), and a successful sweep is itself a contraction,
-    the top identity holding by injectivity of the top differential.
+    is contractible), the kept rows being a subset of the full system;
+    and a successful sweep is itself a contraction, the top identity
+    holding by injectivity of the top differential.
     """
     ring = X.ring
     h = {}
     fixed = {}
+    kept_rows = {}
 
     def orbits(n, cls):
         if (n, cls) not in fixed:
@@ -1253,9 +1284,11 @@ def _contract_equivariant(X):
             sys = _System(ring)
             sys.add_block(0, unknowns)
             sys.add_rows(eqs, [(0, d, True)])
+            kept = kept_rows.get((n, cls), range(len(eqs)))
+            rows = [sys.rows[e] for e in kept]
             # b_j is (K, chi)-invariant: its root entries are its
             # coordinates
-            row_of = {r: e for e, r in enumerate(eqs.roots)}
+            row_of = {eqs.roots[e]: i for i, e in enumerate(kept)}
             rhs = {}
             for j, _ in reps:
                 b = {j: ring.one}          # e_j - h_{n-1} d_n e_j
@@ -1265,9 +1298,12 @@ def _contract_equivariant(X):
                 for r, v in _normalized(ring, b).items():
                     if r in row_of:
                         rhs.setdefault(row_of[r], {})[j] = v
-            sols = solve_sparse(ring, sys.rows, sys.ncols, rhs)
+            sols, free = solve_sparse(ring, rows, sys.ncols, rhs,
+                                      return_free=True)
             if sols is None:
                 return None
+            if free is not None:
+                kept_rows[n + 1, cls] = free
             for j, spread in reps:
                 x = [(y, c if w == 1 else -c)
                      for k, c in sols.get(j, {}).items()
@@ -1290,8 +1326,10 @@ def is_contractible(X):
     exists over the coefficient ring; the certificate stores h and can
     be re-verified.  Every ring takes one path, the greedy sweep of
     ``_contract_equivariant``, one solve per stabilizer class and
-    degree.  Failure first looks for nonzero homology of the underlying
-    complex, then reports the equivariant system as infeasible.
+    degree, on the rows that the step below leaves free when its P[F, F]
+    = I, feasible exactly when all rows are.  Failure first looks for
+    nonzero homology of the underlying complex, then reports the
+    equivariant system as infeasible.
     """
     if X.is_zero():
         return True, ContractionCertificate(X, {})

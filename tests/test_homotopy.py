@@ -29,7 +29,7 @@ from ttperm.homotopy import (smith_normal_form, matrix_inverse,
                              find_homotopy_equivalence, Equivalence,
                              NotEquivalent, ContractionCertificate,
                              NonContractibleWitness, SolverCapExceeded,
-                             _diagonalize)
+                             _diagonalize, _column_rows)
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 from ttperm.koszul import koszul_object
 
@@ -114,6 +114,25 @@ def test_solve_sparse_keeps_right_sides_sparse():
     assert sols == {"a": {0: 1}, "b": {1: 2}}
     assert solve_sparse(ZZ, rows, 2, {2: {"a": 1}}) is None
     assert solve_sparse(GF(3), rows, 2, {}) == {}
+
+
+@settings(max_examples=80)
+@given(matrices(3, 4))
+def test_reported_free_columns_are_injective_on_the_kernel(A):
+    # a kernel vector that vanishes on the reported free columns F is 0:
+    # restricted to F the kernel basis keeps its rank.  A field always
+    # reports F; over Z a pivot moved to a remainder's column may not
+    for ring in (ZZ, GF(5)):
+        rows = sparse_rows([[ring.normalize(v) for v in row] for row in A])
+        sols, free = solve_sparse(ring, rows, 4, {}, return_free=True)
+        assert sols == {}
+        assert free is not None or ring is ZZ
+        if free is not None:
+            ker = kernel_sparse(ring, rows, 4)
+            on_free = [{i: v for i, v in x.items() if i in free}
+                       for x in ker]
+            assert len(free) == len(ker) == rank_sparse(
+                ring, _column_rows(on_free, 4), len(ker))
 
 
 def test_rank_sparse():
@@ -1212,10 +1231,10 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
     def spy(owner, name, check):
         real = getattr(owner, name)
 
-        def wrapper(*args):
-            result = real(*args)
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
             seen[name] = seen.get(name, 0) + 1
-            check(args, result)
+            check(args, result, **kwargs)
             return result
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -1232,7 +1251,10 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
         if sol is not None:
             blocks(args[0].ring, sol)
 
-    def solutions(args, sols):
+    def solutions(args, sols, return_free=False):
+        if return_free:
+            sols, free = sols
+            assert free is None or free == sorted(set(free))
         for x in (sols or {}).values():
             _check_vector(args[0], x)
 
@@ -1304,27 +1326,53 @@ def _orbit_pair_contraction(X):
     return h
 
 
-def _contract_raw(X):
+def _contract_raw(X, square=True):
     """The non-equivariant sweep: d_{n+1} h_n = id - h_{n-1} d_n by one
-    elimination of d_{n+1} carrying every right-hand column.  {n:
-    entries} or None."""
+    elimination of d_{n+1} carrying every right-hand column.  With
+    ``square`` each step keeps only the rows that the step below left
+    free when it reports them, as the class sweep does; otherwise every
+    row.  {n: entries} or None."""
     ring = X.ring
     h = {}
+    kept_rows = {}
     for n in sorted(X.terms):
         rhs = _contraction_rhs(X, n, h.get(n - 1))
-        if (n + 1) not in X.terms:
-            if rhs:
-                return None
-            continue
+        kept = kept_rows.get(n, range(X.terms[n].rank))
+        position = {e: i for i, e in enumerate(kept)}
         by_rows = {}
         for (r, c), v in rhs.items():
-            by_rows.setdefault(r, {})[c] = v
+            if r in position:
+                by_rows.setdefault(position[r], {})[c] = v
+        if (n + 1) not in X.terms:
+            if by_rows:
+                return None
+            continue
         d = X.diff(n + 1)
-        sols = solve_sparse(ring, d.rows(), d.source.rank, by_rows)
+        rows = d.rows()
+        sols, free = solve_sparse(ring, [rows[e] for e in kept],
+                                  d.source.rank, by_rows, return_free=True)
         if sols is None:
             return None
+        if square and free is not None:
+            kept_rows[n + 1] = free
         h[n] = {(r, c): v for c, x in sols.items() for r, v in x.items()}
     return h
+
+
+def _contract_full_rows(X):
+    """The class sweep on every equation row of every step, as it ran
+    before steps kept only the rows their cycles need:
+    ``_contract_equivariant`` with ``solve_sparse`` reporting no free
+    columns.  {n: EquivMap} or None."""
+    from ttperm import homotopy
+    real = homotopy.solve_sparse
+
+    def no_free(*args, **kwargs):
+        return real(*args, **kwargs)[0], None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "solve_sparse", no_free)
+        return homotopy._contract_equivariant(X)
 
 
 def _contracted_by(argv, monkeypatch, capsys):
@@ -1359,6 +1407,7 @@ def _same_feasibility(complexes):
     for X in complexes:
         h = _contract_equivariant(X)
         assert (h is None) == (_orbit_pair_contraction(X) is None)
+        assert (h is None) == (_contract_full_rows(X) is None)
         if h is not None:
             check_homotopy(X, X, _identity(X), h)
         outcomes.append(h is not None)
@@ -1439,12 +1488,98 @@ def test_class_sweep_is_the_raw_sweep_over_the_trivial_group(
     for X in complexes:
         assert X.group.order == 1
         h, raw = _contract_equivariant(X), _contract_raw(X)
-        assert (h is None) == (raw is None)
+        # and on every row, as the sweeps ran before they kept fewer
+        full, raw_full = _contract_full_rows(X), _contract_raw(X, False)
+        assert (h is None) == (raw is None) == (full is None) == \
+            (raw_full is None)
         if h is not None:
             contracted += 1
-            assert {n: f.entries for n, f in h.items()} == \
-                {n: e for n, e in raw.items() if e}
+            for sweep, ref in [(h, raw), (full, raw_full)]:
+                assert {n: f.entries for n, f in sweep.items()} == \
+                    {n: e for n, e in ref.items() if e}
     assert 0 < contracted < len(complexes)
+
+
+@pytest.mark.parametrize("ring", ["Z", "F3", "Q"])
+def test_class_sweep_systems_are_square_on_a_koszul_restriction(
+        ring, monkeypatch, capsys):
+    # Res_1 kos(C2xC2, 1) is contractible: each step keeps the rows of
+    # the cycles of its degree, rank d_{n+1} of them, and pivots on all,
+    # so the rows add up to half the total rank (623 of 1,246)
+    from ttperm import homotopy
+    argv = ["kos", "--group", "C2xC2", "--subgroup", "1", "--ring", ring]
+    [X] = _contracted_by(argv, monkeypatch, capsys)
+    shapes = []
+    real = homotopy._diagonalize
+
+    def recording(ring, rows, ncols, rhs=None):
+        out = real(ring, rows, ncols, rhs)
+        shapes.append((len(rows), len(out[0])))
+        return out
+
+    monkeypatch.setattr(homotopy, "_diagonalize", recording)
+    h = homotopy._contract_equivariant(X)
+    monkeypatch.undo()
+    assert h is not None and _contract_full_rows(X) is not None
+    assert all(rows == pivots for rows, pivots in shapes)
+    assert 2 * sum(rows for rows, _ in shapes) == X.total_rank() == 1246
+
+
+def test_contraction_keeps_every_row_after_a_column_switch(monkeypatch):
+    # Z --[3, -2]^T--> Z^2 --[2 3]--> Z over Z has no unit entry: [2 3]
+    # pivots on 2, moves to the remainder 1 in column 1 and leaves
+    # column 0 free with P[F, F] = [[3]], so degree 1 keeps both rows
+    from ttperm import homotopy
+    G = cyclic(1)
+    R = trivial_module(G, ZZ)
+    R2 = BlockModule(G, ZZ, [("a", R), ("b", R)]).module
+    X = Complex(G, ZZ, {2: R, 1: R2, 0: R},
+                {2: EquivMap(R, R2, {(0, 0): 3, (1, 0): -2}),
+                 1: EquivMap(R2, R, {(0, 0): 2, (0, 1): 3})})
+    systems = []
+    real = homotopy.solve_sparse
+
+    def recording(ring, rows, ncols, rhs, **kwargs):
+        out = real(ring, rows, ncols, rhs, **kwargs)
+        systems.append((len(rows), out[1]))
+        return out
+
+    monkeypatch.setattr(homotopy, "solve_sparse", recording)
+    ok, cert = is_contractible(X)
+    assert ok
+    assert systems == [(1, None), (2, []), (0, [])]
+    check_homotopy(X, X, _identity(X), cert.h)
+
+
+_ROWS_NOT_INJECTIVE_ON_CYCLES = """
+import sys
+from ttperm import homotopy
+from ttperm.cli import run
+
+assert sys.flags.optimize
+real = homotopy.solve_sparse
+
+def dropping(*args, **kwargs):
+    # the next step loses the row of the last free column, so a
+    # residual cycle can be nonzero there
+    out = real(*args, **kwargs)
+    if kwargs.get("return_free") and out[1]:
+        return out[0], out[1][:-1]
+    return out
+
+homotopy.solve_sparse = dropping
+sys.exit(run(["kos", "--group", "C2xC2", "--subgroup", "1"]))
+"""
+
+
+def test_rows_not_injective_on_cycles_fail_verify_under_python_O(
+        python_O):
+    import json
+    proc = python_O(_ROWS_NOT_INJECTIVE_ON_CYCLES)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "CertificateError",
+        "message": "homotopy identity fails at degree 1"}
 
 
 _MISSIGNED_SPREAD = """

@@ -183,9 +183,9 @@ def test_kos_verify_solves_nothing_over_fields(monkeypatch, capsys):
     real_solve = homotopy.solve_sparse
     real_profile = homotopy.homology_profile
 
-    def solving(ring, rows, ncols, rhs):
+    def solving(ring, rows, ncols, rhs, **kwargs):
         rings.append(ring.name)
-        return real_solve(ring, rows, ncols, rhs)
+        return real_solve(ring, rows, ncols, rhs, **kwargs)
 
     def profiling(X):
         profiles.append(X.ring.name)
@@ -247,6 +247,27 @@ def test_verify_koszul_rejects_unchecked_complex_with_nonzero_d_squared():
     assert is_contractible(restrict_complex(X, H))[0]
     with pytest.raises(CertificateError, match="d o d != 0 at degree 1"):
         verify_koszul(X, G, H, ZZ)
+
+
+def test_verify_koszul_squares_a_checked_tower_once(monkeypatch):
+    # the last cone of the tower checked d o d when it was built, and
+    # the complex keeps that check: verify_koszul forms no product again
+    from ttperm import chain
+    from ttperm.koszul import _build_koszul
+    G = cyclic(4)
+    H = G.trivial_subgroup()
+    X, _ = _build_koszul(G, H, ZZ)
+    assert X.squares_to_zero
+    products = []
+    real = chain._composite
+
+    def counting(f, g):
+        products.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(chain, "_composite", counting)
+    verify_koszul(X, G, H, ZZ)
+    assert products == []
 
 
 _BROKEN_BASE_CHANGE = """
