@@ -21,19 +21,24 @@ class Group:
     def __init__(self, table, name, element_names=None):
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
-        assert n >= 1
+        if n < 1:
+            raise ValueError("a group table needs at least one element")
         for row in table:
-            assert len(row) == n, "multiplication table must be square"
-            assert all(0 <= x < n for x in row)
+            if len(row) != n:
+                raise ValueError("multiplication table must be square")
+            if not all(0 <= x < n for x in row):
+                raise ValueError("table entries must lie in 0..%d" % (n - 1))
         # locate the identity, then check group axioms outright
         identity = None
         for e in range(n):
             if all(table[e][x] == x and table[x][e] == x for x in range(n)):
                 identity = e
                 break
-        assert identity is not None, "table has no identity element"
+        if identity is None:
+            raise ValueError("table has no identity element")
         for a in range(n):
-            assert identity in table[a], "element %d has no inverse" % a
+            if identity not in table[a]:
+                raise ValueError("element %d has no inverse" % a)
         self.table = table
         self.order = n
         self.identity = identity
@@ -47,8 +52,8 @@ class Group:
             ts = table[s]
             for x in range(n):
                 tx = table[x]
-                assert table[tx[s]] == tuple(tx[y] for y in ts), \
-                    "table is not associative"
+                if table[tx[s]] != tuple(tx[y] for y in ts):
+                    raise ValueError("table is not associative")
         self.name = name
         self.element_names = tuple(element_names) if element_names \
             else tuple(str(i) for i in range(n))
@@ -147,11 +152,14 @@ class Subgroup:
         self.parent = parent
         self.elements = tuple(sorted(set(int(x) for x in elements)))
         members = frozenset(self.elements)
-        assert parent.identity in members
+        if parent.identity not in members:
+            raise ValueError("a subgroup must contain the identity")
         for a in self.elements:
-            assert parent.inv(a) in members
+            if parent.inv(a) not in members:
+                raise ValueError("not closed under inverses")
             for b in self.elements:
-                assert parent.mul(a, b) in members, "not closed"
+                if parent.mul(a, b) not in members:
+                    raise ValueError("not closed")
         self.members = members
         self.mask = sum(1 << x for x in self.elements)
 
@@ -174,7 +182,8 @@ class Subgroup:
         return hash((id(self.parent), self.elements))
 
     def __le__(self, other):
-        assert other.parent is self.parent
+        if other.parent is not self.parent:
+            raise ValueError("subgroups of different groups")
         return self.mask & ~other.mask == 0
 
     def __lt__(self, other):
@@ -225,7 +234,8 @@ class Subgroup:
 # constructors
 
 def cyclic(n, name=None):
-    assert n >= 1
+    if n < 1:
+        raise ValueError("a cyclic group needs order >= 1, got %d" % n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = ["e"] + ["g%s" % ("" if i == 1 else "^%d" % i) for i in range(1, n)]
     return Group(table, name or "C%d" % n, names)
@@ -233,7 +243,8 @@ def cyclic(n, name=None):
 
 def direct_product(*factors):
     """Direct product; elements are tuples ordered lexicographically."""
-    assert factors
+    if not factors:
+        raise ValueError("a direct product needs a factor")
     if len(factors) == 1:
         return factors[0]
     orders = [G.order for G in factors]
@@ -248,7 +259,9 @@ def direct_product(*factors):
 
 def dihedral(order, name=None):
     """Dihedral group of the given (even) order 2n, n >= 1."""
-    assert order % 2 == 0 and order >= 2
+    if order % 2 or order < 2:
+        raise ValueError("a dihedral group needs an even order >= 2, got %d"
+                         % order)
     n = order // 2
     # elements: (i, 0) = r^i and (i, 1) = r^i s, with s r s = r^{-1}
     elems = [(i, f) for f in (0, 1) for i in range(n)]
@@ -351,8 +364,9 @@ def subgroups(G):
     fresh list of the same Subgroup objects.
     """
     if G._subgroups is None:
-        assert G.order <= MAX_ORDER, \
-            "subgroup enumeration is desk scale (order <= %d)" % MAX_ORDER
+        if G.order > MAX_ORDER:
+            raise ValueError("subgroup enumeration is desk scale "
+                             "(order <= %d)" % MAX_ORDER)
         triv = (G.identity,)
         seen = {triv}
         frontier = [triv]
@@ -402,7 +416,8 @@ class SectionObject:
     """A pair K <= H with K normal in H and H/K elementary abelian."""
 
     def __init__(self, H, K):
-        assert K.parent is H.parent and K <= H
+        if K.parent is not H.parent or not K <= H:
+            raise ValueError("not a section: K must lie in H")
         self.H = H
         self.K = K
 
@@ -430,8 +445,8 @@ class SectionMorphism:
     """
 
     def __init__(self, source, target, g, Hg, Kg):
-        assert target.K <= Kg and Kg <= Hg and Hg <= target.H, \
-            "not a section morphism"
+        if not (target.K <= Kg and Kg <= Hg and Hg <= target.H):
+            raise ValueError("not a section morphism")
         self.source = source
         self.target = target
         self.g = g
@@ -471,8 +486,8 @@ def sections_category(G, p):
     when the element bitmasks give K' <= K^g and H^g <= H'.
     """
     order = G.order
-    assert set(factorize(order)) <= {p}, \
-        "sections_category expects a p-group"
+    if not set(factorize(order)) <= {p}:
+        raise ValueError("sections_category expects a p-group")
     subs = subgroups(G)
     conj = conjugation_table(G)
     pairs = []

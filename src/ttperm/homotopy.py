@@ -5,22 +5,23 @@ Maps are ``permod.EquivMap`` entries dicts {(row, col): value} and
 vectors the dicts {index: value} of their nonzero coordinates (see
 ``permod``); the elimination reads a map as row dicts {col: value}
 through ``EquivMap.rows``, columns ascending within each row
-(``sparse_rows`` gives small dense matrices the same order, and
-``_by_rows`` a list of column vectors).  Pivot ties are broken in that
-order, so it decides which certificate a solve returns; the pivot rule
-itself is stated on ``_diagonalize``.  Kernel vectors and the block
-coefficient vectors of ``_System`` list their indices in ascending
-order, and a coefficient vector never holds a zero, so a map combined
-from one (``HomOrbits.map``) has its entries in a fixed order.
+(``_column_rows`` gives a list of column vectors the same order).
+Pivot ties are broken in that order, so it decides which certificate a
+solve returns; the pivot rule itself is stated on ``_diagonalize``.
+Kernel vectors and the block coefficient vectors of ``_System`` list
+their indices in ascending order, and a coefficient vector never holds
+a zero, so a map combined from one (``HomOrbits.map``) has its entries
+in a fixed order.
 
-* ``smith_normal_form`` returns (U, D, V) with A = U . D . V, U and V
-  invertible over the ring, D diagonal with a divisibility chain; the
-  factorization is re-multiplied and checked before returning (a
-  failure raises ``CertificateError``, also under ``python -O``).  It
-  serves generator tracking only, on the small relation matrix of an
-  ``FgModule``, and is the one dense computation left; whether classes
-  generate a group (``twisted._generates``) is read off ``_diagonalize``
-  instead;
+* ``smith_normal_form`` splits the cokernel of a sparse matrix, the
+  relations of an ``FgModule``, into cyclic summands with coordinates
+  and generators, from one ``_diagonalize`` pass that tracks its row
+  transform; over Z the torsion is merged into a divisibility chain.
+  The diagonalization and the duality of coordinates and generators
+  are checked as sparse products before returning (a failure raises
+  ``CertificateError``, also under ``python -O``).  Nothing here is
+  dense; whether classes generate a group (``twisted._generates``) is
+  read off ``_diagonalize`` as well;
 * ``FgModule`` is the one homology with generators, ker d_out / im d_in
   on its own cycle basis (``underlying_homology``, ``HomGroup`` on the
   invariants complex, the ``hom_group_bruteforce`` oracle), and
@@ -30,7 +31,8 @@ from one (``HomOrbits.map``) has its entries in a fixed order.
   tractable (solutions pull back through the accumulated column ops);
 * ``homology_profile`` needs no generators: one sparse diagonalization
   of each differential gives its rank and, over Z, a diagonal whose
-  nonunit entries normalise to the torsion invariant factors; it checks
+  nonunit entries normalise to the torsion invariant factors by the
+  chain step of ``smith_normal_form`` (``_invariant_chain``); it checks
   d o d = 0 as a sparse product first;
 * certificate checks (``check_homotopy``, and in ``chain`` the
   chain-map squares and d o d = 0) compare the nonzeros of sparse
@@ -68,7 +70,6 @@ from .permod import (HomOrbits, EquivMap, CertificateError, SignedPermModule,
                      trivial_module, subgroup_as_group, restrict, _index,
                      _normalized, _left_mul, _right_mul, _composite,
                      _combination, _scaled)
-from .rings import mat_identity, mat_mul
 
 
 class SolverCapExceeded(Exception):
@@ -87,12 +88,6 @@ def _enforce_rank_cap(X):
 # ---------------------------------------------------------------------------
 # sparse elimination with column tracking
 
-def sparse_rows(matrix):
-    """Row dictionaries {col: value} for the nonzero entries of a small
-    dense matrix, columns ascending (as ``EquivMap.rows`` gives them)."""
-    return [ {c: v for c, v in enumerate(row) if v != 0} for row in matrix ]
-
-
 def _by_rows(cols):
     """{row: {k: value}} for the column vectors cols[k]: the matrix they
     form, or right-hand sides for ``solve_sparse``.  The columns are
@@ -105,7 +100,8 @@ def _by_rows(cols):
 
 
 def _column_rows(cols, nrows):
-    """``sparse_rows`` of the matrix whose columns are ``cols``."""
+    """The row dicts of the matrix whose columns are ``cols``, columns
+    ascending within each row."""
     by_rows = _by_rows(cols)
     return [by_rows.get(r, {}) for r in range(nrows)]
 
@@ -435,159 +431,101 @@ def rank_sparse(ring, rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (dense, fully tracked, for small matrices)
+# Smith normal form on the sparse elimination, with generators
 
-def smith_normal_form(ring, A):
-    """(U, D, V) with A = U . D . V over the ring.
+def _xgcd(a, b):
+    """(g, x, y) with g = x a + y b, a gcd of a and b, by the extended
+    Euclidean algorithm; g > 0 when a and b are."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
 
-    D is diagonal; over Z the diagonal entries are nonnegative and form
-    a divisibility chain d1 | d2 | ...; U and V are invertible (over Z:
-    determinant +-1).  The factorization is re-multiplied and checked
-    before returning, always; a mismatch raises CertificateError.
+
+def _invariant_chain(ring, summands):
+    """Torsion summands (d, phi, gamma) of R/d, d > 0 over Z, brought
+    to a divisibility chain d_1 | d_2 | ..., units dropped.
+
+    Each pair (a, b) that is not a chain, in the order i < j, becomes
+    (g, lcm) with g = gcd(a, b) = x a + y b by the unimodular step
+    phi' = (x phi_a + y phi_b, -(b/g) phi_a + (a/g) phi_b) and gamma' =
+    ((a/g) gamma_a + (b/g) gamma_b, -y gamma_a + x gamma_b), which keeps
+    phi'_i(gamma'_j) = delta_ij.  The chain comes out ascending.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [ [ring.normalize(v) for v in row] for row in A ]
-    U = mat_identity(ring, m)
-    V = mat_identity(ring, n)
-    zero = ring.zero
-
-    def row_op(r2, r1, q):
-        # D: row r2 -= q row r1;  U: col r1 += q col r2
-        for c in range(n):
-            D[r2][c] = ring.normalize(D[r2][c] - q * D[r1][c])
-        for i in range(m):
-            U[i][r1] = ring.normalize(U[i][r1] + q * U[i][r2])
-
-    def col_op(c2, c1, q):
-        # D: col c2 -= q col c1;  V: row c1 += q row c2
-        for r in range(m):
-            D[r][c2] = ring.normalize(D[r][c2] - q * D[r][c1])
-        for j in range(n):
-            V[c1][j] = ring.normalize(V[c1][j] + q * V[c2][j])
-
-    def row_swap(r1, r2):
-        D[r1], D[r2] = D[r2], D[r1]
-        for i in range(m):
-            U[i][r1], U[i][r2] = U[i][r2], U[i][r1]
-
-    def col_swap(c1, c2):
-        for r in range(m):
-            D[r][c1], D[r][c2] = D[r][c2], D[r][c1]
-        V[c1], V[c2] = V[c2], V[c1]
-
-    def row_negate(r):
-        for c in range(n):
-            D[r][c] = ring.normalize(-D[r][c])
-        for i in range(m):
-            U[i][r] = ring.normalize(-U[i][r])
-
-    exact = ring.is_field
-
-    def reduce_at(t):
-        """Clear row and column t, pivot at (t, t)."""
-        while True:
-            # find a pivot in the trailing submatrix
-            pr = pc = None
-            best = None
-            for r in range(t, m):
-                for c in range(t, n):
-                    v = D[r][c]
-                    if v != 0:
-                        key = 0 if exact else abs(v)
-                        if best is None or key < best:
-                            best, pr, pc = key, r, c
-            if pr is None:
-                return False
-            if pr != t:
-                row_swap(t, pr)
-            if pc != t:
-                col_swap(t, pc)
-            while True:
-                v = D[t][t]
-                done = True
-                for r in range(t + 1, m):
-                    w = D[r][t]
-                    if w == 0:
-                        continue
-                    q = ring.normalize(w * ring.inv(v)) if exact else w // v
-                    if q != 0:
-                        row_op(r, t, q)
-                    if D[r][t] != 0:
-                        row_swap(t, r)
-                        done = False
-                        break
-                if not done:
-                    continue
-                v = D[t][t]
-                for c in range(t + 1, n):
-                    w = D[t][c]
-                    if w == 0:
-                        continue
-                    q = ring.normalize(w * ring.inv(v)) if exact else w // v
-                    if q != 0:
-                        col_op(c, t, q)
-                    if D[t][c] != 0:
-                        col_swap(t, c)
-                        done = False
-                        break
-                if done:
-                    return True
-
-    t = 0
-    while t < min(m, n):
-        if not reduce_at(t):
-            break
-        t += 1
-    rank = t
-
-    if not exact:
-        # divisibility chain and sign normalization
-        changed = True
-        while changed:
-            changed = False
-            for i in range(rank - 1):
-                a, b = D[i][i], D[i + 1][i + 1]
-                if b % a != 0:
-                    # fold the pair: col i += col i+1, then re-reduce
-                    col_op(i, i + 1, ring.normalize(-ring.one))
-                    tt = i
-                    while tt < rank:
-                        if not reduce_at(tt):
-                            break
-                        tt += 1
-                    changed = True
-                    break
-        for i in range(rank):
-            if D[i][i] < 0:
-                row_negate(i)
-    else:
-        # over a field normalize pivots to 1, compensating in U
-        for i in range(rank):
-            v = D[i][i]
-            if v != ring.one:
-                D[i][i] = ring.one
-                for r in range(m):
-                    U[r][i] = ring.normalize(U[r][i] * v)
-
-    prod = mat_mul(ring, mat_mul(ring, U, D), V)
-    if any(prod[r][c] != ring.normalize(A[r][c])
-           for r in range(m) for c in range(n)):
-        raise CertificateError("Smith factorization failed to re-multiply")
-    return U, D, V
+    out = list(summands)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            (a, phi_a, gam_a), (b, phi_b, gam_b) = out[i], out[j]
+            if b % a == 0:
+                continue
+            g, x, y = _xgcd(a, b)
+            phis, gams = [phi_a, phi_b], [gam_a, gam_b]
+            out[i] = (g, _combination(ring, {0: x, 1: y}, phis),
+                      _combination(ring, {0: a // g, 1: b // g}, gams))
+            out[j] = (a // g * b,
+                      _combination(ring, {0: -(b // g), 1: a // g}, phis),
+                      _combination(ring, {0: -y, 1: x}, gams))
+    return [s for s in out if s[0] != 1]
 
 
-def matrix_inverse(ring, A):
-    n = len(A)
-    sols = solve_sparse(ring, sparse_rows(A), n,
-                        {r: {r: ring.one} for r in range(n)})
-    if sols is None:
-        raise CertificateError("matrix is not invertible over %s" % ring.name)
-    inv = [[ring.zero] * n for _ in range(n)]
-    for c, x in sols.items():
-        for r, v in x.items():
-            inv[r][c] = v
-    return inv
+def _coordinate(ring, d, phi, v):
+    """phi(v), reduced mod d when d > 0: the coordinate of the vector v
+    on a summand (d, phi, gamma) of ``smith_normal_form``."""
+    c = ring.normalize(sum(phi[k] * x for k, x in v.items() if k in phi))
+    return c % d if d else c
+
+
+def smith_normal_form(ring, rows, ncols):
+    """The cokernel of the matrix A with row dicts ``rows`` (t rows,
+    ``ncols`` columns) as a sum of cyclic modules: a list of (d, phi,
+    gamma), one per summand R/d that is not zero, torsion first (d > 1
+    over Z, ascending in a divisibility chain), then the free summands
+    (d = 0).  phi, a row dict on the t coordinates, reads the summand's
+    coordinate of a vector (mod d when d > 0), and gamma is its
+    generator, so phi_i(gamma_j) = delta_ij and phi vanishes on the
+    columns of A.
+
+    One ``_diagonalize`` pass with the identity rows as right sides
+    gives the row transform R with R A P the diagonal of its pivots (r,
+    c, v).  Summand r has coordinate R[r] and generator column r of
+    R^-1, from one ``solve_sparse``: torsion R/|v| at a nonunit pivot,
+    free at a row without a pivot, zero (left out) at a unit pivot;
+    over Z ``_invariant_chain`` then merges the torsion summands.  R A P
+    and every phi_i(gamma_j) are checked as sparse products, always; a
+    mismatch raises CertificateError.
+    """
+    t = len(rows)
+    one = ring.one
+    pivots, P, _, R = _diagonalize(ring, [dict(r) for r in rows], ncols,
+                                   [{r: one} for r in range(t)])
+    P_rows = _column_rows([P[c] for c in range(ncols)], ncols)
+    diag_cols = {r: {c: v} for r, c, v in pivots}
+    for r, R_r in enumerate(R):
+        if _combination(ring, _combination(ring, R_r, rows),
+                        P_rows) != diag_cols.get(r, {}):
+            raise CertificateError("Smith transforms do not diagonalize")
+    diag = {r: v for r, _, v in pivots}
+    kept = [r for r in range(t) if not ring.is_unit(diag.get(r, 0))]
+    inv = solve_sparse(ring, R, t, {r: {r: one} for r in kept})
+    if inv is None:
+        raise CertificateError("Smith row transform is not invertible")
+    summands = _invariant_chain(ring, [(abs(diag[r]), R[r], inv.get(r, {}))
+                                       for r in kept if r in diag])
+    summands += [(ring.zero, R[r], inv.get(r, {}))
+                 for r in kept if r not in diag]
+    for i, (d, phi, _) in enumerate(summands):
+        for j, (_, _, gamma) in enumerate(summands):
+            c = _coordinate(ring, d, phi, gamma)
+            if c != (1 if i == j else 0):
+                raise CertificateError(
+                    "Smith generator %d has coordinate %s on summand %d"
+                    % (j, c, i))
+    return summands
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +538,9 @@ class FgModule:
     it is absent), ``in_cols`` the columns of d_in : X_{n+1} -> X_n as
     vectors and ``dim`` the rank of X_n.  ``cycles``, a basis of ker
     d_out, come from ``kernel_sparse`` (the standard basis when d_out
-    is absent).  The boundaries solved in that basis form the dense t x
-    s relations matrix that Smith normal form reads; no boundaries is
-    the t x 0 matrix, whose Smith form is the identity.
+    is absent).  The boundaries solved in that basis are the columns of
+    the relations, t row dicts that ``smith_normal_form`` reads; no
+    boundaries is t empty rows, whose summands are the standard basis.
 
     ``factors`` lists one invariant factor per retained summand: 0 for
     a free summand, d > 1 for torsion Z/d (over a field only 0 occurs).
@@ -617,27 +555,17 @@ class FgModule:
                                 else [{j: ring.one} for j in range(dim)])
         t = len(cycles)
         self._cycle_rows = _column_rows(cycles, dim)
-        rel = [[] for _ in range(t)]
+        rel = [{} for _ in range(t)]
         if t and in_cols:
             sols = solve_sparse(ring, self._cycle_rows, t, _by_rows(in_cols))
             if sols is None:
                 raise CertificateError("boundaries must be cycles")
-            rel = [[ring.zero] * len(in_cols) for _ in range(t)]
-            for k, x in sols.items():
-                for i, v in x.items():
-                    rel[i][k] = v
-        U, D, V = smith_normal_form(ring, rel)
-        self._Uinv = matrix_inverse(ring, U)
-        self._all_factors = [row[i] if i < len(row) else ring.zero
-                             for i, row in enumerate(D)]
-        self.factors = []
-        self.generators = []
-        for i, d in enumerate(self._all_factors):
-            if d != 0 and ring.is_unit(d):
-                continue
-            self.factors.append(d)
-            self.generators.append(_combination(
-                ring, {r: U[r][i] for r in range(t) if U[r][i] != 0}, cycles))
+            rel = _column_rows([sols.get(k, {}) for k in range(len(in_cols))],
+                               t)
+        summands = self._summands = smith_normal_form(ring, rel, len(in_cols))
+        self.factors = [d for d, _, _ in summands]
+        self.generators = [_combination(ring, gamma, cycles)
+                           for _, _, gamma in summands]
 
     def is_zero(self):
         return not self.factors
@@ -665,22 +593,14 @@ class FgModule:
     def coords(self, v):
         """Reduced coordinates of the class of the cycle v, one per
         factor: v solved in the cycle basis, then reduced mod the
-        factors.  ValueError if v is not a cycle.  Unit factors absorb
-        their coordinate (they are relations of the form e_i = 0 up to
-        change of basis)."""
+        factors.  ValueError if v is not a cycle."""
         ring = self.ring
         x = (_solve_vector(ring, self._cycle_rows, len(self.cycles), v)
              if all(i < self.dim for i in v) else None)
         if x is None:
             raise ValueError("vector is not a cycle")
-        out = []
-        for i, d in enumerate(self._all_factors):
-            if d != 0 and ring.is_unit(d):
-                continue
-            Ui = self._Uinv[i]
-            c = ring.normalize(sum(Ui[j] * y for j, y in x.items()))
-            out.append(c if d == 0 else ring.normalize(c % d))
-        return tuple(out)
+        return tuple(_coordinate(ring, d, phi, x)
+                     for d, phi, _ in self._summands)
 
     def iso_invariants(self):
         return (self.free_rank(), tuple(sorted(abs(d) for d in self.torsion())))
@@ -743,7 +663,8 @@ def homology_profile(X):
         pivots = _diagonalize(ring, d.rows(), X.terms[n].rank)[0]
         rank[n] = len(pivots)
         if not ring.is_field:
-            torsion[n - 1] = _invariant_factors([v for (_, _, v) in pivots])
+            torsion[n - 1] = tuple(d for d, _, _ in _invariant_chain(
+                ring, [(abs(v), {}, {}) for _, _, v in pivots]))
     out = {}
     for n, M in sorted(X.terms.items()):
         free = M.rank - rank.get(n, 0) - rank.get(n + 1, 0)
@@ -751,18 +672,6 @@ def homology_profile(X):
         if free or tors:
             out[n] = (free, tors)
     return out
-
-
-def _invariant_factors(diagonal):
-    """Invariant factors of diag(diagonal) over Z, units dropped: the
-    chain d_1 | d_2 | ... with the same prime-power exponents, reached
-    by replacing pairs with their gcd and lcm."""
-    ds = [abs(v) for v in diagonal if abs(v) != 1]
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            g = gcd(ds[i], ds[j])
-            ds[i], ds[j] = g, ds[i] * ds[j] // g
-    return tuple(v for v in ds if v != 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1483,24 +1392,13 @@ def _unit_combination(ring, scalars):
         out = [ring.zero] * len(scalars)
         out[i] = ring.inv(s)
         return out
-    # extended gcd over Z
     g, coeff = vals[0][1], {vals[0][0]: 1}
     for i, s in vals[1:]:
         if abs(g) == 1:
             break
-        a, b = g, s
-        # extended Euclid for a, b
-        old_r, r = a, b
-        old_s, t_s = 1, 0
-        old_t, t_t = 0, 1
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, t_s = t_s, old_s - q * t_s
-            old_t, t_t = t_t, old_t - q * t_t
-        coeff = {k: v * old_s for k, v in coeff.items()}
-        coeff[i] = coeff.get(i, 0) + old_t
-        g = old_r
+        g, x, y = _xgcd(g, s)
+        coeff = {k: v * x for k, v in coeff.items()}
+        coeff[i] = coeff.get(i, 0) + y
     if abs(g) != 1:
         return None
     out = [0] * len(scalars)

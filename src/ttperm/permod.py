@@ -27,8 +27,7 @@ Conventions used throughout the package:
   apply to vectors (``EquivMap.apply``, ``EquivMap.columns``), and
   ``_combination`` and ``_scaled`` form linear combinations of them.
   Every vector that crosses a function boundary has this form; dense
-  lists are left only in the relation matrix that ``homotopy.FgModule``
-  hands to Smith normal form and in the JSON report format;
+  lists are left only in the JSON report format;
 * Hom_G(M, N) is an orbit table (``HomOrbits``): the orbits of basis
   pairs (i, j), pair index i * rank N + j, each held as the index of
   its root pair plus one signed 4-byte code per pair, never as maps.
@@ -60,9 +59,9 @@ from .grp import Group, Subgroup
 class CertificateError(Exception):
     """An exact certificate check failed: a group action, an
     equivariant map, a chain-map square, d o d = 0, a homotopy identity,
-    or a Smith factorization that does not re-multiply.  Raised
-    explicitly, so the checks also run under ``python -O``; ``cli.run``
-    reports it with exit status 2."""
+    or a Smith form whose transforms or generators fail their check.
+    Raised explicitly, so the checks also run under ``python -O``;
+    ``cli.run`` reports it with exit status 2."""
 
 
 class SignedPermModule:

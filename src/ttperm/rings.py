@@ -1,4 +1,4 @@
-"""Exact coefficient domains and the dense helpers of Smith normal form.
+"""Exact coefficient domains, prime factorisation and dense matrices.
 
 Three domains are supported: the integers, the rationals, and prime
 fields.  Values are plain Python objects so that all arithmetic is
@@ -13,12 +13,12 @@ an int is reduced mod p.  Since ``int / int`` is a float, every true
 division of ring values goes through ``inv``.
 
 Maps between modules are sparse (``permod.EquivMap.entries``), and so
-are vectors, the dicts {index: value} of their nonzero coordinates.  The
-dense matrices here, lists of lists with ``M[i][j]`` in row ``i`` and
-column ``j``, serve only Smith normal form on the relation matrix of
-a ``homotopy.FgModule``, its boundaries in its cycle basis:
-``mat_zero``, ``mat_identity`` and ``mat_mul``, which re-multiplies a
-factorization to check it.
+are vectors, the dicts {index: value} of their nonzero coordinates.  No
+computation in the package is dense.  The dense matrices here, lists of
+lists with ``M[i][j]`` in row ``i`` and column ``j`` (``mat_zero``,
+``mat_identity`` and ``mat_mul``), are the reference that the tests
+check sparse products against, and ``perfbench/tracer.py`` measures
+``mat_mul`` by name.
 
 ``factorize`` is the package's one prime factorisation and
 ``prime_power`` its one prime-power test; primality and Sylow-order

@@ -118,6 +118,43 @@ def test_integral_rank_2_tables_are_spanned_by_their_generators(group,
     assert code == 0, out
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rank-2 tables at total twist 3 miss a class: "
+                   "entry (-3, e_N1 + e_N2 + e_N3) is nonzero but no "
+                   "monomial lands there")
+@pytest.mark.parametrize("argv", [
+    "twisted --group C2xC2 --ring Q --max-twist 3",
+    "twisted --group C2xC2 --ring F3 --max-twist 3",
+    "twisted --group C2xC2 --ring F5 --max-twist 3",
+    "twisted --group C2xC2 --ring Z --max-twist 3",
+    "twisted --group C2xC2 --ring Q",
+    "twisted --group C2xC2xC2 --ring Q --max-twist 3",
+])
+def test_rank_2_tables_at_twist_3_are_spanned_by_their_generators(argv,
+                                                                  capsys):
+    code = run(argv.split())
+    out = out_of(capsys)
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("ring", ["Q", "F3", "F5", "Z"])
+def test_c2xc2_entry_at_all_three_twists_agrees_with_the_oracle(ring):
+    # the entry the tables above cannot span is right: rationally u_N is
+    # chi_N[1] and chi_1 chi_2 chi_3 = 1, so it holds one free class
+    from ttperm.grp import parse_group_name
+    from ttperm.homotopy import hom_group_bruteforce
+    from ttperm.rings import domain_from_name
+    from ttperm.twisted import (Twist, canonical_u_power,
+                                index_p_normal_subgroups, twisted_table)
+    G = parse_group_name("C2xC2")
+    R = domain_from_name(ring)
+    q = Twist([(N, 1) for N in index_p_normal_subgroups(G)])
+    fg, _ = hom_group_bruteforce(canonical_u_power(G, q, R), -3)
+    assert fg.iso_invariants() == (1, ())
+    ent = twisted_table(G, R, 3).entries[(-3, q.key())]
+    assert (ent["free_rank"], tuple(ent["torsion"])) == (1, ())
+
+
 def test_twisted_window_must_be_complete():
     assert run(["twisted", "--group", "C2", "--ring", "F2",
                 "--max-twist", "2", "--shift-min", "-3"]) == 1

@@ -248,5 +248,71 @@ def test_associativity_fails_away_from_the_generators():
     assert all(_associates(table, a, b, c)
                for a in gens for b in gens for c in gens)
     assert not _associates(table, 2, 3, 1)
-    with pytest.raises(AssertionError, match="not associative"):
+    with pytest.raises(ValueError, match="not associative"):
         Group(table, "C6 with two products swapped")
+
+
+_GROUP_CHECKS = """
+import sys
+from ttperm.grp import (Group, SectionMorphism, SectionObject, Subgroup,
+                        cyclic, dihedral, direct_product, sections_category,
+                        subgroups)
+
+assert sys.flags.optimize
+C4, C6 = cyclic(4), cyclic(6)
+C2 = Subgroup(C4, [0, 2])
+swapped = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+swapped[2][3], swapped[2][4] = swapped[2][4], swapped[2][3]
+bad = {
+    "empty": lambda: Group([], "empty"),
+    "square": lambda: Group([[0, 1], [1]], "ragged"),
+    "entries": lambda: Group([[0, 2], [2, 0]], "out of range"),
+    "identity": lambda: Group([[1, 1], [1, 1]], "no identity"),
+    "inverse": lambda: Group([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "monoid"),
+    "associative": lambda: Group(swapped, "C6 with two products swapped"),
+    "contains": lambda: Subgroup(C4, [2]),
+    "inverses": lambda: Subgroup(C6, [0, 2]),
+    "products": lambda: Subgroup(C6, [0, 1, 5]),
+    "parents": lambda: C2 <= Subgroup(C6, [0]),
+    "cyclic": lambda: cyclic(0),
+    "product": lambda: direct_product(),
+    "dihedral": lambda: dihedral(5),
+    "order": lambda: subgroups(cyclic(65)),
+    "section": lambda: SectionObject(C2, Subgroup(C4, range(4))),
+    "morphism": lambda: SectionMorphism(None, SectionObject(C2, C2), 0,
+                                        C4.trivial_subgroup(), C2),
+    "p-group": lambda: sections_category(C6, 2),
+}
+for name, build in bad.items():
+    try:
+        build()
+        sys.exit("%s passed its check" % name)
+    except ValueError as exc:
+        print(name, exc)
+"""
+
+
+def test_group_checks_raise_under_python_O(python_O):
+    # the Group axioms, Subgroup closure, constructors and sections are
+    # ValueErrors, never asserts that -O strips
+    proc = python_O(_GROUP_CHECKS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "empty a group table needs at least one element",
+        "square multiplication table must be square",
+        "entries table entries must lie in 0..1",
+        "identity table has no identity element",
+        "inverse element 1 has no inverse",
+        "associative table is not associative",
+        "contains a subgroup must contain the identity",
+        "inverses not closed under inverses",
+        "products not closed",
+        "parents subgroups of different groups",
+        "cyclic a cyclic group needs order >= 1, got 0",
+        "product a direct product needs a factor",
+        "dihedral a dihedral group needs an even order >= 2, got 5",
+        "order subgroup enumeration is desk scale (order <= 64)",
+        "section not a section: K must lie in H",
+        "morphism not a section morphism",
+        "p-group sections_category expects a p-group",
+    ]

@@ -1,10 +1,11 @@
 """Exact linear algebra, homology, and homotopy-theoretic solvers.
 
-Smith normal form is checked as a property (re-multiplication,
-divisibility chain, unimodular transforms) on random integer matrices;
-hom groups computed through the invariants complex are compared with
-the independent brute-force oracle that imposes equivariance as raw
-linear equations.
+Smith normal form is checked as a property (divisibility chain, dual
+coordinates and generators, relations of coordinate zero) and against
+the invariant factors of a determinantal-divisor oracle on random
+matrices; hom groups computed through the invariants complex are
+compared with the independent brute-force oracle that imposes
+equivariance as raw linear equations.
 """
 
 from fractions import Fraction
@@ -13,16 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttperm.grp import cyclic, parse_group_name, subgroups
-from ttperm.rings import ZZ, QQ, GF, mat_mul, mat_identity
+from ttperm.rings import ZZ, QQ, GF
 from ttperm.permod import (trivial_module, perm_module, sign_module,
                            BlockModule, EquivMap, equivariant_hom_basis,
                            HomOrbits, CertificateError, _scaled)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
                           identity_chain_map, two_term_complex, ChainMap)
-from ttperm.homotopy import (smith_normal_form, matrix_inverse,
+from ttperm.homotopy import (smith_normal_form,
                              solve_sparse, kernel_sparse, rank_sparse,
-                             sparse_rows, FgModule,
+                             FgModule,
                              homology_profile, underlying_homology, hom_group,
                              hom_group_bruteforce, is_contractible,
                              null_homotopy, check_homotopy,
@@ -42,47 +43,106 @@ def matrices(rows, cols):
                     min_size=rows, max_size=rows)
 
 
+def sparse_rows(matrix):
+    """Row dicts {col: value} of a small dense matrix, nonzeros only,
+    columns ascending (as ``EquivMap.rows`` gives them)."""
+    return [{c: v for c, v in enumerate(row) if v != 0} for row in matrix]
+
+
+def _det(ring, M):
+    """Determinant by expansion along the first row."""
+    if not M:
+        return ring.one
+    return ring.normalize(sum(
+        (-1) ** j * a * _det(ring, [row[:j] + row[j + 1:] for row in M[1:]])
+        for j, a in enumerate(M[0]) if a != 0))
+
+
+def determinantal_factors(ring, A):
+    """The ``FgModule.factors`` of R^t / (column span of A), A a t x s
+    matrix, from the determinantal divisors: d_k is the gcd of the k x k
+    minors and the k-th invariant factor d_k / d_{k-1}; nonunit nonzero
+    ones are the torsion, ascending, and the t - rank columns past them
+    are free."""
+    from itertools import combinations
+    from math import gcd
+    t, s = len(A), len(A[0]) if A else 0
+    factors, prev, rank = [], 1, 0
+    for k in range(1, min(t, s) + 1):
+        d = 0
+        for rs in combinations(range(t), k):
+            for cs in combinations(range(s), k):
+                m = _det(ring, [[A[r][c] for c in cs] for r in rs])
+                d = gcd(d, m) if not ring.is_field else (d or m)
+        if d == 0:
+            break
+        rank = k
+        if not ring.is_field:
+            if abs(d) // prev != 1:
+                factors.append(abs(d) // prev)
+            prev = abs(d)
+    return factors + [ring.zero] * (t - rank)
+
+
+def _check_snf(ring, A):
+    """Every property of ``smith_normal_form`` on the t x s matrix A;
+    returns its factors."""
+    t, s = len(A), len(A[0]) if A else 0
+    summands = smith_normal_form(ring, sparse_rows(A), s)
+    factors = [d for d, _, _ in summands]
+    torsion = [d for d in factors if d != 0]
+    # torsion first, a chain of nonunits, then free summands
+    assert factors == torsion + [ring.zero] * (len(factors) - len(torsion))
+    assert all(d > 1 for d in torsion)
+    assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+
+    def coord(d, phi, v):
+        c = ring.normalize(sum(phi.get(k, 0) * x for k, x in v.items()))
+        return c % d if d else c
+
+    for i, (d, phi, _) in enumerate(summands):
+        assert [coord(d, phi, gamma) for _, _, gamma in summands] == \
+            [1 if j == i else 0 for j in range(len(summands))]
+        for k in range(s):
+            assert coord(d, phi, {r: A[r][k] for r in range(t)}) == 0
+    assert factors == determinantal_factors(ring, A)
+    return factors
+
+
 @settings(max_examples=60)
 @given(matrices(3, 4))
 def test_snf_properties_over_Z(A):
-    U, D, V = smith_normal_form(ZZ, A)
-    assert mat_mul(ZZ, U, mat_mul(ZZ, D, V)) == A
-    # D diagonal with a nonnegative divisibility chain
-    diag = []
-    for i in range(3):
-        for j in range(4):
-            if i != j:
-                assert D[i][j] == 0
-        if i < 4:
-            diag.append(D[i][i])
-    assert all(d >= 0 for d in diag)
-    for d1, d2 in zip(diag, diag[1:]):
-        if d1 != 0:
-            assert d2 % d1 == 0
-        else:
-            assert d2 == 0
-    # U, V invertible over Z
-    assert mat_mul(ZZ, U, matrix_inverse(ZZ, U)) == mat_identity(ZZ, 3)
-    assert mat_mul(ZZ, V, matrix_inverse(ZZ, V)) == mat_identity(ZZ, 4)
+    _check_snf(ZZ, A)
 
 
 @settings(max_examples=30)
 @given(matrices(3, 3))
 def test_snf_over_prime_field(A):
     F5 = GF(5)
-    B = [[F5.normalize(v) for v in row] for row in A]
-    U, D, V = smith_normal_form(F5, B)
-    assert mat_mul(F5, U, mat_mul(F5, D, V)) == B
-    diag = [D[i][i] for i in range(3)]
-    # over a field every nonzero invariant factor is a unit
-    assert all(d == 0 or F5.is_unit(d) for d in diag)
+    # over a field every invariant factor is a unit or 0: only free
+    # summands are left
+    factors = _check_snf(F5, [[F5.normalize(v) for v in row] for row in A])
+    assert all(d == 0 for d in factors)
 
 
 def test_snf_frozen_example():
     # divisors via determinantal gcds: d1 = 2, d1*d2 = 12, det = -144
     A = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    U, D, V = smith_normal_form(ZZ, A)
-    assert [D[i][i] for i in range(3)] == [2, 6, 12]
+    assert _check_snf(ZZ, A) == [2, 6, 12]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(5)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_snf_matches_determinantal_divisors(ring, data):
+    # shapes up to 5 x 5, zero rows or columns included; small entries
+    # make nonunit pivots and pairs that are no chain common over Z
+    t = data.draw(st.integers(0, 5), label="rows")
+    s = data.draw(st.integers(0, 5), label="cols")
+    A = data.draw(st.lists(st.lists(
+        st.sampled_from([0, 0, 0, 1, -1, 2, 3, 4, 6]), min_size=s,
+        max_size=s), min_size=t, max_size=t), label="A")
+    _check_snf(ring, [[ring.normalize(v) for v in row] for row in A])
 
 
 def test_solve_and_kernel_sparse():
@@ -186,15 +246,15 @@ def test_fg_module_reads_classes_in_its_cycle_basis():
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=str)
 def test_fg_module_without_relations_takes_the_smith_form_path(
         ring, monkeypatch):
-    # no relations is the t x 0 matrix, whose Smith form is the
-    # identity: free on the standard basis, t = 0 included
+    # no relations is t empty rows of no columns, free on the standard
+    # basis, t = 0 included
     from ttperm import homotopy
     calls = []
     real = homotopy.smith_normal_form
 
-    def recording(ring, A):
-        calls.append(A)
-        return real(ring, A)
+    def recording(ring, rows, ncols):
+        calls.append((rows, ncols))
+        return real(ring, rows, ncols)
 
     monkeypatch.setattr(homotopy, "smith_normal_form", recording)
     free = FgModule(ring, [], [], 3)
@@ -205,7 +265,7 @@ def test_fg_module_without_relations_takes_the_smith_form_path(
     zero = FgModule(ring, [], [], 0)
     assert zero.factors == zero.generators == []
     assert zero.coords({}) == () and zero.label() == "0"
-    assert calls == [[[], [], []], []]
+    assert calls == [([{}, {}, {}], 0), ([], 0)]
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(3), QQ], ids=str)
@@ -1793,8 +1853,35 @@ G = cyclic(41)
 big = module_complex(perm_module(G, G.trivial_subgroup(), ZZ))
 system = homotopy._System(ZZ)
 system.add_block("x", [])
+
+
+def corrupted(name, corrupt, rows):
+    # smith_normal_form on rows over Z, with the result of homotopy.name
+    # passed through corrupt
+    real = getattr(homotopy, name)
+    setattr(homotopy, name, lambda *args: corrupt(real(*args)))
+    try:
+        return homotopy.smith_normal_form(ZZ, rows, 1)
+    finally:
+        setattr(homotopy, name, real)
+
+
+def wrong_row(out):
+    # R[0] += e_1: R A P is no longer the pivot diagonal
+    out[3][0][1] = out[3][0].get(1, 0) + 1
+    return out
+
+
+def off_by_one(inverse):
+    # the generator of Z/2 becomes twice its class
+    inverse[0][0] += 1
+    return inverse
+
+
 bad = {
-    "inverse": lambda: homotopy.matrix_inverse(ZZ, [[2]]),
+    "transform": lambda: corrupted("_diagonalize", wrong_row,
+                                   [{0: 2}, {0: 4}]),
+    "generator": lambda: corrupted("solve_sparse", off_by_one, [{0: 2}]),
     "boundaries": lambda: homotopy.FgModule(ZZ, [{0: 1}], [{0: 1}], 2),
     "oracle": lambda: homotopy.hom_group_bruteforce(big, 0),
     "tag": lambda: system.add_block("x", []),
@@ -1812,7 +1899,9 @@ def test_homotopy_preconditions_raise_under_python_O(python_O):
     proc = python_O(_HOMOTOPY_PRECONDITIONS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
-        "inverse CertificateError matrix is not invertible over Z",
+        "transform CertificateError Smith transforms do not diagonalize",
+        "generator CertificateError Smith generator 0 has coordinate 0 on "
+        "summand 0",
         "boundaries CertificateError boundaries must be cycles",
         "oracle ValueError oracle is limited to total rank 40",
         "tag ValueError duplicate block tag 'x'",

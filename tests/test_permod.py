@@ -23,7 +23,7 @@ from ttperm.permod import (perm_module, trivial_module, sign_module,
                            _right_mul, sign_decompose,
                            SignDecompositionError)
 from ttperm.chain import tensor_complex, module_complex
-from ttperm.homotopy import sparse_rows, InvariantsComplex
+from ttperm.homotopy import InvariantsComplex
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 from ttperm import koszul
 from ttperm.cli import resolve_subgroup
@@ -305,7 +305,7 @@ def test_sparse_products_match_mat_mul(ring):
 
 def test_rows_columns_and_blocks_match_the_dense_matrix():
     # rows() lists the columns of each row in ascending order, the order
-    # sparse_rows reads off a dense matrix: elimination breaks pivot ties
+    # of the dense matrix's rows: elimination breaks pivot ties
     # in that order, so it decides which certificates a report shows
     G = cyclic(4)
     u = u_complex(G, index_p_normal_subgroups(G)[0], ZZ)
@@ -315,7 +315,8 @@ def test_rows_columns_and_blocks_match_the_dense_matrix():
         f = EquivMap(d.source, d.target, dict(reversed(d.entries.items())))
         mat = dense(f)
         rows = f.rows()
-        assert rows == sparse_rows(mat)
+        assert rows == [{c: v for c, v in enumerate(row) if v != 0}
+                        for row in mat]
         assert all(list(row) == sorted(row) for row in rows)
         assert f.columns() == [{r: v for r, v in enumerate(col) if v != 0}
                                for col in zip(*mat)]
