@@ -66,8 +66,8 @@ class Group:
         # permod.subgroup_as_group
         self.subgroup_groups = {}
         # (ring, twist key) -> canonical complex and (ring, twist key,
-        # twist key) -> (transport equivalence, tensor index), filled
-        # by twisted.canonical_u_power and twisted._transport
+        # twist key) -> (transport chain map or None, tensor index),
+        # filled by twisted.canonical_u_power and twisted._transport
         self.twist_complexes = {}
         # (subgroup elements, ring) -> verified KoszulObject, filled by
         # koszul.koszul_object

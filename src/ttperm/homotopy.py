@@ -73,12 +73,15 @@ from .permod import (HomOrbits, EquivMap, CertificateError, SignedPermModule,
 
 
 class SolverCapExceeded(Exception):
-    """A solve was refused because the complex is larger than the cap
-    set in the TTPERM_MAX_RANK environment variable."""
+    """A solve was refused: the TTPERM_MAX_RANK environment variable is
+    not a nonnegative integer, or the complex is larger than that cap."""
 
 
 def _enforce_rank_cap(X):
     cap = os.environ.get("TTPERM_MAX_RANK")
+    if cap and not (cap.isascii() and cap.isdigit()):
+        raise SolverCapExceeded("TTPERM_MAX_RANK=%r is not a nonnegative "
+                                "integer" % cap)
     if cap and X.total_rank() > int(cap):
         raise SolverCapExceeded(
             "total rank %d exceeds TTPERM_MAX_RANK=%s"

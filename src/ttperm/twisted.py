@@ -21,15 +21,15 @@ unit -> can(q)[s] up to homotopy.
 
 Products of classes tensor cycle representatives (with the Koszul sign
 (-1)^{s1 s2}) and transport along a homotopy equivalence
-tensor(can(q1), can(q2)) -> can(q1+q2), the identity when the two are
-equal (every disjoint-support product a table forms).  Both sides have
-homology R concentrated in one degree, so the induced identification
-is independent of the choice up to a unit.  A table forms a product
-only when its bidegree lies inside the window and its monomial is new,
-so it builds transports only for twists it shows.  Canonical powers and
-transports are kept on their group (``Group.twist_complexes``, keyed by
-ring and twist keys) and hom groups on their complex
-(``Complex.hom_groups``), so all of them are freed with the group.
+tensor(can(q1), can(q2)) -> can(q1+q2), none when q2 is one subgroup's
+power after all of q1's: can(q1+q2) is then built as that tensor.  Both
+sides have homology R in one degree, so the identification is unique
+up to a unit.  A table forms each monomial once, its prefix times its
+last generator in subgroup order, and only inside the window.
+Canonical powers and transports are kept on their group
+(``Group.twist_complexes``, keyed by ring and twist keys) and hom groups
+on their complex (``Complex.hom_groups``), so all of them are freed
+with the group.
 
 Generator classes per N (cycles written in the canonical complexes):
 case (C1) p = 2 over F_2: a = 1 in degree (0, e_N), b = eta in
@@ -174,7 +174,7 @@ def _check_index_p(G, N):
 
 def u_complex(G, N, ring):
     """The invertible complex u_N (brutal truncation, inflated to G)."""
-    return _single_power(G, N, 1, ring)
+    return canonical_u_power(G, Twist.single(N), ring)
 
 
 def _single_power(G, N, e, ring):
@@ -197,26 +197,24 @@ def _single_power(G, N, e, ring):
 
 
 def canonical_u_power(G, q, ring):
-    """The canonical small model of the tensor power u^q.
-
-    Single-N towers are tensored over the distinct N in element order.
-    Checks that the homology is R concentrated in degree 2'.|q|
-    (weighted by each subgroup's own 2'), raising TheoryCheckFailure
-    otherwise.  Kept on G under (ring, q.key())."""
+    """The canonical small model of the tensor power u^q: one subgroup's
+    tower, or tensor(can(q without its last item), can(last item)) from
+    the cache.  Checks that the homology is R concentrated in degree
+    2'.|q| (weighted by each subgroup's own 2'), raising
+    TheoryCheckFailure otherwise.  Kept on G under (ring, q.key())."""
     key = (ring, q.key())
     if key in G.twist_complexes:
         return G.twist_complexes[key]
-    X = None
-    top = 0
-    for N, e in q.items:
-        P = _single_power(G, N, e, ring)
-        X = P if X is None else tensor_complex(X, P)
-        top += u_degree(N.index) * e
-    if X is None:
+    if len(q.items) > 1:
+        X = tensor_complex(canonical_u_power(G, Twist(q.items[:-1]), ring),
+                           canonical_u_power(G, Twist(q.items[-1:]), ring))
+    elif q.items:
+        X = _single_power(G, *q.items[0], ring)
+    else:
         X = unit_complex(G, ring)
     prof = {n: inv for n, inv in homology_profile(X).items()
             if inv != (0, ())}
-    if prof != {top: (1, ())}:
+    if prof != {_twist_length(q): (1, ())}:
         raise TheoryCheckFailure(
             "tensor power homology not concentrated: %s" % prof)
     G.twist_complexes[key] = X
@@ -224,17 +222,19 @@ def canonical_u_power(G, q, ring):
 
 
 def _transport(G, ring, q1, q2):
-    """The equivalence tensor(can(q1), can(q2)) -> can(q1 + q2) and the
-    ``tensor_index`` of its source, kept on G under (ring, q1.key(),
-    q2.key())."""
+    """The equivalence's chain map tensor(can(q1), can(q2)) -> can(q1 +
+    q2), or None when can(q1 + q2) is that tensor (q1 is not zero and q2
+    is one subgroup's power after q1's), and the ``tensor_index`` of the
+    tensor, kept on G under (ring, q1.key(), q2.key())."""
     key = (ring, q1.key(), q2.key())
     if key not in G.twist_complexes:
         factors = [canonical_u_power(G, q, ring) for q in (q1, q2)]
-        eq = _equivalence(tensor_complex(*factors),
-                          canonical_u_power(G, q1 + q2, ring),
-                          "no canonical identification for %s x %s"
-                          % (q1, q2))
-        G.twist_complexes[key] = (eq, tensor_index(factors))
+        built = q1.items and len(q2.items) == 1 and \
+            (q1 + q2).key() == q1.key() + q2.key()
+        f = None if built else _equivalence(
+            tensor_complex(*factors), canonical_u_power(G, q1 + q2, ring),
+            "no canonical identification for %s x %s" % (q1, q2)).f
+        G.twist_complexes[key] = (f, tensor_index(factors))
     return G.twist_complexes[key]
 
 
@@ -316,14 +316,15 @@ def class_product(z1, z2):
                             mono=_mono_mul(z1.mono, z2.mono))
     n1, n2 = -z1.shift, -z2.shift
     n = n1 + n2
-    eq, index = _transport(G, ring, z1.twist, z2.twist)
+    f, index = _transport(G, ring, z1.twist, z2.twist)
     sgn = ring.one if (z1.shift * z2.shift) % 2 == 0 else -ring.one
     v = _scaled(ring, sgn, {index[n][((n1, n2), (a, b))]: va * vb
                             for a, va in z1.cycle.items()
                             for b, vb in z2.cycle.items()})
-    w = eq.f.component(n).apply(v)
+    if f is not None:
+        v = f.component(n).apply(v)
     return TwistedClass(G, ring, z1.shift + z2.shift, z1.twist + z2.twist,
-                        w, mono=_mono_mul(z1.mono, z2.mono))
+                        v, mono=_mono_mul(z1.mono, z2.mono))
 
 
 def class_power(z, k):
@@ -453,10 +454,10 @@ def twisted_table(G, ring, max_twist, shift_window=None):
 
     G must be elementary abelian so that every index-p subgroup is
     normal and the twist monoid needs no conjugation bookkeeping.
-    Monomials grow breadth first by multiplying with generators; a
-    product is formed only when its bidegree lies inside the window and
-    its monomial is not yet known, so no transport is built for a twist
-    the table does not show.
+    Monomials grow breadth first; each is formed once, as its prefix
+    times its last generator in generator order, and only when its
+    bidegree lies inside the window, so no transport is built for a
+    twist the table does not show.
     """
     if not is_elementary_abelian(G):
         raise ValueError("tables need an elementary abelian group")
@@ -475,23 +476,17 @@ def twisted_table(G, ring, max_twist, shift_window=None):
         for sym in ("a", "b", "c"):
             if sym in gm:
                 gens[(sym, N.elements)] = gm[sym]
+    order = list(gens.values())
     monos = {(): unit_class(G, ring)}
-    frontier = dict(monos)
+    frontier = [(0, monos[()])]
     while frontier:
-        new = {}
-        for z in frontier.values():
-            for g in gens.values():
-                # the bidegree and monomial of a product are known before
-                # it is formed: form only the ones the table keeps.  Every
-                # generator has degree one, so a monomial can repeat only
-                # within its own layer.
-                m = _mono_mul(z.mono, g.mono)
-                if (z.twist.total() + g.twist.total() > max_twist
-                        or z.shift + g.shift < smin or m in new):
-                    continue
-                new[m] = class_product(z, g)
-        monos.update(new)
-        frontier = new
+        # a product's bidegree is known before it is formed: form only
+        # the ones the table keeps
+        frontier = [(j, class_product(z, g)) for i, z in frontier
+                    for j, g in enumerate(order[i:], i)
+                    if z.twist.total() + g.twist.total() <= max_twist
+                    and z.shift + g.shift >= smin]
+        monos.update((z.mono, z) for _, z in frontier)
     bidegrees = {}
     for mono, z in sorted(monos.items()):
         bidegrees.setdefault((z.shift, z.twist.key()), []).append((mono, z))

@@ -272,6 +272,21 @@ def test_solver_cap_gives_exit_1(capsys, monkeypatch):
     assert captured.err == "error: total rank 10 exceeds TTPERM_MAX_RANK=2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["twisted", "--group", "C2", "--ring", "F2", "--max-twist", "1"],
+    ["kos", "--group", "C2", "--subgroup", "1"],
+], ids=["twisted", "kos"])
+@pytest.mark.parametrize("cap", ["abc", "-1", "2.5"])
+def test_malformed_solver_cap_gives_exit_1(capsys, monkeypatch, argv, cap):
+    # hom_group (twisted) and is_contractible (kos) both read the cap
+    monkeypatch.setenv("TTPERM_MAX_RANK", cap)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: TTPERM_MAX_RANK=%r is not a "
+                            "nonnegative integer\n" % cap)
+
+
 def test_exit_2_means_a_failed_check_not_a_bug(capsys, monkeypatch):
     from ttperm import koszul
     argv = ["kos", "--group", "C2", "--subgroup", "1", "--verify"]
@@ -407,6 +422,26 @@ def test_reports_match_recorded_digests(capsys):
         digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
         assert (code, digest) == (expected[command]["exit"],
                                   expected[command]["sha256"]), command
+
+
+# stdout digests of the tables whose products are laid out by the
+# canonical powers, recorded before those powers were built from their
+# cached factors
+_TABLE_DIGESTS = {
+    "twisted --group C2xC2xC2 --ring F2 --max-twist 3":
+        "943cba8f4d8db3d633ea07076bb2d5107696a4f5e5e13a946bd3bedb09f2acfd",
+    "twisted --group C3xC3 --ring F3 --max-twist 3":
+        "1b171d000cbc492b545ffd49bd783c1b0c4df3b3605678cce519861223eb7327",
+    "twisted --group C5xC5 --ring F5 --max-twist 1":
+        "7e480ab45b6d815ef7eeda2e9b1651e6aaf6a3db647e955754235b0a8e875151",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_DIGESTS))
+def test_product_tables_match_recorded_digests(capsys, command):
+    assert run(command.split()) == 0
+    digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+    assert digest == _TABLE_DIGESTS[command]
 
 
 def test_verify_missing_file():

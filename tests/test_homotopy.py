@@ -1817,27 +1817,36 @@ def test_distinct_pair_off_rank_one_homology_is_inconclusive_at_once(
     ("C2xC2xC2", GF(2), 2),
 ])
 def test_transports_match_the_old_search(group, ring, max_twist):
-    from ttperm.chain import structurally_equal
-    from ttperm.twisted import twisted_table
+    from ttperm.chain import structurally_equal, tensor_index
+    from ttperm.twisted import Twist, canonical_u_power, twisted_table
     G = parse_group_name(group)
     twisted_table(G, ring, max_twist)
-    transports = [value[0] for value in G.twist_complexes.values()
-                  if isinstance(value, tuple)]
-    assert transports
-    identities = 0
-    for eq in transports:
-        X, Y = eq.f.source, eq.f.target
+    subgroup = {N.elements: N for N in index_p_normal_subgroups(G)}
+    keys = [key for key in G.twist_complexes if len(key) == 3]
+    assert keys
+    by_construction = 0
+    for key in keys:
+        f, index = G.twist_complexes[key]
+        if f is None:
+            # can(q1 + q2) is the tensor itself: no map, nothing to search
+            by_construction += 1
+            q1, q2 = (Twist([(subgroup[el], e) for el, e in k])
+                      for k in key[1:])
+            factors = (canonical_u_power(G, q1, ring),
+                       canonical_u_power(G, q2, ring))
+            assert structurally_equal(tensor_complex(*factors),
+                                      canonical_u_power(G, q1 + q2, ring))
+            assert index == tensor_index(factors)
+            continue
+        X, Y = f.source, f.target
         old = _old_search(X, Y)
         assert isinstance(old, Equivalence)
         for n in X.terms:
-            assert list(eq.f.component(n).entries.items()) == \
+            assert list(f.component(n).entries.items()) == \
                 list(old.f.component(n).entries.items()), n
-        if structurally_equal(X, Y):
-            identities += 1
-            assert eq.h == {} and eq.hp == {}
-    # the disjoint-support products are identities, the shared-N ones
-    # are not
-    assert 0 < identities < len(transports)
+    # the products by a later subgroup are built, the shared-N ones are
+    # searched
+    assert 0 < by_construction < len(keys)
 
 
 _HOMOTOPY_PRECONDITIONS = """

@@ -417,6 +417,6 @@ def test_class_product_positions_are_the_block_offsets(gname, ring):
             v = _entries(ring, {off + a * r2 + b: sgn * va * vb
                                 for a, va in z1.cycle.items()
                                 for b, vb in z2.cycle.items()})
-            eq, _ = twisted._transport(G, ring, z1.twist, z2.twist)
-            want = eq.f.component(n1 + n2).apply(v)
+            f, _ = twisted._transport(G, ring, z1.twist, z2.twist)
+            want = f.component(n1 + n2).apply(v)
             assert class_product(z1, z2).cycle == want, (s1, s2)

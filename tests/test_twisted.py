@@ -405,6 +405,61 @@ def test_generates_matches_the_smith_form_criterion(ring):
     assert seen == {True, False}
 
 
+def _layer_dedupe_monomials(G, ring, max_twist):
+    """The frontier twisted_table used before each monomial was formed
+    from its prefix: every frontier class times every generator, a
+    product kept only the first time its layer forms its monomial."""
+    from ttperm.twisted import _mono_mul
+    Ns = index_p_normal_subgroups(G)
+    smin = -u_degree(Ns[0].index) * max_twist
+    gens = []
+    for N in Ns:
+        gm = generator_maps(G, N, ring)
+        gens += [gm[sym] for sym in ("a", "b", "c") if sym in gm]
+    monos = {(): unit_class(G, ring)}
+    frontier = dict(monos)
+    while frontier:
+        new = {}
+        for z in frontier.values():
+            for g in gens:
+                m = _mono_mul(z.mono, g.mono)
+                if (z.twist.total() + g.twist.total() > max_twist
+                        or z.shift + g.shift < smin or m in new):
+                    continue
+                new[m] = class_product(z, g)
+        monos.update(new)
+        frontier = new
+    return monos
+
+
+@pytest.mark.parametrize("group, ring, max_twist", [
+    ("C2xC2", GF(2), 2),
+    ("C3xC3", GF(3), 2),
+    ("C2xC2xC2", GF(2), 2),
+])
+def test_the_frontier_forms_the_layer_dedupe_products(monkeypatch, group,
+                                                      ring, max_twist):
+    from ttperm import twisted
+    old_G = parse_group_name(group)
+    old = _layer_dedupe_monomials(old_G, ring, max_twist)
+    formed = []
+
+    def spy(z1, z2):
+        formed.append(class_product(z1, z2))
+        return formed[-1]
+
+    monkeypatch.setattr(twisted, "class_product", spy)
+    G = parse_group_name(group)
+    twisted_table(G, ring, max_twist)
+    new = {z.mono: z.cycle for z in formed}
+    # one product per monomial, the same monomials with the same cycles
+    assert len(new) == len(formed)
+    assert new == {m: z.cycle for m, z in old.items() if m}
+    # and the same transports
+    assert {key for key in G.twist_complexes if len(key) == 3} == \
+        {key for key in old_G.twist_complexes if len(key) == 3}
+
+
 def test_transport_without_equivalence_is_a_theory_failure(monkeypatch):
     from ttperm import twisted
     from ttperm.homotopy import Inconclusive
