@@ -365,6 +365,16 @@ def dual_complex(X):
     return Complex(X.group, ring, terms, diffs)
 
 
+def evaluation_pairing(X):
+    """X (x) dual(X) -> unit, e_k (x) e_k^* -> 1: ChainMap checks it."""
+    D = dual_complex(X)
+    T, U = tensor_complex(X, D), unit_complex(X.group, X.ring)
+    block = tensor_index((X, D))[0]
+    return ChainMap(T, U, {0: EquivMap(T.terms[0], U.terms[0], {
+        (0, block[((i, -i), (k, k))]): X.ring.one
+        for i, M in X.terms.items() for k in range(M.rank)})})
+
+
 # ---------------------------------------------------------------------------
 # change of group / coefficients
 

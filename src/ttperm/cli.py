@@ -28,10 +28,9 @@ import sys
 
 from .grp import parse_group_name, subgroups, MAX_ORDER
 from .rings import ZZ, domain_from_name, prime_power
-from .homotopy import (find_homotopy_equivalence, Equivalence,
-                       SolverCapExceeded)
+from .homotopy import unit_equivalence, Equivalence, SolverCapExceeded
 from .permod import CertificateError
-from .chain import tensor_complex, dual_complex, unit_complex
+from .chain import evaluation_pairing
 from . import koszul
 from . import twisted
 from . import spectrum
@@ -266,9 +265,7 @@ def cmd_invert(args):
         N = Ns[0]
     else:
         raise UsageError("%s has no index-p normal subgroup" % G.name)
-    u = twisted.u_complex(G, N, ring)
-    X = tensor_complex(u, dual_complex(u))
-    eq = find_homotopy_equivalence(X, unit_complex(G, ring))
+    eq = unit_equivalence(evaluation_pairing(twisted.u_complex(G, N, ring)), 0)
     ok = isinstance(eq, Equivalence)
     out = {"command": "invert",
            "inputs": {"group": args.group, "ring": args.ring,

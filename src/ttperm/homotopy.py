@@ -40,9 +40,9 @@ in a fixed order.
   so they survive ``python -O``; ``check_homotopy`` clears the
   denominators of h first, so a rational certificate whose complex has
   integral differentials is checked in int products;
-* ``find_homotopy_equivalence`` builds the identity between equal
-  complexes, or the chain map inducing a unit on rank-one homology,
-  promoted by contracting its mapping cone;
+* ``find_homotopy_equivalence`` and ``unit_equivalence`` promote a chain
+  map inducing a unit on rank-one homology, searched or built, by
+  contracting its mapping cone (equal complexes get the identity);
 * homotopy-theoretic routines (``is_contractible``, ``null_homotopy``,
   ``chain_map_space``, ``hom_group``) solve inside the lattice of
   equivariant maps: unknowns are coefficients of the orbit
@@ -55,9 +55,9 @@ in a fixed order.
   the fixed-point complex (``InvariantsComplex``) on ``HomOrbits(R,
   X_n)``; and each contraction step (``_contract_equivariant``), which
   builds no pair table, on ``HomOrbits(L, Res_K X_n)`` for each
-  stabilizer K and sign L of a source orbit.  Maps are built only from
-  solutions; a contraction step keeps only the rows that the step below
-  left free, which suffices when its P[F, F] = I.
+  stabilizer K and sign L of a source orbit (``_sweep_step``).  Maps
+  are built only from solutions; a contraction step keeps only the rows
+  that the step below left free, which suffices when its P[F, F] = I.
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -1143,19 +1143,53 @@ def _fixed_orbits(M, K, chi):
     return T, members
 
 
+def _sweep_step(source, d, b, C, n, tables, kept_rows):
+    """The equivariant x : source -> C_{n+1} with d x(e_j) = b(j) in C_n
+    on each orbit e_j, and the free columns F by class if P[F, F] = I,
+    or None.  By Frobenius reciprocity x(e_j) is any invariant of e_j's
+    stabilizer and sign (K, chi), spread as x(g.e_j): one solve per
+    class, on the rows ``kept_rows[cls]`` (all when absent) of the
+    ``_fixed_orbits`` of C_n and C_{n+1}, kept in ``tables``."""
+    ring, target = source.ring, d.source
+    entries, free_rows = {}, {}
+    for cls, reps in _source_classes(source).items():
+        for m in (n, n + 1):
+            if (m, cls) not in tables:
+                tables[m, cls] = _fixed_orbits(C.term(m), *cls)
+        (eqs, _), (unknowns, members) = tables[n, cls], tables[n + 1, cls]
+        sys = _System(ring)
+        sys.add_block(0, unknowns)
+        sys.add_rows(eqs, [(0, d.entries, True)])
+        kept = kept_rows.get(cls, range(len(eqs)))
+        rows = [sys.rows[e] for e in kept]
+        row_of = {eqs.roots[e]: i for i, e in enumerate(kept)}
+        rhs = {}
+        for j, _ in reps:
+            for r, v in b(j).items():
+                if r in row_of:
+                    rhs.setdefault(row_of[r], {})[j] = v
+        sols, free = solve_sparse(ring, rows, sys.ncols, rhs,
+                                  return_free=True)
+        if sols is None:
+            return None
+        if free is not None:
+            free_rows[cls] = free
+        for j, spread in reps:
+            x = [(y, c if w == 1 else -c)
+                 for k, c in sols.get(j, {}).items()
+                 for y, w in members[k]]
+            for j2, (g, s) in spread.items():
+                act = target.action[g]
+                for y, v in x:
+                    y2, t = act[y]
+                    entries[y2, j2] = v if s == t else -v
+    return EquivMap(source, target, entries), free_rows
+
+
 def _contract_equivariant(X):
     """Equivariant greedy contraction, degree by degree from the bottom:
-    solve d_{n+1} h_n = b = id - h_{n-1} d_n.  Returns {n: EquivMap} or
-    None.
-
-    By Frobenius reciprocity, Hom_G(R[G/K]_chi, N) = N^(K, chi), h_n
-    on the orbit of e_j (stabilizer K, sign chi) is any (K, chi)-
-    invariant x_j = h(e_j), spread as h(e_{g.j}) = s g x_j where
-    g.e_j = s e_{g.j}.  So step n is block-diagonal by source orbit,
-    and all orbits of one (K, chi) class share the block d_{n+1} on
-    (K, chi)-invariants: one ``solve_sparse`` per class, unknowns the
-    (K, chi)-orbit sums of X_{n+1}, equations at the roots of those of
-    X_n (``_fixed_orbits``), one right side b_j per orbit.
+    solve d_{n+1} h_n = b = id - h_{n-1} d_n by ``_sweep_step``.  Returns
+    {n: EquivMap} or None.
 
     Step n keeps only the rows F that step n-1 of its class left free
     (row e and step n-1's column e are both orbit e of X_n's table).
@@ -1173,62 +1207,43 @@ def _contract_equivariant(X):
     holding by injectivity of the top differential.
     """
     ring = X.ring
-    h = {}
-    fixed = {}
-    kept_rows = {}
-
-    def orbits(n, cls):
-        if (n, cls) not in fixed:
-            fixed[n, cls] = _fixed_orbits(X.term(n), *cls)
-        return fixed[n, cls]
-
+    h, tables, kept_rows = {}, {}, {}
     for n in sorted(X.terms):
         dcols = _index(X.diffs[n].entries, 1) if n in X.diffs else {}
         hcols = _index(h[n - 1].entries, 1) if (n - 1) in h else {}
+
+        def b(j):
+            acc = {j: ring.one}          # e_j - h_{n-1} d_n e_j
+            for t, a in dcols.get(j, ()):
+                for r, v in hcols.get(t, ()):
+                    acc[r] = acc.get(r, 0) - a * v
+            return _normalized(ring, acc)
         # at the top degree X_{n+1} is the zero module: no unknowns, so
         # the step holds only where b = 0
-        target = X.term(n + 1)
-        d = X.diff(n + 1).entries
-        entries = {}
-        for cls, reps in _source_classes(X.terms[n]).items():
-            eqs, _ = orbits(n, cls)
-            unknowns, members = orbits(n + 1, cls)
-            sys = _System(ring)
-            sys.add_block(0, unknowns)
-            sys.add_rows(eqs, [(0, d, True)])
-            kept = kept_rows.get((n, cls), range(len(eqs)))
-            rows = [sys.rows[e] for e in kept]
-            # b_j is (K, chi)-invariant: its root entries are its
-            # coordinates
-            row_of = {eqs.roots[e]: i for i, e in enumerate(kept)}
-            rhs = {}
-            for j, _ in reps:
-                b = {j: ring.one}          # e_j - h_{n-1} d_n e_j
-                for t, a in dcols.get(j, ()):
-                    for r, v in hcols.get(t, ()):
-                        b[r] = b.get(r, 0) - a * v
-                for r, v in _normalized(ring, b).items():
-                    if r in row_of:
-                        rhs.setdefault(row_of[r], {})[j] = v
-            sols, free = solve_sparse(ring, rows, sys.ncols, rhs,
-                                      return_free=True)
-            if sols is None:
-                return None
-            if free is not None:
-                kept_rows[n + 1, cls] = free
-            for j, spread in reps:
-                x = [(y, c if w == 1 else -c)
-                     for k, c in sols.get(j, {}).items()
-                     for y, w in members[k]]
-                for j2, (g, s) in spread.items():
-                    act = target.action[g]
-                    for y, v in x:
-                        y2, t = act[y]
-                        entries[y2, j2] = v if s == t else -v
-        f = EquivMap(X.terms[n], target, entries)
+        step = _sweep_step(X.terms[n], X.diff(n + 1), b, X, n, tables,
+                           kept_rows)
+        if step is None:
+            return None
+        f, kept_rows = step
         if not f.is_zero():
             h[n] = f
     return h
+
+
+def _lift_chain_map(X, Y, f0):
+    """The chain map X -> Y with degree-0 component f0, lifted upward by
+    ``_sweep_step``s (rows kept as in a contraction), or None."""
+    from .chain import ChainMap
+    comps, tables, kept_rows = {0: f0}, {}, {}
+    for n in range(1, X.max_degree + 1):
+        dX = X.diff(n).columns()
+        step = _sweep_step(X.term(n), Y.diff(n),
+                           lambda j: comps[n - 1].apply(dX[j]), Y, n - 1,
+                           tables, kept_rows)
+        if step is None:
+            return None
+        comps[n], kept_rows = step
+    return ChainMap(X, Y, comps)
 
 
 def is_contractible(X):
@@ -1349,7 +1364,9 @@ def find_homotopy_equivalence(X, Y):
     object is a scalar, so f is fixed up to homotopy by the unit it
     induces there.  f is the combination of the chain-map lattice basis
     inducing a unit, promoted by contracting its mapping cone
-    (``_try_equivalence``); anything else is Inconclusive.
+    (``_try_equivalence``); anything else is Inconclusive.  Its callers
+    are ``twisted.restriction_check`` and transports that are not built;
+    the benchmark's per-layer metrics name it.
     """
     from .chain import ChainMap, structurally_equal
     if structurally_equal(X, Y):
@@ -1383,6 +1400,23 @@ def find_homotopy_equivalence(X, Y):
         _chain_map(X, Y, bases, _combine_vectors(space, combo)))
     return eq or Inconclusive("no chain map inducing a unit on homology "
                               "has a contractible cone over %s" % X.ring.name)
+
+
+def unit_equivalence(f, n0):
+    """The chain map f : X -> Y, both with homology R in degree n0, scaled
+    to send the generator class of H_n0(X) to coordinate 1 on that of Y
+    (``find_homotopy_equivalence``'s rule) and promoted by
+    ``_try_equivalence``: an Equivalence, or Inconclusive."""
+    from .chain import ChainMap
+    X, Y, ring = f.source, f.target, f.source.ring
+    vX = underlying_homology(X, n0).generators[0]
+    c = underlying_homology(Y, n0).coords(f.component(n0).apply(vX))[0]
+    if ring.is_unit(c) and c != 1:
+        f = ChainMap(X, Y, {n: EquivMap(g.source, g.target, _scaled(
+            ring, ring.inv(c), g.entries)) for n, g in f.components.items()})
+    return ring.is_unit(c) and _try_equivalence(f) or Inconclusive(
+        "the candidate induces %s on H_%d, or its cone is not "
+        "contractible" % (c, n0))
 
 
 def _unit_combination(ring, scalars):

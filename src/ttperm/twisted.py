@@ -24,8 +24,10 @@ Products of classes tensor cycle representatives (with the Koszul sign
 tensor(can(q1), can(q2)) -> can(q1+q2), none when q2 is one subgroup's
 power after all of q1's: can(q1+q2) is then built as that tensor.  Both
 sides have homology R in one degree, so the identification is unique
-up to a unit.  A table forms each monomial once, its prefix times its
-last generator in subgroup order, and only inside the window.
+up to a unit: for q2 = N^b after q1's N^a it lifts R (x) R -> R (times
+the identity elsewhere), certified by contracting its cone, and other
+pairs are searched.  A table forms each monomial once, its prefix times
+its last generator in subgroup order, and only inside the window.
 Canonical powers and transports are kept on their group
 (``Group.twist_complexes``, keyed by ring and twist keys) and hom groups
 on their complex (``Complex.hom_groups``), so all of them are freed
@@ -50,12 +52,13 @@ isomorphisms.
 from .grp import Subgroup, subgroups, _is_elementary_abelian_section
 from .rings import ZZ, factorize, prime_power
 from .permod import (EquivMap, perm_module, trivial_module, subgroup_meet,
-                     _scaled)
+                     _scaled, _index)
 from .chain import (Complex, ChainMap, unit_complex, shift_complex,
                     tensor_index, tensor_complex, restrict_complex)
 from .homotopy import (hom_group, find_homotopy_equivalence, Equivalence,
-                       null_homotopy, homology_profile, kernel_sparse,
-                       check_homotopy, _diagonalize)
+                       Inconclusive, unit_equivalence, null_homotopy,
+                       homology_profile, kernel_sparse, check_homotopy,
+                       _diagonalize, _lift_chain_map)
 
 
 class TheoryCheckFailure(Exception):
@@ -225,23 +228,59 @@ def _transport(G, ring, q1, q2):
     """The equivalence's chain map tensor(can(q1), can(q2)) -> can(q1 +
     q2), or None when can(q1 + q2) is that tensor (q1 is not zero and q2
     is one subgroup's power after q1's), and the ``tensor_index`` of the
-    tensor, kept on G under (ring, q1.key(), q2.key())."""
+    tensor, kept on G under (ring, q1.key(), q2.key()).  Maps are built
+    (``_shared_equivalence``) or, for pairs no table forms, searched."""
     key = (ring, q1.key(), q2.key())
     if key not in G.twist_complexes:
         factors = [canonical_u_power(G, q, ring) for q in (q1, q2)]
-        built = q1.items and len(q2.items) == 1 and \
-            (q1 + q2).key() == q1.key() + q2.key()
-        f = None if built else _equivalence(
-            tensor_complex(*factors), canonical_u_power(G, q1 + q2, ring),
-            "no canonical identification for %s x %s" % (q1, q2)).f
-        G.twist_complexes[key] = (f, tensor_index(factors))
+        index, f = tensor_index(factors), None
+        one = q1.items and len(q2.items) == 1
+        if not (one and q1.items[-1][0].elements < q2.items[0][0].elements):
+            X = tensor_complex(*factors)
+            Y = canonical_u_power(G, q1 + q2, ring)
+            eq = one and q1.items[-1][0].elements == q2.items[0][0].elements \
+                and _shared_equivalence(G, ring, q1, q2, index, X, Y)
+            f = _equivalence(X, Y, "no canonical identification for %s x %s"
+                             % (q1, q2), eq).f
+        G.twist_complexes[key] = (f, index)
     return G.twist_complexes[key]
 
 
-def _equivalence(X, Y, failure):
-    """The homotopy equivalence X -> Y that the theory guarantees;
-    raises TheoryCheckFailure("<failure>: <outcome>") otherwise."""
-    eq = find_homotopy_equivalence(X, Y)
+def _shared_equivalence(G, ring, q1, q2, index, X, Y):
+    """``unit_equivalence`` of X -> Y (``index`` X's layout) for q2 = N^b
+    and q1 ending in N^a: of the lift mu of the unit if q1 = N^a, each
+    step one class (N fixes X's orbits in degrees >= 1 and acts trivially
+    on Y) that solves where the tower is exact; else of id (x) mu."""
+    n0 = _twist_length(q1 + q2)
+    if len(q1.items) == 1:
+        mu = _lift_chain_map(X, Y, EquivMap(X.terms[0], Y.terms[0],
+                                            {(0, 0): ring.one}))
+        return unit_equivalence(mu, n0) if mu else Inconclusive(
+            "the unit does not lift")
+    tail = Twist(q1.items[-1:])
+    mu, inner = _transport(G, ring, tail, q2)
+    P = canonical_u_power(G, Twist(q1.items[:-1]), ring)
+    unpack = {n: {pos: key for key, pos in block.items()} for n, block in
+              tensor_index((P, canonical_u_power(G, tail, ring))).items()}
+    T = tensor_index((P, canonical_u_power(G, tail + q2, ring)))
+    mcols = {k: _index(g.entries, 1) for k, g in mu.components.items()}
+    entries = {n: {} for n in index}
+    for n, block in index.items():
+        # e_x (x) e_y (x) e_w -> e_x (x) mu(e_y (x) e_w), with no sign
+        for ((n1, l), (s, w)), c in block.items():
+            (i, j), (x, y) = unpack[n1][s]
+            col = inner[j + l][((j, l), (y, w))]
+            for z, v in mcols.get(j + l, {}).get(col, ()):
+                entries[n][T[n][((i, j + l), (x, z))], c] = v
+    return unit_equivalence(ChainMap(X, Y, {
+        n: EquivMap(X.terms[n], Y.terms[n], e)
+        for n, e in entries.items()}), n0)
+
+
+def _equivalence(X, Y, failure, eq=None):
+    """The homotopy equivalence X -> Y that the theory guarantees, eq or
+    a search's; raises TheoryCheckFailure("<failure>: <outcome>")."""
+    eq = eq or find_homotopy_equivalence(X, Y)
     if not isinstance(eq, Equivalence):
         raise TheoryCheckFailure("%s: %r" % (failure, eq))
     return eq

@@ -444,6 +444,57 @@ def test_product_tables_match_recorded_digests(capsys, command):
     assert digest == _TABLE_DIGESTS[command]
 
 
+# stdout digests of invert reports and of single-subgroup tables over Z
+# and F_3, recorded while every identification they use was searched in
+# the chain-map lattice
+_IDENTIFICATION_DIGESTS = {
+    "invert --group C6 --ring Z":
+        "d151e28c4315383b4bef51209e4dd28c7b9e37ddbd7c7f86194574df5925743f",
+    "invert --group Q8 --ring Z":
+        "a4df0ce942282352b700b12ee3192c6b7673a378b522dac074c1403b5bd32643",
+    "invert --group D8 --ring F2 --subgroup C4":
+        "240dcfa01cdb7c8c2f45675614307ef484752f3e353b886dd7b943cdc774e4d9",
+    "invert --group C27 --ring F3":
+        "e81c85166161f167eaed11d97b8839f143d21729b24e3d7f8c0545e61e09e7de",
+    "invert --group C3xC3 --ring F3":
+        "95886b8414bb11a11d80a0126d44aff0ce41b44d520990edcae17faf80623305",
+    "twisted --group C2 --ring Z --max-twist 4":
+        "3206670b41b6dc74342ccd30060f8c078aa2a477a2d01e46b5f80da2ec0ddfbd",
+    "twisted --group C3 --ring F3 --max-twist 4":
+        "d5252a040513a469e40eee2d5e32da56be9a6b06e16b7b47467c431d29c8117b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_IDENTIFICATION_DIGESTS))
+def test_built_identifications_match_recorded_digests(capsys, command):
+    assert run(command.split()) == 0
+    digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+    assert digest == _IDENTIFICATION_DIGESTS[command]
+
+
+def test_tables_and_invert_search_no_chain_map_lattice(monkeypatch, capsys):
+    # their identifications are built and promoted, never searched
+    from ttperm import homotopy, twisted
+    calls = []
+    for module, name in ((homotopy, "find_homotopy_equivalence"),
+                         (twisted, "find_homotopy_equivalence"),
+                         (homotopy, "chain_map_space")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for command in ("invert --group C3 --ring Z",
+                    "invert --group C5 --ring Z",
+                    "invert --group C7 --ring Z",
+                    "twisted --group C3 --ring Z --max-twist 5 "
+                    "--shift-min -10 --shift-max 0",
+                    "twisted --group C2 --ring F2 --max-twist 4",
+                    "twisted --group C2xC2 --ring F2 --max-twist 2",
+                    "twisted --group C3xC3 --ring F3 --max-twist 2"):
+        assert run(command.split()) == 0, command
+        capsys.readouterr()
+    assert calls == []
+
+
 def test_verify_missing_file():
     assert run(["verify", "/nonexistent/report.json"]) == 1
 

@@ -452,14 +452,55 @@ def test_homology_profile_detects_quasi_isomorphism_type():
     assert homology_profile(X) == {0: (0, (6,))}
 
 
+def _search_pairs(argv):
+    """The (X, Y) pairs whose equivalences the command argv searched
+    before its transports and its invert candidate were built: (u (x)
+    u*, 1) for invert, and for a twisted table the tensor and target of
+    each transport key that holds a map."""
+    from ttperm.rings import domain_from_name
+    from ttperm.twisted import Twist, canonical_u_power, twisted_table
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    G = parse_group_name(opts["--group"])
+    ring = domain_from_name(opts.get("--ring", "Z"))
+    if argv[0] == "invert":
+        u = u_complex(G, index_p_normal_subgroups(G)[0], ring)
+        return [(tensor_complex(u, dual_complex(u)), unit_complex(G, ring))]
+    twisted_table(G, ring, int(opts.get("--max-twist", 3)))
+    subgroup = {N.elements: N for N in index_p_normal_subgroups(G)}
+    pairs = []
+    for key, value in G.twist_complexes.items():
+        if len(key) == 3 and value[0] is not None:
+            q1, q2 = (Twist([(subgroup[el], e) for el, e in k])
+                      for k in key[1:])
+            pairs.append((tensor_complex(canonical_u_power(G, q1, ring),
+                                         canonical_u_power(G, q2, ring)),
+                          canonical_u_power(G, q1 + q2, ring)))
+    return pairs
+
+
+def _search(argv):
+    """Search an equivalence for each of the command's ``_search_pairs``."""
+    pairs = _search_pairs(argv)
+    assert pairs
+    for X, Y in pairs:
+        assert isinstance(find_homotopy_equivalence(X, Y), Equivalence)
+
+
+def _run_and_search(argv):
+    """Run the command argv, then ``_search`` its pairs."""
+    from ttperm.cli import run
+    assert run(argv) == 0
+    _search(argv)
+
+
 def test_invert_caches_hom_bases_as_orbit_codes(monkeypatch, capsys):
-    # every hom basis a command caches is an orbit table: the orbit
+    # every hom basis a search caches is an orbit table: the orbit
     # roots and one 4-byte code per basis pair, no map.  Contractions
-    # cache none, so invert caches only its chain-map tables; a twisted
-    # table caches enough of them to reach the size threshold.
+    # and lifts cache none, so the commands are driven with the searches
+    # they made before their candidates were built; the transports of a
+    # twisted table cache enough of them to reach the size threshold.
     from array import array
     from ttperm import homotopy
-    from ttperm.cli import run
     cached = []
     real = homotopy._hom_basis
 
@@ -469,10 +510,10 @@ def test_invert_caches_hom_bases_as_orbit_codes(monkeypatch, capsys):
         return basis
 
     monkeypatch.setattr(homotopy, "_hom_basis", recording)
-    assert run(["invert", "--group", "C5", "--ring", "Z"]) == 0
+    _run_and_search(["invert", "--group", "C5", "--ring", "Z"])
     assert cached
-    assert run(["twisted", "--group", "C3", "--ring", "Z",
-                "--max-twist", "3"]) == 0
+    _run_and_search(["twisted", "--group", "C3", "--ring", "Z",
+                     "--max-twist", "3"])
     capsys.readouterr()
     tables = list({id(H): H for H in cached}.values())
     assert len(tables) >= 5 and sum(map(len, tables)) > 100
@@ -746,9 +787,9 @@ def test_incremental_pivot_search_matches_rescan_on_random_matrices(ring):
 ])
 def test_incremental_pivot_search_matches_rescan_on_command_systems(
         argv, monkeypatch, capsys):
-    # every system a command eliminates, replayed through the rescan
+    # every system a command and its searches eliminate, replayed
+    # through the rescan
     from ttperm import homotopy
-    from ttperm.cli import run
     seen = []
     real = homotopy._diagonalize
 
@@ -758,7 +799,7 @@ def test_incremental_pivot_search_matches_rescan_on_command_systems(
         return real(ring, rows, ncols, rhs)
 
     monkeypatch.setattr(homotopy, "_diagonalize", recording)
-    assert run(argv) == 0
+    _run_and_search(argv)
     capsys.readouterr()
     monkeypatch.undo()
     assert len(seen) >= 10
@@ -866,9 +907,8 @@ def test_corrupted_inputs_are_rejected_under_python_O(python_O):
     ]
 
 
-def test_chain_maps_are_built_only_for_tried_candidates(monkeypatch, capsys):
+def test_chain_maps_are_built_only_for_tried_candidates(monkeypatch):
     from ttperm import homotopy
-    from ttperm.cli import run
     vectors, built, tried = [], [], []
 
     def spy(name, log, count):
@@ -884,9 +924,7 @@ def test_chain_maps_are_built_only_for_tried_candidates(monkeypatch, capsys):
     spy("chain_map_space", vectors, lambda out: len(out[1]))
     spy("_chain_map", built, lambda f: 1)
     spy("_try_equivalence", tried, lambda eq: 1)
-    assert run(["twisted", "--group", "C3", "--ring", "Z",
-                "--max-twist", "3"]) == 0
-    capsys.readouterr()
+    _search(["twisted", "--group", "C3", "--ring", "Z", "--max-twist", "3"])
     assert len(built) <= len(tried) < sum(vectors)
 
 
@@ -985,9 +1023,9 @@ def _record_assemblies(monkeypatch):
 ])
 def test_root_assembly_matches_full_products_on_commands(
         argv, monkeypatch, capsys):
-    from ttperm.cli import run
+    # the commands and the searches their built transports replaced
     seen = _record_assemblies(monkeypatch)
-    assert run(argv) == 0
+    _run_and_search(argv)
     capsys.readouterr()
     assert sum(n for _, n, _ in seen) >= 800
     assert all(same for same, _, _ in seen)
@@ -1207,9 +1245,8 @@ def _rows_by_caller(seen):
 ])
 def test_graded_builder_matches_old_assemblies_on_commands(
         argv, callers, monkeypatch, capsys):
-    from ttperm.cli import run
     seen = _record_builders(monkeypatch)
-    assert run(argv) == 0
+    _run_and_search(argv)
     capsys.readouterr()
     rows = _rows_by_caller(seen)
     assert callers <= set(rows), rows
@@ -1284,6 +1321,7 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
     # indices in ascending order.  Contractions solve one multi-right-side
     # system per stabilizer class and pass its solutions on; no command
     # solves a _System any more, so a null homotopy follows the command.
+    # A table's transports are lifted, so its searches follow it too.
     from ttperm import homotopy, permod, twisted
     from ttperm.cli import run
     seen = {}
@@ -1341,7 +1379,10 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
     spy(permod.EquivMap, "apply", apply)
     spy(homotopy.HomGroup, "__init__", hom_group_init)
     spy(twisted, "class_product", product)
-    assert run(argv) == 0
+    if argv[0] == "twisted":
+        _run_and_search(argv)
+    else:
+        assert run(argv) == 0
     capsys.readouterr()
     assert seen["solve_sparse"]
     G = cyclic(2)
@@ -1815,16 +1856,36 @@ def test_distinct_pair_off_rank_one_homology_is_inconclusive_at_once(
     ("C2xC2", GF(2), 2),
     ("C3xC3", GF(3), 2),
     ("C2xC2xC2", GF(2), 2),
+    ("C3", GF(3), 4),
+    ("C2", GF(2), 4),
+    ("C3", ZZ, 5),
+    ("C2", ZZ, 4),
 ])
-def test_transports_match_the_old_search(group, ring, max_twist):
+def test_transports_match_the_old_search(monkeypatch, group, ring,
+                                         max_twist):
+    # a built transport is another representative of the search's
+    # homotopy class, so the product classes agree, not the entries.
+    # Over Z the unit the search picks is an artifact of its lattice
+    # order: on `flips` of the keys its map induces -1 on homology where
+    # the built one induces 1, so their classes agree up to -1 there.
+    flips = 2 if (group, ring) == ("C2", ZZ) else 0
+    from ttperm import twisted
     from ttperm.chain import structurally_equal, tensor_index
     from ttperm.twisted import Twist, canonical_u_power, twisted_table
     G = parse_group_name(group)
+    products = []
+    real = twisted.class_product
+
+    def spy(z1, z2):
+        products.append((z1, z2, real(z1, z2)))
+        return products[-1][2]
+
+    monkeypatch.setattr(twisted, "class_product", spy)
     twisted_table(G, ring, max_twist)
     subgroup = {N.elements: N for N in index_p_normal_subgroups(G)}
     keys = [key for key in G.twist_complexes if len(key) == 3]
     assert keys
-    by_construction = 0
+    by_construction, old, flipped = 0, {}, set()
     for key in keys:
         f, index = G.twist_complexes[key]
         if f is None:
@@ -1838,15 +1899,38 @@ def test_transports_match_the_old_search(group, ring, max_twist):
                                       canonical_u_power(G, q1 + q2, ring))
             assert index == tensor_index(factors)
             continue
+        old[key] = _old_search(f.source, f.target)
+        assert isinstance(old[key], Equivalence)
+        # the scalars both maps induce on H_n0 = R, n0 the top degree
         X, Y = f.source, f.target
-        old = _old_search(X, Y)
-        assert isinstance(old, Equivalence)
-        for n in X.terms:
-            assert list(f.component(n).entries.items()) == \
-                list(old.f.component(n).entries.items()), n
+        n0 = max(Y.terms)
+        vX = underlying_homology(X, n0).generators[0]
+        fgY = underlying_homology(Y, n0)
+        c, c_old = (fgY.coords(g.component(n0).apply(vX))
+                    for g in (f, old[key].f))
+        assert c == (ring.one,), key
+        if c != c_old:
+            assert ring is ZZ and c_old == (-1,), key
+            flipped.add(key)
+    compared = 0
+    for z1, z2, z in products:
+        key = (ring, z1.twist.key(), z2.twist.key())
+        if key not in old:
+            continue
+        _, index = G.twist_complexes[key]
+        n1, n2 = -z1.shift, -z2.shift
+        sgn = 1 if (z1.shift * z2.shift) % 2 == 0 else -1
+        v = _scaled(ring, sgn, {index[n1 + n2][((n1, n2), (a, b))]: x * y
+                                for a, x in z1.cycle.items()
+                                for b, y in z2.cycle.items()})
+        w = old[key].f.component(n1 + n2).apply(v)
+        assert z.hom().classes_equal(z.cycle, w, key in flipped), key
+        compared += 1
+    assert compared and len(flipped) == flips, sorted(flipped)
     # the products by a later subgroup are built, the shared-N ones are
-    # searched
-    assert 0 < by_construction < len(keys)
+    # lifted
+    assert (by_construction > 0) == (len(subgroup) > 1)
+    assert by_construction < len(keys)
 
 
 _HOMOTOPY_PRECONDITIONS = """

@@ -463,8 +463,8 @@ def test_the_frontier_forms_the_layer_dedupe_products(monkeypatch, group,
 def test_transport_without_equivalence_is_a_theory_failure(monkeypatch):
     from ttperm import twisted
     from ttperm.homotopy import Inconclusive
-    monkeypatch.setattr(twisted, "find_homotopy_equivalence",
-                        lambda X, Y: Inconclusive("no candidate"))
+    monkeypatch.setattr(twisted, "unit_equivalence",
+                        lambda f, n0: Inconclusive("no candidate"))
     G = cyclic(2)
     q = Twist.single(index_p_normal_subgroups(G)[0])
     with pytest.raises(twisted.TheoryCheckFailure,
@@ -481,7 +481,7 @@ from ttperm.homotopy import Inconclusive
 from ttperm.rings import ZZ
 
 assert sys.flags.optimize
-twisted.find_homotopy_equivalence = lambda X, Y: Inconclusive("no candidate")
+twisted.unit_equivalence = lambda f, n0: Inconclusive("no candidate")
 G = cyclic(2)
 q = twisted.Twist.single(twisted.index_p_normal_subgroups(G)[0])
 try:
@@ -496,6 +496,116 @@ def test_transport_check_survives_python_O(python_O):
     proc = python_O(_TRANSPORT_WITHOUT_EQUIVALENCE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("no canonical identification")
+
+
+@pytest.mark.parametrize("group", ["C2", "C3", "C5", "C3xC3"])
+@pytest.mark.parametrize("ring_name", ["Z", "Q", "F_p"])
+def test_the_unit_lifts_through_every_single_tower(monkeypatch, group,
+                                                   ring_name):
+    # in degrees >= 1 every orbit of can(N^a) (x) can(N^b) has stabilizer
+    # N, which acts trivially on can(N^(a+b)): each step of the lift meets
+    # one class and solves, and the lift is an equivalence
+    from ttperm import homotopy
+    from ttperm.homotopy import (Equivalence, _lift_chain_map,
+                                 _source_classes, _try_equivalence)
+    from ttperm.permod import EquivMap
+    from ttperm.chain import tensor_complex
+    G = parse_group_name(group)
+    N = index_p_normal_subgroups(G)[0]
+    ring = {"Z": ZZ, "Q": QQ, "F_p": GF(N.index)}[ring_name]
+    steps = []
+    real = homotopy._sweep_step
+
+    def spy(source, d, b, C, n, tables, kept_rows):
+        out = real(source, d, b, C, n, tables, kept_rows)
+        steps.append((n + 1, list(_source_classes(source)), out is not None))
+        return out
+
+    monkeypatch.setattr(homotopy, "_sweep_step", spy)
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            X = tensor_complex(canonical_u_power(G, Twist.single(N, a), ring),
+                               canonical_u_power(G, Twist.single(N, b), ring))
+            Y = canonical_u_power(G, Twist.single(N, a + b), ring)
+            del steps[:]
+            f = _lift_chain_map(X, Y, EquivMap(X.terms[0], Y.terms[0],
+                                               {(0, 0): ring.one}))
+            assert f.component(0).entries == {(0, 0): ring.one}
+            assert [n for n, _, _ in steps] == list(range(1, max(X.terms) + 1))
+            for n, classes, solved in steps:
+                assert classes == [(N.elements, (1,) * N.order)] and solved
+            eq = _try_equivalence(f)
+            assert isinstance(eq, Equivalence) and eq.verify()
+
+
+_BROKEN_CANDIDATES = """
+import json
+import sys
+from ttperm import chain, twisted
+from ttperm.chain import ChainMap
+from ttperm.cli import run
+from ttperm.grp import cyclic
+from ttperm.permod import EquivMap
+from ttperm.rings import ZZ, GF
+
+assert sys.flags.optimize
+real = twisted._lift_chain_map
+
+
+def times_p(X, Y, f0):
+    # mu scaled by p = 3: p times the unit on homology
+    f = real(X, Y, f0)
+    return ChainMap(X, Y, {n: EquivMap(g.source, g.target, {
+        k: 3 * v for k, v in g.entries.items()})
+        for n, g in f.components.items()})
+
+
+twisted._lift_chain_map = times_p
+for ring in (ZZ, GF(3)):
+    G = cyclic(3)
+    q = twisted.Twist.single(twisted.index_p_normal_subgroups(G)[0])
+    try:
+        twisted._transport(G, ring, q, q)
+        sys.exit("a transport scaled by p passed")
+    except twisted.TheoryCheckFailure as exc:
+        print(exc)
+    if any(len(key) == 3 for key in G.twist_complexes):
+        sys.exit("a failed transport was kept")
+
+
+class FlippedPairing(ChainMap):
+    # the evaluation pairing with the sign of its block u_1 (x) u_1^*
+    # flipped
+    def __init__(self, source, target, components):
+        if target.total_rank() == 1 and 0 in components:
+            f = components[0]
+            labels = f.source.basis
+            components = {0: EquivMap(f.source, f.target, {
+                (r, c): -v if labels[c][0] == (1, -1) else v
+                for (r, c), v in f.entries.items()})}
+        super().__init__(source, target, components)
+
+
+chain.ChainMap = FlippedPairing
+print(run(["invert", "--group", "C3", "--ring", "Z"]))
+"""
+
+
+def test_broken_candidates_are_rejected_under_python_O(python_O):
+    # a transport inducing p on homology is no identification, and an
+    # evaluation pairing with a flipped block is no chain map; both
+    # checks raise, also under python -O
+    import json
+    proc = python_O(_BROKEN_CANDIDATES)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for line, c in zip(lines[:2], ("3", "0")):
+        assert line.startswith("no canonical identification"), line
+        assert "induces %s on H_4" % c in line, line
+    assert json.loads("\n".join(lines[2:-1])) == {
+        "error": "CertificateError",
+        "message": "square at degree 1 does not commute"}
+    assert lines[-1] == "2"
 
 
 _UNCONCENTRATED_POWER = """
