@@ -13,13 +13,14 @@ Subcommands
 
 Exit codes: 0 on success; 1 on usage errors and on inputs over a
 user-set bound (a complex whose total rank exceeds the TTPERM_MAX_RANK
-environment variable, which caps the size of homotopy solves), with a
-message on stderr; 2 when a theory check, certificate check or
-validation fails, with a machine-readable report on stdout.  Any other
-exception, a failed internal ``assert`` included, is a bug: it ends the
-run with a traceback (exit 1).  All output is deterministic:
-dictionaries are dumped with sorted keys and every enumeration is
-canonically ordered.
+environment variable, which caps the size of homotopy solves and of
+the Koszul certificate check), with a message on stderr; 2 when a
+theory check, certificate check or validation fails, with a
+machine-readable report on stdout.  Any other exception is a bug: it
+ends the run with a traceback (exit 1); the package has no ``assert``,
+so a failed internal invariant raises ``ValueError``, also under
+``python -O``.  All output is deterministic: dictionaries are dumped
+with sorted keys and every enumeration is canonically ordered.
 """
 
 import argparse

@@ -1045,16 +1045,18 @@ class ContractionCertificate:
         return check_homotopy(X, X, {n: {(i, i): one for i in range(M.rank)}
                                      for n, M in X.terms.items()}, self.h)
 
-    def carried_to(self, Y):
-        """This integral contraction on Y, the base change of its
-        complex to another ring (same groups and bases): every entry is
-        mapped through ``Y.ring.from_int``.  Not verified here; a ring
-        map carries d h + h d = id to the same identity over Y.ring."""
+    @classmethod
+    def carried(cls, h, Y):
+        """The contraction with integer entries h {n: entries} on Y, a
+        base change of its complex (same groups and bases) or that
+        complex itself: every entry is mapped through
+        ``Y.ring.from_int``.  Not verified here; a ring map carries
+        d h + h d = id to the same identity over Y.ring."""
         from_int = Y.ring.from_int
-        return ContractionCertificate(Y, {
+        return cls(Y, {
             n: EquivMap(Y.terms[n], Y.terms[n + 1],
-                        {k: from_int(v) for k, v in f.entries.items()})
-            for n, f in self.h.items()})
+                        {k: from_int(v) for k, v in entries.items()})
+            for n, entries in h.items()})
 
     def to_json(self):
         from .chain import _map_to_json
@@ -1256,7 +1258,10 @@ def is_contractible(X):
     degree, on the rows that the step below leaves free when its P[F, F]
     = I, feasible exactly when all rows are.  Failure first looks for
     nonzero homology of the underlying complex, then reports the
-    equivariant system as infeasible.
+    equivariant system as infeasible.  Its callers are the cones of
+    ``_try_equivalence`` and ``koszul.verify_koszul`` when it is given
+    no certificate (the from-scratch recheck); ``kos`` builds its
+    contraction along the tower instead.
     """
     if X.is_zero():
         return True, ContractionCertificate(X, {})

@@ -22,9 +22,13 @@ in one pass by ``chain.tensor_cone``; the top level lives over G.
 Every constructed object is verified before being returned: terms are
 permutation modules, degree 0 is R, degree 1 is induced from H, the
 complex is acyclic, and its restriction to H is contractible with an
-explicit contraction certificate.  Acyclicity is certified by d o d = 0
-(a sparse product) together with the verified contraction of the
-restriction, which contracts the underlying complex; homology is
+explicit contraction certificate.  That contraction is built along the
+tower and then verified like a solved one: h_0 = 1 on R --1--> R, h (x)
+1 (x) ... (x) 1 after a tensor induction, h conjugated by the iso of a
+rebase, and K + Psi h Phi across a sign modification's cone (the basic
+perturbation lemma; ``_cone_contraction``).  Acyclicity is certified
+by d o d = 0 (a sparse product) together with the verified contraction
+of the restriction, which contracts the underlying complex; homology is
 computed only to name a failure.  Each object is built once per
 (group, subgroup, ring) and kept on its group (``Group.koszul_objects``).
 
@@ -39,12 +43,13 @@ from .grp import subgroups
 from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
                      subgroup_meet, trivial_module, sign_module, perm_module,
                      tensor_module, sign_decompose, map_inverse_monomial,
-                     rebase_to_permutation, is_induced_from)
+                     rebase_to_permutation, is_induced_from, _index)
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
                     tensor_index, tensor_differentials, tensor_cone,
                     restrict_complex, transport_complex, base_change_complex)
-from .homotopy import (is_contractible, homology_profile,
-                       check_homotopy, _average_homotopy)
+from .homotopy import (ContractionCertificate, is_contractible,
+                       homology_profile, check_homotopy, _average_homotopy,
+                       _enforce_rank_cap)
 from .rings import prime_power
 
 
@@ -147,6 +152,75 @@ def tensor_induce(X, S):
 
 
 # ---------------------------------------------------------------------------
+# the contraction of Res_H X, carried up the tower as {n: entries of h_n}
+
+def _induced_contraction(h, X, k):
+    """h (x) 1 (x) ... (x) 1 on the layout ``tensor_index([X] * k)`` of
+    ``tensor_induce``: h acts in slot 0, the identity coset's, and
+    needs no Koszul sign there."""
+    index = tensor_index([X] * k)
+    cols = {d: _index(entries, 1) for d, entries in h.items()}
+    out = {}
+    for n, block in index.items():
+        above = index.get(n + 1)
+        acc = {}
+        for (tup, src), c in block.items():
+            for r, v in cols.get(tup[0], {}).get(src[0], ()):
+                acc[(above[((tup[0] + 1,) + tup[1:], (r,) + src[1:])],
+                     c)] = v
+        if acc:
+            out[n] = acc
+    return out
+
+
+def _moved(h, isos, ring, place=lambda j: j):
+    """J^-1 h J for the monomial isomorphisms J_n = iso_n : X'_n -> X_n
+    of ``isos`` {n: iso_n}, column j of iso_n read as X'_n's basis
+    vector place(j); degrees not in ``isos`` keep their basis."""
+    cols = {n: {i: (place(j), v) for (i, j), v in iso.entries.items()}
+            for n, iso in isos.items()}
+    rows = {n: {i: (j, ring.inv(v)) for i, (j, v) in mv.items()}
+            for n, mv in cols.items()}
+    out = {}
+    for n, entries in h.items():
+        rmove, cmove = rows.get(n + 1), cols.get(n)
+        acc = {}
+        for (r, c), v in entries.items():
+            r, a = rmove[r] if rmove else (r, 1)
+            c, b = cmove[c] if cmove else (c, 1)
+            acc[(r, c)] = ring.normalize(a * v * b)
+        out[n] = acc
+    return out
+
+
+def _cone_contraction(hC, rb, rt, ring):
+    """The contraction K + Psi hC Phi of cone(s (x) t) from hC on
+    cone(t), both on their layouts: cone(t)_n is x_bot_n (rank rb[n])
+    then x_top_n (rank rt[n]), and ``tensor_cone`` writes cone(s (x) t)_n
+    as L (x) x_bot_n, then Ltilde_0 (x) x_top_n, e_S block first, then
+    Ltilde_1 (x) x_top_{n-1}.  The chain maps Phi = id (+) s (x) 1 (e_S
+    (x) x -> x, e_other (x) x -> -x) and Psi = id (+) e_S (x) 1 have
+    Phi Psi = 1, and K = -(k (x) 1), k(e_other) = 1 the homotopy of
+    Ltilde with d k + k d = 1 - e_S s and s k = 0, has d K + K d = 1 -
+    Psi Phi; so d h' + h' d = 1.  Over H <= S, L is trivial and e_S
+    fixed, so all three are H-equivariant."""
+    minus = ring.normalize(-1)
+    out = {}
+    for n in set(hC) | {n for n, r in rt.items() if r}:
+        acc = {}
+        b, t = rb.get(n, 0), rt.get(n, 0)
+        for (r, c), v in hC.get(n, {}).items():
+            acc[(r, c)] = v
+            if c >= b:
+                acc[(r, c + t)] = ring.normalize(-v)
+        up = rb.get(n + 1, 0) + 2 * rt.get(n + 1, 0)
+        for x in range(t):
+            acc[(up + x, b + t + x)] = minus
+        out[n] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
 # sign modification (p = 2)
 
 def sign_twist_complex(S, ring):
@@ -163,7 +237,7 @@ def sign_twist_complex(S, ring):
     return Lt, Lc, ChainMap(Lt, Lc, {0: smap})
 
 
-def sign_modify(X, S):
+def sign_modify(X, S, h=None):
     """Descending induction replacing signed degree-m terms.
 
     At each m (top to 0) the term x_m splits as P (+) L (x) N along the
@@ -174,7 +248,10 @@ def sign_modify(X, S):
     x_top_{j-1}: all new contributions in degrees > m are permutation,
     degree m becomes N (+) ..., and degrees < m pick up a factor L
     that later (smaller-m) steps remove.  ``chain.tensor_cone`` builds
-    and checks the cone in one pass.  Returns (complex, audit).
+    and checks the cone in one pass.  ``h``, when given, is a
+    contraction {n: entries} of Res_H X for some H <= S, and each step
+    carries it along (``_moved``, ``_cone_contraction``).  Returns
+    (complex, audit, the contraction of its restriction or None).
     """
     G = S.parent
     ring = X.ring
@@ -203,6 +280,8 @@ def sign_modify(X, S):
                 comp = inv.compose(X.diffs[m + 1])
                 diffs[m + 1] = EquivMap(X.terms[m + 1], P, comp.entries)
             X = Complex(G, ring, terms, diffs, check=False)
+            if h is not None:
+                h = _moved(h, {m: iso}, ring)
             audit.append({"degree": m, "action": "rebased"})
             continue
         inv = map_inverse_monomial(iso)
@@ -237,11 +316,18 @@ def sign_modify(X, S):
         x_bot = Complex(G, ring, bot_terms, bot_diffs, check=False)
         X = tensor_cone(smap, ChainMap(shift_complex(x_top, -1), x_bot,
                                        t_comps))
+        if h is not None:
+            # cone(t)_m is x_bot_m = L (x) N, then x_top_m = P
+            h = _cone_contraction(
+                _moved(h, {m: iso}, ring,
+                       lambda j: j - pr if j >= pr else N.rank + j),
+                {j: T.rank for j, T in x_bot.terms.items()},
+                {j: T.rank for j, T in x_top.terms.items()}, ring)
         audit.append({"degree": m, "action": "modified",
                       "minus_rank": N.rank, "plus_rank": pr})
     if not X.all_terms_permutation():
         raise KoszulVerificationError("sign modification left a signed term")
-    return X, audit
+    return X, audit, h
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +357,24 @@ def verify_koszul(X, G, H, ring, contraction=None):
     """Check the four defining invariants; returns (audit dict,
     contraction certificate of the restriction to H).
 
+    The solver cap (``TTPERM_MAX_RANK``) is enforced on Res_H X first.
     d o d = 0 is checked as a sparse product.  A verified contraction
     of Res_H X contracts the underlying complex, so it certifies
     acyclicity too; ``homology_profile`` runs only when no contraction
     exists, to tell "not acyclic" from "restriction not contractible".
-    ``contraction`` is an integral certificate for Res_H of the complex
-    that X is the base change of: it is carried over to ``ring`` and
-    verified there instead of solving again.
+    ``contraction`` is a contraction of Res_H X with integer values, as
+    {n: entries} (the one ``koszul_object`` builds along the tower) or
+    as the integral certificate of the complex that X is the base change
+    of: it is carried over to ``ring`` and verified there.  Without it
+    the contraction is solved from scratch (``is_contractible``, the
+    sweep of ``homotopy._contract_equivariant``).
 
     Raises KoszulVerificationError on any failure (these are theory
     violations, never silently tolerated), and CertificateError when
-    d o d != 0 or a carried contraction does not verify.
+    d o d != 0 or a given contraction does not verify.
     """
+    res = restrict_complex(X, H)
+    _enforce_rank_cap(res)
     report = {}
     if not X.all_terms_permutation():
         raise KoszulVerificationError("terms are not permutation modules")
@@ -296,11 +388,12 @@ def verify_koszul(X, G, H, ring, contraction=None):
         raise KoszulVerificationError("degree-1 term is not induced from H")
     report["degree1_induced"] = True
     X.check_square_zero()
-    res = restrict_complex(X, H)
     if contraction is None:
         ok, cert = is_contractible(res)
     else:
-        ok, cert = True, contraction.carried_to(res)
+        if isinstance(contraction, ContractionCertificate):
+            contraction = {n: f.entries for n, f in contraction.h.items()}
+        ok, cert = True, ContractionCertificate.carried(contraction, res)
         cert.verify()
     if not ok:
         prof = homology_profile(X)
@@ -320,32 +413,37 @@ def koszul_object(G, H, ring):
     G must be a p-group.  For p > 2 a single tensor induction (index
     at most 4) followed by an orbitwise rebase; for p = 2 the iterated
     tensor-induce / sign-modify tower along the index-2 filtration.
-    The object is built and verified once per (H, ring) and kept on G
-    in ``G.koszul_objects``; later calls return the same object.
+    The contraction of Res_H X is built with X and verified by
+    ``verify_koszul``; nothing is solved.  The object is built and
+    verified once per (H, ring) and kept on G in ``G.koszul_objects``;
+    later calls return the same object.
     """
     key = (H.elements, ring)
     kos = G.koszul_objects.get(key)
     if kos is None:
-        X, audit = _build_koszul(G, H, ring)
-        audit["checks"], cert = verify_koszul(X, G, H, ring)
+        X, audit, h = _build_koszul(G, H, ring)
+        audit["checks"], cert = verify_koszul(X, G, H, ring, contraction=h)
         kos = G.koszul_objects[key] = KoszulObject(X, G, H, ring, audit,
                                                    cert)
     return kos
 
 
 def _build_koszul(G, H, ring):
-    """The unverified complex of kos(G, H) and its audit."""
+    """The unverified complex of kos(G, H), its audit, and the
+    contraction {n: entries} of its restriction to H, built along."""
     pk = prime_power(G.order) if G.order > 1 else (2, 0)
     if pk is None:
         raise ValueError("Koszul objects need a p-group, not %s" % G.name)
     p = pk[0]
     audit = {"group": G.name, "subgroup": H.describe(), "ring": ring.name}
+    h = {0: {(0, 0): ring.one}}
     if H.order == G.order:
         audit["tower"] = []
-        return koszul_base(G, ring), audit
+        return koszul_base(G, ring), audit, h
     if p != 2:
         H_grp, _ = subgroup_as_group(H)
-        X = tensor_induce(koszul_base(H_grp, ring), H)
+        base = koszul_base(H_grp, ring)
+        X = tensor_induce(base, H)
         # orbitwise change of basis to a permutation complex
         terms = {}
         isos = {}
@@ -358,9 +456,10 @@ def _build_koszul(G, H, ring):
         diffs = {n: map_inverse_monomial(isos[n - 1]).compose(
                      f.compose(isos[n])) for n, f in X.diffs.items()}
         X = Complex(G, ring, terms, diffs)
+        h = _moved(_induced_contraction(h, base, H.index), isos, ring)
         audit["tower"] = [{"from": H.describe(), "to": G.name,
                            "index": H.index, "action": "tensor-induce+rebase"}]
-        return X, audit
+        return X, audit, h
     # p = 2: walk the index-2 filtration
     chain = index2_filtration(G, H)
     audit["filtration"] = [S.describe() for S in chain]
@@ -369,13 +468,14 @@ def _build_koszul(G, H, ring):
     steps = []
     for i in range(1, len(chain)):
         Gi, Si = subgroup_meet(chain[i], chain[i - 1])
+        h = _induced_contraction(h, X, Si.index)
         X = tensor_induce(X, Si)
-        X, mod_audit = sign_modify(X, Si)
+        X, mod_audit, h = sign_modify(X, Si, h)
         steps.append({"level": chain[i].describe(),
                       "ranks": X.rank_vector(),
                       "modification": mod_audit})
     audit["tower"] = steps
-    return X, audit
+    return X, audit, h
 
 
 def base_change_koszul_check(G, H, p):

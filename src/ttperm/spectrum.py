@@ -68,16 +68,21 @@ class SpcPoint:
 
     def __init__(self, kind, q=None, excluded=None, subgroup=None,
                  tag=None, p=None):
-        assert kind in ("zero", "prime", "family", "modular")
+        if kind not in ("zero", "prime", "family", "modular"):
+            raise ValueError("unknown point kind %r" % (kind,))
         self.kind = kind
         if kind == "prime":
-            assert isinstance(q, int) and q >= 2
+            if not (isinstance(q, int) and q >= 2):
+                raise ValueError("a prime point needs an integer q >= 2")
         if kind == "family":
             excluded = tuple(sorted(set(excluded or ())))
         if kind == "modular":
-            assert tag in (TAG_CLOSED, TAG_GENERIC)
-            assert isinstance(p, int) and p >= 2
-            assert isinstance(subgroup, str) and subgroup
+            if tag not in (TAG_CLOSED, TAG_GENERIC):
+                raise ValueError("unknown modular tag %r" % (tag,))
+            if not (isinstance(p, int) and p >= 2):
+                raise ValueError("a modular point needs an integer p >= 2")
+            if not (isinstance(subgroup, str) and subgroup):
+                raise ValueError("a modular point needs a subgroup label")
         self.q = q
         self.excluded = excluded
         self.subgroup = subgroup
@@ -157,15 +162,18 @@ class SymbolicPoset:
 
     def add_point(self, pt):
         k = pt.key()
-        assert k not in self.points, "duplicate point %s" % pt.point_id()
+        if k in self.points:
+            raise ValueError("duplicate point %s" % pt.point_id())
         self.points[k] = pt
         return pt
 
     def add_relation(self, src, tgt):
         a = src.key() if isinstance(src, SpcPoint) else src
         b = tgt.key() if isinstance(tgt, SpcPoint) else tgt
-        assert a in self.points and b in self.points, "unknown endpoint"
-        assert a != b, "specialization relations are strict"
+        if a not in self.points or b not in self.points:
+            raise ValueError("unknown endpoint")
+        if a == b:
+            raise ValueError("specialization relations are strict")
         self.relations.add((a, b))
         self._close()
 
@@ -287,13 +295,16 @@ def _cyclic_p_chain(G):
     has exactly one subgroup per divisor of its order, so the chain is
     unique.
     """
-    assert G.is_cyclic(), "spectrum assembly admits cyclic groups only"
+    if not G.is_cyclic():
+        raise ValueError("spectrum assembly admits cyclic groups only")
     factors = list(factorize(G.order))
-    assert len(factors) == 1, "expected a p-group"
+    if len(factors) != 1:
+        raise ValueError("expected a p-group")
     p = factors[0]
     by_order = {}
     for S in subgroups(G):
-        assert S.order not in by_order, "cyclic groups have one subgroup per order"
+        if S.order in by_order:
+            raise ValueError("cyclic groups have one subgroup per order")
         by_order[S.order] = S
     chain = []
     order = G.order
@@ -301,7 +312,8 @@ def _cyclic_p_chain(G):
         chain.append(by_order[order])
         order //= p
     n = len(chain) - 1
-    assert chain[0].order == G.order and chain[-1].order == 1
+    if chain[0].order != G.order or chain[-1].order != 1:
+        raise ValueError("the subgroup chain runs from G down to 1")
     return p, n, chain
 
 
@@ -315,10 +327,12 @@ def seed_cyclic_field(n, p, names=None):
     ``names`` optionally renames the subgroup chain (default
     "N0", ..., "Nn", from the whole group down to the trivial one).
     """
-    assert n >= 0
+    if n < 0:
+        raise ValueError("a cyclic p-group of order p^n needs n >= 0")
     if names is None:
         names = ["N%d" % i for i in range(n + 1)]
-    assert len(names) == n + 1
+    if len(names) != n + 1:
+        raise ValueError("names must list the n + 1 subgroups")
     P = SymbolicPoset()
     m = [P.add_point(SpcPoint.modular(names[i], TAG_CLOSED, p))
          for i in range(n + 1)]
@@ -384,7 +398,8 @@ def _glue(pieces, identifications):
         for k in piece.points:
             parent[(i, k)] = (i, k)
     for (a, b) in identifications:
-        assert a in parent and b in parent, "identification of unknown point"
+        if a not in parent or b not in parent:
+            raise ValueError("identification of unknown point")
         union(a, b)
 
     classes = {}
@@ -398,14 +413,15 @@ def _glue(pieces, identifications):
                       for (i, k) in members
                       if pieces[i].points[k].kind == "modular"})
         if mod:
-            assert len(mod) == 1, \
-                "glued modular points disagree: %r" % (mod,)
+            if len(mod) != 1:
+                raise ValueError("glued modular points disagree: %r" % (mod,))
             i, k = next((i, k) for (i, k) in members
                         if pieces[i].points[k].key() == mod[0])
         else:
             keys = {k for (_, k) in members}
-            assert len(keys) == 1, \
-                "glued ordinary points disagree: %r" % (sorted(keys),)
+            if len(keys) != 1:
+                raise ValueError("glued ordinary points disagree: %r"
+                                 % (sorted(keys),))
             i, k = members[0]
         pt = pieces[i].points[k]
         if pt.key() not in out.points:
@@ -434,8 +450,8 @@ def _section_seed(G, p, obj):
                                          TAG_CLOSED, p))
         P.add_relation(zero, m)
         return P
-    assert obj.H.order == p * obj.K.order, \
-        "cyclic sections are trivial or of index p"
+    if obj.H.order != p * obj.K.order:
+        raise ValueError("cyclic sections are trivial or of index p")
     m0 = P.add_point(SpcPoint.modular(obj.H.label(),
                                       TAG_CLOSED, p))
     m1 = P.add_point(SpcPoint.modular(obj.K.label(),
@@ -484,8 +500,8 @@ def sections_colimit(G):
                 img = SpcPoint.modular(image, pt.tag, p).key()
             else:
                 img = k
-            assert img in seeds[j].points, \
-                "transition image missing from target seed"
+            if img not in seeds[j].points:
+                raise ValueError("transition image missing from target seed")
             if ((i, k), (j, img)) not in seen:
                 seen.add(((i, k), (j, img)))
                 idents.append(((i, k), (j, img)))
@@ -505,7 +521,8 @@ def orbit_colimit(G):
     prime-power order other than the Sylow subgroups factor through
     their Sylow subgroup and add no identifications.
     """
-    assert G.is_cyclic(), "spectrum assembly admits cyclic groups only"
+    if not G.is_cyclic():
+        raise ValueError("spectrum assembly admits cyclic groups only")
     if G.order == 1:
         return assemble_over_Z(G)
     factors = factorize(G.order)

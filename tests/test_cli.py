@@ -272,6 +272,17 @@ def test_solver_cap_gives_exit_1(capsys, monkeypatch):
     assert captured.err == "error: total rank 10 exceeds TTPERM_MAX_RANK=2\n"
 
 
+def test_kos_honors_the_solver_cap_without_solving(capsys, monkeypatch):
+    # kos solves nothing, and verify_koszul still checks the cap on the
+    # restriction it certifies
+    monkeypatch.setenv("TTPERM_MAX_RANK", "1000")
+    assert run(["kos", "--group", "C2xC2", "--subgroup", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: total rank 1246 exceeds "
+                            "TTPERM_MAX_RANK=1000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["twisted", "--group", "C2", "--ring", "F2", "--max-twist", "1"],
     ["kos", "--group", "C2", "--subgroup", "1"],

@@ -493,6 +493,20 @@ def _run_and_search(argv):
     _search(argv)
 
 
+def _koszul_restriction(argv):
+    """Res_H X for the object of the ``kos`` command argv: the complex
+    the command contracted by the sweep before it built its contraction
+    along the tower."""
+    from ttperm.chain import restrict_complex
+    from ttperm.cli import resolve_subgroup
+    from ttperm.rings import domain_from_name
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    G = parse_group_name(opts["--group"])
+    H = resolve_subgroup(G, opts["--subgroup"])[0]
+    ring = domain_from_name(opts.get("--ring", "Z"))
+    return restrict_complex(koszul_object(G, H, ring).complex, H)
+
+
 def test_invert_caches_hom_bases_as_orbit_codes(monkeypatch, capsys):
     # every hom basis a search caches is an orbit table: the orbit
     # roots and one 4-byte code per basis pair, no map.  Contractions
@@ -1321,7 +1335,8 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
     # indices in ascending order.  Contractions solve one multi-right-side
     # system per stabilizer class and pass its solutions on; no command
     # solves a _System any more, so a null homotopy follows the command.
-    # A table's transports are lifted, so its searches follow it too.
+    # A table's transports are lifted, so its searches follow it too, and
+    # kos builds its contraction, so the sweep on Res_H X follows it.
     from ttperm import homotopy, permod, twisted
     from ttperm.cli import run
     seen = {}
@@ -1383,6 +1398,7 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
         _run_and_search(argv)
     else:
         assert run(argv) == 0
+        assert is_contractible(_koszul_restriction(argv))[0]
     capsys.readouterr()
     assert seen["solve_sparse"]
     G = cyclic(2)
@@ -1477,7 +1493,10 @@ def _contract_full_rows(X):
 
 
 def _contracted_by(argv, monkeypatch, capsys):
-    """The complexes that a command hands to the contraction sweep."""
+    """The complexes that a command hands to the contraction sweep; a
+    ``kos`` command hands it none, as it builds its contraction, and
+    stands for Res_H X (``_koszul_restriction``), which it handed
+    before."""
     from ttperm import homotopy
     from ttperm.cli import run
     seen = []
@@ -1491,6 +1510,9 @@ def _contracted_by(argv, monkeypatch, capsys):
     assert run(argv) == 0
     capsys.readouterr()
     monkeypatch.undo()
+    if argv[0] == "kos":
+        assert seen == []
+        return [_koszul_restriction(argv)]
     return seen
 
 
@@ -1653,11 +1675,19 @@ def test_contraction_keeps_every_row_after_a_column_switch(monkeypatch):
 
 
 _ROWS_NOT_INJECTIVE_ON_CYCLES = """
+import json
 import sys
 from ttperm import homotopy
-from ttperm.cli import run
+from ttperm.chain import restrict_complex
+from ttperm.grp import parse_group_name
+from ttperm.koszul import koszul_object
+from ttperm.permod import CertificateError
+from ttperm.rings import ZZ
 
 assert sys.flags.optimize
+G = parse_group_name("C2xC2")
+H = G.trivial_subgroup()
+X = restrict_complex(koszul_object(G, H, ZZ).complex, H)
 real = homotopy.solve_sparse
 
 def dropping(*args, **kwargs):
@@ -1669,7 +1699,11 @@ def dropping(*args, **kwargs):
     return out
 
 homotopy.solve_sparse = dropping
-sys.exit(run(["kos", "--group", "C2xC2", "--subgroup", "1"]))
+try:
+    homotopy.is_contractible(X)
+except CertificateError as exc:
+    print(json.dumps({"error": "CertificateError", "message": str(exc)}))
+    sys.exit(2)
 """
 
 

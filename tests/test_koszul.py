@@ -175,8 +175,9 @@ def test_kos_verify_builds_the_integral_object_once(monkeypatch, capsys):
 
 
 def test_kos_verify_solves_nothing_over_fields(monkeypatch, capsys):
-    # the Z contraction is carried to F_p and Q; acyclicity comes from
-    # it, so no homology profile runs either
+    # the Z contraction is built along the tower and carried to F_p and
+    # Q, so nothing is solved over any ring; acyclicity comes from it,
+    # so no homology profile runs either
     from ttperm import homotopy, koszul
     from ttperm.cli import run
     rings, profiles = [], []
@@ -196,7 +197,7 @@ def test_kos_verify_solves_nothing_over_fields(monkeypatch, capsys):
     monkeypatch.setattr(koszul, "homology_profile", profiling)
     assert run(["kos", "--group", "C4", "--subgroup", "1", "--verify"]) == 0
     capsys.readouterr()
-    assert rings and set(rings) == {"Z"}
+    assert rings == []
     assert profiles == []
 
 
@@ -256,7 +257,7 @@ def test_verify_koszul_squares_a_checked_tower_once(monkeypatch):
     from ttperm.koszul import _build_koszul
     G = cyclic(4)
     H = G.trivial_subgroup()
-    X, _ = _build_koszul(G, H, ZZ)
+    X, _, _ = _build_koszul(G, H, ZZ)
     assert X.squares_to_zero
     products = []
     real = chain._composite
@@ -538,13 +539,121 @@ def test_the_finished_tower_is_not_transported(monkeypatch):
     from ttperm import koszul
     real, last = koszul.sign_modify, []
 
-    def recording(X, S):
-        out = real(X, S)
+    def recording(X, S, h=None):
+        out = real(X, S, h)
         last[:] = [out[0]]
         return out
 
     monkeypatch.setattr(koszul, "sign_modify", recording)
     for gname in ("C4", "C2xC2"):
         G = parse_group_name(gname)
-        X, _ = koszul._build_koszul(G, G.trivial_subgroup(), ZZ)
+        X, _, _ = koszul._build_koszul(G, G.trivial_subgroup(), ZZ)
         assert X.group is G and X is last[0]
+
+
+# ---------------------------------------------------------------------------
+# the contraction built along the tower
+
+BUILT = [("C4", "1"), ("C8", "C2"), ("C2xC2", "1"), ("C2xC2", "C2#0"),
+         ("C2xC2", "C2#1"), ("C2xC2", "C2#2"), ("C2xC2", "C2xC2"),
+         ("D8", "C2#1"), ("Q8", "C2"), ("C9", "C3"), ("C27", "C9")]
+
+
+@pytest.mark.parametrize("gname, sub", BUILT, ids=["/".join(b) for b in BUILT])
+def test_built_contraction_matches_the_sweep_oracle(gname, sub):
+    # the certificate built along the tower verifies on Res_H X, the
+    # sweep contracts the same Res_H X from scratch, and the from-scratch
+    # recheck reports the audit the built path reported
+    from ttperm.chain import restrict_complex
+    from ttperm.cli import resolve_subgroup
+    G = parse_group_name(gname)
+    H = resolve_subgroup(G, sub)[0]
+    p = prime_power(G.order)[0]
+    for ring in (ZZ, QQ, GF(p)):
+        kos = koszul_object(G, H, ring)
+        assert kos.certificate.verify()
+        ok, solved = is_contractible(restrict_complex(kos.complex, H))
+        assert ok and solved.verify()
+        report, _ = verify_koszul(kos.complex, G, H, ring)
+        assert report == kos.audit["checks"]
+        assert all(report.values())
+
+
+def test_koszul_certify_solves_nothing(monkeypatch, capsys):
+    # the four koszul-certify benchmark commands, in process: no
+    # contraction sweep and no solve, over any ring
+    from ttperm import homotopy
+    from ttperm.cli import run
+    calls = []
+    for name in ("_contract_equivariant", "solve_sparse"):
+        real = getattr(homotopy, name)
+        monkeypatch.setattr(homotopy, name, lambda *args, real=real,
+                            name=name, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
+    for command in ("kos --group C4 --subgroup 1 --verify",
+                    "kos --group C2xC2 --subgroup 1 --ring Z",
+                    "kos --group C2xC2 --subgroup 1 --ring F3",
+                    "kos --group C9 --subgroup C3 --verify"):
+        assert run(command.split()) == 0, command
+        capsys.readouterr()
+    assert calls == []
+
+
+_MUTATED_RULE = """
+import inspect
+import sys
+from ttperm import koszul
+from ttperm.cli import run
+
+assert sys.flags.optimize
+source = inspect.getsource(koszul._cone_contraction)
+if source.count(old) != 1:
+    sys.exit("the rule to mutate is not in _cone_contraction")
+exec(source.replace(old, new), vars(koszul))
+sys.exit(run(["kos", "--group", "C2xC2", "--subgroup", "1"]))
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    # K sends e_other (x) x to +(1 (x) x)
+    ("acc[(up + x, b + t + x)] = minus", "acc[(up + x, b + t + x)] = 1"),
+    # Phi folds e_other (x) x onto +x: no -1 on the second coset
+    ("acc[(r, c + t)] = ring.normalize(-v)", "acc[(r, c + t)] = v"),
+], ids=["K-sign", "Phi-minus"])
+def test_mutated_cone_rule_fails_the_homotopy_check_under_python_O(
+        python_O, old, new):
+    import json
+    proc = python_O("old, new = %r, %r\n" % (old, new) + _MUTATED_RULE)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"] == "CertificateError"
+    assert out["message"].startswith("homotopy identity fails at degree ")
+
+
+# stdout digests recorded from the parent, whose kos solved for the
+# contraction of Res_H X
+_KOSZUL_DIGESTS = {
+    "kos --group C2xC2 --subgroup 1 --verify":
+        "bfd7dfcb25596e9a25a2e74126af5e311e744f6766d58feed1e0489249249181",
+    "kos --group D8 --subgroup C2#1 --verify":
+        "167767bfb91b70d93fbbc16fc4b1e3895e482521ea9525f506d9441a8dcb735e",
+    "kos --group Q8 --subgroup C2 --ring Z":
+        "c7a00251133013d91acaf0691658963669a0e31676c48e4bb763d7ee5489a2e7",
+    "kos --group C4xC4 --subgroup C4#0 --ring Z":
+        "35f45a467afb4a40b1fe5d903f7cc3310e01f11ab92c16287b6a4383734f7598",
+    "kos --group C27 --subgroup C9 --verify":
+        "2b2b84c8063bda1200dbaec2c6e572c89b37fe6cb4197328950c945505dc9d30",
+    "kos --group C3xC3 --subgroup C3#0 --ring F3":
+        "a8e5df326f6726e6abd5fd5ececa25264685c20f78e6ce926cc2431d4b0c8586",
+    "kos --group C8 --subgroup C2 --ring Q":
+        "480453a195914131a65d6ea703954ca66a208819579a3508c73b8ab243d8ed5e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_KOSZUL_DIGESTS))
+def test_built_contractions_keep_recorded_digests(capsys, command):
+    import hashlib
+    from ttperm.cli import run
+    assert run(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _KOSZUL_DIGESTS[command]

@@ -803,11 +803,11 @@ def test_orbit_table_readers_match_the_basis_orbit_walk(name, sub,
         terms.setdefault(id(M), M)
         return decompose(M, S)
 
-    def spy_modify(X, S):
+    def spy_modify(X, S, h=None):
         terms.update((id(M), M) for M in X.terms.values())
-        Y, audit = modify(X, S)
+        Y, audit, h = modify(X, S, h)
         terms.update((id(M), M) for M in Y.terms.values())
-        return Y, audit
+        return Y, audit, h
 
     monkeypatch.setattr(koszul, "sign_decompose", spy_decompose)
     monkeypatch.setattr(koszul, "sign_modify", spy_modify)

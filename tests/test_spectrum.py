@@ -252,3 +252,35 @@ def test_cli_poset_round_trip():
         P = orbit_colimit(cyclic(order))
         Q = _poset_from_json(json.loads(export_json(P)))
         assert labeled_isomorphic(P, Q)
+
+
+_POSET_INVARIANTS = """
+import sys
+from ttperm.grp import parse_group_name
+from ttperm.spectrum import SpcPoint, SymbolicPoset, orbit_colimit
+
+assert sys.flags.optimize
+P = SymbolicPoset()
+zero = P.add_point(SpcPoint.zero())
+for name, broken in (
+        ("duplicate", lambda: P.add_point(SpcPoint.zero())),
+        ("non-strict", lambda: P.add_relation(zero, zero)),
+        ("non-cyclic", lambda: orbit_colimit(parse_group_name("C2xC2")))):
+    try:
+        broken()
+        sys.exit("%s passed" % name)
+    except ValueError as exc:
+        print(name, exc)
+"""
+
+
+def test_poset_invariants_raise_under_python_O(python_O):
+    # internal invariants raise ValueError (a traceback, exit 1 from the
+    # CLI), so python -O keeps them
+    proc = python_O(_POSET_INVARIANTS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "duplicate duplicate point (0)",
+        "non-strict specialization relations are strict",
+        "non-cyclic spectrum assembly admits cyclic groups only",
+    ]
