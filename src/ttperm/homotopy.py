@@ -1047,11 +1047,11 @@ class ContractionCertificate:
 
     @classmethod
     def carried(cls, h, Y):
-        """The contraction with integer entries h {n: entries} on Y, a
-        base change of its complex (same groups and bases) or that
-        complex itself: every entry is mapped through
-        ``Y.ring.from_int``.  Not verified here; a ring map carries
-        d h + h d = id to the same identity over Y.ring."""
+        """The contraction h {n: entries} on Y, its complex itself or a
+        base change of it (same groups and bases): every entry, a value
+        of Y.ring or an integer, is mapped through ``Y.ring.from_int``.
+        Not verified here; a ring map carries d h + h d = id to the same
+        identity over Y.ring."""
         from_int = Y.ring.from_int
         return cls(Y, {
             n: EquivMap(Y.terms[n], Y.terms[n + 1],

@@ -237,7 +237,7 @@ def sign_twist_complex(S, ring):
     return Lt, Lc, ChainMap(Lt, Lc, {0: smap})
 
 
-def sign_modify(X, S, h=None):
+def sign_modify(X, S, h):
     """Descending induction replacing signed degree-m terms.
 
     At each m (top to 0) the term x_m splits as P (+) L (x) N along the
@@ -248,10 +248,10 @@ def sign_modify(X, S, h=None):
     x_top_{j-1}: all new contributions in degrees > m are permutation,
     degree m becomes N (+) ..., and degrees < m pick up a factor L
     that later (smaller-m) steps remove.  ``chain.tensor_cone`` builds
-    and checks the cone in one pass.  ``h``, when given, is a
-    contraction {n: entries} of Res_H X for some H <= S, and each step
-    carries it along (``_moved``, ``_cone_contraction``).  Returns
-    (complex, audit, the contraction of its restriction or None).
+    and checks the cone in one pass.  ``h`` is a contraction {n:
+    entries} of Res_H X for some H <= S, and each step carries it along
+    (``_moved``, ``_cone_contraction``).  Returns (complex, audit, the
+    contraction of its restriction).
     """
     G = S.parent
     ring = X.ring
@@ -280,8 +280,7 @@ def sign_modify(X, S, h=None):
                 comp = inv.compose(X.diffs[m + 1])
                 diffs[m + 1] = EquivMap(X.terms[m + 1], P, comp.entries)
             X = Complex(G, ring, terms, diffs, check=False)
-            if h is not None:
-                h = _moved(h, {m: iso}, ring)
+            h = _moved(h, {m: iso}, ring)
             audit.append({"degree": m, "action": "rebased"})
             continue
         inv = map_inverse_monomial(iso)
@@ -316,13 +315,12 @@ def sign_modify(X, S, h=None):
         x_bot = Complex(G, ring, bot_terms, bot_diffs, check=False)
         X = tensor_cone(smap, ChainMap(shift_complex(x_top, -1), x_bot,
                                        t_comps))
-        if h is not None:
-            # cone(t)_m is x_bot_m = L (x) N, then x_top_m = P
-            h = _cone_contraction(
-                _moved(h, {m: iso}, ring,
-                       lambda j: j - pr if j >= pr else N.rank + j),
-                {j: T.rank for j, T in x_bot.terms.items()},
-                {j: T.rank for j, T in x_top.terms.items()}, ring)
+        # cone(t)_m is x_bot_m = L (x) N, then x_top_m = P
+        h = _cone_contraction(
+            _moved(h, {m: iso}, ring,
+                   lambda j: j - pr if j >= pr else N.rank + j),
+            {j: T.rank for j, T in x_bot.terms.items()},
+            {j: T.rank for j, T in x_top.terms.items()}, ring)
         audit.append({"degree": m, "action": "modified",
                       "minus_rank": N.rank, "plus_rank": pr})
     if not X.all_terms_permutation():
@@ -362,10 +360,11 @@ def verify_koszul(X, G, H, ring, contraction=None):
     of Res_H X contracts the underlying complex, so it certifies
     acyclicity too; ``homology_profile`` runs only when no contraction
     exists, to tell "not acyclic" from "restriction not contractible".
-    ``contraction`` is a contraction of Res_H X with integer values, as
-    {n: entries} (the one ``koszul_object`` builds along the tower) or
-    as the integral certificate of the complex that X is the base change
-    of: it is carried over to ``ring`` and verified there.  Without it
+    ``contraction`` is a contraction {n: entries} of Res_H X, or of the
+    restriction of the integral complex that X is the base change of
+    (values in ``ring`` or integers): it is carried over to ``ring`` and
+    verified there.  ``koszul_object`` passes the one it builds along
+    the tower.  Without it
     the contraction is solved from scratch (``is_contractible``, the
     sweep of ``homotopy._contract_equivariant``).
 
@@ -391,8 +390,6 @@ def verify_koszul(X, G, H, ring, contraction=None):
     if contraction is None:
         ok, cert = is_contractible(res)
     else:
-        if isinstance(contraction, ContractionCertificate):
-            contraction = {n: f.entries for n, f in contraction.h.items()}
         ok, cert = True, ContractionCertificate.carried(contraction, res)
         cert.verify()
     if not ok:
@@ -491,12 +488,12 @@ def base_change_koszul_check(G, H, p):
     """
     from .rings import ZZ, QQ, GF
     kos = koszul_object(G, H, ZZ)
+    h = {n: f.entries for n, f in kos.certificate.h.items()}
     report = {"integral": kos.audit["checks"]}
     Xp = base_change_complex(kos.complex, GF(p))
-    report["mod_p"], _ = verify_koszul(Xp, G, H, GF(p),
-                                       contraction=kos.certificate)
+    report["mod_p"], _ = verify_koszul(Xp, G, H, GF(p), contraction=h)
     Xq = base_change_complex(kos.complex, QQ)
-    rq, cert = verify_koszul(Xq, G, H, QQ, contraction=kos.certificate)
+    rq, cert = verify_koszul(Xq, G, H, QQ, contraction=h)
     total = _average_homotopy(Xq, {n: f.entries for n, f in cert.h.items()})
     check_homotopy(Xq, Xq, {n: {(i, i): G.order for i in range(M.rank)}
                             for n, M in Xq.terms.items()}, total)

@@ -289,7 +289,7 @@ def test_kos_honors_the_solver_cap_without_solving(capsys, monkeypatch):
 ], ids=["twisted", "kos"])
 @pytest.mark.parametrize("cap", ["abc", "-1", "2.5"])
 def test_malformed_solver_cap_gives_exit_1(capsys, monkeypatch, argv, cap):
-    # hom_group (twisted) and is_contractible (kos) both read the cap
+    # hom_group (twisted) and verify_koszul (kos) both read the cap
     monkeypatch.setenv("TTPERM_MAX_RANK", cap)
     assert run(argv) == 1
     captured = capsys.readouterr()

@@ -803,7 +803,7 @@ def test_orbit_table_readers_match_the_basis_orbit_walk(name, sub,
         terms.setdefault(id(M), M)
         return decompose(M, S)
 
-    def spy_modify(X, S, h=None):
+    def spy_modify(X, S, h):
         terms.update((id(M), M) for M in X.terms.values())
         Y, audit, h = modify(X, S, h)
         terms.update((id(M), M) for M in Y.terms.values())
