@@ -2,8 +2,9 @@
 
 Everything here is desk scale: groups of order at most 64, stored as a
 full Cayley table ``table[i][j] = index of g_i * g_j`` with the identity
-at index 0.  Subgroups are element sets of a fixed parent group; they
-are enumerated exactly (closure search), never up to isomorphism.
+at index 0.  Subgroups are element sets of a fixed parent group, read
+through their generators; they are enumerated exactly (one extension
+per coset), never up to isomorphism.
 
 Each group enumerates its subgroup lattice once and keeps it, numbered,
 together with the conjugation action on it (``conjugation_table``).
@@ -42,7 +43,8 @@ class Group:
         self.table = table
         self.order = n
         self.identity = identity
-        self.generators = self._greedy_generators()
+        self._inv = tuple(table[a].index(identity) for a in range(n))
+        self.generators = self._greedy_generators(range(n), range(n))
         # Light's associativity test: (x s) y = x (s y) for every
         # generator s.  Elements a with (x a) y = x (a y) for all x, y
         # are closed under products and include the identity, and every
@@ -57,7 +59,6 @@ class Group:
         self.name = name
         self.element_names = tuple(element_names) if element_names \
             else tuple(str(i) for i in range(n))
-        self._inv = tuple(table[a].index(identity) for a in range(n))
         # the subgroup lattice and its conjugation table, built on demand
         # by subgroups() and conjugation_table()
         self._subgroups = None
@@ -72,6 +73,9 @@ class Group:
         # (subgroup elements, ring) -> verified KoszulObject, filled by
         # koszul.koszul_object
         self.koszul_objects = {}
+        # (subgroup elements, signs, ring) -> (Subgroup, rank-one module),
+        # filled by homotopy._fixed_orbits
+        self.rank_one_modules = {}
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -124,17 +128,22 @@ class Group:
                     frontier.append(y)
         return tuple(sorted(seen))
 
-    def _greedy_generators(self):
-        """A generating set: each element, in index order, that the
-        closure of the ones taken so far does not reach."""
+    def _greedy_generators(self, elements, members):
+        """A generating set of ``elements`` (ascending): each element
+        that the closure of the ones taken so far does not reach.  Each
+        new generator's inverse and each closure must stay inside their
+        set ``members``: a subgroup check in O(|S| k^2)."""
         gens = []
         reached = {self.identity}
-        for g in self.elements():
-            if len(reached) == self.order:
-                break
-            if g not in reached:
-                gens.append(g)
-                reached = set(self.closure(gens))
+        for g in elements:
+            if g in reached:
+                continue
+            if self.inv(g) not in members:
+                raise ValueError("not closed under inverses")
+            gens.append(g)
+            reached = set(self.closure(gens))
+            if not reached.issubset(members):
+                raise ValueError("not closed")
         return tuple(gens)
 
     def trivial_subgroup(self):
@@ -148,18 +157,16 @@ class Group:
 
 
 class Subgroup:
+    """Sorted elements of a subgroup of ``parent``, checked through the
+    greedy ``generators`` (``Group._greedy_generators``) it keeps."""
+
     def __init__(self, parent, elements):
         self.parent = parent
         self.elements = tuple(sorted(set(int(x) for x in elements)))
         members = frozenset(self.elements)
         if parent.identity not in members:
             raise ValueError("a subgroup must contain the identity")
-        for a in self.elements:
-            if parent.inv(a) not in members:
-                raise ValueError("not closed under inverses")
-            for b in self.elements:
-                if parent.mul(a, b) not in members:
-                    raise ValueError("not closed")
+        self.generators = parent._greedy_generators(self.elements, members)
         self.members = members
         self.mask = sum(1 << x for x in self.elements)
 
@@ -194,10 +201,11 @@ class Subgroup:
         return Subgroup(G, (G.conj(x, g) for x in self.elements))
 
     def is_normal(self):
-        """Normal in the whole group."""
+        """Normal in the whole group: S^g is generated by the s^g, so
+        s^g in S for the generators g of G and s of S suffices."""
         G = self.parent
-        return all(G.conj(x, g) in self.members
-                   for g in G.elements() for x in self.elements)
+        return all(G.conj(s, g) in self.members
+                   for g in G.generators for s in self.generators)
 
     def left_cosets(self):
         """Left cosets gH, each a sorted tuple, ordered by smallest member."""
@@ -358,10 +366,11 @@ MAX_ORDER = 64
 def subgroups(G):
     """All subgroups of G, sorted by (order, element tuple).
 
-    Breadth-first closure search: grow each known subgroup by a single
-    extra generator.  Exact for any table group; intended for order <= 64.
-    The lattice is enumerated once and kept on G; each call returns a
-    fresh list of the same Subgroup objects.
+    Cyclic extension: grow each known subgroup S, with the generators
+    that reached it, by one g per left coset gS, since <S, g> = <S, gs>.
+    Exact for any table group; intended for order <= 64.  The lattice
+    is enumerated once and kept on G; each call returns a fresh list of
+    the same Subgroup objects.
     """
     if G._subgroups is None:
         if G.order > MAX_ORDER:
@@ -369,17 +378,18 @@ def subgroups(G):
                              "(order <= %d)" % MAX_ORDER)
         triv = (G.identity,)
         seen = {triv}
-        frontier = [triv]
+        frontier = [(triv, ())]
         while frontier:
-            S = frontier.pop()
-            inside = set(S)
+            S, gens = frontier.pop()
+            covered = set(S)
             for g in G.elements():
-                if g in inside:
+                if g in covered:
                     continue
-                T = G.closure(inside | {g})
+                covered.update(G.mul(g, s) for s in S)
+                T = G.closure(gens + (g,))
                 if T not in seen:
                     seen.add(T)
-                    frontier.append(T)
+                    frontier.append((T, gens + (g,)))
         G._subgroups = tuple(Subgroup(G, t) for t in
                              sorted(seen, key=lambda t: (len(t), t)))
     return list(G._subgroups)
@@ -388,15 +398,18 @@ def subgroups(G):
 def conjugation_table(G):
     """``conj[g][i] = j`` when subgroups(G)[i]^g is subgroups(G)[j].
 
-    The conjugate of a subgroup is a subgroup, so each image is looked
-    up by its sorted element tuple and never re-checked; an image
-    missing from the lattice is an error.  Kept on G.
+    Only the rows of G's generators conjugate elements: the conjugate
+    of a subgroup is a subgroup, so each image is looked up by its
+    sorted element tuple and never re-checked; an image missing from
+    the lattice is an error.  Every other row is composed along the
+    Cayley graph, as x^(gs) = (x^g)^s gives row(gs)[i] = row(s)[row(g)[i]].
+    Kept on G.
     """
     if G._conjugation is None:
         subs = subgroups(G)
         number = {S.elements: i for i, S in enumerate(subs)}
-        table = []
-        for g in G.elements():
+        gen_rows = []
+        for g in G.generators:
             row = []
             for i, S in enumerate(subs):
                 image = tuple(sorted(G.conj(x, g) for x in S.elements))
@@ -404,8 +417,16 @@ def conjugation_table(G):
                     raise LookupError("conjugate of subgroup %d by %d is not "
                                       "in the lattice of %s" % (i, g, G.name))
                 row.append(number[image])
-            table.append(tuple(row))
-        G._conjugation = tuple(table)
+            gen_rows.append((g, tuple(row)))
+        rows = {G.identity: tuple(range(len(subs)))}
+        frontier = [G.identity]
+        for g in frontier:
+            for s, row in gen_rows:
+                gs = G.mul(g, s)
+                if gs not in rows:
+                    rows[gs] = tuple(row[j] for j in rows[g])
+                    frontier.append(gs)
+        G._conjugation = tuple(rows[g] for g in G.elements())
     return G._conjugation
 
 
@@ -467,23 +488,28 @@ class SectionsCategory:
 
 
 def _is_elementary_abelian_section(G, H, K, p):
-    for a in H.elements:
-        if G.power(a, p) not in K.members:
-            return False
-        for b in H.elements:
-            comm = G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-            if comm not in K.members:
-                return False
-    return True
+    """Whether K is normal in H with H/K elementary abelian, on
+    generators: False unless K <= H and k^h lies in K for the generators
+    h of H and k of K.  H/K is then generated by the images of H's
+    generators, so it has exponent p and is abelian exactly when their
+    p-th powers and pairwise commutators lie in K."""
+    inside, gens = K.members, H.generators
+    if not K <= H or any(G.conj(k, h) not in inside
+                         for h in gens for k in K.generators):
+        return False
+    return all(G.power(a, p) in inside for a in gens) and \
+        all(G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) in inside
+            for a in gens for b in gens)
 
 
 def sections_category(G, p):
     """All sections (H, K) of the p-group G with H/K elementary abelian,
     and all morphisms between them.
 
-    Works on lattice indices: K is normal in H when every element of H
-    fixes K in the conjugation table, and g carries (H, K) to (H', K')
-    when the element bitmasks give K' <= K^g and H^g <= H'.
+    Sections are tested on generators.  g carries (H, K) to (H', K')
+    when the element bitmasks give K' <= K^g and H^g <= H', read from
+    g's row of the conjugation table: the test runs once per distinct
+    row, then every g with a passing row gives a morphism, in order.
     """
     order = G.order
     if not set(factorize(order)) <= {p}:
@@ -493,18 +519,20 @@ def sections_category(G, p):
     pairs = []
     for h, H in enumerate(subs):
         for k, K in enumerate(subs):
-            if K <= H and all(conj[x][k] == k for x in H.elements) and \
-                    _is_elementary_abelian_section(G, H, K, p):
+            if _is_elementary_abelian_section(G, H, K, p):
                 pairs.append((h, k))
     pairs.sort(key=lambda hk: (subs[hk[0]].elements, subs[hk[1]].elements))
     objects = [SectionObject(subs[h], subs[k]) for h, k in pairs]
     mask = [S.mask for S in subs]
+    row_class = {}
+    cls = [row_class.setdefault(row, len(row_class)) for row in conj]
     morphisms = []
     for src, (h, k) in zip(objects, pairs):
         for tgt, (h2, k2) in zip(objects, pairs):
+            ok = [mask[k2] & ~mask[row[k]] == 0 and
+                  mask[row[h]] & ~mask[h2] == 0 for row in row_class]
             for g in G.elements():
-                hg, kg = conj[g][h], conj[g][k]
-                if mask[k2] & ~mask[kg] == 0 and mask[hg] & ~mask[h2] == 0:
-                    morphisms.append(
-                        SectionMorphism(src, tgt, g, subs[hg], subs[kg]))
+                if ok[cls[g]]:
+                    morphisms.append(SectionMorphism(
+                        src, tgt, g, subs[conj[g][h]], subs[conj[g][k]]))
     return SectionsCategory(G, objects, morphisms)

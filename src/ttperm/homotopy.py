@@ -65,7 +65,7 @@ Homotopies h have degree +1 and certify d h + h d = f.
 import os
 from math import gcd
 
-from .grp import Subgroup
+from .grp import subgroups
 from .permod import (HomOrbits, EquivMap, CertificateError, SignedPermModule,
                      trivial_module, subgroup_as_group, restrict, _index,
                      _normalized, _left_mul, _right_mul, _composite,
@@ -1133,10 +1133,15 @@ def _fixed_orbits(M, K, chi):
     subgroup K acts by the signs chi: orbit k sends 1 to the signed sum
     of a (K, chi)-orbit of M's basis, and these sums are a basis of the
     (K, chi)-invariants of M.  Returns the table and, for each orbit,
-    the (index, sign) pairs of its sum."""
-    S = Subgroup(M.group, K)
-    L = SignedPermModule(subgroup_as_group(S)[0], M.ring, ("chi",),
-                         tuple(((0, s),) for s in chi))
+    the (index, sign) pairs of its sum.  K's lattice Subgroup and L are
+    kept on the group (``Group.rank_one_modules``)."""
+    cache = M.group.rank_one_modules
+    if (K, chi, M.ring) not in cache:
+        S = next(T for T in subgroups(M.group) if T.elements == K)
+        cache[K, chi, M.ring] = S, SignedPermModule(
+            subgroup_as_group(S)[0], M.ring, ("chi",),
+            tuple(((0, s),) for s in chi))
+    S, L = cache[K, chi, M.ring]
     T = HomOrbits(L, restrict(M, S))
     members = [[] for _ in T.roots]
     for x, c in enumerate(T.code):

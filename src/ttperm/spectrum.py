@@ -475,7 +475,9 @@ def sections_colimit(G):
     global subgroups H and K.  A section morphism carried by g maps
     P(S, a, p) to P(S^g, a, p) and fixes ordinary points, with S^g read
     from the group's conjugation table; for cyclic groups conjugation is
-    trivial, so every transition matches labels.
+    trivial, so every transition matches labels.  The images read g only
+    through its conjugation row, so the identifications are replayed
+    once per (source, target, row), not once per morphism.
     The trivial-section maps into an adjacent index-p section land on
     the two V-endpoints (the closed point named by the section's top
     subgroup and the one named by its kernel), which is what chains
@@ -492,8 +494,12 @@ def sections_colimit(G):
     seeds = [_section_seed(G, p, obj) for obj in cat.objects]
     idents = []
     seen = set()
+    applied = set()
     for f in cat.morphisms:
         i, j = index[f.source.key()], index[f.target.key()]
+        if (i, j, conj[f.g]) in applied:
+            continue
+        applied.add((i, j, conj[f.g]))
         for k, pt in sorted(seeds[i].points.items()):
             if pt.kind == "modular":
                 image = labels[conj[f.g][number[pt.subgroup]]]

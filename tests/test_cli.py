@@ -483,6 +483,31 @@ def test_built_identifications_match_recorded_digests(capsys, command):
     assert digest == _IDENTIFICATION_DIGESTS[command]
 
 
+# stdout digests of spectra, recorded while subgroups were enumerated,
+# conjugated and tested for sections element by element
+_SPECTRUM_DIGESTS = {
+    "spectrum --group C27":
+        "c79f1d845d47d8bcb2e0d0b53506c28573d879685dd4ca30d77b60393b6af4b7",
+    "spectrum --group C49 --format dot":
+        "a2802adb21dd50b0cd3f9761f8be77449dd71d89a7748d0d7063ee410cb98592",
+    "spectrum --group C36 --format text":
+        "6ae760f5914915796ac8b7fb31c7437bf9948de0107004073f5bc711c62a6d71",
+    "spectrum --group C63":
+        "da2b5a88010d7e91b1689cda3a1aa652c8f336361c071c69d235ee8c63f02d5c",
+    "spectrum --group C16 --format dot":
+        "c64ac7a05f718407a48faf339556e7a7e2165ede0202eee4db74902d233b8322",
+    "spectrum --group C8":
+        "87a853ae51898b88b9e719e3df84f9a3b98e858d79d5c072541e86bc7d061c52",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPECTRUM_DIGESTS))
+def test_spectra_match_recorded_digests(capsys, command):
+    assert run(command.split()) == 0
+    digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()
+    assert digest == _SPECTRUM_DIGESTS[command]
+
+
 def test_tables_and_invert_search_no_chain_map_lattice(monkeypatch, capsys):
     # their identifications are built and promoted, never searched
     from ttperm import homotopy, twisted

@@ -13,7 +13,8 @@ import pytest
 from ttperm.grp import (cyclic, direct_product, dihedral, quaternion8,
                         parse_group_name, make_group, subgroups,
                         conjugation_table, sections_category, Subgroup,
-                        Group)
+                        Group, _is_elementary_abelian_section)
+from ttperm.rings import factorize
 
 
 def is_genuine_subgroup(G, S):
@@ -144,7 +145,8 @@ def reference_sections(G, p):
 
 
 def test_sections_category_matches_brute_force():
-    for name in REFERENCE_GROUPS:
+    for name in REFERENCE_GROUPS + ("C2xC2xC2xC2", "D8xC2", "Q8xC2",
+                                    "D8xC4"):
         G = parse_group_name(name)
         cat = sections_category(G, 2)
         objects, triples = reference_sections(G, 2)
@@ -169,6 +171,134 @@ def test_conjugation_table_matches_conjugate():
     moved = {i for row in conjugation_table(D8) for i, j in enumerate(row)
              if i != j}
     assert len(moved) == 4
+
+
+# groups for the checks against the element-by-element definitions:
+# cyclic, dihedral, quaternion and abelian 2-groups of orders 8 to 64,
+# and five groups of odd or mixed order
+GENERATOR_GROUPS = (
+    "C64", "D8", "Q8", "D16", "D32", "C2xC2xC2xC2", "D8xC2", "Q8xC2",
+    "C4xC4xC2", "D8xC4", "Q8xC4", "C2xC2xC2xC2xC2", "C3xC3", "C2xC6", "D12",
+    "C3xC3xC3", "D8xC2xC2", "C5xC5", "D16xC2", "C4xC8")
+
+
+def elementwise_subgroups(G):
+    """Closure of S with each element outside it, for every S found."""
+    seen = {(G.identity,)}
+    frontier = [(G.identity,)]
+    while frontier:
+        S = frontier.pop()
+        for g in G.elements():
+            if g not in S:
+                T = G.closure(set(S) | {g})
+                if T not in seen:
+                    seen.add(T)
+                    frontier.append(T)
+    return sorted(seen, key=lambda t: (len(t), t))
+
+
+def normalizes(G, elements, K):
+    """Every element of ``elements`` conjugates every element of K into K."""
+    return all(G.conj(k, g) in K for g in elements for k in K)
+
+
+def elementwise_section(G, H, K, p):
+    """K <= H normal, with every p-th power and commutator of H in K."""
+    return set(K) <= set(H) and normalizes(G, H, K) and all(
+        G.power(a, p) in K and
+        G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) in K
+        for a in H for b in H)
+
+
+def test_generator_reads_match_the_elementwise_definitions():
+    for name in GENERATOR_GROUPS:
+        G = parse_group_name(name)
+        subs = subgroups(G)
+        assert [S.elements for S in subs] == elementwise_subgroups(G), name
+        assert all(G.closure(S.generators) == S.elements for S in subs)
+        number = {S.elements: i for i, S in enumerate(subs)}
+        assert conjugation_table(G) == tuple(
+            tuple(number[S.conjugate(g).elements] for S in subs)
+            for g in G.elements()), name
+        for S in subs:
+            assert S.is_normal() == normalizes(G, G.elements(), S.elements)
+        for p in factorize(G.order):
+            for H in subs:
+                for K in subs:
+                    if K <= H:
+                        assert _is_elementary_abelian_section(G, H, K, p) \
+                            == elementwise_section(G, H.elements,
+                                                   K.elements, p), \
+                            (name, H.elements, K.elements, p)
+
+
+def test_section_test_rejects_a_non_normal_kernel():
+    # the four reflection subgroups of D8 are not normal in D8, so no
+    # section has one as kernel; the normal Klein four-groups are kernels
+    D8 = parse_group_name("D8")
+    subs = subgroups(D8)
+    whole = subs[-1]
+    reflections = [K for K in subs if K.order == 2 and not K.is_normal()]
+    assert len(reflections) == 4
+    for K in reflections:
+        assert not normalizes(D8, whole.elements, K.elements)
+        assert not _is_elementary_abelian_section(D8, whole, K, 2)
+    klein = [K for K in subs if K.order == 4 and K.is_normal()
+             and K.label() != "C4"]
+    assert klein and all(_is_elementary_abelian_section(D8, whole, K, 2)
+                         for K in klein)
+
+
+def test_section_test_checks_normality_on_generators():
+    # A4 ordered so that its greedy generators are the 3-cycles a = (012)
+    # and b = (013): their cubes are trivial and their commutator c is a
+    # double transposition, but <c> is not normal, so the generator test
+    # of p-th powers and commutators alone would accept (A4, <c>) at p = 3
+    def compose(x, y):
+        return tuple(x[y[i]] for i in range(4))
+
+    a, b = (1, 2, 0, 3), (1, 3, 2, 0)
+    evens = [(0, 1, 2, 3), a, compose(a, a), b]
+    frontier = list(evens)
+    while frontier:
+        x = frontier.pop()
+        for y in (a, b):
+            z = compose(x, y)
+            if z not in evens:
+                evens.append(z)
+                frontier.append(z)
+    index = {x: i for i, x in enumerate(evens)}
+    A4 = Group([[index[compose(x, y)] for y in evens] for x in evens], "A4")
+    assert A4.order == 12 and A4.generators == (1, 3)
+    whole = A4.full_subgroup()
+    c = A4.mul(A4.mul(A4.inv(1), A4.inv(3)), A4.mul(1, 3))
+    K = Subgroup(A4, A4.closure([c]))
+    assert K.order == 2 and not K.is_normal()
+    assert all(A4.power(x, 3) in K for x in whole.generators)
+    assert not _is_elementary_abelian_section(A4, whole, K, 3)
+    assert not elementwise_section(A4, whole.elements, K.elements, 3)
+
+
+@pytest.mark.parametrize("name", ["C64", "D8xC4", "C2xC2xC2xC2"])
+def test_lattice_work_is_bounded_by_generators(monkeypatch, name):
+    # at most one closure per left coset of each subgroup, plus one per
+    # generator for each Subgroup check, and conjugation of elements by
+    # G's generators only
+    G = parse_group_name(name)
+    calls = {"closure": 0, "conj": 0}
+    for method in calls:
+        real = getattr(Group, method)
+
+        def counting(self, *args, real=real, method=method):
+            calls[method] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Group, method, counting)
+    subs = subgroups(G)
+    assert calls["closure"] <= sum(S.index + len(S.generators)
+                                   for S in subs)
+    conjugation_table(G)
+    assert calls["conj"] <= len(G.generators) * sum(S.order for S in subs)
 
 
 def test_subgroups_are_enumerated_once_per_group(monkeypatch):
@@ -290,6 +420,20 @@ for name, build in bad.items():
     except ValueError as exc:
         print(name, exc)
 """
+
+
+def test_subgroup_closure_check_raises_under_python_O(python_O):
+    # the inverse of every generator taken is present, but the closure
+    # of {2} in C8 leaves the set
+    proc = python_O("import sys\n"
+                    "from ttperm.grp import Subgroup, cyclic\n"
+                    "assert sys.flags.optimize\n"
+                    "try:\n"
+                    "    Subgroup(cyclic(8), [0, 2, 3, 6])\n"
+                    "except ValueError as exc:\n"
+                    "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "not closed\n"
 
 
 def test_group_checks_raise_under_python_O(python_O):

@@ -559,6 +559,31 @@ def test_hom_basis_cache_dies_with_its_modules():
     assert all(ref() is None for ref in refs)
 
 
+def test_fixed_orbits_keep_rank_one_modules_on_the_group():
+    # the stabilizer K is the lattice's Subgroup, and the rank-one module
+    # of each (K, chi, ring) is built once and dies with its group
+    import gc
+    import weakref
+    from ttperm.homotopy import _fixed_orbits, _source_classes
+    G = parse_group_name("C2xC2")
+    X = cone(identity_chain_map(u_complex(G, index_p_normal_subgroups(G)[0],
+                                          ZZ)))
+    assert is_contractible(X)[0]
+    kept = dict(G.rank_one_modules)
+    assert kept
+    for (K, chi, ring), (S, L) in kept.items():
+        assert any(S is T for T in subgroups(G)) and S.elements == K
+        assert L.rank == 1 and ring is ZZ
+    for M in X.terms.values():
+        for cls in _source_classes(M):
+            _fixed_orbits(M, *cls)
+    assert all(G.rank_one_modules[key] is kept[key] for key in kept)
+    ref = weakref.ref(G)
+    del G, X, M, S, L, kept
+    gc.collect()
+    assert ref() is None
+
+
 # ---------------------------------------------------------------------------
 # homology profiles from sparse ranks, against Smith normal form
 

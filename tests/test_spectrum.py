@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from ttperm.grp import Subgroup, cyclic, subgroups
+from ttperm.grp import (Subgroup, conjugation_table, cyclic,
+                        sections_category, subgroups)
 from ttperm import spectrum as sp
 from ttperm.spectrum import (SpcPoint, SymbolicPoset, seed_cyclic_field,
                              assemble_over_Z, sections_colimit,
@@ -124,6 +125,36 @@ def test_colimit_builds_each_subgroup_once(monkeypatch):
     G = cyclic(64)
     sections_colimit(G)
     assert len(built) == len(subgroups(G)) == 7
+
+
+def test_colimit_replays_each_conjugation_row_once(monkeypatch):
+    # the seed-image loop reads each source seed's points once per
+    # applied morphism; the images depend on g only through its row of
+    # the conjugation table
+    replays = []
+
+    class CountingPoints(dict):
+        def items(self):
+            replays.append(1)
+            return super().items()
+
+    seed = sp._section_seed
+
+    def counting_seed(*args):
+        P = seed(*args)
+        P.points = CountingPoints(P.points)
+        return P
+
+    monkeypatch.setattr(sp, "_section_seed", counting_seed)
+    G = cyclic(64)
+    colim = sections_colimit(G)
+    conj = conjugation_table(G)
+    cat = sections_category(G, 2)
+    triples = {(f.source.key(), f.target.key(), conj[f.g])
+               for f in cat.morphisms}
+    assert len(cat.morphisms) == 1600
+    assert len(replays) == len(triples) < len(cat.morphisms)
+    assert labeled_isomorphic(colim, assemble_over_Z(G))
 
 
 def test_modular_point_counts():
