@@ -19,10 +19,15 @@ Terms of rank zero are dropped; ``term(n)`` returns a zero module for
 any absent degree and ``diff(n)`` a zero map.
 
 d o d = 0 and the chain-map squares are checked on the entries of
-sparse products (``permod._composite``), without building maps; a
-failure raises ``permod.CertificateError``, also under ``python -O``.
-Terms and components that do not fit together are a caller's bug and
-raise ``ValueError``, also under ``python -O``.
+sparse products (``permod._composite``), without building maps, and on
+one column per G-orbit of the source term's basis (the rule and its
+preconditions are stated in ``permod``): ``orbit_starts`` gives every
+orbit a representative, signed orbits included, and a differential or
+component is accepted only when its source and target are the terms
+themselves or carry their basis and action (``permod._same_module``).
+A failed identity raises ``permod.CertificateError``, also under
+``python -O``.  Terms and components that do not fit together are a
+caller's bug and raise ``ValueError``, also under ``python -O``.
 """
 
 from itertools import product as iproduct
@@ -30,7 +35,7 @@ from itertools import product as iproduct
 from .permod import (SignedPermModule, EquivMap, CertificateError,
                      BlockModule, zero_module, zero_map, trivial_module,
                      dual_module, base_change_module, restrict,
-                     subgroup_as_group, _composite, _index)
+                     subgroup_as_group, _composite, _index, _same_module)
 
 
 class Complex:
@@ -46,8 +51,8 @@ class Complex:
             if M.group is not group or M.ring is not ring:
                 raise ValueError("term %d has another group or ring" % n)
         for n, f in self.diffs.items():
-            if not (_same_basis(f.source, self.terms[n]) and
-                    _same_basis(f.target, self.terms[n - 1])):
+            if not (_same_module(f.source, self.terms[n]) and
+                    _same_module(f.target, self.terms[n - 1])):
                 raise ValueError("d_%d is not X_%d -> X_%d" % (n, n, n - 1))
         # a complex is never changed after construction, so a passed
         # d o d check and its hom groups (shift -> HomGroup, filled by
@@ -59,12 +64,15 @@ class Complex:
 
     def check_square_zero(self):
         """d_n o d_{n+1} = 0 in every degree, compared as sparse
-        products; raises CertificateError otherwise.  Runs once: a
-        passed check is kept."""
+        products on one column per orbit of X_{n+1}; raises
+        CertificateError otherwise.  Runs once: a passed check is
+        kept."""
         if self.squares_to_zero:
             return
         for n, d in sorted(self.diffs.items()):
-            if (n + 1) in self.diffs and _composite(d, self.diffs[n + 1]):
+            if (n + 1) in self.diffs and _composite(
+                    d, self.diffs[n + 1],
+                    set(self.terms[n + 1].orbit_starts())):
                 raise CertificateError("d o d != 0 at degree %d" % n)
         self.squares_to_zero = True
 
@@ -109,7 +117,8 @@ class Complex:
 
 
 class ChainMap:
-    """A degree-0 map of complexes; commuting squares checked."""
+    """A degree-0 map of complexes; commuting squares checked, each on
+    one column per orbit of its source term."""
 
     def __init__(self, source, target, components):
         if source.group is not target.group or source.ring is not target.ring:
@@ -119,8 +128,8 @@ class ChainMap:
         comps = {}
         for n, f in components.items():
             if n in source.terms and n in target.terms:
-                if not (_same_basis(f.source, source.terms[n]) and
-                        _same_basis(f.target, target.terms[n])):
+                if not (_same_module(f.source, source.terms[n]) and
+                        _same_module(f.target, target.terms[n])):
                     raise ValueError("component %d is not X_%d -> Y_%d"
                                      % (n, n, n))
                 comps[n] = f
@@ -128,8 +137,11 @@ class ChainMap:
                 raise ValueError("component %d lies outside the complexes" % n)
         self.components = comps
         for n in set(source.terms) | set(target.terms):
-            if _square_side(comps.get(n - 1), source.diffs.get(n)) != \
-                    _square_side(target.diffs.get(n), comps.get(n)):
+            if n not in source.terms:
+                continue        # both sides vanish where X_n is zero
+            cols = set(source.terms[n].orbit_starts())
+            if _square_side(comps.get(n - 1), source.diffs.get(n), cols) != \
+                    _square_side(target.diffs.get(n), comps.get(n), cols):
                 raise CertificateError(
                     "square at degree %d does not commute" % n)
 
@@ -145,16 +157,12 @@ class ChainMap:
         return "ChainMap(%r -> %r)" % (self.source, self.target)
 
 
-def _same_basis(M, N):
-    """M is N or has its basis (identity first: the common, free case)."""
-    return M is N or M.basis == N.basis
-
-
-def _square_side(f, g):
-    """The entries of f o g, or none when either map is absent (zero)."""
+def _square_side(f, g, cols):
+    """The entries of f o g on the columns ``cols``, or none when either
+    map is absent (zero)."""
     if f is None or g is None:
         return {}
-    return _composite(f, g)
+    return _composite(f, g, cols)
 
 
 def identity_chain_map(X):
@@ -208,41 +216,63 @@ def tensor_index(factors):
     index per factor; the basis vector is e_src[0] (x) ... (x) e_src[-1]
     in the block X_tup[0] (x) ... (x) X_tup[-1] of degree n = sum(tup).
     Blocks come in lexicographic order of tup, and src is lexicographic
-    within a block, the order of ``permod.tensor_module``.
+    within a block, the order of ``permod.tensor_module``; degrees come
+    in the order in which their first block does.
     """
-    index = {}
-    for tup in iproduct(*[sorted(X.terms) for X in factors]):
-        block = index.setdefault(sum(tup), {})
+    degrees = dict.fromkeys(sum(tup) for tup in _degree_tuples(factors))
+    return {n: _tensor_block(factors, n) for n in degrees}
+
+
+def _degree_tuples(factors, n=None):
+    """The degree tuples of the layout's blocks, in layout order; only
+    those of degree n when it is given."""
+    return [tup for tup in iproduct(*[sorted(X.terms) for X in factors])
+            if n is None or sum(tup) == n]
+
+
+def _tensor_block(factors, n):
+    """Degree n of ``tensor_index(factors)``, empty when it is absent."""
+    block = {}
+    for tup in _degree_tuples(factors, n):
         for src in iproduct(*[range(X.terms[d].rank)
                               for X, d in zip(factors, tup)]):
             block[(tup, src)] = len(block)
-    return index
+    return block
+
+
+def _factor_columns(factors, tups):
+    """[{d: _index of d_d of factor j, by columns}] over the degrees d
+    that the degree tuples ``tups`` hold in slot j."""
+    return [{d: _index(X.diffs[d].entries, 1)
+             for d in {tup[j] for tup in tups} if d in X.diffs}
+            for j, X in enumerate(factors)]
 
 
 def tensor_differentials(factors, index):
     """{n: entries of d_n} on the layout ``index`` of ``factors``, by
-    the Leibniz rule: d applied in slot j is signed by (-1)^(sum of the
-    degrees before j).  Every degree n with n - 1 in the layout gets an
-    entry, possibly empty."""
-    cols = [{i: _index(f.entries, 1) for i, f in X.diffs.items()}
-            for X in factors]
-    out = {}
-    for n, block in index.items():
-        below = index.get(n - 1)
-        if below is None:
-            continue
-        acc = {}
-        for (tup, src), c in block.items():
-            sgn = 1
-            for j, d in enumerate(tup):
-                for b, v in cols[j].get(d, {}).get(src[j], ()):
-                    r = below[(tup[:j] + (d - 1,) + tup[j + 1:],
-                               src[:j] + (b,) + src[j + 1:])]
-                    acc[(r, c)] = sgn * v
-                if d % 2:
-                    sgn = -sgn
-        out[n] = acc
-    return out
+    the Leibniz rule (``_tensor_differential``).  Every degree n with
+    n - 1 in the layout gets an entry, possibly empty."""
+    cols = _factor_columns(factors, _degree_tuples(factors))
+    return {n: _tensor_differential(cols, block, index[n - 1])
+            for n, block in index.items() if (n - 1) in index}
+
+
+def _tensor_differential(cols, block, below):
+    """The entries of d from the layout block ``block`` to ``below``,
+    one degree down: d applied in slot j is signed by (-1)^(sum of the
+    degrees before j).  ``cols`` is ``_factor_columns`` over at least
+    the block's degree tuples."""
+    acc = {}
+    for (tup, src), c in block.items():
+        sgn = 1
+        for j, d in enumerate(tup):
+            for b, v in cols[j].get(d, {}).get(src[j], ()):
+                r = below[(tup[:j] + (d - 1,) + tup[j + 1:],
+                           src[:j] + (b,) + src[j + 1:])]
+                acc[(r, c)] = sgn * v
+            if d % 2:
+                sgn = -sgn
+    return acc
 
 
 def _tensor_rows(A, B, n, block, rows, off=0):
@@ -285,34 +315,53 @@ def tensor_cone(f, g):
     covers all three, since d^2 = [[dT^2, dT tau - tau dS], [0, dS^2]]
     for d = [[dT, tau], [0, -dS]]; each term is a sum of G-stable
     blocks, so its action and equivariance checks cover every block.
+
+    The cone is written degree by degree, upward: while degree n is
+    written only the layouts of degrees n and n - 1 are alive, with the
+    factor column indexes that the differential of degree n reads, and
+    none of them is left when the cone checks d o d.
     """
     X, Y, Xp, Yp = f.source, f.target, g.source, g.target
     if X.group is not Xp.group or X.ring is not Xp.ring:
         raise ValueError("tensor factors over different groups or rings")
-    SI, TI = tensor_index((X, Xp)), tensor_index((Y, Yp))
-    dS = tensor_differentials((X, Xp), SI)
-    dT = tensor_differentials((Y, Yp), TI)
-    fcols = {i: _index(c.entries, 1) for i, c in f.components.items()}
-    gcols = {j: _index(c.entries, 1) for j, c in g.components.items()}
+    S, T = (X, Xp), (Y, Yp)
+    taus = ({i: _index(c.entries, 1) for i, c in f.components.items()},
+            {j: _index(c.entries, 1) for j, c in g.components.items()})
     terms, diffs = {}, {}
-    for n in sorted(set(TI) | {n + 1 for n in SI}):
-        T, S, below = TI.get(n, {}), SI.get(n - 1, {}), TI.get(n - 1, {})
+    below = None            # (n - 1, its T block, its S block of n - 2)
+    for n in sorted({sum(tup) for tup in _degree_tuples(T)} |
+                    {sum(tup) + 1 for tup in _degree_tuples(S)}):
+        blocks = _tensor_block(T, n), _tensor_block(S, n - 1)
         rows = [[] for _ in X.group.elements()]
-        basis = [(("cY",), l) for l in _tensor_rows(Y, Yp, n, T, rows)]
-        basis += [(("cX",), l)
-                  for l in _tensor_rows(X, Xp, n - 1, S, rows, len(T))]
+        basis = [(("cY",), l) for l in _tensor_rows(Y, Yp, n, blocks[0], rows)]
+        basis += [(("cX",), l) for l in _tensor_rows(
+            X, Xp, n - 1, blocks[1], rows, len(blocks[0]))]
         terms[n] = SignedPermModule(X.group, X.ring, basis, rows)
-        if (n - 1) not in terms:
-            continue
-        acc = {}
-        _place(acc, 0, 0, dT.get(n, {}))
-        for ((i, j), (a, b)), c in S.items():
-            for a2, v in fcols.get(i, {}).get(a, ()):
-                for b2, w in gcols.get(j, {}).get(b, ()):
-                    acc[(below[((i, j), (a2, b2))], len(T) + c)] = v * w
-        _place(acc, len(below), len(T), dS.get(n - 1, {}), sign=-1)
-        diffs[n] = EquivMap(terms[n], terms[n - 1], acc)
+        if below is not None and below[0] == n - 1:
+            diffs[n] = EquivMap(terms[n], terms[n - 1], _cone_differential(
+                S, T, taus, n, blocks, below[1:]))
+        below = (n,) + blocks
+    below = blocks = taus = None
     return Complex(X.group, X.ring, terms, diffs)
+
+
+def _cone_differential(S, T, taus, n, blocks, lower):
+    """The entries of d_n of ``tensor_cone``: [[dT, tau], [0, -dS]] from
+    the T and S blocks ``blocks`` of degrees n and n - 1 to ``lower``,
+    those of n - 1 and n - 2; ``taus`` holds the column indexes of f's
+    and g's components."""
+    (TB, SB), (TL, SL) = blocks, lower
+    fcols, gcols = taus
+    acc = {}
+    _place(acc, 0, 0, _tensor_differential(
+        _factor_columns(T, _degree_tuples(T, n)), TB, TL))
+    for ((i, j), (a, b)), c in SB.items():
+        for a2, v in fcols.get(i, {}).get(a, ()):
+            for b2, w in gcols.get(j, {}).get(b, ()):
+                acc[(TL[((i, j), (a2, b2))], len(TB) + c)] = v * w
+    _place(acc, len(TL), len(TB), _tensor_differential(
+        _factor_columns(S, _degree_tuples(S, n - 1)), SB, SL), sign=-1)
+    return acc
 
 
 def cone(f):

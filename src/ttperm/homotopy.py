@@ -36,10 +36,14 @@ in a fixed order.
   d o d = 0 as a sparse product first;
 * certificate checks (``check_homotopy``, and in ``chain`` the
   chain-map squares and d o d = 0) compare the nonzeros of sparse
-  products and raise ``permod.CertificateError`` rather than asserting,
-  so they survive ``python -O``; ``check_homotopy`` clears the
-  denominators of h first, so a rational certificate whose complex has
-  integral differentials is checked in int products;
+  products on one column per G-orbit of the source basis, signed orbits
+  included, and raise ``permod.CertificateError`` rather than asserting,
+  so they survive ``python -O``: the two sides are built from checked
+  ``EquivMap``s on modules with the terms' actions, so their difference
+  is equivariant and vanishes once it vanishes there (``permod``);
+  ``check_homotopy`` clears the denominators of h first, so a rational
+  certificate whose complex has integral differentials is checked in
+  int products;
 * ``find_homotopy_equivalence`` and ``unit_equivalence`` promote a chain
   map inducing a unit on rank-one homology, searched or built, by
   contracting its mapping cone (equal complexes get the identity);
@@ -56,8 +60,9 @@ in a fixed order.
   X_n)``; and each contraction step (``_contract_equivariant``), which
   builds no pair table, on ``HomOrbits(L, Res_K X_n)`` for each
   stabilizer K and sign L of a source orbit (``_sweep_step``).  Maps
-  are built only from solutions; a contraction step keeps only the rows
-  that the step below left free, which suffices when its P[F, F] = I.
+  are built only from solutions; a contraction step assembles only the
+  rows that the step below left free, which suffices when its P[F, F]
+  = I.
 
 Homotopies h have degree +1 and certify d h + h d = f.
 """
@@ -68,8 +73,9 @@ from math import gcd
 from .grp import subgroups
 from .permod import (HomOrbits, EquivMap, CertificateError, SignedPermModule,
                      trivial_module, subgroup_as_group, restrict, _index,
-                     _normalized, _left_mul, _right_mul, _composite,
-                     _combination, _scaled)
+                     _normalized, _composite, _combination, _scaled,
+                     _same_module, _column_index, _column_image,
+                     _by_rows, _column_rows, _identity_minus)
 
 
 class SolverCapExceeded(Exception):
@@ -90,24 +96,6 @@ def _enforce_rank_cap(X):
 
 # ---------------------------------------------------------------------------
 # sparse elimination with column tracking
-
-def _by_rows(cols):
-    """{row: {k: value}} for the column vectors cols[k]: the matrix they
-    form, or right-hand sides for ``solve_sparse``.  The columns are
-    walked in k order, so every row dict is k-ascending."""
-    out = {}
-    for k, col in enumerate(cols):
-        for r, v in col.items():
-            out.setdefault(r, {})[k] = v
-    return out
-
-
-def _column_rows(cols, nrows):
-    """The row dicts of the matrix whose columns are ``cols``, columns
-    ascending within each row."""
-    by_rows = _by_rows(cols)
-    return [by_rows.get(r, {}) for r in range(nrows)]
-
 
 def _diagonalize(ring, rows, ncols, rhs=None):
     """Diagonalize a sparse row-dict matrix in place.
@@ -839,10 +827,12 @@ class _System:
         self.blocks[tag] = (self.ncols, basis)
         self.ncols += len(basis)
 
-    def add_rows(self, proj, contributions, rhs=None):
+    def add_rows(self, proj, contributions, rhs=None, kept=None):
         """One equation row per orbit of ``proj``, the ``HomOrbits`` of
         the projection Hom_G(M, N), in root order, empty or not: the root
         entry of the sum of the contributions equals that of ``rhs``.
+        ``kept`` (ascending orbit numbers) restricts the rows to those
+        orbits; the others are not assembled.
 
         ``contributions``: list of (tag, d, left), the composites d o b
         (``left``) or b o d of the block's basis maps b with a map d
@@ -867,7 +857,8 @@ class _System:
             parts.append((off, basis.code, left, _index(d, 0 if left else 1),
                           basis.target.rank))
         nN = proj.target.rank
-        for x in proj.roots:
+        roots = proj.roots
+        for x in roots if kept is None else (roots[e] for e in kept):
             i, j = divmod(x, nN)
             row = {}
             for off, code, left, lines, nB in parts:
@@ -908,14 +899,6 @@ class _System:
     def kernel(self):
         return [self._split(x)
                 for x in kernel_sparse(self.ring, self.rows, self.ncols)]
-
-
-def _identity_minus(ring, rank, entries):
-    """Entries of id - f for an endomorphism f given by its entries."""
-    acc = {(i, i): ring.one for i in range(rank)}
-    for key, v in entries.items():
-        acc[key] = acc.get(key, ring.zero) - v
-    return _normalized(ring, acc)
 
 
 class _BasisCount:
@@ -997,10 +980,18 @@ def null_homotopy(F):
 
 
 def check_homotopy(X, Y, f, h):
-    """Check d h + h d = f exactly for maps X -> Y, degree by degree,
-    comparing the nonzeros of sparse products; raises CertificateError
-    otherwise.  ``f`` is {n: entries}, an omitted degree counting as
-    zero, and ``h`` is {n: EquivMap X_n -> Y_{n+1}}.
+    """Check d h + h d = f exactly for maps X -> Y, column by column at
+    ``orbit_starts`` of X_n (the rule in ``permod``); raises
+    CertificateError otherwise.  Only the compact column indexes of the
+    maps that degree n reads are alive at degree n.
+
+    ``h`` is {n: EquivMap X_n -> Y_{n+1}} on X.terms[n] and Y.terms[n+1]
+    or modules with their basis and action, else ValueError, also under
+    ``python -O``.  ``f`` must be the entries {n: entries} of an
+    equivariant map (an omitted degree is zero), or a ring value c for
+    c id; its callers pass id, |G| id (``koszul``), id - g f on the
+    representatives (``Equivalence.verify``) or chain-map components
+    (``twisted.certified_null_homotopy``).
 
     Denominators are cleared first: with D the lcm of the denominators
     of h's entries, the check is d(Dh) + (Dh)d = D f.  That holds
@@ -1008,29 +999,45 @@ def check_homotopy(X, Y, f, h):
     is integral, so over Q the products multiply ints wherever d is
     integral.  D = 1 over Z and GF(p)."""
     ring = X.ring
-    h = {n: g.entries for n, g in h.items()}
     D = 1
-    for entries in h.values():
-        for v in entries.values():
+    for n, g in h.items():
+        if not (n in X.terms and (n + 1) in Y.terms and
+                _same_module(g.source, X.terms[n]) and
+                _same_module(g.target, Y.terms[n + 1])):
+            raise ValueError("h_%d is not X_%d -> Y_%d" % (n, n, n + 1))
+        for v in g.entries.values():
             q = v.denominator
             if D % q:
                 D = D // gcd(D, q) * q
-    if D != 1:
-        h = {n: {k: v.numerator * (D // v.denominator)
-                 for k, v in entries.items()} for n, entries in h.items()}
-        f = {n: _scaled(ring, D, entries) for n, entries in f.items()}
-    for n in X.terms:
-        lhs = {}
-        if n in h and (n + 1) in Y.diffs:
-            lhs = _left_mul(ring, _index(Y.diffs[n + 1].entries, 1), h[n])
-        if (n - 1) in h and n in X.diffs:
-            for key, v in _right_mul(ring, h[n - 1],
-                                     _index(X.diffs[n].entries, 0)).items():
-                lhs[key] = lhs.get(key, 0) + v
-            lhs = _normalized(ring, lhs)
-        if lhs != f.get(n, {}):
-            raise CertificateError(
-                "homotopy identity fails at degree %d" % n)
+    # for f = c id, column c of D f is {c: unit}
+    unit = None if isinstance(f, dict) else ring.normalize(D * f)
+    index = {}
+    for n, M in X.terms.items():
+        hn, hb = h.get(n), h.get(n - 1)
+        dY, dX = Y.diffs.get(n + 1), X.diffs.get(n)
+        maps = (hn, hb, dY, dX)
+        # drop the indexes that degree n does not read, then build its own
+        index = {g: index[g] for g in maps if g in index}
+        for g in maps:
+            if g is not None and g not in index:
+                index[g] = _column_index(g.entries, g.source.rank,
+                                         D if g in maps[:2] else 1)
+        # (the index read at column c, the index applied to it)
+        pairs = [(index[a], index[b]) for a, b in ((hn, dY), (dX, hb))
+                 if a is not None and b is not None]
+        if unit is None:
+            start, rows, vals = _column_index(f.get(n, {}), M.rank)
+        for c in M.orbit_starts():
+            if unit is not None:
+                want = {c: unit} if unit else {}
+            else:
+                want = {rows[k]: vals[k]
+                        for k in range(start[c], start[c + 1])}
+                if D != 1:
+                    want = _scaled(ring, D, want)
+            if _normalized(ring, _column_image(c, pairs)) != want:
+                raise CertificateError(
+                    "homotopy identity fails at degree %d" % n)
     return True
 
 
@@ -1040,10 +1047,7 @@ class ContractionCertificate:
         self.h = h
 
     def verify(self):
-        X = self.X
-        one = X.ring.one
-        return check_homotopy(X, X, {n: {(i, i): one for i in range(M.rank)}
-                                     for n, M in X.terms.items()}, self.h)
+        return check_homotopy(self.X, self.X, self.X.ring.one, self.h)
 
     @classmethod
     def carried(cls, h, Y):
@@ -1164,18 +1168,17 @@ def _sweep_step(source, d, b, C, n, tables, kept_rows):
             if (m, cls) not in tables:
                 tables[m, cls] = _fixed_orbits(C.term(m), *cls)
         (eqs, _), (unknowns, members) = tables[n, cls], tables[n + 1, cls]
+        kept = kept_rows.get(cls, range(len(eqs)))
         sys = _System(ring)
         sys.add_block(0, unknowns)
-        sys.add_rows(eqs, [(0, d.entries, True)])
-        kept = kept_rows.get(cls, range(len(eqs)))
-        rows = [sys.rows[e] for e in kept]
+        sys.add_rows(eqs, [(0, d.entries, True)], kept=kept)
         row_of = {eqs.roots[e]: i for i, e in enumerate(kept)}
         rhs = {}
         for j, _ in reps:
             for r, v in b(j).items():
                 if r in row_of:
                     rhs.setdefault(row_of[r], {})[j] = v
-        sols, free = solve_sparse(ring, rows, sys.ncols, rhs,
+        sols, free = solve_sparse(ring, sys.rows, sys.ncols, rhs,
                                   return_free=True)
         if sols is None:
             return None
@@ -1336,11 +1339,12 @@ class Equivalence:
         their squares were checked when they were built."""
         for first, then, h in ((self.f, self.g, self.h),
                                (self.g, self.f, self.hp)):
-            X = first.source
-            check_homotopy(X, X, {n: _identity_minus(
-                X.ring, M.rank,
-                _composite(then.component(n), first.component(n)))
-                for n, M in X.terms.items()}, h)
+            X, rhs = first.source, {}
+            for n, M in X.terms.items():
+                cols = set(M.orbit_starts())
+                rhs[n] = _identity_minus(X.ring, cols, _composite(
+                    then.component(n), first.component(n), cols))
+            check_homotopy(X, X, rhs, h)
         return True
 
 

@@ -466,8 +466,8 @@ def _build_koszul(G, H, ring):
     for i in range(1, len(chain)):
         Gi, Si = subgroup_meet(chain[i], chain[i - 1])
         h = _induced_contraction(h, X, Si.index)
-        X = tensor_induce(X, Si)
-        X, mod_audit, h = sign_modify(X, Si, h)
+        # sign_modify alone holds the induced complex, and drops it
+        X, mod_audit, h = sign_modify(tensor_induce(X, Si), Si, h)
         steps.append({"level": chain[i].describe(),
                       "ranks": X.rank_vector(),
                       "modification": mod_audit})

@@ -33,7 +33,8 @@ Conventions used throughout the package:
   its root pair plus one signed 4-byte code per pair, never as maps.
   An orbit's members are re-walked from its root when a map is built
   from them (``HomOrbits.map``, checked like every map).  It is the one
-  orbit walk: the orbit of e_x in M is the orbit of the pair (0, x) in
+  signed orbit walk (``orbit_starts`` walks bare basis orbits, for the
+  checks below): the orbit of e_x in M is the orbit of the pair (0, x) in
   Hom_G(R, M), R trivial, so sign decomposition, rebasing and the
   induction test read ``HomOrbits`` too, and a contraction step reads
   the (K, chi)-orbits of a module as ``HomOrbits`` from a rank-one
@@ -49,6 +50,21 @@ homomorphism and an equivariant map for the whole group.  Orbits of
 basis pairs are closures under the generators for the same reason.  A
 failed check raises ``CertificateError``, so the checks also run under
 ``python -O``.
+
+An identity between equivariant maps A -> B (d o d = 0, a chain-map
+square, d h + h d = f) is checked on one column per G-orbit of A's
+basis, at ``SignedPermModule.orbit_starts``: the difference F of the two
+sides is equivariant, F(g.e_x) = s rho(g) F(e_x) for g.e_x = s e_(g.x),
+so it vanishes on the orbit of e_x when it vanishes at e_x.  The rule
+has two preconditions, which the checks enforce:
+
+* every orbit has a representative, signed ones too (an orbit on which
+  some stabilizer element sends e_x to -e_x has no root in
+  ``HomOrbits(R, M)``, yet F(e_x) need not vanish there over Z);
+* every factor is an ``EquivMap``, checked when it was built, and each
+  module where two factors meet, or where the columns are read, is the
+  complex's term itself or carries its action (``_same_module``), so
+  every factor is equivariant for the same action.
 """
 
 from array import array
@@ -102,6 +118,28 @@ class SignedPermModule:
         # {target module: HomOrbits(self, target)}, filled by
         # homotopy._hom_basis; it lives and dies with this module
         self.hom_bases = {}
+        self._starts = None
+
+    def orbit_starts(self):
+        """The smallest index of every G-orbit of the basis, signed or
+        not, ascending; walked once along the generators, without the
+        signs that ``HomOrbits`` weighs, and kept on the module."""
+        if self._starts is None:
+            gens = [self.action[g] for g in self.group.generators]
+            seen = bytearray(self.rank)
+            self._starts = array("i")
+            for x in range(self.rank):
+                if not seen[x]:
+                    self._starts.append(x)
+                    seen[x], stack = 1, [x]
+                    while stack:
+                        y = stack.pop()
+                        for row in gens:
+                            z = row[y][0]
+                            if not seen[z]:
+                                seen[z] = 1
+                                stack.append(z)
+        return self._starts
 
     @property
     def rank(self):
@@ -218,6 +256,13 @@ class EquivMap:
             self.target.rank, self.source.rank, self.ring.name)
 
 
+def _same_module(M, N):
+    """M is N, or has its basis and its action (identity first: the
+    common, free case).  Equal actions make a map that is equivariant
+    for M equivariant for N."""
+    return M is N or (M.basis == N.basis and M.action == N.action)
+
+
 def _index(entries, axis):
     """{k: [(other index, value)]} grouping sparse entries by their row
     (axis 0) or column (axis 1) index."""
@@ -248,6 +293,33 @@ def _combination(ring, coeffs, vectors):
     return _normalized(ring, acc)
 
 
+def _by_rows(cols):
+    """{row: {k: value}} for the column vectors cols[k]: the matrix they
+    form, or right-hand sides for ``solve_sparse``.  The columns are
+    walked in k order, so every row dict is k-ascending."""
+    out = {}
+    for k, col in enumerate(cols):
+        for r, v in col.items():
+            out.setdefault(r, {})[k] = v
+    return out
+
+
+def _column_rows(cols, nrows):
+    """The row dicts of the matrix whose columns are ``cols``, columns
+    ascending within each row."""
+    by_rows = _by_rows(cols)
+    return [by_rows.get(r, {}) for r in range(nrows)]
+
+
+def _identity_minus(ring, cols, entries):
+    """Entries of id - f on the columns ``cols`` (an iterable of
+    indices) for an endomorphism f given by its entries there."""
+    acc = {(i, i): ring.one for i in cols}
+    for key, v in entries.items():
+        acc[key] = acc.get(key, ring.zero) - v
+    return _normalized(ring, acc)
+
+
 def _scaled(ring, c, vec):
     """The vector c . vec, its values normalized over ``ring``."""
     return _normalized(ring, {i: c * x for i, x in vec.items()})
@@ -263,10 +335,15 @@ def _left_mul(ring, d_cols, b):
     return _normalized(ring, acc)
 
 
-def _composite(f, g):
+def _composite(f, g, cols=None):
     """The entries of f o g (g first), the sparse product of the two
-    maps' nonzeros; no map is built."""
-    return _left_mul(f.ring, _index(f.entries, 1), g.entries)
+    maps' nonzeros; no map is built.  With ``cols``, a container of
+    indices of g's source, only those columns are formed: g is indexed
+    by rows on them alone and f is read entry by entry."""
+    if cols is None:
+        return _left_mul(f.ring, _index(f.entries, 1), g.entries)
+    return _right_mul(f.ring, f.entries, _index(
+        {k: v for k, v in g.entries.items() if k[1] in cols}, 0))
 
 
 def _right_mul(ring, b, d_rows):
@@ -277,6 +354,41 @@ def _right_mul(ring, b, d_rows):
         for c, a in d_rows.get(t, ()):
             acc[(r, c)] = acc.get((r, c), 0) + v * a
     return _normalized(ring, acc)
+
+
+def _column_index(E, ncols, scale=1):
+    """The entries E of a map with ``ncols`` columns by column, compact:
+    (start, rows, values) with column c at positions start[c] to
+    start[c + 1] and every value times ``scale``, an integer that clears
+    its denominator; two int arrays and a list, no tuple or list per
+    entry or column."""
+    start = array("i", bytes(4 * (ncols + 1)))
+    for _, c in E:
+        start[c + 1] += 1
+    for c in range(ncols):
+        start[c + 1] += start[c]
+    fill = array("i", start)
+    rows = array("i", bytes(4 * len(E)))
+    vals = [0] * len(E)
+    for (r, c), v in E.items():
+        k = fill[c]
+        fill[c] = k + 1
+        rows[k] = r
+        vals[k] = v if scale == 1 else v.numerator * (scale // v.denominator)
+    return start, rows, vals
+
+
+def _column_image(c, pairs):
+    """sum B(A(e_c)) over the pairs (A, B) of ``_column_index``es, as
+    an accumulator dict, not normalized."""
+    acc = {}
+    for (first, first_rows, first_vals), (then, rows, vals) in pairs:
+        for k in range(first[c], first[c + 1]):
+            t, a = first_rows[k], first_vals[k]
+            for m in range(then[t], then[t + 1]):
+                r = rows[m]
+                acc[r] = acc.get(r, 0) + a * vals[m]
+    return acc
 
 
 def zero_map(source, target):
@@ -438,7 +550,7 @@ class HomOrbits:
     weights that agree along every generator step agree along every
     element.
 
-    This is the package's one orbit walk.  For M = R trivial, pair
+    This is the package's one signed orbit walk.  For M = R trivial, pair
     (0, x) is the basis vector e_x of N; its walk closes up exactly when
     the stabilizer character of e_x is trivial, and the code's sign is
     then e_x's path sign.  For M a rank-one sign module L it closes up

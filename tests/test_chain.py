@@ -259,7 +259,8 @@ _MISFITS = """
 import sys
 from ttperm.chain import Complex, ChainMap, two_term_complex
 from ttperm.grp import cyclic
-from ttperm.permod import EquivMap, trivial_module, perm_module
+from ttperm.permod import (EquivMap, SignedPermModule, trivial_module,
+                           perm_module)
 from ttperm.rings import ZZ, QQ
 
 assert sys.flags.optimize
@@ -268,12 +269,20 @@ M = trivial_module(G, ZZ)
 one = EquivMap(M, M, {(0, 0): 1})
 X = two_term_complex(one)
 P = perm_module(G, G.trivial_subgroup(), ZZ)
+# P's labels with the trivial action: {(0, 0): 1} is equivariant for Q,
+# not for P, so a check on one column per orbit of P would not see it
+Q = SignedPermModule(G, ZZ, P.basis, [[(0, 1), (1, 1)]] * 2)
+Y = Complex(G, ZZ, {0: P}, {})
 bad = {
     "outside": lambda: ChainMap(X, X, {5: one}),
     "basis": lambda: ChainMap(X, X, {0: EquivMap(P, M, {(0, 0): 1,
                                                         (0, 1): 1})}),
     "ring": lambda: Complex(G, QQ, {0: M}, {}),
     "differential": lambda: Complex(G, ZZ, {0: M, 1: P}, {1: one}),
+    "differential action": lambda: Complex(
+        G, ZZ, {0: M, 1: P}, {1: EquivMap(Q, M, {(0, 0): 1})}),
+    "component action": lambda: ChainMap(
+        Y, Y, {0: EquivMap(Q, Q, {(0, 0): 1})}),
 }
 for name, build in bad.items():
     try:
@@ -286,7 +295,8 @@ for name, build in bad.items():
 
 def test_misfit_terms_and_components_raise_under_python_O(python_O):
     # structural checks are ValueErrors, not asserts: python -O keeps
-    # them, and cli.run does not report them as failed theory checks
+    # them, and cli.run does not report them as failed theory checks; a
+    # module with the term's labels but another action is a misfit too
     proc = python_O(_MISFITS)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
@@ -294,6 +304,8 @@ def test_misfit_terms_and_components_raise_under_python_O(python_O):
         "basis component 0 is not X_0 -> Y_0",
         "ring term 0 has another group or ring",
         "differential d_1 is not X_1 -> X_0",
+        "differential action d_1 is not X_1 -> X_0",
+        "component action component 0 is not X_0 -> Y_0",
     ]
 
 

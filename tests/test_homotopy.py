@@ -382,6 +382,27 @@ def test_null_homotopy_of_zero_and_nonzero_maps():
     assert null_homotopy(ident) is None
 
 
+def test_check_homotopy_rejects_a_homotopy_over_a_subgroup():
+    # a contraction of Res_1 X is equivariant only for the trivial group;
+    # checked on one column per G-orbit of X it could pass unseen, so a
+    # homotopy on modules with another action is a caller's bug
+    from ttperm.chain import restrict_complex
+    G = cyclic(3)
+    X = cone(identity_chain_map(
+        u_complex(G, index_p_normal_subgroups(G)[0], ZZ)))
+    ok, cert = is_contractible(restrict_complex(X, G.trivial_subgroup()))
+    assert ok and cert.verify()
+    broken = 0
+    for n, f in cert.h.items():
+        try:
+            EquivMap(X.terms[n], X.terms[n + 1], f.entries)
+        except CertificateError:
+            broken += 1
+    assert broken                 # not G-equivariant
+    with pytest.raises(ValueError, match="h_-?[0-9]+ is not X_"):
+        check_homotopy(X, X, 1, cert.h)
+
+
 def test_hom_group_matches_bruteforce_on_small_complexes():
     for n, ring in ((2, ZZ), (3, ZZ), (2, GF(2)), (3, GF(3)), (2, QQ)):
         G = cyclic(n)
@@ -1031,20 +1052,24 @@ def _rows_by_products(sys, proj, contributions, rhs):
 
 def _record_assemblies(monkeypatch):
     """Wrap ``_System.add_rows``; each call appends to the returned list
-    whether the rows and right sides it added match the reference, in
-    dict order, the number of rows, and the number of inconsistent pairs
-    of its tables."""
+    whether the rows and right sides it added match the reference (its
+    rows at the kept orbits), in dict order, the number of rows, and the
+    number of inconsistent pairs of its tables."""
     from ttperm import homotopy
     real = homotopy._System.add_rows
     seen = []
 
-    def recording(self, proj, contributions, rhs=None):
+    def recording(self, proj, contributions, rhs=None, kept=None):
         start, before = len(self.rows), dict(self.rhs)
-        real(self, proj, contributions, rhs)
+        real(self, proj, contributions, rhs, kept)
         got = ([list(row.items()) for row in self.rows[start:]],
                [(r - start, b) for r, b in self.rhs.items()
                 if r not in before])
         rows, rights = _rows_by_products(self, proj, contributions, rhs)
+        if kept is not None:
+            rights = {i: rights[e] for i, e in enumerate(kept)
+                      if e in rights}
+            rows = [rows[e] for e in kept]
         tables = [proj] + [self.blocks[tag][1] for tag, _, _ in contributions]
         seen.append((got == ([list(row.items()) for row in rows],
                              list(rights.items())), len(rows),
@@ -1447,7 +1472,7 @@ def _contraction_rhs(X, n, h_below):
     hd = {}
     if h_below and n in X.diffs:
         hd = _right_mul(X.ring, h_below, _index(X.diffs[n].entries, 0))
-    return _identity_minus(X.ring, X.terms[n].rank, hd)
+    return _identity_minus(X.ring, range(X.terms[n].rank), hd)
 
 
 def _orbit_pair_contraction(X):

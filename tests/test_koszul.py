@@ -8,7 +8,6 @@ regression values.
 """
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +15,7 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF, prime_power
 from ttperm.chain import base_change_complex
 from ttperm.homotopy import is_contractible
-from ttperm.permod import CertificateError, EquivMap
+from ttperm.permod import CertificateError, EquivMap, HomOrbits
 from ttperm.koszul import (koszul_object, verify_koszul,
                            KoszulVerificationError,
                            base_change_koszul_check, sign_twist_complex)
@@ -341,7 +340,10 @@ def _fraction_product(A, B):
 def _fraction_check_homotopy(X, Y, f, h):
     """Reference: d h + h d = f with every value a Fraction and no
     denominator cleared, as check_homotopy compared it before; True or
-    False."""
+    False.  A scalar f stands for f id, as it does there."""
+    if not isinstance(f, dict):
+        f = {n: {(i, i): f for i in range(M.rank)}
+             for n, M in X.terms.items()}
     for n in X.terms:
         lhs = {}
         if n in h and (n + 1) in Y.diffs:
@@ -356,6 +358,17 @@ def _fraction_check_homotopy(X, Y, f, h):
     return True
 
 
+def _orbit_shifted(g, key, delta):
+    """The map g plus delta on the whole orbit of its entry ``key``,
+    with the orbit's weights: a mutation that stays equivariant."""
+    H = HomOrbits(g.source, g.target)
+    code = H.code[key[1] * g.target.rank + key[0]]
+    orbit = H.map({abs(code) - 1: delta if code > 0 else -delta}).entries
+    return EquivMap(g.source, g.target,
+                    {k: g.entries.get(k, 0) + orbit.get(k, 0)
+                     for k in {**g.entries, **orbit}})
+
+
 def _divided(X, total):
     """The G-average total / |G| of a sum of conjugates, over Q."""
     return {n: EquivMap(f.source, f.target,
@@ -367,8 +380,9 @@ def _divided(X, total):
 def test_scaled_check_agrees_with_fraction_check(monkeypatch):
     # every rational certificate of the acceptance inputs (carried, the
     # sum of its G-conjugates against |G| id, and that sum divided by
-    # |G| against id), and the same certificate with one entry of its
-    # lowest component off by 1/|G|: both checks give the same verdict
+    # |G| against id), and the same certificate with one orbit of entries
+    # of its lowest component off by 1/|G|: both checks give the same
+    # verdict
     from ttperm import homotopy, koszul
     real = homotopy.check_homotopy
     carried, sums = [], []
@@ -395,11 +409,9 @@ def test_scaled_check_agrees_with_fraction_check(monkeypatch):
         assert _fraction_check_homotopy(X, Y, f, h)
         real(X, Y, f, h)
         n = min(h)
-        entries = dict(h[n].entries)
-        k = min(entries)
-        entries[k] = QQ.normalize(entries[k] + Fraction(1, X.group.order))
         bad = dict(h)
-        bad[n] = SimpleNamespace(entries=entries)
+        bad[n] = _orbit_shifted(h[n], min(h[n].entries),
+                                Fraction(1, X.group.order))
         assert not _fraction_check_homotopy(X, Y, f, bad)
         with pytest.raises(CertificateError, match="identity fails"):
             real(X, Y, f, bad)
@@ -409,12 +421,11 @@ _SCALED_CHECK_MUTATIONS = """
 import sys
 from fractions import Fraction
 from math import lcm
-from types import SimpleNamespace
 from ttperm import homotopy
 from ttperm.chain import base_change_complex
 from ttperm.grp import cyclic
 from ttperm.koszul import koszul_object
-from ttperm.permod import CertificateError, EquivMap
+from ttperm.permod import CertificateError, EquivMap, HomOrbits
 from ttperm.rings import ZZ, QQ
 
 assert sys.flags.optimize
@@ -433,15 +444,19 @@ homotopy.check_homotopy(X, X, ident, h)
 D = lcm(*(v.denominator for f in h.values() for v in f.entries.values()))
 print("D", D)
 n = min(h)
-entries = dict(h[n].entries)
-k = min(entries)
-entries[k] = QQ.normalize(entries[k] + Fraction(1, G.order))
+# the orbit of the entry k of h_n, its entries off by 1/|G|: equivariant
+g, k = h[n], min(h[n].entries)
+H = HomOrbits(g.source, g.target)
+code = H.code[k[1] * g.target.rank + k[0]]
+orbit = H.map({abs(code) - 1: Fraction(1 if code > 0 else -1, G.order)})
+entries = {key: g.entries.get(key, 0) + orbit.entries.get(key, 0)
+           for key in {**g.entries, **orbit.entries}}
 # f = id except one diagonal entry D/(D-1): D f is not integral there,
 # though truncating D // (D-1) to 1 would give back D . id
 f = {m: dict(e) for m, e in ident.items()}
 f[0][(0, 0)] = Fraction(D, D - 1)
 bad_h = dict(h)
-bad_h[n] = SimpleNamespace(entries=entries)
+bad_h[n] = EquivMap(g.source, g.target, entries)
 bad = {"h": (ident, bad_h), "f": (f, h)}
 for name, (f, h) in bad.items():
     try:
