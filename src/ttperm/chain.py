@@ -8,7 +8,8 @@ Grading and sign conventions, fixed once and used everywhere:
   d(x (x) y) = dx (x) y + (-1)^i x (x) dy for x in X_i; every tensor
   product, of two complexes or of k (``koszul.tensor_induce``), has
   the basis layout ``tensor_index`` and the differential
-  ``tensor_differentials``;
+  ``tensor_differentials``, both read off block starts and strides
+  (``_layout``, ``_write_leibniz``);
 * cone of f : X -> Y: cone(f)_n = Y_n (+) X_{n-1},
   d(y, x) = (dy + f(x), -dx); ``tensor_cone`` writes the cone of a
   tensor of chain maps on the tensor layouts and checks it once;
@@ -31,11 +32,13 @@ caller's bug and raise ``ValueError``, also under ``python -O``.
 """
 
 from itertools import product as iproduct
+from math import prod
 
 from .permod import (SignedPermModule, EquivMap, CertificateError,
                      BlockModule, zero_module, zero_map, trivial_module,
                      dual_module, base_change_module, restrict,
-                     subgroup_as_group, _composite, _index, _same_module)
+                     subgroup_as_group, _composite, _index, _pairs,
+                     _same_module)
 
 
 class Complex:
@@ -192,13 +195,14 @@ def shift_complex(X, s):
     if s == 0:
         return X
     terms = {n + s: M for n, M in X.terms.items()}
+    norm = X.ring.normalize
     diffs = {}
     for n, f in X.diffs.items():
         if s % 2 == 0:
             diffs[n + s] = f
         else:
-            diffs[n + s] = EquivMap(f.source, f.target,
-                                    {k: -v for k, v in f.entries.items()})
+            diffs[n + s] = EquivMap(f.source, f.target, {
+                k: norm(-v) for k, v in f.entries.items()})
     return Complex(X.group, X.ring, terms, diffs, check=False)
 
 
@@ -217,10 +221,17 @@ def tensor_index(factors):
     in the block X_tup[0] (x) ... (x) X_tup[-1] of degree n = sum(tup).
     Blocks come in lexicographic order of tup, and src is lexicographic
     within a block, the order of ``permod.tensor_module``; degrees come
-    in the order in which their first block does.
+    in the order in which their first block does.  The position is the
+    block's start plus src against the block's strides (``_layout``),
+    which is all that the tensor products of this package read.
     """
-    degrees = dict.fromkeys(sum(tup) for tup in _degree_tuples(factors))
-    return {n: _tensor_block(factors, n) for n in degrees}
+    index = {}
+    for n in _layout_degrees(factors):
+        block = index[n] = {}
+        for tup, (start, ranks) in _layout(factors, n)[0].items():
+            for k, src in enumerate(iproduct(*map(range, ranks))):
+                block[(tup, src)] = start + k
+    return index
 
 
 def _degree_tuples(factors, n=None):
@@ -230,64 +241,102 @@ def _degree_tuples(factors, n=None):
             if n is None or sum(tup) == n]
 
 
-def _tensor_block(factors, n):
-    """Degree n of ``tensor_index(factors)``, empty when it is absent."""
-    block = {}
+def _layout_degrees(factors):
+    """The layout's degrees, in the order in which their first block
+    comes."""
+    return list(dict.fromkeys(sum(tup) for tup in _degree_tuples(factors)))
+
+
+def _layout(factors, n):
+    """Degree n of the layout as ({tup: (start, ranks)}, rank): each
+    block's start and its factors' ranks, whose suffix products are the
+    strides of src; empty when the degree is absent."""
+    blocks, start = {}, 0
     for tup in _degree_tuples(factors, n):
-        for src in iproduct(*[range(X.terms[d].rank)
-                              for X, d in zip(factors, tup)]):
-            block[(tup, src)] = len(block)
-    return block
-
-
-def _factor_columns(factors, tups):
-    """[{d: _index of d_d of factor j, by columns}] over the degrees d
-    that the degree tuples ``tups`` hold in slot j."""
-    return [{d: _index(X.diffs[d].entries, 1)
-             for d in {tup[j] for tup in tups} if d in X.diffs}
-            for j, X in enumerate(factors)]
+        ranks = [X.terms[d].rank for X, d in zip(factors, tup)]
+        blocks[tup] = (start, ranks)
+        start += prod(ranks)
+    return blocks, start
 
 
 def tensor_differentials(factors, index):
-    """{n: entries of d_n} on the layout ``index`` of ``factors``, by
-    the Leibniz rule (``_tensor_differential``).  Every degree n with
-    n - 1 in the layout gets an entry, possibly empty."""
-    cols = _factor_columns(factors, _degree_tuples(factors))
-    return {n: _tensor_differential(cols, block, index[n - 1])
-            for n, block in index.items() if (n - 1) in index}
+    """{n: entries of d_n} of the layout of ``factors``, by the Leibniz
+    rule (``_write_leibniz``), for every degree n of ``index`` (a dict
+    keyed by the layout's degrees, ``tensor_index(factors)`` for one)
+    with n - 1 among them; an entry may be empty.  The entries are
+    normalized, so a map built on them keeps them."""
+    layouts = {n: _layout(factors, n)[0] for n in index}
+    out = {}
+    for n, blocks in layouts.items():
+        if (n - 1) in layouts:
+            out[n] = acc = {}
+            _write_leibniz(acc, factors, blocks, layouts[n - 1])
+    return out
 
 
-def _tensor_differential(cols, block, below):
-    """The entries of d from the layout block ``block`` to ``below``,
-    one degree down: d applied in slot j is signed by (-1)^(sum of the
-    degrees before j).  ``cols`` is ``_factor_columns`` over at least
-    the block's degree tuples."""
-    acc = {}
-    for (tup, src), c in block.items():
-        sgn = 1
-        for j, d in enumerate(tup):
-            for b, v in cols[j].get(d, {}).get(src[j], ()):
-                r = below[(tup[:j] + (d - 1,) + tup[j + 1:],
-                           src[:j] + (b,) + src[j + 1:])]
-                acc[(r, c)] = sgn * v
+def _write_leibniz(acc, factors, blocks, below, r0=0, c0=0, sign=1):
+    """Write sign times d of the layout of ``factors``, from the degree-n
+    ``blocks`` to ``below``, the blocks of n - 1, into ``acc`` with its
+    top left corner at (r0, c0), values normalized: d applied in slot j
+    is signed by (-1)^(sum of the degrees before j).
+
+    Positions come from block starts and strides: with inner the stride
+    of slot j, the column at offset (o * rank_j + a) * inner + low of
+    its block meets row (o * rank'_j + b) * inner + low of the block
+    below, for each entry (b, a) of d in slot j.  Columns are written
+    ascending and, within one, slot by slot in the order of the factor's
+    entries, the order of ``_index``.  Only the column indexes of the
+    factor differentials that these blocks read are built, one per sign
+    they need."""
+    norm = factors[0].ring.normalize
+    cols = {}               # (factor, degree, sign): column index
+    for tup, (start, ranks) in blocks.items():
+        size = inner = prod(ranks)
+        sgn, slots = sign, []
+        for j, (X, d) in enumerate(zip(factors, tup)):
+            inner //= ranks[j]
+            f = X.diffs.get(d)
+            if f is not None:
+                if (X, d, sgn) not in cols:
+                    cols[X, d, sgn] = _index(f.entries if sgn == 1 else {
+                        k: norm(-v) for k, v in f.entries.items()}, 1)
+                slots.append((cols[X, d, sgn],
+                              r0 + below[tup[:j] + (d - 1,) + tup[j + 1:]][0],
+                              inner, ranks[j], f.target.rank * inner))
             if d % 2:
                 sgn = -sgn
-    return acc
+        if not slots:
+            continue
+        for off in range(size):
+            c = c0 + start + off
+            for idx, base, stride, rank, step in slots:
+                q, low = divmod(off, stride)
+                q, a = divmod(q, rank)
+                hits = idx.get(a)
+                if hits:
+                    r = base + q * step + low
+                    for b, v in hits:
+                        acc[(r + b * stride, c)] = v
 
 
-def _tensor_rows(A, B, n, block, rows, off=0):
-    """Append the action of the degree-n term of A (x) B (layout
-    ``block``, moved down by ``off``) to ``rows``, one list per group
-    element, and return its labels ((i, j), ("t", a, b))."""
+def _tensor_rows(A, B, layout, rows, off=0):
+    """Append the action of the term of A (x) B with the ``_layout``
+    ``layout``, moved down by ``off``, to ``rows``, one list per group
+    element, as shared pairs (``permod._pairs``), and return its labels
+    ((i, j), ("t", a, b)), one (i, j) per block."""
+    blocks, size = layout
+    plus, minus = _pairs(off + size)
     labels = []
-    for i in sorted(A.terms):
-        if n - i in B.terms:
-            M, N = A.terms[i], B.terms[n - i]
-            o, nN = off + block[((i, n - i), (0, 0))], N.rank
-            labels += [((i, n - i), ("t", a, b))
-                       for a in M.basis for b in N.basis]
-            for row, rM, rN in zip(rows, M.action, N.action):
-                row += [(o + a * nN + b, s * t) for a, s in rM for b, t in rN]
+    for (i, j), (start, _) in blocks.items():
+        M, N = A.terms[i], B.terms[j]
+        o, nN, ij = off + start, N.rank, (i, j)
+        labels += [(ij, ("t", a, b)) for a in M.basis for b in N.basis]
+        for row, rM, rN in zip(rows, M.action, N.action):
+            for a, s in rM:
+                base = o + a * nN
+                same, other = (plus, minus) if s == 1 else (minus, plus)
+                row += [(same if t == 1 else other)[base + b]
+                        for b, t in rN]
     return labels
 
 
@@ -296,14 +345,13 @@ def tensor_complex(X, Y):
     degree n is the sum of the blocks X_i (x) Y_j, i + j = n."""
     if X.group is not Y.group or X.ring is not Y.ring:
         raise ValueError("tensor factors over different groups or rings")
-    index = tensor_index((X, Y))
     terms = {}
-    for n, block in index.items():
+    for n in _layout_degrees((X, Y)):
         rows = [[] for _ in X.group.elements()]
-        basis = _tensor_rows(X, Y, n, block, rows)
+        basis = _tensor_rows(X, Y, _layout((X, Y), n), rows)
         terms[n] = SignedPermModule(X.group, X.ring, basis, rows)
     diffs = {n: EquivMap(terms[n], terms[n - 1], acc)
-             for n, acc in tensor_differentials((X, Y), index).items()}
+             for n, acc in tensor_differentials((X, Y), terms).items()}
     return Complex(X.group, X.ring, terms, diffs)
 
 
@@ -316,51 +364,62 @@ def tensor_cone(f, g):
     for d = [[dT, tau], [0, -dS]]; each term is a sum of G-stable
     blocks, so its action and equivariance checks cover every block.
 
-    The cone is written degree by degree, upward: while degree n is
-    written only the layouts of degrees n and n - 1 are alive, with the
-    factor column indexes that the differential of degree n reads, and
-    none of them is left when the cone checks d o d.
+    The cone is written degree by degree, upward.  Each d_n is one
+    accumulator that the map then owns: dT, tau and -dS are written
+    into it in that order, their values normalized, at positions read
+    off block starts and strides (``_write_leibniz``; tau's block (i, j)
+    of S goes to the block (i, j) of T), so no block is formed apart
+    and nothing is copied.  While degree n is written only the block
+    starts of degrees n and n - 1 are alive, with the column indexes of
+    the factor differentials that d_n reads.
     """
     X, Y, Xp, Yp = f.source, f.target, g.source, g.target
     if X.group is not Xp.group or X.ring is not Xp.ring:
         raise ValueError("tensor factors over different groups or rings")
     S, T = (X, Xp), (Y, Yp)
+    norm = X.ring.normalize
     taus = ({i: _index(c.entries, 1) for i, c in f.components.items()},
             {j: _index(c.entries, 1) for j, c in g.components.items()})
     terms, diffs = {}, {}
-    below = None            # (n - 1, its T block, its S block of n - 2)
+    below = None            # (n - 1, its T layout, its S layout of n - 2)
     for n in sorted({sum(tup) for tup in _degree_tuples(T)} |
                     {sum(tup) + 1 for tup in _degree_tuples(S)}):
-        blocks = _tensor_block(T, n), _tensor_block(S, n - 1)
+        layouts = _layout(T, n), _layout(S, n - 1)
         rows = [[] for _ in X.group.elements()]
-        basis = [(("cY",), l) for l in _tensor_rows(Y, Yp, n, blocks[0], rows)]
+        basis = [(("cY",), l) for l in _tensor_rows(Y, Yp, layouts[0], rows)]
         basis += [(("cX",), l) for l in _tensor_rows(
-            X, Xp, n - 1, blocks[1], rows, len(blocks[0]))]
+            X, Xp, layouts[1], rows, layouts[0][1])]
         terms[n] = SignedPermModule(X.group, X.ring, basis, rows)
         if below is not None and below[0] == n - 1:
             diffs[n] = EquivMap(terms[n], terms[n - 1], _cone_differential(
-                S, T, taus, n, blocks, below[1:]))
-        below = (n,) + blocks
-    below = blocks = taus = None
+                S, T, taus, layouts, below[1:], norm))
+        below = (n,) + layouts
+    below = layouts = taus = None
     return Complex(X.group, X.ring, terms, diffs)
 
 
-def _cone_differential(S, T, taus, n, blocks, lower):
-    """The entries of d_n of ``tensor_cone``: [[dT, tau], [0, -dS]] from
-    the T and S blocks ``blocks`` of degrees n and n - 1 to ``lower``,
-    those of n - 1 and n - 2; ``taus`` holds the column indexes of f's
-    and g's components."""
-    (TB, SB), (TL, SL) = blocks, lower
+def _cone_differential(S, T, taus, layouts, lower, norm):
+    """The entries of d_n of ``tensor_cone``, [[dT, tau], [0, -dS]]
+    from the T and S layouts ``layouts`` of degrees n and n - 1 to
+    ``lower``, those of n - 1 and n - 2, written in that order into one
+    accumulator; ``taus`` holds the column indexes of f's and g's
+    components."""
+    ((TB, nTB), (SB, _)), ((TL, nTL), (SL, _)) = layouts, lower
     fcols, gcols = taus
     acc = {}
-    _place(acc, 0, 0, _tensor_differential(
-        _factor_columns(T, _degree_tuples(T, n)), TB, TL))
-    for ((i, j), (a, b)), c in SB.items():
-        for a2, v in fcols.get(i, {}).get(a, ()):
-            for b2, w in gcols.get(j, {}).get(b, ()):
-                acc[(TL[((i, j), (a2, b2))], len(TB) + c)] = v * w
-    _place(acc, len(TL), len(TB), _tensor_differential(
-        _factor_columns(S, _degree_tuples(S, n - 1)), SB, SL), sign=-1)
+    _write_leibniz(acc, T, TB, TL)
+    for (i, j), (start, (na, nb)) in SB.items():
+        if i not in fcols or j not in gcols:
+            continue
+        fi, gj = fcols[i], gcols[j]
+        r0, (_, nT) = TL[(i, j)]
+        for off in range(na * nb):
+            a, b = divmod(off, nb)
+            c = nTB + start + off
+            for a2, v in fi.get(a, ()):
+                for b2, w in gj.get(b, ()):
+                    acc[(r0 + a2 * nT + b2, c)] = norm(v * w)
+    _write_leibniz(acc, S, SB, SL, nTL, nTB, -1)
     return acc
 
 
@@ -437,15 +496,15 @@ def restrict_complex(X, S):
 
 
 def base_change_complex(X, ring2):
-    """Extend coefficients Z -> ring2 (entrywise via from_int).  Any
-    other source ring raises ValueError, also under ``python -O``."""
+    """Extend coefficients Z -> ring2, entrywise: ``EquivMap``
+    normalizes each integer over ring2.  Any other source ring raises
+    ValueError, also under ``python -O``."""
     if X.ring.name != "Z":
         raise ValueError("base change starts from Z, not %s" % X.ring.name)
     terms = {n: base_change_module(M, ring2) for n, M in X.terms.items()}
-    diffs = {}
-    for n, f in X.diffs.items():
-        diffs[n] = EquivMap(terms[n], terms[n - 1],
-                            {k: ring2.from_int(v) for k, v in f.entries.items()})
+    # an integer is its own image over Q, so a map there keeps X's entries
+    diffs = {n: EquivMap(terms[n], terms[n - 1], f.entries)
+             for n, f in X.diffs.items()}
     return Complex(X.group, ring2, terms, diffs, check=False)
 
 

@@ -1053,14 +1053,12 @@ class ContractionCertificate:
     def carried(cls, h, Y):
         """The contraction h {n: entries} on Y, its complex itself or a
         base change of it (same groups and bases): every entry, a value
-        of Y.ring or an integer, is mapped through ``Y.ring.from_int``.
-        Not verified here; a ring map carries d h + h d = id to the same
-        identity over Y.ring."""
-        from_int = Y.ring.from_int
-        return cls(Y, {
-            n: EquivMap(Y.terms[n], Y.terms[n + 1],
-                        {k: from_int(v) for k, v in entries.items()})
-            for n, entries in h.items()})
+        of Y.ring or an integer, is normalized over Y.ring by the map,
+        which keeps h's own dict when nothing changes.  Not verified
+        here; a ring map carries d h + h d = id to the same identity
+        over Y.ring."""
+        return cls(Y, {n: EquivMap(Y.terms[n], Y.terms[n + 1], entries)
+                       for n, entries in h.items()})
 
     def to_json(self):
         from .chain import _map_to_json

@@ -7,7 +7,9 @@ i : G -> S_n x| H^n determined by fixed coset representatives
 with the Koszul sign prod_{i<j, sigma(i)>sigma(j)} (-1)^{|v_i||v_j|}.
 Its basis and differential are the n-fold tensor layout of
 ``chain.tensor_index`` and ``chain.tensor_differentials``; only the
-action is induced.
+action is induced.  Action rows and differentials are written at
+positions read off block starts and strides, with shared pairs and
+normalized values, so the modules and maps keep them as written.
 
 A Koszul object kos(G, H) starts from the two-term complex R -> R over
 H.  For odd p the single tensor induction already has permutation
@@ -39,14 +41,18 @@ contraction of the whole complex (|G| is invertible there), verified
 in turn in integer arithmetic; nothing is solved again.
 """
 
+from itertools import product as iproduct
+from math import prod
+
 from .grp import subgroups
 from .permod import (SignedPermModule, EquivMap, subgroup_as_group,
                      subgroup_meet, trivial_module, sign_module, perm_module,
                      tensor_module, sign_decompose, map_inverse_monomial,
-                     rebase_to_permutation, is_induced_from, _index)
+                     rebase_to_permutation, is_induced_from, _index, _pairs)
 from .chain import (Complex, ChainMap, module_complex, shift_complex,
-                    tensor_index, tensor_differentials, tensor_cone,
-                    restrict_complex, transport_complex, base_change_complex)
+                    tensor_differentials, tensor_cone, restrict_complex,
+                    transport_complex, base_change_complex, _layout,
+                    _layout_degrees)
 from .homotopy import (ContractionCertificate, is_contractible,
                        homology_profile, check_homotopy, _average_homotopy,
                        _enforce_rank_cap)
@@ -103,7 +109,9 @@ def tensor_induce(X, S):
     X must live over the standalone group of S (same multiplication
     table); the result lives over S.parent.  Index at most 4.  On the
     layout of X^{(x) k}, g sends slot j to slot sigma_g(j), acts there
-    by h_j and carries the Koszul sign.
+    by h_j and carries the Koszul sign: the image of a block's basis is
+    the target block's start plus, slot by slot, h_j's indices times
+    the stride of slot sigma_g(j) there.
     """
     G = S.parent
     k = S.index
@@ -127,27 +135,36 @@ def tensor_induce(X, S):
             sigma.append(rep_index[gr])
             h.append(pos_in_H[G.mul(G.inv(reps[sigma[-1]]), gr)])
         moves.append((sigma, h))
-    index = tensor_index([X] * k)
+    factors = [X] * k
+    layouts = {n: _layout(factors, n) for n in _layout_degrees(factors)}
     terms = {}
-    for n, block in index.items():
-        basis = tuple(("ti", tup, tuple(X.terms[d].basis[b]
-                                        for d, b in zip(tup, src)))
-                      for tup, src in block)
+    for n, (blocks, size) in layouts.items():
+        basis = tuple(("ti", tup, labels) for tup in blocks for labels in
+                      iproduct(*[X.terms[d].basis for d in tup]))
+        plus, minus = _pairs(size)
         action = []
         for sigma, h in moves:
             row = []
-            for tup, src in block:
-                ttup, tsrc = [0] * k, [0] * k
-                sgn = _koszul_sign(sigma, tup)
-                for j2, hj, d, b in zip(sigma, h, tup, src):
+            for tup, (_, ranks) in blocks.items():
+                # slot j goes to slot sigma[j]: its index b lands at
+                # b' = h_j . b, at the stride of slot sigma[j] of the
+                # target block, with the sign of h_j
+                ttup = [0] * k
+                for j2, d in zip(sigma, tup):
                     ttup[j2] = d
-                    tsrc[j2], s = X.terms[d].action[hj][b]
-                    sgn *= s
-                row.append((block[(tuple(ttup), tuple(tsrc))], sgn))
-            action.append(tuple(row))
-        terms[n] = SignedPermModule(G, X.ring, basis, tuple(action))
+                tstart, tranks = blocks[tuple(ttup)]
+                pos, sgn = [tstart], [_koszul_sign(sigma, tup)]
+                for j2, hj, d in zip(sigma, h, tup):
+                    stride = prod(tranks[j2 + 1:])
+                    act = X.terms[d].action[hj]
+                    pos = [p + b * stride for p in pos for b, _ in act]
+                    sgn = [s * t for s in sgn for _, t in act]
+                row += [(plus if s == 1 else minus)[p]
+                        for p, s in zip(pos, sgn)]
+            action.append(row)
+        terms[n] = SignedPermModule(G, X.ring, basis, action)
     diffs = {n: EquivMap(terms[n], terms[n - 1], acc)
-             for n, acc in tensor_differentials([X] * k, index).items()}
+             for n, acc in tensor_differentials(factors, layouts).items()}
     return Complex(G, X.ring, terms, diffs)
 
 
@@ -157,17 +174,25 @@ def tensor_induce(X, S):
 def _induced_contraction(h, X, k):
     """h (x) 1 (x) ... (x) 1 on the layout ``tensor_index([X] * k)`` of
     ``tensor_induce``: h acts in slot 0, the identity coset's, and
-    needs no Koszul sign there."""
-    index = tensor_index([X] * k)
+    needs no Koszul sign there.  Slot 0 has the stride of the rest of a
+    block, so the column at offset a * inner + low of a block meets row
+    r * inner + low of the block above, for each entry (r, a) of h."""
+    factors = [X] * k
+    layouts = {n: _layout(factors, n)[0] for n in _layout_degrees(factors)}
     cols = {d: _index(entries, 1) for d, entries in h.items()}
     out = {}
-    for n, block in index.items():
-        above = index.get(n + 1)
+    for n, blocks in layouts.items():
         acc = {}
-        for (tup, src), c in block.items():
-            for r, v in cols.get(tup[0], {}).get(src[0], ()):
-                acc[(above[((tup[0] + 1,) + tup[1:], (r,) + src[1:])],
-                     c)] = v
+        for tup, (start, ranks) in blocks.items():
+            hcols = cols.get(tup[0])
+            if not hcols:
+                continue
+            inner = prod(ranks[1:])
+            above = layouts[n + 1][(tup[0] + 1,) + tup[1:]][0]
+            for off in range(ranks[0] * inner):
+                a, low = divmod(off, inner)
+                for r, v in hcols.get(a, ()):
+                    acc[(above + r * inner + low, start + off)] = v
         if acc:
             out[n] = acc
     return out

@@ -4,11 +4,15 @@ A signed permutation module is a free module with a distinguished basis
 X such that every group element sends a basis vector to a basis vector
 or its negative: ``g . e_i = s * e_j`` with ``s`` in {+1, -1}.  A
 permutation module is the special case where every sign is +1.  Over
-GF(2) the two notions coincide and signs are erased on construction.
+GF(2) the two notions coincide and signs are erased on construction,
+once they are checked.
 
 Conventions used throughout the package:
 
 * the action is stored as ``act[g][i] = (j, s)`` meaning g.e_i = s e_j;
+  the pairs (j, s) are shared, one object per index and sign, from a
+  table in this module (``_pairs``) that is as long as the largest rank
+  built; the pass that checks a row looks them up;
 * an ``EquivMap`` is its ``entries``, the dict {(row, col): value} of
   its nonzero entries; rows index the target basis and columns the
   source basis, and the map acts on coordinate columns,
@@ -16,7 +20,11 @@ Conventions used throughout the package:
   read through them: composites are sparse products of nonzeros
   (``_left_mul``, ``_right_mul``, ``_composite``) and ``rows`` gives
   the row dicts that elimination reads, columns ascending within each
-  row;
+  row.  A map owns the dict it is given when its values are already
+  nonzero and normalized, and keeps it without a copy, so a caller
+  hands over an accumulator and never touches it again, and maps with
+  the same entries (a restriction, a transport, a base change to Q)
+  share one dict.  Nothing changes the entries of a map;
 * values are normalized (``rings``): ints over Z and GF(p), and over Q
   an int when integral and a non-integral ``Fraction`` otherwise, so a
   Z module and a Q module hold values of the same type and only the
@@ -80,26 +88,46 @@ class CertificateError(Exception):
     ``cli.run`` reports it with exit status 2."""
 
 
+# The shared pairs of action rows: _PLUS[j] = (j, 1), _MINUS[j] = (j, -1).
+_PLUS, _MINUS = [], []
+
+
+def _pairs(n):
+    """The pair tables (_PLUS, _MINUS), grown to at least n.  Every
+    action row holds these objects, one per index and sign, so a module
+    adds one reference per entry; the tables are as long as the largest
+    rank built."""
+    for j in range(len(_PLUS), n):
+        _PLUS.append((j, 1))
+        _MINUS.append((j, -1))
+    return _PLUS, _MINUS
+
+
 class SignedPermModule:
     def __init__(self, group, ring, basis, action):
         self.group = group
         self.ring = ring
         self.basis = tuple(basis)
         n = len(self.basis)
-        if ring.characteristic == 2:
-            action = tuple(tuple((j, 1) for (j, s) in row) for row in action)
-        else:
-            action = tuple(tuple((int(j), int(s)) for (j, s) in row)
-                           for row in action)
         if len(action) != group.order:
             raise CertificateError("action needs one row per group element")
+        # every row is checked as a permutation before a pair is looked
+        # up (an index -1 would pick a pair from the end of the table), and
+        # every sign is checked before GF(2) erases it
         indices = list(range(n))
+        plus, minus = _pairs(n)
+        shared = {1: plus, -1: plus if ring.characteristic == 2 else minus}
+        bad = "action rows must be signed permutations"
+        rows = []
         for row in action:
-            if sorted(j for (j, _) in row) != indices or \
-                    any(s not in (1, -1) for (_, s) in row):
-                raise CertificateError(
-                    "action rows must be signed permutations")
-        if action[group.identity] != tuple((i, 1) for i in indices):
+            if sorted([j for j, _ in row]) != indices:
+                raise CertificateError(bad)
+            try:
+                rows.append(tuple([shared[s][j] for j, s in row]))
+            except KeyError:
+                raise CertificateError(bad) from None
+        action = tuple(rows)
+        if action[group.identity] != tuple(plus[:n]):
             raise CertificateError("identity must act trivially")
         # rho(g s) = rho(g) rho(s) for every g and every generator s.
         # Elements a with rho(g a) = rho(g) rho(a) for all g include the
@@ -167,6 +195,12 @@ class EquivMap:
     different groups or rings raise ``ValueError``, also under
     ``python -O``: Z and Q values are both ints, so the ring identity is
     what keeps a Z module from meeting a Q module.
+
+    The map owns ``entries``: a dict whose values are all nonzero and
+    their own normal form, type included, is kept as it is, so the
+    caller hands it over and never changes it again; any other is
+    copied normalized (an F3 value -1, a Q value ``Fraction(2, 1)``, a
+    zero).
     """
 
     def __init__(self, source, target, entries):
@@ -177,7 +211,7 @@ class EquivMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        self.entries = _normalized(self.ring, entries)
+        self.entries = _owned(self.ring, entries)
         rows, cols = target.rank, source.rank
         for (r, c) in self.entries:
             if not (0 <= r < rows and 0 <= c < cols):
@@ -272,8 +306,25 @@ def _index(entries, axis):
     return out
 
 
+def _owned(ring, entries):
+    """``entries`` itself when it is a dict whose values are all nonzero
+    and already their own normal form, type included; otherwise its
+    normalized copy."""
+    if type(entries) is dict:
+        norm = ring.normalize
+        for v in entries.values():
+            w = norm(v)
+            if w == 0 or w != v or type(w) is not type(v):
+                break
+        else:
+            return entries
+    return _normalized(ring, entries)
+
+
 def _normalized(ring, acc):
-    """The nonzero entries of ``acc``, normalized, in their order."""
+    """The nonzero entries of ``acc``, normalized, in their order: always
+    a new dict, which callers such as ``solve_sparse`` may change in
+    place."""
     norm = ring.normalize
     out = {}
     for key, v in acc.items():

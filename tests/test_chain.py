@@ -191,6 +191,29 @@ def test_restrict_and_induce_complex():
     assert R.rank_vector() == X.rank_vector()
 
 
+def test_restriction_transport_and_rational_base_change_share_entries():
+    # each is a checked map with the same normalized values, so the new
+    # map keeps the source map's dict instead of a copy
+    from ttperm.chain import transport_complex
+    from ttperm.koszul import koszul_object
+    from ttperm.permod import subgroup_as_group
+    G = parse_group_name("C2xC2")
+    X = koszul_object(G, G.trivial_subgroup(), ZZ).complex
+    S = [T for T in subgroups(G) if T.order == 2][0]
+    H = subgroup_as_group(S)[0]
+    Y = restrict_complex(X, S)
+    for Z in (Y, transport_complex(Y, parse_group_name("C2")),
+              base_change_complex(X, QQ)):
+        assert Z.diffs.keys() == X.diffs.keys()
+        for n, f in Z.diffs.items():
+            assert f.entries is X.diffs[n].entries, n
+    assert Y.group is H
+    # over F3 an entry -1 becomes 2, so that map has its own dict
+    Xp = base_change_complex(X, GF(3))
+    assert any(Xp.diffs[n].entries is not f.entries
+               for n, f in X.diffs.items())
+
+
 def test_tensor_cone_of_identities_is_the_cone_of_the_identity():
     G = cyclic(2)
     N = index_p_normal_subgroups(G)[0]
@@ -345,7 +368,7 @@ from ttperm.permod import CertificateError, EquivMap
 from ttperm.rings import ZZ
 
 assert sys.flags.optimize
-real_cone, real_place = koszul.tensor_cone, chain._place
+real_cone, real_write = koszul.tensor_cone, chain._write_leibniz
 
 
 def dropped_tau_sign(f, g):
@@ -360,13 +383,15 @@ def dropped_tau_sign(f, g):
     return real_cone(f, g)
 
 
-def dropped_minus(acc, r0, c0, A, sign=1):
-    real_place(acc, r0, c0, A)
+def dropped_minus(acc, factors, blocks, below, r0=0, c0=0, sign=1):
+    # -dS written with the sign of dS
+    real_write(acc, factors, blocks, below, r0, c0)
 
 
 for name, where, attr, fake in (("tau", koszul, "tensor_cone",
                                  dropped_tau_sign),
-                                ("dS", chain, "_place", dropped_minus)):
+                                ("dS", chain, "_write_leibniz",
+                                 dropped_minus)):
     real = getattr(where, attr)
     setattr(where, attr, fake)
     G = parse_group_name("C2xC2")

@@ -428,6 +428,9 @@ def test_reports_match_recorded_digests(capsys):
                     "spectrum --group C32 --format dot",
                     "spectrum --group C48 --format text",
                     "spectrum --group C60",
+                    "kos --group C4 --subgroup 1 --verify",
+                    "kos --group C2xC2 --subgroup 1 --ring Z",
+                    "kos --group C2xC2 --subgroup 1 --ring F3",
                     "kos --group C9 --subgroup C3 --verify"):
         code = run(command.split())
         digest = hashlib.sha256(out_of(capsys).encode()).hexdigest()

@@ -841,3 +841,84 @@ def test_sign_module_resists_decomposition_along_another_subgroup():
     P, N, iso = sign_decompose(sign_module(G, S, ZZ), S)
     assert (P.rank, N.rank) == (0, 1) and N.is_permutation()
     assert iso.entries == {(0, 0): 1}
+
+
+_BAD_ROWS = """
+import sys
+from ttperm.grp import cyclic
+from ttperm.permod import CertificateError, SignedPermModule
+from ttperm.rings import ZZ, GF
+
+assert sys.flags.optimize
+G = cyclic(2)
+ident = ((0, 1), (1, 1))
+bad = {
+    "sign 0": ((1, 0), (0, 1)),
+    "sign 2": ((1, 2), (0, 1)),
+    "sign x": ((1, "x"), (0, 1)),
+    "index -1": ((-1, 1), (0, 1)),
+    "index n": ((2, 1), (0, 1)),
+    "repeated index": ((1, 1), (1, 1)),
+}
+for ring in (GF(2), ZZ):
+    for name, row in bad.items():
+        try:
+            SignedPermModule(G, ring, ("a", "b"), (ident, row))
+            sys.exit("%s accepted the row %r (%s)" % (ring, row, name))
+        except CertificateError as exc:
+            print(ring, name, exc)
+"""
+
+
+def test_rows_that_are_not_signed_permutations_raise_under_python_O(
+        python_O):
+    # over F2 the signs are checked before they are erased, and a row
+    # passes the permutation check before its pairs are looked up, so an
+    # index -1 cannot pick the last pair of the table
+    proc = python_O(_BAD_ROWS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = ["sign 0", "sign 2", "sign x", "index -1", "index n",
+             "repeated index"]
+    assert proc.stdout.splitlines() == [
+        "%s %s action rows must be signed permutations" % (ring, name)
+        for ring in ("F2", "Z") for name in names]
+
+
+def test_action_rows_hold_one_shared_pair_per_index_and_sign():
+    from ttperm.permod import _pairs
+    G = parse_group_name("C2xC2")
+    kos = koszul.koszul_object(G, G.trivial_subgroup(), ZZ)
+    for M in kos.complex.terms.values():
+        plus, minus = _pairs(M.rank)
+        for row in M.action:
+            for pair in row:
+                j, s = pair
+                assert pair is (plus if s == 1 else minus)[j]
+    # over F2 every sign is erased to the shared +1 pair
+    L = tensor_module(sign_module(G, [S for S in subgroups(G)
+                                      if S.index == 2][0], GF(2)),
+                      perm_module(G, G.trivial_subgroup(), GF(2)))
+    plus, _ = _pairs(L.rank)
+    assert all(pair is plus[pair[0]] for row in L.action for pair in row)
+
+
+def test_a_map_keeps_a_normalized_dict_and_copies_any_other():
+    from fractions import Fraction
+    from ttperm.permod import _normalized
+    G = cyclic(2)
+    M = perm_module(G, G.trivial_subgroup(), ZZ)
+    d = {(0, 0): 1, (1, 1): 1}
+    assert EquivMap(M, M, d).entries is d
+    for ring, value, want in ((GF(3), -1, 2), (QQ, Fraction(2, 1), 2),
+                              (ZZ, 0, None)):
+        R = trivial_module(G, ring)
+        d = {(0, 0): value}
+        f = EquivMap(R, R, d)
+        assert f.entries is not d
+        assert f.entries == ({} if want is None else {(0, 0): want})
+        assert all(type(v) is int for v in f.entries.values())
+        assert d == {(0, 0): value}
+    # the generic helper always returns a new dict: solve_sparse
+    # eliminates in place on the dicts it is given
+    d = {(0, 0): 1}
+    assert _normalized(ZZ, d) is not d and _normalized(ZZ, d) == d
