@@ -12,21 +12,22 @@ Grading and sign conventions, fixed once and used everywhere:
   (``_layout``, ``_write_leibniz``);
 * cone of f : X -> Y: cone(f)_n = Y_n (+) X_{n-1},
   d(y, x) = (dy + f(x), -dx); ``tensor_cone`` writes the cone of a
-  tensor of chain maps on the tensor layouts and checks it once;
+  tensor of chain maps on the tensor layouts and checks it once, and
+  ``cone(f)`` is the cone of f (x) id on the unit complex;
 * dual: dual(X)_n = (X_{-n})^* with d_n = (-1)^n (d^X_{1-n})^T on the
   dual bases (signed permutation modules are self-dual on basis).
 
 Terms of rank zero are dropped; ``term(n)`` returns a zero module for
 any absent degree and ``diff(n)`` a zero map.
 
-d o d = 0 and the chain-map squares are checked on the entries of
-sparse products (``permod._composite``), without building maps, and on
-one column per G-orbit of the source term's basis (the rule and its
-preconditions are stated in ``permod``): ``orbit_starts`` gives every
-orbit a representative, signed orbits included, and a differential or
-component is accepted only when its source and target are the terms
-themselves or carry their basis and action (``permod._same_module``).
-A failed identity raises ``permod.CertificateError``, also under
+d o d = 0 and the chain-map squares are checked by the one identity
+check, ``permod._check_orbit_columns``, on one column per G-orbit of
+the source term's basis (the rule and its preconditions are in
+``permod``), adjacent degrees sharing the column index of a map: every
+orbit has a start, signed ones too, and a differential or component
+is accepted only when its source and target are the terms or carry
+their basis and action (``permod._same_module``).  A failed identity
+raises ``permod.CertificateError``, also under
 ``python -O``.  Terms and components that do not fit together are a
 caller's bug and raise ``ValueError``, also under ``python -O``.
 """
@@ -34,11 +35,11 @@ caller's bug and raise ``ValueError``, also under ``python -O``.
 from itertools import product as iproduct
 from math import prod
 
-from .permod import (SignedPermModule, EquivMap, CertificateError,
-                     BlockModule, zero_module, zero_map, trivial_module,
-                     dual_module, base_change_module, restrict,
-                     subgroup_as_group, _composite, _index, _pairs,
-                     _same_module)
+from .permod import (SignedPermModule, EquivMap, zero_module, zero_map,
+                     identity_map, trivial_module, dual_module,
+                     base_change_module, restrict, subgroup_as_group,
+                     _index, _pairs, _same_module, _normalized,
+                     _column_image, _column_indexes, _check_orbit_columns)
 
 
 class Complex:
@@ -66,17 +67,20 @@ class Complex:
         self.hom_groups = {}
 
     def check_square_zero(self):
-        """d_n o d_{n+1} = 0 in every degree, compared as sparse
-        products on one column per orbit of X_{n+1}; raises
+        """d_n o d_{n+1} = 0 in every degree, on one column per orbit of
+        X_{n+1} (``permod._check_orbit_columns``); raises
         CertificateError otherwise.  Runs once: a passed check is
         kept."""
         if self.squares_to_zero:
             return
+        index = {}
         for n, d in sorted(self.diffs.items()):
-            if (n + 1) in self.diffs and _composite(
-                    d, self.diffs[n + 1],
-                    set(self.terms[n + 1].orbit_starts())):
-                raise CertificateError("d o d != 0 at degree %d" % n)
+            up = self.diffs.get(n + 1)
+            if up is not None:
+                index = _column_indexes(index, (up, d))
+                _check_orbit_columns(self.terms[n + 1],
+                                     [(index[up], index[d])],
+                                     "d o d != 0 at degree %d" % n)
         self.squares_to_zero = True
 
     def degrees(self):
@@ -139,14 +143,17 @@ class ChainMap:
             elif not f.is_zero():
                 raise ValueError("component %d lies outside the complexes" % n)
         self.components = comps
-        for n in set(source.terms) | set(target.terms):
-            if n not in source.terms:
-                continue        # both sides vanish where X_n is zero
-            cols = set(source.terms[n].orbit_starts())
-            if _square_side(comps.get(n - 1), source.diffs.get(n), cols) != \
-                    _square_side(target.diffs.get(n), comps.get(n), cols):
-                raise CertificateError(
-                    "square at degree %d does not commute" % n)
+        ring, index = source.ring, {}
+        for n, M in sorted(source.terms.items()):
+            # d f_n = f_(n-1) d on X_n; both sides vanish where X_n is zero
+            maps = (comps.get(n), target.diffs.get(n),
+                    source.diffs.get(n), comps.get(n - 1))
+            index = _column_indexes(index, maps)
+            lhs, rhs = ([(index[a], index[b])] if a in index and b in index
+                        else [] for a, b in (maps[:2], maps[2:]))
+            _check_orbit_columns(
+                M, lhs, "square at degree %d does not commute" % n,
+                lambda c: _normalized(ring, _column_image(c, rhs)))
 
     def component(self, n):
         if n in self.components:
@@ -160,16 +167,7 @@ class ChainMap:
         return "ChainMap(%r -> %r)" % (self.source, self.target)
 
 
-def _square_side(f, g, cols):
-    """The entries of f o g on the columns ``cols``, or none when either
-    map is absent (zero)."""
-    if f is None or g is None:
-        return {}
-    return _composite(f, g, cols)
-
-
 def identity_chain_map(X):
-    from .permod import identity_map
     return ChainMap(X, X, {n: identity_map(M) for n, M in X.terms.items()})
 
 
@@ -204,12 +202,6 @@ def shift_complex(X, s):
             diffs[n + s] = EquivMap(f.source, f.target, {
                 k: norm(-v) for k, v in f.entries.items()})
     return Complex(X.group, X.ring, terms, diffs, check=False)
-
-
-def _place(acc, r0, c0, A, sign=1):
-    """Write sign * A into ``acc`` with its top left corner at (r0, c0)."""
-    for (a, ap), v in A.items():
-        acc[(r0 + a, c0 + ap)] = sign * v
 
 
 def tensor_index(factors):
@@ -357,21 +349,20 @@ def tensor_complex(X, Y):
 
 def tensor_cone(f, g):
     """cone(tau) for tau = f (x) g : S = X (x) X' -> T = Y (x) Y', f and
-    g chain maps, written on the layouts of S and T without building S,
-    T or tau: the terms, labels (("cY",), ((i, j), ("t", a, b))), actions
-    and ordered entries of ``cone`` of the checked tau.  One d o d check
-    covers all three, since d^2 = [[dT^2, dT tau - tau dS], [0, dS^2]]
-    for d = [[dT, tau], [0, -dS]]; each term is a sum of G-stable
-    blocks, so its action and equivariance checks cover every block.
+    g chain maps, on the layouts of T then S, labels ("cY",) or ("cX",)
+    before ((i, j), ("t", a, b)), without building S, T or tau.  One
+    d o d check covers all three, since d^2 = [[dT^2, dT tau - tau dS],
+    [0, dS^2]] for d = [[dT, tau], [0, -dS]]; each term is a sum of
+    G-stable blocks, so its action and equivariance checks cover every
+    block.
 
-    The cone is written degree by degree, upward.  Each d_n is one
-    accumulator that the map then owns: dT, tau and -dS are written
-    into it in that order, their values normalized, at positions read
-    off block starts and strides (``_write_leibniz``; tau's block (i, j)
-    of S goes to the block (i, j) of T), so no block is formed apart
-    and nothing is copied.  While degree n is written only the block
-    starts of degrees n and n - 1 are alive, with the column indexes of
-    the factor differentials that d_n reads.
+    The cone is written degree by degree, upward, each d_n into one
+    accumulator that the map then owns: dT, tau and -dS in that order,
+    values normalized, at positions read off block starts and strides
+    (``_write_leibniz``; tau's block (i, j) of S goes to the block
+    (i, j) of T).  While degree n is written only the block starts of
+    degrees n and n - 1 are alive, with the column indexes of the
+    factor differentials that d_n reads.
     """
     X, Y, Xp, Yp = f.source, f.target, g.source, g.target
     if X.group is not Xp.group or X.ring is not Xp.ring:
@@ -424,38 +415,11 @@ def _cone_differential(S, T, taus, layouts, lower, norm):
 
 
 def cone(f):
-    """Mapping cone of a chain map f : X -> Y."""
-    X, Y = f.source, f.target
-    ring = X.ring
-    degs = set(Y.terms) | {n + 1 for n in X.terms}
-    blocks = {}
-    for n in sorted(degs):
-        bl = []
-        if n in Y.terms:
-            bl.append((("cY",), Y.terms[n]))
-        if (n - 1) in X.terms:
-            bl.append((("cX",), X.terms[n - 1]))
-        if bl:
-            blocks[n] = BlockModule(X.group, ring, bl)
-    terms = {n: B.module for n, B in blocks.items()}
-    diffs = {}
-    for n, B in blocks.items():
-        if (n - 1) not in blocks:
-            continue
-        C = blocks[n - 1]
-        acc = {}
-        if ("cY",) in B.offsets and ("cY",) in C.offsets and n in Y.diffs:
-            _place(acc, C.offsets[("cY",)], B.offsets[("cY",)],
-                   Y.diffs[n].entries)
-        if ("cX",) in B.offsets:
-            if ("cY",) in C.offsets:
-                _place(acc, C.offsets[("cY",)], B.offsets[("cX",)],
-                       f.component(n - 1).entries)
-            if ("cX",) in C.offsets and (n - 1) in X.diffs:
-                _place(acc, C.offsets[("cX",)], B.offsets[("cX",)],
-                       X.diffs[n - 1].entries, sign=-1)
-        diffs[n] = EquivMap(B.module, C.module, acc)
-    return Complex(X.group, ring, terms, diffs)
+    """Mapping cone of a chain map f : X -> Y, written by
+    ``tensor_cone`` as the cone of f (x) id on the unit complex, whose
+    tensor layouts are those of X and Y."""
+    return tensor_cone(f, identity_chain_map(unit_complex(f.source.group,
+                                                          f.source.ring)))
 
 
 def dual_complex(X):

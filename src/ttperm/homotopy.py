@@ -33,14 +33,15 @@ in a fixed order.
   of each differential gives its rank and, over Z, a diagonal whose
   nonunit entries normalise to the torsion invariant factors by the
   chain step of ``smith_normal_form`` (``_invariant_chain``); it checks
-  d o d = 0 as a sparse product first;
-* certificate checks (``check_homotopy``, and in ``chain`` the
-  chain-map squares and d o d = 0) compare the nonzeros of sparse
-  products on one column per G-orbit of the source basis, signed orbits
-  included, and raise ``permod.CertificateError`` rather than asserting,
-  so they survive ``python -O``: the two sides are built from checked
-  ``EquivMap``s on modules with the terms' actions, so their difference
-  is equivariant and vanishes once it vanishes there (``permod``);
+  d o d = 0 first (``Complex.check_square_zero``);
+* certificate checks (``check_homotopy``, ``Equivalence.verify`` and,
+  in ``chain``, d o d = 0 and the chain-map squares) go through the one
+  identity check ``permod._check_orbit_columns``, on one column per
+  G-orbit of the source basis, signed orbits included, and raise
+  ``permod.CertificateError`` rather than asserting, so they survive
+  ``python -O``: the two sides are built from checked ``EquivMap``s on
+  modules with the terms' actions, so their difference is equivariant
+  and vanishes once it vanishes there (``permod``);
   ``check_homotopy`` clears the denominators of h first, so a rational
   certificate whose complex has integral differentials is checked in
   int products;
@@ -68,14 +69,14 @@ Homotopies h have degree +1 and certify d h + h d = f.
 """
 
 import os
-from math import gcd
+from math import lcm
 
 from .grp import subgroups
 from .permod import (HomOrbits, EquivMap, CertificateError, SignedPermModule,
                      trivial_module, subgroup_as_group, restrict, _index,
-                     _normalized, _composite, _combination, _scaled,
-                     _same_module, _column_index, _column_image,
-                     _by_rows, _column_rows, _identity_minus)
+                     _normalized, _combination, _scaled, _same_module,
+                     _column_index, _column_image, _column_indexes,
+                     _check_orbit_columns, _by_rows, _column_rows)
 
 
 class SolverCapExceeded(Exception):
@@ -981,7 +982,7 @@ def null_homotopy(F):
 
 def check_homotopy(X, Y, f, h):
     """Check d h + h d = f exactly for maps X -> Y, column by column at
-    ``orbit_starts`` of X_n (the rule in ``permod``); raises
+    ``orbit_starts`` of X_n (``permod._check_orbit_columns``); raises
     CertificateError otherwise.  Only the compact column indexes of the
     maps that degree n reads are alive at degree n.
 
@@ -994,50 +995,35 @@ def check_homotopy(X, Y, f, h):
     (``twisted.certified_null_homotopy``).
 
     Denominators are cleared first: with D the lcm of the denominators
-    of h's entries, the check is d(Dh) + (Dh)d = D f.  That holds
-    exactly when d h + h d = f does (Q is a domain and D != 0), and Dh
-    is integral, so over Q the products multiply ints wherever d is
-    integral.  D = 1 over Z and GF(p)."""
+    of the entries of h and f, the check is d(Dh) + (Dh)d = D f.  That
+    holds exactly when d h + h d = f does (Q is a domain and D != 0),
+    and Dh and D f are integral, so over Q the products multiply ints
+    wherever d is integral.  D = 1 over Z and GF(p)."""
     ring = X.ring
-    D = 1
     for n, g in h.items():
         if not (n in X.terms and (n + 1) in Y.terms and
                 _same_module(g.source, X.terms[n]) and
                 _same_module(g.target, Y.terms[n + 1])):
             raise ValueError("h_%d is not X_%d -> Y_%d" % (n, n, n + 1))
-        for v in g.entries.values():
-            q = v.denominator
-            if D % q:
-                D = D // gcd(D, q) * q
-    # for f = c id, column c of D f is {c: unit}
-    unit = None if isinstance(f, dict) else ring.normalize(D * f)
+    if not isinstance(f, dict):     # c id, on the columns read
+        c = ring.normalize(f)
+        f = {n: {(i, i): c for i in M.orbit_starts()} if c else {}
+             for n, M in X.terms.items()}
+    D = lcm(*{v.denominator for E in [g.entries for g in h.values()]
+              + list(f.values()) for v in E.values()})
     index = {}
     for n, M in X.terms.items():
         hn, hb = h.get(n), h.get(n - 1)
         dY, dX = Y.diffs.get(n + 1), X.diffs.get(n)
-        maps = (hn, hb, dY, dX)
-        # drop the indexes that degree n does not read, then build its own
-        index = {g: index[g] for g in maps if g in index}
-        for g in maps:
-            if g is not None and g not in index:
-                index[g] = _column_index(g.entries, g.source.rank,
-                                         D if g in maps[:2] else 1)
+        index = _column_indexes(index, (hn, hb, dY, dX), D, 2)
         # (the index read at column c, the index applied to it)
         pairs = [(index[a], index[b]) for a, b in ((hn, dY), (dX, hb))
-                 if a is not None and b is not None]
-        if unit is None:
-            start, rows, vals = _column_index(f.get(n, {}), M.rank)
-        for c in M.orbit_starts():
-            if unit is not None:
-                want = {c: unit} if unit else {}
-            else:
-                want = {rows[k]: vals[k]
-                        for k in range(start[c], start[c + 1])}
-                if D != 1:
-                    want = _scaled(ring, D, want)
-            if _normalized(ring, _column_image(c, pairs)) != want:
-                raise CertificateError(
-                    "homotopy identity fails at degree %d" % n)
+                 if a in index and b in index]
+        start, rows, vals = _column_index(f.get(n, {}), M.rank, D)
+        _check_orbit_columns(
+            M, pairs, "homotopy identity fails at degree %d" % n,
+            lambda c: {rows[k]: vals[k]
+                       for k in range(start[c], start[c + 1])})
     return True
 
 
@@ -1334,14 +1320,21 @@ class Equivalence:
 
     def verify(self):
         """Check both homotopy identities; f and g are chain maps, so
-        their squares were checked when they were built."""
+        their squares were checked when they were built.  id - g f is
+        formed on the orbit columns, which ``check_homotopy`` reads."""
         for first, then, h in ((self.f, self.g, self.h),
                                (self.g, self.f, self.hp)):
             X, rhs = first.source, {}
             for n, M in X.terms.items():
-                cols = set(M.orbit_starts())
-                rhs[n] = _identity_minus(X.ring, cols, _composite(
-                    then.component(n), first.component(n), cols))
+                pair = [tuple(_column_index(g.entries, g.source.rank)
+                              for g in (first.component(n),
+                                        then.component(n)))]
+                acc = {}
+                for c in M.orbit_starts():
+                    for r, v in _column_image(c, pair).items():
+                        acc[(r, c)] = -v
+                    acc[(c, c)] = acc.get((c, c), 0) + 1
+                rhs[n] = _normalized(X.ring, acc)
             check_homotopy(X, X, rhs, h)
         return True
 

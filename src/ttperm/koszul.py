@@ -29,7 +29,7 @@ tower and then verified like a solved one: h_0 = 1 on R --1--> R, h (x)
 1 (x) ... (x) 1 after a tensor induction, h conjugated by the iso of a
 rebase, and K + Psi h Phi across a sign modification's cone (the basic
 perturbation lemma; ``_cone_contraction``).  Acyclicity is certified
-by d o d = 0 (a sparse product) together with the verified contraction
+by d o d = 0 (``Complex.check_square_zero``) with the verified contraction
 of the restriction, which contracts the underlying complex; homology is
 computed only to name a failure.  Each object is built once per
 (group, subgroup, ring) and kept on its group (``Group.koszul_objects``).
@@ -381,17 +381,17 @@ def verify_koszul(X, G, H, ring, contraction=None):
     contraction certificate of the restriction to H).
 
     The solver cap (``TTPERM_MAX_RANK``) is enforced on Res_H X first.
-    d o d = 0 is checked as a sparse product.  A verified contraction
-    of Res_H X contracts the underlying complex, so it certifies
-    acyclicity too; ``homology_profile`` runs only when no contraction
-    exists, to tell "not acyclic" from "restriction not contractible".
-    ``contraction`` is a contraction {n: entries} of Res_H X, or of the
-    restriction of the integral complex that X is the base change of
-    (values in ``ring`` or integers): it is carried over to ``ring`` and
-    verified there.  ``koszul_object`` passes the one it builds along
-    the tower.  Without it
-    the contraction is solved from scratch (``is_contractible``, the
-    sweep of ``homotopy._contract_equivariant``).
+    d o d = 0 is checked once per complex (``Complex.check_square_zero``).
+    A verified contraction of Res_H X contracts the underlying complex,
+    so it certifies acyclicity too; ``homology_profile`` runs only when
+    no contraction exists, to tell "not acyclic" from "restriction not
+    contractible".  ``contraction`` is a contraction {n: entries} of
+    Res_H X, or of the restriction of the integral complex that X is
+    the base change of (values in ``ring`` or integers): it is carried
+    over to ``ring`` and verified there.  ``koszul_object`` passes the
+    one it builds along the tower.  Without it the contraction is
+    solved from scratch (``is_contractible``, the sweep of
+    ``homotopy._contract_equivariant``).
 
     Raises KoszulVerificationError on any failure (these are theory
     violations, never silently tolerated), and CertificateError when

@@ -17,9 +17,10 @@ Conventions used throughout the package:
   its nonzero entries; rows index the target basis and columns the
   source basis, and the map acts on coordinate columns,
   f(e_c) = sum_r E[(r, c)] f_r.  Every map is built from entries and
-  read through them: composites are sparse products of nonzeros
-  (``_left_mul``, ``_right_mul``, ``_composite``) and ``rows`` gives
-  the row dicts that elimination reads, columns ascending within each
+  read through them: a composite is the sparse product of nonzeros
+  (``_composite``), an identity is checked on compact column indexes
+  (``_column_index``, ``_check_orbit_columns``) and ``rows`` gives the
+  row dicts that elimination reads, columns ascending within each
   row.  A map owns the dict it is given when its values are already
   nonzero and normalized, and keeps it without a copy, so a caller
   hands over an accumulator and never touches it again, and maps with
@@ -60,8 +61,9 @@ failed check raises ``CertificateError``, so the checks also run under
 ``python -O``.
 
 An identity between equivariant maps A -> B (d o d = 0, a chain-map
-square, d h + h d = f) is checked on one column per G-orbit of A's
-basis, at ``SignedPermModule.orbit_starts``: the difference F of the two
+square, d h + h d = f, d h + h d = id - g f) is checked by one function,
+``_check_orbit_columns``, on one column per G-orbit of A's basis, at
+``SignedPermModule.orbit_starts``: the difference F of the two
 sides is equivariant, F(g.e_x) = s rho(g) F(e_x) for g.e_x = s e_(g.x),
 so it vanishes on the orbit of e_x when it vanishes at e_x.  The rule
 has two preconditions, which the checks enforce:
@@ -362,49 +364,19 @@ def _column_rows(cols, nrows):
     return [by_rows.get(r, {}) for r in range(nrows)]
 
 
-def _identity_minus(ring, cols, entries):
-    """Entries of id - f on the columns ``cols`` (an iterable of
-    indices) for an endomorphism f given by its entries there."""
-    acc = {(i, i): ring.one for i in cols}
-    for key, v in entries.items():
-        acc[key] = acc.get(key, ring.zero) - v
-    return _normalized(ring, acc)
-
-
 def _scaled(ring, c, vec):
     """The vector c . vec, its values normalized over ``ring``."""
     return _normalized(ring, {i: c * x for i, x in vec.items()})
 
 
-def _left_mul(ring, d_cols, b):
-    """d . b as {(row, col): value}; ``d_cols`` is _index(d.entries, 1)
-    and ``b`` a sparse entries dict."""
-    acc = {}
-    for (t, c), v in b.items():
-        for r, a in d_cols.get(t, ()):
-            acc[(r, c)] = acc.get((r, c), 0) + a * v
-    return _normalized(ring, acc)
-
-
-def _composite(f, g, cols=None):
+def _composite(f, g):
     """The entries of f o g (g first), the sparse product of the two
-    maps' nonzeros; no map is built.  With ``cols``, a container of
-    indices of g's source, only those columns are formed: g is indexed
-    by rows on them alone and f is read entry by entry."""
-    if cols is None:
-        return _left_mul(f.ring, _index(f.entries, 1), g.entries)
-    return _right_mul(f.ring, f.entries, _index(
-        {k: v for k, v in g.entries.items() if k[1] in cols}, 0))
-
-
-def _right_mul(ring, b, d_rows):
-    """b . d as {(row, col): value}; ``d_rows`` is _index(d.entries, 0)
-    and ``b`` a sparse entries dict."""
-    acc = {}
-    for (r, t), v in b.items():
-        for c, a in d_rows.get(t, ()):
-            acc[(r, c)] = acc.get((r, c), 0) + v * a
-    return _normalized(ring, acc)
+    maps' nonzeros; no map is built."""
+    f_cols, acc = _index(f.entries, 1), {}
+    for (t, c), v in g.entries.items():
+        for r, a in f_cols.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + a * v
+    return _normalized(f.ring, acc)
 
 
 def _column_index(E, ncols, scale=1):
@@ -440,6 +412,29 @@ def _column_image(c, pairs):
                 r = rows[m]
                 acc[r] = acc.get(r, 0) + a * vals[m]
     return acc
+
+
+def _column_indexes(kept, maps, scale=1, scaled=0):
+    """{g: _column_index of g} for the maps of ``maps`` other than None,
+    the first ``scaled`` times ``scale``, reusing those in ``kept`` (the
+    degree before's); the rest of ``kept`` is dropped."""
+    out = {}
+    for k, g in enumerate(maps):
+        if g is not None:
+            out[g] = kept.get(g) or _column_index(
+                g.entries, g.source.rank, scale if k < scaled else 1)
+    return out
+
+
+def _check_orbit_columns(M, pairs, message, expected=None):
+    """The package's one identity check: sum B(A(e_c)) over the pairs
+    (A, B) of ``_column_index``es, normalized, is the vector expected(c)
+    (zero without ``expected``) at every c of ``M.orbit_starts()``, M
+    the source of every A; else CertificateError(message)."""
+    for c in M.orbit_starts():
+        if _normalized(M.ring, _column_image(c, pairs)) != (
+                expected(c) if expected else {}):
+            raise CertificateError(message)
 
 
 def zero_map(source, target):

@@ -19,7 +19,7 @@ from ttperm.chain import (Complex, ChainMap, unit_complex, module_complex,
                           two_term_complex, shift_complex, tensor_complex,
                           dual_complex, cone, identity_chain_map,
                           base_change_complex, restrict_complex,
-                          structurally_equal,
+                          structurally_equal, evaluation_pairing,
                           complex_to_json, complex_from_json, tensor_cone)
 from ttperm.homotopy import homology_profile, underlying_homology
 from ttperm.twisted import u_complex, index_p_normal_subgroups
@@ -214,19 +214,34 @@ def test_restriction_transport_and_rational_base_change_share_entries():
                for n, f in X.diffs.items())
 
 
-def test_tensor_cone_of_identities_is_the_cone_of_the_identity():
+def test_tensor_cone_of_identities_is_the_cone_of_the_identity(ref_cone):
     G = cyclic(2)
     N = index_p_normal_subgroups(G)[0]
     X = u_complex(G, N, ZZ)
     f = identity_chain_map(X)
     C = tensor_cone(f, f)
-    want = cone(identity_chain_map(tensor_complex(X, X)))
+    want = ref_cone(identity_chain_map(tensor_complex(X, X)))
     assert C.degrees() == want.degrees()
     for n in want.degrees():
         assert C.term(n).basis == want.term(n).basis
         assert C.term(n).action == want.term(n).action
         assert list(C.diff(n).entries.items()) == \
             list(want.diff(n).entries.items())
+
+
+@pytest.mark.parametrize("gname", ["C3", "C5", "C7"])
+def test_cone_of_the_invert_pairing_matches_the_block_reference(
+        gname, ref_cone):
+    # cone(f) is tensor_cone(f, id of the unit complex): the degrees,
+    # actions and entries of the block-offset reference, as dicts
+    G = parse_group_name(gname)
+    f = evaluation_pairing(u_complex(G, index_p_normal_subgroups(G)[0], ZZ))
+    C, want = cone(f), ref_cone(f)
+    assert C.degrees() == want.degrees()
+    for n in want.degrees():
+        assert C.term(n).action == want.term(n).action, n
+        assert C.diff(n).entries == want.diff(n).entries, n
+    assert C.diffs.keys() == want.diffs.keys() and C.diffs
 
 
 def test_json_round_trip():

@@ -17,7 +17,8 @@ from ttperm.grp import cyclic, parse_group_name, subgroups
 from ttperm.rings import ZZ, QQ, GF
 from ttperm.permod import (trivial_module, perm_module, sign_module,
                            BlockModule, EquivMap, equivariant_hom_basis,
-                           HomOrbits, CertificateError, _scaled)
+                           HomOrbits, CertificateError, _normalized,
+                           _scaled)
 from ttperm.chain import (Complex, unit_complex, shift_complex,
                           tensor_complex, dual_complex, cone,
                           identity_chain_map, two_term_complex, ChainMap)
@@ -33,6 +34,35 @@ from ttperm.homotopy import (smith_normal_form,
                              _diagonalize, _column_rows)
 from ttperm.twisted import u_complex, index_p_normal_subgroups
 from ttperm.koszul import koszul_object
+
+
+def _left_mul(ring, d_cols, b):
+    """Reference: d . b as {(row, col): value}, normalized; ``d_cols``
+    is _index(d.entries, 1) and ``b`` a sparse entries dict."""
+    acc = {}
+    for (t, c), v in b.items():
+        for r, a in d_cols.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + a * v
+    return _normalized(ring, acc)
+
+
+def _right_mul(ring, b, d_rows):
+    """Reference: b . d as {(row, col): value}, normalized; ``d_rows``
+    is _index(d.entries, 0) and ``b`` a sparse entries dict."""
+    acc = {}
+    for (r, t), v in b.items():
+        for c, a in d_rows.get(t, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + v * a
+    return _normalized(ring, acc)
+
+
+def _identity_minus(ring, cols, entries):
+    """Reference: the entries of id - f on the columns ``cols`` for an
+    endomorphism f given by its entries there, normalized."""
+    acc = {(i, i): ring.one for i in cols}
+    for key, v in entries.items():
+        acc[key] = acc.get(key, ring.zero) - v
+    return _normalized(ring, acc)
 
 
 entry = st.integers(min_value=-9, max_value=9)
@@ -916,6 +946,57 @@ def test_corrupted_contractions_are_rejected_under_python_O(python_O):
     assert "identity fails" in out["message"]
 
 
+_RATIONAL_EQUIVALENCE = """
+import io
+import sys
+from contextlib import redirect_stdout
+from ttperm.chain import ChainMap, evaluation_pairing
+from ttperm.cli import run
+from ttperm.grp import parse_group_name
+from ttperm.homotopy import Equivalence, unit_equivalence
+from ttperm.permod import CertificateError, EquivMap
+from ttperm.rings import QQ
+from ttperm.twisted import u_complex, index_p_normal_subgroups
+
+assert sys.flags.optimize
+with redirect_stdout(io.StringIO()):
+    assert run(["invert", "--group", "C5", "--ring", "Q"]) == 0
+
+
+def denominators(maps):
+    return sorted({getattr(v, "denominator", 1)
+                   for f in maps for v in f.entries.values()})
+
+
+G = parse_group_name("C5")
+eq = unit_equivalence(evaluation_pairing(
+    u_complex(G, index_p_normal_subgroups(G)[0], QQ)), 0)
+print("g", denominators(eq.g.components.values()))
+print("h", denominators(eq.h.values()))
+eq.verify()
+g2 = ChainMap(eq.g.source, eq.g.target, {
+    n: EquivMap(c.source, c.target, {k: 2 * v for k, v in c.entries.items()})
+    for n, c in eq.g.components.items()})
+try:
+    Equivalence(eq.f, g2, eq.h, eq.hp).verify()
+    sys.exit("a doubled rational quasi-inverse passed")
+except CertificateError as exc:
+    print("doubled", exc)
+"""
+
+
+def test_a_rational_equivalence_with_g_doubled_fails_under_python_O(
+        python_O):
+    # over Q the quasi-inverse of invert C5 has denominator 4 and the
+    # homotopy h denominators 2 and 4, so id - g f is checked with
+    # cleared denominators; 2 g breaks it
+    proc = python_O(_RATIONAL_EQUIVALENCE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "g [4]", "h [1, 2, 4]",
+        "doubled homotopy identity fails at degree 0"]
+
+
 _CORRUPTED_INPUTS = """
 import sys
 from ttperm.chain import Complex, ChainMap, two_term_complex
@@ -1020,7 +1101,7 @@ def _rows_by_products(sys, proj, contributions, rhs):
     of a block multiplied in full by d, and its product's entries at the
     root pairs of the projection's basis maps summed into the rows; the
     reference for its rows, right sides and dict order."""
-    from ttperm.permod import _index, _left_mul, _right_mul
+    from ttperm.permod import _index
     ring = sys.ring
     roots = {}
     for idx, e in enumerate(equivariant_hom_basis(proj.source, proj.target)):
@@ -1467,8 +1548,7 @@ def test_vectors_hold_normalized_nonzeros(argv, monkeypatch, capsys):
 def _contraction_rhs(X, n, h_below):
     """Entries of id - h_{n-1} d_n, the right side of the contraction
     step at degree n (``h_below`` the entries of h_{n-1} or None)."""
-    from ttperm.homotopy import _identity_minus
-    from ttperm.permod import _index, _right_mul
+    from ttperm.permod import _index
     hd = {}
     if h_below and n in X.diffs:
         hd = _right_mul(X.ring, h_below, _index(X.diffs[n].entries, 0))

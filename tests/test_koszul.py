@@ -259,16 +259,21 @@ def test_verify_koszul_squares_a_checked_tower_once(monkeypatch):
     H = G.trivial_subgroup()
     X, _, _ = _build_koszul(G, H, ZZ)
     assert X.squares_to_zero
-    products = []
-    real = chain._composite
+    checks = []
+    real = chain._check_orbit_columns
 
-    def counting(f, g):
-        products.append((f, g))
-        return real(f, g)
+    def counting(M, pairs, message, expected=None):
+        checks.append(message)
+        return real(M, pairs, message, expected)
 
-    monkeypatch.setattr(chain, "_composite", counting)
+    monkeypatch.setattr(chain, "_check_orbit_columns", counting)
+    # the spy sees the squares of a complex that has not been checked
+    unchecked = chain.Complex(X.group, X.ring, X.terms, X.diffs, check=False)
+    unchecked.check_square_zero()
+    assert checks and all(m.startswith("d o d") for m in checks)
+    checks.clear()
     verify_koszul(X, G, H, ZZ)
-    assert products == []
+    assert checks == []
 
 
 _BROKEN_BASE_CHANGE = """

@@ -11,6 +11,7 @@ Koszul tower holds beyond what it returns.
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,8 @@ from ttperm.cli import run
 from ttperm.grp import cyclic
 from ttperm.permod import (BlockModule, CertificateError, EquivMap,
                            HomOrbits, sign_module, tensor_module,
-                           trivial_module, _composite)
+                           trivial_module, _check_orbit_columns,
+                           _column_index)
 from ttperm.rings import ZZ
 
 # the twist-search and koszul-certify workloads of the benchmark
@@ -192,8 +194,12 @@ def test_orbit_starts_cover_signed_orbits():
     assert list(M.orbit_starts()) == [0, 1]
     d2 = EquivMap(M, M, {(0, 0): 1, (1, 1): 1})
     d1 = EquivMap(M, M, {(1, 1): 1})
-    assert _composite(d1, d2, set(roots)) == {}
-    assert _composite(d1, d2, set(M.orbit_starts())) == {(1, 1): 1}
+    # d1 d2 = {(1, 1): 1}: zero on the roots, not on the orbit starts
+    pairs = [(_column_index(d2.entries, 2), _column_index(d1.entries, 2))]
+    on_roots = SimpleNamespace(ring=ZZ, orbit_starts=lambda: roots)
+    _check_orbit_columns(on_roots, pairs, "d o d on the roots")
+    with pytest.raises(CertificateError, match="d o d at the starts"):
+        _check_orbit_columns(M, pairs, "d o d at the starts")
     with pytest.raises(CertificateError, match="d o d != 0 at degree 1"):
         chain.Complex(G, ZZ, {0: M, 1: M, 2: M}, {2: d2, 1: d1})
 
